@@ -5,16 +5,14 @@ package ucqn
 // HTTP endpoint speaking the JSON group protocol — as a limited-access
 // Source, so the whole stack (caching, breakers, replicas, budgets,
 // ANSWER* degradation) applies to external systems unchanged. Adapters
-// batch: they implement BatchSource, and the engine services a whole
-// deduplicated binding group in one wire round trip when the source
-// supports it.
+// batch (Source.Batches): the engine hands them a step's whole
+// deduplicated binding group in one call, one wire round trip.
 
 import (
 	"context"
 
 	"repro/internal/adapter"
 	"repro/internal/engine"
-	"repro/internal/sources"
 )
 
 // Adapter types.
@@ -31,9 +29,6 @@ type (
 	HTTPAdapter = adapter.HTTP
 	// HTTPBackend is the reference server for the JSON group protocol.
 	HTTPBackend = adapter.Backend
-	// BatchSource is a source that services a whole binding group in one
-	// round trip; the engine detects it via IsBatchCapable.
-	BatchSource = sources.BatchSource
 )
 
 // OpenAdapter builds the source for a spec, dispatching on the scheme
@@ -59,16 +54,10 @@ func LoadCatalogConfig(path string) (*AdapterConfig, error) { return adapter.Loa
 // any http server to publish a source to remote HTTPAdapters).
 func NewHTTPBackend(src Source) *HTTPBackend { return adapter.NewBackend(src) }
 
-// IsBatchCapable reports whether calls to s can be batched — s (or the
-// bottom of its wrapper stack) genuinely services a group per round
-// trip.
-func IsBatchCapable(s Source) bool { return sources.IsBatchCapable(s) }
-
-// CallBatch services a group of input vectors against s: one round trip
-// when s is batch capable, a per-vector loop otherwise. Results align
-// with inputs.
+// CallBatch services a group of input vectors against s; results align
+// with inputs. It is s.Call, kept as a function for existing callers.
 func CallBatch(ctx context.Context, s Source, p Pattern, inputs [][]string) ([][]Tuple, error) {
-	return sources.CallBatchWithContext(ctx, s, p, inputs)
+	return s.Call(ctx, p, inputs)
 }
 
 // SetInternerCap bounds the process-wide value interner backing

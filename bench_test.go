@@ -1073,7 +1073,7 @@ type e23Slow struct {
 	calls int
 }
 
-func (s *e23Slow) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]sources.Tuple, error) {
+func (s *e23Slow) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
 	s.mu.Lock()
 	s.calls++
 	slow := s.calls%s.n == 0
@@ -1087,7 +1087,7 @@ func (s *e23Slow) CallContext(ctx context.Context, p access.Pattern, inputs []st
 			return nil, ctx.Err()
 		}
 	}
-	return sources.CallWithContext(ctx, s.Source, p, inputs)
+	return s.Source.Call(ctx, p, inputs)
 }
 
 // e23Catalog builds the E23 catalog: every relation fronted by a

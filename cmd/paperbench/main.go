@@ -1244,7 +1244,7 @@ type slowEveryNth struct {
 	calls int
 }
 
-func (s *slowEveryNth) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]sources.Tuple, error) {
+func (s *slowEveryNth) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
 	s.mu.Lock()
 	s.calls++
 	slow := s.calls%s.n == 0
@@ -1258,7 +1258,7 @@ func (s *slowEveryNth) CallContext(ctx context.Context, p access.Pattern, inputs
 			return nil, ctx.Err()
 		}
 	}
-	return sources.CallWithContext(ctx, s.Source, p, inputs)
+	return s.Source.Call(ctx, p, inputs)
 }
 
 func e23() {
@@ -1526,7 +1526,7 @@ func e26() {
 func e27() {
 	// Batched pushdown through the SQL adapter: a fan-out join drives a
 	// deduplicated binding group into a SQL-backed relation, once with
-	// the adapter's BatchSource capability hidden (one statement per
+	// the adapter's batching property masked (one statement per
 	// binding) and once with it live (one IN statement per chunk). The
 	// backend's own query counter is the round-trip ground truth, and an
 	// injected per-statement latency makes the saving visible in the

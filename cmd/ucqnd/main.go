@@ -39,6 +39,16 @@ import (
 	"repro/internal/server"
 )
 
+// Connection timeouts: a client that dribbles its headers or body, or
+// parks an idle keep-alive connection, must not pin a goroutine and a
+// file descriptor forever. Query execution time is bounded by the
+// admission queue and quotas, not here, so there is no write timeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8099", "listen address")
 	tenants := flag.Int("tenants", 3, "number of fixture tenants to serve")
@@ -105,7 +115,13 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "ucqnd: serving %d tenants on %s\n", *tenants, *addr)

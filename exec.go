@@ -3,8 +3,6 @@ package ucqn
 // Exec is the single context-first entry point for every way this
 // package evaluates a query: materialized, parallel, profiled, streamed,
 // ANSWER*, semantically optimized, cost-ordered, or naive ground truth.
-// The historical Answer* functions remain as thin deprecated wrappers
-// around it.
 
 import (
 	"context"
@@ -23,22 +21,20 @@ type Stream = engine.Stream
 
 // execConfig is the option-resolved shape of one Exec call.
 type execConfig struct {
-	rt         *Runtime
-	parallel   bool
-	profile    bool
-	streaming  bool
-	partial    bool
-	star       bool
-	improve    bool
-	maxCalls   int
-	naive      *Instance
-	inds       INDSet
-	hasINDs    bool
-	stats      PlanStats
-	hasStats   bool
-	qc         *QueryCache
-	persistDir string
-	fleetDir   string
+	rt        *Runtime
+	parallel  bool
+	profile   bool
+	streaming bool
+	partial   bool
+	star      bool
+	improve   bool
+	maxCalls  int
+	naive     *Instance
+	inds      INDSet
+	hasINDs   bool
+	stats     PlanStats
+	hasStats  bool
+	qc        *QueryCache
 
 	replicas    []*Catalog
 	hasReplicas bool
@@ -342,20 +338,6 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		}
 		q = ordered
 	}
-	if c.persistDir != "" {
-		qc, err := OpenQueryCache(c.persistDir, QueryCacheOptions{})
-		if err != nil {
-			return nil, err
-		}
-		c.qc = qc
-	}
-	if c.fleetDir != "" {
-		qc, _, err := OpenFleetCache(c.fleetDir, QueryCacheOptions{}, FleetOptions{})
-		if err != nil {
-			return nil, err
-		}
-		c.qc = qc
-	}
 	if c.useQueryCache() {
 		entry, info := c.qc.Plan(q, ps)
 		if err := entry.Err(); err != nil {
@@ -406,7 +388,7 @@ func (c *execConfig) validate() error {
 		switch {
 		case c.star, c.streaming, c.profile, c.parallel, c.partial:
 			return errors.New("ucqn: WithNaive does not combine with execution options")
-		case c.hasINDs, c.hasStats, c.rt != nil, c.persistDir != "", c.fleetDir != "":
+		case c.hasINDs, c.hasStats, c.rt != nil:
 			return errors.New("ucqn: WithNaive ignores access patterns; planning options do not apply")
 		case c.hasReplicas, c.hasHedge, c.hasBudget:
 			return errors.New("ucqn: WithNaive makes no source calls; replica and budget options do not apply")
@@ -425,15 +407,6 @@ func (c *execConfig) validate() error {
 	}
 	if c.profile && c.parallel && !c.streaming {
 		return fmt.Errorf("ucqn: materialized profiling is per rule in sequence; combine WithProfile + WithParallelRules only with WithStreaming")
-	}
-	if c.persistDir != "" && c.qc != nil {
-		return errors.New("ucqn: WithPersistence already selects a query cache; do not combine it with WithQueryCache")
-	}
-	if c.fleetDir != "" && c.qc != nil {
-		return errors.New("ucqn: WithFleet already selects a query cache; do not combine it with WithQueryCache")
-	}
-	if c.fleetDir != "" && c.persistDir != "" {
-		return errors.New("ucqn: WithFleet and WithPersistence are mutually exclusive; a fleet directory is already persistent")
 	}
 	if c.hasBatchSize && c.batchSize < 1 {
 		return fmt.Errorf("ucqn: WithBatchSize(%d): batch size must be at least 1", c.batchSize)

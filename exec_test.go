@@ -2,8 +2,7 @@ package ucqn
 
 // Exec facade tests: option plumbing, contradictory combinations
 // rejected up front, the streaming path draining to the same answers,
-// and the batch knobs. Equivalence with the deprecated wrappers is
-// covered in deprecated_test.go.
+// and the batch knobs.
 
 import (
 	"context"
@@ -32,8 +31,7 @@ func execFixture(t *testing.T) (Query, *PatternSet, *Instance) {
 	return q, ps, in
 }
 
-// execAnswer materializes q through the default Exec path — the
-// test-side replacement for the deprecated Answer wrapper.
+// execAnswer materializes q through the default Exec path.
 func execAnswer(q Query, ps *PatternSet, cat *Catalog) (*Rel, error) {
 	res, err := Exec(context.Background(), q, ps, cat)
 	if err != nil {
@@ -42,8 +40,7 @@ func execAnswer(q Query, ps *PatternSet, cat *Catalog) (*Rel, error) {
 	return res.Rel()
 }
 
-// execNaive evaluates q directly over the instance through Exec — the
-// test-side replacement for the deprecated AnswerNaive wrapper.
+// execNaive evaluates q directly over the instance through Exec.
 func execNaive(q Query, in *Instance) (*Rel, error) {
 	res, err := Exec(context.Background(), q, nil, nil, WithNaive(in))
 	if err != nil {
@@ -52,8 +49,7 @@ func execNaive(q Query, in *Instance) (*Rel, error) {
 	return res.Rel()
 }
 
-// execProfiled materializes q with per-step accounting through Exec —
-// the test-side replacement for the deprecated AnswerProfiled wrapper.
+// execProfiled materializes q with per-step accounting through Exec.
 func execProfiled(q Query, ps *PatternSet, cat *Catalog) (*Rel, ExecProfile, error) {
 	res, err := Exec(context.Background(), q, ps, cat, WithProfile())
 	if err != nil {
@@ -67,8 +63,7 @@ func execProfiled(q Query, ps *PatternSet, cat *Catalog) (*Rel, ExecProfile, err
 	return rel, prof, nil
 }
 
-// execStar runs the full ANSWER* algorithm through Exec — the
-// test-side replacement for the deprecated RunAnswerStar wrapper.
+// execStar runs the full ANSWER* algorithm through Exec.
 func execStar(q Query, ps *PatternSet, cat *Catalog) (AnswerStar, error) {
 	res, err := Exec(context.Background(), q, ps, cat, WithAnswerStar())
 	if err != nil {
@@ -78,8 +73,7 @@ func execStar(q Query, ps *PatternSet, cat *Catalog) (AnswerStar, error) {
 	return star, nil
 }
 
-// execStarUnder is ANSWER* under inclusion dependencies through Exec —
-// the test-side replacement for the deprecated AnswerStarUnder wrapper.
+// execStarUnder is ANSWER* under inclusion dependencies through Exec.
 func execStarUnder(q Query, ps *PatternSet, cat *Catalog, inds INDSet) (AnswerStar, error) {
 	res, err := Exec(context.Background(), q, ps, cat, WithAnswerStar(), WithINDs(inds))
 	if err != nil {
@@ -90,8 +84,7 @@ func execStarUnder(q Query, ps *PatternSet, cat *Catalog, inds INDSet) (AnswerSt
 }
 
 // execImproveUnder is ANSWER* plus domain-enumeration improvement
-// through Exec — the test-side replacement for the deprecated
-// RunAnswerStar + ImproveUnder pair.
+// through Exec.
 func execImproveUnder(q Query, ps *PatternSet, cat *Catalog, maxCalls int) (*Rel, AnswerStar, DomResult, error) {
 	res, err := Exec(context.Background(), q, ps, cat, WithImproveUnder(maxCalls))
 	if err != nil {
@@ -104,6 +97,102 @@ func execImproveUnder(q Query, ps *PatternSet, cat *Catalog, maxCalls int) (*Rel
 	star, _ := res.Star()
 	_, dom, _ := res.Improved()
 	return rel, star, dom, nil
+}
+
+func TestExecDefaultAndProfile(t *testing.T) {
+	q, ps, in := execFixture(t)
+	want, err := execNaive(q, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := res.Rel(); err != nil || !got.Equal(want) {
+		t.Errorf("Exec = %s (%v), want %s", got, err, want)
+	}
+	if res.Stream() != nil {
+		t.Error("Stream must be nil without WithStreaming")
+	}
+	if _, ok := res.Profile(); ok {
+		t.Error("Profile must be absent without WithProfile")
+	}
+
+	res, err = Exec(context.Background(), q, ps, in.MustCatalog(ps), WithParallelRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := res.Rel(); err != nil || !got.Equal(want) {
+		t.Errorf("Exec with parallel rules = %s (%v), want %s", got, err, want)
+	}
+
+	res, err = Exec(context.Background(), q, ps, in.MustCatalog(ps), WithProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := res.Rel(); err != nil || !got.Equal(want) {
+		t.Errorf("profiled Exec = %s (%v), want %s", got, err, want)
+	}
+	prof, ok := res.Profile()
+	if !ok {
+		t.Fatal("profile must be recorded with WithProfile")
+	}
+	if prof.Elapsed <= 0 || prof.TotalCalls() == 0 {
+		t.Errorf("profile must carry wall-clock time and traffic: %+v", prof)
+	}
+}
+
+func TestExecAnswerStar(t *testing.T) {
+	q, ps, in := execFixture(t)
+	want, err := execNaive(q, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), WithAnswerStar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, ok := res.Star()
+	if !ok {
+		t.Fatal("Star must be populated with WithAnswerStar")
+	}
+	rel, err := res.Rel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rel.Equal(star.Under) {
+		t.Errorf("Rel must be the underestimate: %s vs %s", rel, star.Under)
+	}
+	// The fixture is feasible, so the underestimate is the answer.
+	if !rel.Equal(want) {
+		t.Errorf("underestimate = %s, want ground truth %s", rel, want)
+	}
+}
+
+func TestExecImproveUnder(t *testing.T) {
+	// S(y, x) is unanswerable as written (y has no binder), so PLAN*
+	// under-approximates; domain enumeration re-admits it through dom(y).
+	q := MustParseQuery(`Q(x) :- R(x), S(y, x).`)
+	ps := MustParsePatterns(`R^o S^io`)
+	in := NewInstance().MustAdd("R", "a").MustAdd("R", "b").MustAdd("S", "a", "b")
+	want, err := execNaive(q, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), WithImproveUnder(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := res.Rel(); err != nil || !rel.Equal(want) {
+		t.Errorf("improved = %s (%v), want ground truth %s", rel, err, want)
+	}
+	if _, dom, ok := res.Improved(); !ok || dom.Calls == 0 {
+		t.Errorf("Improved must be populated with WithImproveUnder: %+v, %v", dom, ok)
+	}
+	if star, ok := res.Star(); !ok || star.Under.Equal(want) {
+		t.Error("WithImproveUnder implies the ANSWER* report, whose underestimate is strictly smaller here")
+	}
 }
 
 func TestExecStreaming(t *testing.T) {

@@ -7,7 +7,6 @@ package ucqn
 // fast path (Section 5.1), and source-call caching.
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/constraints"
@@ -67,21 +66,6 @@ func FeasibleUnder(q Query, ps *PatternSet, inds INDSet) FeasibleResult {
 	return constraints.FeasibleUnder(q, ps, inds)
 }
 
-// AnswerStarUnder runs ANSWER* on the semantically optimized query
-// (rules the dependencies refute are dropped before planning). Use only
-// when the sources' data satisfies the dependencies.
-//
-// Deprecated: use Exec with WithAnswerStar and WithINDs(inds) and read
-// Result.Star.
-func AnswerStarUnder(q Query, ps *PatternSet, cat *Catalog, inds INDSet) (AnswerStar, error) {
-	res, err := Exec(context.Background(), q, ps, cat, WithAnswerStar(), WithINDs(inds))
-	if err != nil {
-		return AnswerStar{}, err
-	}
-	star, _ := res.Star()
-	return star, nil
-}
-
 // OptimizeOrder returns an executable reordering of the query chosen to
 // reduce source traffic (filters first, bound-is-easier), and whether
 // every rule was orderable. Reorder returns ANSWERABLE's discovery
@@ -138,36 +122,6 @@ func VerifyWitness(p Rule, q Query, w *Witness) error {
 	return containment.NewChecker(q).Verify(p, w)
 }
 
-// AnswerParallel evaluates the plan with one goroutine per rule (the
-// paper's "execute each rule separately, possibly in parallel").
-//
-// Deprecated: use Exec with WithParallelRules.
-func AnswerParallel(q Query, ps *PatternSet, cat *Catalog) (*Rel, error) {
-	res, err := Exec(context.Background(), q, ps, cat, WithParallelRules())
-	if err != nil {
-		return nil, err
-	}
-	return res.Rel()
-}
-
-// AnswerProfiled is Answer with per-step execution accounting (an
-// EXPLAIN ANALYZE for limited-access plans).
-//
-// Deprecated: use Exec with WithProfile and read Result.Rel and
-// Result.Profile.
-func AnswerProfiled(q Query, ps *PatternSet, cat *Catalog) (*Rel, ExecProfile, error) {
-	res, err := Exec(context.Background(), q, ps, cat, WithProfile())
-	if err != nil {
-		return nil, ExecProfile{}, err
-	}
-	rel, err := res.Rel()
-	if err != nil {
-		return nil, ExecProfile{}, err
-	}
-	prof, _ := res.Profile()
-	return rel, prof, nil
-}
-
 // ExecProfile is the execution profile of a plan: per-step source calls,
 // tuples, and binding-set sizes.
 type ExecProfile = engine.Profile
@@ -199,13 +153,13 @@ func CachedCatalog(cat *Catalog) (*Catalog, []*CachedSource, error) {
 	return sources.CachedCatalog(cat)
 }
 
-// Runtime is the source-call runtime behind Answer, AnswerParallel and
-// RunAnswerStar: it groups each step's bindings by input-slot key so
-// every distinct call is issued once, drives distinct calls through a
-// bounded worker pool, and retries transient failures. Construct one
-// with NewRuntime (or SequentialRuntime for the historical per-binding
-// loop), tune the exported fields before first use, and call its
-// context-taking Answer/AnswerParallel/RunAnswerStar methods.
+// Runtime is the source-call runtime behind Exec: it groups each step's
+// bindings by input-slot key so every distinct call is issued once,
+// drives distinct calls through a bounded worker pool, and retries
+// transient failures. Construct one with NewRuntime (or
+// SequentialRuntime for the historical per-binding loop), tune the
+// exported fields before first use, and pass it with WithRuntime or
+// call its context-taking Answer/AnswerParallel/RunAnswerStar methods.
 type Runtime = engine.Runtime
 
 // RetryPolicy configures how a Runtime retries failed source calls.

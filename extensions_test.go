@@ -164,7 +164,7 @@ func TestCachedCatalogFacade(t *testing.T) {
 	}
 	// The wrapped single source constructor works too.
 	single := NewCachedSource(base.Source("T"))
-	if _, err := single.Call("io", []string{"z0"}); err != nil {
+	if _, err := single.Call(context.Background(), "io", [][]string{{"z0"}}); err != nil {
 		t.Fatal(err)
 	}
 }

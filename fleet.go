@@ -1,19 +1,17 @@
 package ucqn
 
-// Fleet facade: WithFleet routes an Exec call through a query cache
-// that shares its persistence directory with other processes — a
-// cache fleet. One replica at a time (elected via the TTL'd writer
-// lease) owns the append log; the rest follow the published state and
-// warm-start from answers any sibling paid for. Storage or peer
-// trouble degrades a replica to its local in-memory cache, never a
-// failed query; invalidations fan out fleet-wide within one poll
-// interval. The mechanics live in internal/qcache/fleet.
+// Fleet facade: OpenFleetCache opens a query cache that shares its
+// persistence directory with other processes — a cache fleet; pass the
+// result to Exec with WithQueryCache. One replica at a time (elected
+// via the TTL'd writer lease) owns the append log; the rest follow the
+// published state and warm-start from answers any sibling paid for.
+// Storage or peer trouble degrades a replica to its local in-memory
+// cache, never a failed query; invalidations fan out fleet-wide within
+// one poll interval. The mechanics live in internal/qcache/fleet.
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
 
 	"repro/internal/qcache"
 	"repro/internal/qcache/fleet"
@@ -31,15 +29,6 @@ type FleetStats = fleet.Stats
 // FleetNode is this process's handle on the shared cache directory.
 type FleetNode = fleet.Node
 
-// fleetCaches is the process-wide registry of fleet-backed caches,
-// one per shared directory: every Exec and OpenFleetCache against the
-// same dir shares one cache and one replica identity.
-var (
-	fleetMu     sync.Mutex
-	fleetCaches = map[string]*QueryCache{}
-	fleetNodes  = map[string]*fleet.Node{}
-)
-
 // defaultFleetID names this process in a fleet when the caller did
 // not: hostname plus pid is unique across a fleet of machines and
 // across restarts on one machine (a stale inbox file from a previous
@@ -52,46 +41,20 @@ func defaultFleetID() string {
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
-// OpenFleetCache returns the process-wide fleet-backed query cache
-// for the shared dir, joining the fleet — and starting the background
-// poll/renewal ticker — on first use. opt and fopt apply only when
-// this call creates the cache; later calls for the same directory
-// return the existing cache and node unchanged. An empty fopt.ID
-// defaults to hostname-pid. Call ClosePersist on the cache during
-// graceful shutdown: it releases the lease (when this replica is the
-// writer) and makes the final fsync batch durable.
+// OpenFleetCache opens a query cache on the shared dir, joining the
+// fleet and starting the background poll/renewal ticker: answers
+// computed by any replica of the fleet warm this process's cache, and
+// this process's answers (while it holds the writer lease) warm
+// everyone else's. Open a directory once per process and share the
+// cache. An empty fopt.ID defaults to hostname-pid. Catalogs must carry
+// a stable label (Catalog.SetPersistentID) for their answers to travel;
+// unlabeled catalogs get plain in-memory caching. Call ClosePersist on
+// the cache during graceful shutdown: it releases the lease (when this
+// replica is the writer) and makes the final fsync batch durable.
 func OpenFleetCache(dir string, opt QueryCacheOptions, fopt FleetOptions) (*QueryCache, *FleetNode, error) {
-	key, err := filepath.Abs(dir)
-	if err != nil {
-		key = dir
-	}
-	fleetMu.Lock()
-	defer fleetMu.Unlock()
-	if qc, ok := fleetCaches[key]; ok {
-		return qc, fleetNodes[key], nil
-	}
 	if fopt.ID == "" {
 		fopt.ID = defaultFleetID()
 	}
 	fopt.Background = true
-	qc, node, err := qcache.OpenFleet(dir, opt, fopt)
-	if err != nil {
-		return nil, nil, err
-	}
-	fleetCaches[key] = qc
-	fleetNodes[key] = node
-	return qc, node, nil
-}
-
-// WithFleet routes this Exec call through the fleet-backed query
-// cache for the shared dir (see OpenFleetCache): answers computed by
-// any replica of the fleet warm this process's cache, and this
-// process's answers (while it holds the writer lease) warm everyone
-// else's. It is WithPersistence generalized from one process to N;
-// the three cache options (WithQueryCache, WithPersistence,
-// WithFleet) do not combine — pass exactly one. Catalogs must carry a
-// stable label (Catalog.SetPersistentID) for their answers to travel;
-// unlabeled catalogs get plain in-memory caching.
-func WithFleet(dir string) ExecOption {
-	return func(c *execConfig) { c.fleetDir = dir }
+	return qcache.OpenFleet(dir, opt, fopt)
 }

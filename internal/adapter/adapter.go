@@ -2,12 +2,12 @@
 // paper's limited-access sources ARE external services — query forms
 // you can only call with the input slots bound — and everything in
 // internal/sources up to now simulates them in memory. An adapter
-// implements the same Source/ContextSource/StatsReporter contracts over
-// a wire protocol, so it slots under the whole resilience stack
-// (Cached, Breaker, ReplicaSet, hedging, budgets) unchanged; adapters
-// additionally implement sources.BatchSource, servicing a whole binding
-// group in one round trip (SQL: one IN (...) query; HTTP: one POSTed
-// group), which the engine's call layer detects and uses.
+// implements the same Source and StatsReporter contracts over a wire
+// protocol, so it slots under the whole resilience stack (Cached,
+// Breaker, ReplicaSet, hedging, budgets) unchanged; adapters declare
+// Batches: a whole binding group is one round trip (SQL: one IN (...)
+// query; HTTP: one POSTed group), so the engine's call layer hands them
+// each step's group in one call.
 //
 // Backends are addressed by scheme — "sql://driver/dsn" compiles
 // adorned accesses to parameterized SELECTs over database/sql;

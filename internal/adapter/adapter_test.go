@@ -13,6 +13,15 @@ import (
 	"repro/internal/sources"
 )
 
+// callOne issues a group of one and unwraps its rows.
+func callOne(ctx context.Context, s sources.Source, p access.Pattern, inputs []string) ([]sources.Tuple, error) {
+	groups, err := s.Call(ctx, p, [][]string{inputs})
+	if err != nil {
+		return nil, err
+	}
+	return groups[0], nil
+}
+
 // sqlSpec mounts a fresh fakedb store (unique per test) with the given
 // rows and returns the opened adapter plus its store.
 func sqlSpec(t *testing.T, patterns []string, cols []string, rows [][]string, maxBatch int) (*SQL, *fakedb.Store) {
@@ -42,14 +51,14 @@ func TestSQLCallSingle(t *testing.T) {
 	a, st := sqlSpec(t, []string{"io", "oo"}, []string{"c0", "c1"}, [][]string{
 		{"a", "1"}, {"a", "2"}, {"b", "3"},
 	}, 0)
-	rows, err := a.Call(access.Pattern("io"), []string{"a"})
+	rows, err := callOne(context.Background(), a, access.Pattern("io"), []string{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 || rows[0][0] != "a" || rows[1][1] != "2" {
 		t.Fatalf("got %v", rows)
 	}
-	all, err := a.Call(access.Pattern("oo"), nil)
+	all, err := callOne(context.Background(), a, access.Pattern("oo"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +76,13 @@ func TestSQLCallSingle(t *testing.T) {
 
 func TestSQLContractEnforced(t *testing.T) {
 	a, _ := sqlSpec(t, []string{"io"}, []string{"c0", "c1"}, nil, 0)
-	if _, err := a.Call(access.Pattern("oi"), []string{"x"}); err == nil {
+	if _, err := callOne(context.Background(), a, access.Pattern("oi"), []string{"x"}); err == nil {
 		t.Fatal("undeclared pattern accepted")
 	}
-	if _, err := a.Call(access.Pattern("io"), []string{"x", "y"}); err == nil {
+	if _, err := callOne(context.Background(), a, access.Pattern("io"), []string{"x", "y"}); err == nil {
 		t.Fatal("wrong input count accepted")
 	}
-	if _, err := a.CallBatch(context.Background(), access.Pattern("oi"), [][]string{{"x"}}); err == nil {
+	if _, err := a.Call(context.Background(), access.Pattern("oi"), [][]string{{"x"}}); err == nil {
 		t.Fatal("batch with undeclared pattern accepted")
 	}
 }
@@ -83,7 +92,7 @@ func TestSQLBatchSingleInputIN(t *testing.T) {
 		{"a", "1"}, {"a", "2"}, {"b", "3"}, {"c", "4"},
 	}, 0)
 	inputs := [][]string{{"a"}, {"missing"}, {"b"}, {"a"}} // dup + miss
-	groups, err := a.CallBatch(context.Background(), access.Pattern("io"), inputs)
+	groups, err := a.Call(context.Background(), access.Pattern("io"), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestSQLBatchMultiInputOR(t *testing.T) {
 	a, st := sqlSpec(t, []string{"iio"}, []string{"x", "y", "z"}, [][]string{
 		{"a", "p", "1"}, {"a", "q", "2"}, {"b", "p", "3"},
 	}, 0)
-	groups, err := a.CallBatch(context.Background(), access.Pattern("iio"), [][]string{
+	groups, err := a.Call(context.Background(), access.Pattern("iio"), [][]string{
 		{"a", "p"}, {"b", "p"}, {"a", "zz"},
 	})
 	if err != nil {
@@ -131,7 +140,7 @@ func TestSQLBatchMultiInputOR(t *testing.T) {
 
 func TestSQLBatchAllOutput(t *testing.T) {
 	a, st := sqlSpec(t, []string{"oo"}, []string{"x", "y"}, [][]string{{"a", "1"}, {"b", "2"}}, 0)
-	groups, err := a.CallBatch(context.Background(), access.Pattern("oo"), [][]string{{}, {}})
+	groups, err := a.Call(context.Background(), access.Pattern("oo"), [][]string{{}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +160,7 @@ func TestSQLBatchChunksByMaxBatch(t *testing.T) {
 		inputs = append(inputs, []string{fmt.Sprintf("k%d", i)})
 	}
 	a, st := sqlSpec(t, []string{"io"}, []string{"k", "v"}, rows, 4)
-	groups, err := a.CallBatch(context.Background(), access.Pattern("io"), inputs)
+	groups, err := a.Call(context.Background(), access.Pattern("io"), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +178,12 @@ func TestSQLBatchMatchesSequential(t *testing.T) {
 	rows := [][]string{{"a", "p", "1"}, {"a", "q", "2"}, {"b", "p", "3"}, {"c", "r", "4"}}
 	a, _ := sqlSpec(t, []string{"ioo"}, []string{"x", "y", "z"}, rows, 0)
 	inputs := [][]string{{"a"}, {"b"}, {"nope"}, {"c"}, {"a"}}
-	batch, err := a.CallBatch(context.Background(), access.Pattern("ioo"), inputs)
+	batch, err := a.Call(context.Background(), access.Pattern("ioo"), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, in := range inputs {
-		seq, err := a.Call(access.Pattern("ioo"), in)
+		seq, err := callOne(context.Background(), a, access.Pattern("ioo"), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +203,7 @@ func TestSQLBatchMatchesSequential(t *testing.T) {
 func TestSQLFaultIsTransient(t *testing.T) {
 	a, st := sqlSpec(t, []string{"io"}, []string{"k", "v"}, [][]string{{"a", "1"}}, 0)
 	st.FailNext(1, errors.New("connection refused"))
-	_, err := a.Call(access.Pattern("io"), []string{"a"})
+	_, err := callOne(context.Background(), a, access.Pattern("io"), []string{"a"})
 	if err == nil {
 		t.Fatal("injected fault returned no error")
 	}
@@ -202,7 +211,7 @@ func TestSQLFaultIsTransient(t *testing.T) {
 		t.Fatalf("backend fault not transient: %v", err)
 	}
 	// Recovered on the next round trip.
-	if _, err := a.Call(access.Pattern("io"), []string{"a"}); err != nil {
+	if _, err := callOne(context.Background(), a, access.Pattern("io"), []string{"a"}); err != nil {
 		t.Fatalf("after fault drained: %v", err)
 	}
 }
@@ -213,7 +222,7 @@ func TestSQLSlowBackendHonorsContext(t *testing.T) {
 	defer st.SetLatency(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := a.CallContext(ctx, access.Pattern("io"), []string{"a"})
+	_, err := callOne(ctx, a, access.Pattern("io"), []string{"a"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded through the driver, got %v", err)
 	}
@@ -305,14 +314,14 @@ func TestCatalogConfigOpen(t *testing.T) {
 	if src == nil {
 		t.Fatal("relation r not mounted")
 	}
-	rows, err := sources.CallWithContext(context.Background(), src, access.Pattern("io"), []string{"a"})
+	rows, err := callOne(context.Background(), src, access.Pattern("io"), []string{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 || rows[0][1] != "1" {
 		t.Fatalf("rows %v", rows)
 	}
-	if !sources.IsBatchCapable(src) {
+	if !src.Batches() {
 		t.Fatal("mounted sql source not batch capable")
 	}
 }

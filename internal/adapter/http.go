@@ -34,6 +34,12 @@ type wireResponse struct {
 	Groups [][][]string `json:"groups"`
 }
 
+// maxResponseBytes bounds how much of a 2xx response body the adapter
+// will decode, the same ceiling Backend puts on request bodies: a
+// misbehaving or hostile endpoint cannot make the process buffer an
+// unbounded answer.
+const maxResponseBytes = 32 << 20
+
 // sharedTransport is the pooled transport all HTTP adapters share:
 // adapters in one process typically target few endpoints, and the
 // point of pooling is reusing connections across calls and adapters.
@@ -52,14 +58,14 @@ var sharedTransport = &http.Transport{
 // rate limiter, reporting waits in the stats. Batches travel as one
 // POST per MaxBatch chunk. It is safe for concurrent use.
 type HTTP struct {
-	name     string
-	arity    int
-	patterns []access.Pattern
-	declared map[access.Pattern]bool
-	endpoint string
-	maxBatch int
-	client   *http.Client
-	limiter  *tokenBucket
+	name      string
+	arity     int
+	patterns  []access.Pattern
+	endpoint  string
+	maxBatch  int
+	respLimit int64 // maxResponseBytes; a field so tests can shrink it
+	client    *http.Client
+	limiter   *tokenBucket
 
 	mu       sync.Mutex
 	stats    sources.Stats
@@ -81,17 +87,14 @@ func openHTTP(spec Spec) (sources.Source, error) {
 		return nil, err
 	}
 	a := &HTTP{
-		name:     spec.Name,
-		arity:    spec.Arity,
-		patterns: ps,
-		declared: map[access.Pattern]bool{},
-		endpoint: spec.Backend,
-		maxBatch: spec.maxBatch(),
-		client:   &http.Client{Transport: sharedTransport},
-		inflight: map[string]*httpFlight{},
-	}
-	for _, p := range ps {
-		a.declared[p] = true
+		name:      spec.Name,
+		arity:     spec.Arity,
+		patterns:  ps,
+		endpoint:  spec.Backend,
+		maxBatch:  spec.maxBatch(),
+		respLimit: maxResponseBytes,
+		client:    &http.Client{Transport: sharedTransport},
+		inflight:  map[string]*httpFlight{},
 	}
 	if spec.RateLimit > 0 {
 		burst := spec.Burst
@@ -114,38 +117,14 @@ func (a *HTTP) Patterns() []access.Pattern {
 	return append([]access.Pattern(nil), a.patterns...)
 }
 
-func (a *HTTP) checkContract(p access.Pattern, nInputs int) error {
-	if !a.declared[p] {
-		return fmt.Errorf("adapter: source %s does not support pattern %s (has %v)", a.name, p, a.patterns)
-	}
-	if nInputs != p.InputCount() {
-		return fmt.Errorf("adapter: call to %s^%s with %d inputs, want %d", a.name, p, nInputs, p.InputCount())
-	}
-	return nil
-}
+// Batches implements Source: a binding group is one POST.
+func (a *HTTP) Batches() bool { return true }
 
-// Call implements Source.
-func (a *HTTP) Call(p access.Pattern, inputs []string) ([]sources.Tuple, error) {
-	return a.CallContext(context.Background(), p, inputs)
-}
-
-// CallContext implements ContextSource: a group of one.
-func (a *HTTP) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]sources.Tuple, error) {
-	groups, err := a.CallBatch(ctx, p, [][]string{inputs})
-	if err != nil {
+// Call implements Source: the whole binding group as one POST per
+// MaxBatch chunk, coalesced with identical in-flight requests.
+func (a *HTTP) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
+	if err := sources.CheckGroup(a.name, a.patterns, p, inputs); err != nil {
 		return nil, err
-	}
-	return groups[0], nil
-}
-
-// CallBatch implements sources.BatchSource: the whole binding group as
-// one POST per MaxBatch chunk, coalesced with identical in-flight
-// requests.
-func (a *HTTP) CallBatch(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
-	for _, in := range inputs {
-		if err := a.checkContract(p, len(in)); err != nil {
-			return nil, err
-		}
 	}
 	out := make([][]sources.Tuple, 0, len(inputs))
 	for lo := 0; lo < len(inputs); lo += a.maxBatch {
@@ -239,8 +218,29 @@ func (a *HTTP) roundTrip(ctx context.Context, body []byte, nCalls int) ([][]sour
 		}
 		return nil, werr
 	}
+	groups, err := a.decode(resp.Body, nCalls)
+	if err != nil {
+		return nil, err
+	}
+	a.meterServed(nCalls, groups, 1)
+	a.mu.Lock()
+	a.stats.Observe(time.Since(start))
+	a.mu.Unlock()
+	return groups, nil
+}
+
+// decode reads one 2xx response body — at most maxResponseBytes of it —
+// into nCalls tuple groups. A malformed or misaligned body is transient
+// (a proxy error page, a truncated transfer); a body over the limit is
+// permanent: retrying fetches the same oversized answer again.
+func (a *HTTP) decode(body io.Reader, nCalls int) ([][]sources.Tuple, error) {
+	lr := &io.LimitedReader{R: body, N: a.respLimit + 1}
 	var wr wireResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
+	err := json.NewDecoder(lr).Decode(&wr)
+	if lr.N <= 0 {
+		return nil, fmt.Errorf("adapter: http %s: response exceeds %d bytes", a.name, a.respLimit)
+	}
+	if err != nil {
 		return nil, sources.Transient(fmt.Errorf("adapter: http %s: decoding response: %w", a.name, err))
 	}
 	if len(wr.Groups) != nCalls {
@@ -257,10 +257,6 @@ func (a *HTTP) roundTrip(ctx context.Context, body []byte, nCalls int) ([][]sour
 		}
 		groups[i] = tuples
 	}
-	a.meterServed(nCalls, groups, 1)
-	a.mu.Lock()
-	a.stats.Observe(time.Since(start))
-	a.mu.Unlock()
 	return groups, nil
 }
 

@@ -1,10 +1,12 @@
 package adapter
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,14 +46,14 @@ func baseHTTPSpec() Spec {
 
 func TestHTTPCallAndBatch(t *testing.T) {
 	a, backend := httpFixture(t, baseHTTPSpec(), httpRows)
-	rows, err := a.Call(access.Pattern("io"), []string{"a"})
+	rows, err := callOne(context.Background(), a, access.Pattern("io"), []string{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rows %v", rows)
 	}
-	groups, err := a.CallBatch(context.Background(), access.Pattern("io"), [][]string{{"a"}, {"b"}, {"zz"}})
+	groups, err := a.Call(context.Background(), access.Pattern("io"), [][]string{{"a"}, {"b"}, {"zz"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestHTTPCoalescesIdenticalInflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rows, err := a.CallContext(context.Background(), access.Pattern("io"), []string{"a"})
+			rows, err := callOne(context.Background(), a, access.Pattern("io"), []string{"a"})
 			if err == nil && len(rows) != 2 {
 				err = errors.New("wrong rows")
 			}
@@ -108,17 +110,17 @@ func TestHTTPCoalescesIdenticalInflight(t *testing.T) {
 func TestHTTP5xxTransient400Permanent(t *testing.T) {
 	a, backend := httpFixture(t, baseHTTPSpec(), httpRows)
 	backend.FailNext(1, http.StatusServiceUnavailable)
-	_, err := a.Call(access.Pattern("io"), []string{"a"})
+	_, err := callOne(context.Background(), a, access.Pattern("io"), []string{"a"})
 	if err == nil || !sources.IsTransient(err) {
 		t.Fatalf("503 must be transient, got %v", err)
 	}
 	backend.FailNext(1, http.StatusBadRequest)
-	_, err = a.Call(access.Pattern("io"), []string{"a"})
+	_, err = callOne(context.Background(), a, access.Pattern("io"), []string{"a"})
 	if err == nil || sources.IsTransient(err) {
 		t.Fatalf("400 must be permanent, got %v", err)
 	}
 	// Drained: next call succeeds.
-	if _, err := a.Call(access.Pattern("io"), []string{"a"}); err != nil {
+	if _, err := callOne(context.Background(), a, access.Pattern("io"), []string{"a"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,7 +135,7 @@ func TestHTTPConnRefusedTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = src.(*HTTP).Call(access.Pattern("io"), []string{"a"})
+	_, err = callOne(context.Background(), src.(*HTTP), access.Pattern("io"), []string{"a"})
 	if err == nil || !sources.IsTransient(err) {
 		t.Fatalf("connection refused must be transient, got %v", err)
 	}
@@ -145,7 +147,7 @@ func TestHTTPSlowEndpointHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := a.CallContext(ctx, access.Pattern("io"), []string{"a"})
+	_, err := callOne(ctx, a, access.Pattern("io"), []string{"a"})
 	if err == nil {
 		t.Fatal("slow endpoint returned before its latency")
 	}
@@ -163,7 +165,7 @@ func TestHTTPRateLimiterRecordsWaits(t *testing.T) {
 	spec.Burst = 1
 	a, _ := httpFixture(t, spec, httpRows)
 	for i := 0; i < 4; i++ {
-		if _, err := a.Call(access.Pattern("oo"), nil); err != nil {
+		if _, err := callOne(context.Background(), a, access.Pattern("oo"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,14 +187,72 @@ func TestHTTPMalformedResponseTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := src.(*HTTP)
-	_, err = a.CallBatch(context.Background(), access.Pattern("io"), [][]string{{"a"}, {"b"}, {"c"}})
+	_, err = a.Call(context.Background(), access.Pattern("io"), [][]string{{"a"}, {"b"}, {"c"}})
 	if err == nil || !sources.IsTransient(err) {
 		t.Fatalf("bad arity row must be transient, got %v", err)
 	}
-	_, err = a.Call(access.Pattern("io"), []string{"a"}) // 1 input, server answers 3 groups
+	_, err = callOne(context.Background(), a, access.Pattern("io"), []string{"a"}) // 1 input, server answers 3 groups
 	if err == nil || !sources.IsTransient(err) {
 		t.Fatalf("group/input mismatch must be transient, got %v", err)
 	}
+}
+
+// A 2xx body over the response limit is refused, and permanently: the
+// retry policy must not fetch the same oversized answer again.
+func TestHTTPOversizedResponsePermanent(t *testing.T) {
+	a, backend := httpFixture(t, baseHTTPSpec(), httpRows)
+	full, err := a.Call(context.Background(), access.Pattern("oo"), [][]string{{}})
+	if err != nil || len(full[0]) != len(httpRows) {
+		t.Fatalf("within the limit: %v, %v", full, err)
+	}
+	a.respLimit = 16 // the same scan answers with ~50 bytes
+	_, err = a.Call(context.Background(), access.Pattern("oo"), [][]string{{}})
+	if err == nil || !strings.Contains(err.Error(), "response exceeds 16 bytes") {
+		t.Fatalf("err = %v, want the response-limit refusal", err)
+	}
+	if sources.IsTransient(err) {
+		t.Fatalf("an oversized response must not be retryable: %v", err)
+	}
+	if got := backend.Requests(); got != 2 {
+		t.Fatalf("backend requests = %d, want 2", got)
+	}
+}
+
+// FuzzHTTPAdapterDecode feeds arbitrary 2xx bodies to the response
+// decoder: whatever a backend sends, decode either fails or returns
+// exactly one group per input with every row of the declared arity.
+func FuzzHTTPAdapterDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"groups": [[["a","1"],["a","2"]], []]}`,
+		`{"groups": [[["a","1"]]]}`,                                    // one group for two inputs
+		`{"groups": [[["only-one-col"]], []]}`,                         // wrong arity
+		`{"groups": [[["a","1"]], [["b"`,                               // truncated
+		`{"groups": null}`,                                             // no groups
+		`{"groups": [[[1, 2]], []]}`,                                   // wrong value type
+		`{"groups": [[], []]} trailing`,                                // trailing garbage
+		`<html>502 Bad Gateway</html>`,                                 // a proxy's error page
+		`{"groups": [[["` + strings.Repeat("x", 600) + `","1"]], []]}`, // over the limit
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	a := &HTTP{name: "r", arity: 2, respLimit: 512}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		groups, err := a.decode(bytes.NewReader(body), 2)
+		if err != nil {
+			return
+		}
+		if len(groups) != 2 {
+			t.Fatalf("%d groups for 2 inputs", len(groups))
+		}
+		for _, g := range groups {
+			for _, row := range g {
+				if len(row) != a.arity {
+					t.Fatalf("row %v escaped the arity check", row)
+				}
+			}
+		}
+	})
 }
 
 func TestTokenBucketNilNeverWaits(t *testing.T) {

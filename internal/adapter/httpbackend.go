@@ -89,14 +89,13 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "injected fault", status)
 		return
 	}
-	p := access.Pattern(req.Pattern)
-	resp := wireResponse{Groups: make([][][]string, len(req.Inputs))}
-	for i, in := range req.Inputs {
-		rows, err := sources.CallWithContext(r.Context(), b.src, p, in)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+	groups, err := b.src.Call(r.Context(), access.Pattern(req.Pattern), req.Inputs)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	resp := wireResponse{Groups: make([][][]string, len(groups))}
+	for i, rows := range groups {
 		group := make([][]string, len(rows))
 		for k, t := range rows {
 			group[k] = t

@@ -22,8 +22,8 @@ func init() {
 //
 //	SELECT cols FROM table WHERE in-col = ? [AND ...]
 //
-// and a whole binding group compiles to ONE round trip per MaxBatch
-// chunk —
+// for a group of one, and a larger binding group compiles to ONE round
+// trip per MaxBatch chunk —
 //
 //	SELECT cols FROM table WHERE in-col IN (?, ?, ...)
 //
@@ -42,7 +42,6 @@ type SQL struct {
 	name     string
 	arity    int
 	patterns []access.Pattern
-	declared map[access.Pattern]bool
 	table    string
 	cols     []string
 	maxBatch int
@@ -82,14 +81,10 @@ func openSQL(spec Spec) (sources.Source, error) {
 		name:     spec.Name,
 		arity:    spec.Arity,
 		patterns: ps,
-		declared: map[access.Pattern]bool{},
 		table:    spec.Table,
 		cols:     append([]string(nil), spec.Columns...),
 		maxBatch: spec.maxBatch(),
 		db:       db,
-	}
-	for _, p := range ps {
-		a.declared[p] = true
 	}
 	return a, nil
 }
@@ -132,148 +127,119 @@ func (a *SQL) DB() *sql.DB { return a.db }
 // Close releases the connection pool.
 func (a *SQL) Close() error { return a.db.Close() }
 
-// checkContract enforces the access-pattern restriction at the call
-// boundary, like every in-memory source.
-func (a *SQL) checkContract(p access.Pattern, nInputs int) error {
-	if !a.declared[p] {
-		return fmt.Errorf("adapter: source %s does not support pattern %s (has %v)", a.name, p, a.patterns)
-	}
-	if nInputs != p.InputCount() {
-		return fmt.Errorf("adapter: call to %s^%s with %d inputs, want %d", a.name, p, nInputs, p.InputCount())
-	}
-	return nil
-}
+// Batches implements Source: a binding group is one statement.
+func (a *SQL) Batches() bool { return true }
 
-// inCols returns the column names of p's input positions, in slot order.
-func (a *SQL) inCols(p access.Pattern) []string {
-	var cols []string
-	for j := 0; j < p.Arity(); j++ {
-		if p.Input(j) {
-			cols = append(cols, a.cols[j])
+// where compiles a chunk of input vectors over the input columns into
+// a WHERE clause and its arguments: an equality (or conjunction) for
+// one vector, IN (...) for several single-input vectors, an OR of
+// parenthesized conjunctions otherwise.
+func where(inCols []string, chunk [][]string) (string, []any) {
+	var sb strings.Builder
+	args := make([]any, 0, len(chunk)*len(inCols))
+	if len(inCols) == 1 && len(chunk) > 1 {
+		sb.WriteString(inCols[0] + " IN (")
+		for k, in := range chunk {
+			if k > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString("?")
+			args = append(args, in[0])
+		}
+		sb.WriteString(")")
+		return sb.String(), args
+	}
+	for k, in := range chunk {
+		if k > 0 {
+			sb.WriteString(" OR ")
+		}
+		if len(chunk) > 1 {
+			sb.WriteString("(")
+		}
+		for c, col := range inCols {
+			if c > 0 {
+				sb.WriteString(" AND ")
+			}
+			sb.WriteString(col + " = ?")
+			args = append(args, in[c])
+		}
+		if len(chunk) > 1 {
+			sb.WriteString(")")
 		}
 	}
-	return cols
+	return sb.String(), args
 }
 
-// Call implements Source.
-func (a *SQL) Call(p access.Pattern, inputs []string) ([]sources.Tuple, error) {
-	return a.CallContext(context.Background(), p, inputs)
-}
-
-// CallContext implements ContextSource: one parameterized SELECT.
-func (a *SQL) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]sources.Tuple, error) {
-	if err := a.checkContract(p, len(inputs)); err != nil {
+// Call implements Source: the whole binding group in ceil(n/MaxBatch)
+// round trips, results demultiplexed back per vector by their
+// input-column values.
+func (a *SQL) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
+	if err := sources.CheckGroup(a.name, a.patterns, p, inputs); err != nil {
 		return nil, err
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "SELECT %s FROM %s", strings.Join(a.cols, ", "), a.table)
-	args := make([]any, 0, len(inputs))
-	for k, col := range a.inCols(p) {
-		if k == 0 {
-			sb.WriteString(" WHERE ")
-		} else {
-			sb.WriteString(" AND ")
-		}
-		sb.WriteString(col + " = ?")
-		args = append(args, inputs[k])
-	}
-	start := time.Now()
-	rows, err := a.query(ctx, sb.String(), args)
-	a.meter(1, 1, len(rows), time.Since(start))
-	return rows, err
-}
-
-// CallBatch implements sources.BatchSource: the whole binding group in
-// ceil(n/MaxBatch) round trips, results demultiplexed back per vector
-// by their input-column values.
-func (a *SQL) CallBatch(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
-	for _, in := range inputs {
-		if err := a.checkContract(p, len(in)); err != nil {
-			return nil, err
-		}
-	}
 	out := make([][]sources.Tuple, len(inputs))
-	nin := p.InputCount()
-	if nin == 0 {
+	if len(inputs) == 0 {
+		return out, nil
+	}
+	sel := fmt.Sprintf("SELECT %s FROM %s", strings.Join(a.cols, ", "), a.table)
+	// Input slot j of the pattern is relation position inPos[j].
+	var inPos []int
+	var inCols []string
+	for j := 0; j < p.Arity(); j++ {
+		if p.Input(j) {
+			inPos = append(inPos, j)
+			inCols = append(inCols, a.cols[j])
+		}
+	}
+	if len(inPos) == 0 {
 		// All-output: one SELECT answers every vector identically.
 		start := time.Now()
-		rows, err := a.query(ctx, fmt.Sprintf("SELECT %s FROM %s", strings.Join(a.cols, ", "), a.table), nil)
-		a.meter(len(inputs), 1, len(rows)*len(inputs), time.Since(start))
+		rows, err := a.query(ctx, sel, nil)
+		a.meter(len(inputs), len(rows)*len(inputs), time.Since(start))
 		if err != nil {
 			return nil, err
 		}
-		for i := range out {
+		out[0] = rows
+		for i := 1; i < len(out); i++ {
 			out[i] = copyRows(rows)
 		}
 		return out, nil
 	}
-	// Input slot j of the pattern is relation position inPos[j].
-	inPos := make([]int, 0, nin)
-	for j := 0; j < p.Arity(); j++ {
-		if p.Input(j) {
-			inPos = append(inPos, j)
-		}
-	}
-	inCols := a.inCols(p)
+	keyParts := make([]string, len(inPos))
 	for lo := 0; lo < len(inputs); lo += a.maxBatch {
 		hi := lo + a.maxBatch
 		if hi > len(inputs) {
 			hi = len(inputs)
 		}
 		chunk := inputs[lo:hi]
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "SELECT %s FROM %s WHERE ", strings.Join(a.cols, ", "), a.table)
-		args := make([]any, 0, len(chunk)*nin)
-		if nin == 1 {
-			sb.WriteString(inCols[0] + " IN (")
-			for k, in := range chunk {
-				if k > 0 {
-					sb.WriteString(", ")
-				}
-				sb.WriteString("?")
-				args = append(args, in[0])
-			}
-			sb.WriteString(")")
-		} else {
-			for k, in := range chunk {
-				if k > 0 {
-					sb.WriteString(" OR ")
-				}
-				sb.WriteString("(")
-				for c, col := range inCols {
-					if c > 0 {
-						sb.WriteString(" AND ")
-					}
-					sb.WriteString(col + " = ?")
-					args = append(args, in[c])
-				}
-				sb.WriteString(")")
-			}
-		}
+		cond, args := where(inCols, chunk)
 		// Demux map: input key -> the chunk's vector indexes wanting it
-		// (duplicates within a batch each get the rows).
+		// (duplicates within a group each get the rows).
 		want := make(map[string][]int, len(chunk))
 		for k, in := range chunk {
-			want[strings.Join(in, "\x1f")] = append(want[strings.Join(in, "\x1f")], lo+k)
+			key := strings.Join(in, "\x1f")
+			want[key] = append(want[key], lo+k)
 		}
 		start := time.Now()
-		rows, err := a.query(ctx, sb.String(), args)
+		rows, err := a.query(ctx, sel+" WHERE "+cond, args)
 		if err != nil {
-			a.meter(len(chunk), 1, 0, time.Since(start))
+			a.meter(len(chunk), 0, time.Since(start))
 			return nil, err
 		}
 		tuples := 0
-		keyParts := make([]string, nin)
 		for _, row := range rows {
 			for c, pos := range inPos {
 				keyParts[c] = row[pos]
 			}
-			for _, i := range want[strings.Join(keyParts, "\x1f")] {
-				out[i] = append(out[i], append(sources.Tuple(nil), row...))
+			for n, i := range want[strings.Join(keyParts, "\x1f")] {
+				if n > 0 {
+					row = append(sources.Tuple(nil), row...)
+				}
+				out[i] = append(out[i], row)
 				tuples++
 			}
 		}
-		a.meter(len(chunk), 1, tuples, time.Since(start))
+		a.meter(len(chunk), tuples, time.Since(start))
 	}
 	return out, nil
 }
@@ -318,19 +284,16 @@ func (a *SQL) wireErr(err error) error {
 }
 
 // meter folds one round trip into the traffic counters: calls is the
-// logical calls serviced, trips the wire round trips, tuples the tuples
-// delivered to callers.
-func (a *SQL) meter(calls, trips, tuples int, el time.Duration) {
+// logical calls it serviced, tuples the tuples delivered to callers.
+func (a *SQL) meter(calls, tuples int, el time.Duration) {
 	a.mu.Lock()
 	a.stats.Calls += calls
 	a.stats.TuplesReturned += tuples
-	if trips > 0 {
-		a.stats.RoundTrips += trips
-		if calls > trips {
-			a.stats.BatchedCalls += calls
-		}
-		a.stats.Observe(el)
+	a.stats.RoundTrips++
+	if calls > 1 {
+		a.stats.BatchedCalls += calls
 	}
+	a.stats.Observe(el)
 	a.mu.Unlock()
 }
 

@@ -66,16 +66,16 @@ func TestStackStatsAttribution(t *testing.T) {
 			p := access.Pattern("io")
 			// A plain call, a repeat (cache hit where a cache is present),
 			// and a batch through the whole stack.
-			if _, err := sources.CallWithContext(ctx, top, p, []string{"a"}); err != nil {
+			if _, err := callOne(ctx, top, p, []string{"a"}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sources.CallWithContext(ctx, top, p, []string{"a"}); err != nil {
+			if _, err := callOne(ctx, top, p, []string{"a"}); err != nil {
 				t.Fatal(err)
 			}
-			if !sources.IsBatchCapable(top) {
+			if !top.Batches() {
 				t.Fatalf("%s stack lost batch capability", tc.name)
 			}
-			groups, err := sources.CallBatchWithContext(ctx, top, p, [][]string{{"b"}, {"c"}})
+			groups, err := top.Call(ctx, p, [][]string{{"b"}, {"c"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestStackBreakerOpensOnBackendFaults(t *testing.T) {
 	st.FailNext(10, fmt.Errorf("connection refused"))
 	sawOpen := false
 	for i := 0; i < 10; i++ {
-		_, err := sources.CallWithContext(context.Background(), brk, access.Pattern("io"), []string{"a"})
+		_, err := callOne(context.Background(), brk, access.Pattern("io"), []string{"a"})
 		if err == nil {
 			t.Fatal("faulted backend answered")
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // batchTable wraps a Table with genuine batching: one "round trip" per
-// CallBatch, optionally failing the next batch attempts.
+// multi-vector Call, optionally failing the next such attempts.
 type batchTable struct {
 	*sources.Table
 
@@ -54,7 +54,12 @@ func splitWords(s string) []string {
 	return out
 }
 
-func (b *batchTable) CallBatch(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
+func (b *batchTable) Batches() bool { return true }
+
+func (b *batchTable) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
+	if len(inputs) <= 1 {
+		return b.Table.Call(ctx, p, inputs)
+	}
 	b.mu.Lock()
 	b.roundTrips++
 	b.batched += len(inputs)
@@ -67,15 +72,7 @@ func (b *batchTable) CallBatch(ctx context.Context, p access.Pattern, inputs [][
 	if fail != nil {
 		return nil, fail
 	}
-	out := make([][]sources.Tuple, len(inputs))
-	for i, in := range inputs {
-		rows, err := sources.CallWithContext(ctx, b.Table, p, in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rows
-	}
-	return out, nil
+	return b.Table.Call(ctx, p, inputs)
 }
 
 func (b *batchTable) failNextBatches(errs ...error) {
@@ -263,25 +260,5 @@ func TestRuntimeBatchInStream(t *testing.T) {
 	trips, batched := bt.trips()
 	if trips != 1 || batched != 10 {
 		t.Fatalf("streamed round trips = %d (batched %d), want 1/10", trips, batched)
-	}
-}
-
-// A wrapper over a non-batching source must not advertise batching to
-// the engine: the capability probe looks through to the bottom of the
-// stack.
-func TestBatchCapabilityProbesThroughWrappers(t *testing.T) {
-	plain, err := sources.NewTable("P", 1, []access.Pattern{"o"}, []sources.Tuple{{"a"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sources.IsBatchCapable(sources.NewCached(plain)) {
-		t.Fatal("Cached over a plain table must not claim batching")
-	}
-	if sources.IsBatchCapable(sources.NewBreaker(plain, sources.BreakerConfig{})) {
-		t.Fatal("Breaker over a plain table must not claim batching")
-	}
-	bt := newBatchTable(t, "B", 1, "o", []sources.Tuple{{"a"}})
-	if !sources.IsBatchCapable(sources.NewCached(sources.NewBreaker(bt, sources.BreakerConfig{}))) {
-		t.Fatal("stack over a batching source must claim batching")
 	}
 }

@@ -32,7 +32,7 @@ func TestBudgetRefundsAbandonedLeg(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var gauge inFlightGauge
-	_, cs, err := rt.callWithRetry(ctx, src, "R", "o", nil, &gauge, budget)
+	_, cs, err := rt.callWithRetry(ctx, src, "R", "o", [][]string{nil}, &gauge, budget)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -99,16 +99,16 @@ func enumeratePattern(ctx context.Context, src sources.Source, p access.Pattern,
 			}
 			called[key] = true
 			res.Calls++
-			tuples, err := sources.CallWithContext(ctx, src, p, append([]string(nil), inputs...))
+			groups, err := src.Call(ctx, p, [][]string{append([]string(nil), inputs...)})
 			switch {
-			case err == nil:
+			case err == nil && len(groups) == 1:
 			case ctx.Err() != nil:
 				ctxErr = ctx.Err()
 				return true
 			default:
 				return false // pattern/source mismatch; skip
 			}
-			for _, t := range tuples {
+			for _, t := range groups[0] {
 				for _, v := range t {
 					if !dom[v] {
 						dom[v] = true

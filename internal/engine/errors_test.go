@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/access"
 	"repro/internal/logic"
+	"repro/internal/sources"
 )
 
 func TestAnswerErrorPaths(t *testing.T) {
@@ -175,5 +179,87 @@ func TestInstanceCatalogArityMismatch(t *testing.T) {
 	ps := pats(t, `R^o`)
 	if _, err := in.Catalog(ps); err == nil {
 		t.Error("declared arity 1 vs stored arity 2 must fail")
+	}
+}
+
+// panicSource is a source whose every call panics — an adapter bug.
+type panicSource struct {
+	*sources.Table
+	batches bool
+}
+
+func (s panicSource) Batches() bool { return s.batches }
+
+func (s panicSource) Call(context.Context, access.Pattern, [][]string) ([][]sources.Tuple, error) {
+	panic("adapter bug")
+}
+
+// A panicking source must fail its call like any other source error —
+// never kill the process — on every path that reaches a source: the
+// sequential loop (a step with one distinct call), the worker pool, a
+// whole batched group (and its fallback to groups of one), a hedged
+// round's leg goroutines, and a streamed stage.
+func TestSourcePanicContained(t *testing.T) {
+	mk := func(batches bool) sources.Source {
+		return panicSource{sources.MustTable("P", 2, []access.Pattern{"io"}, nil), batches}
+	}
+	var rRows []sources.Tuple
+	for _, x := range []string{"a", "b", "c", "d"} {
+		rRows = append(rRows, sources.Tuple{x})
+	}
+	r := sources.MustTable("R", 1, []access.Pattern{"o"}, rRows)
+	one := sources.MustTable("R", 1, []access.Pattern{"o"}, rRows[:1])
+	replicated, err := sources.NewReplicaSet(sources.ReplicaConfig{Policy: declOrder{}}, mk(false), mk(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ucq(t, `Q(x, y) :- R(x), P(x, y).`)
+	ps := pats(t, `R^o P^io`)
+
+	cases := []struct {
+		name   string
+		r, p   sources.Source
+		hedge  bool
+		stream bool
+	}{
+		{name: "sequential", r: one, p: mk(false)},
+		{name: "pool", r: r, p: mk(false)},
+		{name: "batched group", r: r, p: mk(true)},
+		{name: "hedged leg", r: r, p: replicated, hedge: true},
+		{name: "stream", r: r, p: mk(false), stream: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rt := NewRuntime()
+			rt.Concurrency = 4
+			rt.Retry = RetryPolicy{}
+			if c.hedge {
+				rt.Hedge = HedgePolicy{Delay: time.Millisecond}
+			}
+			cat := sources.MustCatalog(c.r, c.p)
+			var err error
+			if c.stream {
+				var s *Stream
+				if s, err = rt.Stream(context.Background(), q, ps, cat); err == nil {
+					_, err = s.Drain()
+				}
+			} else {
+				_, err = rt.Answer(context.Background(), q, ps, cat)
+			}
+			if err == nil || !strings.Contains(err.Error(), "source P panicked: adapter bug") {
+				t.Fatalf("err = %v, want the contained panic of source P", err)
+			}
+		})
+	}
+
+	// The contained panic is an ordinary rule failure: partial-results
+	// mode drops the disjunct and answers with the healthy one.
+	u := ucq(t, `Q(x) :- R(x). Q(x) :- R(x), P(x, y).`)
+	rel, _, inc, err := NewRuntime().Eval(context.Background(), u, ps, sources.MustCatalog(r, mk(false)), EvalOpts{Partial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Len() != len(rRows) || inc == nil || len(inc.Failed) != 1 {
+		t.Fatalf("partial answer = %s, incompleteness = %+v; want %d rows and one dropped disjunct", rel, inc, len(rRows))
 	}
 }

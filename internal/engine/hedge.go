@@ -58,14 +58,26 @@ type Replicated interface {
 	Replicas() int
 	// Ranked returns the order in which replicas should be tried now.
 	Ranked() []int
-	// CallReplica invokes one specific replica.
-	CallReplica(ctx context.Context, idx int, p access.Pattern, inputs []string) ([]sources.Tuple, error)
+	// CallReplica sends one group to one specific replica.
+	CallReplica(ctx context.Context, idx int, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error)
 	// ObservedLatency returns the q-quantile of recent call latencies,
 	// when enough samples exist.
 	ObservedLatency(q float64) (time.Duration, bool)
 	// ExhaustedError wraps the member failures of a call that failed on
 	// every replica (errs[i] belongs to replica tried[i]).
 	ExhaustedError(tried []int, errs []error) error
+}
+
+// replicaLeg addresses one replica of a replicated source as a source
+// of its own, so a hedged round races its groups through the same
+// runLeg as every other call.
+type replicaLeg struct {
+	Replicated
+	idx int
+}
+
+func (l replicaLeg) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
+	return l.CallReplica(ctx, l.idx, p, inputs)
 }
 
 // hedgeTarget reports whether calls to src should run hedged: hedging
@@ -107,7 +119,7 @@ func (rt *Runtime) hedgeDelay(rsrc Replicated) time.Duration {
 // per-source slot for the whole round; legs here must not re-acquire
 // it, or a round whose slot-holding primary hangs could never launch
 // the backup that cancels it.
-func (rt *Runtime) hedgedRound(ctx context.Context, rsrc Replicated, name string, p access.Pattern, inputs []string, gauge *inFlightGauge, budget *budgetState, cs *callStats) ([]sources.Tuple, error) {
+func (rt *Runtime) hedgedRound(ctx context.Context, rsrc Replicated, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge, budget *budgetState, cs *callStats) ([][]sources.Tuple, error) {
 	order := rsrc.Ranked()
 	delay := rt.hedgeDelay(rsrc)
 	maxHedges := rt.Hedge.maxHedges()
@@ -115,7 +127,7 @@ func (rt *Runtime) hedgedRound(ctx context.Context, rsrc Replicated, name string
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type legResult struct {
-		rows   []sources.Tuple
+		groups [][]sources.Tuple
 		err    error
 		idx    int
 		backup bool
@@ -134,10 +146,8 @@ func (rt *Runtime) hedgedRound(ctx context.Context, rsrc Replicated, name string
 		inFlight++
 		cs.attempts++
 		go func() {
-			rows, _, err := rt.runLeg(rctx, nil, gauge, name, p, inputs, func(c context.Context) ([]sources.Tuple, error) {
-				return rsrc.CallReplica(c, idx, p, inputs)
-			})
-			results <- legResult{rows: rows, err: err, idx: idx, backup: backup}
+			groups, _, err := rt.runLeg(rctx, nil, gauge, replicaLeg{rsrc, idx}, name, p, inputs)
+			results <- legResult{groups: groups, err: err, idx: idx, backup: backup}
 		}()
 		return nil
 	}
@@ -195,7 +205,7 @@ func (rt *Runtime) hedgedRound(ctx context.Context, rsrc Replicated, name string
 		if winner.backup {
 			cs.hedgeWins++
 		}
-		return winner.rows, nil
+		return winner.groups, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

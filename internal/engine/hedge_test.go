@@ -248,7 +248,7 @@ func TestHedgeDelaySelection(t *testing.T) {
 		t.Errorf("cold delay = %v, want 40ms fallback", d)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := rs.CallReplica(context.Background(), 0, "o", nil); err != nil {
+		if _, err := rs.CallReplica(context.Background(), 0, "o", [][]string{nil}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -384,11 +384,14 @@ type callStats struct {
 	hedgeWins int
 }
 
-// runLeg runs one call attempt end to end: per-source slot, per-call
-// deadline, in-flight gauge, and deadline-to-transient conversion.
-// launched reports whether the call was actually issued (false when the
-// per-source slot acquisition was abandoned to the context).
-func (rt *Runtime) runLeg(ctx context.Context, sem chan struct{}, gauge *inFlightGauge, name string, p access.Pattern, inputs []string, call func(context.Context) ([]sources.Tuple, error)) (rows []sources.Tuple, launched bool, err error) {
+// runLeg runs one attempt of a group call end to end: per-source slot,
+// per-call deadline, in-flight gauge, deadline-to-transient conversion,
+// and panic containment — a panicking source fails the call like any
+// other source error instead of killing the process, on every path
+// that reaches a source. launched reports whether the call was actually
+// issued (false when the per-source slot acquisition was abandoned to
+// the context).
+func (rt *Runtime) runLeg(ctx context.Context, sem chan struct{}, gauge *inFlightGauge, src sources.Source, name string, p access.Pattern, inputs [][]string) (groups [][]sources.Tuple, launched bool, err error) {
 	if sem != nil {
 		select {
 		case sem <- struct{}{}:
@@ -400,33 +403,41 @@ func (rt *Runtime) runLeg(ctx context.Context, sem chan struct{}, gauge *inFligh
 	cctx, cancel := ctx, context.CancelFunc(nil)
 	if rt.CallTimeout > 0 {
 		cctx, cancel = context.WithTimeout(ctx, rt.CallTimeout)
+		defer cancel()
 	}
 	gauge.enter()
-	rows, err = call(cctx)
-	gauge.leave()
-	if cancel != nil {
-		cancel()
-		// The attempt's own deadline expiring is a source failure
-		// (slow or hung service), not a caller cancellation: report
-		// it as a retryable timeout so the policy and any circuit
-		// breaker see it. The caller's context staying alive is what
-		// distinguishes the two.
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			err = sources.Transient(fmt.Errorf("engine: %s^%s(%s): call timed out after %v",
-				name, p, strings.Join(inputs, ","), rt.CallTimeout))
+	launched = true
+	defer func() {
+		gauge.leave()
+		if r := recover(); r != nil {
+			groups, err = nil, fmt.Errorf("engine: source %s panicked: %v", name, r)
 		}
+	}()
+	groups, err = src.Call(cctx, p, inputs)
+	switch {
+	case err == nil && len(groups) != len(inputs):
+		groups, err = nil, fmt.Errorf("engine: source %s answered %d input vectors with %d groups", name, len(inputs), len(groups))
+	case cancel != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
+		// The attempt's own deadline expiring is a source failure (slow
+		// or hung service), not a caller cancellation: report it as a
+		// retryable timeout so the policy and any circuit breaker see
+		// it. The caller's context staying alive is what distinguishes
+		// the two.
+		err = sources.Transient(fmt.Errorf("engine: %s^%s: call of %d timed out after %v", name, p, len(inputs), rt.CallTimeout))
 	}
-	return rows, true, err
+	return groups, true, err
 }
 
-// callWithRetry issues one source call under the per-source limit and
-// the per-execution budget, retrying per the policy with each attempt
-// bounded by the per-call deadline. Against a replicated source with
-// hedging configured, each retry round runs as a hedged race across
-// replicas instead of a single attempt. It returns the rows and the
-// call's accounting (zero attempts when cancelled or cut off before the
-// first).
-func (rt *Runtime) callWithRetry(ctx context.Context, src sources.Source, name string, p access.Pattern, inputs []string, gauge *inFlightGauge, budget *budgetState) (rows []sources.Tuple, cs callStats, err error) {
+// callWithRetry issues one group call — a whole binding group for a
+// batching source, a group of one otherwise — under the per-source
+// limit and the per-execution budget: every attempt is one round trip,
+// charged one budget unit and bounded by the per-call deadline, and
+// failed attempts are retried per the policy. Against a replicated
+// source with hedging configured, each retry round runs as a hedged
+// race across replicas instead of a single attempt. It returns the
+// groups and the call's accounting (zero attempts when cancelled or cut
+// off before the first).
+func (rt *Runtime) callWithRetry(ctx context.Context, src sources.Source, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge, budget *budgetState) (groups [][]sources.Tuple, cs callStats, err error) {
 	sem := rt.sourceSem(name)
 	max := rt.Retry.attempts()
 	rsrc, hedged := rt.hedgeTarget(src)
@@ -444,7 +455,7 @@ func (rt *Runtime) callWithRetry(ctx context.Context, src sources.Source, name s
 				}
 			}
 			before := cs.attempts
-			rows, err = rt.hedgedRound(ctx, rsrc, name, p, inputs, gauge, budget, &cs)
+			groups, err = rt.hedgedRound(ctx, rsrc, name, p, inputs, gauge, budget, &cs)
 			if sem != nil {
 				<-sem
 			}
@@ -457,9 +468,7 @@ func (rt *Runtime) callWithRetry(ctx context.Context, src sources.Source, name s
 				return nil, cs, err
 			}
 			var launched bool
-			rows, launched, err = rt.runLeg(ctx, sem, gauge, name, p, inputs, func(c context.Context) ([]sources.Tuple, error) {
-				return sources.CallWithContext(c, src, p, inputs)
-			})
+			groups, launched, err = rt.runLeg(ctx, sem, gauge, src, name, p, inputs)
 			if !launched {
 				// The slot acquisition was abandoned to the context: the
 				// attempt never happened, so it must not stay charged —
@@ -471,7 +480,7 @@ func (rt *Runtime) callWithRetry(ctx context.Context, src sources.Source, name s
 			cs.rounds++
 		}
 		if err == nil || attempt >= max || !rt.Retry.isRetryable(err) || ctx.Err() != nil {
-			return rows, cs, err
+			return groups, cs, err
 		}
 		if d := rt.Retry.backoff(attempt); d > 0 {
 			timer := time.NewTimer(d)
@@ -591,67 +600,87 @@ func (rt *Runtime) applyStep(ctx context.Context, step access.AdornedLiteral, ca
 	return next, nil
 }
 
-// issue drives the step's distinct calls through the bounded worker
-// pool and records traffic into sp. On failure every distinct error is
-// reported (joined), and outstanding calls are cancelled.
+// issue answers the step's distinct calls and records traffic into sp.
+// It decides only the shape of the traffic; every call, whatever its
+// size, goes through callWithRetry and runLeg.
 //
-// When the source is genuinely batch-capable (a SQL or HTTP adapter, or
-// a resilience wrapper around one) and the step produced more than one
-// distinct call, the whole group is serviced as batched round trips
-// instead: see issueBatch. A batch failure other than budget/context
-// exhaustion falls back to the per-call pool below, so adapters degrade
-// through exactly the failure classes plain sources produce.
+// A batching source (a SQL or HTTP adapter, or a resilience stack over
+// one) that is not hedged gets the step's whole deduplicated group in
+// one call: one round trip, one budget unit per attempt. Budget
+// exhaustion and caller cancellation of that call are terminal — the
+// error lands on the first call, matching the sequential loop, where
+// later calls stay unissued. Any other failure falls back to the shape
+// every other source gets — groups of one through the bounded worker
+// pool — so adapters degrade through exactly the failure classes plain
+// sources produce.
+//
+// On failure every distinct error is reported (joined), and
+// outstanding calls are cancelled.
 func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []*stepCall, sp *StepProfile, budget *budgetState) error {
 	if len(calls) == 0 {
 		return nil
 	}
-	name := step.Literal.Atom.Pred
+	name, p := step.Literal.Atom.Pred, step.Pattern
 	var gauge inFlightGauge
-	handled := false
-	if len(calls) > 1 && sources.IsBatchCapable(src) {
-		if _, hedged := rt.hedgeTarget(src); !hedged {
-			handled = rt.issueBatch(ctx, src, step, calls, sp, budget, &gauge)
+	// One backing slice for the step: a group of one is all[i:i+1].
+	all := make([][]string, len(calls))
+	for i, c := range calls {
+		all[i] = c.inputs
+	}
+	_, hedged := rt.hedgeTarget(src)
+	whole := len(calls) > 1 && !hedged && src.Batches()
+	if whole {
+		groups, cs, err := rt.callWithRetry(ctx, src, name, p, all, &gauge, budget)
+		sp.Calls += cs.attempts
+		if cs.rounds > 1 {
+			sp.Retries += cs.rounds - 1
+		}
+		switch {
+		case err == nil:
+			sp.BatchGroups++
+			sp.BatchedCalls += len(calls)
+			for i, c := range calls {
+				c.rows = groups[i]
+			}
+		case errors.Is(err, ErrCallBudget) || errors.Is(err, context.Canceled) || ctx.Err() != nil:
+			calls[0].err = err
+		default:
+			whole = false
 		}
 	}
-	if handled {
-		// issueBatch filled rows (or the error) on every call; fall
-		// through to the shared aggregation loop.
-	} else if workers := rt.workers(len(calls)); workers <= 1 {
-		for _, c := range calls {
-			c.rows, c.stats, c.err = rt.callWithRetry(ctx, src, name, step.Pattern, c.inputs, &gauge, budget)
+	switch workers := rt.workers(len(calls)); {
+	case whole:
+		// Answered, or terminally failed, by the one call above.
+	case workers <= 1:
+		for i, c := range calls {
+			rt.callOne(ctx, src, name, p, c, all[i:i+1], &gauge, budget)
 			if c.err != nil {
 				break // abort like the sequential loop; later calls stay unissued
 			}
 		}
-	} else {
+	default:
 		cctx, cancel := context.WithCancel(ctx)
-		feed := make(chan *stepCall)
+		feed := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for c := range feed {
+				for i := range feed {
+					c := calls[i]
 					if cctx.Err() != nil {
 						c.err = cctx.Err()
 						continue
 					}
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								c.err = fmt.Errorf("engine: source %s panicked: %v", name, r)
-							}
-						}()
-						c.rows, c.stats, c.err = rt.callWithRetry(cctx, src, name, step.Pattern, c.inputs, &gauge, budget)
-					}()
+					rt.callOne(cctx, src, name, p, c, all[i:i+1], &gauge, budget)
 					if c.err != nil {
 						cancel() // fail fast: stop issuing, wake sleepers
 					}
 				}
 			}()
 		}
-		for _, c := range calls {
-			feed <- c
+		for i := range calls {
+			feed <- i
 		}
 		close(feed)
 		wg.Wait()
@@ -674,7 +703,7 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 			cancelled = c.err // secondary: either the real failure or the caller's ctx
 			continue
 		}
-		errs = append(errs, &callError{Source: name, Pattern: step.Pattern, Inputs: strings.Join(c.inputs, ","), Err: c.err})
+		errs = append(errs, &callError{Source: name, Pattern: p, Inputs: strings.Join(c.inputs, ","), Err: c.err})
 	}
 	if m := int(gauge.max.Load()); m > sp.MaxInFlight {
 		sp.MaxInFlight = m
@@ -685,97 +714,11 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 	return cancelled
 }
 
-// issueBatch services the step's distinct calls as one batched round
-// trip (retried whole per the retry policy, each attempt charged one
-// budget unit and bounded by the per-call deadline — the batch IS one
-// wire call). On success every call's rows are filled and it reports
-// true. Budget exhaustion and caller cancellation are terminal: the
-// error lands on the first call — matching the sequential loop, where
-// later calls stay unissued — and it reports true. Any other failure
-// reports false, handing the whole group to the per-call path so the
-// error surface is identical to a non-batching source.
-func (rt *Runtime) issueBatch(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []*stepCall, sp *StepProfile, budget *budgetState, gauge *inFlightGauge) bool {
-	name := step.Literal.Atom.Pred
-	inputs := make([][]string, len(calls))
-	for i, c := range calls {
-		inputs[i] = c.inputs
-	}
-	sem := rt.sourceSem(name)
-	max := rt.Retry.attempts()
-	var attempts int
+// callOne answers one distinct call of a step as a group of one.
+func (rt *Runtime) callOne(ctx context.Context, src sources.Source, name string, p access.Pattern, c *stepCall, in [][]string, gauge *inFlightGauge, budget *budgetState) {
 	var groups [][]sources.Tuple
-	var err error
-	for attempt := 1; ; attempt++ {
-		if err = budget.charge(); err != nil {
-			break
-		}
-		var launched bool
-		groups, launched, err = rt.runBatchLeg(ctx, sem, gauge, src, name, step.Pattern, inputs)
-		if !launched {
-			budget.refund()
-			break
-		}
-		attempts++
-		if err == nil || attempt >= max || !rt.Retry.isRetryable(err) || ctx.Err() != nil {
-			break
-		}
-		if d := rt.Retry.backoff(attempt); d > 0 {
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				err = ctx.Err()
-			}
-			if err != nil && ctx.Err() != nil {
-				break
-			}
-		}
+	groups, c.stats, c.err = rt.callWithRetry(ctx, src, name, p, in, gauge, budget)
+	if c.err == nil {
+		c.rows = groups[0]
 	}
-	sp.Calls += attempts
-	if attempts > 1 {
-		sp.Retries += attempts - 1
-	}
-	if err == nil {
-		sp.BatchGroups++
-		sp.BatchedCalls += len(calls)
-		for i, c := range calls {
-			c.rows = groups[i]
-		}
-		return true
-	}
-	if errors.Is(err, ErrCallBudget) || errors.Is(err, context.Canceled) || ctx.Err() != nil {
-		calls[0].err = err
-		return true
-	}
-	return false
-}
-
-// runBatchLeg is runLeg for one batched round-trip attempt: per-source
-// slot, per-call deadline, in-flight gauge, deadline-to-transient
-// conversion.
-func (rt *Runtime) runBatchLeg(ctx context.Context, sem chan struct{}, gauge *inFlightGauge, src sources.Source, name string, p access.Pattern, inputs [][]string) (groups [][]sources.Tuple, launched bool, err error) {
-	if sem != nil {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-		defer func() { <-sem }()
-	}
-	cctx, cancel := ctx, context.CancelFunc(nil)
-	if rt.CallTimeout > 0 {
-		cctx, cancel = context.WithTimeout(ctx, rt.CallTimeout)
-	}
-	gauge.enter()
-	groups, err = sources.CallBatchWithContext(cctx, src, p, inputs)
-	gauge.leave()
-	if cancel != nil {
-		cancel()
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			err = sources.Transient(fmt.Errorf("engine: %s^%s: batch of %d timed out after %v",
-				name, p, len(inputs), rt.CallTimeout))
-		}
-	}
-	return groups, true, err
 }

@@ -3,14 +3,14 @@ package server
 // The E27 bench harness and artifact (BENCH_E27.json): batched IN
 // pushdown through the SQL adapter vs the per-call round-trip loop.
 // One fan-out join drives a deduplicated binding group of `Bindings`
-// lookups into a SQL-backed relation; the batched mode services the
-// group through sources.BatchSource (one IN (...) statement per
-// MaxBatch chunk), the baseline hides the batch capability so the
-// engine issues one statement per binding. Both modes run against the
-// same in-repo fakedb backend with the same injected per-statement
-// latency, the backend's own query counter is the round-trip ground
-// truth, and the answers must be identical — the pushdown is an
-// execution-cost optimization, never a semantics change.
+// lookups into a SQL-backed relation; the batched mode hands the
+// adapter the whole group in one Call (one IN (...) statement per
+// MaxBatch chunk), the baseline masks the adapter's batching property
+// so the engine issues one statement per binding. Both modes run
+// against the same in-repo fakedb backend with the same injected
+// per-statement latency, the backend's own query counter is the
+// round-trip ground truth, and the answers must be identical — the
+// pushdown is an execution-cost optimization, never a semantics change.
 
 import (
 	"context"
@@ -139,32 +139,12 @@ func validateE27(raw map[string]json.RawMessage) error {
 	return nil
 }
 
-// unbatchedSource hides an adapter's batch capability, forcing the
-// engine's per-call path — the E27 baseline.
-type unbatchedSource struct {
-	inner sources.Source
-}
+// unbatchedSource forwards everything to the adapter but answers "no"
+// to the batching property, so the engine hands it groups of one — the
+// E27 baseline.
+type unbatchedSource struct{ sources.Source }
 
-func (u unbatchedSource) Name() string               { return u.inner.Name() }
-func (u unbatchedSource) Arity() int                 { return u.inner.Arity() }
-func (u unbatchedSource) Patterns() []access.Pattern { return u.inner.Patterns() }
-func (u unbatchedSource) Call(p access.Pattern, inputs []string) ([]sources.Tuple, error) {
-	return sources.CallWithContext(context.Background(), u.inner, p, inputs)
-}
-func (u unbatchedSource) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]sources.Tuple, error) {
-	return sources.CallWithContext(ctx, u.inner, p, inputs)
-}
-func (u unbatchedSource) StatsSnapshot() sources.Stats {
-	if r, ok := u.inner.(sources.StatsReporter); ok {
-		return r.StatsSnapshot()
-	}
-	return sources.Stats{}
-}
-func (u unbatchedSource) ResetStats() {
-	if r, ok := u.inner.(sources.StatsReporter); ok {
-		r.ResetStats()
-	}
-}
+func (unbatchedSource) Batches() bool { return false }
 
 // RunBatchPushdown runs the E27 comparison and returns its report.
 func RunBatchPushdown(ctx context.Context, cfg BatchPushdownConfig) (*BatchPushdownReport, error) {
@@ -209,6 +189,9 @@ func RunBatchPushdown(ctx context.Context, cfg BatchPushdownConfig) (*BatchPushd
 		if err != nil {
 			return PushdownModeStats{}, nil, err
 		}
+		// Traffic is read off the leaves: unbatchedSource forwards calls,
+		// not meters.
+		leaves := sources.MustCatalog(rTbl, adapterT)
 		st.Reset()
 		st.SetLatency(time.Duration(cfg.LatencyMS * float64(time.Millisecond)))
 		rt := ucqn.NewRuntime()
@@ -223,7 +206,7 @@ func RunBatchPushdown(ctx context.Context, cfg BatchPushdownConfig) (*BatchPushd
 			lat = append(lat, time.Since(start))
 		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		stats := cat.TotalStats()
+		stats := leaves.TotalStats()
 		return PushdownModeStats{
 			Calls:       stats.Calls / cfg.Iters,
 			RoundTrips:  int(st.Queries()) / cfg.Iters,
@@ -233,7 +216,7 @@ func RunBatchPushdown(ctx context.Context, cfg BatchPushdownConfig) (*BatchPushd
 		}, rel, nil
 	}
 
-	perCall, perCallRel, err := measure(func(s sources.Source) sources.Source { return unbatchedSource{inner: s} })
+	perCall, perCallRel, err := measure(func(s sources.Source) sources.Source { return unbatchedSource{s} })
 	if err != nil {
 		return nil, fmt.Errorf("per-call mode: %w", err)
 	}

@@ -586,14 +586,35 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, strings.Join(append([]string{status}, parts...), " "))
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// maxRequestBytes bounds the body of /v1/query and /v1/invalidate — a
+// tenant name and one query text — so a client cannot make the daemon
+// buffer an unbounded request.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest reads the POSTed Request of a handler. On failure it
+// has already answered — 405, 413 for a body over maxRequestBytes, 400
+// for anything else undecodable — and reports false.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, bool) {
+	var req Request
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return req, false
 	}
-	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), status)
+		return req, false
+	}
+	return req, true
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeRequest(w, r)
+	if !ok {
 		return
 	}
 	resp, err := s.Query(r.Context(), req.Tenant, req.Query)
@@ -619,13 +640,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	req, ok := decodeRequest(w, r)
+	if !ok {
 		return
 	}
 	gen, err := s.Invalidate(req.Tenant)

@@ -98,6 +98,21 @@ func TestServerUnknownTenantAndBadQuery(t *testing.T) {
 	if _, _, status := post(t, ts.URL, fixtures[0].Name, "this is not a query"); status != http.StatusBadRequest {
 		t.Errorf("bad query status = %d, want 400", status)
 	}
+	// Bodies over maxRequestBytes are refused on both POST endpoints
+	// before they are buffered.
+	huge := strings.Repeat("x", maxRequestBytes)
+	if _, _, status := post(t, ts.URL, fixtures[0].Name, huge); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized query status = %d, want 413", status)
+	}
+	body, _ := json.Marshal(Request{Tenant: huge})
+	resp, err := http.Post(ts.URL+"/v1/invalidate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized invalidate status = %d, want 413", resp.StatusCode)
+	}
 }
 
 // Overload must degrade to the certified underestimate, never a 503:

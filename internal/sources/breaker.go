@@ -94,13 +94,13 @@ func (c BreakerConfig) cooldown() time.Duration {
 // per cooldown period, independent of how many bindings, retries, rules,
 // or queries would otherwise have called it.
 //
-// Like Cached and Flaky, the Breaker forwards StatsReporter to the inner
-// source, so Catalog.TotalStats over a wrapped catalog still reports the
-// real remote traffic (fast-failed calls never reached the source and
-// are metered separately by Rejected). It is safe for concurrent use.
+// Like every wrapper the Breaker reports the inner source's traffic, so
+// Catalog.TotalStats over a wrapped catalog is the real remote traffic
+// (fast-failed calls never reached the source and are metered
+// separately by Rejected). It is safe for concurrent use.
 type Breaker struct {
-	inner Source
-	cfg   BreakerConfig
+	forward
+	cfg BreakerConfig
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -116,17 +116,8 @@ type Breaker struct {
 
 // NewBreaker wraps src with a circuit breaker.
 func NewBreaker(src Source, cfg BreakerConfig) *Breaker {
-	return &Breaker{inner: src, cfg: cfg, outcomes: make([]bool, cfg.window())}
+	return &Breaker{forward: forward{inner: src}, cfg: cfg, outcomes: make([]bool, cfg.window())}
 }
-
-// Name implements Source.
-func (b *Breaker) Name() string { return b.inner.Name() }
-
-// Arity implements Source.
-func (b *Breaker) Arity() int { return b.inner.Arity() }
-
-// Patterns implements Source.
-func (b *Breaker) Patterns() []access.Pattern { return b.inner.Patterns() }
 
 func (b *Breaker) now() time.Time {
 	if b.cfg.Now != nil {
@@ -221,36 +212,19 @@ func (b *Breaker) reset() {
 	b.next, b.filled, b.fails = 0, 0, 0
 }
 
-// Call implements Source.
-func (b *Breaker) Call(p access.Pattern, inputs []string) ([]Tuple, error) {
-	return b.CallContext(context.Background(), p, inputs)
-}
-
-// CallContext implements ContextSource, consulting the circuit before
-// forwarding to the inner source.
-func (b *Breaker) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]Tuple, error) {
+// Call implements Source, consulting the circuit before forwarding to
+// the inner source. A group is one admission decision and one recorded
+// outcome — a failing backend trips the breaker at the same rate
+// whether callers batch or not.
+func (b *Breaker) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	probe, err := b.admit()
 	if err != nil {
 		return nil, err
 	}
-	rows, err := CallWithContext(ctx, b.inner, p, inputs)
-	b.record(probe, err)
-	return rows, err
-}
-
-// BatchCapable reports whether the wrapped source genuinely batches.
-func (b *Breaker) BatchCapable() bool { return IsBatchCapable(b.inner) }
-
-// CallBatch implements BatchSource. A batch is one wire round trip, so
-// it is one admission decision and one recorded outcome — a failing
-// backend trips the breaker at the same rate whether callers batch or
-// not.
-func (b *Breaker) CallBatch(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
-	probe, err := b.admit()
-	if err != nil {
-		return nil, err
-	}
-	groups, err := CallBatchWithContext(ctx, b.inner, p, inputs)
+	groups, err := b.inner.Call(ctx, p, inputs)
 	b.record(probe, err)
 	return groups, err
 }
@@ -290,24 +264,6 @@ func (b *Breaker) Reset() {
 	b.probing = false
 	b.trips, b.rejected = 0, 0
 	b.reset()
-}
-
-// StatsSnapshot implements StatsReporter by forwarding to the wrapped
-// source: fast-failed calls never reached it, so the counters are the
-// real remote traffic.
-func (b *Breaker) StatsSnapshot() Stats {
-	if r, ok := b.inner.(StatsReporter); ok {
-		return r.StatsSnapshot()
-	}
-	return Stats{}
-}
-
-// ResetStats implements StatsReporter by forwarding to the wrapped
-// source.
-func (b *Breaker) ResetStats() {
-	if r, ok := b.inner.(StatsReporter); ok {
-		r.ResetStats()
-	}
 }
 
 // BreakerCatalog wraps every source of the catalog with a circuit

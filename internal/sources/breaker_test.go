@@ -48,7 +48,7 @@ func TestBreakerOpensAfterThresholdAndFailsFast(t *testing.T) {
 		if b.State() != BreakerClosed {
 			t.Fatalf("call %d: state = %v, want closed", i+1, b.State())
 		}
-		if _, err := b.Call("ioo", []string{"i1"}); err == nil || errors.Is(err, ErrBreakerOpen) {
+		if _, err := callOne(context.Background(), b, "ioo", []string{"i1"}); err == nil || errors.Is(err, ErrBreakerOpen) {
 			t.Fatalf("call %d: err = %v, want the inner failure", i+1, err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestBreakerOpensAfterThresholdAndFailsFast(t *testing.T) {
 	// Open circuit: fast fail, inner source untouched.
 	before := f.Injected()
 	for i := 0; i < 10; i++ {
-		_, err := b.Call("ioo", []string{"i1"})
+		_, err := callOne(context.Background(), b, "ioo", []string{"i1"})
 		if !errors.Is(err, ErrBreakerOpen) {
 			t.Fatalf("open call %d: err = %v, want ErrBreakerOpen", i+1, err)
 		}
@@ -77,7 +77,7 @@ func TestBreakerOpensAfterThresholdAndFailsFast(t *testing.T) {
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	b, f, clk := breakerUnderTest(t)
 	for i := 0; i < 3; i++ {
-		b.Call("ioo", []string{"i1"})
+		callOne(context.Background(), b, "ioo", []string{"i1"})
 	}
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %v, want open", b.State())
@@ -88,7 +88,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 	// The probe reaches the (still dead) source and re-opens the circuit.
 	inner := f.Injected()
-	if _, err := b.Call("ioo", []string{"i1"}); errors.Is(err, ErrBreakerOpen) || err == nil {
+	if _, err := callOne(context.Background(), b, "ioo", []string{"i1"}); errors.Is(err, ErrBreakerOpen) || err == nil {
 		t.Fatalf("probe err = %v, want the inner failure", err)
 	}
 	if f.Injected() != inner+1 {
@@ -101,7 +101,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	f.ResetSchedule()
 	f.cfg = FlakyConfig{} // healthy from here on
 	clk.Advance(time.Second)
-	rows, err := b.Call("ioo", []string{"i1"})
+	rows, err := callOne(context.Background(), b, "ioo", []string{"i1"})
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("recovery probe: rows=%v err=%v", rows, err)
 	}
@@ -110,7 +110,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 	// The window was reset: one new failure must not re-open it.
 	f.cfg = FlakyConfig{FailEveryN: 1}
-	b.Call("ioo", []string{"i1"})
+	callOne(context.Background(), b, "ioo", []string{"i1"})
 	if b.State() != BreakerClosed {
 		t.Error("a single failure after reset must not trip a threshold-3 breaker")
 	}
@@ -122,7 +122,7 @@ func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 8; i++ {
-		if _, err := b.CallContext(ctx, "ioo", []string{"i1"}); !errors.Is(err, context.Canceled) {
+		if _, err := callOne(ctx, b, "ioo", []string{"i1"}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestBreakerCountsDeadlineExpiryAsFailure(t *testing.T) {
 	b := NewBreaker(hung, BreakerConfig{Window: 4, Threshold: 2, Now: clk.Now})
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_, err := b.CallContext(ctx, "ioo", []string{"i1"})
+		_, err := callOne(ctx, b, "ioo", []string{"i1"})
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want DeadlineExceeded from the hung call", err)
@@ -153,7 +153,7 @@ func TestBreakerCountsDeadlineExpiryAsFailure(t *testing.T) {
 func TestBreakerStatsForwardAndReset(t *testing.T) {
 	tbl := MustTable("R", 2, []access.Pattern{"io"}, []Tuple{{"k", "v"}})
 	b := NewBreaker(tbl, BreakerConfig{})
-	if _, err := b.Call("io", []string{"k"}); err != nil {
+	if _, err := callOne(context.Background(), b, "io", []string{"k"}); err != nil {
 		t.Fatal(err)
 	}
 	if st := b.StatsSnapshot(); st.Calls != 1 || st.TuplesReturned != 1 {
@@ -193,7 +193,7 @@ func TestBreakerCatalogWrapsEverySource(t *testing.T) {
 			t.Errorf("source %s is not breaker-wrapped", name)
 		}
 	}
-	if _, err := wrapped.Source("R").Call("o", nil); err != nil {
+	if _, err := callOne(context.Background(), wrapped.Source("R"), "o", nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := wrapped.TotalStats(); st.Calls != 1 {
@@ -212,7 +212,7 @@ func TestBreakerConcurrentHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				b.Call("ioo", []string{fmt.Sprintf("i%d", w)})
+				callOne(context.Background(), b, "ioo", []string{fmt.Sprintf("i%d", w)})
 				b.State()
 			}
 		}(w)

@@ -25,7 +25,7 @@ import (
 // with least-recently-used eviction; serving workloads otherwise grow
 // the call cache without limit. Zero capacity means unbounded.
 type Cached struct {
-	inner    Source
+	forward
 	capacity int // 0 = unbounded
 
 	mu        sync.Mutex
@@ -65,7 +65,7 @@ func NewCachedWithCapacity(src Source, maxEntries int) *Cached {
 		maxEntries = 0
 	}
 	return &Cached{
-		inner:    src,
+		forward:  forward{inner: src},
 		capacity: maxEntries,
 		cache:    map[string]*list.Element{},
 		lru:      list.New(),
@@ -73,182 +73,117 @@ func NewCachedWithCapacity(src Source, maxEntries int) *Cached {
 	}
 }
 
-// Name implements Source.
-func (c *Cached) Name() string { return c.inner.Name() }
-
-// Arity implements Source.
-func (c *Cached) Arity() int { return c.inner.Arity() }
-
-// Patterns implements Source.
-func (c *Cached) Patterns() []access.Pattern { return c.inner.Patterns() }
-
-// Call implements Source, consulting the cache first. Errors are not
-// cached (a bad pattern stays an error on every call).
-func (c *Cached) Call(p access.Pattern, inputs []string) ([]Tuple, error) {
-	return c.CallContext(context.Background(), p, inputs)
-}
-
-// CallContext implements ContextSource. A caller waiting on another
-// goroutine's in-flight fetch of the same key stops waiting when its
-// own context is cancelled; the fetch itself runs under the leader's
-// context.
+// Call implements Source: cached keys are answered locally and only
+// the misses travel to the inner source, as one inner group. Errors are
+// not cached (a bad pattern stays an error on every call), and any
+// failure fails the whole group.
 //
-// A leader whose fetch died of its *own* context's cancellation must
-// not poison the followers: their contexts may be perfectly live (one
-// query's caller hanging up says nothing about the others), so such a
-// follower loops back and retries — re-checking the cache, joining a
-// newer flight, or becoming the new leader and fetching under its own
-// context. Real source failures still propagate to every waiter
-// unchanged.
-func (c *Cached) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]Tuple, error) {
-	key := string(p) + "\x00" + strings.Join(inputs, "\x1f")
-	for {
-		c.mu.Lock()
-		if elem, ok := c.cache[key]; ok {
-			c.hits++
-			c.lru.MoveToFront(elem)
-			rows := elem.Value.(*cacheEntry).rows
-			c.mu.Unlock()
-			return copyTuples(rows), nil
-		}
-		if f, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if f.err != nil {
-				if isContextError(f.err) && ctx.Err() == nil {
-					continue // leader hung up, we did not: take over
-				}
-				return nil, f.err
-			}
-			c.mu.Lock()
-			c.hits++
-			c.mu.Unlock()
-			return copyTuples(f.rows), nil
-		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[key] = f
-		gen := c.gen
-		c.mu.Unlock()
-
-		rows, err := CallWithContext(ctx, c.inner, p, inputs)
-
-		c.mu.Lock()
-		if err != nil {
-			f.err = err
-		} else {
-			f.rows = copyTuples(rows)
-			if gen == c.gen {
-				c.misses++
-				c.install(key, f.rows)
-			}
-		}
-		if gen == c.gen {
-			delete(c.inflight, key)
-		}
-		c.mu.Unlock()
-		close(f.done)
-		if err != nil {
-			return nil, err
-		}
-		return rows, nil
-	}
-}
-
-// BatchCapable reports whether the wrapped source genuinely batches;
-// the cache layer itself adds no round trips either way.
-func (c *Cached) BatchCapable() bool { return IsBatchCapable(c.inner) }
-
-// CallBatch implements BatchSource: cached keys are answered locally
-// and only the misses travel to the inner source, as one inner batch.
-// Keys already being fetched by another goroutine are joined through
-// the per-key singleflight path rather than fetched again. Any failure
-// fails the whole batch (the caller falls back to per-vector calls).
-func (c *Cached) CallBatch(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
+// A key another goroutine is already fetching — or an earlier vector of
+// this very group registered — is waited on instead of fetched again,
+// after this call's own fetch has completed. A waiter stops waiting
+// when its own context is cancelled; the fetch itself runs under the
+// leader's context. A leader whose fetch died of its *own* context's
+// cancellation must not poison the followers: their contexts may be
+// perfectly live (one query's caller hanging up says nothing about the
+// others), so such a follower goes around again — re-checking the
+// cache, joining a newer flight, or becoming the new leader and
+// fetching under its own context. Real source failures still propagate
+// to every waiter unchanged.
+func (c *Cached) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	type pending struct {
+		i   int // index into inputs
+		key string
+		f   *flight
+	}
 	out := make([][]Tuple, len(inputs))
-	var joined []int // indexes delegated to CallContext (flight in progress)
-	var missKeys []string
-	var missInputs [][]string
-	pending := map[string][]int{}   // miss key -> batch indexes waiting on it
-	flights := map[string]*flight{} // miss key -> flight we registered
-
-	c.mu.Lock()
-	for i, in := range inputs {
-		key := string(p) + "\x00" + strings.Join(in, "\x1f")
-		if idxs, ok := pending[key]; ok { // duplicate within the batch
-			pending[key] = append(idxs, i)
-			continue
-		}
-		if elem, ok := c.cache[key]; ok {
-			c.hits++
-			c.lru.MoveToFront(elem)
-			out[i] = copyTuples(elem.Value.(*cacheEntry).rows)
-			continue
-		}
-		if _, ok := c.inflight[key]; ok {
-			joined = append(joined, i)
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[key] = f
-		flights[key] = f
-		pending[key] = []int{i}
-		missKeys = append(missKeys, key)
-		missInputs = append(missInputs, in)
+	todo := make([]int, len(inputs))
+	for i := range todo {
+		todo[i] = i
 	}
-	gen := c.gen
-	c.mu.Unlock()
+	for len(todo) > 0 {
+		var leads, waits []pending
+		var leadInputs [][]string
 
-	var groups [][]Tuple
-	var err error
-	if len(missInputs) > 0 {
-		groups, err = CallBatchWithContext(ctx, c.inner, p, missInputs)
-	}
-	c.mu.Lock()
-	for k, key := range missKeys {
-		f := flights[key]
-		if err != nil {
-			f.err = err
-		} else {
-			f.rows = copyTuples(groups[k])
-			if gen == c.gen {
-				c.misses++
-				c.install(key, f.rows)
+		c.mu.Lock()
+		for _, i := range todo {
+			key := callKey(p, inputs[i])
+			if elem, ok := c.cache[key]; ok {
+				c.hits++
+				c.lru.MoveToFront(elem)
+				out[i] = copyTuples(elem.Value.(*cacheEntry).rows)
+			} else if f, ok := c.inflight[key]; ok {
+				waits = append(waits, pending{i, key, f})
+			} else {
+				f := &flight{done: make(chan struct{})}
+				c.inflight[key] = f
+				leads = append(leads, pending{i, key, f})
+				leadInputs = append(leadInputs, inputs[i])
 			}
 		}
-		if gen == c.gen {
-			delete(c.inflight, key)
+		gen := c.gen
+		c.mu.Unlock()
+
+		if len(leads) > 0 {
+			groups, err := c.inner.Call(ctx, p, leadInputs)
+			c.mu.Lock()
+			for k, l := range leads {
+				if err != nil {
+					l.f.err = err
+				} else {
+					l.f.rows = copyTuples(groups[k])
+					if gen == c.gen {
+						c.misses++
+						c.install(l.key, l.f.rows)
+					}
+				}
+				if gen == c.gen {
+					delete(c.inflight, l.key)
+				}
+			}
+			c.mu.Unlock()
+			for _, l := range leads {
+				close(l.f.done)
+			}
+			if err != nil {
+				return nil, err
+			}
+			for k, l := range leads {
+				out[l.i] = groups[k]
+			}
 		}
-	}
-	c.mu.Unlock()
-	for _, f := range flights {
-		close(f.done)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for k, key := range missKeys {
-		for _, i := range pending[key] {
-			out[i] = copyTuples(groups[k])
+
+		todo = todo[:0]
+		served := 0
+		for _, w := range waits {
+			select {
+			case <-w.f.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if w.f.err == nil {
+				out[w.i] = copyTuples(w.f.rows)
+				served++
+			} else if isContextError(w.f.err) && ctx.Err() == nil {
+				todo = append(todo, w.i) // leader hung up, we did not: take over
+			} else {
+				return nil, w.f.err
+			}
 		}
-	}
-	// Keys another goroutine was already fetching go through the normal
-	// singleflight wait (which also handles a leader dying of its own
-	// context's cancellation).
-	for _, i := range joined {
-		rows, err := c.CallContext(ctx, p, inputs[i])
-		if err != nil {
-			return nil, err
+		if served > 0 {
+			c.mu.Lock()
+			c.hits += served
+			c.mu.Unlock()
 		}
-		out[i] = rows
 	}
 	return out, nil
+}
+
+// callKey identifies one (pattern, input vector) call of a source.
+func callKey(p access.Pattern, in []string) string {
+	return string(p) + "\x00" + strings.Join(in, "\x1f")
 }
 
 // isContextError reports whether err is a context cancellation or
@@ -271,14 +206,6 @@ func (c *Cached) install(key string, rows []Tuple) {
 		delete(c.cache, back.Value.(*cacheEntry).key)
 		c.evictions++
 	}
-}
-
-func copyTuples(rows []Tuple) []Tuple {
-	out := make([]Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = append(Tuple(nil), r...)
-	}
-	return out
 }
 
 // HitsMisses returns the cache counters.
@@ -306,24 +233,6 @@ func (c *Cached) Reset() {
 	c.inflight = map[string]*flight{}
 	c.gen++
 	c.hits, c.misses, c.evictions = 0, 0, 0
-}
-
-// StatsSnapshot implements StatsReporter by forwarding to the wrapped
-// source, so catalogs of cached sources report the real remote traffic.
-// Wrapping a source that does not meter reports zero.
-func (c *Cached) StatsSnapshot() Stats {
-	if r, ok := c.inner.(StatsReporter); ok {
-		return r.StatsSnapshot()
-	}
-	return Stats{}
-}
-
-// ResetStats implements StatsReporter by forwarding to the wrapped
-// source.
-func (c *Cached) ResetStats() {
-	if r, ok := c.inner.(StatsReporter); ok {
-		r.ResetStats()
-	}
 }
 
 // CachedCatalog wraps every source of a catalog with a cache.

@@ -17,7 +17,7 @@ func TestCachedServesRepeats(t *testing.T) {
 		t.Error("wrapper must forward metadata")
 	}
 	for i := 0; i < 5; i++ {
-		rows, err := c.Call("oio", []string{"knuth"})
+		rows, err := callOne(context.Background(), c, "oio", []string{"knuth"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,12 +36,12 @@ func TestCachedServesRepeats(t *testing.T) {
 
 func TestCachedReturnsCopies(t *testing.T) {
 	c := NewCached(bookTable(t))
-	rows, err := c.Call("ioo", []string{"i1"})
+	rows, err := callOne(context.Background(), c, "ioo", []string{"i1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows[0][1] = "mangled"
-	rows2, _ := c.Call("ioo", []string{"i1"})
+	rows2, _ := callOne(context.Background(), c, "ioo", []string{"i1"})
 	if rows2[0][1] != "knuth" {
 		t.Error("cache must not leak shared tuple storage")
 	}
@@ -49,10 +49,10 @@ func TestCachedReturnsCopies(t *testing.T) {
 
 func TestCachedErrorsNotCached(t *testing.T) {
 	c := NewCached(bookTable(t))
-	if _, err := c.Call("ooo", nil); err == nil {
+	if _, err := callOne(context.Background(), c, "ooo", nil); err == nil {
 		t.Fatal("bad pattern must error")
 	}
-	if _, err := c.Call("ooo", nil); err == nil {
+	if _, err := callOne(context.Background(), c, "ooo", nil); err == nil {
 		t.Fatal("bad pattern must keep erroring")
 	}
 	if hits, misses := c.HitsMisses(); hits != 0 || misses != 0 {
@@ -62,11 +62,11 @@ func TestCachedErrorsNotCached(t *testing.T) {
 
 func TestCachedReset(t *testing.T) {
 	c := NewCached(bookTable(t))
-	if _, err := c.Call("ioo", []string{"i1"}); err != nil {
+	if _, err := callOne(context.Background(), c, "ioo", []string{"i1"}); err != nil {
 		t.Fatal(err)
 	}
 	c.Reset()
-	if _, err := c.Call("ioo", []string{"i1"}); err != nil {
+	if _, err := callOne(context.Background(), c, "ioo", []string{"i1"}); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := c.HitsMisses(); hits != 0 || misses != 1 {
@@ -85,10 +85,20 @@ type blockingSource struct {
 func (s *blockingSource) Name() string               { return "B" }
 func (s *blockingSource) Arity() int                 { return 2 }
 func (s *blockingSource) Patterns() []access.Pattern { return []access.Pattern{"io"} }
-func (s *blockingSource) Call(p access.Pattern, inputs []string) ([]Tuple, error) {
+func (s *blockingSource) Batches() bool              { return false }
+func (s *blockingSource) Call(_ context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
 	s.calls.Add(1)
 	<-s.release
-	return copyTuples(s.rows), nil
+	return fanOut(s.rows, len(inputs)), nil
+}
+
+// fanOut answers every vector of a group with a copy of rows.
+func fanOut(rows []Tuple, n int) [][]Tuple {
+	out := make([][]Tuple, n)
+	for i := range out {
+		out[i] = copyTuples(rows)
+	}
+	return out
 }
 
 // Regression test for the thundering-herd bug: N goroutines missing on
@@ -105,7 +115,7 @@ func TestCachedSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rows[i], errs[i] = c.Call("io", []string{"k"})
+			rows[i], errs[i] = callOne(context.Background(), c, "io", []string{"k"})
 		}(i)
 	}
 	// Wait for the leader to reach the inner source, give the followers a
@@ -140,13 +150,13 @@ func TestCachedSingleflight(t *testing.T) {
 func TestCachedFollowerCancellation(t *testing.T) {
 	inner := &blockingSource{rows: []Tuple{{"k", "v"}}, release: make(chan struct{})}
 	c := NewCached(inner)
-	go c.Call("io", []string{"k"}) // leader, parked on the inner source
+	go callOne(context.Background(), c, "io", []string{"k"}) // leader, parked on the inner source
 	for inner.calls.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.CallContext(ctx, "io", []string{"k"}); err != context.Canceled {
+	if _, err := callOne(ctx, c, "io", []string{"k"}); err != context.Canceled {
 		t.Errorf("follower error = %v, want context.Canceled", err)
 	}
 	close(inner.release)
@@ -165,15 +175,13 @@ type ctxBlockingSource struct {
 func (s *ctxBlockingSource) Name() string               { return "B" }
 func (s *ctxBlockingSource) Arity() int                 { return 2 }
 func (s *ctxBlockingSource) Patterns() []access.Pattern { return []access.Pattern{"io"} }
-func (s *ctxBlockingSource) Call(p access.Pattern, inputs []string) ([]Tuple, error) {
-	return s.CallContext(context.Background(), p, inputs)
-}
-func (s *ctxBlockingSource) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]Tuple, error) {
+func (s *ctxBlockingSource) Batches() bool              { return false }
+func (s *ctxBlockingSource) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
 	s.calls.Add(1)
 	s.started <- struct{}{}
 	select {
 	case <-s.release:
-		return copyTuples(s.rows), nil
+		return fanOut(s.rows, len(inputs)), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -195,7 +203,7 @@ func TestCachedCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := c.CallContext(leaderCtx, "io", []string{"k"})
+		_, err := callOne(leaderCtx, c, "io", []string{"k"})
 		leaderErr <- err
 	}()
 	<-inner.started // leader is parked inside the source
@@ -208,7 +216,7 @@ func TestCachedCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rows[i], errs[i] = c.CallContext(context.Background(), "io", []string{"k"})
+			rows[i], errs[i] = callOne(context.Background(), c, "io", []string{"k"})
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond) // let the followers join the flight
@@ -251,11 +259,11 @@ func TestCachedCatalogReportsInnerTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // 1 remote call + 2 cache hits
-		if _, err := wrapped.Source("B").Call("oio", []string{"knuth"}); err != nil {
+		if _, err := callOne(context.Background(), wrapped.Source("B"), "oio", []string{"knuth"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := wrapped.Source("L").Call("o", nil); err != nil {
+	if _, err := callOne(context.Background(), wrapped.Source("L"), "o", nil); err != nil {
 		t.Fatal(err)
 	}
 	st := wrapped.TotalStats()
@@ -282,10 +290,10 @@ func TestCachedCatalog(t *testing.T) {
 	if len(caches) != 2 {
 		t.Fatalf("caches = %d", len(caches))
 	}
-	if _, err := wrapped.Source("B").Call("ioo", []string{"i1"}); err != nil {
+	if _, err := callOne(context.Background(), wrapped.Source("B"), "ioo", []string{"i1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wrapped.Source("B").Call("ioo", []string{"i1"}); err != nil {
+	if _, err := callOne(context.Background(), wrapped.Source("B"), "ioo", []string{"i1"}); err != nil {
 		t.Fatal(err)
 	}
 	var totalHits int
@@ -306,7 +314,7 @@ func TestCachedCapacityLRU(t *testing.T) {
 	c := NewCachedWithCapacity(b, 2)
 	call := func(id string) {
 		t.Helper()
-		if _, err := c.Call("ioo", []string{id}); err != nil {
+		if _, err := callOne(context.Background(), c, "ioo", []string{id}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +350,7 @@ func TestCachedCapacityLRU(t *testing.T) {
 func TestCachedUnboundedNeverEvicts(t *testing.T) {
 	c := NewCached(bookTable(t))
 	for _, id := range []string{"i1", "i2", "i3"} {
-		if _, err := c.Call("ioo", []string{id}); err != nil {
+		if _, err := callOne(context.Background(), c, "ioo", []string{id}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,8 +17,8 @@ import (
 // error without forwarding to the inner source. It is safe for
 // concurrent use.
 type Delayed struct {
-	inner Source
-	d     time.Duration
+	forward
+	d time.Duration
 
 	// Now and Sleep inject the clock, mirroring Breaker's Now hook: nil
 	// means the real time.Now and a timer-backed sleep that honors the
@@ -31,20 +31,11 @@ type Delayed struct {
 	lat Stats // latency observations overlaid on the inner snapshot
 }
 
-// NewDelayed wraps src so every call takes at least d before the inner
-// source is consulted.
+// NewDelayed wraps src so every call — a group of any size — takes at
+// least d before the inner source is consulted.
 func NewDelayed(src Source, d time.Duration) *Delayed {
-	return &Delayed{inner: src, d: d}
+	return &Delayed{forward: forward{inner: src}, d: d}
 }
-
-// Name implements Source.
-func (s *Delayed) Name() string { return s.inner.Name() }
-
-// Arity implements Source.
-func (s *Delayed) Arity() int { return s.inner.Arity() }
-
-// Patterns implements Source.
-func (s *Delayed) Patterns() []access.Pattern { return s.inner.Patterns() }
 
 func (s *Delayed) clockNow() time.Time {
 	if s.Now != nil {
@@ -60,46 +51,20 @@ func (s *Delayed) sleep(ctx context.Context, d time.Duration) error {
 	return sleepContext(ctx, d)
 }
 
-// Call implements Source.
-func (s *Delayed) Call(p access.Pattern, inputs []string) ([]Tuple, error) {
-	return s.CallContext(context.Background(), p, inputs)
-}
-
-// CallContext implements ContextSource: it sleeps for the configured
-// latency (abandoning the call if the context is cancelled first), then
-// forwards to the inner source. Completed calls — successful or failed —
-// are metered into the latency aggregates; calls abandoned to the
-// caller's context are not.
-func (s *Delayed) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]Tuple, error) {
+// Call implements Source: it sleeps for the configured latency
+// (abandoning the call if the context is cancelled first), then
+// forwards to the inner source. A group is one round trip, so it pays
+// the latency once. Completed calls — successful or failed — are
+// metered into the latency aggregates; calls abandoned to the caller's
+// context are not.
+func (s *Delayed) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
 	start := s.clockNow()
 	if s.d > 0 {
 		if err := s.sleep(ctx, s.d); err != nil {
 			return nil, err
 		}
 	}
-	rows, err := CallWithContext(ctx, s.inner, p, inputs)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		el := s.clockNow().Sub(start)
-		s.mu.Lock()
-		s.lat.Observe(el)
-		s.mu.Unlock()
-	}
-	return rows, err
-}
-
-// BatchCapable reports whether the wrapped source genuinely batches.
-func (s *Delayed) BatchCapable() bool { return IsBatchCapable(s.inner) }
-
-// CallBatch implements BatchSource: the batch is one round trip, so it
-// pays the simulated latency once, then forwards the whole group.
-func (s *Delayed) CallBatch(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
-	start := s.clockNow()
-	if s.d > 0 {
-		if err := s.sleep(ctx, s.d); err != nil {
-			return nil, err
-		}
-	}
-	groups, err := CallBatchWithContext(ctx, s.inner, p, inputs)
+	groups, err := s.inner.Call(ctx, p, inputs)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		el := s.clockNow().Sub(start)
 		s.mu.Lock()
@@ -114,10 +79,7 @@ func (s *Delayed) CallBatch(ctx context.Context, p access.Pattern, inputs [][]st
 // overlaying the end-to-end latency observed here (delay included),
 // which is what the caller actually experiences.
 func (s *Delayed) StatsSnapshot() Stats {
-	var st Stats
-	if r, ok := s.inner.(StatsReporter); ok {
-		st = r.StatsSnapshot()
-	}
+	st := s.forward.StatsSnapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lat.LatencyCalls > 0 {
@@ -132,9 +94,7 @@ func (s *Delayed) StatsSnapshot() Stats {
 // ResetStats implements StatsReporter by forwarding to the wrapped
 // source and clearing the local latency aggregates.
 func (s *Delayed) ResetStats() {
-	if r, ok := s.inner.(StatsReporter); ok {
-		r.ResetStats()
-	}
+	s.forward.ResetStats()
 	s.mu.Lock()
 	s.lat = Stats{}
 	s.mu.Unlock()

@@ -35,7 +35,7 @@ func TestDelayedAddsLatencyAndForwards(t *testing.T) {
 	var rows []Tuple
 	var err error
 	go func() {
-		rows, err = d.Call("o", nil)
+		rows, err = callOne(context.Background(), d, "o", nil)
 		close(done)
 	}()
 	if !clk.AwaitSleepers(1, 5*time.Second) {
@@ -76,7 +76,7 @@ func TestDelayedLatencyAggregates(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		done := make(chan error, 1)
 		go func() {
-			_, err := d.Call("o", nil)
+			_, err := callOne(context.Background(), d, "o", nil)
 			done <- err
 		}()
 		if !clk.AwaitSleepers(1, 5*time.Second) {
@@ -109,7 +109,7 @@ func TestDelayedHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.CallContext(ctx, "o", nil)
+		_, err := callOne(ctx, d, "o", nil)
 		done <- err
 	}()
 	if !clk.AwaitSleepers(1, 5*time.Second) {
@@ -151,7 +151,7 @@ func TestDelayedCatalogWrapsEverySource(t *testing.T) {
 			t.Errorf("source %s is not delayed", name)
 		}
 	}
-	if _, err := wrapped.Source("R").Call("o", nil); err != nil {
+	if _, err := callOne(context.Background(), wrapped.Source("R"), "o", nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := wrapped.TotalStats(); st.Calls != 1 {

@@ -26,10 +26,10 @@ type FlakyConfig struct {
 	// context error (context.DeadlineExceeded under a per-call deadline)
 	// instead of a transient error. This is the fault a circuit breaker
 	// and per-call deadline exist for — a service that stops answering
-	// rather than erroring. A hung call through the pattern-only Call
-	// (no context) would block forever, so Hang requires CallContext
-	// with a cancellable context; it composes with Delayed in either
-	// order (wrapper latency elapses first when Delayed is outermost).
+	// rather than erroring. A hung call blocks until its context ends,
+	// so Hang requires a cancellable context; it composes with Delayed
+	// in either order (wrapper latency elapses first when Delayed is
+	// outermost).
 	Hang bool
 }
 
@@ -39,8 +39,8 @@ type FlakyConfig struct {
 // the inner source, so the inner meters count only successful traffic.
 // It is safe for concurrent use.
 type Flaky struct {
-	inner Source
-	cfg   FlakyConfig
+	forward
+	cfg FlakyConfig
 
 	mu       sync.Mutex
 	perKey   map[string]int // calls seen per key
@@ -50,44 +50,44 @@ type Flaky struct {
 
 // NewFlaky wraps src with a deterministic fault injector.
 func NewFlaky(src Source, cfg FlakyConfig) *Flaky {
-	return &Flaky{inner: src, cfg: cfg, perKey: map[string]int{}}
+	return &Flaky{forward: forward{inner: src}, cfg: cfg, perKey: map[string]int{}}
 }
 
-// Name implements Source.
-func (f *Flaky) Name() string { return f.inner.Name() }
+// Batches implements Source: the schedule is per input vector, so the
+// runtime must present vectors one call at a time for seeded fault
+// schedules to replay the same traffic whatever sits underneath.
+func (f *Flaky) Batches() bool { return false }
 
-// Arity implements Source.
-func (f *Flaky) Arity() int { return f.inner.Arity() }
-
-// Patterns implements Source.
-func (f *Flaky) Patterns() []access.Pattern { return f.inner.Patterns() }
-
-// Call implements Source.
-func (f *Flaky) Call(p access.Pattern, inputs []string) ([]Tuple, error) {
-	return f.CallContext(context.Background(), p, inputs)
-}
-
-// CallContext implements ContextSource, consulting the failure schedule
-// before forwarding to the inner source.
-func (f *Flaky) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]Tuple, error) {
-	key := string(p) + "\x00" + strings.Join(inputs, "\x1f")
+// Call implements Source, consulting the failure schedule — one step
+// per input vector, in order — before forwarding to the inner source.
+// The first vector scheduled to fail fails the whole group; later
+// vectors never arrive.
+func (f *Flaky) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	failed := -1
 	f.mu.Lock()
-	f.total++
-	f.perKey[key]++
-	fail := f.perKey[key] <= f.cfg.FailFirst ||
-		(f.cfg.FailEveryN > 0 && (f.total-1)%f.cfg.FailEveryN == 0)
-	if fail {
-		f.injected++
+	for i, in := range inputs {
+		key := callKey(p, in)
+		f.total++
+		f.perKey[key]++
+		if f.perKey[key] <= f.cfg.FailFirst ||
+			(f.cfg.FailEveryN > 0 && (f.total-1)%f.cfg.FailEveryN == 0) {
+			f.injected++
+			failed = i
+			break
+		}
 	}
 	f.mu.Unlock()
-	if fail {
+	if failed >= 0 {
 		if f.cfg.Hang {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
-		return nil, Transient(fmt.Errorf("sources: %s^%s(%s): injected transient failure", f.Name(), p, strings.Join(inputs, ",")))
+		return nil, Transient(fmt.Errorf("sources: %s^%s(%s): injected transient failure", f.Name(), p, strings.Join(inputs[failed], ",")))
 	}
-	return CallWithContext(ctx, f.inner, p, inputs)
+	return f.inner.Call(ctx, p, inputs)
 }
 
 // Injected returns how many failures the schedule has injected so far.
@@ -104,22 +104,4 @@ func (f *Flaky) ResetSchedule() {
 	defer f.mu.Unlock()
 	f.perKey = map[string]int{}
 	f.total, f.injected = 0, 0
-}
-
-// StatsSnapshot implements StatsReporter by forwarding to the wrapped
-// source: injected failures never reached it, so the counters are the
-// real traffic that got through.
-func (f *Flaky) StatsSnapshot() Stats {
-	if r, ok := f.inner.(StatsReporter); ok {
-		return r.StatsSnapshot()
-	}
-	return Stats{}
-}
-
-// ResetStats implements StatsReporter by forwarding to the wrapped
-// source.
-func (f *Flaky) ResetStats() {
-	if r, ok := f.inner.(StatsReporter); ok {
-		r.ResetStats()
-	}
 }

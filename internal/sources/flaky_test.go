@@ -17,7 +17,7 @@ func TestFlakyFailsFirstNPerKey(t *testing.T) {
 		t.Error("wrapper must forward metadata")
 	}
 	for i := 0; i < 2; i++ {
-		_, err := f.Call("oio", []string{"knuth"})
+		_, err := callOne(context.Background(), f, "oio", []string{"knuth"})
 		if err == nil {
 			t.Fatalf("call %d: expected injected failure", i+1)
 		}
@@ -25,7 +25,7 @@ func TestFlakyFailsFirstNPerKey(t *testing.T) {
 			t.Fatalf("call %d: injected error must be transient: %v", i+1, err)
 		}
 	}
-	rows, err := f.Call("oio", []string{"knuth"})
+	rows, err := callOne(context.Background(), f, "oio", []string{"knuth"})
 	if err != nil {
 		t.Fatalf("third call must succeed: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestFlakyFailsFirstNPerKey(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 	// A different key has its own schedule.
-	if _, err := f.Call("ioo", []string{"i1"}); err == nil {
+	if _, err := callOne(context.Background(), f, "ioo", []string{"i1"}); err == nil {
 		t.Error("fresh key must start failing again")
 	}
 	if f.Injected() != 3 {
@@ -54,7 +54,7 @@ func TestFlakyDeterministicFraction(t *testing.T) {
 	f := NewFlaky(b, FlakyConfig{FailEveryN: 3})
 	var failed int
 	for i := 0; i < 9; i++ {
-		if _, err := f.Call("ioo", []string{fmt.Sprintf("i%d", i%3+1)}); err != nil {
+		if _, err := callOne(context.Background(), f, "ioo", []string{fmt.Sprintf("i%d", i%3+1)}); err != nil {
 			if !IsTransient(err) {
 				t.Fatalf("injected error must be transient: %v", err)
 			}
@@ -68,14 +68,14 @@ func TestFlakyDeterministicFraction(t *testing.T) {
 	if f.Injected() != 0 {
 		t.Errorf("after ResetSchedule injected = %d", f.Injected())
 	}
-	if _, err := f.Call("ioo", []string{"i1"}); err == nil {
+	if _, err := callOne(context.Background(), f, "ioo", []string{"i1"}); err == nil {
 		t.Error("schedule must restart: first call fails again")
 	}
 }
 
 func TestFlakyContractErrorsAreNotTransient(t *testing.T) {
 	f := NewFlaky(bookTable(t), FlakyConfig{})
-	_, err := f.Call("ooo", nil)
+	_, err := callOne(context.Background(), f, "ooo", nil)
 	if err == nil {
 		t.Fatal("undeclared pattern must error")
 	}
@@ -91,7 +91,7 @@ func TestFlakyHonorsContext(t *testing.T) {
 	f := NewFlaky(bookTable(t), FlakyConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.CallContext(ctx, "ioo", []string{"i1"}); !errors.Is(err, context.Canceled) {
+	if _, err := callOne(ctx, f, "ioo", []string{"i1"}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -101,7 +101,7 @@ func TestFlakyHangBlocksUntilDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := f.CallContext(ctx, "ioo", []string{"i1"})
+	_, err := callOne(ctx, f, "ioo", []string{"i1"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded: a hung call ends only with the context", err)
 	}
@@ -112,7 +112,7 @@ func TestFlakyHangBlocksUntilDeadline(t *testing.T) {
 		t.Errorf("injected = %d, want 1", f.Injected())
 	}
 	// The schedule is spent for this key: the retry gets through.
-	rows, err := f.CallContext(context.Background(), "ioo", []string{"i1"})
+	rows, err := callOne(context.Background(), f, "ioo", []string{"i1"})
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("retry after hang: rows=%v err=%v", rows, err)
 	}
@@ -126,10 +126,10 @@ func TestFlakyHangComposesWithDelayed(t *testing.T) {
 	d := NewDelayed(f, time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := d.CallContext(ctx, "ioo", []string{"i1"}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := callOne(ctx, d, "ioo", []string{"i1"}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded through Delayed(Flaky{Hang})", err)
 	}
-	rows, err := d.CallContext(context.Background(), "ioo", []string{"i1"})
+	rows, err := callOne(context.Background(), d, "ioo", []string{"i1"})
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("healthy call: rows=%v err=%v", rows, err)
 	}
@@ -162,10 +162,10 @@ func TestFlakyCachedCatalogStats(t *testing.T) {
 	b := MustTable("R", 2, []access.Pattern{"io"}, []Tuple{{"k", "v"}})
 	c := NewCached(NewFlaky(b, FlakyConfig{}))
 	cat := MustCatalog(c)
-	if _, err := c.Call("io", []string{"k"}); err != nil {
+	if _, err := callOne(context.Background(), c, "io", []string{"k"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call("io", []string{"k"}); err != nil { // cache hit
+	if _, err := callOne(context.Background(), c, "io", []string{"k"}); err != nil { // cache hit
 		t.Fatal(err)
 	}
 	if st := cat.TotalStats(); st.Calls != 1 || st.TuplesReturned != 1 {

@@ -6,6 +6,7 @@ package sources
 // on (the engine's source-call runtime issues calls concurrently).
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func hammer(t *testing.T, s Source) {
 						_ = r.StatsSnapshot()
 					}
 				default:
-					rows, err := s.Call("io", []string{fmt.Sprintf("k%d", (g+i)%4)})
+					rows, err := callOne(context.Background(), s, "io", []string{fmt.Sprintf("k%d", (g+i)%4)})
 					if err != nil {
 						t.Errorf("Call: %v", err)
 						return

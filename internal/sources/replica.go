@@ -179,10 +179,8 @@ func (c ReplicaConfig) alpha() float64 {
 // replica sets still reports the real remote traffic. It is safe for
 // concurrent use.
 type ReplicaSet struct {
-	name     string
-	arity    int
+	forward  // identity comes from the first replica; all replicas agree
 	patterns []access.Pattern
-	declared map[access.Pattern]bool
 	cfg      ReplicaConfig
 	policy   RoutingPolicy
 	replicas []*replicaState
@@ -214,34 +212,29 @@ func NewReplicaSet(cfg ReplicaConfig, replicas ...Source) (*ReplicaSet, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("sources: replica set needs at least one replica")
 	}
-	first := replicas[0]
 	rs := &ReplicaSet{
-		name:     first.Name(),
-		arity:    first.Arity(),
-		patterns: first.Patterns(),
-		declared: map[access.Pattern]bool{},
+		forward:  forward{inner: replicas[0]},
+		patterns: replicas[0].Patterns(),
 		cfg:      cfg,
 		policy:   cfg.Policy,
 	}
 	if rs.policy == nil {
 		rs.policy = HealthiestFirst{}
 	}
-	for _, p := range rs.patterns {
-		rs.declared[p] = true
-	}
+	name, arity := rs.Name(), rs.Arity()
 	bcfg := cfg.Breaker
 	if bcfg.Now == nil {
 		bcfg.Now = cfg.Now
 	}
 	for i, src := range replicas {
-		if src.Name() != rs.name || src.Arity() != rs.arity {
-			return nil, fmt.Errorf("sources: replica %d is %s/%d, want %s/%d", i, src.Name(), src.Arity(), rs.name, rs.arity)
+		if src.Name() != name || src.Arity() != arity {
+			return nil, fmt.Errorf("sources: replica %d is %s/%d, want %s/%d", i, src.Name(), src.Arity(), name, arity)
 		}
-		if !samePatternSet(src.Patterns(), rs.declared) {
-			return nil, fmt.Errorf("sources: replica %d of %s declares patterns %v, want %v", i, rs.name, src.Patterns(), rs.patterns)
+		if !samePatternSet(src.Patterns(), rs.patterns) {
+			return nil, fmt.Errorf("sources: replica %d of %s declares patterns %v, want %v", i, name, src.Patterns(), rs.patterns)
 		}
 		rs.replicas = append(rs.replicas, &replicaState{
-			label:    fmt.Sprintf("%s#%d", rs.name, i),
+			label:    fmt.Sprintf("%s#%d", name, i),
 			src:      src,
 			brk:      NewBreaker(src, bcfg),
 			outcomes: make([]bool, cfg.window()),
@@ -251,9 +244,13 @@ func NewReplicaSet(cfg ReplicaConfig, replicas ...Source) (*ReplicaSet, error) {
 	return rs, nil
 }
 
-func samePatternSet(ps []access.Pattern, declared map[access.Pattern]bool) bool {
-	if len(ps) != len(declared) {
+func samePatternSet(ps, want []access.Pattern) bool {
+	if len(ps) != len(want) {
 		return false
+	}
+	declared := map[access.Pattern]bool{}
+	for _, p := range want {
+		declared[p] = true
 	}
 	seen := map[access.Pattern]bool{}
 	for _, p := range ps {
@@ -263,17 +260,6 @@ func samePatternSet(ps []access.Pattern, declared map[access.Pattern]bool) bool 
 		seen[p] = true
 	}
 	return true
-}
-
-// Name implements Source.
-func (rs *ReplicaSet) Name() string { return rs.name }
-
-// Arity implements Source.
-func (rs *ReplicaSet) Arity() int { return rs.arity }
-
-// Patterns implements Source.
-func (rs *ReplicaSet) Patterns() []access.Pattern {
-	return append([]access.Pattern(nil), rs.patterns...)
 }
 
 // Replicas returns the number of replicas in the set.
@@ -291,19 +277,6 @@ func (rs *ReplicaSet) now() time.Time {
 		return rs.cfg.Now()
 	}
 	return time.Now()
-}
-
-// checkContract validates the pattern and input count once up front, so
-// a contract violation — identical on every replica by construction —
-// never burns replica calls failing over.
-func (rs *ReplicaSet) checkContract(p access.Pattern, inputs []string) error {
-	if !rs.declared[p] {
-		return fmt.Errorf("sources: replica set %s does not support pattern %s (has %v)", rs.name, p, rs.patterns)
-	}
-	if len(inputs) != p.InputCount() {
-		return fmt.Errorf("sources: call to %s^%s with %d inputs, want %d", rs.name, p, len(inputs), p.InputCount())
-	}
-	return nil
 }
 
 // Ranked returns the order in which replicas should be tried right now,
@@ -337,18 +310,19 @@ func validPermutation(order []int, n int) bool {
 	return true
 }
 
-// CallReplica invokes one specific replica through its quarantine
-// breaker and feeds the outcome into that replica's health tracking.
-// The engine's hedged-request path uses it to race replicas directly.
-func (rs *ReplicaSet) CallReplica(ctx context.Context, idx int, p access.Pattern, inputs []string) ([]Tuple, error) {
+// CallReplica sends one group to one specific replica through its
+// quarantine breaker and feeds the outcome into that replica's health
+// tracking. The engine's hedged-request path uses it to race replicas
+// directly.
+func (rs *ReplicaSet) CallReplica(ctx context.Context, idx int, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
 	if idx < 0 || idx >= len(rs.replicas) {
-		return nil, fmt.Errorf("sources: replica set %s has no replica %d", rs.name, idx)
+		return nil, fmt.Errorf("sources: replica set %s has no replica %d", rs.Name(), idx)
 	}
 	r := rs.replicas[idx]
 	start := rs.now()
-	rows, err := r.brk.CallContext(ctx, p, inputs)
+	groups, err := r.brk.Call(ctx, p, inputs)
 	r.observe(rs.now().Sub(start), err, rs.cfg.alpha())
-	return rows, err
+	return groups, err
 }
 
 // observe records one completed call into the replica's health state.
@@ -410,76 +384,36 @@ func (r *replicaState) health() ReplicaHealth {
 	}
 }
 
-// Call implements Source.
-func (rs *ReplicaSet) Call(p access.Pattern, inputs []string) ([]Tuple, error) {
-	return rs.CallContext(context.Background(), p, inputs)
-}
-
-// CallContext implements ContextSource: it tries replicas in ranked
-// order, returning the first success. A caller cancellation stops the
-// failover immediately with the cancelled attempt's error; if every
-// replica fails, the combined failure is a ReplicasError.
-func (rs *ReplicaSet) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]Tuple, error) {
-	if err := rs.checkContract(p, inputs); err != nil {
-		return nil, err
-	}
-	order := rs.Ranked()
-	tried := make([]int, 0, len(order))
-	errs := make([]error, 0, len(order))
-	for _, idx := range order {
-		rows, err := rs.CallReplica(ctx, idx, p, inputs)
-		if err == nil {
-			return rows, nil
-		}
-		tried = append(tried, idx)
-		errs = append(errs, err)
-		if ctx.Err() != nil {
-			return nil, err
-		}
-	}
-	return nil, rs.ExhaustedError(tried, errs)
-}
-
-// BatchCapable reports whether every replica genuinely batches —
-// failover may route a batch to any member, so one per-binding replica
-// makes the whole set per-binding.
-func (rs *ReplicaSet) BatchCapable() bool {
+// Batches implements Source: failover may route a group to any member,
+// so one per-binding replica makes the whole set per-binding.
+func (rs *ReplicaSet) Batches() bool {
 	for _, r := range rs.replicas {
-		if !IsBatchCapable(r.src) {
+		if !r.src.Batches() {
 			return false
 		}
 	}
 	return true
 }
 
-// CallBatchReplica sends one batch to one specific replica through its
-// quarantine breaker, feeding the outcome into that replica's health
-// tracking exactly like CallReplica.
-func (rs *ReplicaSet) CallBatchReplica(ctx context.Context, idx int, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
-	if idx < 0 || idx >= len(rs.replicas) {
-		return nil, fmt.Errorf("sources: replica set %s has no replica %d", rs.name, idx)
+// Call implements Source: the group fails over down the ranked replica
+// order as a unit, returning the first success. The contract is checked
+// once up front, so a violation — identical on every replica by
+// construction — never burns replica calls failing over. A caller
+// cancellation stops the failover immediately with the cancelled
+// attempt's error; if every replica fails, the combined failure is a
+// ReplicasError.
+func (rs *ReplicaSet) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	r := rs.replicas[idx]
-	start := rs.now()
-	groups, err := r.brk.CallBatch(ctx, p, inputs)
-	r.observe(rs.now().Sub(start), err, rs.cfg.alpha())
-	return groups, err
-}
-
-// CallBatch implements BatchSource: the whole group fails over down the
-// ranked replica order as a unit, so batched and per-binding calls see
-// the same failure classes (ReplicasError on exhaustion).
-func (rs *ReplicaSet) CallBatch(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
-	for _, in := range inputs {
-		if err := rs.checkContract(p, in); err != nil {
-			return nil, err
-		}
+	if err := CheckGroup(rs.Name(), rs.patterns, p, inputs); err != nil {
+		return nil, err
 	}
 	order := rs.Ranked()
 	tried := make([]int, 0, len(order))
 	errs := make([]error, 0, len(order))
 	for _, idx := range order {
-		groups, err := rs.CallBatchReplica(ctx, idx, p, inputs)
+		groups, err := rs.CallReplica(ctx, idx, p, inputs)
 		if err == nil {
 			return groups, nil
 		}
@@ -497,7 +431,7 @@ func (rs *ReplicaSet) CallBatch(ctx context.Context, p access.Pattern, inputs []
 // call path uses it so hedged and sequential-failover failures classify
 // identically downstream.
 func (rs *ReplicaSet) ExhaustedError(tried []int, errs []error) error {
-	e := &ReplicasError{Source: rs.name, Errs: errs}
+	e := &ReplicasError{Source: rs.Name(), Errs: errs}
 	for _, idx := range tried {
 		e.Tried = append(e.Tried, rs.replicas[idx].label)
 	}

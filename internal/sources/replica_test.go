@@ -54,10 +54,10 @@ func TestReplicaSetContractCheckedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Call("i", []string{"a"}); err == nil {
+	if _, err := callOne(context.Background(), rs, "i", []string{"a"}); err == nil {
 		t.Fatal("undeclared pattern must fail")
 	}
-	if _, err := rs.Call("o", []string{"x"}); err == nil {
+	if _, err := callOne(context.Background(), rs, "o", []string{"x"}); err == nil {
 		t.Fatal("wrong input count must fail")
 	}
 	if st := rs.StatsSnapshot(); st.Calls != 0 {
@@ -73,7 +73,7 @@ func TestReplicaSetFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		rows, err := rs.Call("o", nil)
+		rows, err := callOne(context.Background(), rs, "o", nil)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -101,7 +101,7 @@ func TestReplicaSetQuarantinesFailingReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := rs.Call("o", nil); err != nil {
+		if _, err := callOne(context.Background(), rs, "o", nil); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestReplicaSetQuarantinesFailingReplica(t *testing.T) {
 	// healthy one, with no further traffic on the bad replica's schedule.
 	before := bad.Injected()
 	for i := 0; i < 5; i++ {
-		if _, err := rs.Call("o", nil); err != nil {
+		if _, err := callOne(context.Background(), rs, "o", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestReplicaSetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = rs.Call("o", nil)
+	_, err = callOne(context.Background(), rs, "o", nil)
 	if err == nil {
 		t.Fatal("all-replicas-failing call must fail")
 	}
@@ -155,8 +155,8 @@ func TestReplicaSetExhaustionTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs.Call("o", nil) // trips both breakers
-	_, err = rs.Call("o", nil)
+	callOne(context.Background(), rs, "o", nil) // trips both breakers
+	_, err = callOne(context.Background(), rs, "o", nil)
 	if !errors.Is(err, ErrReplicasExhausted) {
 		t.Fatalf("err = %v, want exhausted", err)
 	}
@@ -232,7 +232,7 @@ func TestReplicaSetObservedLatency(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		done := make(chan error, 1)
 		go func() {
-			_, err := rs.Call("o", nil)
+			_, err := callOne(context.Background(), rs, "o", nil)
 			done <- err
 		}()
 		if !clk.AwaitSleepers(1, 5*time.Second) {
@@ -279,7 +279,7 @@ func TestReplicaCatalog(t *testing.T) {
 			t.Errorf("set %s has %d replicas", n, sets[i].Replicas())
 		}
 	}
-	if _, err := cat.Source("R").Call("o", nil); err != nil {
+	if _, err := callOne(context.Background(), cat.Source("R"), "o", nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := cat.TotalStats(); st.Calls != 1 {
@@ -305,7 +305,7 @@ func TestReplicaSetConcurrentCalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, err := rs.CallContext(context.Background(), "o", nil); err != nil {
+				if _, err := callOne(context.Background(), rs, "o", nil); err != nil {
 					errCh <- fmt.Errorf("call: %w", err)
 				}
 			}

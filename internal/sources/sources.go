@@ -31,7 +31,9 @@ type Tuple []string
 // Key encodes the tuple for use as a map key.
 func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
 
-// Source is a callable relation with limited access patterns.
+// Source is a callable relation with limited access patterns. It is the
+// one contract everything above the sources — planner, runtime, cache,
+// adapters, middleware — programs against.
 type Source interface {
 	// Name returns the relation name.
 	Name() string
@@ -39,12 +41,72 @@ type Source interface {
 	Arity() int
 	// Patterns returns the declared access patterns.
 	Patterns() []access.Pattern
-	// Call invokes the source through pattern p, supplying inputs for the
-	// input slots of p in slot order. It returns all matching tuples
-	// (full rows, including the input positions). Calling with a pattern
-	// not declared for the source, or with the wrong number of inputs,
-	// is an error: that is exactly the restriction the paper studies.
-	Call(p access.Pattern, inputs []string) ([]Tuple, error)
+	// Call invokes the source through pattern p for a group of input
+	// vectors, each supplying values for the input slots of p in slot
+	// order; a single call is a group of one. out[i] holds all tuples
+	// matching inputs[i] (full rows, including the input positions), and
+	// duplicate vectors each get their rows. A group succeeds or fails
+	// as a whole. Calling with a pattern not declared for the source, or
+	// with the wrong number of inputs in any vector, is an error before
+	// any traffic: that is exactly the restriction the paper studies. A
+	// done context is reported as ctx.Err(), never as a transient
+	// failure.
+	Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error)
+	// Batches reports whether Call services a whole group in one wire
+	// round trip (a SQL adapter compiles the group into one IN (...)
+	// query; an HTTP adapter posts it as one request). The runtime hands
+	// such a source a step's whole deduplicated binding group in one
+	// call, charged as one budget unit; everything else gets groups of
+	// one. Wrappers answer for the source at the bottom of their stack.
+	Batches() bool
+}
+
+// CheckGroup enforces the access-pattern contract for one group call
+// against the named source's declared patterns.
+func CheckGroup(name string, declared []access.Pattern, p access.Pattern, inputs [][]string) error {
+	ok := false
+	for _, d := range declared {
+		if d == p {
+			ok = true
+			break
+		}
+	}
+	if !ok {
+		return fmt.Errorf("sources: %s does not support pattern %s (has %v)", name, p, declared)
+	}
+	for _, in := range inputs {
+		if len(in) != p.InputCount() {
+			return fmt.Errorf("sources: call to %s^%s with %d inputs, want %d", name, p, len(in), p.InputCount())
+		}
+	}
+	return nil
+}
+
+// forward is the part of a wrapper that is not behaviour: identity, the
+// batching property and metering all come from the wrapped source.
+// Wrappers embed it and add only their Call.
+type forward struct{ inner Source }
+
+func (f forward) Name() string               { return f.inner.Name() }
+func (f forward) Arity() int                 { return f.inner.Arity() }
+func (f forward) Patterns() []access.Pattern { return f.inner.Patterns() }
+func (f forward) Batches() bool              { return f.inner.Batches() }
+
+// StatsSnapshot implements StatsReporter with the wrapped source's
+// counters, so a catalog of wrapped sources reports the real remote
+// traffic. Wrapping a source that does not meter reports zero.
+func (f forward) StatsSnapshot() Stats {
+	if r, ok := f.inner.(StatsReporter); ok {
+		return r.StatsSnapshot()
+	}
+	return Stats{}
+}
+
+// ResetStats implements StatsReporter on the wrapped source.
+func (f forward) ResetStats() {
+	if r, ok := f.inner.(StatsReporter); ok {
+		r.ResetStats()
+	}
 }
 
 // Stats is a source's traffic accounting. Besides call and tuple
@@ -52,7 +114,7 @@ type Source interface {
 // latency (Table, Delayed) fold each observed call duration in via
 // Observe, and the replica router uses the EWMA to rank replicas.
 type Stats struct {
-	Calls          int // number of Call invocations
+	Calls          int // input vectors answered (logical calls)
 	TuplesReturned int // total tuples transferred
 
 	LatencyCalls int           // calls with a latency observation
@@ -60,12 +122,12 @@ type Stats struct {
 	MaxLatency   time.Duration // slowest observed call
 	EWMALatency  time.Duration // moving average (alpha DefaultEWMAAlpha)
 
-	// Batch round trips: a BatchSource that services a whole binding
-	// group in one request counts it as one round trip covering
-	// BatchedCalls logical calls. Plain per-binding sources leave both
-	// zero.
-	RoundTrips   int // wire round trips made by CallBatch
-	BatchedCalls int // logical calls covered by those round trips
+	// Wire round trips: a source that services a whole binding group in
+	// one request counts it as one round trip, and as BatchedCalls
+	// logical calls when the group held more than one. In-memory sources
+	// leave both zero.
+	RoundTrips   int // wire requests made
+	BatchedCalls int // logical calls covered by multi-vector round trips
 
 	// Rate limiting: sources with a client-side limiter (the HTTP/JSON
 	// adapter) record how often and how long calls waited for a token.
@@ -137,91 +199,6 @@ type StatsReporter interface {
 	StatsSnapshot() Stats
 	// ResetStats zeroes the traffic counters.
 	ResetStats()
-}
-
-// ContextSource is implemented by sources whose calls honor a
-// context.Context (cancellation, deadlines). Use CallWithContext to call
-// any Source with a context: it uses CallContext when available and
-// falls back to a pre-call cancellation check otherwise.
-type ContextSource interface {
-	Source
-	CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]Tuple, error)
-}
-
-// CallWithContext invokes the source, honoring ctx as far as the source
-// allows. Context errors are reported as-is (and are never transient).
-func CallWithContext(ctx context.Context, s Source, p access.Pattern, inputs []string) ([]Tuple, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cs, ok := s.(ContextSource); ok {
-		return cs.CallContext(ctx, p, inputs)
-	}
-	return s.Call(p, inputs)
-}
-
-// BatchSource is implemented by sources that can service a whole group
-// of calls — same pattern, distinct input vectors — in one wire round
-// trip (a SQL adapter compiles the group into one IN (...) query; an
-// HTTP adapter posts the group as one request). The engine's call layer
-// detects the capability on the catalog source and groups per-step
-// calls through it; wrappers (Cached, Breaker, ReplicaSet, Delayed)
-// forward the capability so the whole resilience stack stays
-// batch-transparent.
-type BatchSource interface {
-	Source
-	// CallBatch answers every input vector of the group through pattern
-	// p. Result group i holds exactly the tuples Call(p, inputs[i])
-	// would return; the outer slice is aligned with inputs. A batch
-	// either succeeds as a whole or fails as a whole: on error the
-	// caller falls back to per-vector calls, so no new failure class is
-	// introduced.
-	CallBatch(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error)
-}
-
-// batchCapable is implemented by wrappers whose CallBatch method exists
-// statically but only pays off when the wrapped source can actually
-// batch. IsBatchCapable consults it so a Breaker around a plain Table
-// does not masquerade as a one-round-trip source.
-type batchCapable interface{ BatchCapable() bool }
-
-// IsBatchCapable reports whether calling s through CallBatch genuinely
-// services the group in batched round trips, i.e. whether s — or, for
-// wrappers, the source at the bottom of the stack — implements the
-// batching itself. The engine uses this to decide when to charge one
-// budget unit for a whole group.
-func IsBatchCapable(s Source) bool {
-	bs, ok := s.(BatchSource)
-	if !ok {
-		return false
-	}
-	if c, ok := bs.(batchCapable); ok {
-		return c.BatchCapable()
-	}
-	return true
-}
-
-// CallBatchWithContext services a group of calls through s, in batched
-// round trips when s is genuinely batch-capable and one per-vector call
-// otherwise. Results are aligned with inputs. In the fallback path the
-// first per-vector error aborts the batch, matching the all-or-nothing
-// contract of CallBatch.
-func CallBatchWithContext(ctx context.Context, s Source, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if IsBatchCapable(s) {
-		return s.(BatchSource).CallBatch(ctx, p, inputs)
-	}
-	out := make([][]Tuple, len(inputs))
-	for i, in := range inputs {
-		rows, err := CallWithContext(ctx, s, p, in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rows
-	}
-	return out, nil
 }
 
 // transientError marks a source failure as transient: the call may
@@ -334,40 +311,56 @@ func (t *Table) Patterns() []access.Pattern {
 	return append([]access.Pattern(nil), t.patterns...)
 }
 
-// Call implements Source, enforcing the access-pattern contract.
-func (t *Table) Call(p access.Pattern, inputs []string) ([]Tuple, error) {
-	start := time.Now()
-	idx, ok := t.index[p]
-	if !ok {
-		return nil, fmt.Errorf("sources: table %s does not support pattern %s (has %v)", t.name, p, t.patterns)
+// Batches implements Source: a table answers from memory, there is no
+// round trip to save.
+func (t *Table) Batches() bool { return false }
+
+// Call implements Source, enforcing the access-pattern contract. The
+// table answers from memory, so the context is only checked before the
+// lookups. Each input vector is metered (and reported to OnCall) as one
+// logical call.
+func (t *Table) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if len(inputs) != p.InputCount() {
-		return nil, fmt.Errorf("sources: call to %s^%s with %d inputs, want %d", t.name, p, len(inputs), p.InputCount())
+	if err := CheckGroup(t.name, t.patterns, p, inputs); err != nil {
+		return nil, err
 	}
-	t.mu.Lock()
-	t.stats.Calls++
-	rows := idx[strings.Join(inputs, "\x1f")]
-	t.stats.TuplesReturned += len(rows)
-	t.stats.Observe(time.Since(start))
-	hook := t.OnCall
-	t.mu.Unlock()
-	if hook != nil {
-		hook(p, inputs)
-	}
-	out := make([]Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = append(Tuple(nil), r...)
+	idx := t.index[p]
+	out := make([][]Tuple, len(inputs))
+	for i, in := range inputs {
+		start := time.Now()
+		t.mu.Lock()
+		t.stats.Calls++
+		rows := idx[strings.Join(in, "\x1f")]
+		t.stats.TuplesReturned += len(rows)
+		t.stats.Observe(time.Since(start))
+		hook := t.OnCall
+		t.mu.Unlock()
+		if hook != nil {
+			hook(p, in)
+		}
+		out[i] = copyTuples(rows)
 	}
 	return out, nil
 }
 
-// CallContext implements ContextSource. The table answers from memory,
-// so the context is only checked before the lookup.
-func (t *Table) CallContext(ctx context.Context, p access.Pattern, inputs []string) ([]Tuple, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// copyTuples returns rows the caller may keep and modify: the values
+// of all rows share one backing array, each tuple capped to its own
+// extent, so a copy costs two allocations however many rows it holds.
+func copyTuples(rows []Tuple) []Tuple {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
 	}
-	return t.Call(p, inputs)
+	vals := make([]string, 0, n)
+	out := make([]Tuple, len(rows))
+	for i, r := range rows {
+		lo := len(vals)
+		vals = append(vals, r...)
+		out[i] = vals[lo:len(vals):len(vals)]
+	}
+	return out
 }
 
 // StatsSnapshot returns a snapshot of the source's traffic counters.
@@ -389,11 +382,7 @@ func (t *Table) ResetStats() {
 func (t *Table) Rows() []Tuple {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Tuple, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append(Tuple(nil), r...)
-	}
-	return out
+	return copyTuples(t.rows)
 }
 
 // Catalog is a set of sources addressable by relation name.

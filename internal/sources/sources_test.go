@@ -1,10 +1,20 @@
 package sources
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/access"
 )
+
+// callOne issues a group of one and unwraps its rows.
+func callOne(ctx context.Context, s Source, p access.Pattern, inputs []string) ([]Tuple, error) {
+	groups, err := s.Call(ctx, p, [][]string{inputs})
+	if err != nil {
+		return nil, err
+	}
+	return groups[0], nil
+}
 
 func bookTable(t *testing.T) *Table {
 	t.Helper()
@@ -27,7 +37,7 @@ func bookTable(t *testing.T) *Table {
 func TestExample2AccessPatterns(t *testing.T) {
 	b := bookTable(t)
 
-	byISBN, err := b.Call("ioo", []string{"i1"})
+	byISBN, err := callOne(context.Background(), b, "ioo", []string{"i1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +45,7 @@ func TestExample2AccessPatterns(t *testing.T) {
 		t.Errorf("by ISBN = %v", byISBN)
 	}
 
-	byAuthor, err := b.Call("oio", []string{"knuth"})
+	byAuthor, err := callOne(context.Background(), b, "oio", []string{"knuth"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +53,13 @@ func TestExample2AccessPatterns(t *testing.T) {
 		t.Errorf("by author = %v, want 2 tuples", byAuthor)
 	}
 
-	if _, err := b.Call("ooo", nil); err == nil {
+	if _, err := callOne(context.Background(), b, "ooo", nil); err == nil {
 		t.Error("full scan must be rejected: ooo is not a declared pattern")
 	}
-	if _, err := b.Call("ioo", nil); err == nil {
+	if _, err := callOne(context.Background(), b, "ioo", nil); err == nil {
 		t.Error("call with missing input must be rejected")
 	}
-	if _, err := b.Call("ioo", []string{"a", "b"}); err == nil {
+	if _, err := callOne(context.Background(), b, "ioo", []string{"a", "b"}); err == nil {
 		t.Error("call with too many inputs must be rejected")
 	}
 }
@@ -72,10 +82,10 @@ func TestTableDeduplicatesAndValidates(t *testing.T) {
 
 func TestMetering(t *testing.T) {
 	b := bookTable(t)
-	if _, err := b.Call("oio", []string{"knuth"}); err != nil {
+	if _, err := callOne(context.Background(), b, "oio", []string{"knuth"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Call("oio", []string{"nobody"}); err != nil {
+	if _, err := callOne(context.Background(), b, "oio", []string{"nobody"}); err != nil {
 		t.Fatal(err)
 	}
 	st := b.StatsSnapshot()
@@ -90,12 +100,12 @@ func TestMetering(t *testing.T) {
 
 func TestCallReturnsCopies(t *testing.T) {
 	b := bookTable(t)
-	rows, err := b.Call("ioo", []string{"i1"})
+	rows, err := callOne(context.Background(), b, "ioo", []string{"i1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows[0][1] = "mangled"
-	rows2, _ := b.Call("ioo", []string{"i1"})
+	rows2, _ := callOne(context.Background(), b, "ioo", []string{"i1"})
 	if rows2[0][1] != "knuth" {
 		t.Error("Call must return copies of stored tuples")
 	}
@@ -121,7 +131,7 @@ func TestCatalog(t *testing.T) {
 	if _, err := NewCatalog(b, b); err == nil {
 		t.Error("duplicate source must be rejected")
 	}
-	if _, err := l.Call("o", nil); err != nil {
+	if _, err := callOne(context.Background(), l, "o", nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := cat.TotalStats(); st.Calls != 1 || st.TuplesReturned != 1 {
@@ -139,7 +149,7 @@ func TestOnCallHook(t *testing.T) {
 	b.OnCall = func(p access.Pattern, inputs []string) {
 		seen = append(seen, string(p))
 	}
-	if _, err := b.Call("ioo", []string{"i1"}); err != nil {
+	if _, err := callOne(context.Background(), b, "ioo", []string{"i1"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 1 || seen[0] != "ioo" {

@@ -1,17 +1,10 @@
 package ucqn
 
-// Persistent answer-cache facade: WithPersistence gives an Exec call a
-// crash-safe, warm-restarting query cache backed by a directory, and
-// OpenQueryCache exposes the same cache for callers that want to hold
-// it (share it with a server, close it on shutdown). Caches are
-// process-wide per directory: every Exec and OpenQueryCache against the
-// same dir shares one cache, so concurrent callers see each other's
-// entries and the on-disk log has a single writer.
+// Persistent answer-cache facade: OpenQueryCache opens a crash-safe,
+// warm-restarting query cache backed by a directory; pass the result to
+// Exec with WithQueryCache and close it on shutdown.
 
 import (
-	"path/filepath"
-	"sync"
-
 	"repro/internal/qcache"
 	"repro/internal/qcache/persist"
 )
@@ -21,48 +14,18 @@ import (
 // torn bytes truncated).
 type PersistRecoveryStats = persist.RecoveryStats
 
-// persistentCaches is the process-wide registry of directory-backed
-// caches. Guarded by persistentMu; entries are never removed (a cache,
-// like its directory, lives as long as the process unless explicitly
-// closed).
-var (
-	persistentMu     sync.Mutex
-	persistentCaches = map[string]*QueryCache{}
-)
-
-// OpenQueryCache returns the process-wide persistent query cache for
-// dir, creating it — and recovering whatever answer entries survived in
-// the directory — on first use. Corrupt or torn on-disk state is
-// dropped record-by-record, never an error: the only errors are real
-// filesystem failures. opt applies only when this call creates the
-// cache; later calls for the same directory return the existing cache
-// unchanged. Call ClosePersist on the cache during graceful shutdown to
+// OpenQueryCache opens the persistent query cache in dir, recovering
+// whatever answer entries survived there. Corrupt or torn on-disk state
+// is dropped record-by-record, never an error: the only errors are real
+// filesystem failures. The on-disk log has a single writer: opening a
+// directory that another live cache in this or any process already owns
+// is the caller's error (share the *QueryCache instead; use
+// OpenFleetCache to share a directory across processes). Answers
+// persist only for catalogs that carry a stable label
+// (Catalog.SetPersistentID); unlabeled catalogs get plain in-memory
+// caching. Call ClosePersist on the cache during graceful shutdown to
 // make the final fsync batch durable.
 func OpenQueryCache(dir string, opt QueryCacheOptions) (*QueryCache, error) {
-	key, err := filepath.Abs(dir)
-	if err != nil {
-		key = dir
-	}
-	persistentMu.Lock()
-	defer persistentMu.Unlock()
-	if qc, ok := persistentCaches[key]; ok {
-		return qc, nil
-	}
 	qc, _, err := qcache.OpenPersistent(dir, opt, persist.Options{})
-	if err != nil {
-		return nil, err
-	}
-	persistentCaches[key] = qc
-	return qc, nil
-}
-
-// WithPersistence routes this Exec call through the persistent query
-// cache for dir (see OpenQueryCache): answers survive restarts, and
-// recovery tolerates crashes and corruption by dropping exactly the
-// unverifiable records. It is WithQueryCache with a durable cache, and
-// the two do not combine — pass one or the other. Catalogs must carry a
-// stable label (Catalog.SetPersistentID) for their answers to persist;
-// unlabeled catalogs get plain in-memory caching.
-func WithPersistence(dir string) ExecOption {
-	return func(c *execConfig) { c.persistDir = dir }
+	return qc, err
 }

@@ -27,8 +27,6 @@
 package ucqn
 
 import (
-	"context"
-
 	"repro/internal/access"
 	"repro/internal/containment"
 	"repro/internal/core"
@@ -227,55 +225,6 @@ func NewTable(name string, arity int, patterns []Pattern, rows []Tuple) (*Table,
 
 // NewCatalog builds a catalog from sources.
 func NewCatalog(srcs ...Source) (*Catalog, error) { return sources.NewCatalog(srcs...) }
-
-// Answer evaluates an executable plan through the catalog's limited
-// sources.
-//
-// Deprecated: use Exec, which takes a context. Answer(q, ps, cat) is
-// Exec(context.Background(), q, ps, cat) followed by Result.Rel.
-func Answer(q Query, ps *PatternSet, cat *Catalog) (*Rel, error) {
-	res, err := Exec(context.Background(), q, ps, cat)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rel()
-}
-
-// AnswerNaive evaluates the query directly over the instance, ignoring
-// access patterns (ground truth for experiments).
-//
-// Deprecated: use Exec with WithNaive(in) (ps and cat may be nil).
-func AnswerNaive(q Query, in *Instance) (*Rel, error) {
-	res, err := Exec(context.Background(), q, nil, nil, WithNaive(in))
-	if err != nil {
-		return nil, err
-	}
-	return res.Rel()
-}
-
-// RunAnswerStar runs ANSWER* (Figure 4): runtime under/overestimates
-// with the completeness report.
-//
-// Deprecated: use Exec with WithAnswerStar and read Result.Star; or call
-// RunAnswerStar on a Runtime for the context-taking form.
-func RunAnswerStar(q Query, ps *PatternSet, cat *Catalog) (AnswerStar, error) {
-	res, err := Exec(context.Background(), q, ps, cat, WithAnswerStar())
-	if err != nil {
-		return AnswerStar{}, err
-	}
-	star, _ := res.Star()
-	return star, nil
-}
-
-// ImproveUnder upgrades an ANSWER* underestimate with domain enumeration
-// views (Example 8 of the paper). maxCalls bounds the enumeration.
-//
-// Deprecated: use Exec with WithImproveUnder(maxCalls) for the one-call
-// path, or call ImproveUnder on a Runtime for the context-taking form
-// over an existing AnswerStar.
-func ImproveUnder(a AnswerStar, ps *PatternSet, cat *Catalog, maxCalls int) (*Rel, Query, DomResult, error) {
-	return engine.DefaultRuntime().ImproveUnder(context.Background(), a, ps, cat, maxCalls)
-}
 
 // EnumerateDomain computes the reachable-domain view dom(x) by calling
 // sources to a fixpoint ([DL97]; Example 8).
