@@ -29,20 +29,20 @@ bench-build:
 
 # One pass over the runtime-heavy benchmarks (E19 dedup ablation, the
 # E20 streaming pipeline, E21 degradation, E22 query cache, E23 hedged
-# requests, E25 columnar evaluation): runs each once, which also
-# exercises their built-in acceptance assertions — E25 requires a ≥5×
-# columnar speedup at byte-identical answers and identical source
-# calls, and that columnar allocs/op stay below the map-evaluator
-# baseline recorded in BENCH_E25.json.
+# requests; then E25, columnar evaluation against the map-based oracle
+# it lives beside): runs each once, which also exercises their built-in
+# acceptance assertions.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='E19|E20|E21|E22|E23|E25' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='E19|E20|E21|E22|E23' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='E25Columnar' -benchtime=1x ./internal/engine/
 
 # Fault-injection smoke: the paper examples' underestimates with one
 # source killed per run must degrade (partial answers + incompleteness
 # report), never crash; run under -race since degradation exercises the
-# per-rule teardown paths.
+# per-rule teardown paths — on both step schedules, which the
+# schedule-agreement table holds to the oracle with a source killed.
 fault-smoke:
-	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial' . ./internal/engine/
+	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestShortTuple' . ./internal/engine/
 
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue

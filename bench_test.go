@@ -1,17 +1,15 @@
 package ucqn
 
-// One testing.B benchmark per experiment of DESIGN.md (E1–E23 and
-// E25; E24 is the serving harness, cmd/ucqnload), plus
-// microbenchmarks for the extension subsystems. `go test -bench=.
+// One testing.B benchmark per experiment of DESIGN.md (E1–E23; E24 is
+// the serving harness, cmd/ucqnload, and E25 lives beside its oracle in
+// internal/engine), plus microbenchmarks for the extension subsystems. `go test -bench=.
 // -benchmem` regenerates every number; cmd/paperbench prints the same
 // series as human-readable tables.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"testing"
@@ -1224,146 +1222,6 @@ func BenchmarkE23Hedging(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := res.Rel(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- E25 ----------------------------------------------------------------
-
-// e25Fixture builds the E25 workload: a three-way join with a negated
-// membership check whose intermediate binding sets dwarf both the
-// source traffic and the final answer. R fans every row into a small
-// set of join keys, S multiplies each key by the fanout, T closes the
-// chain, and N negates a quarter of the keys — so nearly all the time
-// goes to per-binding evaluator overhead, which is exactly what the
-// columnar batches attack. Distinct source calls stay in the dozens
-// (memoization collapses them identically under both evaluators), and
-// the head projects the join keys so deduplication also runs hot.
-func e25Fixture(baseRows, fanout int) (Query, *PatternSet, *engine.Instance) {
-	q := MustParseQuery(`Q(z, y) :- R(x, a, b, c, d, e, z), S(z, w), T(w, y), not N(z).`)
-	ps := MustParsePatterns(`R^ooooooo S^io T^io N^i`)
-	in := engine.NewInstance()
-	const keys = 20
-	for i := 0; i < baseRows; i++ {
-		in.MustAdd("R", fmt.Sprintf("x%d", i),
-			fmt.Sprintf("a%d", i%7), fmt.Sprintf("b%d", i%11), fmt.Sprintf("c%d", i%13),
-			fmt.Sprintf("d%d", i%3), fmt.Sprintf("e%d", i%5),
-			fmt.Sprintf("z%d", i%keys))
-	}
-	for z := 0; z < keys; z++ {
-		for j := 0; j < fanout; j++ {
-			in.MustAdd("S", fmt.Sprintf("z%d", z), fmt.Sprintf("w%d", j))
-		}
-	}
-	for j := 0; j < fanout; j++ {
-		in.MustAdd("T", fmt.Sprintf("w%d", j), fmt.Sprintf("y%d", j))
-	}
-	for z := 0; z < keys; z += 4 {
-		in.MustAdd("N", fmt.Sprintf("z%d", z))
-	}
-	return q, ps, in
-}
-
-// e25Best times reps fresh evaluations and returns the fastest, the
-// answer of the last run, and the per-run source-call count.
-func e25Best(b *testing.B, rt *Runtime, q Query, ps *PatternSet, in *engine.Instance, reps int) (time.Duration, *Rel, int) {
-	b.Helper()
-	var (
-		best  time.Duration
-		ans   *Rel
-		calls int
-	)
-	for r := 0; r < reps; r++ {
-		cat := in.MustCatalog(ps)
-		start := time.Now()
-		got, err := rt.Answer(context.Background(), q, ps, cat)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if el := time.Since(start); r == 0 || el < best {
-			best = el
-		}
-		ans, calls = got, cat.TotalStats().Calls
-	}
-	return best, ans, calls
-}
-
-// E25: columnar batch evaluation vs the historical map-based
-// evaluator (Runtime.MapEval). The benchmark asserts the acceptance
-// properties up front — byte-identical rows in identical order,
-// identical source-call counts, and at least a 5x wall-clock win for
-// the columnar hot loop — then times both evaluators with allocation
-// counts. When a recorded seed (BENCH_E25.json) is present, the
-// columnar allocs/op must undercut the seed's map-evaluator baseline,
-// so `make bench-smoke` catches allocation regressions.
-func BenchmarkE25Columnar(b *testing.B) {
-	q, ps, in := e25Fixture(4000, 8)
-	colRT := NewRuntime()
-	mapRT := NewRuntime()
-	mapRT.MapEval = true
-
-	colBest, colAns, colCalls := e25Best(b, colRT, q, ps, in, 5)
-	mapBest, mapAns, mapCalls := e25Best(b, mapRT, q, ps, in, 5)
-
-	colRows, mapRows := colAns.Rows(), mapAns.Rows()
-	if len(colRows) != len(mapRows) {
-		b.Fatalf("answer counts differ: columnar=%d map=%d", len(colRows), len(mapRows))
-	}
-	for i := range colRows {
-		if colRows[i].Key() != mapRows[i].Key() {
-			b.Fatalf("row %d differs: columnar=%s map=%s", i, colRows[i], mapRows[i])
-		}
-	}
-	if colCalls != mapCalls {
-		b.Fatalf("source calls differ: columnar=%d map=%d", colCalls, mapCalls)
-	}
-	speedup := float64(mapBest) / float64(colBest)
-	b.Logf("map=%v columnar=%v speedup=%.1fx (%d rows, %d calls)",
-		mapBest.Round(time.Microsecond), colBest.Round(time.Microsecond), speedup, len(colRows), colCalls)
-	if speedup < 5 {
-		b.Fatalf("columnar speedup %.2fx < 5x (map=%v columnar=%v)", speedup, mapBest, colBest)
-	}
-
-	// Allocation regression gate: the committed seed (BENCH_E25.json)
-	// records both evaluators' allocs/op at seed time; the columnar
-	// evaluator must stay below the map baseline it replaced.
-	if data, err := os.ReadFile("BENCH_E25.json"); err == nil {
-		var seed struct {
-			MapAllocsPerOp      float64 `json:"map_allocs_per_op"`
-			ColumnarAllocsPerOp float64 `json:"columnar_allocs_per_op"`
-		}
-		if err := json.Unmarshal(data, &seed); err != nil {
-			b.Fatalf("BENCH_E25.json: %v", err)
-		}
-		cat := in.MustCatalog(ps)
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := colRT.Answer(context.Background(), q, ps, cat); err != nil {
-				b.Fatal(err)
-			}
-		})
-		if seed.MapAllocsPerOp > 0 && allocs >= seed.MapAllocsPerOp {
-			b.Fatalf("columnar allocs/op %.0f did not drop below the recorded map-evaluator seed %.0f",
-				allocs, seed.MapAllocsPerOp)
-		}
-		b.Logf("allocs/op: columnar=%.0f (seed: map=%.0f columnar=%.0f)",
-			allocs, seed.MapAllocsPerOp, seed.ColumnarAllocsPerOp)
-	} else {
-		b.Log("no BENCH_E25.json seed; skipping the allocation regression gate")
-	}
-
-	for _, cfg := range []struct {
-		name string
-		rt   *Runtime
-	}{{"map", mapRT}, {"columnar", colRT}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			cat := in.MustCatalog(ps)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cfg.rt.Answer(context.Background(), q, ps, cat); err != nil {
 					b.Fatal(err)
 				}
 			}

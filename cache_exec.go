@@ -4,13 +4,12 @@ package ucqn
 // compilation through the canonical plan cache and, when possible,
 // serves answers (whole or per-disjunct) from the answer cache. The
 // cache itself lives in internal/qcache; this file is the facade and
-// the two cached execution paths (materialized and streaming).
+// the cached execution path.
 
 import (
 	"context"
 
 	"repro/internal/engine"
-	"repro/internal/logic"
 	"repro/internal/qcache"
 	"repro/internal/sources"
 )
@@ -74,120 +73,51 @@ func cacheProfile(qc *QueryCache, info qcache.PlanInfo, hit qcache.AnswerHit) en
 	return p
 }
 
-// liveRemainder extracts the sub-union of exec rules the answer cache
-// did not cover, with remap[i] = the original index of sub.Rules[i].
-func liveRemainder(exec logic.UCQ, hit qcache.AnswerHit) (sub logic.UCQ, remap []int) {
-	for i, r := range exec.Rules {
-		if r.False || hit.Covered[i] {
-			continue
-		}
-		sub.Rules = append(sub.Rules, r)
-		remap = append(remap, i)
-	}
-	return sub, remap
-}
-
-// completeInc is the Incompleteness of a fully cached partial-results
-// run: every disjunct covered, none failed.
-func completeInc(rules int) *engine.Incompleteness {
-	return &engine.Incompleteness{RulesTotal: rules, RulesSurvived: rules}
-}
-
-// execCachedMaterialized is Exec's materialized path through the cache.
-func execCachedMaterialized(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.PlanEntry, info qcache.PlanInfo, ps *PatternSet, cat *sources.Catalog) (*Result, error) {
+// execCached is Exec's path through the cache: the disjuncts the answer
+// cache covers enter the engine's driver pre-answered — no calls, rows
+// at their rule position — and the rest run live, so a partial hit
+// inserts, or drains, exactly as an uncached evaluation would. A
+// materialized full hit returns the cached relation before any driver
+// state exists. A materialized run stores the per-disjunct answers it
+// evaluated; streamed runs do not fill the answer cache (their
+// disjuncts' answers are never held apart).
+func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.PlanEntry, info qcache.PlanInfo, ps *PatternSet, cat *sources.Catalog) (*Result, error) {
 	hit := c.qc.Answers(entry, cat)
-	prof := cacheProfile(c.qc, info, hit)
-	if hit.Full != nil {
-		var inc *engine.Incompleteness
+	res := &Result{profiled: c.profile, prof: cacheProfile(c.qc, info, hit)}
+	if hit.Full != nil && !c.streaming {
+		res.rel = hit.Full
 		if c.partial {
-			inc = completeInc(hit.ReusedRules)
+			res.inc = &engine.Incompleteness{RulesTotal: hit.ReusedRules, RulesSurvived: hit.ReusedRules}
 		}
-		return &Result{rel: hit.Full, profiled: c.profile, prof: prof, inc: inc}, nil
+		return res, nil
+	}
+	exec := entry.Exec()
+	pre := engine.Answered{Covered: hit.Covered, Rows: hit.Rows}
+	if c.streaming {
+		s, err := rt.StreamEval(ctx, exec, ps, cat, pre, c.engineOpts())
+		if err != nil {
+			return nil, err
+		}
+		res.stream = s
+		return res, nil
 	}
 
-	exec := entry.Exec()
-	sub, remap := liveRemainder(exec, hit)
+	// Degraded disjuncts never reach the sink, so only complete
+	// per-disjunct answers are stored.
+	out := engine.NewRel()
 	rels := make([]*engine.Rel, len(exec.Rules))
-	_, liveProf, inc, err := rt.Eval(ctx, sub, ps, cat, engine.EvalOpts{
-		Parallel: c.parallel,
-		Profile:  c.profile,
-		Partial:  c.partial,
-		OnRuleDone: func(i int, rel *engine.Rel) {
-			rels[remap[i]] = rel
-		},
+	prof, inc, err := rt.Run(ctx, exec, ps, cat, pre, c.engineOpts(), func(_ context.Context, i int, rows []engine.Row) (int, bool) {
+		if !hit.Covered[i] {
+			rels[i] = engine.NewRel()
+			rels[i].AddRows(rows)
+		}
+		return out.AddRows(rows), true
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Assemble in original rule order — cached rows and live rows insert
-	// exactly as a sequential uncached evaluation would.
-	out := engine.NewRel()
-	for i := range exec.Rules {
-		if hit.Covered[i] {
-			for _, row := range hit.Rows[i] {
-				out.Add(row)
-			}
-		} else if rels[i] != nil {
-			for _, row := range rels[i].Rows() {
-				out.Add(row)
-			}
-		}
-	}
-
-	// Credit the reused disjuncts to the degradation accounting and map
-	// the live sub-union's rule indexes back to the full plan's.
-	if inc != nil {
-		for j := range inc.Failed {
-			if idx := inc.Failed[j].RuleIndex; idx >= 0 && idx < len(remap) {
-				inc.Failed[j].RuleIndex = remap[idx]
-			}
-		}
-		inc.RulesTotal += hit.ReusedRules
-		inc.RulesSurvived += hit.ReusedRules
-	}
-
-	// Degraded disjuncts left rels[i] nil, so only complete per-disjunct
-	// answers are stored.
-	evicted := c.qc.StoreAnswers(entry, cat, rels)
-
-	liveProf.Cache.PlanHits += prof.Cache.PlanHits
-	liveProf.Cache.PartialReuseRules += prof.Cache.PartialReuseRules
-	liveProf.Cache.Evictions += prof.Cache.Evictions + evicted
-	liveProf.Cache.PersistLoads = prof.Cache.PersistLoads
-	liveProf.Cache.PersistDrops = prof.Cache.PersistDrops
-	liveProf.Cache.PersistBytes = prof.Cache.PersistBytes
-	return &Result{rel: out, profiled: c.profile, prof: liveProf, inc: inc}, nil
-}
-
-// execCachedStream is Exec's streaming path through the cache. A full
-// answer hit replays the cached relation; a partial hit prepends the
-// cached disjuncts' rows to a live stream over the remainder. Streamed
-// runs do not fill the answer cache (their per-disjunct answers are
-// never materialized separately); a materialized run does.
-func execCachedStream(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.PlanEntry, info qcache.PlanInfo, ps *PatternSet, cat *sources.Catalog) (*Result, error) {
-	hit := c.qc.Answers(entry, cat)
-	prof := cacheProfile(c.qc, info, hit)
-	if hit.Full != nil {
-		var inc *engine.Incompleteness
-		if c.partial {
-			inc = completeInc(hit.ReusedRules)
-		}
-		return &Result{stream: engine.ReplayStream(hit.Full, prof, inc), profiled: c.profile}, nil
-	}
-
-	exec := entry.Exec()
-	sub, remap := liveRemainder(exec, hit)
-	var pre []engine.Row
-	for i := range exec.Rules {
-		for _, row := range hit.Rows[i] {
-			pre = append(pre, row)
-		}
-	}
-	inner, err := rt.StreamEval(ctx, sub, ps, cat, engine.StreamOpts{Parallel: c.parallel, Partial: c.partial})
-	if err != nil {
-		return nil, err
-	}
-	s := engine.ComposeStream(pre, inner, prof, hit.ReusedRules, remap)
-	return &Result{stream: s, profiled: c.profile}, nil
+	prof.Cache = res.prof.Cache
+	prof.Cache.Evictions += c.qc.StoreAnswers(entry, cat, rels)
+	res.rel, res.prof, res.inc = out, prof, inc
+	return res, nil
 }

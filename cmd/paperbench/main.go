@@ -1,5 +1,6 @@
 // Command paperbench regenerates every experiment of DESIGN.md
-// (E1–E23, E25, and E26; E24 is the serving harness, cmd/ucqnload): the
+// (E1–E23 and E26–E28; E24 is the serving harness, cmd/ucqnload, and E25
+// a benchmark beside its oracle, internal/engine): the
 // reproduction of the algorithms, worked examples, and
 // complexity claims of Nash & Ludäscher (EDBT 2004). Each experiment
 // prints one table; EXPERIMENTS.md records the expected shapes.
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +36,7 @@ import (
 
 var (
 	quick    = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
-	benchOut = flag.String("bench-out", "", "write the bench report of the experiment being run (E25–E28, with -run) to this path")
+	benchOut = flag.String("bench-out", "", "write the bench report of the experiment being run (E26–E28, with -run) to this path")
 )
 
 func main() {
@@ -71,7 +71,6 @@ func main() {
 		{"E21", "graceful degradation: breaker savings and underestimate size", e21},
 		{"E22", "semantic query cache: Zipf repeated workload", e22},
 		{"E23", "hedged requests: tail latency with a slow replica", e23},
-		{"E25", "columnar batch evaluation: map-based vs columnar hot loop", e25},
 		{"E26", "crash-safe answer cache: cold start vs warm restart", e26},
 		{"E27", "external adapters: batched IN pushdown vs per-call round trips", e27},
 		{"E28", "cache fleet: sibling warm start and fleet-wide invalidation", e28},
@@ -1362,113 +1361,6 @@ func e23() {
 			calls, hedges, wins, st.MeanLatency().Round(time.Microsecond))
 	}
 	fmt.Println("expected: the slow replica drives the unhedged p99 to ≥5× healthy; hedging restores p99 to ≤2× healthy for <5% extra calls; mean source latency stays near the base round trip")
-}
-
-// --- E25 ----------------------------------------------------------------
-
-func e25() {
-	// Columnar batch evaluation vs the historical map-based evaluator
-	// (Runtime.MapEval) on a join-heavy workload: wide bindings fan out
-	// through three joins and a negated membership filter while call
-	// memoization keeps the distinct source calls in the dozens, so
-	// nearly all the time is per-binding evaluator overhead — the cost
-	// the columnar batches exist to remove.
-	baseRows, fanout := 4000, 8
-	if *quick {
-		baseRows = 800
-	}
-	q := ucqn.MustParseQuery(`Q(z, y) :- R(x, a, b, c, d, e, z), S(z, w), T(w, y), not N(z).`)
-	ps := ucqn.MustParsePatterns(`R^ooooooo S^io T^io N^i`)
-	in := ucqn.NewInstance()
-	const keys = 20
-	for i := 0; i < baseRows; i++ {
-		in.MustAdd("R", fmt.Sprintf("x%d", i),
-			fmt.Sprintf("a%d", i%7), fmt.Sprintf("b%d", i%11), fmt.Sprintf("c%d", i%13),
-			fmt.Sprintf("d%d", i%3), fmt.Sprintf("e%d", i%5),
-			fmt.Sprintf("z%d", i%keys))
-	}
-	for z := 0; z < keys; z++ {
-		for j := 0; j < fanout; j++ {
-			in.MustAdd("S", fmt.Sprintf("z%d", z), fmt.Sprintf("w%d", j))
-		}
-	}
-	for j := 0; j < fanout; j++ {
-		in.MustAdd("T", fmt.Sprintf("w%d", j), fmt.Sprintf("y%d", j))
-	}
-	for z := 0; z < keys; z += 4 {
-		in.MustAdd("N", fmt.Sprintf("z%d", z))
-	}
-
-	measure := func(rt *ucqn.Runtime) (best time.Duration, allocs float64, calls int, rel *ucqn.Rel) {
-		const reps = 5
-		var ms0, ms1 runtime.MemStats
-		for r := 0; r < reps; r++ {
-			cat := mustCatalog(in, ps)
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			got, err := rt.Answer(context.Background(), q, ps, cat)
-			el := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			if err != nil {
-				panic(err)
-			}
-			if r == 0 || el < best {
-				best = el
-			}
-			allocs = float64(ms1.Mallocs - ms0.Mallocs)
-			calls, rel = cat.TotalStats().Calls, got
-		}
-		return
-	}
-
-	mapRT := ucqn.NewRuntime()
-	mapRT.MapEval = true
-	colRT := ucqn.NewRuntime()
-	mapBest, mapAllocs, mapCalls, mapRel := measure(mapRT)
-	colBest, colAllocs, colCalls, colRel := measure(colRT)
-
-	identical := mapRel.Len() == colRel.Len()
-	for i, rows := 0, mapRel.Rows(); identical && i < len(rows); i++ {
-		identical = rows[i].Key() == colRel.Rows()[i].Key()
-	}
-	rows := baseRows * fanout
-	speedup := float64(mapBest) / float64(colBest)
-	fmt.Printf("%-10s %12s %12s %8s %8s %8s\n", "evaluator", "total", "allocs/op", "calls", "answers", "rows")
-	fmt.Printf("%-10s %12s %12.0f %8d %8d %8d\n", "map",
-		mapBest.Round(time.Microsecond), mapAllocs, mapCalls, mapRel.Len(), rows)
-	fmt.Printf("%-10s %12s %12.0f %8d %8d %8d\n", "columnar",
-		colBest.Round(time.Microsecond), colAllocs, colCalls, colRel.Len(), rows)
-	fmt.Printf("speedup: %.1fx, byte-identical: %v\n", speedup, identical)
-	fmt.Println("expected: identical calls and answers; at full size the columnar hot loop wins ≥5× with a fraction of the allocations")
-
-	if *benchOut != "" {
-		rep := server.ColumnarReport{
-			Experiment:          "E25",
-			Config:              server.ColumnarConfig{BaseRows: baseRows, Fanout: fanout},
-			Rows:                rows,
-			Answers:             colRel.Len(),
-			MapMS:               float64(mapBest.Nanoseconds()) / 1e6,
-			ColumnarMS:          float64(colBest.Nanoseconds()) / 1e6,
-			Speedup:             speedup,
-			MapCalls:            mapCalls,
-			ColumnarCalls:       colCalls,
-			MapAllocsPerOp:      mapAllocs,
-			ColumnarAllocsPerOp: colAllocs,
-			ByteIdentical:       identical,
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		data = append(data, '\n')
-		if err := server.ValidateBenchReport(data); err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			panic(err)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-	}
 }
 
 // --- E26 ----------------------------------------------------------------

@@ -58,7 +58,8 @@ type ExecOption func(*execConfig)
 func WithRuntime(rt *Runtime) ExecOption { return func(c *execConfig) { c.rt = rt } }
 
 // WithParallelRules evaluates the rules of the union concurrently, one
-// pipeline or materializer per rule.
+// goroutine per rule. It combines with every execution mode, WithProfile
+// included: the profile carries one RuleProfile per rule either way.
 func WithParallelRules() ExecOption { return func(c *execConfig) { c.parallel = true } }
 
 // WithProfile records per-step execution accounting; read it with
@@ -188,7 +189,7 @@ type Result struct {
 	stream *Stream
 
 	profiled bool
-	prof     ExecProfile
+	prof     ExecProfile // streaming mode: the cache counters only
 
 	star    *AnswerStar
 	improve bool
@@ -225,7 +226,9 @@ func (r *Result) Profile() (ExecProfile, bool) {
 		return ExecProfile{}, false
 	}
 	if r.stream != nil {
-		return r.stream.Profile()
+		prof, ok := r.stream.Profile()
+		prof.Cache = r.prof.Cache
+		return prof, ok
 	}
 	return r.prof, true
 }
@@ -343,10 +346,7 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		if err := entry.Err(); err != nil {
 			return nil, err
 		}
-		if c.streaming {
-			return execCachedStream(ctx, rt, &c, entry, info, ps, cat)
-		}
-		return execCachedMaterialized(ctx, rt, &c, entry, info, ps, cat)
+		return execCached(ctx, rt, &c, entry, info, ps, cat)
 	}
 	switch {
 	case c.star:
@@ -364,22 +364,23 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		}
 		return res, nil
 	case c.streaming:
-		s, err := rt.StreamEval(ctx, q, ps, cat, engine.StreamOpts{Parallel: c.parallel, Partial: c.partial})
+		s, err := rt.StreamEval(ctx, q, ps, cat, engine.Answered{}, c.engineOpts())
 		if err != nil {
 			return nil, err
 		}
 		return &Result{stream: s, profiled: c.profile}, nil
 	default:
-		rel, prof, inc, err := rt.Eval(ctx, q, ps, cat, engine.EvalOpts{
-			Parallel: c.parallel,
-			Profile:  c.profile,
-			Partial:  c.partial,
-		})
+		rel, prof, inc, err := rt.Eval(ctx, q, ps, cat, c.engineOpts())
 		if err != nil {
 			return nil, err
 		}
 		return &Result{rel: rel, profiled: c.profile, prof: prof, inc: inc}, nil
 	}
+}
+
+// engineOpts is how the engine's driver runs this call's rules.
+func (c *execConfig) engineOpts() engine.Opts {
+	return engine.Opts{Parallel: c.parallel, Partial: c.partial}
 }
 
 // validate rejects contradictory option combinations up front.
@@ -404,9 +405,6 @@ func (c *execConfig) validate() error {
 		if c.partial {
 			return errors.New("ucqn: WithAnswerStar does not combine with WithPartialResults: a degraded overestimate certifies nothing")
 		}
-	}
-	if c.profile && c.parallel && !c.streaming {
-		return fmt.Errorf("ucqn: materialized profiling is per rule in sequence; combine WithProfile + WithParallelRules only with WithStreaming")
 	}
 	if c.hasBatchSize && c.batchSize < 1 {
 		return fmt.Errorf("ucqn: WithBatchSize(%d): batch size must be at least 1", c.batchSize)

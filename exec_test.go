@@ -105,41 +105,49 @@ func TestExecDefaultAndProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps))
-	if err != nil {
+	seqCat := in.MustCatalog(ps)
+	if _, err := execAnswer(q, ps, seqCat); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := res.Rel(); err != nil || !got.Equal(want) {
-		t.Errorf("Exec = %s (%v), want %s", got, err, want)
+	wantCalls := seqCat.TotalStats().Calls
+	cases := []struct {
+		name     string
+		opts     []ExecOption
+		profiled bool
+	}{
+		{"default", nil, false},
+		{"parallel rules", []ExecOption{WithParallelRules()}, false},
+		{"profile", []ExecOption{WithProfile()}, true},
+		{"profile + parallel rules", []ExecOption{WithProfile(), WithParallelRules()}, true},
 	}
-	if res.Stream() != nil {
-		t.Error("Stream must be nil without WithStreaming")
-	}
-	if _, ok := res.Profile(); ok {
-		t.Error("Profile must be absent without WithProfile")
-	}
-
-	res, err = Exec(context.Background(), q, ps, in.MustCatalog(ps), WithParallelRules())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := res.Rel(); err != nil || !got.Equal(want) {
-		t.Errorf("Exec with parallel rules = %s (%v), want %s", got, err, want)
-	}
-
-	res, err = Exec(context.Background(), q, ps, in.MustCatalog(ps), WithProfile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := res.Rel(); err != nil || !got.Equal(want) {
-		t.Errorf("profiled Exec = %s (%v), want %s", got, err, want)
-	}
-	prof, ok := res.Profile()
-	if !ok {
-		t.Fatal("profile must be recorded with WithProfile")
-	}
-	if prof.Elapsed <= 0 || prof.TotalCalls() == 0 {
-		t.Errorf("profile must carry wall-clock time and traffic: %+v", prof)
+	for _, c := range cases {
+		cat := in.MustCatalog(ps)
+		res, err := Exec(context.Background(), q, ps, cat, c.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got, err := res.Rel(); err != nil || !got.Equal(want) {
+			t.Errorf("%s: Exec = %s (%v), want %s", c.name, got, err, want)
+		}
+		if res.Stream() != nil {
+			t.Errorf("%s: Stream must be nil without WithStreaming", c.name)
+		}
+		if got := cat.TotalStats().Calls; got != wantCalls {
+			t.Errorf("%s: %d source calls, want the sequential run's %d", c.name, got, wantCalls)
+		}
+		prof, ok := res.Profile()
+		if ok != c.profiled {
+			t.Fatalf("%s: Profile ok = %v, want %v", c.name, ok, c.profiled)
+		}
+		if !c.profiled {
+			continue
+		}
+		if len(prof.Rules) != len(q.Rules) {
+			t.Errorf("%s: %d rule profiles, want one per rule (%d)", c.name, len(prof.Rules), len(q.Rules))
+		}
+		if prof.Elapsed <= 0 || prof.TotalCalls() != wantCalls {
+			t.Errorf("%s: profile must carry wall-clock time and the run's traffic: %+v", c.name, prof)
+		}
 	}
 }
 
@@ -344,7 +352,6 @@ func TestExecRejectsContradictoryOptions(t *testing.T) {
 		{"naive+batch", []ExecOption{WithNaive(in), WithBatchSize(8)}},
 		{"star+streaming", []ExecOption{WithAnswerStar(), WithStreaming()}},
 		{"star+parallel", []ExecOption{WithAnswerStar(), WithParallelRules()}},
-		{"profile+parallel materialized", []ExecOption{WithProfile(), WithParallelRules()}},
 		{"star+partial", []ExecOption{WithAnswerStar(), WithPartialResults()}},
 		{"naive+partial", []ExecOption{WithNaive(in), WithPartialResults()}},
 	}

@@ -80,7 +80,7 @@ func TestBudgetMeterIdentityParallelHedged(t *testing.T) {
 		rt.Budget = Budget{MaxCalls: maxCalls}
 		for i := 0; i < 20; i++ {
 			rel, prof, inc, err := rt.Eval(context.Background(), u, ps, newCat(),
-				EvalOpts{Parallel: true, Profile: true, Partial: true})
+				Opts{Parallel: true, Partial: true})
 			if err != nil {
 				t.Fatalf("MaxCalls=%d iter %d: %v", maxCalls, i, err)
 			}
@@ -109,12 +109,12 @@ func TestBudgetShedModeAdmitsNoCalls(t *testing.T) {
 	rt := NewRuntime()
 	rt.Budget = Budget{MaxCalls: -1}
 
-	if _, _, _, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), EvalOpts{}); !errors.Is(err, ErrCallBudget) {
+	if _, _, _, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{}); !errors.Is(err, ErrCallBudget) {
 		t.Fatalf("strict err = %v, want ErrCallBudget", err)
 	}
 
 	cat := in.MustCatalog(ps)
-	rel, prof, inc, err := rt.Eval(context.Background(), u, ps, cat, EvalOpts{Partial: true, Profile: true})
+	rel, prof, inc, err := rt.Eval(context.Background(), u, ps, cat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,30 @@
 package engine
 
-// Columnar batch evaluation: the hot loop of every execution path.
+// Columnar batch evaluation: the hot loop of every execution.
 //
-// The historical evaluator carries each binding as a map[string]string
-// and re-unifies every returned tuple against every binding
-// (tupleMatches), which allocates a map clone per surviving pair and
-// compares strings throughout. Here a plan is compiled once per rule
-// into a slot program — every variable gets a dense column slot, every
-// atom position a static role — and bindings flow between steps as
-// colBatch values: slot-indexed vectors of interned uint32 value IDs
-// (see intern.go). One step is then a hash join: each distinct source
-// call's tuples are interned, filtered by the static constant and
-// repeated-variable constraints once, and grouped by their bound-
-// position key — built once per call — and each input row probes by its
-// own bound-slot key, emitting one output row per matching tuple.
-// Column buffers are recycled through a per-execution colPool.
+// A plan is compiled once per rule into a slot program — every variable
+// gets a dense column slot, every atom position a static role — and
+// bindings flow between steps as colBatch values: slot-indexed vectors
+// of interned uint32 value IDs (see intern.go). One step is then a hash
+// join: each distinct source call's tuples are interned, filtered by
+// the static constant and repeated-variable constraints once, and
+// grouped by their bound-position key — built once per call — and each
+// input row probes by its own bound-slot key, emitting one output row
+// per matching tuple. Column buffers are recycled through a
+// per-execution colPool. Strings materialize only at the edges: call
+// inputs handed to internal/sources and head rows handed to the sink.
 //
-// The columnar path is observationally identical to the map path: same
-// source calls in the same dedup groups (keys are now binary ID tuples,
-// which also fixes the latent '\x1f'-in-value collision of the string
-// key), same output rows in the same order (input-row order × tuple
-// order, exactly the map path's fan-out), and the same lazily raised
-// planning errors. Strings materialize only at the edges: call inputs
-// handed to internal/sources and head rows handed to Rel/Stream.
+// The reference semantics is the per-binding map evaluator kept as the
+// in-package test oracle (oracle_test.go): same source calls in the
+// same dedup groups, same output rows in the same order (input-row
+// order × tuple order, exactly the oracle's fan-out), and the same
+// lazily raised planning errors.
 
 import (
 	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/logic"
@@ -213,7 +208,7 @@ const (
 	// the hash join.
 	argBound
 	// argNull: a null term in a body atom; it never matches stored data
-	// (the map path's tupleMatches returns nil unconditionally).
+	// (the oracle's tupleMatches returns nil unconditionally).
 	argNull
 )
 
@@ -248,7 +243,7 @@ type stepProgram struct {
 	copySlots  []int // slots bound before this step (copied through)
 	newCols    []newCol
 	// err is the step's lazy compile error (unbound or null call input),
-	// raised — like the map path's per-binding callInputs error — only
+	// raised — like the oracle's per-binding callInputs error — only
 	// when rows actually reach the step.
 	err error
 }
@@ -278,7 +273,7 @@ type ruleProgram struct {
 	// positions are fixed per rule, so they carry no information).
 	headSlots []int
 	// headErr is the unsafe-plan error (head variable never bound),
-	// raised only when bindings reach the head, as in the map path.
+	// raised only when bindings reach the head, as in the oracle.
 	headErr error
 }
 
@@ -360,7 +355,7 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			}
 		}
 		// A positive step binds its fresh variables for downstream steps;
-		// a negated step is a pure filter (the map path discards the
+		// a negated step is a pure filter (the oracle discards the
 		// extended binding and keeps the original).
 		if !st.Literal.Negated {
 			for j := range sp.args {
@@ -423,7 +418,7 @@ type callJoin struct {
 
 // buildJoin interns and filters the call's tuples and groups them by
 // bound-position key. Tuple order is preserved within each group, so
-// probing emits matches in exactly the map path's order.
+// probing emits matches in exactly the oracle's order.
 func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool) *callJoin {
 	arity := len(sp.args)
 	j := &callJoin{arity: arity, groups: make(map[string][]int32, 1+len(rows)/4)}
@@ -468,11 +463,13 @@ func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool) *callJoin 
 
 // applyStepCol runs one compiled plan step over a columnar batch: group
 // rows into distinct calls by their input IDs, issue the distinct calls
-// through the runtime (worker pool, retries, hedging, budget — the
-// same issue() as the map path), then hash-join each row against its
-// call's tuples and emit output batches of at most limit rows (limit
-// ≤ 0 means one batch). memo extends call deduplication across batches
-// exactly like the map path's.
+// through the runtime (worker pool, retries, hedging, budget), then
+// hash-join each row against its call's tuples and emit output batches
+// of at most limit rows (limit ≤ 0 means one batch). memo is the step's
+// call-dedup memo, owned by the schedule (non-nil whenever rt.Dedup):
+// keys resolved by an earlier batch of a staged step are served from it
+// without a new source call, so per-step deduplication is exactly as
+// strong staged as whole. Calls issued here are added to it.
 //
 // It returns the number of rows emitted and whether emit stopped the
 // step early (pipeline cancellation; not an error).
@@ -491,10 +488,6 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 	// Group rows into distinct calls by their binary input-ID key.
 	calls := make([]*stepCall, 0, 8)
 	callOf := make([]*stepCall, in.n)
-	byKey := memo
-	if rt.Dedup && byKey == nil {
-		byKey = make(map[string]*stepCall, in.n)
-	}
 	keyBuf := make([]byte, 0, 4*len(sp0.inputs))
 	for i := 0; i < in.n; i++ {
 		if rt.Dedup {
@@ -506,13 +499,13 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 				}
 				keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 			}
-			if c, ok := byKey[string(keyBuf)]; ok {
+			if c, ok := memo[string(keyBuf)]; ok {
 				callOf[i] = c
 				sp.DedupedCalls++
 				continue
 			}
 			c := &stepCall{inputs: sp0.materializeInputs(in, i, pool)}
-			byKey[string(keyBuf)] = c
+			memo[string(keyBuf)] = c
 			calls = append(calls, c)
 			callOf[i] = c
 			continue
@@ -625,106 +618,4 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 		return emitted, true, nil
 	}
 	return emitted, false, nil
-}
-
-// headKey appends batch row i's ID-space head identity to buf: two
-// rows of the same rule produce equal keys iff their materialized head
-// rows are byte-identical (const and null head positions are invariant
-// within a rule, so only the slot-bound positions are encoded).
-func (prog *ruleProgram) headKey(b *colBatch, i int, buf []byte) []byte {
-	for _, s := range prog.headSlots {
-		v := b.cols[s][i]
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return buf
-}
-
-// headRowCol materializes the answer row for one batch row: the only
-// place head strings leave the interned domain.
-func (prog *ruleProgram) headRowCol(b *colBatch, i int, pool *colPool) Row {
-	row := make(Row, len(prog.head))
-	for k := range prog.head {
-		switch h := &prog.head[k]; h.kind {
-		case headNull:
-			row[k] = NullValue
-		case headConst:
-			row[k] = h.val
-		default:
-			row[k] = V(pool.str(b.cols[h.slot][i]))
-		}
-	}
-	return row
-}
-
-// runStepsCol is the columnar materializing evaluator: the default
-// implementation behind runSteps (Runtime.MapEval selects the
-// historical map-based loop instead, kept as the differential-testing
-// reference).
-func (rt *Runtime) runStepsCol(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, out *Rel, prof *RuleProfile, budget *budgetState, pool *colPool) error {
-	ruleStart := time.Now()
-	prog := compileRule(q, steps, pool)
-	cur := pool.getBatch(prog.numSlots)
-	cur.n = 1 // the single empty binding
-	for si := range prog.steps {
-		var sp StepProfile
-		sp.Step = prog.steps[si].step
-		sp.BindingsIn = cur.n
-		start := time.Now()
-		var next *colBatch
-		outRows, _, err := rt.applyStepCol(ctx, prog, si, cat, cur, &sp, nil, budget, pool, 0, func(b *colBatch) bool {
-			next = b
-			return true
-		})
-		sp.Elapsed = time.Since(start)
-		pool.put(cur)
-		if err != nil {
-			if prof != nil {
-				// Keep the failed step's accounting: degraded executions
-				// report the traffic a dropped disjunct cost.
-				prof.Steps = append(prof.Steps, sp)
-				prof.Elapsed = time.Since(ruleStart)
-			}
-			return err
-		}
-		sp.BindingsOut = outRows
-		if prof != nil {
-			prof.Steps = append(prof.Steps, sp)
-			// Materializing evaluation holds the step's input and output
-			// batches live at once.
-			if resident := sp.BindingsIn + sp.BindingsOut; resident > prof.PeakBindings {
-				prof.PeakBindings = resident
-			}
-		}
-		if outRows == 0 {
-			if prof != nil {
-				prof.Elapsed = time.Since(ruleStart)
-			}
-			return nil
-		}
-		cur = next
-	}
-	if cur.n > 0 && prog.headErr != nil {
-		pool.put(cur)
-		return prog.headErr
-	}
-	// Dedup head rows in ID space before materializing strings: a row
-	// whose key repeats within this rule is one Add would reject anyway,
-	// so only the first occurrence pays Row.Key and string assembly.
-	seen := make(map[string]struct{}, 1+cur.n/4)
-	keyBuf := make([]byte, 0, 4*len(prog.headSlots))
-	for i := 0; i < cur.n; i++ {
-		keyBuf = prog.headKey(cur, i, keyBuf[:0])
-		if _, dup := seen[string(keyBuf)]; dup {
-			continue
-		}
-		seen[string(keyBuf)] = struct{}{}
-		if out.Add(prog.headRowCol(cur, i, pool)) && prof != nil {
-			prof.Answers++
-		}
-	}
-	pool.put(cur)
-	if prof != nil {
-		prof.Elapsed = time.Since(ruleStart)
-	}
-	return nil
 }

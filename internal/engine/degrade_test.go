@@ -65,12 +65,12 @@ func TestEvalPartialDropsFailedDisjunct(t *testing.T) {
 			rt.Retry.BaseDelay = 0
 
 			// Strict mode surfaces the failure.
-			if _, _, _, err := rt.Eval(context.Background(), u, ps, cat, EvalOpts{Parallel: parallel}); err == nil {
+			if _, _, _, err := rt.Eval(context.Background(), u, ps, cat, Opts{Parallel: parallel}); err == nil {
 				t.Fatal("strict mode must fail when a source is dead")
 			}
 
 			// Partial mode drops rule 2 and answers with rule 1.
-			rel, prof, inc, err := rt.Eval(context.Background(), u, ps, cat, EvalOpts{Parallel: parallel, Partial: true, Profile: !parallel})
+			rel, prof, inc, err := rt.Eval(context.Background(), u, ps, cat, Opts{Parallel: parallel, Partial: true})
 			if err != nil {
 				t.Fatalf("partial mode must absorb the failure: %v", err)
 			}
@@ -113,7 +113,7 @@ func TestEvalPartialCompleteRunReportsComplete(t *testing.T) {
 	in.MustAdd("R", "a")
 	in.MustAdd("S", "b")
 	cat := in.MustCatalog(ps)
-	rel, _, inc, err := NewRuntime().Eval(context.Background(), u, ps, cat, EvalOpts{Partial: true})
+	rel, _, inc, err := NewRuntime().Eval(context.Background(), u, ps, cat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEvalPartialBreakerCapsDeadSourceCalls(t *testing.T) {
 
 	// Bare retries: every dead-source rule burns its full retry budget.
 	bareCat, bareFlaky, _ := deadCatalog(t, in, ps, map[string]bool{"S": true}, nil)
-	rel, _, inc, err := newRT().Eval(context.Background(), u, ps, bareCat, EvalOpts{Partial: true})
+	rel, _, inc, err := newRT().Eval(context.Background(), u, ps, bareCat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestEvalPartialBreakerCapsDeadSourceCalls(t *testing.T) {
 	// circuit opens; later rules fail fast without touching it.
 	cfg := &sources.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour}
 	brkCat, brkFlaky, breakers := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-	rel2, _, inc2, err := newRT().Eval(context.Background(), u, ps, brkCat, EvalOpts{Partial: true})
+	rel2, _, inc2, err := newRT().Eval(context.Background(), u, ps, brkCat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +211,12 @@ func TestEvalPartialBudgetExhausted(t *testing.T) {
 	rt.Budget = Budget{MaxCalls: 1} // rule 1's single call spends it all
 
 	// Strict: budget exhaustion is an error.
-	if _, _, _, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), EvalOpts{}); !errors.Is(err, ErrCallBudget) {
+	if _, _, _, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{}); !errors.Is(err, ErrCallBudget) {
 		t.Fatalf("strict err = %v, want ErrCallBudget", err)
 	}
 
 	// Partial: rule 2 is dropped as budget-exhausted.
-	rel, prof, inc, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), EvalOpts{Partial: true})
+	rel, prof, inc, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestEvalPartialDoesNotAbsorbCallerCancellation(t *testing.T) {
 	in.MustAdd("R", "a")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := NewRuntime().Eval(ctx, u, ps, in.MustCatalog(ps), EvalOpts{Partial: true})
+	_, _, _, err := NewRuntime().Eval(ctx, u, ps, in.MustCatalog(ps), Opts{Partial: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled even in partial mode", err)
 	}
@@ -301,7 +301,7 @@ func TestEvalPartialDoesNotAbsorbPlanningErrors(t *testing.T) {
 	in := NewInstance()
 	in.MustAdd("R", "a")
 	for _, parallel := range []bool{false, true} {
-		_, _, _, err := NewRuntime().Eval(context.Background(), u, ps, in.MustCatalog(ps), EvalOpts{Partial: true, Parallel: parallel})
+		_, _, _, err := NewRuntime().Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{Partial: true, Parallel: parallel})
 		if !errors.Is(err, errNotExecutable) {
 			t.Errorf("parallel=%v: err = %v, want the compile error even in partial mode", parallel, err)
 		}
@@ -392,7 +392,7 @@ func TestStreamPartialDegradedMatchesMaterialized(t *testing.T) {
 	cfg := &sources.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour}
 
 	matCat, _, _ := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-	want, _, matInc, err := degradeRuntime().Eval(context.Background(), u, ps, matCat, EvalOpts{Partial: true})
+	want, _, matInc, err := degradeRuntime().Eval(context.Background(), u, ps, matCat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestStreamPartialDegradedMatchesMaterialized(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	strCat, strFlaky, _ := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-	s, err := degradeRuntime().StreamEval(context.Background(), u, ps, strCat, StreamOpts{Partial: true})
+	s, err := degradeRuntime().StreamEval(context.Background(), u, ps, strCat, Answered{}, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestStreamPartialMidPipelineTeardown(t *testing.T) {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cat, _, breakers := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-			s, err := degradeRuntime().StreamEval(context.Background(), u, ps, cat, StreamOpts{Partial: true, Parallel: parallel})
+			s, err := degradeRuntime().StreamEval(context.Background(), u, ps, cat, Answered{}, Opts{Partial: true, Parallel: parallel})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -465,7 +465,7 @@ func TestStreamPartialMidPipelineTeardown(t *testing.T) {
 
 			// Strict mode on the same inputs surfaces the failure.
 			cat2, _, _ := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-			s2, err := degradeRuntime().StreamEval(context.Background(), u, ps, cat2, StreamOpts{Parallel: parallel})
+			s2, err := degradeRuntime().StreamEval(context.Background(), u, ps, cat2, Answered{}, Opts{Parallel: parallel})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -255,11 +255,79 @@ func TestSourcePanicContained(t *testing.T) {
 	// The contained panic is an ordinary rule failure: partial-results
 	// mode drops the disjunct and answers with the healthy one.
 	u := ucq(t, `Q(x) :- R(x). Q(x) :- R(x), P(x, y).`)
-	rel, _, inc, err := NewRuntime().Eval(context.Background(), u, ps, sources.MustCatalog(r, mk(false)), EvalOpts{Partial: true})
+	rel, _, inc, err := NewRuntime().Eval(context.Background(), u, ps, sources.MustCatalog(r, mk(false)), Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Len() != len(rRows) || inc == nil || len(inc.Failed) != 1 {
 		t.Fatalf("partial answer = %s, incompleteness = %+v; want %d rows and one dropped disjunct", rel, inc, len(rRows))
+	}
+}
+
+// shortSource is a source that breaks its contract: it answers every
+// input vector with a tuple one value short of the relation's arity.
+type shortSource struct{ *sources.Table }
+
+func (s shortSource) Call(_ context.Context, _ access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
+	out := make([][]sources.Tuple, len(inputs))
+	for i, in := range inputs {
+		out[i] = []sources.Tuple{in}
+	}
+	return out, nil
+}
+
+// A tuple of the wrong arity must fail the call that returned it, before
+// the join indexes into it — on the whole schedule and inside a stage
+// goroutine of the staged one, where a panic would kill the process —
+// and it is an ordinary terminal rule failure: partial-results mode
+// drops the disjunct and names the source.
+func TestShortTupleFailsTheCall(t *testing.T) {
+	r := sources.MustTable("R", 1, []access.Pattern{"o"}, []sources.Tuple{{"a"}, {"b"}})
+	p := shortSource{sources.MustTable("P", 2, []access.Pattern{"io"}, nil)}
+	cat := sources.MustCatalog(r, p)
+	ps := pats(t, `R^o P^io`)
+	u := ucq(t, `Q(x) :- R(x). Q(x) :- R(x), P(x, y).`)
+	const want = "engine: source P returned a tuple of 1 values, want 2"
+	ctx := context.Background()
+
+	for _, staged := range []bool{false, true} {
+		var err error
+		if staged {
+			var s *Stream
+			if s, err = NewRuntime().Stream(ctx, u, ps, cat); err == nil {
+				_, err = s.Drain()
+			}
+		} else {
+			_, err = NewRuntime().Answer(ctx, u, ps, cat)
+		}
+		if err == nil || !strings.Contains(err.Error(), want) || sources.IsTransient(err) {
+			t.Errorf("staged=%v: err = %v, want the non-transient %q", staged, err, want)
+		}
+
+		var rel *Rel
+		var inc Incompleteness
+		if staged {
+			s, serr := NewRuntime().StreamEval(ctx, u, ps, cat, Answered{}, Opts{Partial: true})
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			rel, err = s.Drain()
+			inc, _ = s.Incomplete()
+		} else {
+			var got *Incompleteness
+			rel, _, got, err = NewRuntime().Eval(ctx, u, ps, cat, Opts{Partial: true})
+			if got != nil {
+				inc = *got
+			}
+		}
+		if err != nil {
+			t.Fatalf("staged=%v: partial mode must absorb the failure: %v", staged, err)
+		}
+		if rel.Len() != 2 || len(inc.Failed) != 1 {
+			t.Fatalf("staged=%v: answer = %s, incompleteness = %+v; want R's rows and one dropped disjunct", staged, rel, inc)
+		}
+		if f := inc.Failed[0]; f.RuleIndex != 1 || f.Source != "P" || f.Class != FailTerminal || !strings.Contains(f.Err.Error(), want) {
+			t.Errorf("staged=%v: failure = %+v, want rule 2 at P, terminal, %q", staged, f, want)
+		}
 	}
 }

@@ -1,9 +1,27 @@
 package engine
 
+// The executor. Section 3 of the paper gives a UCQ¬ plan exactly one
+// execution semantics — "execute each rule separately (possibly in
+// parallel) from left to right", every literal through its access
+// pattern — and this file is its one implementation:
+//
+//	driver → rule runner → {whole, staged} schedule → sink
+//
+// The driver (execution.run) compiles the union once, runs the rules in
+// order or concurrently, and assembles the Profile and the
+// Incompleteness report. The runner (runRule) gives one rule its
+// RuleProfile, the one recover, and the hold-back of its rows; under it
+// a schedule (schedule.go) applies the rule's steps and produces its
+// distinct head rows, which the runner pushes — tagged with the rule's
+// index — into the caller's sink. Eval runs the driver inline with a
+// sink that fills a Rel; StreamEval runs the same driver in a goroutine
+// with a sink that sends on the Stream's channel.
+
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/access"
@@ -11,132 +29,318 @@ import (
 	"repro/internal/sources"
 )
 
-// binding maps variable names to constant values during evaluation.
-type binding map[string]string
-
-func (b binding) clone() binding {
-	out := make(binding, len(b)+2)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // errNotExecutable marks compile-time plan failures: a rule that cannot
 // be executed as written. Partial-results mode never degrades on it —
 // it is a planning error, not a runtime fault.
 var errNotExecutable = errors.New("engine: rule is not executable as written")
 
-// EvalOpts selects how Eval runs a union.
-type EvalOpts struct {
-	// Parallel evaluates the rules concurrently, one goroutine per rule.
+// Opts selects how an execution runs the rules of a union.
+type Opts struct {
+	// Parallel runs the rules concurrently, one goroutine per rule. A
+	// rule failure cancels the rules still in flight, and every distinct
+	// rule error is reported (joined, in rule order). Streamed emissions
+	// interleave; a materialized answer still inserts in rule order.
 	Parallel bool
-	// Profile records per-step execution accounting into the returned
-	// Profile.
-	Profile bool
 	// Partial enables partial-results mode (graceful degradation): a
 	// rule whose evaluation fails terminally at runtime — circuit
 	// breaker open, per-query budget exhausted, retries exhausted, or a
 	// non-transient source error — is dropped and recorded in the
-	// returned Incompleteness instead of failing the execution. The
-	// returned relation is then exactly ANSWER of the surviving rules: a
-	// certified underestimate of the full answer. Caller-context
-	// cancellation and compile-time planning errors still abort.
+	// Incompleteness report instead of failing the execution. The
+	// answer is then exactly ANSWER of the surviving rules: a certified
+	// underestimate of the full answer. A disjunct's answers are only
+	// certain once the whole disjunct succeeded, so a streamed rule's
+	// rows are held back until it completes: Partial trades
+	// time-to-first-tuple within a rule for that guarantee.
+	// Caller-context cancellation and compile-time planning errors
+	// still abort.
 	Partial bool
-	// OnRuleDone, when set, is called once per successfully evaluated
-	// non-False rule with the rule's index in u.Rules and that rule's own
-	// answer relation (before union dedup). The semantic query cache uses
-	// it to store per-disjunct answers. Calls are serialized: sequential
-	// evaluation invokes it in rule order, parallel evaluation from the
-	// single-threaded merge.
-	OnRuleDone func(i int, rel *Rel)
 }
 
-// Eval is the engine's single materializing entry point: Answer,
-// AnswerProfiled, and AnswerParallel are thin wrappers over it. It
-// returns the answers, the profile (meaningful when o.Profile), and —
-// in partial-results mode only — the degradation report (nil otherwise).
-func (rt *Runtime) Eval(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o EvalOpts) (*Rel, Profile, *Incompleteness, error) {
-	start := time.Now()
-	budget := rt.newBudget()
-	pool := newColPool()
-	var inc *Incompleteness
-	if o.Partial {
-		inc = &Incompleteness{}
-	}
-	var out *Rel
-	var prof Profile
-	var err error
-	if o.Parallel {
-		out, prof, err = rt.evalParallel(ctx, u, ps, cat, o, inc, budget, pool)
-	} else {
-		out, prof, err = rt.evalSequential(ctx, u, ps, cat, o, inc, budget, pool)
-	}
-	if err != nil {
-		return nil, Profile{}, nil, err
-	}
-	prof.Elapsed = time.Since(start)
-	if inc != nil {
-		inc.RulesSurvived = inc.RulesTotal - len(inc.Failed)
-		prof.Degraded.Rules = len(inc.Failed)
-	}
-	if rt.Budget.active() {
-		prof.Calls.BudgetSpent = int(budget.spent.Load())
-	}
-	prof.Batch = pool.batchProfile()
-	prof.finalize()
-	if o.Profile {
-		prof.snapshotReplicas(cat)
-	}
-	return out, prof, inc, nil
+// Answered marks rules of a union whose answers the caller already
+// holds (the semantic query cache's per-disjunct hits). Rule i with
+// Covered[i] set is not evaluated: it makes no source calls, gets no
+// RuleProfile, counts as survived, and Rows[i] — none for a statically
+// unsatisfiable core — enter the sink at its rule position. The zero
+// value covers nothing.
+type Answered struct {
+	Covered []bool
+	Rows    [][]Row
 }
 
-// evalSequential runs the rules in order, sharing one budget.
-func (rt *Runtime) evalSequential(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o EvalOpts, inc *Incompleteness, budget *budgetState, pool *colPool) (*Rel, Profile, error) {
-	out := NewRel()
-	var prof Profile
+// Sink receives the head rows of an execution, tagged with the index in
+// the executed union of the rule that produced them. Rows are distinct
+// within a rule; dropping duplicates across rules is the sink's
+// business. It reports how many rows were new to the result
+// (RuleProfile.Answers) and whether the consumer still wants rows; a
+// sink that can block gives up when ctx is done. The sink owns the rows
+// it is handed.
+//
+// A materialized run (Run, Eval) calls the sink from the caller's
+// goroutine, in rule order, exactly once per answered rule — evaluated
+// to completion or pre-answered — with all of the rule's rows, possibly
+// none; a dropped disjunct gets no call. A streamed run calls it once
+// per batch, concurrently under Opts.Parallel.
+type Sink func(ctx context.Context, rule int, rows []Row) (added int, ok bool)
+
+// ruleRun is one disjunct taking part in an execution.
+type ruleRun struct {
+	idx  int // position in the executed union
+	rule logic.CQ
+	prog *ruleProgram // nil when pre-answered
+	rp   RuleProfile  // unused when pre-answered
+	held [][]Row      // rows not yet delivered to the sink
+	err  error
+}
+
+// execution is one run of the driver: the compiled union, the schedule
+// and sink the caller's API shape selected, and the accounting all of
+// its rules share.
+type execution struct {
+	rt     *Runtime
+	cat    *sources.Catalog
+	o      Opts
+	staged bool // the staged schedule (streams) instead of the whole one
+	sink   Sink
+	start  time.Time
+	budget *budgetState
+	pool   *colPool
+	rules  []ruleRun
+	// resident gauges the bindings live across the stages of the
+	// execution's staged rules (RuleProfile.PeakBindings).
+	resident inFlightGauge
+}
+
+// newExecution starts an execution's clock and budget.
+func (rt *Runtime) newExecution(cat *sources.Catalog, o Opts, staged bool, sink Sink) *execution {
+	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: rt.newBudget(), pool: newColPool()}
+}
+
+// compile translates the union into the execution's rules, once: every
+// rule that is neither False nor pre-answered must be executable as
+// written.
+func (x *execution) compile(u logic.UCQ, ps *access.Set, pre Answered) error {
+	x.rules = make([]ruleRun, 0, len(u.Rules))
 	for i, rule := range u.Rules {
 		if rule.False {
 			continue
 		}
-		if inc != nil {
-			inc.RulesTotal++
-		}
-		var rp *RuleProfile
-		if o.Profile {
-			prof.Rules = append(prof.Rules, RuleProfile{Rule: rule.Clone()})
-			rp = &prof.Rules[len(prof.Rules)-1]
-		}
-		// In partial mode each rule evaluates into its own relation, so
-		// a disjunct that dies mid-head leaves no partial rows behind.
-		// A per-rule observer needs the same separation.
-		target := out
-		if inc != nil || o.OnRuleDone != nil {
-			target = NewRel()
-		}
-		if err := rt.answerRule(ctx, rule, ps, cat, target, rp, budget, pool); err != nil {
-			if inc == nil || !degradable(ctx, err) {
-				return nil, Profile{}, err
+		r := ruleRun{idx: i, rule: rule}
+		if i < len(pre.Covered) && pre.Covered[i] {
+			r.held = [][]Row{pre.Rows[i]}
+		} else {
+			steps, ok := access.AdornInOrder(rule.Body, ps)
+			if !ok {
+				return fmt.Errorf("%w: %s", errNotExecutable, rule)
 			}
-			inc.record(i, rule, err)
-			continue
+			r.prog = compileRule(rule, steps, x.pool)
 		}
-		if target != out {
-			added := 0
-			for _, row := range target.Rows() {
-				if out.Add(row) {
-					added++
+		x.rules = append(x.rules, r)
+	}
+	return nil
+}
+
+// run is the driver: it runs the execution's rules — in order, or one
+// goroutine per rule — settles each rule's outcome in rule order, and
+// finalizes the Profile and the Incompleteness report (nil in strict
+// mode). Both are returned on failure too: a failed or degraded
+// execution still reports the traffic it cost.
+//
+// Concurrently running rules report every distinct failure, joined in
+// rule order with the rule's number; a sibling's cancellation is
+// reported only when no real failure surfaced. Sequential runs stop at,
+// and report, the first.
+func (x *execution) run(ctx context.Context) (Profile, *Incompleteness, error) {
+	var inc *Incompleteness
+	if x.o.Partial {
+		inc = &Incompleteness{RulesTotal: len(x.rules)}
+	}
+	var errs []error
+	var cancelled error
+	// settle classifies a finished rule's outcome and delivers what a
+	// surviving rule still holds back; it reports whether the execution
+	// may go on.
+	settle := func(r *ruleRun) bool {
+		switch err := r.err; {
+		case err == nil:
+			x.flush(ctx, r)
+			return true
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			cancelled = err
+		case x.absorbs(ctx, err):
+			inc.record(r.idx, r.rule, err)
+			return true
+		case x.o.Parallel:
+			errs = append(errs, fmt.Errorf("engine: rule %d: %w", r.idx+1, err))
+		default:
+			errs = append(errs, err)
+		}
+		return false
+	}
+	if x.o.Parallel {
+		rctx, cancel := context.WithCancel(ctx)
+		var wg sync.WaitGroup
+		for i := range x.rules {
+			wg.Add(1)
+			go func(r *ruleRun) {
+				defer wg.Done()
+				x.runRule(rctx, r)
+				if r.err != nil && !x.absorbs(ctx, r.err) {
+					cancel() // stop the rules still in flight
 				}
+			}(&x.rules[i])
+		}
+		wg.Wait()
+		cancel()
+		for i := range x.rules {
+			settle(&x.rules[i])
+		}
+	} else {
+		for i := range x.rules {
+			if ctx.Err() != nil {
+				break
 			}
-			if rp != nil {
-				rp.Answers = added
-			}
-			if o.OnRuleDone != nil {
-				o.OnRuleDone(i, target)
+			x.runRule(ctx, &x.rules[i])
+			if !settle(&x.rules[i]) {
+				break
 			}
 		}
 	}
-	return out, prof, nil
+	err := errors.Join(errs...)
+	if len(errs) == 1 {
+		err = errs[0]
+	}
+	if err == nil {
+		err = cancelled
+	}
+	if err == nil {
+		// A context that died before, or between, rules must not look
+		// like a clean, possibly empty, answer.
+		err = ctx.Err()
+	}
+
+	prof := Profile{Elapsed: time.Since(x.start), Rules: make([]RuleProfile, 0, len(x.rules))}
+	for i := range x.rules {
+		if x.rules[i].prog != nil {
+			prof.Rules = append(prof.Rules, x.rules[i].rp)
+		}
+	}
+	if inc != nil {
+		inc.RulesSurvived = inc.RulesTotal - len(inc.Failed)
+		prof.Degraded.Rules = len(inc.Failed)
+	}
+	if x.rt.Budget.active() {
+		prof.Calls.BudgetSpent = int(x.budget.spent.Load())
+	}
+	prof.Batch = x.pool.batchProfile()
+	prof.finalize()
+	prof.snapshotReplicas(x.cat)
+	return prof, inc, err
+}
+
+// absorbs reports whether partial-results mode drops the failed rule
+// and goes on instead of failing the execution.
+func (x *execution) absorbs(ctx context.Context, err error) bool {
+	return x.o.Partial && degradable(ctx, err)
+}
+
+// runRule is the rule runner: it executes one rule under the
+// execution's schedule and leaves its failure, if any, in r.err.
+//
+// The runner owns the hold-back of the rule's rows. A staged rule
+// delivers each batch as the head stage produces it — except under
+// Partial, where the rows wait until the rule has succeeded and a
+// failed rule's rows are discarded. A whole rule's single batch waits
+// for the driver, which delivers in rule order on its own goroutine. A
+// pre-answered rule's rows are held from the start.
+func (x *execution) runRule(ctx context.Context, r *ruleRun) {
+	if r.prog != nil {
+		start := time.Now()
+		r.rp.Rule = r.rule.Clone()
+		r.rp.Steps = make([]StepProfile, len(r.prog.steps))
+		for i := range r.rp.Steps {
+			r.rp.Steps[i].Step = r.prog.steps[i].step
+		}
+		if r.err = x.evaluate(ctx, r); r.err != nil {
+			r.held = nil
+		}
+		r.rp.Elapsed = time.Since(start)
+	}
+	if x.staged && r.err == nil {
+		x.flush(ctx, r)
+	}
+}
+
+// evaluate runs r's steps under the execution's schedule. A panic in
+// the rule's evaluation is that rule's failure, not the process's.
+func (x *execution) evaluate(ctx context.Context, r *ruleRun) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("engine: rule %d panicked: %v", r.idx+1, p)
+		}
+	}()
+	hold := func(_ context.Context, rows []Row) bool {
+		r.held = append(r.held, rows)
+		return true
+	}
+	switch {
+	case !x.staged:
+		return x.whole(ctx, r, hold)
+	case x.o.Partial:
+		return x.stagedRule(ctx, r, hold)
+	default:
+		return x.stagedRule(ctx, r, func(ctx context.Context, rows []Row) bool { return x.deliver(ctx, r, rows) })
+	}
+}
+
+// flush delivers the rows r still holds back.
+func (x *execution) flush(ctx context.Context, r *ruleRun) {
+	for _, rows := range r.held {
+		if !x.deliver(ctx, r, rows) {
+			break
+		}
+	}
+	r.held = nil
+}
+
+// deliver pushes one batch of r's rows into the sink.
+func (x *execution) deliver(ctx context.Context, r *ruleRun, rows []Row) bool {
+	added, ok := x.sink(ctx, r.idx, rows)
+	r.rp.Answers += added
+	return ok
+}
+
+// Run evaluates the executable plan, materializing: every rule's steps
+// run once over the whole binding set, inline on the caller's goroutine
+// (rule goroutines only under o.Parallel), and the answered rules' rows
+// enter sink in rule order. It returns the profile and — in
+// partial-results mode only — the degradation report (nil otherwise).
+// A rule that is not executable as written fails before any source
+// call.
+func (rt *Runtime) Run(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts, sink Sink) (Profile, *Incompleteness, error) {
+	x := rt.newExecution(cat, o, false, sink)
+	if err := x.compile(u, ps, pre); err != nil {
+		return Profile{}, nil, err
+	}
+	return x.run(ctx)
+}
+
+// Into is the sink of a materialized run that collects the union's
+// answers: it adds every row to out.
+func Into(out *Rel) Sink {
+	return func(_ context.Context, _ int, rows []Row) (int, bool) {
+		return out.AddRows(rows), true
+	}
+}
+
+// Eval is Run into a fresh relation: Answer, AnswerProfiled, and
+// AnswerParallel are thin wrappers over it.
+func (rt *Runtime) Eval(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o Opts) (*Rel, Profile, *Incompleteness, error) {
+	out := NewRel()
+	prof, inc, err := rt.Run(ctx, u, ps, cat, Answered{}, o, Into(out))
+	if err != nil {
+		return nil, Profile{}, nil, err
+	}
+	return out, prof, inc, nil
 }
 
 // Answer evaluates an executable UCQ¬ plan against the catalog: each rule
@@ -152,18 +356,25 @@ func Answer(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
 
 // Answer is ANSWER(Q, D) on this runtime; see the package-level Answer.
 func (rt *Runtime) Answer(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
-	rel, _, _, err := rt.Eval(ctx, u, ps, cat, EvalOpts{})
+	rel, _, _, err := rt.Eval(ctx, u, ps, cat, Opts{})
 	return rel, err
 }
 
-// answerRule executes one rule and adds its answers to out. When prof is
-// non-nil, per-step accounting is recorded into it.
-func (rt *Runtime) answerRule(ctx context.Context, q logic.CQ, ps *access.Set, cat *sources.Catalog, out *Rel, prof *RuleProfile, budget *budgetState, pool *colPool) error {
-	steps, ok := access.AdornInOrder(q.Body, ps)
-	if !ok {
-		return fmt.Errorf("%w: %s", errNotExecutable, q)
-	}
-	return rt.runSteps(ctx, q, steps, cat, out, prof, budget, pool)
+// AnswerParallel evaluates the executable plan with one goroutine per
+// rule — the paper's reading of a UCQ¬ plan: "execute each rule
+// separately (possibly in parallel) from left to right" (Section 3).
+// Sources are safe for concurrent use; results are merged under set
+// semantics, so the answer equals Answer's. A rule failure cancels the
+// rules still in flight; every distinct rule error is reported (joined),
+// in rule order.
+func AnswerParallel(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
+	return defaultRuntime.AnswerParallel(context.Background(), u, ps, cat)
+}
+
+// AnswerParallel is the package-level AnswerParallel on this runtime.
+func (rt *Runtime) AnswerParallel(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
+	rel, _, _, err := rt.Eval(ctx, u, ps, cat, Opts{Parallel: true})
+	return rel, err
 }
 
 // AnswerSteps executes an explicitly adorned plan for one rule — the
@@ -179,157 +390,10 @@ func (rt *Runtime) AnswerSteps(ctx context.Context, q logic.CQ, steps []access.A
 	if q.False {
 		return out, nil
 	}
-	if err := rt.runSteps(ctx, q, steps, cat, out, nil, rt.newBudget(), newColPool()); err != nil {
+	x := rt.newExecution(cat, Opts{}, false, Into(out))
+	x.rules = []ruleRun{{rule: q, prog: compileRule(q, steps, x.pool)}}
+	if _, _, err := x.run(ctx); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// runSteps drives one rule's materializing execution: the columnar
-// batch evaluator by default (runStepsCol), or the historical
-// per-binding map loop when Runtime.MapEval is set. The two are
-// observationally identical; the map path is kept as the reference for
-// differential tests and as the allocation baseline for benchmarks.
-func (rt *Runtime) runSteps(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, out *Rel, prof *RuleProfile, budget *budgetState, pool *colPool) error {
-	if rt.MapEval {
-		return rt.runStepsMap(ctx, q, steps, cat, out, prof, budget)
-	}
-	return rt.runStepsCol(ctx, q, steps, cat, out, prof, budget, pool)
-}
-
-// runStepsMap drives the nested-loop map-based execution of an adorned
-// plan. Within a step the runtime batches the bindings' source calls
-// (see applyStep); across steps the binding set flows left to right as
-// in the paper.
-func (rt *Runtime) runStepsMap(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, out *Rel, prof *RuleProfile, budget *budgetState) error {
-	ruleStart := time.Now()
-	bindings := []binding{{}}
-	for _, step := range steps {
-		var sp StepProfile
-		sp.Step = step
-		sp.BindingsIn = len(bindings)
-		start := time.Now()
-		var err error
-		bindings, err = rt.applyStep(ctx, step, cat, bindings, &sp, nil, budget)
-		sp.Elapsed = time.Since(start)
-		if err != nil {
-			if prof != nil {
-				// Keep the failed step's accounting: degraded executions
-				// report the traffic a dropped disjunct cost.
-				prof.Steps = append(prof.Steps, sp)
-				prof.Elapsed = time.Since(ruleStart)
-			}
-			return err
-		}
-		sp.BindingsOut = len(bindings)
-		if prof != nil {
-			prof.Steps = append(prof.Steps, sp)
-			// Materializing evaluation holds the step's input and output
-			// binding sets live at once.
-			if resident := sp.BindingsIn + sp.BindingsOut; resident > prof.PeakBindings {
-				prof.PeakBindings = resident
-			}
-		}
-		if len(bindings) == 0 {
-			if prof != nil {
-				prof.Elapsed = time.Since(ruleStart)
-			}
-			return nil
-		}
-	}
-	for _, b := range bindings {
-		row, err := headRow(q, b)
-		if err != nil {
-			return err
-		}
-		if out.Add(row) && prof != nil {
-			prof.Answers++
-		}
-	}
-	if prof != nil {
-		prof.Elapsed = time.Since(ruleStart)
-	}
-	return nil
-}
-
-// callInputs extracts the values for the input slots of the step's
-// pattern from the binding; executability guarantees they exist.
-func callInputs(step access.AdornedLiteral, b binding) ([]string, error) {
-	var inputs []string
-	for j, t := range step.Literal.Atom.Args {
-		if !step.Pattern.Input(j) {
-			continue
-		}
-		switch {
-		case t.IsConst():
-			inputs = append(inputs, t.Name)
-		case t.IsVar():
-			v, ok := b[t.Name]
-			if !ok {
-				return nil, fmt.Errorf("engine: input slot %d of %s needs unbound variable %s", j+1, step, t.Name)
-			}
-			inputs = append(inputs, v)
-		default:
-			return nil, fmt.Errorf("engine: null cannot be used as a call input in %s", step)
-		}
-	}
-	return inputs, nil
-}
-
-// tupleMatches unifies the atom's arguments with a returned tuple under
-// binding b, returning the extended binding or nil on mismatch. (Sources
-// may return tuples that disagree with already-bound output slots; the
-// join filters them, per footnote 4 of the paper.)
-func tupleMatches(a logic.Atom, t sources.Tuple, b binding) binding {
-	nb := b
-	copied := false
-	for j, arg := range a.Args {
-		switch {
-		case arg.IsConst():
-			if t[j] != arg.Name {
-				return nil
-			}
-		case arg.IsVar():
-			if v, ok := nb[arg.Name]; ok {
-				if v != t[j] {
-					return nil
-				}
-				continue
-			}
-			if !copied {
-				nb = nb.clone()
-				copied = true
-			}
-			nb[arg.Name] = t[j]
-		default:
-			return nil // null in a body atom never matches stored data
-		}
-	}
-	if !copied && len(a.Args) > 0 {
-		// All arguments were already bound or constants; reuse b.
-		return b
-	}
-	return nb
-}
-
-// headRow builds the answer row for a binding. Null head arguments (from
-// overestimate rules) become null values; unbound head variables are an
-// error (the plan was unsafe).
-func headRow(q logic.CQ, b binding) (Row, error) {
-	row := make(Row, len(q.HeadArgs))
-	for i, t := range q.HeadArgs {
-		switch {
-		case t.IsNull():
-			row[i] = NullValue
-		case t.IsConst():
-			row[i] = V(t.Name)
-		default:
-			v, ok := b[t.Name]
-			if !ok {
-				return nil, fmt.Errorf("engine: head variable %s is unbound; plan for %s is unsafe", t.Name, q.HeadPred)
-			}
-			row[i] = V(v)
-		}
-	}
-	return row, nil
 }

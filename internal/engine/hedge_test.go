@@ -147,7 +147,7 @@ func TestHedgeExhaustionRetriesAndDegrades(t *testing.T) {
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{MaxAttempts: 2}
 	rt.Hedge = HedgePolicy{Delay: time.Hour}
-	rel, prof, inc, err := rt.Eval(context.Background(), q, ps, cat, EvalOpts{Profile: true, Partial: true})
+	rel, prof, inc, err := rt.Eval(context.Background(), q, ps, cat, Opts{Partial: true})
 	if err != nil {
 		t.Fatalf("partial mode must absorb the exhaustion: %v", err)
 	}

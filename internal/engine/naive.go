@@ -7,6 +7,18 @@ import (
 	"repro/internal/sources"
 )
 
+// binding maps variable names to constant values during naive
+// evaluation.
+type binding map[string]string
+
+func (b binding) clone() binding {
+	out := make(binding, len(b)+2)
+	for k, v := range b {
+		out[k] = v
+	}
+	return out
+}
+
 // AnswerNaive evaluates a UCQ¬ query directly over the instance, ignoring
 // access patterns. It is the ground truth ANSWER(Q, D) used by tests and
 // experiments to judge the completeness of limited-access plans.
@@ -124,6 +136,64 @@ func negsSatisfied(negs []logic.Literal, b binding, in *Instance, adom []string)
 		return false
 	}
 	return rec(0), nil
+}
+
+// tupleMatches unifies the atom's arguments with a returned tuple under
+// binding b, returning the extended binding or nil on mismatch. (Sources
+// may return tuples that disagree with already-bound output slots; the
+// join filters them, per footnote 4 of the paper.)
+func tupleMatches(a logic.Atom, t sources.Tuple, b binding) binding {
+	nb := b
+	copied := false
+	for j, arg := range a.Args {
+		switch {
+		case arg.IsConst():
+			if t[j] != arg.Name {
+				return nil
+			}
+		case arg.IsVar():
+			if v, ok := nb[arg.Name]; ok {
+				if v != t[j] {
+					return nil
+				}
+				continue
+			}
+			if !copied {
+				nb = nb.clone()
+				copied = true
+			}
+			nb[arg.Name] = t[j]
+		default:
+			return nil // null in a body atom never matches stored data
+		}
+	}
+	if !copied && len(a.Args) > 0 {
+		// All arguments were already bound or constants; reuse b.
+		return b
+	}
+	return nb
+}
+
+// headRow builds the answer row for a binding. Null head arguments (from
+// overestimate rules) become null values; unbound head variables are an
+// error (the plan was unsafe).
+func headRow(q logic.CQ, b binding) (Row, error) {
+	row := make(Row, len(q.HeadArgs))
+	for i, t := range q.HeadArgs {
+		switch {
+		case t.IsNull():
+			row[i] = NullValue
+		case t.IsConst():
+			row[i] = V(t.Name)
+		default:
+			v, ok := b[t.Name]
+			if !ok {
+				return nil, fmt.Errorf("engine: head variable %s is unbound; plan for %s is unsafe", t.Name, q.HeadPred)
+			}
+			row[i] = V(v)
+		}
+	}
+	return row, nil
 }
 
 // InstanceFromTables builds an Instance from the rows of the catalog's

@@ -454,7 +454,7 @@ func AnswerProfiled(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, Pr
 
 // AnswerProfiled is the package-level AnswerProfiled on this runtime.
 func (rt *Runtime) AnswerProfiled(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, Profile, error) {
-	rel, prof, _, err := rt.Eval(ctx, u, ps, cat, EvalOpts{Profile: true})
+	rel, prof, _, err := rt.Eval(ctx, u, ps, cat, Opts{})
 	if err != nil {
 		return nil, Profile{}, err
 	}

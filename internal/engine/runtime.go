@@ -163,13 +163,6 @@ type Runtime struct {
 	// HedgePolicy). Sources that are not replica sets are unaffected.
 	// The zero value disables hedging.
 	Hedge HedgePolicy
-	// MapEval selects the historical map-based materializing evaluator
-	// (one map[string]string per binding) instead of the columnar batch
-	// evaluator. The two are observationally identical — same answers in
-	// the same order, same source calls — so MapEval exists only as the
-	// differential-testing reference and allocation baseline; streamed
-	// pipelines are always columnar.
-	MapEval bool
 
 	mu   sync.Mutex
 	sems map[string]chan struct{}
@@ -189,7 +182,6 @@ func (rt *Runtime) Clone() *Runtime {
 		CallTimeout: rt.CallTimeout,
 		Budget:      rt.Budget,
 		Hedge:       rt.Hedge,
-		MapEval:     rt.MapEval,
 	}
 }
 
@@ -415,8 +407,8 @@ func (rt *Runtime) runLeg(ctx context.Context, sem chan struct{}, gauge *inFligh
 	}()
 	groups, err = src.Call(cctx, p, inputs)
 	switch {
-	case err == nil && len(groups) != len(inputs):
-		groups, err = nil, fmt.Errorf("engine: source %s answered %d input vectors with %d groups", name, len(inputs), len(groups))
+	case err == nil:
+		groups, err = checkGroups(name, p, inputs, groups)
 	case cancel != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
 		// The attempt's own deadline expiring is a source failure (slow
 		// or hung service), not a caller cancellation: report it as a
@@ -426,6 +418,23 @@ func (rt *Runtime) runLeg(ctx context.Context, sem chan struct{}, gauge *inFligh
 		err = sources.Transient(fmt.Errorf("engine: %s^%s: call of %d timed out after %v", name, p, len(inputs), rt.CallTimeout))
 	}
 	return groups, true, err
+}
+
+// checkGroups holds a source's answer to its contract before the join
+// indexes into it: one group per input vector, every tuple of the
+// relation's arity. A violation is a terminal failure of the call.
+func checkGroups(name string, p access.Pattern, inputs [][]string, groups [][]sources.Tuple) ([][]sources.Tuple, error) {
+	if len(groups) != len(inputs) {
+		return nil, fmt.Errorf("engine: source %s answered %d input vectors with %d groups", name, len(inputs), len(groups))
+	}
+	for _, g := range groups {
+		for _, t := range g {
+			if len(t) != len(p) {
+				return nil, fmt.Errorf("engine: source %s returned a tuple of %d values, want %d", name, len(t), len(p))
+			}
+		}
+	}
+	return groups, nil
 }
 
 // callWithRetry issues one group call — a whole binding group for a
@@ -501,10 +510,9 @@ type stepCall struct {
 	rows   []sources.Tuple
 	stats  callStats
 	err    error
-	// join is the columnar path's per-call hash-join side (tuples
-	// interned, filtered, grouped by bound-position key), built once per
-	// call and carried across batches by a streamed stage's memo. The
-	// map path leaves it nil.
+	// join is the call's hash-join side (tuples interned, filtered,
+	// grouped by bound-position key), built once per call and carried
+	// across batches by a staged step's memo.
 	join *callJoin
 }
 
@@ -523,82 +531,6 @@ func (e *callError) Error() string {
 }
 
 func (e *callError) Unwrap() error { return e.Err }
-
-// applyStep runs one adorned literal over the current binding set: group
-// bindings into distinct calls, issue the calls, fan the results back
-// out. Traffic is recorded into sp.
-//
-// memo, when non-nil (and Dedup is on), is a cross-batch call memo owned
-// by a streamed pipeline stage: keys resolved by an earlier batch are
-// served from it without a new source call, so per-step deduplication is
-// exactly as strong as in materializing evaluation even though the stage
-// only ever sees one batch of the binding stream at a time. Calls issued
-// here are added to it.
-func (rt *Runtime) applyStep(ctx context.Context, step access.AdornedLiteral, cat *sources.Catalog, bindings []binding, sp *StepProfile, memo map[string]*stepCall, budget *budgetState) ([]binding, error) {
-	src := cat.Source(step.Literal.Atom.Pred)
-	if src == nil {
-		return nil, fmt.Errorf("engine: no source for relation %s", step.Literal.Atom.Pred)
-	}
-	calls := make([]*stepCall, 0, len(bindings))
-	callOf := make([]*stepCall, len(bindings))
-	byKey := memo
-	if rt.Dedup && byKey == nil {
-		byKey = make(map[string]*stepCall, len(bindings))
-	}
-	for i, b := range bindings {
-		inputs, err := callInputs(step, b)
-		if err != nil {
-			return nil, err
-		}
-		if rt.Dedup {
-			key := strings.Join(inputs, "\x1f")
-			if c, ok := byKey[key]; ok {
-				callOf[i] = c
-				sp.DedupedCalls++
-				continue
-			}
-			c := &stepCall{inputs: inputs}
-			byKey[key] = c
-			calls = append(calls, c)
-			callOf[i] = c
-			continue
-		}
-		c := &stepCall{inputs: inputs}
-		calls = append(calls, c)
-		callOf[i] = c
-	}
-	if err := rt.issue(ctx, src, step, calls, sp, budget); err != nil {
-		return nil, err
-	}
-	// Fan back out in the original binding order: the output bindings —
-	// and hence everything downstream — are identical to sequential
-	// evaluation, whatever order the calls completed in.
-	var next []binding
-	for i, b := range bindings {
-		tuples := callOf[i].rows
-		if step.Literal.Negated {
-			// Filter: keep the binding iff no returned tuple matches the
-			// (fully bound) arguments.
-			matched := false
-			for _, t := range tuples {
-				if tupleMatches(step.Literal.Atom, t, b) != nil {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				next = append(next, b)
-			}
-			continue
-		}
-		for _, t := range tuples {
-			if nb := tupleMatches(step.Literal.Atom, t, b); nb != nil {
-				next = append(next, nb)
-			}
-		}
-	}
-	return next, nil
-}
 
 // issue answers the step's distinct calls and records traffic into sp.
 // It decides only the shape of the traffic; every call, whatever its

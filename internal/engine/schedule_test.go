@@ -1,0 +1,317 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/access"
+	"repro/internal/core"
+	"repro/internal/logic"
+	"repro/internal/sources"
+	"repro/internal/workload"
+)
+
+// schedule is one way to run the driver: whole (Eval) or staged
+// (StreamEval, drained) with the batch knobs that shape the stages.
+type schedule struct {
+	staged        bool
+	batch, buffer int
+}
+
+func (s schedule) String() string {
+	if !s.staged {
+		return "whole"
+	}
+	return fmt.Sprintf("staged(batch=%d,buffer=%d)", s.batch, s.buffer)
+}
+
+var schedules = []schedule{
+	{},
+	{true, 1, 1}, {true, 1, 2},
+	{true, 3, 1}, {true, 3, 2},
+	{true, 64, 1}, {true, 64, 2},
+}
+
+// run executes u under the schedule and returns what a caller of either
+// API shape can observe once the execution has finished.
+func (s schedule) run(u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts) (*Rel, Profile, *Incompleteness, error) {
+	rt := NewRuntime()
+	rt.Retry = RetryPolicy{}
+	ctx := context.Background()
+	if !s.staged {
+		out := NewRel()
+		prof, inc, err := rt.Run(ctx, u, ps, cat, pre, o, Into(out))
+		return out, prof, inc, err
+	}
+	rt.BatchSize, rt.StageBuffer = s.batch, s.buffer
+	st, err := rt.StreamEval(ctx, u, ps, cat, pre, o)
+	if err != nil {
+		return nil, Profile{}, nil, err
+	}
+	rel, err := st.Drain()
+	prof, _ := st.Profile()
+	var inc *Incompleteness
+	if got, ok := st.Incomplete(); ok {
+		inc = &got
+	}
+	return rel, prof, inc, err
+}
+
+// incSummary renders the parts of a degradation report two executions
+// of the same plan over the same faults must agree on.
+func incSummary(inc *Incompleteness) string {
+	if inc == nil {
+		return "<nil>"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d/%d", inc.RulesSurvived, inc.RulesTotal)
+	for _, f := range inc.Failed {
+		fmt.Fprintf(&b, " rule%d@%s:%s", f.RuleIndex, f.Source, f.Class)
+	}
+	return b.String()
+}
+
+// killedCatalog is in's catalog with every call to the dead relation
+// failing.
+func killedCatalog(t *testing.T, in *Instance, ps *access.Set, dead string) *sources.Catalog {
+	t.Helper()
+	cat, _, _ := deadCatalog(t, in, ps, map[string]bool{dead: true}, nil)
+	return cat
+}
+
+// The executor's differential suite. On random executable plans with
+// negation, constants, and repeated variables, every way to run the one
+// driver — {whole, staged × batch 1/3/64 × stage buffer 1/2} ×
+// {sequential, parallel} × {strict, partial with one source killed} —
+// must agree with the map-based oracle: byte-identical rows in the same
+// insertion order (as a set where parallel pipelines interleave), the
+// same source calls and dedup counts, and the same Incompleteness
+// report. With half the disjuncts pre-answered, the materialized and the
+// drained-stream results must both be that same relation, for the
+// remaining disjuncts' calls only.
+func TestSchedulesAgreeWithOracle(t *testing.T) {
+	g := workload.New(311)
+	s := g.Schema(4, 1, 2)
+	ps := g.Patterns(s, 0.3, 2) // mostly-output patterns: more orderable draws
+	cfg := workload.QueryConfig{PosLits: 3, NegLits: 1, VarPool: 4, ConstProb: 0.1, HeadVars: 1, DomainSize: 5}
+	ctx := context.Background()
+	oracleRT := NewRuntime()
+	oracleRT.Retry = RetryPolicy{}
+	tested, degraded := 0, 0
+	for i := 0; i < 250; i++ {
+		u, ok := core.ReorderUCQ(g.UCQ(s, 3, cfg), ps)
+		if !ok {
+			continue
+		}
+		in := NewInstance()
+		if err := in.LoadFacts(g.Facts(s, 10, 5)); err != nil {
+			t.Fatal(err)
+		}
+		var dead string // the first source of the last rule that runs
+		for _, rule := range u.Rules {
+			if !rule.False {
+				dead = rule.Body[0].Atom.Pred
+			}
+		}
+		if dead == "" {
+			continue
+		}
+
+		healthy := in.MustCatalog(ps)
+		want, wantProf, _, err := oracleEval(ctx, oracleRT, u, ps, healthy, false)
+		if err != nil {
+			t.Fatalf("oracle failed on executable query %s: %v", u, err)
+		}
+		wantCalls := healthy.TotalStats().Calls
+		killed := killedCatalog(t, in, ps, dead)
+		wantDeg, _, wantInc, err := oracleEval(ctx, oracleRT, u, ps, killed, true)
+		if err != nil {
+			t.Fatalf("oracle failed to degrade on %s: %v", u, err)
+		}
+		wantDegCalls := killed.TotalStats().Calls
+		if !wantInc.Complete() {
+			degraded++
+		}
+
+		for _, sched := range schedules {
+			for _, parallel := range []bool{false, true} {
+				label := fmt.Sprintf("plan %d, %s, parallel=%v:\n%s", i, sched, parallel, u)
+				inOrder := !parallel || !sched.staged
+
+				cat := in.MustCatalog(ps)
+				got, prof, inc, err := sched.run(u, ps, cat, Answered{}, Opts{Parallel: parallel})
+				if err != nil {
+					t.Fatalf("%s\nfailed: %v", label, err)
+				}
+				if inOrder {
+					sameRows(t, got, want, label)
+				} else if !got.Equal(want) {
+					t.Fatalf("%s\nrows %s, want %s", label, got, want)
+				}
+				if c := cat.TotalStats().Calls; c != wantCalls || prof.TotalCalls() != wantCalls {
+					t.Fatalf("%s\n%d source calls (%d profiled), want %d", label, c, prof.TotalCalls(), wantCalls)
+				}
+				if d := prof.TotalDeduped(); d != wantProf.TotalDeduped() {
+					t.Fatalf("%s\n%d deduped calls, want %d", label, d, wantProf.TotalDeduped())
+				}
+				if inc != nil {
+					t.Fatalf("%s\nstrict run reported incompleteness %+v", label, inc)
+				}
+
+				cat = killedCatalog(t, in, ps, dead)
+				got, _, inc, err = sched.run(u, ps, cat, Answered{}, Opts{Parallel: parallel, Partial: true})
+				if err != nil {
+					t.Fatalf("%s\nfailed to degrade with %s dead: %v", label, dead, err)
+				}
+				if inOrder {
+					sameRows(t, got, wantDeg, label+"\ndegraded")
+				} else if !got.Equal(wantDeg) {
+					t.Fatalf("%s\ndegraded rows %s, want %s", label, got, wantDeg)
+				}
+				if g, w := incSummary(inc), incSummary(wantInc); g != w {
+					t.Fatalf("%s\nincompleteness %s, want %s", label, g, w)
+				}
+				// A whole rule finishes every step before the one that
+				// dies; a staged rule's upstream stages are torn down
+				// with calls still unissued.
+				if c := cat.TotalStats().Calls; c > wantDegCalls || (!sched.staged && c != wantDegCalls) {
+					t.Fatalf("%s\n%d source calls with %s dead, want %d", label, c, dead, wantDegCalls)
+				}
+			}
+		}
+
+		// Pre-answer every other disjunct with its own rows.
+		pre := Answered{Covered: make([]bool, len(u.Rules)), Rows: make([][]Row, len(u.Rules))}
+		live, liveCalls := 0, 0
+		for ri, rule := range u.Rules {
+			cat := in.MustCatalog(ps)
+			own, _, _, err := oracleEval(ctx, oracleRT, logic.UCQ{Rules: []logic.CQ{rule}}, ps, cat, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ri%2 == 0 {
+				pre.Covered[ri], pre.Rows[ri] = true, own.Rows()
+			} else if !rule.False {
+				live++
+				liveCalls += cat.TotalStats().Calls
+			}
+		}
+		for _, sched := range []schedule{{}, {true, 3, 1}} {
+			cat := in.MustCatalog(ps)
+			got, prof, _, err := sched.run(u, ps, cat, pre, Opts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("plan %d, %s, half pre-answered:\n%s", i, sched, u)
+			sameRows(t, got, want, label)
+			if c := cat.TotalStats().Calls; c != liveCalls {
+				t.Fatalf("%s\n%d source calls, want the live disjuncts' %d", label, c, liveCalls)
+			}
+			if len(prof.Rules) != live {
+				t.Fatalf("%s\n%d rule profiles, want one per live disjunct (%d)", label, len(prof.Rules), live)
+			}
+		}
+		tested++
+	}
+	if tested < 40 || degraded < 20 {
+		t.Errorf("only %d plans engaged, %d of them degraded", tested, degraded)
+	}
+}
+
+// What the merge of the materialized and streamed drivers could
+// silently change, pinned.
+
+// A streamed execution reports the same error value Eval does: under
+// Parallel, every distinct rule failure, joined in rule order.
+func TestStreamErrJoinsParallelRuleErrors(t *testing.T) {
+	in := NewInstance().MustAdd("R", "a")
+	ps := pats(t, `R^o Z1^o Z2^o`)
+	cat := in.MustCatalog(pats(t, `R^o`)) // Z1/Z2 declared but unpublished
+	u := ucq(t, "Q(x) :- Z1(x).\nQ(x) :- Z2(x).\nQ(x) :- R(x).")
+	_, _, _, want := NewRuntime().Eval(context.Background(), u, ps, cat, Opts{Parallel: true})
+	if want == nil {
+		t.Fatal("rule errors must propagate")
+	}
+	s, err := NewRuntime().StreamParallel(context.Background(), u, ps, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Next() {
+	}
+	got := s.Err()
+	if got == nil || got.Error() != want.Error() {
+		t.Errorf("Stream.Err = %v, want Eval's %v", got, want)
+	}
+	if err := s.Close(); err == nil || err.Error() != want.Error() {
+		t.Errorf("Close = %v, want %v", err, want)
+	}
+	for _, part := range []string{"engine: rule 1:", "Z1", "engine: rule 2:", "Z2"} {
+		if !strings.Contains(want.Error(), part) {
+			t.Errorf("joined error missing %q: %v", part, want)
+		}
+	}
+}
+
+// A streamed rule whose head repeats emits each distinct row once, also
+// when the repeats arrive in different batches.
+func TestStreamEmitsDistinctRowsPerRule(t *testing.T) {
+	u := ucq(t, `Q(z) :- R(x, z).`)
+	ps := pats(t, `R^oo`)
+	in := NewInstance()
+	for i := 0; i < 40; i++ {
+		in.MustAdd("R", fmt.Sprintf("x%d", i), fmt.Sprintf("z%d", i%4))
+	}
+	rt := NewRuntime()
+	rt.BatchSize = 3
+	s, err := rt.Stream(context.Background(), u, ps, in.MustCatalog(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	seen := map[string]bool{}
+	for s.Next() {
+		k := s.Tuple().Key()
+		if seen[k] {
+			t.Fatalf("row %s emitted twice", s.Tuple())
+		}
+		seen[k] = true
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 4 {
+		t.Errorf("%d distinct rows, want 4", len(seen))
+	}
+	if prof, ok := s.Profile(); !ok || prof.Rules[0].Answers != 4 {
+		t.Errorf("profile = %+v/%v, want 4 answers emitted", prof, ok)
+	}
+}
+
+// The inline path stays inline: Eval of a one-rule, two-step plan over
+// Tables allocated 411 times at the parent of the one-executor change
+// (419 with per-step accounting, which is now always recorded) and 422
+// after it. One stage goroutine with its channel costs more than the
+// slack left here.
+func TestEvalInlineAllocs(t *testing.T) {
+	u := ucq(t, `Q(x, y) :- R(x, z), T(z, y).`)
+	ps := pats(t, `R^oo T^io`)
+	in := NewInstance()
+	for i := 0; i < 50; i++ {
+		in.MustAdd("R", fmt.Sprintf("x%d", i), fmt.Sprintf("z%d", i%5))
+		in.MustAdd("T", fmt.Sprintf("z%d", i%5), fmt.Sprintf("y%d", i%5))
+	}
+	cat := in.MustCatalog(ps)
+	rt := NewRuntime()
+	rt.Concurrency = 1 // no worker pool: every allocation is the driver's
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, _, err := rt.Eval(context.Background(), u, ps, cat, Opts{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const limit = 419 + 8
+	if allocs > limit {
+		t.Errorf("Eval allocated %.0f times, want at most %d", allocs, limit)
+	}
+}

@@ -1,21 +1,12 @@
 package engine
 
-// Pipelined streaming execution. The materializing evaluator finishes
-// step k over the *whole* binding set before step k+1 issues its first
-// source call, so a slow or high-fanout early step delays every answer
-// to the end of the plan. Here each rule's plan steps become pipeline
-// stages connected by bounded channels carrying columnar binding
-// batches (colBatch; see columnar.go): step k+1 calls its source for
-// the first batches while step k is still fetching later ones, and head
-// tuples reach the caller as soon as the last stage produces them. Each
+// Streaming execution: the driver run in a goroutine, its rules on the
+// staged schedule (schedule.go), its sink the Stream's channel. Each
 // stage still runs through the Runtime — per-step call deduplication
-// (extended across batches by a per-stage memo), the bounded worker
+// (extended across batches by the per-stage memo), the bounded worker
 // pool, the per-source in-flight cap, and the retry policy all apply
 // per stage — so a streamed run issues exactly the calls a materialized
-// run would, and the drained answer set is byte-identical: stages are
-// single goroutines consuming batches in order, and applyStepCol fans
-// results back out in input-row order, so rows are emitted in the same
-// order materializing evaluation would add them.
+// run would, and the drained answer is byte-identical.
 //
 // Ordering and teardown guarantees:
 //
@@ -31,7 +22,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -57,20 +47,19 @@ import (
 type Stream struct {
 	rows   chan []Row
 	cancel context.CancelFunc
-	wg     sync.WaitGroup // every pipeline goroutine, incl. the driver
+	wg     sync.WaitGroup // the driver goroutine, which waits for the rest
 
 	cur []Row // batch being handed out
 	idx int   // next index into cur
 
-	start    time.Time
-	resident inFlightGauge // bindings live across all stages
+	start time.Time
 
 	mu     sync.Mutex
 	err    error
 	closed bool
 	ttf    time.Duration
 
-	prof     *Profile
+	prof     Profile
 	inc      *Incompleteness // partial-results report; nil in strict mode
 	profDone chan struct{}   // closed when prof (and inc) are fully assembled
 }
@@ -148,7 +137,7 @@ func (s *Stream) Drain() (*Rel, error) {
 func (s *Stream) Profile() (Profile, bool) {
 	select {
 	case <-s.profDone:
-		return *s.prof, true
+		return s.prof, true
 	default:
 		return Profile{}, false
 	}
@@ -157,7 +146,7 @@ func (s *Stream) Profile() (Profile, bool) {
 // Incomplete returns the degradation report of a partial-results stream
 // once it has finished (exhausted, failed, or closed). ok is false while
 // the stream is still running or when the stream was not started with
-// StreamOpts.Partial.
+// Opts.Partial.
 func (s *Stream) Incomplete() (Incompleteness, bool) {
 	select {
 	case <-s.profDone:
@@ -168,13 +157,6 @@ func (s *Stream) Incomplete() (Incompleteness, bool) {
 	default:
 		return Incompleteness{}, false
 	}
-}
-
-// recordFailure logs a dropped disjunct of a partial-results stream.
-func (s *Stream) recordFailure(i int, rule logic.CQ, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inc.record(i, rule, err)
 }
 
 // fail records the pipeline's first real failure and cancels every
@@ -212,29 +194,6 @@ func (s *Stream) emit(ctx context.Context, batch []Row) bool {
 	}
 }
 
-// rulePipeline is one rule's compiled plan.
-type rulePipeline struct {
-	idx   int // position in the executed union (for failure reports)
-	rule  logic.CQ
-	steps []access.AdornedLiteral
-}
-
-// StreamOpts selects how a streamed execution runs.
-type StreamOpts struct {
-	// Parallel runs all rule pipelines concurrently; emission
-	// interleaving becomes scheduling-dependent.
-	Parallel bool
-	// Partial enables partial-results mode: a rule pipeline that fails
-	// terminally is torn down alone — its failure recorded, its rows
-	// discarded — and the remaining rules keep streaming. To keep the
-	// drained answer byte-identical to a materialized degraded run, each
-	// rule's head rows are held back until its pipeline completes (a
-	// disjunct's answers are only certain once the whole disjunct
-	// succeeded), so Partial trades time-to-first-tuple within a rule for
-	// the certified-underestimate guarantee.
-	Partial bool
-}
-
 // Stream starts pipelined evaluation of the executable plan: one
 // pipeline per rule, rules in order (rule k+1's pipeline starts when
 // rule k's finishes), stages within a rule overlapping. The answer
@@ -246,7 +205,7 @@ type StreamOpts struct {
 // The error return covers plan compilation (a rule not executable as
 // written); runtime failures surface through Stream.Err.
 func (rt *Runtime) Stream(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Stream, error) {
-	return rt.StreamEval(ctx, u, ps, cat, StreamOpts{})
+	return rt.StreamEval(ctx, u, ps, cat, Answered{}, Opts{})
 }
 
 // StreamParallel is Stream with all rule pipelines running concurrently
@@ -254,262 +213,38 @@ func (rt *Runtime) Stream(ctx context.Context, u logic.UCQ, ps *access.Set, cat 
 // Emission interleaving is scheduling-dependent; the drained answer set
 // is still equal to rt.Answer's.
 func (rt *Runtime) StreamParallel(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Stream, error) {
-	return rt.StreamEval(ctx, u, ps, cat, StreamOpts{Parallel: true})
+	return rt.StreamEval(ctx, u, ps, cat, Answered{}, Opts{Parallel: true})
 }
 
-// StreamEval starts pipelined evaluation with explicit options; Stream
-// and StreamParallel are thin wrappers over it.
-func (rt *Runtime) StreamEval(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o StreamOpts) (*Stream, error) {
-	var pipes []rulePipeline
-	for i, rule := range u.Rules {
-		if rule.False {
-			continue
-		}
-		steps, ok := access.AdornInOrder(rule.Body, ps)
-		if !ok {
-			return nil, fmt.Errorf("engine: rule is not executable as written: %s", rule)
-		}
-		pipes = append(pipes, rulePipeline{idx: i, rule: rule, steps: steps})
-	}
-	sctx, cancel := context.WithCancel(ctx)
+// StreamEval starts pipelined evaluation with explicit options and
+// pre-answered rules; Stream and StreamParallel are thin wrappers over
+// it. The plan is compiled before it returns; the driver then runs in a
+// goroutine, its sink the stream's channel.
+func (rt *Runtime) StreamEval(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts) (*Stream, error) {
 	s := &Stream{
 		rows:     make(chan []Row, rt.stageBuffer()),
-		cancel:   cancel,
-		start:    time.Now(),
-		prof:     &Profile{Rules: make([]RuleProfile, len(pipes))},
 		profDone: make(chan struct{}),
 	}
-	if o.Partial {
-		s.inc = &Incompleteness{RulesTotal: len(pipes)}
+	x := rt.newExecution(cat, o, true, func(ctx context.Context, _ int, rows []Row) (int, bool) {
+		return len(rows), s.emit(ctx, rows)
+	})
+	if err := x.compile(u, ps, pre); err != nil {
+		return nil, err
 	}
-	budget := rt.newBudget()
-	pool := newColPool()
+	s.start = x.start
+	sctx, cancel := context.WithCancel(ctx)
+	s.cancel = cancel
 	s.wg.Add(1)
-	go func() { // driver
+	go func() {
 		defer s.wg.Done()
 		defer close(s.rows)
 		defer close(s.profDone)
-		if o.Parallel {
-			var wg sync.WaitGroup
-			for i, p := range pipes {
-				wg.Add(1)
-				go func(i int, p rulePipeline) {
-					defer wg.Done()
-					rt.runPipeline(sctx, p, cat, s, &s.prof.Rules[i], budget, pool, o.Partial)
-				}(i, p)
-			}
-			wg.Wait()
-		} else {
-			for i, p := range pipes {
-				if sctx.Err() != nil {
-					break
-				}
-				rt.runPipeline(sctx, p, cat, s, &s.prof.Rules[i], budget, pool, o.Partial)
-			}
-		}
-		// A context already dead before (or between) pipelines would
-		// otherwise look like clean exhaustion to the consumer.
-		s.fail(sctx.Err())
+		prof, inc, err := x.run(sctx)
+		s.fail(err)
 		s.mu.Lock()
-		s.prof.Elapsed = time.Since(s.start)
-		s.prof.TimeToFirst = s.ttf
-		if s.inc != nil {
-			s.inc.RulesSurvived = s.inc.RulesTotal - len(s.inc.Failed)
-			s.prof.Degraded.Rules = len(s.inc.Failed)
-		}
-		if rt.Budget.active() {
-			s.prof.Calls.BudgetSpent = int(budget.spent.Load())
-		}
-		s.prof.Batch = pool.batchProfile()
-		s.prof.finalize()
-		s.prof.snapshotReplicas(cat)
+		prof.TimeToFirst = s.ttf
+		s.prof, s.inc = prof, inc
 		s.mu.Unlock()
 	}()
 	return s, nil
-}
-
-// runPipeline executes one rule as a chain of stage goroutines and
-// blocks until every stage has exited. Each stage owns one compiled
-// plan step: it consumes columnar batches from its inbound channel,
-// applies the step through the runtime (with a cross-batch dedup memo),
-// and emits the surviving rows downstream in batches of at most
-// rt.batchSize(). The final stage materializes head rows from the
-// interned columns and emits them to the consumer.
-//
-// In partial-results mode the rule runs under its own child context: a
-// degradable failure cancels only this rule's stages (the stream stays
-// live for the remaining rules), the failure is recorded, and the head
-// rows — buffered until the pipeline completes — are discarded.
-func (rt *Runtime) runPipeline(ctx context.Context, p rulePipeline, cat *sources.Catalog, s *Stream, rp *RuleProfile, budget *budgetState, pool *colPool, partial bool) {
-	ruleStart := time.Now()
-	rp.Rule = p.rule.Clone()
-	rp.Steps = make([]StepProfile, len(p.steps))
-	prog := compileRule(p.rule, p.steps, pool)
-
-	// Stages run under rctx; in partial mode it is rule-local, so a
-	// dropped disjunct's teardown cannot touch the other rules.
-	rctx := ctx
-	rcancel := func() {}
-	var failMu sync.Mutex
-	var ruleErr error
-	if partial {
-		rctx, rcancel = context.WithCancel(ctx)
-		defer rcancel()
-	}
-	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		if partial {
-			if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				// Rule-local teardown already under way: the failure that
-				// caused it is recorded; cancellation fallout is not news.
-				return
-			}
-			if degradable(ctx, err) {
-				failMu.Lock()
-				if ruleErr == nil {
-					ruleErr = err
-				}
-				failMu.Unlock()
-				rcancel()
-				return
-			}
-		}
-		s.fail(err)
-	}
-
-	depth := rt.stageBuffer()
-	chans := make([]chan *colBatch, len(p.steps)+1)
-	for i := range chans {
-		chans[i] = make(chan *colBatch, depth)
-	}
-
-	var wg sync.WaitGroup
-	for i := range p.steps {
-		wg.Add(1)
-		go func(i int, in <-chan *colBatch, out chan<- *colBatch) {
-			defer wg.Done()
-			defer close(out)
-			sp := &rp.Steps[i]
-			sp.Step = prog.steps[i].step
-			var memo map[string]*stepCall
-			if rt.Dedup {
-				memo = map[string]*stepCall{}
-			}
-			// emit hands one output batch downstream, charging the
-			// resident gauge; ownership transfers to the next stage.
-			emit := func(b *colBatch) bool {
-				s.resident.add(int64(b.n))
-				select {
-				case out <- b:
-					return true
-				case <-rctx.Done():
-					s.resident.add(int64(-b.n))
-					pool.put(b)
-					return false
-				}
-			}
-			for batch := range in {
-				n := batch.n
-				sp.BindingsIn += n
-				t0 := time.Now()
-				emitted, stopped, err := rt.applyStepCol(rctx, prog, i, cat, batch, sp, memo, budget, pool, rt.batchSize(), emit)
-				sp.Elapsed += time.Since(t0)
-				pool.put(batch)
-				if err != nil {
-					fail(err)
-					s.resident.add(int64(-n))
-					return
-				}
-				sp.BindingsOut += emitted
-				s.resident.add(int64(-n))
-				if stopped {
-					return
-				}
-			}
-		}(i, chans[i], chans[i+1])
-	}
-
-	// Head stage: columnar batches → answer rows → consumer. Head
-	// strings materialize here, nowhere earlier. In partial mode the
-	// rows are held back until the whole pipeline succeeded: a
-	// disjunct's answers are only certain once the disjunct is complete.
-	var held [][]Row // partial mode only; owned by the head goroutine
-	wg.Add(1)
-	go func(in <-chan *colBatch) {
-		defer wg.Done()
-		// Duplicate head rows are still emitted (the stream surfaces the
-		// full fan-out), but each distinct row is materialized once and
-		// shared by ID-space key; consumers treat rows as read-only.
-		rowCache := map[string]Row{}
-		var keyBuf []byte
-		for batch := range in {
-			n := batch.n
-			if n > 0 && prog.headErr != nil {
-				pool.put(batch)
-				fail(prog.headErr)
-				s.resident.add(int64(-n))
-				return
-			}
-			rows := make([]Row, 0, n)
-			for ri := 0; ri < n; ri++ {
-				keyBuf = prog.headKey(batch, ri, keyBuf[:0])
-				row, ok := rowCache[string(keyBuf)]
-				if !ok {
-					row = prog.headRowCol(batch, ri, pool)
-					rowCache[string(keyBuf)] = row
-				}
-				rows = append(rows, row)
-			}
-			pool.put(batch)
-			if partial {
-				held = append(held, rows)
-				s.resident.add(int64(-n))
-				continue
-			}
-			rp.Answers += len(rows)
-			ok := s.emit(rctx, rows)
-			s.resident.add(int64(-n))
-			if !ok {
-				return
-			}
-		}
-	}(chans[len(p.steps)])
-
-	// Seed the pipeline with the single empty binding.
-	seed := pool.getBatch(prog.numSlots)
-	seed.n = 1
-	s.resident.add(1)
-	select {
-	case chans[0] <- seed:
-	case <-rctx.Done():
-		fail(rctx.Err())
-		s.resident.add(-1)
-		pool.put(seed)
-	}
-	close(chans[0])
-
-	wg.Wait()
-	if partial {
-		failMu.Lock()
-		err := ruleErr
-		failMu.Unlock()
-		switch {
-		case err != nil:
-			s.recordFailure(p.idx, p.rule, err)
-		case ctx.Err() == nil:
-			for _, rows := range held {
-				rp.Answers += len(rows)
-				if !s.emit(ctx, rows) {
-					break
-				}
-			}
-		}
-	}
-	rp.Elapsed = time.Since(ruleStart)
-	rp.PeakBindings = int(s.resident.max.Load())
-	if err := ctx.Err(); err != nil {
-		s.fail(err)
-	}
 }

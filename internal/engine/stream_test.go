@@ -257,7 +257,7 @@ func TestStreamPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, parallel := range []bool{false, true} {
-		s, err := NewRuntime().StreamEval(ctx, u, ps, cat, StreamOpts{Parallel: parallel})
+		s, err := NewRuntime().StreamEval(ctx, u, ps, cat, Answered{}, Opts{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}

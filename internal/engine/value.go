@@ -99,12 +99,19 @@ func (r *Rel) Add(row Row) bool {
 	return true
 }
 
-// AddAll inserts every row of other.
-func (r *Rel) AddAll(other *Rel) {
-	for _, row := range other.rows {
-		r.Add(row)
+// AddRows inserts the rows, reporting how many were new.
+func (r *Rel) AddRows(rows []Row) int {
+	added := 0
+	for _, row := range rows {
+		if r.Add(row) {
+			added++
+		}
 	}
+	return added
 }
+
+// AddAll inserts every row of other.
+func (r *Rel) AddAll(other *Rel) { r.AddRows(other.rows) }
 
 // Contains reports membership.
 func (r *Rel) Contains(row Row) bool { return r.seen[row.Key()] }

@@ -278,49 +278,6 @@ func TestValidateBenchReport(t *testing.T) {
 	}
 }
 
-func TestValidateBenchReportE25(t *testing.T) {
-	good := &ColumnarReport{
-		Experiment: "E25",
-		Config:     ColumnarConfig{BaseRows: 4000, Fanout: 8},
-		Rows:       32000, Answers: 120,
-		MapMS: 75.0, ColumnarMS: 11.0, Speedup: 6.8,
-		MapCalls: 49, ColumnarCalls: 49,
-		MapAllocsPerOp: 280000, ColumnarAllocsPerOp: 5900,
-		ByteIdentical: true,
-	}
-	data, _ := json.Marshal(good)
-	if err := ValidateBenchReport(data); err != nil {
-		t.Fatalf("valid E25 report rejected: %v", err)
-	}
-	remarshal := func(mutate func(m map[string]any)) []byte {
-		var m map[string]any
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		mutate(m)
-		out, _ := json.Marshal(m)
-		return out
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { delete(m, "speedup") })); err == nil {
-		t.Error("missing speedup must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["columnar_ms"] = "fast" })); err == nil {
-		t.Error("non-numeric columnar_ms must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["map_calls"] = 48.0 })); err == nil {
-		t.Error("diverging source-call counts must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["byte_identical"] = false })); err == nil {
-		t.Error("byte_identical=false must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["columnar_allocs_per_op"] = 400000.0 })); err == nil {
-		t.Error("columnar allocs above the map baseline must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["speedup"] = 0.9 })); err == nil {
-		t.Error("speedup below 1 must fail validation")
-	}
-}
-
 func TestValidateBenchReportE26(t *testing.T) {
 	good := &WarmRestartReport{
 		Experiment: "E26",

@@ -1,7 +1,6 @@
 package ucqn
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -349,84 +348,5 @@ func TestContainmentOrderProperties(t *testing.T) {
 		if !Contained(a, union) {
 			t.Fatalf("disjunct must be contained in union")
 		}
-	}
-}
-
-// sameRowsInOrder reports whether two relations hold byte-identical
-// rows in the same insertion order.
-func sameRowsInOrder(a, b *Rel) bool {
-	ra, rb := a.Rows(), b.Rows()
-	if len(ra) != len(rb) {
-		return false
-	}
-	for i := range ra {
-		if len(ra[i]) != len(rb[i]) {
-			return false
-		}
-		for j := range ra[i] {
-			if ra[i][j] != rb[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Columnar/map differential: the columnar batch evaluator (the
-// default) must be observationally identical to the historical
-// map-based evaluator (Runtime.MapEval) on random workloads with
-// negation, constants, and repeated variables — byte-identical rows in
-// the same insertion order, and the same number of source calls. The
-// streamed pipeline, drained, must match both.
-func TestColumnarMatchesMapEvaluator(t *testing.T) {
-	g := workload.New(311)
-	s := g.Schema(4, 1, 2)
-	ps := g.Patterns(s, 0.3, 2) // mostly-output patterns: more orderable draws
-	cfg := workload.QueryConfig{PosLits: 3, NegLits: 1, VarPool: 4, ConstProb: 0.1, HeadVars: 1, DomainSize: 5}
-	colRT := NewRuntime()
-	mapRT := NewRuntime()
-	mapRT.MapEval = true
-	ctx := context.Background()
-	tested := 0
-	for i := 0; i < 250; i++ {
-		u := g.UCQ(s, 2, cfg)
-		ordered, ok := Reorder(u, ps)
-		if !ok {
-			continue
-		}
-		in := engine.NewInstance()
-		if err := in.LoadFacts(g.Facts(s, 10, 5)); err != nil {
-			t.Fatal(err)
-		}
-		catCol, catMap := in.MustCatalog(ps), in.MustCatalog(ps)
-		gotCol, err := colRT.Answer(ctx, ordered, ps, catCol)
-		if err != nil {
-			t.Fatalf("columnar failed on executable query %s: %v", ordered, err)
-		}
-		gotMap, err := mapRT.Answer(ctx, ordered, ps, catMap)
-		if err != nil {
-			t.Fatalf("map evaluator failed on executable query %s: %v", ordered, err)
-		}
-		if !sameRowsInOrder(gotCol, gotMap) {
-			t.Fatalf("evaluators disagree on\n%s\ncolumnar: %s\nmap:      %s", ordered, gotCol, gotMap)
-		}
-		if cc, mc := catCol.TotalStats().Calls, catMap.TotalStats().Calls; cc != mc {
-			t.Fatalf("call counts differ on\n%s\ncolumnar %d vs map %d", ordered, cc, mc)
-		}
-		stream, err := colRT.Stream(ctx, ordered, ps, in.MustCatalog(ps))
-		if err != nil {
-			t.Fatalf("stream start failed on %s: %v", ordered, err)
-		}
-		drained, err := stream.Drain()
-		if err != nil {
-			t.Fatalf("stream failed on %s: %v", ordered, err)
-		}
-		if !sameRowsInOrder(drained, gotMap) {
-			t.Fatalf("streamed drain diverges on\n%s\nstream: %s\nmap:    %s", ordered, drained, gotMap)
-		}
-		tested++
-	}
-	if tested < 40 {
-		t.Errorf("only %d cases engaged", tested)
 	}
 }
