@@ -31,10 +31,14 @@ bench-build:
 # E20 streaming pipeline, E21 degradation, E22 query cache, E23 hedged
 # requests; then E25, columnar evaluation against the map-based oracle
 # it lives beside): runs each once, which also exercises their built-in
-# acceptance assertions.
+# acceptance assertions. Then the package microbenchmarks of the answer
+# hand-off (row keys, Sorted fresh and frozen, a full answer hit, the
+# wire flattening), once each, so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='E19|E20|E21|E22|E23' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='E25Columnar' -benchtime=1x ./internal/engine/
+	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted' -benchtime=1x ./internal/engine/
+	$(GO) test -run='^$$' -bench='AnswersFullHit' -benchtime=1x ./internal/qcache/
+	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
 
 # Fault-injection smoke: the paper examples' underestimates with one
 # source killed per run must degrade (partial answers + incompleteness

@@ -103,13 +103,14 @@ func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.P
 	}
 
 	// Degraded disjuncts never reach the sink, so only complete
-	// per-disjunct answers are stored.
+	// per-disjunct answers are stored — as handed over: a materialized
+	// run calls the sink once per rule with rows that are distinct and
+	// the sink's to keep (engine.Sink), which is what Frozen asks for.
 	out := engine.NewRel()
 	rels := make([]*engine.Rel, len(exec.Rules))
 	prof, inc, err := rt.Run(ctx, exec, ps, cat, pre, c.engineOpts(), func(_ context.Context, i int, rows []engine.Row) (int, bool) {
 		if !hit.Covered[i] {
-			rels[i] = engine.NewRel()
-			rels[i].AddRows(rows)
+			rels[i] = engine.Frozen(rows)
 		}
 		return out.AddRows(rows), true
 	})

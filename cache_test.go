@@ -311,3 +311,93 @@ func TestExecQueryCacheProfile(t *testing.T) {
 		t.Fatalf("cache stats = %+v", stats)
 	}
 }
+
+// TestCacheFullHitIdenticalToUncached is the frozen answer tier's
+// differential: over random plans of one, two and three disjuncts —
+// as drawn, with a disjunct repeated under other variable names (every
+// one of its rows a cross-disjunct duplicate), and with an
+// unsatisfiable disjunct among them — a full hit's Rows() and Sorted()
+// are row for row what an uncached Exec of the plan's representative
+// returns, and a caller that adds to the relation of one hit leaves the
+// next hit unchanged.
+func TestCacheFullHitIdenticalToUncached(t *testing.T) {
+	hits, duplicated := 0, 0
+	for seed := int64(0); seed < 30; seed++ {
+		g := workload.New(900 + seed)
+		s := g.Schema(4, 1, 2)
+		ps := g.Patterns(s, 0.3, 2)
+		cfg := workload.QueryConfig{PosLits: 2, NegLits: 1, VarPool: 3, ConstProb: 0.1, HeadVars: 1, DomainSize: 5}
+		in := engine.NewInstance()
+		if err := in.LoadFacts(g.Facts(s, 14, 5)); err != nil {
+			t.Fatal(err)
+		}
+		cat, err := in.Catalog(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for disjuncts := 1; disjuncts <= 3; disjuncts++ {
+			drawn, ok := Reorder(g.UCQ(s, disjuncts, cfg), ps)
+			if !ok {
+				continue
+			}
+			first := drawn.Rules[0]
+			repeated := drawn.Clone()
+			repeated.Rules = append(repeated.Rules, workload.AlphaRename(Query{Rules: []Rule{first}}, "dup").Rules[0])
+			unsat := drawn.Clone()
+			dead := first.Clone()
+			for _, l := range first.Body {
+				if !l.Negated {
+					dead.Body = append(dead.Body, Literal{Atom: l.Atom.Clone(), Negated: true})
+					break
+				}
+			}
+			unsat.Rules = append([]Rule{dead}, unsat.Rules...)
+
+			for name, u := range map[string]Query{"drawn": drawn, "repeated": repeated, "unsat": unsat} {
+				qc := NewQueryCache(QueryCacheOptions{})
+				entry, _ := qc.Plan(u, ps)
+				if entry.Err() != nil {
+					continue
+				}
+				what := fmt.Sprintf("seed %d, %d disjuncts, %s", seed, disjuncts, name)
+				want := execRel(t, entry.Exec(), ps, cat)
+				assertSameRows(t, what+": storing run", execRel(t, u, ps, cat, WithQueryCache(qc)), want)
+				for pass := 0; pass < 2; pass++ {
+					before := cat.TotalStats().Calls
+					res, err := Exec(context.Background(), u, ps, cat, WithQueryCache(qc), WithProfile())
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if prof, _ := res.Profile(); prof.Cache.AnswerHits != 1 || cat.TotalStats().Calls != before {
+						t.Fatalf("%s: pass %d is not a full answer hit", what, pass)
+					}
+					got, _ := res.Rel()
+					assertSameRows(t, what+": hit rows", got, want)
+					gs, ws := got.Sorted(), want.Sorted()
+					for i := range ws {
+						if gs[i].Key() != ws[i].Key() {
+							t.Fatalf("%s: sorted row %d = %s, want %s", what, i, gs[i], ws[i])
+						}
+					}
+					// The caller owns what it was handed.
+					if !got.Add(engine.RowOf("added by the caller of pass " + fmt.Sprint(pass))) {
+						t.Fatalf("%s: a hit must accept a new row", what)
+					}
+				}
+				hits++
+				if perRule := qc.Answers(entry, cat); perRule.Full != nil {
+					total := 0
+					for _, rows := range perRule.Rows {
+						total += len(rows)
+					}
+					if total > perRule.Full.Len() {
+						duplicated++
+					}
+				}
+			}
+		}
+	}
+	if hits < 60 || duplicated < 20 {
+		t.Fatalf("only %d plans checked, %d of them with cross-disjunct duplicates; the draw no longer covers the property", hits, duplicated)
+	}
+}

@@ -337,7 +337,7 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 	if c.hasStats {
 		ordered, ok := core.CostOrderUCQ(q, ps, c.stats)
 		if !ok {
-			return nil, errors.New("ucqn: query is not orderable under the declared access patterns")
+			return nil, fmt.Errorf("ucqn: %w", ErrNotOrderable)
 		}
 		q = ordered
 	}

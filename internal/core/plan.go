@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -146,6 +147,13 @@ func overestimateRule(ans logic.CQ) logic.CQ {
 	}
 	return out
 }
+
+// ErrNotOrderable is the planning failure every layer reports, wrapped,
+// for a query the declared access patterns cannot run: no ordering of
+// some rule's literals binds every input slot (an unknown relation or a
+// wrong arity has no pattern to call at all), or a rule handed over as
+// executable is not. It is the querier's error, not the mediator's.
+var ErrNotOrderable = errors.New("query is not orderable under the declared access patterns")
 
 // ExecutionOrder returns the adorned execution steps for an executable
 // rule (one access pattern chosen per literal), or an error if the rule

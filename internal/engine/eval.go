@@ -25,14 +25,22 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
 )
 
 // errNotExecutable marks compile-time plan failures: a rule that cannot
 // be executed as written. Partial-results mode never degrades on it —
-// it is a planning error, not a runtime fault.
-var errNotExecutable = errors.New("engine: rule is not executable as written")
+// it is a planning error, not a runtime fault — and callers classify it
+// as core.ErrNotOrderable.
+var errNotExecutable error = notExecutableError{}
+
+type notExecutableError struct{}
+
+func (notExecutableError) Error() string { return "engine: rule is not executable as written" }
+
+func (notExecutableError) Is(target error) bool { return target == core.ErrNotOrderable }
 
 // Opts selects how an execution runs the rules of a union.
 type Opts struct {

@@ -18,11 +18,12 @@ package qcache
 // Invalidation must go through InvalidateCatalog when persistence is
 // on: it restores first (so the bump lands above the persisted
 // generation), bumps the catalog, and appends a tombstone — a restart
-// can then never resurrect the invalidated answers. A raw
-// Catalog.Invalidate still protects the running process (the
-// fingerprint changes), and the next StoreAnswers implicitly
-// supersedes the persisted state via its higher generation; only a
-// crash in between would restore pre-invalidation answers.
+// can then never resurrect the invalidated answers — and drops the
+// catalog's in-memory entries on the spot. A raw Catalog.Invalidate
+// still protects the running process (the fingerprint changes; the
+// orphaned entries wait for LRU pressure), and the next StoreAnswers
+// implicitly supersedes the persisted state via its higher generation;
+// only a crash in between would restore pre-invalidation answers.
 
 import (
 	"encoding/json"
@@ -97,12 +98,21 @@ func (c *Cache) ClosePersist() error {
 // first (so the new generation lands above everything persisted), bump
 // the catalog, then append a tombstone pinning the bumped generation.
 // After a restart the tombstone guarantees every answer stored below it
-// stays dead. Without an attached log (or an unlabeled catalog) it
-// degrades to a plain Catalog.Invalidate.
+// stays dead. Without an attached log (or an unlabeled catalog) only the
+// catalog is bumped.
+//
+// It also frees the catalog's cached answers at once: generations only
+// grow, so nothing stored under an earlier one can be served again, and
+// left in place the entries would hold their rows, count against the
+// byte bound and lengthen every equivalence scan until LRU pressure
+// reached them. They are not counted in Stats.Evictions (capacity,
+// bytes, TTL). A raw Catalog.Invalidate cannot reach the cache and
+// keeps that lazy behaviour.
 func (c *Cache) InvalidateCatalog(cat *sources.Catalog) {
 	c.mu.Lock()
 	c.ensureRestoredLocked(cat, false)
 	cat.Invalidate()
+	c.dropCatalogLocked(cat)
 	lg := c.persist
 	var label string
 	if lg != nil {
@@ -191,7 +201,6 @@ func (c *Cache) restoreEntry(pe persist.Entry, catFP string) (*ansEntry, bool) {
 		return nil, true
 	}
 	rows := make([]engine.Row, 0, len(pe.Rows))
-	var bytes int64
 	for _, pr := range pe.Rows {
 		if len(pr) != pe.Arity {
 			return nil, false
@@ -205,11 +214,12 @@ func (c *Cache) restoreEntry(pe persist.Entry, catFP string) (*ansEntry, bool) {
 			}
 		}
 		rows = append(rows, row)
-		bytes += int64(len(row.Key())) + 32
 	}
+	// A record is one stored answer's rows, distinct when written; the
+	// log's checksum vouches they are the rows that were written.
 	return &ansEntry{
 		key: pe.CoreKey + "\x1f" + catFP, catFP: catFP, core: cq,
-		arity: pe.Arity, rows: rows, bytes: bytes, created: created,
+		arity: pe.Arity, rel: engine.Frozen(rows), bytes: rowBytes(rows), created: created,
 	}, true
 }
 

@@ -26,10 +26,16 @@
 // the union is assembled from cache without any source call; when only
 // some are, the remainder runs live and the results are unioned.
 //
+// A cached answer is immutable until its catalog generation moves, so
+// the cache holds it as a frozen relation (engine.Frozen) and hands out
+// views: a hit keys, copies and sorts nothing, and the union of several
+// disjuncts is assembled outside the cache lock.
+//
 // Both tiers are LRU-bounded (entries, and approximate bytes for
 // answers), optionally TTL-expired, and invalidated by the catalog
-// generation counter (sources.Catalog.Invalidate / ResetStats). The
-// cache is safe for concurrent use.
+// generation counter (sources.Catalog.Invalidate / ResetStats);
+// Cache.InvalidateCatalog also frees the invalidated entries at once.
+// The cache is safe for concurrent use.
 package qcache
 
 import (
@@ -180,7 +186,7 @@ type PlanEntry struct {
 func (e *PlanEntry) Exec() logic.UCQ { return e.exec }
 
 // Err returns the cached planning failure (the query is not orderable
-// under the patterns), or nil.
+// under the patterns; it wraps core.ErrNotOrderable), or nil.
 func (e *PlanEntry) Err() error { return e.planErr }
 
 // Orderable reports the cached orderability verdict.
@@ -214,13 +220,16 @@ type planFlight struct {
 	entry *PlanEntry
 }
 
-// ansEntry is one disjunct's cached answer rows.
+// ansEntry is one disjunct's cached answer. The cache owns rel, a
+// frozen relation nothing writes again: hits are handed views of it, and
+// every entry holding the same answer (an equivalence alias, a restored
+// record) shares the one relation and hence its canonical order.
 type ansEntry struct {
 	key     string // coreKey + catalog fingerprint
 	catFP   string
 	core    logic.CQ // canonical core (head normalized); for equivalence scans
 	arity   int
-	rows    []engine.Row
+	rel     *engine.Rel
 	bytes   int64
 	created time.Time
 }
@@ -228,8 +237,10 @@ type ansEntry struct {
 // AnswerHit is the result of consulting the answer cache for one plan
 // entry.
 type AnswerHit struct {
-	// Full is the complete answer, assembled from cached rows in rule
-	// order, when every non-False disjunct is covered; nil otherwise.
+	// Full is the complete answer, the union of the cached disjuncts in
+	// rule order, when every non-False disjunct is covered; nil
+	// otherwise. It borrows the cached rows but is the caller's to Add
+	// to (see engine.Union).
 	Full *engine.Rel
 	// Rows[i] holds exec rule i's cached rows when Covered[i].
 	Rows [][]engine.Row
@@ -468,7 +479,7 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 			e.exec = minimized
 			e.orderable = true
 		} else {
-			e.planErr = fmt.Errorf("qcache: query is not orderable under the given patterns (no executable form): %s", q)
+			e.planErr = fmt.Errorf("qcache: %w (no executable form): %s", core.ErrNotOrderable, q)
 		}
 	}
 
@@ -503,7 +514,7 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 			if !ok {
 				// Should not happen for an executable representative;
 				// degrade to a planning error rather than panic.
-				e.planErr = fmt.Errorf("qcache: rule is not executable as written: %s", rule)
+				e.planErr = fmt.Errorf("qcache: rule is not executable as written (%w): %s", core.ErrNotOrderable, rule)
 				break
 			}
 			e.steps[i] = steps
@@ -539,11 +550,28 @@ func catFingerprint(cat *sources.Catalog) string {
 	return fmt.Sprintf("%d:%d", cat.ID(), cat.Generation())
 }
 
+// dropCatalogLocked removes every answer entry of cat, whatever its
+// generation; c.mu must be held.
+func (c *Cache) dropCatalogLocked(cat *sources.Catalog) {
+	identity := fmt.Sprintf("%d:", cat.ID()) // catFingerprint up to the generation
+	for elem := c.ansLRU.Front(); elem != nil; {
+		next := elem.Next()
+		if strings.HasPrefix(elem.Value.(*ansEntry).catFP, identity) {
+			c.removeAnswerLocked(elem)
+		}
+		elem = next
+	}
+}
+
 // Answers consults the answer cache for e against cat. Soundness: a
 // disjunct's rows are reused only when its core is equivalent to the
 // cached core (key equality ⇒ isomorphism ⇒ equivalence, or the mutual
 // containment check) and the catalog fingerprint — identity plus
 // generation — matches. One-way containment is never used.
+//
+// The lock covers the lookups only: a full hit's union is assembled
+// after it is released, from frozen relations no one writes, so a large
+// answer never stalls another tenant's lookup.
 func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 	n := len(e.exec.Rules)
 	hit := AnswerHit{Rows: make([][]engine.Row, n), Covered: make([]bool, n)}
@@ -551,13 +579,13 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 		return hit
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	// Warm-load any persisted state for this catalog's label before
 	// computing the fingerprint: the restore may advance the catalog's
 	// generation, and the fingerprint must reflect it.
 	c.ensureRestoredLocked(cat, true)
 	catFP := catFingerprint(cat)
 	equivBudget := c.opt.EquivBudget
+	parts := make([]*engine.Rel, 0, n) // the covered disjuncts' answers, in rule order
 	full := true
 	for i, rule := range e.exec.Rules {
 		if rule.False {
@@ -571,53 +599,44 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 			continue
 		}
 		key := e.coreKeys[i] + "\x1f" + catFP
-		elem, ok := c.answers[key]
-		if ok {
-			a := elem.Value.(*ansEntry)
-			if !c.fresh(a.created) {
+		var a *ansEntry
+		if elem, ok := c.answers[key]; ok {
+			if a = elem.Value.(*ansEntry); c.fresh(a.created) {
+				c.ansLRU.MoveToFront(elem)
+			} else {
 				c.removeAnswerLocked(elem)
 				c.stats.Evictions++
-				ok = false
-			} else {
-				c.ansLRU.MoveToFront(elem)
-				hit.Rows[i] = a.rows
-				hit.Covered[i] = true
-				hit.ReusedRules++
-				hit.CachedRules++
+				a = nil
 			}
 		}
-		if !ok {
-			if a := c.equivScanLocked(e.cores[i], catFP, &equivBudget); a != nil {
-				// Alias the scanned entry under this core's key so the
-				// next lookup is O(1).
-				c.installAnswerLocked(&ansEntry{
-					key: key, catFP: catFP, core: a.core, arity: a.arity,
-					rows: a.rows, bytes: a.bytes, created: a.created,
-				})
-				hit.Rows[i] = a.rows
-				hit.Covered[i] = true
-				hit.ReusedRules++
-				hit.CachedRules++
-				hit.EquivHits++
-				c.stats.EquivHits++
-			} else {
+		if a == nil {
+			if a = c.equivScanLocked(e.cores[i], catFP, &equivBudget); a == nil {
 				full = false
+				continue
 			}
+			// Alias the scanned entry under this core's key so the next
+			// lookup is O(1).
+			c.installAnswerLocked(&ansEntry{
+				key: key, catFP: catFP, core: a.core, arity: a.arity,
+				rel: a.rel, bytes: a.bytes, created: a.created,
+			})
+			hit.EquivHits++
+			c.stats.EquivHits++
 		}
+		hit.Rows[i] = a.rel.Rows()
+		hit.Covered[i] = true
+		hit.ReusedRules++
+		hit.CachedRules++
+		parts = append(parts, a.rel)
 	}
 	if full {
-		// Assemble in rule order: identical rows and insertion order to a
-		// sequential live evaluation.
-		rel := engine.NewRel()
-		for i := range e.exec.Rules {
-			for _, row := range hit.Rows[i] {
-				rel.Add(row)
-			}
-		}
-		hit.Full = rel
 		c.stats.AnswerHits++
 	} else if hit.CachedRules > 0 {
 		c.stats.PartialReuseRules += hit.CachedRules
+	}
+	c.mu.Unlock()
+	if full {
+		hit.Full = engine.Union(parts)
 	}
 	return hit
 }
@@ -692,17 +711,12 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 		if _, ok := c.answers[key]; ok {
 			continue // first writer wins; equal up to row order anyway
 		}
-		rows := rel.Rows()
-		var bytes int64
-		for _, row := range rows {
-			bytes += int64(len(row.Key())) + 32
-		}
 		c.installAnswerLocked(&ansEntry{
 			key: key, catFP: catFP, core: e.cores[i], arity: len(e.cores[i].HeadArgs),
-			rows: rows, bytes: bytes, created: now,
+			rel: rel.View(), bytes: rowBytes(rel.Rows()), created: now,
 		})
 		if label != "" {
-			if pe, ok := persistEntry(label, gen, now, e.coreKeys[i], e.cores[i], rows); ok {
+			if pe, ok := persistEntry(label, gen, now, e.coreKeys[i], e.cores[i], rel.Rows()); ok {
 				spill = append(spill, pe)
 			}
 		}
@@ -716,6 +730,16 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 		_ = lg.Append(pe)
 	}
 	return evicted
+}
+
+// rowBytes is the answer cache's approximate size of rows: each row's
+// key length plus a fixed overhead.
+func rowBytes(rows []engine.Row) int64 {
+	var n int64
+	for _, row := range rows {
+		n += int64(row.KeyLen()) + 32
+	}
+	return n
 }
 
 // installAnswerLocked inserts an answer entry and evicts past the

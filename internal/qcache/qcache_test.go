@@ -12,7 +12,7 @@ import (
 	"repro/internal/sources"
 )
 
-func q(t *testing.T, src string) logic.UCQ {
+func q(t testing.TB, src string) logic.UCQ {
 	t.Helper()
 	u, err := parser.ParseUCQ(src)
 	if err != nil {
@@ -21,7 +21,7 @@ func q(t *testing.T, src string) logic.UCQ {
 	return u
 }
 
-func pats(t *testing.T, src string) *access.Set {
+func pats(t testing.TB, src string) *access.Set {
 	t.Helper()
 	ps, err := parser.ParsePatterns(src)
 	if err != nil {
@@ -31,7 +31,7 @@ func pats(t *testing.T, src string) *access.Set {
 }
 
 // testCatalog builds a catalog with R/S/T unary all-output tables.
-func testCatalog(t *testing.T) *sources.Catalog {
+func testCatalog(t testing.TB) *sources.Catalog {
 	t.Helper()
 	in := engine.NewInstance()
 	in.MustAdd("R", "a").MustAdd("R", "b").MustAdd("S", "b").MustAdd("T", "c")
@@ -354,7 +354,7 @@ func TestEquivScanMechanism(t *testing.T) {
 	c.mu.Lock()
 	c.installAnswerLocked(&ansEntry{
 		key: "k\x1ffp", catFP: "fp", core: stored, arity: 1,
-		rows: []engine.Row{{engine.V("a")}}, created: time.Now(),
+		rel: engine.Frozen([]engine.Row{{engine.V("a")}}), created: time.Now(),
 	})
 	// Equivalent core (here: identical up to renaming) under a different
 	// key is found by the mutual containment scan.

@@ -348,9 +348,16 @@ func (s *Server) admit(ctx context.Context) (release func(), shed bool) {
 	}
 }
 
+// ErrParseQuery is wrapped by the error Query returns for a query text
+// that does not parse.
+var ErrParseQuery = errors.New("server: parse query")
+
 // Query answers one tenant query, applying admission control, the
 // tenant quota, and the shared cache. It is the HTTP handler's core and
-// is also callable directly (tests, in-process loadgen).
+// is also callable directly (tests, in-process loadgen). Two failures
+// are the request's own and are told apart with errors.Is: a text that
+// does not parse (ErrParseQuery) and a query the tenant's patterns cannot
+// run (ucqn.ErrNotOrderable); neither counts in the tenant's errors.
 func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, error) {
 	t := s.Tenant(tenant)
 	if t == nil {
@@ -358,7 +365,7 @@ func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, er
 	}
 	q, err := ucqn.ParseQuery(query)
 	if err != nil {
-		return nil, fmt.Errorf("server: parse query: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrParseQuery, err)
 	}
 	t.requests.Add(1)
 	// Read the generation before evaluation: a response claims only the
@@ -387,7 +394,9 @@ func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, er
 	}
 	res, err := ucqn.Exec(ctx, q, t.ps, t.cat, opts...)
 	if err != nil {
-		t.errors.Add(1)
+		if !errors.Is(err, ucqn.ErrNotOrderable) {
+			t.errors.Add(1)
+		}
 		return nil, err
 	}
 	rel, err := res.Rel()
@@ -419,21 +428,28 @@ func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, er
 	return resp, nil
 }
 
-// wireRows flattens a relation for the wire. Underestimates carry no
-// nulls (they are answers of surviving disjuncts); a null from other
-// execution modes serializes as the string "null".
+// wireRows flattens a relation for the wire, in Sorted order, every row
+// a window of one backing array. Underestimates carry no nulls (they
+// are answers of surviving disjuncts); a null from other execution modes
+// serializes as the string "null".
 func wireRows(rel *ucqn.Rel) [][]string {
-	out := make([][]string, 0, rel.Len())
-	for _, row := range rel.Sorted() {
-		r := make([]string, len(row))
-		for i, v := range row {
+	rows := rel.Sorted()
+	cells := 0
+	for _, row := range rows {
+		cells += len(row)
+	}
+	flat := make([]string, 0, cells)
+	out := make([][]string, len(rows))
+	for i, row := range rows {
+		start := len(flat)
+		for _, v := range row {
 			if v.Null {
-				r[i] = "null"
+				flat = append(flat, "null")
 			} else {
-				r[i] = v.S
+				flat = append(flat, v.S)
 			}
 		}
-		out = append(out, r)
+		out[i] = flat[start:len(flat):len(flat)]
 	}
 	return out
 }
@@ -548,6 +564,9 @@ func (s *Server) Stats() Stats {
 // Handler returns the HTTP API:
 //
 //	POST /v1/query      {"tenant": ..., "query": ...} → Response
+//	                    404 unknown tenant · 400 query does not parse ·
+//	                    422 query not orderable under the tenant's patterns
+//	                    (unknown relation, wrong arity) · 500 anything else
 //	POST /v1/invalidate {"tenant": ...}               → {"tenant": ..., "gen": N}
 //	GET  /v1/stats                                    → Stats
 //	GET  /v1/healthz                                  → 200 "ok ..." | "degraded ..."
@@ -620,10 +639,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.Query(r.Context(), req.Tenant, req.Query)
 	if err != nil {
 		status := http.StatusInternalServerError
-		if s.Tenant(req.Tenant) == nil {
+		switch {
+		case s.Tenant(req.Tenant) == nil:
 			status = http.StatusNotFound
-		} else if strings.Contains(err.Error(), "parse query") {
+		case errors.Is(err, ErrParseQuery):
 			status = http.StatusBadRequest
+		case errors.Is(err, ucqn.ErrNotOrderable):
+			status = http.StatusUnprocessableEntity
 		}
 		http.Error(w, err.Error(), status)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -92,11 +93,31 @@ func TestServerUnknownTenantAndBadQuery(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if _, _, status := post(t, ts.URL, "nobody", fixtures[0].Queries[0]); status != http.StatusNotFound {
-		t.Errorf("unknown tenant status = %d, want 404", status)
+	// Whose fault a refused query is: the request's (404, 400, 422) —
+	// never a 500, and never counted in the tenant's errors. The fixture
+	// declares R^oo S^io L^o.
+	name := fixtures[0].Name
+	for _, tc := range []struct {
+		what, tenant, query string
+		want                int
+		is                  error
+	}{
+		{"answerable", name, `Q(x, y) :- R(x, z), S(z, y).`, http.StatusOK, nil},
+		{"unknown tenant", "nobody", fixtures[0].Queries[0], http.StatusNotFound, nil},
+		{"malformed", name, "this is not a query", http.StatusBadRequest, ErrParseQuery},
+		{"S's input never bound", name, `Q(y) :- S(x, y).`, http.StatusUnprocessableEntity, ucqn.ErrNotOrderable},
+		{"unknown relation", name, `Q(x) :- Nowhere(x).`, http.StatusUnprocessableEntity, ucqn.ErrNotOrderable},
+		{"wrong arity", name, `Q(x) :- R(x).`, http.StatusUnprocessableEntity, ucqn.ErrNotOrderable},
+	} {
+		if _, _, status := post(t, ts.URL, tc.tenant, tc.query); status != tc.want {
+			t.Errorf("%s: status = %d, want %d", tc.what, status, tc.want)
+		}
+		if _, err := s.Query(context.Background(), tc.tenant, tc.query); tc.is != nil && !errors.Is(err, tc.is) {
+			t.Errorf("%s: Query error %v is not %v", tc.what, err, tc.is)
+		}
 	}
-	if _, _, status := post(t, ts.URL, fixtures[0].Name, "this is not a query"); status != http.StatusBadRequest {
-		t.Errorf("bad query status = %d, want 400", status)
+	if st := s.Stats().Tenants[name]; st.Errors != 0 {
+		t.Errorf("refused queries counted %d tenant errors, want 0", st.Errors)
 	}
 	// Bodies over maxRequestBytes are refused on both POST endpoints
 	// before they are buffered.

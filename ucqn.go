@@ -176,6 +176,13 @@ func FeasibleLimited(q Query, ps *PatternSet, maxNodes int) (FeasibleResult, err
 // is exhausted.
 var ErrBudget = containment.ErrBudget
 
+// ErrNotOrderable is wrapped by every error Exec returns for a query the
+// declared patterns cannot run — no executable ordering (with or without
+// a query cache, under WithStats too), an unknown relation, a wrong
+// arity, or a rule that is not executable as written. Test with
+// errors.Is: it marks the request, not the mediator, as at fault.
+var ErrNotOrderable = core.ErrNotOrderable
+
 // ExecutionOrder returns the adorned steps of an executable rule.
 func ExecutionOrder(r Rule, ps *PatternSet) ([]AdornedLiteral, error) {
 	return core.ExecutionOrder(r, ps)
