@@ -33,12 +33,16 @@ bench-build:
 # it lives beside): runs each once, which also exercises their built-in
 # acceptance assertions. Then the package microbenchmarks of the answer
 # hand-off (row keys, Sorted fresh and frozen, a full answer hit, the
-# wire flattening), once each, so they keep compiling and running.
+# wire flattening) and of a plan miss (minimization, canonical key, one
+# containment test, a whole plan build, an answer-tier miss beside 16
+# and 1024 entries), once each, so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='E19|E20|E21|E22|E23' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted' -benchtime=1x ./internal/engine/
-	$(GO) test -run='^$$' -bench='AnswersFullHit' -benchtime=1x ./internal/qcache/
+	$(GO) test -run='^$$' -bench='AnswersFullHit|AnswersMiss|PlanMiss' -benchtime=1x ./internal/qcache/
 	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
+	$(GO) test -run='^$$' -bench='BenchmarkCQ' -benchtime=1x ./internal/minimize/
+	$(GO) test -run='^$$' -bench='CanonicalKey|ContainedCQ' -benchtime=1x ./internal/containment/
 
 # Fault-injection smoke: the paper examples' underestimates with one
 # source killed per run must degrade (partial answers + incompleteness

@@ -153,7 +153,7 @@ func TestCoresPreservesPositions(t *testing.T) {
 		Q(x) :- S(x), not S(x).
 		Q(x) :- T(x).
 	`)
-	cores := Cores(u)
+	cores := Cores(u, 1<<20)
 	if len(cores) != len(u.Rules) {
 		t.Fatalf("Cores returned %d entries for %d rules", len(cores), len(u.Rules))
 	}

@@ -198,6 +198,7 @@ func TestByteAccountingMatchesKeyLength(t *testing.T) {
 	if st := c.Stats(); c.ansBytes != want || st.PersistBytes != want {
 		t.Fatalf("restored entry accounts %d bytes (stats %d), want %d", c.ansBytes, st.PersistBytes, want)
 	}
+	assertIndex(t, c)
 }
 
 // TestInvalidateCatalogFreesItsEntries: InvalidateCatalog drops the
@@ -260,6 +261,7 @@ func TestInvalidateCatalogFreesItsEntries(t *testing.T) {
 	if ev := c.Stats().Evictions; ev != 0 {
 		t.Fatalf("invalidation counted %d evictions; Evictions is capacity, bytes and TTL", ev)
 	}
+	assertIndex(t, c)
 	for i, e := range entries {
 		calls := catalogs["kept"].TotalStats().Calls
 		if hit := c.Answers(e, catalogs["kept"]); hit.Full == nil || hit.Full.Len() != 3+i {
@@ -294,6 +296,7 @@ func TestInvalidateCatalogFreesItsEntries(t *testing.T) {
 	if st := c.Stats(); st.PersistLoads != keptN {
 		t.Fatalf("reopened cache restored %d entries, want the %d of the sibling", st.PersistLoads, keptN)
 	}
+	assertIndex(t, c)
 }
 
 func BenchmarkAnswersFullHit(b *testing.B) {

@@ -103,11 +103,10 @@ func (c *Cache) ClosePersist() error {
 //
 // It also frees the catalog's cached answers at once: generations only
 // grow, so nothing stored under an earlier one can be served again, and
-// left in place the entries would hold their rows, count against the
-// byte bound and lengthen every equivalence scan until LRU pressure
-// reached them. They are not counted in Stats.Evictions (capacity,
-// bytes, TTL). A raw Catalog.Invalidate cannot reach the cache and
-// keeps that lazy behaviour.
+// left in place the entries would hold their rows and count against the
+// byte bound until LRU pressure reached them. They are not counted in
+// Stats.Evictions (capacity, bytes, TTL). A raw Catalog.Invalidate
+// cannot reach the cache and keeps that lazy behaviour.
 func (c *Cache) InvalidateCatalog(cat *sources.Catalog) {
 	c.mu.Lock()
 	c.ensureRestoredLocked(cat, false)
@@ -219,7 +218,7 @@ func (c *Cache) restoreEntry(pe persist.Entry, catFP string) (*ansEntry, bool) {
 	// log's checksum vouches they are the rows that were written.
 	return &ansEntry{
 		key: pe.CoreKey + "\x1f" + catFP, catFP: catFP, core: cq,
-		arity: pe.Arity, rel: engine.Frozen(rows), bytes: rowBytes(rows), created: created,
+		sig: coreSig(cq), rel: engine.Frozen(rows), bytes: rowBytes(rows), created: created,
 	}, true
 }
 

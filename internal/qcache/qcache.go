@@ -20,7 +20,10 @@
 // when its core is *equivalent* to the cached core — either the keys
 // are equal (isomorphism, hence equivalence) or a budgeted mutual
 // containment check (containment.ContainsLimited both ways) proves
-// equivalence for non-isomorphic cores. One-way containment is never
+// equivalence for non-isomorphic cores. That check is started only
+// against entries whose signature (coreSig: what equivalent cores must
+// share syntactically) equals the core's, found through a bucket index
+// rather than a walk of the tier. One-way containment is never
 // enough: p ⊑ q makes q's rows an overestimate of p's, and answer-level
 // reuse must return exactly ANSWER(p). When every disjunct is covered
 // the union is assembled from cache without any source call; when only
@@ -41,6 +44,7 @@ package qcache
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,13 +78,20 @@ type Options struct {
 	MaxAnswerBytes int64
 	// TTL expires entries of both tiers after this duration (0 = never).
 	TTL time.Duration
-	// FeasibleBudget bounds the containment nodes spent computing the
-	// cached FEASIBLE verdict (default 20000). On exhaustion the verdict
-	// is recorded as unknown; execution is unaffected.
+	// FeasibleBudget is the planning budget of a plan miss: minimizing
+	// the query's disjuncts and computing the cached FEASIBLE verdict
+	// each draw at most this many containment nodes (default 20000).
+	// When minimization runs out, the literals not yet tested stay —
+	// the plan is as correct, its cores possibly not minimal, so a
+	// padded variant may miss the plan cache (the answer tier's
+	// equivalence lookup still finds its rows). When FEASIBLE runs out,
+	// the verdict is recorded as unknown; execution is unaffected.
 	FeasibleBudget int
 	// EquivScanLimit bounds how many cached cores a single uncovered
 	// disjunct may be tested against for equivalence (default 16;
-	// negative = no scan).
+	// negative = no test). Only plausible candidates count: cores
+	// cached for the same catalog whose signature (coreSig) equals the
+	// disjunct's, newest first.
 	EquivScanLimit int
 	// EquivBudget bounds the total containment nodes one Answers call
 	// may spend on equivalence scans (default 20000).
@@ -174,6 +185,7 @@ type PlanEntry struct {
 	steps     [][]access.AdornedLiteral // adornment per non-False exec rule (nil entry = False rule)
 	cores     []logic.CQ                // canonical core per exec rule, head normalized; positional
 	coreKeys  []string                  // CanonicalKey of cores[i]
+	coreSigs  []string                  // coreSig of cores[i] ("" for a False core)
 	orderable bool
 	feasible  Feasibility
 	verdict   core.Verdict
@@ -227,8 +239,8 @@ type planFlight struct {
 type ansEntry struct {
 	key     string // coreKey + catalog fingerprint
 	catFP   string
-	core    logic.CQ // canonical core (head normalized); for equivalence scans
-	arity   int
+	core    logic.CQ // canonical core (head normalized); for equivalence tests
+	sig     string   // coreSig(core); with catFP, the entry's bucket
 	rel     *engine.Rel
 	bytes   int64
 	created time.Time
@@ -274,6 +286,9 @@ type Cache struct {
 	answers  map[string]*list.Element // answer key -> element in ansLRU
 	ansLRU   *list.List               // of *ansEntry
 	ansBytes int64
+	// buckets indexes ansLRU by what an equivalent core must share:
+	// every entry is in exactly one bucket, in install order.
+	buckets map[bucketKey][]*ansEntry
 
 	// persist is the optional crash-safe spill layer (nil = memory
 	// only): a private persist.Log, or a fleet node sharing a
@@ -297,6 +312,7 @@ func New(opt Options) *Cache {
 		flights:  map[string]*planFlight{},
 		answers:  map[string]*list.Element{},
 		ansLRU:   list.New(),
+		buckets:  map[bucketKey][]*ansEntry{},
 		restored: map[string]uint64{},
 	}
 }
@@ -325,6 +341,7 @@ func (c *Cache) Purge() {
 	c.answers = map[string]*list.Element{}
 	c.ansLRU = list.New()
 	c.ansBytes = 0
+	c.buckets = map[bucketKey][]*ansEntry{}
 	// Forget restore state so persisted entries can warm the cache again
 	// on the next lookup (re-restoring is idempotent).
 	c.restored = map[string]uint64{}
@@ -455,7 +472,7 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	// the submitted form if executable as written, else its ANSWERABLE
 	// reordering. Every candidate is equivalent to q, so evaluating the
 	// representative is sound for every query that maps to this entry.
-	cores := minimize.Cores(q)
+	cores := minimize.Cores(q, c.opt.FeasibleBudget)
 	anyFalse := false
 	for _, cr := range cores {
 		if cr.False {
@@ -488,6 +505,7 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	// normalized away — it names the answer, it does not select it.
 	e.cores = make([]logic.CQ, len(cores))
 	e.coreKeys = make([]string, len(cores))
+	e.coreSigs = make([]string, len(cores))
 	keySet := make([]string, 0, len(cores))
 	seen := map[string]bool{}
 	for i, cr := range cores {
@@ -496,6 +514,9 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 		canon := containment.Canonicalize(n)
 		e.cores[i] = canon
 		e.coreKeys[i] = canon.String()
+		if !canon.False {
+			e.coreSigs[i] = coreSig(canon)
+		}
 		if !seen[e.coreKeys[i]] {
 			seen[e.coreKeys[i]] = true
 			keySet = append(keySet, e.coreKeys[i])
@@ -610,14 +631,14 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 			}
 		}
 		if a == nil {
-			if a = c.equivScanLocked(e.cores[i], catFP, &equivBudget); a == nil {
+			if a = c.equivScanLocked(e.cores[i], e.coreSigs[i], catFP, &equivBudget); a == nil {
 				full = false
 				continue
 			}
-			// Alias the scanned entry under this core's key so the next
+			// Alias the found entry under this core's key so the next
 			// lookup is O(1).
 			c.installAnswerLocked(&ansEntry{
-				key: key, catFP: catFP, core: a.core, arity: a.arity,
+				key: key, catFP: catFP, core: a.core, sig: a.sig,
 				rel: a.rel, bytes: a.bytes, created: a.created,
 			})
 			hit.EquivHits++
@@ -641,22 +662,69 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 	return hit
 }
 
-// equivScanLocked looks for a cached entry (same catalog fingerprint
-// and head arity) whose core is equivalent to want, spending at most
-// the remaining budget of containment nodes and Options.EquivScanLimit
-// candidates. c.mu must be held.
-func (c *Cache) equivScanLocked(want logic.CQ, catFP string, budget *int) *ansEntry {
-	if c.opt.EquivScanLimit < 0 || *budget <= 0 {
-		return nil
-	}
-	tried := 0
-	for elem := c.ansLRU.Front(); elem != nil; elem = elem.Next() {
-		a := elem.Value.(*ansEntry)
-		if a.catFP != catFP || a.arity != len(want.HeadArgs) || !c.fresh(a.created) {
-			continue
+// bucketKey names one bucket of the answer tier's equivalence index:
+// the entries cached for one catalog fingerprint whose cores share one
+// signature. Both strings are ones the entries already hold.
+type bucketKey struct{ catFP, sig string }
+
+// coreSig renders what every core equivalent to c must share with it:
+// the head's arity and its constants by position, the predicates (with
+// arity and sign) of the body literals, and each constant of a body
+// literal with its predicate, sign and position. It is a necessary
+// condition for equivalence, never a sufficient one. Cores in the answer
+// tier are satisfiable, so by Theorem 12 c ⊑ d needs a containment
+// mapping σ from d's positive part into c's that fixes the head
+// positionally and every constant: each positive predicate of d occurs
+// positively in c, each positive constant of d at the same position,
+// each head constant of d at the same head position. For a negated
+// literal ¬R(ȳ) of d the theorem asks that c ∧ R(σȳ) ⊑ d, which holds
+// because ¬R(σȳ) is in c or, c ∧ R(σȳ) being satisfiable, by the same
+// theorem one level down, where c's negated literals are the same; the
+// recursion is finite, so it ends at a ¬R(σ′ȳ) in c, which has ȳ's
+// constants where ȳ has them. Equivalence makes all these sets equal.
+func coreSig(c logic.CQ) string {
+	var parts []string
+	for _, l := range c.Body {
+		pred := fmt.Sprintf("%s/%d", l.Atom.Pred, len(l.Atom.Args))
+		if l.Negated {
+			pred = "!" + pred
 		}
-		if tried >= c.opt.EquivScanLimit || *budget <= 0 {
-			return nil
+		parts = append(parts, pred)
+		for k, t := range l.Atom.Args {
+			if !t.IsVar() {
+				parts = append(parts, fmt.Sprintf("%s#%d=%s", pred, k, t))
+			}
+		}
+	}
+	sort.Strings(parts)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d", len(c.HeadArgs))
+	for k, t := range c.HeadArgs {
+		if !t.IsVar() {
+			fmt.Fprintf(&b, " %d=%s", k, t)
+		}
+	}
+	for i, p := range parts {
+		if i == 0 || p != parts[i-1] {
+			b.WriteString(" ")
+			b.WriteString(p)
+		}
+	}
+	return b.String()
+}
+
+// equivScanLocked looks for a cached entry whose core is equivalent to
+// want (whose signature is sig) under the same catalog fingerprint. Only
+// the entries of that one bucket can be, so only they are tested, newest
+// first, spending at most the remaining budget of containment nodes and
+// Options.EquivScanLimit candidates. c.mu must be held.
+func (c *Cache) equivScanLocked(want logic.CQ, sig, catFP string, budget *int) *ansEntry {
+	bucket := c.buckets[bucketKey{catFP, sig}]
+	tried := 0
+	for i := len(bucket) - 1; i >= 0 && tried < c.opt.EquivScanLimit && *budget > 0; i-- {
+		a := bucket[i]
+		if !c.fresh(a.created) {
+			continue
 		}
 		tried++
 		if equivalentWithin(want, a.core, budget) {
@@ -712,7 +780,7 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 			continue // first writer wins; equal up to row order anyway
 		}
 		c.installAnswerLocked(&ansEntry{
-			key: key, catFP: catFP, core: e.cores[i], arity: len(e.cores[i].HeadArgs),
+			key: key, catFP: catFP, core: e.cores[i], sig: e.coreSigs[i],
 			rel: rel.View(), bytes: rowBytes(rel.Rows()), created: now,
 		})
 		if label != "" {
@@ -750,6 +818,8 @@ func (c *Cache) installAnswerLocked(a *ansEntry) {
 	}
 	c.answers[a.key] = c.ansLRU.PushFront(a)
 	c.ansBytes += a.bytes
+	bk := bucketKey{a.catFP, a.sig}
+	c.buckets[bk] = append(c.buckets[bk], a)
 	for (c.opt.MaxAnswerEntries > 0 && c.ansLRU.Len() > c.opt.MaxAnswerEntries) ||
 		(c.opt.MaxAnswerBytes > 0 && c.ansBytes > c.opt.MaxAnswerBytes && c.ansLRU.Len() > 1) {
 		c.removeAnswerLocked(c.ansLRU.Back())
@@ -757,9 +827,19 @@ func (c *Cache) installAnswerLocked(a *ansEntry) {
 	}
 }
 
-// removeAnswerLocked removes an answer element from both indexes.
+// removeAnswerLocked removes an answer element from every index.
 func (c *Cache) removeAnswerLocked(elem *list.Element) {
 	a := c.ansLRU.Remove(elem).(*ansEntry)
 	delete(c.answers, a.key)
 	c.ansBytes -= a.bytes
+	bk := bucketKey{a.catFP, a.sig}
+	bucket := c.buckets[bk]
+	if i := slices.Index(bucket, a); i >= 0 {
+		bucket = slices.Delete(bucket, i, i+1)
+	}
+	if len(bucket) == 0 {
+		delete(c.buckets, bk)
+	} else {
+		c.buckets[bk] = bucket
+	}
 }

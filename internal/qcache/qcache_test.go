@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -272,6 +273,7 @@ func TestAnswerTTLInjectedClock(t *testing.T) {
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Fatal("TTL expiry must count as an eviction")
 	}
+	assertIndex(t, c)
 
 	// Re-storing under the advanced clock starts a fresh window.
 	c.StoreAnswers(e, cat, []*engine.Rel{rel("a")})
@@ -331,6 +333,8 @@ func TestAnswerLRUBounds(t *testing.T) {
 	if _, answers := cb.Len(); answers != 1 {
 		t.Fatalf("byte-bounded answer entries = %d, want 1", answers)
 	}
+	assertIndex(t, c)
+	assertIndex(t, cb)
 }
 
 func TestDisableAnswers(t *testing.T) {
@@ -348,50 +352,82 @@ func TestDisableAnswers(t *testing.T) {
 }
 
 func TestEquivScanMechanism(t *testing.T) {
+	core := func(src string) logic.CQ {
+		r := q(t, src).Rules[0]
+		r.HeadPred = canonHeadPred
+		return r
+	}
+	install := func(c *Cache, key string, stored logic.CQ) {
+		c.installAnswerLocked(&ansEntry{
+			key: key + "\x1ffp", catFP: "fp", core: stored, sig: coreSig(stored),
+			rel: engine.Frozen([]engine.Row{{engine.V("a")}}), created: time.Now(),
+		})
+	}
+	// scan looks want up and returns what it found and the nodes charged.
+	scan := func(c *Cache, want logic.CQ, catFP string, budget int) (*ansEntry, int) {
+		left := budget
+		a := c.equivScanLocked(want, coreSig(want), catFP, &left)
+		return a, budget - left
+	}
 	c := New(Options{})
-	stored := q(t, "Q(x) :- R(x), not S(x).").Rules[0]
-	stored.HeadPred = canonHeadPred
 	c.mu.Lock()
-	c.installAnswerLocked(&ansEntry{
-		key: "k\x1ffp", catFP: "fp", core: stored, arity: 1,
-		rel: engine.Frozen([]engine.Row{{engine.V("a")}}), created: time.Now(),
-	})
-	// Equivalent core (here: identical up to renaming) under a different
-	// key is found by the mutual containment scan.
-	want := q(t, "Q(y) :- R(y), not S(y).").Rules[0]
-	want.HeadPred = canonHeadPred
-	budget := 10000
-	if a := c.equivScanLocked(want, "fp", &budget); a == nil {
-		t.Fatal("equivalent core must be found by the scan")
+	defer c.mu.Unlock()
+	// A non-minimal core (as a spent planning budget leaves one) is not
+	// isomorphic to its minimal form, hence under a different key; the
+	// mutual containment test finds it.
+	install(c, "k", core("Q(x) :- R(x, y), R(x, z), not S(x)."))
+	want := core("Q(x) :- R(x, y), not S(x).")
+	a, nodes := scan(c, want, "fp", 10000)
+	if a == nil {
+		t.Fatal("equivalent core must be found")
 	}
-	if budget >= 10000 {
-		t.Fatal("the scan must charge its containment nodes")
+	if nodes <= 0 {
+		t.Fatal("the test must charge its containment nodes")
 	}
-	// A non-equivalent core is rejected.
-	other := q(t, "Q(y) :- R(y).").Rules[0]
-	other.HeadPred = canonHeadPred
-	budget = 10000
-	if a := c.equivScanLocked(other, "fp", &budget); a != nil {
-		t.Fatal("non-equivalent core must not reuse rows")
+	// Same signature, different meaning: tested and rejected.
+	if a, spent := scan(c, core("Q(x) :- R(x, x), not S(x)."), "fp", 10000); a != nil || spent <= 0 {
+		t.Fatalf("non-equivalent core of the same signature: found %v, %d nodes; want a paid-for refusal", a != nil, spent)
 	}
-	// Wrong fingerprint, exhausted budget, and disabled scan all refuse.
-	budget = 10000
-	if a := c.equivScanLocked(want, "other-fp", &budget); a != nil {
-		t.Fatal("fingerprint mismatch must refuse")
+	// What the signature tells apart is refused before any containment
+	// test starts.
+	for _, src := range []string{
+		`Q(x) :- R(x, "c"), not S(x).`,     // a positive constant
+		`Q(x) :- R(x, y), not S("c").`,     // a negated constant
+		`Q(x) :- R(x, y).`,                 // a negated predicate
+		`Q(x) :- R(x, y), T(x), not S(x).`, // a positive predicate
+		`Q(x) :- R(x, y, y), not S(x).`,    // an arity
+		`Q("c") :- R("c", y), not S("c").`, // a head constant (and R's)
+		`Q(x, x) :- R(x, y), not S(x).`,    // the head's arity
+	} {
+		if a, spent := scan(c, core(src), "fp", 10000); a != nil || spent != 0 {
+			t.Errorf("%s: found %v, %d nodes; want refused with the budget untouched", src, a != nil, spent)
+		}
 	}
-	budget = 0
-	if a := c.equivScanLocked(want, "fp", &budget); a != nil {
+	// Wrong fingerprint and exhausted budget refuse.
+	if a, spent := scan(c, want, "other-fp", 10000); a != nil || spent != 0 {
+		t.Fatal("fingerprint mismatch must refuse, untested")
+	}
+	if a, _ := scan(c, want, "fp", 0); a != nil {
 		t.Fatal("exhausted budget must refuse")
 	}
-	c.mu.Unlock()
+	// The cost of a lookup does not depend on what else is cached.
+	for i := 0; i < 1000; i++ {
+		install(c, fmt.Sprint("other", i), core(fmt.Sprintf(`Q(x) :- R(x, "c%d"), not S(x).`, i)))
+	}
+	if a, spent := scan(c, want, "fp", 10000); a == nil || spent != nodes {
+		t.Fatalf("beside 1000 entries of other signatures: found %v, %d nodes; want found, %d nodes", a != nil, spent, nodes)
+	}
+	if err := checkIndexLocked(c); err != nil {
+		t.Fatal(err)
+	}
 
 	cOff := New(Options{EquivScanLimit: -1})
 	cOff.mu.Lock()
-	budget = 10000
-	if a := cOff.equivScanLocked(want, "fp", &budget); a != nil {
+	defer cOff.mu.Unlock()
+	install(cOff, "k", want)
+	if a, spent := scan(cOff, want, "fp", 10000); a != nil || spent != 0 {
 		t.Fatal("disabled scan must refuse")
 	}
-	cOff.mu.Unlock()
 }
 
 func TestPurge(t *testing.T) {
@@ -404,6 +440,7 @@ func TestPurge(t *testing.T) {
 	if p, a := c.Len(); p != 0 || a != 0 {
 		t.Fatalf("after Purge: %d plans, %d answers; want 0/0", p, a)
 	}
+	assertIndex(t, c)
 	if _, info := c.Plan(q(t, "Q(x) :- R(x)."), ps); info.Hit {
 		t.Fatal("purged plan must miss")
 	}

@@ -469,3 +469,39 @@ func TestLoadGenInvalidationMixSeesNoStaleRows(t *testing.T) {
 		t.Errorf("invalidation-mix report fails the schema gate: %v", err)
 	}
 }
+
+// A query whose minimization is exponential must cost its tenant a
+// bounded number of containment nodes, not the process 25 s of CPU with
+// an admission slot held: planning draws on Cache.FeasibleBudget, keeps
+// the literals it could not test, and the answer is the naive one.
+func TestServerHostileQueryPlansWithinBudget(t *testing.T) {
+	const hostile = `Q(x) :- R(x, v0), R(x, v1), R(x, v2), R(x, v3), not S(v0, v1), not S(v1, v2), not S(v2, v3), not S(v3, v0).`
+	for _, budget := range []int{0, 1} { // the default, and next to nothing
+		s, fixtures := newTestServer(t, Config{Cache: ucqn.QueryCacheOptions{FeasibleBudget: budget}}, 1)
+		f := fixtures[0]
+		truth, err := ucqn.Exec(context.Background(), ucqn.MustParseQuery(hostile), nil, nil, ucqn.WithNaive(f.Instance))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := truth.Rel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		resp, err := s.Query(ctx, f.Name, hostile)
+		cancel()
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if got := relOf(resp.Answers); !resp.Complete || !got.Equal(want) || want.Len() == 0 {
+			t.Fatalf("budget %d: complete=%v answers = %v, ground truth %v", budget, resp.Complete, got, want)
+		}
+		entry, info := s.Cache().Plan(ucqn.MustParseQuery(hostile), f.Patterns)
+		if !info.Hit {
+			t.Fatalf("budget %d: the plan must be cached", budget)
+		}
+		if n := len(entry.Exec().Rules[0].Body); budget == 1 && n != 8 {
+			t.Fatalf("budget 1: the plan runs %d literals, want all 8 kept", n)
+		}
+	}
+}
