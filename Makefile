@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-build bench-smoke fault-smoke cache-smoke chaos-smoke serve-smoke persist-smoke adapter-smoke fleet-smoke paperbench check
+.PHONY: all build vet test test-race fuzz-smoke bench bench-build bench-smoke fault-smoke cache-smoke chaos-smoke serve-smoke persist-smoke adapter-smoke fleet-smoke paperbench check
 
 all: check
 
@@ -18,6 +18,12 @@ test:
 test-race:
 	$(GO) test -race ./internal/sources/ ./internal/engine/ ./internal/containment/ ./internal/qcache/ ./internal/server/ .
 
+# A few seconds of the evaluator's hash table against a map[string]int,
+# from the committed seed corpus (internal/engine/testdata/fuzz): every
+# memo lookup, join probe, binding dedup and head row goes through it.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzIDTable$$' -fuzztime=3s ./internal/engine/
+
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -33,12 +39,14 @@ bench-build:
 # it lives beside): runs each once, which also exercises their built-in
 # acceptance assertions. Then the package microbenchmarks of the answer
 # hand-off (row keys, Sorted fresh and frozen, a full answer hit, the
-# wire flattening) and of a plan miss (minimization, canonical key, one
+# wire flattening), of a plan miss (minimization, canonical key, one
 # containment test, a whole plan build, an answer-tier miss beside 16
-# and 1024 entries), once each, so they keep compiling and running.
+# and 1024 entries) and of the join (a call's join side by probe-key
+# width and result size, idTable insert/find by width, an interner
+# lookup), once each, so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='E19|E20|E21|E22|E23' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted' -benchtime=1x ./internal/engine/
+	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
 	$(GO) test -run='^$$' -bench='AnswersFullHit|AnswersMiss|PlanMiss' -benchtime=1x ./internal/qcache/
 	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkCQ' -benchtime=1x ./internal/minimize/
@@ -118,4 +126,4 @@ fleet-smoke:
 paperbench:
 	$(GO) run ./cmd/paperbench -quick
 
-check: build vet bench-build test test-race persist-smoke adapter-smoke fleet-smoke
+check: build vet bench-build test test-race fuzz-smoke persist-smoke adapter-smoke fleet-smoke

@@ -14,17 +14,41 @@ package engine
 // per-execution colPool. Strings materialize only at the edges: call
 // inputs handed to internal/sources and head rows handed to the sink.
 //
+// A step carries on only what something later reads. compileRule ends
+// with a backward liveness pass (projectLive): a slot is live after a
+// step iff a later literal — as a call input or a probe position — or
+// the head reads it. A step's output has columns for its live slots
+// only, and of a returned tuple only the positions the step compares or
+// carries are ever interned, so a column nobody reads neither rides
+// along nor grows the process-lifetime interner. Under set semantics a
+// binding is its live slots: a non-final step that drops one (it is the
+// last reader of a slot, or binds a variable nothing reads) sends each
+// distinct remaining binding downstream once, the first time it arises.
+// Everything downstream is a function of the live slots, so a repeat
+// could only re-derive, later, head rows its first occurrence already
+// derives: the rule's rows, the order they first appear in and the
+// distinct source calls are unchanged. A step that drops nothing needs
+// no such set (distinct inputs and a set-valued source give distinct
+// outputs), and the last step has the head's distinct set behind it.
+//
+// Every keyed structure here — a step's call memo, a call's join groups,
+// a dropping step's seen set, the head's distinct rows — is one idTable
+// (idtable.go) over fixed-width tuples of IDs; no key is built as a
+// string.
+//
 // The reference semantics is the per-binding map evaluator kept as the
-// in-package test oracle (oracle_test.go): same source calls in the
-// same dedup groups, same output rows in the same order (input-row
-// order × tuple order, exactly the oracle's fan-out), and the same
-// lazily raised planning errors.
+// in-package test oracle (oracle_test.go), which carries every variable
+// and every repeat: same source calls, same output rows in the same
+// order (input-row order × tuple order, first occurrences kept), the
+// oracle's bindings projected onto the live variables at every step,
+// and the same lazily raised planning errors.
 
 import (
 	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/logic"
@@ -218,6 +242,11 @@ type stepArg struct {
 	constID  uint32 // argConst
 	slot     int    // argFirst: slot written; argBound: slot probed
 	firstPos int    // argRepeat: position of the variable's first occurrence
+	// need says buildJoin reads the tuple's value here: to compare it
+	// (constants, repeats and the first occurrence they repeat, probe
+	// positions) or to carry it (a fresh variable something later reads).
+	// Every other position is never interned.
+	need bool
 }
 
 // inputSrc says where one call-input value comes from: a bound slot's
@@ -240,8 +269,18 @@ type stepProgram struct {
 	inputs     []inputSrc
 	boundPos   []int // atom positions with role argBound, in order
 	probeSlots []int // the slot probed for each boundPos entry
-	copySlots  []int // slots bound before this step (copied through)
-	newCols    []newCol
+	// copySlots and newCols are the step's output columns: the slots
+	// bound before it and the fresh variables it binds that a later
+	// literal or the head reads — the live ones; the rest stop here.
+	copySlots []int
+	newCols   []newCol
+	// dedup says the step drops a slot — one it was handed, or a fresh
+	// variable it binds — so two of its output rows can agree on every
+	// slot that remains, and it keeps the first of each (stepState.seen).
+	// Never set on the last step: the head's own distinct set follows.
+	dedup bool
+	// never says the atom has a null term: no stored tuple matches it.
+	never bool
 	// err is the step's lazy compile error (unbound or null call input),
 	// raised — like the oracle's per-binding callInputs error — only
 	// when rows actually reach the step.
@@ -347,6 +386,7 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 				firstAt[t.Name] = j
 			default:
 				a.role = argNull
+				sp.never = true
 			}
 		}
 		for s := 0; s < len(bound); s++ {
@@ -385,7 +425,64 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			}
 		}
 	}
+	prog.projectLive()
 	return prog
+}
+
+// projectLive is the backward liveness pass: a slot is live after step
+// k iff a later literal (as a call input or a probe position) or the
+// head reads it. Each step's output columns shrink to its live slots,
+// each atom position learns whether buildJoin needs its value, and a
+// non-final step that thereby drops a slot is marked to deduplicate
+// what it sends on.
+func (prog *ruleProgram) projectLive() {
+	live := make([]bool, prog.numSlots)
+	for _, s := range prog.headSlots {
+		live[s] = true
+	}
+	for si := len(prog.steps) - 1; si >= 0; si-- {
+		sp := &prog.steps[si]
+		bindable := len(sp.newCols)
+		kept := sp.copySlots[:0]
+		for _, s := range sp.copySlots {
+			if live[s] {
+				kept = append(kept, s)
+			}
+		}
+		sp.copySlots = kept
+		cols := sp.newCols[:0]
+		for _, nc := range sp.newCols {
+			if live[nc.slot] {
+				cols = append(cols, nc)
+				sp.args[nc.pos].need = true
+			}
+		}
+		sp.newCols = cols
+		for j := range sp.args {
+			switch a := &sp.args[j]; a.role {
+			case argConst, argBound:
+				a.need = true
+			case argRepeat:
+				a.need = true
+				sp.args[a.firstPos].need = true
+			}
+		}
+		// Distinct inputs and a set-valued source give distinct outputs
+		// unless a slot goes missing — a fresh variable nothing reads, or
+		// a slot this step is the last to read. Then, and only then, a
+		// seen set pays.
+		if si < len(prog.steps)-1 {
+			sp.dedup = len(sp.newCols) < bindable
+			for _, s := range sp.probeSlots {
+				sp.dedup = sp.dedup || !live[s]
+			}
+		}
+		// The step's own reads: every bound variable of the atom, at an
+		// input position or not, is a probe position.
+		for _, s := range sp.probeSlots {
+			live[s] = true
+		}
+	}
 }
 
 // materializeInputs builds the string inputs of one distinct call (the
@@ -406,74 +503,130 @@ func (sp *stepProgram) materializeInputs(in *colBatch, row int, pool *colPool) [
 }
 
 // callJoin is the hash-join side of one distinct source call: the
-// call's tuples interned and pre-filtered by the step's static
-// constraints, grouped by their bound-position key. It is built once
-// per call — in a streamed stage the memo carries it across batches —
-// and probed once per input row.
+// call's tuples interned at the positions the step needs, pre-filtered
+// by the step's static constraints, and grouped by their bound-position
+// key CSR-style — group g's surviving tuple indices are
+// idx[start[g]:start[g+1]], in tuple order. It is built once per call —
+// in a streamed stage the step's state carries it across batches — and
+// probed once per input row.
 type callJoin struct {
-	vals   []uint32 // len(rows) × arity interned tuple values
-	arity  int
-	groups map[string][]int32 // probe key -> surviving tuple indices, in tuple order
+	vals  []uint32 // len(rows) × arity; only needed positions are filled
+	arity int
+	keys  idTable // probe key → group
+	start []int32
+	idx   []int32
+}
+
+// emptyJoin is the join side of every call that cannot match: no tuples
+// came back, or the atom has a null term. Shared and never written.
+var emptyJoin = &callJoin{}
+
+// group returns the indices of the tuples matching the probe key, in
+// tuple order; none when the key has no group.
+func (j *callJoin) group(key []uint32) []int32 {
+	g := j.keys.find(key)
+	if g < 0 {
+		return nil
+	}
+	return j.idx[j.start[g]:j.start[g+1]]
 }
 
 // buildJoin interns and filters the call's tuples and groups them by
-// bound-position key. Tuple order is preserved within each group, so
-// probing emits matches in exactly the oracle's order.
-func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool) *callJoin {
-	arity := len(sp.args)
-	j := &callJoin{arity: arity, groups: make(map[string][]int32, 1+len(rows)/4)}
-	if len(rows) > 0 && arity > 0 {
-		j.vals = make([]uint32, len(rows)*arity)
+// bound-position key with a stable counting sort: tuple order is
+// preserved within each group, so probing emits matches in exactly the
+// oracle's order. key is the caller's scratch.
+func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, key []uint32) *callJoin {
+	if len(rows) == 0 || sp.never {
+		return emptyJoin
 	}
-	keyBuf := make([]byte, 0, 4*len(sp.boundPos))
+	arity := len(sp.args)
+	j := &callJoin{arity: arity, vals: make([]uint32, len(rows)*arity)}
+	// One allocation for both per-tuple arrays: the group of every tuple
+	// (-1: filtered out), then the tuples ordered by group.
+	scratch := make([]int32, 2*len(rows))
+	gid, idx := scratch[:len(rows)], scratch[len(rows):]
+	survivors := 0
 	for ti, t := range rows {
 		vals := j.vals[ti*arity : (ti+1)*arity]
 		ok := true
 		for p := 0; p < arity && ok; p++ {
+			a := &sp.args[p]
+			if !a.need {
+				continue
+			}
 			id, fresh := pool.internID(t[p])
 			if fresh {
 				pool.nInterned.Add(1)
 			}
 			vals[p] = id
-			switch a := &sp.args[p]; a.role {
+			switch a.role {
 			case argConst:
 				ok = id == a.constID
 			case argRepeat:
 				ok = id == vals[a.firstPos]
-			case argNull:
-				ok = false
 			}
 		}
 		if !ok {
+			gid[ti] = -1
 			continue
 		}
-		keyBuf = keyBuf[:0]
+		key = key[:0]
 		for _, p := range sp.boundPos {
-			v := vals[p]
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+			key = append(key, vals[p])
 		}
-		if g, found := j.groups[string(keyBuf)]; found {
-			j.groups[string(keyBuf)] = append(g, int32(ti))
-		} else {
-			j.groups[string(keyBuf)] = []int32{int32(ti)}
+		gid[ti], _ = j.keys.insert(key)
+		survivors++
+	}
+	// start[g+2] counts group g, becomes its cursor start[g+1] after the
+	// prefix sum, and ends the placement as the start of group g+1.
+	start := make([]int32, j.keys.len()+2)
+	for _, g := range gid {
+		if g >= 0 {
+			start[g+2]++
 		}
 	}
+	for g := 2; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	for ti, g := range gid {
+		if g >= 0 {
+			idx[start[g+1]] = int32(ti)
+			start[g+1]++
+		}
+	}
+	j.start, j.idx = start[:len(start)-1], idx[:survivors]
 	return j
+}
+
+// stepState is what a step remembers between the batches it is applied
+// to, owned by the schedule: one value per step, for the one batch of a
+// whole rule or across all the batches of a stage.
+type stepState struct {
+	// memo maps a call-input tuple to its call in calls (when rt.Dedup):
+	// keys resolved by an earlier batch are served without a new source
+	// call, so per-step deduplication is exactly as strong staged as
+	// whole.
+	memo  idTable
+	calls []*stepCall
+	// seen holds the output bindings a slot-dropping step already sent
+	// downstream (stepProgram.dedup), over its output columns.
+	seen idTable
 }
 
 // applyStepCol runs one compiled plan step over a columnar batch: group
 // rows into distinct calls by their input IDs, issue the distinct calls
 // through the runtime (worker pool, retries, hedging, budget), then
 // hash-join each row against its call's tuples and emit output batches
-// of at most limit rows (limit ≤ 0 means one batch). memo is the step's
-// call-dedup memo, owned by the schedule (non-nil whenever rt.Dedup):
-// keys resolved by an earlier batch of a staged step are served from it
-// without a new source call, so per-step deduplication is exactly as
-// strong staged as whole. Calls issued here are added to it.
+// of at most limit rows (limit ≤ 0 means one batch) over the step's live
+// slots. A slot-dropping step emits each distinct output binding once,
+// the first time it arises: everything downstream is a function of the
+// live slots, so a repeat could only re-derive, later, head rows its
+// first occurrence already derives — dropping it changes neither the
+// rule's rows nor the order they first appear in, nor any source call.
 //
 // It returns the number of rows emitted and whether emit stopped the
 // step early (pipeline cancellation; not an error).
-func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, cat *sources.Catalog, in *colBatch, sp *StepProfile, memo map[string]*stepCall, budget *budgetState, pool *colPool, limit int, emit func(*colBatch) bool) (int, bool, error) {
+func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, cat *sources.Catalog, in *colBatch, sp *StepProfile, st *stepState, budget *budgetState, pool *colPool, limit int, emit func(*colBatch) bool) (int, bool, error) {
 	sp0 := &prog.steps[si]
 	step := sp0.step
 	src := cat.Source(step.Literal.Atom.Pred)
@@ -485,83 +638,76 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 	}
 	pool.nBatches.Add(1)
 
-	// Group rows into distinct calls by their binary input-ID key.
-	calls := make([]*stepCall, 0, 8)
-	callOf := make([]*stepCall, in.n)
-	keyBuf := make([]byte, 0, 4*len(sp0.inputs))
-	for i := 0; i < in.n; i++ {
-		if rt.Dedup {
-			keyBuf = keyBuf[:0]
+	// Group rows into distinct calls by their input-ID tuple.
+	var keyArr [8]uint32
+	key := keyArr[:0]
+	var calls, callOf []*stepCall
+	if rt.Dedup {
+		callOf = make([]*stepCall, in.n)
+		known := len(st.calls)
+		for i := 0; i < in.n; i++ {
+			key = key[:0]
 			for _, is := range sp0.inputs {
 				v := is.constID
 				if is.slot >= 0 {
 					v = in.cols[is.slot][i]
 				}
-				keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+				key = append(key, v)
 			}
-			if c, ok := memo[string(keyBuf)]; ok {
-				callOf[i] = c
+			c, fresh := st.memo.insert(key)
+			if fresh {
+				st.calls = append(st.calls, &stepCall{inputs: sp0.materializeInputs(in, i, pool)})
+			} else {
 				sp.DedupedCalls++
-				continue
 			}
-			c := &stepCall{inputs: sp0.materializeInputs(in, i, pool)}
-			memo[string(keyBuf)] = c
-			calls = append(calls, c)
-			callOf[i] = c
-			continue
+			callOf[i] = st.calls[c]
 		}
-		c := &stepCall{inputs: sp0.materializeInputs(in, i, pool)}
-		calls = append(calls, c)
-		callOf[i] = c
+		calls = st.calls[known:]
+	} else {
+		calls = make([]*stepCall, in.n)
+		for i := range calls {
+			calls[i] = &stepCall{inputs: sp0.materializeInputs(in, i, pool)}
+		}
+		callOf = calls
 	}
-	if err := rt.issue(ctx, src, step, calls, sp, budget); err != nil {
+	t0 := time.Now()
+	err := rt.issue(ctx, src, step, calls, sp, budget)
+	sp.SourceWait += time.Since(t0)
+	if err != nil {
 		return 0, false, err
 	}
 	for _, c := range calls {
-		c.join = sp0.buildJoin(c.rows, pool)
+		c.join = sp0.buildJoin(c.rows, pool, key)
 	}
 
-	// Probe every row, resolving its matching tuple group and the total
-	// output cardinality before any output column is allocated.
+	// Probe every row, resolving its matching tuple group and an upper
+	// bound on the output cardinality (exact unless the step dedups)
+	// before any output column is allocated.
 	negated := step.Literal.Negated
 	rowGroups := make([][]int32, in.n)
-	total := 0
+	left := 0
 	for i := 0; i < in.n; i++ {
-		keyBuf = keyBuf[:0]
+		key = key[:0]
 		for _, s := range sp0.probeSlots {
-			v := in.cols[s][i]
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+			key = append(key, in.cols[s][i])
 		}
-		g := callOf[i].join.groups[string(keyBuf)]
+		g := callOf[i].join.group(key)
 		rowGroups[i] = g
 		if negated {
 			if len(g) == 0 {
-				total++
+				left++
 			}
 		} else {
-			total += len(g)
+			left += len(g)
 		}
-	}
-	if total == 0 {
-		return 0, false, nil
 	}
 
-	mk := func(n int) *colBatch {
-		b := pool.getBatch(prog.numSlots)
-		b.n = n
-		for _, s := range sp0.copySlots {
-			b.cols[s] = pool.getCol(n)
-		}
-		for _, nc := range sp0.newCols {
-			b.cols[nc.slot] = pool.getCol(n)
-		}
-		return b
-	}
-	chunk := total
-	if limit > 0 && limit < chunk {
-		chunk = limit
-	}
-	ob := mk(chunk)
+	// Emit: one candidate output row per (row, matching tuple) of a
+	// positive step, one per row without a match of a negated one. left
+	// counts the candidates not yet looked at, so an output batch is
+	// allocated only when a row is about to be written and never larger
+	// than what can still arrive.
+	var ob *colBatch
 	emitted, k := 0, 0
 	flush := func() bool {
 		ob.n = k
@@ -569,39 +715,50 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 			return false
 		}
 		emitted += k
-		k = 0
-		if rem := total - emitted; rem > 0 {
-			c := rem
-			if limit > 0 && limit < c {
-				c = limit
-			}
-			ob = mk(c)
-		} else {
-			ob = nil
-		}
+		ob, k = nil, 0
 		return true
 	}
 	for i := 0; i < in.n; i++ {
 		g := rowGroups[i]
+		matches := len(g)
 		if negated {
-			if len(g) != 0 {
-				continue
+			matches = 0
+			if len(g) == 0 {
+				matches = 1
 			}
-			for _, s := range sp0.copySlots {
-				ob.cols[s][k] = in.cols[s][i]
-			}
-			k++
-			if limit > 0 && k == limit && !flush() {
-				return emitted, true, nil
-			}
-			continue
 		}
-		if len(g) == 0 {
-			continue
-		}
-		join := callOf[i].join
-		for _, ti := range g {
-			vals := join.vals[int(ti)*join.arity:]
+		for m := 0; m < matches; m++ {
+			var vals []uint32 // the matching tuple; a negated step binds nothing
+			if !negated {
+				join := callOf[i].join
+				vals = join.vals[int(g[m])*join.arity:]
+			}
+			left--
+			if sp0.dedup {
+				key = key[:0]
+				for _, s := range sp0.copySlots {
+					key = append(key, in.cols[s][i])
+				}
+				for _, nc := range sp0.newCols {
+					key = append(key, vals[nc.pos])
+				}
+				if _, fresh := st.seen.insert(key); !fresh {
+					continue
+				}
+			}
+			if ob == nil {
+				n := left + 1
+				if limit > 0 {
+					n = min(n, limit)
+				}
+				ob = pool.getBatch(prog.numSlots)
+				for _, s := range sp0.copySlots {
+					ob.cols[s] = pool.getCol(n)
+				}
+				for _, nc := range sp0.newCols {
+					ob.cols[nc.slot] = pool.getCol(n)
+				}
+			}
 			for _, s := range sp0.copySlots {
 				ob.cols[s][k] = in.cols[s][i]
 			}
@@ -609,12 +766,12 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 				ob.cols[nc.slot][k] = vals[nc.pos]
 			}
 			k++
-			if limit > 0 && k == limit && !flush() {
+			if k == limit && !flush() {
 				return emitted, true, nil
 			}
 		}
 	}
-	if k > 0 && !flush() {
+	if ob != nil && !flush() {
 		return emitted, true, nil
 	}
 	return emitted, false, nil

@@ -55,10 +55,12 @@ func e25Fixture(b *testing.B, baseRows, fanout int) (logic.UCQ, *access.Set, *In
 // E25: columnar batch evaluation vs the map-based oracle
 // (oracle_test.go). The benchmark asserts the acceptance properties up
 // front — byte-identical rows in identical order, identical source-call
-// counts, at least a 5x wall-clock win for the columnar hot loop, and
-// fewer allocations per evaluation, both sides measured live — then
-// times both evaluators with allocation counts. The same join behind a
-// real server is the repo benchmark's join_eval workload.
+// counts (49 on this fixture), the steps sending on 20 + 160 + 160 + 120
+// distinct live bindings where the oracle carries 92 000, at least a 25x
+// wall-clock win for the columnar hot loop, and fewer allocations per
+// evaluation, both sides measured live — then times both evaluators
+// with allocation counts. The same join behind a real server is the
+// repo benchmark's join_eval workload.
 func BenchmarkE25Columnar(b *testing.B) {
 	q, ps, in := e25Fixture(b, 4000, 8)
 	rt := NewRuntime()
@@ -108,14 +110,25 @@ func BenchmarkE25Columnar(b *testing.B) {
 			b.Fatalf("row %d differs: columnar=%s map=%s", i, colRows[i], mapRows[i])
 		}
 	}
-	if calls[1] != calls[0] {
-		b.Fatalf("source calls differ: columnar=%d map=%d", calls[1], calls[0])
+	if calls[1] != calls[0] || calls[1] != 49 {
+		b.Fatalf("source calls: columnar=%d map=%d, want 49", calls[1], calls[0])
+	}
+	_, prof, err := rt.AnswerProfiled(ctx, q, ps, in.MustCatalog(ps))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bindings := 0
+	for _, sp := range prof.Rules[0].Steps {
+		bindings += sp.BindingsOut
+	}
+	if bindings != 460 || prof.TotalCalls() != 49 {
+		b.Fatalf("steps sent on %d bindings over %d calls, want 460 over 49:\n%s", bindings, prof.TotalCalls(), prof)
 	}
 	speedup := float64(best[0]) / float64(best[1])
 	b.Logf("map=%v columnar=%v speedup=%.1fx (%d rows, %d calls); allocs/op: map=%.0f columnar=%.0f",
 		best[0].Round(time.Microsecond), best[1].Round(time.Microsecond), speedup, len(colRows), calls[1], allocs[0], allocs[1])
-	if speedup < 5 {
-		b.Fatalf("columnar speedup %.2fx < 5x (map=%v columnar=%v)", speedup, best[0], best[1])
+	if speedup < 25 {
+		b.Fatalf("columnar speedup %.2fx < 25x (map=%v columnar=%v)", speedup, best[0], best[1])
 	}
 	if allocs[1] >= allocs[0] {
 		b.Fatalf("columnar allocs/op %.0f did not drop below the map evaluator's %.0f", allocs[1], allocs[0])

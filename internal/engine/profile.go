@@ -22,11 +22,18 @@ type StepProfile struct {
 	// meter delta for the step.
 	Calls          int
 	TuplesReturned int
-	BindingsIn     int
-	BindingsOut    int
+	// BindingsIn and BindingsOut count the bindings the step was handed
+	// and sent on, over the variables a later literal or the head still
+	// reads. They are distinct live bindings, not bag cardinalities: a
+	// step that is the last reader of a variable, or binds one nothing
+	// reads, sends each distinct remaining binding on once.
+	BindingsIn  int
+	BindingsOut int
 	// DedupedCalls counts bindings served by another binding's call:
 	// their (pattern, inputs) key was already being fetched this step,
-	// so no extra source call was issued.
+	// so no extra source call was issued. It counts the bindings that
+	// reached the step (BindingsIn), so it falls with them; the distinct
+	// calls, and Calls, do not.
 	DedupedCalls int
 	// Retries counts retry rounds beyond the first per call (transient
 	// failures that the retry policy absorbed). A hedged race across
@@ -53,6 +60,10 @@ type StepProfile struct {
 	// the stage's busy time summed over batches (stages overlap, so step
 	// times may sum to more than the rule's Elapsed).
 	Elapsed time.Duration
+	// SourceWait is the part of Elapsed spent waiting for the step's
+	// source calls (worker pool, retries, hedges and backoff included);
+	// Elapsed − SourceWait is the evaluator's own join CPU.
+	SourceWait time.Duration
 }
 
 // String renders one profile line.
@@ -72,7 +83,7 @@ func (sp StepProfile) String() string {
 		s += fmt.Sprintf(" inflight≤%d", sp.MaxInFlight)
 	}
 	if sp.Elapsed > 0 {
-		s += fmt.Sprintf(" t=%s", sp.Elapsed.Round(time.Microsecond))
+		s += fmt.Sprintf(" t=%s wait=%s", sp.Elapsed.Round(time.Microsecond), sp.SourceWait.Round(time.Microsecond))
 	}
 	return s
 }
@@ -87,7 +98,8 @@ type RuleProfile struct {
 	Elapsed time.Duration
 	// PeakBindings is the high-water mark of bindings resident for this
 	// rule: input+output set of the widest step when materializing, the
-	// observed live-batch gauge when streaming.
+	// observed live-batch gauge when streaming — distinct live bindings,
+	// as BindingsIn/BindingsOut count them.
 	PeakBindings int
 }
 

@@ -133,7 +133,11 @@ type Runtime struct {
 	// rate-limit per endpoint, not per client goroutine.
 	PerSource int
 	// Dedup groups a step's bindings by input-slot key so each distinct
-	// (pattern, inputs) call is issued exactly once per step.
+	// (pattern, inputs) call is issued exactly once per step: it is the
+	// call memo's switch and nothing else. The evaluator's deduplication
+	// of bindings on their live variables is not an option — it never
+	// changes the distinct calls, only how many bindings ask for each —
+	// so with Dedup off a step still calls once per binding it is handed.
 	Dedup bool
 	// Retry is the per-call retry policy.
 	Retry RetryPolicy
@@ -512,7 +516,7 @@ type stepCall struct {
 	err    error
 	// join is the call's hash-join side (tuples interned, filtered,
 	// grouped by bound-position key), built once per call and carried
-	// across batches by a staged step's memo.
+	// across batches by a staged step's stepState.
 	join *callJoin
 }
 

@@ -1,9 +1,11 @@
 package engine
 
 // The two step schedules under the rule runner. Both apply a rule's
-// compiled steps left to right through applyStepCol, one call-dedup memo
-// per step, and materialize the rule's distinct head rows through one
-// headSet; they differ only in when a step sees its bindings.
+// compiled steps left to right through applyStepCol, one stepState per
+// step (its call memo and, where it drops a slot, the bindings it has
+// already sent on), and materialize the rule's distinct head rows
+// through one headSet; they differ only in when a step sees its
+// bindings.
 //
 //   - whole: each step runs once over the whole binding set, on the
 //     runner's goroutine. A step's deduplicated binding group reaches a
@@ -15,8 +17,8 @@ package engine
 //     leave as soon as the last stage produces them. Stages are single
 //     goroutines consuming batches in order and applyStepCol fans
 //     results out in input-row order, so the rows — and, through the
-//     per-stage memo, the source calls — are exactly the whole
-//     schedule's.
+//     per-stage stepState, the source calls and the bindings each step
+//     sends on — are exactly the whole schedule's.
 //
 // What selects between them is the API shape the caller asked for: a
 // materialized answer (Run, Eval) cannot use a row before the last one,
@@ -36,8 +38,8 @@ import (
 type headSet struct {
 	prog *ruleProgram
 	pool *colPool
-	seen map[string]struct{}
-	key  []byte
+	seen idTable
+	key  []uint32
 }
 
 // rows returns the head rows of b not produced before, in row order.
@@ -53,20 +55,15 @@ func (h *headSet) rows(b *colBatch) ([]Row, error) {
 	if prog.headErr != nil {
 		return nil, prog.headErr
 	}
-	if h.seen == nil {
-		h.seen = make(map[string]struct{}, 1+b.n/4)
-	}
 	var out []Row
 	for i := 0; i < b.n; i++ {
 		h.key = h.key[:0]
 		for _, s := range prog.headSlots {
-			v := b.cols[s][i]
-			h.key = append(h.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+			h.key = append(h.key, b.cols[s][i])
 		}
-		if _, dup := h.seen[string(h.key)]; dup {
+		if _, fresh := h.seen.insert(h.key); !fresh {
 			continue
 		}
-		h.seen[string(h.key)] = struct{}{}
 		if out == nil {
 			// Most batches are small or mostly repeats (a later batch of a
 			// staged rule often adds nothing); a large distinct answer
@@ -89,15 +86,6 @@ func (h *headSet) rows(b *colBatch) ([]Row, error) {
 	return out, nil
 }
 
-// newMemo returns a step's call-dedup memo: nil when the runtime does
-// not deduplicate.
-func (rt *Runtime) newMemo() map[string]*stepCall {
-	if !rt.Dedup {
-		return nil
-	}
-	return map[string]*stepCall{}
-}
-
 // whole runs r's steps each once over the whole binding set and emits
 // the rule's rows as one batch — also when there are none: the emit is
 // what says the rule ran to completion. The profile keeps only the
@@ -111,7 +99,8 @@ func (x *execution) whole(ctx context.Context, r *ruleRun, emit func(context.Con
 		sp.BindingsIn = cur.n
 		t0 := time.Now()
 		var next *colBatch
-		n, _, err := x.rt.applyStepCol(ctx, prog, si, x.cat, cur, sp, x.rt.newMemo(), x.budget, pool, 0, func(b *colBatch) bool {
+		var st stepState
+		n, _, err := x.rt.applyStepCol(ctx, prog, si, x.cat, cur, sp, &st, x.budget, pool, 0, func(b *colBatch) bool {
 			next = b
 			return true
 		})
@@ -184,7 +173,7 @@ func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(contex
 			defer wg.Done()
 			defer close(out)
 			sp := &rp.Steps[i]
-			memo := rt.newMemo() // extends call dedup across the stage's batches
+			var st stepState // call dedup and binding dedup extend across the stage's batches
 			// send hands one output batch downstream, charging the
 			// resident gauge; ownership transfers to the next stage.
 			send := func(b *colBatch) bool {
@@ -202,7 +191,7 @@ func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(contex
 				n := batch.n
 				sp.BindingsIn += n
 				t0 := time.Now()
-				sent, stopped, err := rt.applyStepCol(rctx, prog, i, x.cat, batch, sp, memo, x.budget, pool, rt.batchSize(), send)
+				sent, stopped, err := rt.applyStepCol(rctx, prog, i, x.cat, batch, sp, &st, x.budget, pool, rt.batchSize(), send)
 				sp.Elapsed += time.Since(t0)
 				pool.put(batch)
 				x.resident.add(int64(-n))
