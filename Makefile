@@ -58,7 +58,7 @@ bench-smoke:
 # per-rule teardown paths — on both step schedules, which the
 # schedule-agreement table holds to the oracle with a source killed.
 fault-smoke:
-	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestShortTuple' . ./internal/engine/
+	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple' . ./internal/engine/
 
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue
@@ -78,11 +78,13 @@ chaos-smoke:
 # Serving smoke: boot the multi-tenant daemon in-process, hammer it with
 # the closed-loop load generator under an overload-provoking config
 # (delayed sources, two slots), and require a sound, schema-valid
-# BENCH_E24.json plus a clean shutdown. ucqnload exits non-zero on any
-# unsound answer, transport error, or dirty shutdown.
+# report plus a clean shutdown. ucqnload validates the report in memory
+# and exits non-zero on any unsound answer, transport error, or dirty
+# shutdown; -out '' keeps it from rewriting the committed BENCH_E24.json
+# with this machine's numbers.
 serve-smoke:
 	$(GO) run ./cmd/ucqnload -boot -users 8 -duration 2s -quota 50 \
-		-delay 1ms -concurrency 2 -queue 4 -queue-wait 5ms -out BENCH_E24.json
+		-delay 1ms -concurrency 2 -queue 4 -queue-wait 5ms -out ''
 
 # Persistence smoke: the crash-safe answer cache under fire — the
 # crash-recovery property suite (random kill offsets and bit flips

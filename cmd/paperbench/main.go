@@ -145,11 +145,7 @@ func e1() {
 // --- E2 -----------------------------------------------------------------
 
 func e2() {
-	u := ucqn.MustParseQuery(`
-		Q(x, y) :- not S(z), R(x, z), B(x, y).
-		Q(x, y) :- T(x, y).
-	`)
-	ps := ucqn.MustParsePatterns(`S^o R^oo B^oi T^oo`)
+	u, ps, _ := example4()
 	fmt.Println(ucqn.Plan(u, ps))
 
 	fmt.Printf("\n%8s %14s %10s\n", "n", "ns/op", "ratio")
@@ -195,7 +191,10 @@ func e3() {
 
 // --- E4 -----------------------------------------------------------------
 
-func e4() {
+// example4 is the paper's infeasible view of Examples 4–8 — the union
+// E4, E8 and E11 run ANSWER* on, and E2 and E13 plan — with its access
+// patterns and its schema for the instance generators.
+func example4() (logic.UCQ, *access.Set, workload.Schema) {
 	u := ucqn.MustParseQuery(`
 		Q(x, y) :- not S(z), R(x, z), B(x, y).
 		Q(x, y) :- T(x, y).
@@ -204,17 +203,35 @@ func e4() {
 	s := workload.Schema{Relations: []workload.RelDef{
 		{Name: "R", Arity: 2}, {Name: "S", Arity: 1}, {Name: "B", Arity: 2}, {Name: "T", Arity: 2},
 	}}
+	return u, ps, s
+}
+
+// answerStar runs ANSWER* for u over a fresh catalog of in and adds the
+// run's source traffic to total.
+func answerStar(u logic.UCQ, ps *access.Set, in *engine.Instance, total *sources.Stats) (engine.AnswerStar, *sources.Catalog) {
+	cat := in.MustCatalog(ps)
+	res, err := engine.RunAnswerStar(u, ps, cat)
+	if err != nil {
+		panic(err)
+	}
+	total.Add(cat.TotalStats())
+	return res, cat
+}
+
+func e4() {
+	u, ps, s := example4()
 	trials := 200
 	if *quick {
 		trials = 50
 	}
-	fmt.Printf("%24s %10s %12s %12s\n", "instance family", "complete", "avg |ans_u|", "avg |Δ|")
+	fmt.Printf("%24s %10s %12s %12s %8s %8s\n", "instance family", "complete", "avg |ans_u|", "avg |Δ|", "calls", "tuples")
 	for _, fam := range []struct {
 		name string
 		fk   bool
 	}{{"random", false}, {"R.z ⊆ S.z (Ex. 6)", true}} {
 		g := workload.New(42)
 		complete, sumU, sumD := 0, 0, 0
+		var traffic sources.Stats
 		for i := 0; i < trials; i++ {
 			var facts = g.Facts(s, 6, 8)
 			if fam.fk {
@@ -224,25 +241,19 @@ func e4() {
 			if err := in.LoadFacts(facts); err != nil {
 				panic(err)
 			}
-			cat, err := in.Catalog(ps)
-			if err != nil {
-				panic(err)
-			}
-			res, err := engine.RunAnswerStar(u, ps, cat)
-			if err != nil {
-				panic(err)
-			}
+			res, _ := answerStar(u, ps, in, &traffic)
 			if res.Complete {
 				complete++
 			}
 			sumU += res.Under.Len()
 			sumD += res.Delta.Len()
 		}
-		fmt.Printf("%24s %9.0f%% %12.2f %12.2f\n", fam.name,
+		fmt.Printf("%24s %9.0f%% %12.2f %12.2f %8d %8d\n", fam.name,
 			100*float64(complete)/float64(trials),
-			float64(sumU)/float64(trials), float64(sumD)/float64(trials))
+			float64(sumU)/float64(trials), float64(sumD)/float64(trials),
+			traffic.Calls, traffic.TuplesReturned)
 	}
-	fmt.Println("expected: the FK family reports complete answers far more often, despite the query being infeasible")
+	fmt.Println("expected: the FK family reports complete answers far more often, despite the query being infeasible; calls and tuples (summed over the trials) are those of the overestimate plan alone")
 }
 
 // --- E5 -----------------------------------------------------------------
@@ -357,18 +368,15 @@ func e8() {
 	// Same as E4 but sweeping the inclusion rate: what fraction of R
 	// tuples violate the FK determines how often completeness is
 	// detected.
-	u := ucqn.MustParseQuery(`
-		Q(x, y) :- not S(z), R(x, z), B(x, y).
-		Q(x, y) :- T(x, y).
-	`)
-	ps := ucqn.MustParsePatterns(`S^o R^oo B^oi T^oo`)
+	u, ps, _ := example4()
 	trials := 150
 	if *quick {
 		trials = 30
 	}
-	fmt.Printf("%14s %12s\n", "FK violations", "complete")
+	fmt.Printf("%14s %12s %8s %8s\n", "FK violations", "complete", "calls", "tuples")
 	for _, extra := range []int{0, 1, 2, 4} {
 		complete := 0
+		var traffic sources.Stats
 		for i := 0; i < trials; i++ {
 			in := engine.NewInstance()
 			// S covers the base domain; R references it, plus `extra`
@@ -382,21 +390,13 @@ func e8() {
 			}
 			in.MustAdd("B", "x0", "y0")
 			in.MustAdd("T", "t1", "t2")
-			cat, err := in.Catalog(ps)
-			if err != nil {
-				panic(err)
-			}
-			res, err := engine.RunAnswerStar(u, ps, cat)
-			if err != nil {
-				panic(err)
-			}
-			if res.Complete {
+			if res, _ := answerStar(u, ps, in, &traffic); res.Complete {
 				complete++
 			}
 		}
-		fmt.Printf("%14d %11.0f%%\n", extra, 100*float64(complete)/float64(trials))
+		fmt.Printf("%14d %11.0f%% %8d %8d\n", extra, 100*float64(complete)/float64(trials), traffic.Calls, traffic.TuplesReturned)
 	}
-	fmt.Println("expected: 100% complete at 0 violations, 0% once dangling R tuples exist")
+	fmt.Println("expected: 100% complete at 0 violations, 0% once dangling R tuples exist; calls and tuples (summed over the trials) are those of the overestimate plan alone")
 }
 
 // --- E9 -----------------------------------------------------------------
@@ -475,33 +475,20 @@ func e10() {
 
 func e11() {
 	g := workload.New(51)
-	s := workload.Schema{Relations: []workload.RelDef{
-		{Name: "R", Arity: 2}, {Name: "S", Arity: 1}, {Name: "B", Arity: 2}, {Name: "T", Arity: 2},
-	}}
-	u := ucqn.MustParseQuery(`
-		Q(x, y) :- not S(z), R(x, z), B(x, y).
-		Q(x, y) :- T(x, y).
-	`)
-	ps := ucqn.MustParsePatterns(`S^o R^oo B^oi T^oo`)
+	u, ps, s := example4()
 	trials := 150
 	if *quick {
 		trials = 30
 	}
 	var sumU, sumI, sumX, sumO float64
+	var traffic sources.Stats // ANSWER* only: taken before ImproveUnder enumerates the domain
 	ladder := 0
 	for i := 0; i < trials; i++ {
 		in := engine.NewInstance()
 		if err := in.LoadFacts(g.Facts(s, 8, 6)); err != nil {
 			panic(err)
 		}
-		cat, err := in.Catalog(ps)
-		if err != nil {
-			panic(err)
-		}
-		res, err := engine.RunAnswerStar(u, ps, cat)
-		if err != nil {
-			panic(err)
-		}
+		res, cat := answerStar(u, ps, in, &traffic)
 		improved, _, _, err := engine.ImproveUnder(res, ps, cat, 100_000)
 		if err != nil {
 			panic(err)
@@ -522,6 +509,7 @@ func e11() {
 	fmt.Printf("avg |ans_u| = %.2f ≤ avg |ans_u+dom| = %.2f ≤ avg |exact| = %.2f   (avg |ans_o| = %.2f, with nulls)\n",
 		sumU/n, sumI/n, sumX/n, sumO/n)
 	fmt.Printf("ladder held in %d/%d instances\n", ladder, trials)
+	fmt.Printf("ANSWER* source traffic over the %d instances: %d calls, %d tuples (domain enumeration not counted)\n", trials, traffic.Calls, traffic.TuplesReturned)
 	fmt.Println("expected: ladder holds in every instance; dom closes part of the gap")
 }
 
@@ -568,11 +556,7 @@ func e12() {
 // --- E13 ----------------------------------------------------------------
 
 func e13() {
-	u := ucqn.MustParseQuery(`
-		Q(x, y) :- not S(z), R(x, z), B(x, y).
-		Q(x, y) :- T(x, y).
-	`)
-	ps := ucqn.MustParsePatterns(`S^o R^oo B^oi T^oo`)
+	u, ps, _ := example4()
 	inds := ucqn.MustParseINDs(`R[1] < S[0]`)
 	before := ucqn.Feasible(u, ps)
 	opt := inds.Optimize(u)

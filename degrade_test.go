@@ -111,6 +111,10 @@ func TestExecPartialResultsStreaming(t *testing.T) {
 	}
 
 	strCat, _, _ := killSource(t, in, ps, "S")
+	// Rule 1's only call blocks until released, so the stream cannot
+	// have finished when the report is asked for.
+	release := make(chan struct{})
+	strCat.Source("R").(*Table).OnCall = func(Pattern, []string) { <-release }
 	res, err := Exec(context.Background(), q, ps, strCat, WithRuntime(fastRuntime()), WithPartialResults(), WithStreaming())
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +122,7 @@ func TestExecPartialResultsStreaming(t *testing.T) {
 	if _, ok := res.Incompleteness(); ok {
 		t.Error("Incompleteness must not be readable before the stream finished")
 	}
+	close(release)
 	got, err := res.Rel() // drains
 	if err != nil {
 		t.Fatalf("partial stream must not surface the degraded failure: %v", err)

@@ -95,21 +95,29 @@ func WithStreaming() ExecOption { return func(c *execConfig) { c.streaming = tru
 // underestimate of the full answer, in the spirit of ANSWER*'s ansᵤ;
 // Result.Incompleteness reports the dropped disjuncts, their failing
 // sources, and the disjunct-level completeness ratio. Caller-context
-// cancellation and planning errors still abort. It does not combine
-// with WithAnswerStar (a degraded overestimate certifies nothing) or
+// cancellation and planning errors still abort. With WithAnswerStar the
+// underestimate stays sound and the report says the overestimate is
+// not certified (AnswerStar.OverCertified). It does not combine with
 // WithNaive.
 func WithPartialResults() ExecOption { return func(c *execConfig) { c.partial = true } }
 
 // WithAnswerStar runs the full ANSWER* algorithm (Figure 4): Result.Rel
 // is the certain underestimate and Result.Star carries the completeness
-// report.
+// report. It is one execution of the overestimate plan Qᵒ — the rules
+// the underestimate shares with it are not evaluated twice — on the
+// driver every Exec runs, so it combines with WithProfile (that
+// execution's profile), WithParallelRules, WithPartialResults and
+// WithStreaming (the stream carries the underestimate; Result.Star
+// reports once it has ended). A query cache is bypassed.
 func WithAnswerStar() ExecOption { return func(c *execConfig) { c.star = true } }
 
 // WithImproveUnder is WithAnswerStar followed by the domain-enumeration
 // improvement of the underestimate (Example 8), spending at most
 // maxCalls source calls on enumeration. Result.Rel is the improved
 // underestimate; Result.Improved has the improved rules and enumeration
-// metadata.
+// metadata. The improvement is a strict, unprofiled step after the
+// ANSWER* execution (Result.Profile and Result.Incompleteness describe
+// that execution only), so it does not combine with WithStreaming.
 func WithImproveUnder(maxCalls int) ExecOption {
 	return func(c *execConfig) { c.star, c.improve, c.maxCalls = true, true, maxCalls }
 }
@@ -183,7 +191,8 @@ func WithStageBuffer(n int) ExecOption {
 // depends on the options: Rel always yields the materialized answers
 // (draining the stream first in streaming mode), Stream is non-nil only
 // with WithStreaming, Profile reports ok only with WithProfile, Star and
-// Improved only with WithAnswerStar / WithImproveUnder.
+// Improved only with WithAnswerStar / WithImproveUnder. Profile,
+// Incompleteness and Star of a stream report ok once it has finished.
 type Result struct {
 	rel    *Rel
 	stream *Stream
@@ -248,8 +257,13 @@ func (r *Result) Incompleteness() (Incompleteness, bool) {
 }
 
 // Star returns the ANSWER* report (requires WithAnswerStar or
-// WithImproveUnder).
+// WithImproveUnder). In streaming mode it is available only after the
+// stream ran to its end — ok is false before that, and for a stream
+// that failed or was closed early.
 func (r *Result) Star() (AnswerStar, bool) {
+	if r.stream != nil {
+		return r.stream.Star()
+	}
 	if r.star == nil {
 		return AnswerStar{}, false
 	}
@@ -348,34 +362,42 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		}
 		return execCached(ctx, rt, &c, entry, info, ps, cat)
 	}
-	switch {
-	case c.star:
-		star, err := rt.RunAnswerStar(ctx, q, ps, cat)
-		if err != nil {
-			return nil, err
+	o := c.engineOpts()
+	if c.streaming {
+		var s *Stream
+		var err error
+		if c.star {
+			s, err = rt.StreamAnswerStar(ctx, core.ComputePlans(q, ps), ps, cat, o)
+		} else {
+			s, err = rt.StreamEval(ctx, q, ps, cat, engine.Answered{}, o)
 		}
-		res := &Result{rel: star.Under, star: &star}
-		if c.improve {
-			improved, rules, dom, err := rt.ImproveUnder(ctx, star, ps, cat, c.maxCalls)
-			if err != nil {
-				return nil, err
-			}
-			res.rel, res.improve, res.rules, res.dom = improved, true, rules, dom
-		}
-		return res, nil
-	case c.streaming:
-		s, err := rt.StreamEval(ctx, q, ps, cat, engine.Answered{}, c.engineOpts())
 		if err != nil {
 			return nil, err
 		}
 		return &Result{stream: s, profiled: c.profile}, nil
-	default:
-		rel, prof, inc, err := rt.Eval(ctx, q, ps, cat, c.engineOpts())
+	}
+	if !c.star {
+		rel, prof, inc, err := rt.Eval(ctx, q, ps, cat, o)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{rel: rel, profiled: c.profile, prof: prof, inc: inc}, nil
 	}
+	// ANSWER* is PLAN* in front of the same driver call and a sink behind
+	// it (engine/answerstar.go), so o means what it means without it.
+	star, prof, inc, err := rt.RunAnswerStarWithPlans(ctx, core.ComputePlans(q, ps), ps, cat, o)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{rel: star.Under, star: &star, profiled: c.profile, prof: prof, inc: inc}
+	if c.improve {
+		improved, rules, dom, err := rt.ImproveUnder(ctx, star, ps, cat, c.maxCalls)
+		if err != nil {
+			return nil, err
+		}
+		res.rel, res.improve, res.rules, res.dom = improved, true, rules, dom
+	}
+	return res, nil
 }
 
 // engineOpts is how the engine's driver runs this call's rules.
@@ -398,13 +420,8 @@ func (c *execConfig) validate() error {
 		}
 		return nil
 	}
-	if c.star {
-		if c.streaming || c.profile || c.parallel {
-			return errors.New("ucqn: WithAnswerStar does not combine with streaming, profiling, or parallel rules")
-		}
-		if c.partial {
-			return errors.New("ucqn: WithAnswerStar does not combine with WithPartialResults: a degraded overestimate certifies nothing")
-		}
+	if c.improve && c.streaming {
+		return errors.New("ucqn: WithImproveUnder does not combine with WithStreaming: the improvement starts from the finished ANSWER* report")
 	}
 	if c.hasBatchSize && c.batchSize < 1 {
 		return fmt.Errorf("ucqn: WithBatchSize(%d): batch size must be at least 1", c.batchSize)

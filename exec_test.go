@@ -178,6 +178,131 @@ func TestExecAnswerStar(t *testing.T) {
 	}
 }
 
+// starFixture is Example 4's union — rule 1 is dismissed from the
+// underestimate and overestimated with a null — over an instance on
+// which Δ is not empty.
+func starFixture(t *testing.T) (Query, *PatternSet, *Instance) {
+	t.Helper()
+	q := MustParseQuery(`
+		Q(x, y) :- not S(z), R(x, z), B(x, y).
+		Q(x, y) :- T(x, y).
+	`)
+	ps := MustParsePatterns(`S^o R^oo B^oi T^oo`)
+	in := NewInstance()
+	in.MustAdd("R", "x1", "z1").MustAdd("R", "x2", "z2").MustAdd("S", "z2")
+	in.MustAdd("B", "x1", "y1").MustAdd("T", "t1", "t2").MustAdd("T", "t3", "t4")
+	return q, ps, in
+}
+
+// ANSWER* is one execution on the driver every Exec runs, so the
+// execution options mean under it what they mean without it.
+func TestExecAnswerStarCombines(t *testing.T) {
+	q, ps, in := starFixture(t)
+	ctx := context.Background()
+	want, err := execStar(q, ps, in.MustCatalog(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Complete || want.Under.Len() != 2 || !want.Delta.HasNull() {
+		t.Fatalf("fixture must leave a null-carrying Δ beside two certain answers:\n%s", want.Report())
+	}
+	naive, err := execNaive(q, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("profile", func(t *testing.T) {
+		cat := in.MustCatalog(ps)
+		res, err := Exec(ctx, q, ps, cat, WithAnswerStar(), WithProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, ok := res.Profile()
+		if !ok || len(prof.Rules) != 2 || prof.TotalCalls() != cat.TotalStats().Calls {
+			t.Errorf("profile = %d rules, %d calls (ok=%v), want the one run of Qᵒ: 2 rules, the catalog's %d calls", len(prof.Rules), prof.TotalCalls(), ok, cat.TotalStats().Calls)
+		}
+	})
+
+	t.Run("parallel", func(t *testing.T) {
+		res, err := Exec(ctx, q, ps, in.MustCatalog(ps), WithAnswerStar(), WithParallelRules())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if star, ok := res.Star(); !ok {
+			t.Error("Star must be populated with WithAnswerStar")
+		} else if star.Report() != want.Report() {
+			t.Errorf("parallel report:\n%s\nwant the sequential one:\n%s", star.Report(), want.Report())
+		}
+	})
+
+	t.Run("streaming", func(t *testing.T) {
+		cat := in.MustCatalog(ps)
+		// The first call blocks until released, so the stream cannot have
+		// ended when the report is asked for.
+		release := make(chan struct{})
+		cat.Source("S").(*Table).OnCall = func(Pattern, []string) { <-release }
+		res, err := Exec(ctx, q, ps, cat, WithAnswerStar(), WithStreaming())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := res.Star(); ok {
+			t.Error("Star must not report before the stream has ended")
+		}
+		close(release)
+		got, err := res.Rel() // drains
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := got.Rows(), want.Under.Rows()
+		if len(g) != len(w) {
+			t.Fatalf("stream carried %d rows, want the underestimate's %d", len(g), len(w))
+		}
+		for i := range g {
+			if g[i].Key() != w[i].Key() {
+				t.Fatalf("row %d = %s, want %s (the materialized Under, in order)", i, g[i], w[i])
+			}
+		}
+		if star, ok := res.Star(); !ok {
+			t.Error("Star must report once the stream has ended")
+		} else if star.Report() != want.Report() {
+			t.Errorf("drained report:\n%s\nwant the materialized one:\n%s", star.Report(), want.Report())
+		}
+	})
+
+	t.Run("partial", func(t *testing.T) {
+		cat, _, _ := killSource(t, in, ps, "R")
+		if _, err := Exec(ctx, q, ps, cat, WithRuntime(fastRuntime()), WithAnswerStar()); err == nil {
+			t.Fatal("strict ANSWER* must fail with a dead source")
+		}
+		res, err := Exec(ctx, q, ps, cat, WithRuntime(fastRuntime()), WithAnswerStar(), WithPartialResults())
+		if err != nil {
+			t.Fatalf("partial ANSWER* must degrade, not fail: %v", err)
+		}
+		star, ok := res.Star()
+		if !ok {
+			t.Fatal("Star must be populated with WithAnswerStar")
+		}
+		if star.OverCertified || star.Complete || star.RatioValid {
+			t.Fatalf("a dropped disjunct must leave the overestimate uncertified:\n%s", star.Report())
+		}
+		if star.Under.Len() != 2 {
+			t.Errorf("underestimate = %s, want the surviving complete rule's 2 rows", star.Under)
+		}
+		for _, row := range star.Under.Rows() {
+			if !naive.Contains(row) {
+				t.Errorf("degraded underestimate row %s is no answer", row)
+			}
+		}
+		inc, ok := res.Incompleteness()
+		if !ok || inc.Complete() {
+			t.Fatalf("incompleteness = %+v/%v, want the recorded failure", inc, ok)
+		}
+		if got := inc.FailedSources(); len(got) != 1 || got[0] != "R" {
+			t.Errorf("FailedSources = %v, want [R]", got)
+		}
+	})
+}
+
 func TestExecImproveUnder(t *testing.T) {
 	// S(y, x) is unanswerable as written (y has no binder), so PLAN*
 	// under-approximates; domain enumeration re-admits it through dom(y).
@@ -350,9 +475,7 @@ func TestExecRejectsContradictoryOptions(t *testing.T) {
 		{"naive+star", []ExecOption{WithNaive(in), WithAnswerStar()}},
 		{"naive+inds", []ExecOption{WithNaive(in), WithINDs(nil)}},
 		{"naive+batch", []ExecOption{WithNaive(in), WithBatchSize(8)}},
-		{"star+streaming", []ExecOption{WithAnswerStar(), WithStreaming()}},
-		{"star+parallel", []ExecOption{WithAnswerStar(), WithParallelRules()}},
-		{"star+partial", []ExecOption{WithAnswerStar(), WithPartialResults()}},
+		{"improve+streaming", []ExecOption{WithImproveUnder(10), WithStreaming()}},
 		{"naive+partial", []ExecOption{WithNaive(in), WithPartialResults()}},
 	}
 	for _, c := range cases {

@@ -159,7 +159,8 @@ func CachedCatalog(cat *Catalog) (*Catalog, []*CachedSource, error) {
 // transient failures. Construct one with NewRuntime (or
 // SequentialRuntime for the historical per-binding loop), tune the
 // exported fields before first use, and pass it with WithRuntime or
-// call its context-taking Answer/AnswerParallel/RunAnswerStar methods.
+// call its context-taking Answer/AnswerParallel/RunAnswerStarWithPlans
+// methods.
 type Runtime = engine.Runtime
 
 // RetryPolicy configures how a Runtime retries failed source calls.

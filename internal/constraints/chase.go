@@ -1,15 +1,12 @@
 package constraints
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/access"
 	"repro/internal/containment"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/logic"
-	"repro/internal/sources"
 )
 
 // Chase extends the rule body with the positive atoms the inclusion
@@ -154,23 +151,4 @@ func (s Set) OptimizeChase(u logic.UCQ) logic.UCQ {
 // infeasible in general may be feasible under constraints (Example 6).
 func FeasibleUnder(u logic.UCQ, ps *access.Set, s Set) core.FeasibleResult {
 	return core.Feasible(s.OptimizeChase(u), ps)
-}
-
-// AnswerStarUnder runs ANSWER* on the semantically optimized query:
-// rules the dependencies refute are dropped before planning, which can
-// remove null-producing overestimate rules and turn an "unknown
-// completeness" report into a certified-complete one (the compile-time
-// counterpart of Example 6's runtime observation). The caller must only
-// use it when the catalog's data satisfies the dependencies.
-func AnswerStarUnder(u logic.UCQ, ps *access.Set, cat *sources.Catalog, s Set) (engine.AnswerStar, error) {
-	return AnswerStarUnderContext(context.Background(), nil, u, ps, cat, s)
-}
-
-// AnswerStarUnderContext is AnswerStarUnder honoring a context and an
-// explicit runtime (nil means the engine's default runtime).
-func AnswerStarUnderContext(ctx context.Context, rt *engine.Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog, s Set) (engine.AnswerStar, error) {
-	if rt == nil {
-		rt = engine.DefaultRuntime()
-	}
-	return rt.RunAnswerStar(ctx, s.OptimizeChase(u), ps, cat)
 }

@@ -4,12 +4,24 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
 )
+
+// ANSWER* (Figure 4 of the paper) on the one executor. PLAN* makes every
+// rule of Qᵘ syntactically a rule of Qᵒ — Qᵢᵘ is Aᵢ exactly when Uᵢ is
+// empty, and then Qᵢᵒ is Aᵢ too — so the two estimates come from ONE
+// execution of the positional overestimate union (rule i is
+// plans.Rules[i].Over; false rules keep their place and are skipped by
+// the driver, so the sink's rule index is the index into plans.Rules).
+// The sink behind the driver puts every rule's rows into ansₒ and the
+// rows of the rules Qᵘ shares into ansᵤ: insertion order is that of
+// evaluating plans.Under and plans.Over separately, at the source calls
+// of plans.Over alone.
 
 // AnswerStar is the outcome of the ANSWER* algorithm (Figure 4 of the
 // paper): the runtime underestimate and overestimate of the answer to Q
@@ -25,6 +37,11 @@ type AnswerStar struct {
 	Over *Rel
 	// Delta is Δ = ansₒ \ ansᵤ, the tuples that may be answers.
 	Delta *Rel
+	// OverCertified is false iff partial-results mode dropped a rule:
+	// Under is then still a sound underestimate (the rows of the
+	// surviving rules of Qᵘ), but Over and Δ lack the dropped rule's rows
+	// and bound nothing, so Complete and RatioValid are false.
+	OverCertified bool
 	// Complete reports Δ = ∅: the answer is complete even if the query
 	// is infeasible (Example 5).
 	Complete bool
@@ -47,6 +64,10 @@ func (a AnswerStar) Report() string {
 		return strings.TrimRight(b.String(), "\n")
 	}
 	b.WriteString("answer is not known to be complete\n")
+	if !a.OverCertified {
+		b.WriteString("the overestimate is not certified: a disjunct failed and was dropped")
+		return b.String()
+	}
 	b.WriteString("these tuples may be part of the answer:\n")
 	for _, r := range a.Delta.Sorted() {
 		fmt.Fprintf(&b, "  %s\n", r)
@@ -57,43 +78,98 @@ func (a AnswerStar) Report() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// RunAnswerStar executes ANSWER*: it computes the PLAN* plans for u,
-// evaluates both against the catalog, and derives Δ and the completeness
-// report.
-func RunAnswerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
-	return defaultRuntime.RunAnswerStar(context.Background(), u, ps, cat)
+// starSink is the half of ANSWER* behind the driver.
+type starSink struct {
+	plans core.PlanStar
+	union logic.UCQ // Qᵒ, rule i at position i
+	// certain[i]: rule i of Qᵘ is rule i of Qᵒ, so its rows are certain
+	// answers. That is RuleAnalysis.Complete for a satisfiable rule with
+	// a range-restricted head; a head variable no literal binds is null
+	// in Qᵢᵒ only, and such rows are no certain answers.
+	certain     []bool
+	under, over *Rel
+	// mu guards the relations when rule pipelines deliver concurrently
+	// (staged and Opts.Parallel); every other run delivers from one
+	// goroutine at a time.
+	mu     sync.Mutex
+	locked bool
 }
 
-// RunAnswerStar is the package-level RunAnswerStar on this runtime.
-func (rt *Runtime) RunAnswerStar(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
-	plans := core.ComputePlans(u, ps)
-	return rt.RunAnswerStarWithPlans(ctx, plans, ps, cat)
-}
-
-// RunAnswerStarWithPlans is RunAnswerStar for precomputed plans (so
-// callers can reuse a compile-time PLAN* across database states).
-func RunAnswerStarWithPlans(plans core.PlanStar, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
-	return defaultRuntime.RunAnswerStarWithPlans(context.Background(), plans, ps, cat)
-}
-
-// RunAnswerStarWithPlans is the package-level RunAnswerStarWithPlans on
-// this runtime.
-func (rt *Runtime) RunAnswerStarWithPlans(ctx context.Context, plans core.PlanStar, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
-	under, err := rt.Answer(ctx, plans.Under, ps, cat)
-	if err != nil {
-		return AnswerStar{}, fmt.Errorf("engine: evaluating underestimate: %w", err)
+func newStarSink(plans core.PlanStar, locked bool) *starSink {
+	st := &starSink{plans: plans, certain: make([]bool, len(plans.Rules)), under: NewRel(), over: NewRel(), locked: locked}
+	st.union.Rules = make([]logic.CQ, len(plans.Rules))
+	for i, ra := range plans.Rules {
+		st.union.Rules[i] = ra.Over
+		st.certain[i] = ra.Under.Equal(ra.Over)
 	}
-	over, err := rt.Answer(ctx, plans.Over, ps, cat)
-	if err != nil {
-		return AnswerStar{}, fmt.Errorf("engine: evaluating overestimate: %w", err)
+	return st
+}
+
+// sink collects the estimates. A stream carries the underestimate — a
+// row of a certain rule is an answer the moment the driver delivers it —
+// so those rows, and only those, go on to emit (nil on a materialized
+// run). The count it reports is the rows new to ansₒ.
+func (st *starSink) sink(emit func(context.Context, []Row) bool) Sink {
+	return func(ctx context.Context, rule int, rows []Row) (int, bool) {
+		if st.locked {
+			st.mu.Lock()
+		}
+		added := st.over.AddRows(rows)
+		if st.certain[rule] {
+			st.under.AddRows(rows)
+		}
+		if st.locked {
+			st.mu.Unlock()
+		}
+		if emit == nil || !st.certain[rule] {
+			return added, true
+		}
+		return added, emit(ctx, rows)
 	}
-	out := AnswerStar{Plans: plans, Under: under, Over: over, Delta: over.Minus(under)}
-	out.Complete = out.Delta.Len() == 0
-	if !out.Complete && !out.Delta.HasNull() && over.Len() > 0 {
-		out.Ratio = float64(under.Len()) / float64(over.Len())
+}
+
+// report derives Δ and the completeness information once the execution
+// has finished; inc is its degradation report (nil in strict mode).
+func (st *starSink) report(inc *Incompleteness) AnswerStar {
+	out := AnswerStar{Plans: st.plans, Under: st.under, Over: st.over, Delta: st.over.Minus(st.under)}
+	out.OverCertified = inc == nil || inc.Complete()
+	out.Complete = out.OverCertified && out.Delta.Len() == 0
+	if out.OverCertified && !out.Complete && !out.Delta.HasNull() {
+		out.Ratio = float64(out.Under.Len()) / float64(out.Over.Len())
 		out.RatioValid = true
 	}
-	return out, nil
+	return out
+}
+
+// RunAnswerStar executes ANSWER*: it computes the PLAN* plans for u,
+// evaluates them against the catalog, and derives Δ and the completeness
+// report.
+func RunAnswerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
+	star, _, _, err := defaultRuntime.RunAnswerStarWithPlans(context.Background(), core.ComputePlans(u, ps), ps, cat, Opts{})
+	return star, err
+}
+
+// RunAnswerStarWithPlans is ANSWER* for precomputed plans (so callers
+// can reuse a compile-time PLAN* across database states), materialized:
+// one Run of Qᵒ under o, whose profile and — in partial-results mode —
+// degradation report it returns beside the ANSWER* report.
+func (rt *Runtime) RunAnswerStarWithPlans(ctx context.Context, plans core.PlanStar, ps *access.Set, cat *sources.Catalog, o Opts) (AnswerStar, Profile, *Incompleteness, error) {
+	st := newStarSink(plans, false)
+	prof, inc, err := rt.Run(ctx, st.union, ps, cat, Answered{}, o, st.sink(nil))
+	if err != nil {
+		return AnswerStar{}, Profile{}, nil, err
+	}
+	return st.report(inc), prof, inc, nil
+}
+
+// StreamAnswerStar is RunAnswerStarWithPlans streamed: the same driver
+// on the staged schedule. The stream carries the underestimate — held
+// back per rule under o.Partial, as in every stream — and, drained,
+// equals the materialized Under, in order unless o.Parallel. Stream.Star
+// has the report once the stream has run to its end.
+func (rt *Runtime) StreamAnswerStar(ctx context.Context, plans core.PlanStar, ps *access.Set, cat *sources.Catalog, o Opts) (*Stream, error) {
+	st := newStarSink(plans, o.Parallel)
+	return rt.stream(ctx, st.union, ps, cat, Answered{}, o, st)
 }
 
 // ImproveUnder upgrades the underestimate with domain enumeration views

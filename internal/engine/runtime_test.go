@@ -43,11 +43,11 @@ func TestRuntimeMatchesSequentialOnPaperExamples(t *testing.T) {
 		t.Run(ex.Name, func(t *testing.T) {
 			plans := core.ComputePlans(ex.Query, ex.Patterns)
 			cat := exampleInstance(ex.Patterns).MustCatalog(ex.Patterns)
-			seq, err := SequentialRuntime().RunAnswerStarWithPlans(context.Background(), plans, ex.Patterns, cat)
+			seq, _, _, err := SequentialRuntime().RunAnswerStarWithPlans(context.Background(), plans, ex.Patterns, cat, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ded, err := NewRuntime().RunAnswerStarWithPlans(context.Background(), plans, ex.Patterns, cat)
+			ded, _, _, err := NewRuntime().RunAnswerStarWithPlans(context.Background(), plans, ex.Patterns, cat, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}

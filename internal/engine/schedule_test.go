@@ -319,6 +319,204 @@ func TestSchedulesAgreeWithOracle(t *testing.T) {
 	}
 }
 
+// runStar executes ANSWER* for plans under the schedule: the report,
+// what the caller's API shape hands out as the answer (Under itself, or
+// the drained stream), the profile and the degradation report.
+func (s schedule) runStar(plans core.PlanStar, ps *access.Set, cat *sources.Catalog, o Opts) (AnswerStar, *Rel, Profile, *Incompleteness, error) {
+	rt := NewRuntime()
+	rt.Retry = RetryPolicy{}
+	ctx := context.Background()
+	if !s.staged {
+		star, prof, inc, err := rt.RunAnswerStarWithPlans(ctx, plans, ps, cat, o)
+		return star, star.Under, prof, inc, err
+	}
+	rt.BatchSize, rt.StageBuffer = s.batch, s.buffer
+	st, err := rt.StreamAnswerStar(ctx, plans, ps, cat, o)
+	if err != nil {
+		return AnswerStar{}, nil, Profile{}, nil, err
+	}
+	rel, err := st.Drain()
+	if err != nil {
+		return AnswerStar{}, nil, Profile{}, nil, err
+	}
+	star, ok := st.Star()
+	if !ok {
+		return AnswerStar{}, nil, Profile{}, nil, fmt.Errorf("no ANSWER* report after the stream ran to its end")
+	}
+	prof, _ := st.Profile()
+	var inc *Incompleteness
+	if got, ok := st.Incomplete(); ok {
+		inc = &got
+	}
+	return star, rel, prof, inc, nil
+}
+
+// covered reports whether some row of rel equals row on every non-null
+// position: the null-aware order of Example 7.
+func covered(row Row, rel *Rel) bool {
+	for _, o := range rel.Rows() {
+		match := len(o) == len(row)
+		for j := 0; match && j < len(o); j++ {
+			match = o[j].Null || o[j] == row[j]
+		}
+		if match {
+			return true
+		}
+	}
+	return false
+}
+
+// ANSWER* held to the oracle. On Example 4/5's union, a three-rule union
+// with two complete rules around a dismissed one, an incomplete rule
+// whose overestimate is null-free (the ratio case), and a union PLAN*
+// dismisses entirely, every schedule × {sequential, parallel} must give
+// Under and Over byte-identical, in insertion order, to evaluating
+// plans.Under and plans.Over separately through the map evaluator — for
+// exactly the source calls of plans.Over alone — with Under ⊆ naive ⊆
+// Over on the null-aware order and the report derived as Figure 4 says.
+// With one source killed under Opts.Partial, the estimates are those of
+// the surviving rules and the overestimate is not certified.
+func TestAnswerStarAgreesWithOracle(t *testing.T) {
+	schema := workload.Schema{Relations: []workload.RelDef{
+		{Name: "R", Arity: 2}, {Name: "S", Arity: 1}, {Name: "B", Arity: 2}, {Name: "T", Arity: 2},
+	}}
+	ps := pats(t, `S^o R^oo B^oi T^oo`)
+	cases := []struct {
+		name, query string
+		certain     []bool
+		dead        string
+	}{
+		{"example 4", "Q(x, y) :- not S(z), R(x, z), B(x, y).\nQ(x, y) :- T(x, y).", []bool{false, true}, "T"},
+		{"complete, dismissed, complete", "Q(x, y) :- T(x, y), not S(x).\nQ(x, y) :- not S(z), R(x, z), B(x, y).\nQ(x, y) :- R(x, y).", []bool{true, false, true}, "T"},
+		{"null-free overestimate", "Q(x) :- R(x, z), B(z, w).\nQ(x) :- T(x, x).", []bool{false, true}, "R"},
+		{"all dismissed", "Q(x, y) :- R(x, z), B(x, y).\nQ(x, y) :- S(x), B(x, y).", []bool{false, false}, "S"},
+	}
+	ctx := context.Background()
+	oracleRT := NewRuntime()
+	oracleRT.Retry = RetryPolicy{}
+	g := workload.New(97)
+	for _, c := range cases {
+		u := ucq(t, c.query)
+		plans := core.ComputePlans(u, ps)
+		for i, ra := range plans.Rules {
+			if ra.Complete() != c.certain[i] {
+				t.Fatalf("%s: rule %d complete = %v, the case needs %v", c.name, i+1, ra.Complete(), c.certain[i])
+			}
+		}
+		ratios, incomplete := 0, 0
+		for draw := 0; draw < 20; draw++ {
+			in := NewInstance()
+			if err := in.LoadFacts(g.Facts(schema, 6, 5)); err != nil {
+				t.Fatal(err)
+			}
+			naive, err := AnswerNaive(u, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			underCat, overCat := in.MustCatalog(ps), in.MustCatalog(ps)
+			wantUnder, _, _, err := oracleEval(ctx, oracleRT, plans.Under, ps, underCat, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOver, _, _, err := oracleEval(ctx, oracleRT, plans.Over, ps, overCat, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStats := overCat.TotalStats()
+			if len(plans.Under.Rules) > 0 && underCat.TotalStats().Calls == 0 {
+				t.Fatalf("%s: the underestimate made no calls; the case saves nothing", c.name)
+			}
+			wantDegUnder, _, _, err := oracleEval(ctx, oracleRT, plans.Under, ps, killedCatalog(t, in, ps, c.dead), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDegOver, _, wantInc, err := oracleEval(ctx, oracleRT, plans.Over, ps, killedCatalog(t, in, ps, c.dead), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantInc.Complete() {
+				t.Fatalf("%s: killing %s degrades no rule of the overestimate", c.name, c.dead)
+			}
+
+			for _, sched := range schedules {
+				for _, parallel := range []bool{false, true} {
+					label := fmt.Sprintf("%s, draw %d, %s, parallel=%v", c.name, draw, sched, parallel)
+					inOrder := !parallel || !sched.staged
+					same := func(got, want *Rel, what string) {
+						t.Helper()
+						if inOrder {
+							sameRows(t, got, want, label+"\n"+what)
+						} else if !got.Equal(want) {
+							t.Fatalf("%s\n%s = %s, want %s", label, what, got, want)
+						}
+					}
+
+					cat := in.MustCatalog(ps)
+					star, answer, prof, inc, err := sched.runStar(plans, ps, cat, Opts{Parallel: parallel})
+					if err != nil {
+						t.Fatalf("%s\nfailed: %v", label, err)
+					}
+					same(star.Under, wantUnder, "Under")
+					same(star.Over, wantOver, "Over")
+					same(answer, wantUnder, "answer handed out")
+					if got := cat.TotalStats(); got.Calls != wantStats.Calls || got.TuplesReturned != wantStats.TuplesReturned || prof.TotalCalls() != wantStats.Calls {
+						t.Fatalf("%s\n%d calls / %d tuples (%d calls profiled), want those of the overestimate alone: %d / %d", label, got.Calls, got.TuplesReturned, prof.TotalCalls(), wantStats.Calls, wantStats.TuplesReturned)
+					}
+					if len(prof.Rules) != len(plans.Over.Rules) {
+						t.Fatalf("%s\n%d rule profiles, want one per rule of the overestimate (%d)", label, len(prof.Rules), len(plans.Over.Rules))
+					}
+					if inc != nil {
+						t.Fatalf("%s\nstrict run reported incompleteness %+v", label, inc)
+					}
+					for _, row := range star.Under.Rows() {
+						if !naive.Contains(row) {
+							t.Fatalf("%s\nunderestimate row %s is no answer", label, row)
+						}
+					}
+					for _, row := range naive.Rows() {
+						if !covered(row, star.Over) {
+							t.Fatalf("%s\nanswer %s is not covered by the overestimate %s", label, row, star.Over)
+						}
+					}
+					delta := wantOver.Minus(wantUnder)
+					if !star.OverCertified || !star.Delta.Equal(delta) || star.Complete != (delta.Len() == 0) ||
+						star.RatioValid != (delta.Len() > 0 && !delta.HasNull()) ||
+						(star.RatioValid && star.Ratio != float64(wantUnder.Len())/float64(wantOver.Len())) {
+						t.Fatalf("%s\nreport does not follow from the estimates:\n%s", label, star.Report())
+					}
+					if star.RatioValid {
+						ratios++
+					}
+					if !star.Complete {
+						incomplete++
+					}
+
+					cat = killedCatalog(t, in, ps, c.dead)
+					star, answer, _, inc, err = sched.runStar(plans, ps, cat, Opts{Parallel: parallel, Partial: true})
+					if err != nil {
+						t.Fatalf("%s\nfailed to degrade with %s dead: %v", label, c.dead, err)
+					}
+					same(star.Under, wantDegUnder, "degraded Under")
+					same(star.Over, wantDegOver, "degraded Over")
+					same(answer, wantDegUnder, "degraded answer handed out")
+					if g, w := incSummary(inc), incSummary(wantInc); g != w {
+						t.Fatalf("%s\nincompleteness %s, want %s", label, g, w)
+					}
+					if star.OverCertified || star.Complete || star.RatioValid || !strings.Contains(star.Report(), "not certified") {
+						t.Fatalf("%s\na dropped disjunct must leave the overestimate uncertified:\n%s", label, star.Report())
+					}
+				}
+			}
+		}
+		if c.name == "null-free overestimate" && ratios == 0 {
+			t.Errorf("%s: no draw reported a completeness ratio", c.name)
+		}
+		if incomplete == 0 {
+			t.Errorf("%s: every draw was complete; Δ was never exercised", c.name)
+		}
+	}
+}
+
 // What the merge of the materialized and streamed drivers could
 // silently change, pinned.
 

@@ -15,6 +15,9 @@ package engine
 //   - StreamParallel: all rule pipelines run concurrently and their
 //     emissions interleave; the drained set is still equal (set
 //     semantics), but insertion order is scheduling-dependent.
+//   - StreamAnswerStar (answerstar.go): the same pipelines over Qᵒ with
+//     ANSWER*'s sink in front of the channel; only the underestimate's
+//     rows are emitted, in the order above.
 //   - Close (or cancelling the caller's context) tears down every stage:
 //     all pipeline goroutines exit before Close returns; no goroutine
 //     outlives the stream.
@@ -61,7 +64,8 @@ type Stream struct {
 
 	prof     Profile
 	inc      *Incompleteness // partial-results report; nil in strict mode
-	profDone chan struct{}   // closed when prof (and inc) are fully assembled
+	star     *AnswerStar     // ANSWER* report; nil unless StreamAnswerStar ran to its end
+	profDone chan struct{}   // closed when prof (and inc, star) are fully assembled
 }
 
 // Next advances to the next tuple, blocking until one is available. It
@@ -129,18 +133,27 @@ func (s *Stream) Drain() (*Rel, error) {
 	return out, nil
 }
 
+// finished reports whether the driver has returned and the profile and
+// reports are assembled.
+func (s *Stream) finished() bool {
+	select {
+	case <-s.profDone:
+		return true
+	default:
+		return false
+	}
+}
+
 // Profile returns the execution profile once the stream has finished
 // (exhausted, failed, or closed) and reports whether it is complete. It
 // includes per-stage traffic and busy time, the rules' wall-clock, the
 // time to first tuple, and the peak number of bindings resident in the
 // pipeline.
 func (s *Stream) Profile() (Profile, bool) {
-	select {
-	case <-s.profDone:
-		return s.prof, true
-	default:
+	if !s.finished() {
 		return Profile{}, false
 	}
+	return s.prof, true
 }
 
 // Incomplete returns the degradation report of a partial-results stream
@@ -148,15 +161,21 @@ func (s *Stream) Profile() (Profile, bool) {
 // the stream is still running or when the stream was not started with
 // Opts.Partial.
 func (s *Stream) Incomplete() (Incompleteness, bool) {
-	select {
-	case <-s.profDone:
-		if s.inc == nil {
-			return Incompleteness{}, false
-		}
-		return *s.inc, true
-	default:
+	if !s.finished() || s.inc == nil {
 		return Incompleteness{}, false
 	}
+	return *s.inc, true
+}
+
+// Star returns the ANSWER* report of a stream started by
+// StreamAnswerStar once it has run to its end. ok is false while the
+// stream is still running, and for good when it failed or was closed
+// early: estimates cut short bound nothing.
+func (s *Stream) Star() (AnswerStar, bool) {
+	if !s.finished() || s.star == nil {
+		return AnswerStar{}, false
+	}
+	return *s.star, true
 }
 
 // fail records the pipeline's first real failure and cancels every
@@ -221,13 +240,23 @@ func (rt *Runtime) StreamParallel(ctx context.Context, u logic.UCQ, ps *access.S
 // it. The plan is compiled before it returns; the driver then runs in a
 // goroutine, its sink the stream's channel.
 func (rt *Runtime) StreamEval(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts) (*Stream, error) {
+	return rt.stream(ctx, u, ps, cat, pre, o, nil)
+}
+
+// stream is StreamEval with, for ANSWER*, star's sink between the driver
+// and the stream's channel (nil: every row is emitted).
+func (rt *Runtime) stream(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts, star *starSink) (*Stream, error) {
 	s := &Stream{
 		rows:     make(chan []Row, rt.stageBuffer()),
 		profDone: make(chan struct{}),
 	}
-	x := rt.newExecution(cat, o, true, func(ctx context.Context, _ int, rows []Row) (int, bool) {
+	sink := func(ctx context.Context, _ int, rows []Row) (int, bool) {
 		return len(rows), s.emit(ctx, rows)
-	})
+	}
+	if star != nil {
+		sink = star.sink(s.emit)
+	}
+	x := rt.newExecution(cat, o, true, sink)
 	if err := x.compile(u, ps, pre); err != nil {
 		return nil, err
 	}
@@ -241,6 +270,10 @@ func (rt *Runtime) StreamEval(ctx context.Context, u logic.UCQ, ps *access.Set, 
 		defer close(s.profDone)
 		prof, inc, err := x.run(sctx)
 		s.fail(err)
+		if star != nil && err == nil {
+			report := star.report(inc)
+			s.star = &report
+		}
 		s.mu.Lock()
 		prof.TimeToFirst = s.ttf
 		s.prof, s.inc = prof, inc

@@ -219,6 +219,9 @@ func RunLoad(ctx context.Context, baseURL string, tenants []*TenantFixture, cfg 
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	// A connection left open without a request in flight keeps the
+	// server's Shutdown waiting for its new-connection grace period.
+	client.CloseIdleConnections()
 
 	if report.Requests > 0 {
 		report.QPS = float64(report.Requests) / elapsed.Seconds()
