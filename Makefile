@@ -90,27 +90,29 @@ serve-smoke:
 # crash-recovery property suite (random kill offsets and bit flips
 # through the full Exec path, recovery must never fail and never serve
 # a wrong row), the chaos crash/reopen cycles (rotating fault regimes,
-# no goroutine or fd leaks), the faultfs-backed persist unit tests, and
-# the E26 warm-restart harness end to end. Under -race because the
-# spill path runs outside the cache lock by design.
+# no goroutine or fd leaks), a clean warm restart served at zero source
+# calls, the faultfs-backed persist unit tests, and the committed bench
+# artifacts' schema gate. Under -race because the spill path runs
+# outside the cache lock by design.
 persist-smoke:
-	$(GO) test -race -count=1 -run='TestPersistCrashRecoveryExec|TestChaosPersistCrashReopenCycles' .
+	$(GO) test -race -count=1 -run='TestPersistCrashRecoveryExec|TestChaosPersistCrashReopenCycles|TestPersistWarmRestart' .
 	$(GO) test -race -count=1 ./internal/qcache/persist/
-	$(GO) test -race -count=1 -run='TestRunWarmRestart|TestValidateBenchReport' ./internal/server/
+	$(GO) test -race -count=1 -run='TestValidateBenchReport|TestCommittedBenchArtifacts' ./internal/server/
 
 # External-adapter smoke: the SQL and HTTP adapters over the in-repo
 # fakedb driver and httptest backends — the fault matrix (injected
 # latency, failed statements, 5xx/429/connection-refused, malformed
 # responses, open breakers), the batched-pushdown engine path, the
-# interner-cap hammer, and the adapter differential suite (every
-# adapter answer-equivalent to the in-memory relation it mirrors).
+# interner-cap hammer, the adapter differential suite (every adapter
+# answer-equivalent to the in-memory relation it mirrors; a 256-binding
+# group is one round trip), and a catalog config mounted on the server.
 # Under -race because batch demux and HTTP coalescing are concurrent by
 # design.
 adapter-smoke:
 	$(GO) test -race -count=1 ./internal/adapter/...
 	$(GO) test -race -count=1 -run='TestRuntimeBatch|TestInternerCap' ./internal/engine/
 	$(GO) test -race -count=1 -run='TestAdapterDifferentialEquivalence|TestAdapterBatchedJoinEquivalence' .
-	$(GO) test -race -count=1 -run='TestRunBatchPushdown|TestMountCatalogConfig|TestValidateBenchReportE27' ./internal/server/
+	$(GO) test -race -count=1 -run='TestMountCatalogConfig' ./internal/server/
 
 # Fleet smoke: the shared-cache fleet under fire — the kill-the-writer
 # chaos suite (seeded crash/takeover/resurrection rounds on a virtual

@@ -195,16 +195,16 @@ func TestAdapterDifferentialEquivalence(t *testing.T) {
 }
 
 // The same equivalence holds when batching actually fires: a fan-out
-// join through an adapter must produce the per-call answers while
-// making far fewer round trips.
+// join through an adapter must produce the per-call answers, and its
+// 256-binding group into T is one round trip — two with R's scan.
 func TestAdapterBatchedJoinEquivalence(t *testing.T) {
 	q := MustParseQuery(`Q(x, y) :- R(x, z), T(z, y).`)
 	ps := MustParsePatterns(`R^oo T^io`)
 	in := engine.NewInstance()
 	for i := 0; i < 300; i++ {
-		in.MustAdd("R", fmt.Sprintf("x%d", i), fmt.Sprintf("z%d", i%20))
+		in.MustAdd("R", fmt.Sprintf("x%d", i), fmt.Sprintf("z%d", i%256))
 	}
-	for z := 0; z < 20; z++ {
+	for z := 0; z < 256; z++ {
 		in.MustAdd("T", fmt.Sprintf("z%d", z), fmt.Sprintf("y%d", z))
 	}
 	memCat := in.MustCatalog(ps)
@@ -224,11 +224,10 @@ func TestAdapterBatchedJoinEquivalence(t *testing.T) {
 		t.Fatal("batched adapter answers diverge from in-memory answers")
 	}
 	prof, _ := res.Profile()
-	if prof.Calls.BatchGroups == 0 || prof.Calls.BatchedCalls < 20 {
+	if prof.Calls.BatchGroups == 0 || prof.Calls.BatchedCalls < 256 {
 		t.Fatalf("pushdown did not fire: %+v", prof.Calls)
 	}
-	st := sqlCat.TotalStats()
-	if st.RoundTrips >= st.Calls {
-		t.Fatalf("no round-trip saving: %d trips for %d calls", st.RoundTrips, st.Calls)
+	if st := sqlCat.TotalStats(); st.Calls != 257 || st.RoundTrips != 2 {
+		t.Fatalf("%d calls in %d round trips, want 257 in 2", st.Calls, st.RoundTrips)
 	}
 }

@@ -793,7 +793,7 @@ func BenchmarkAnswerParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.AnswerParallel(u, ps, cat); err != nil {
+			if _, _, _, err := engine.DefaultRuntime().Eval(context.Background(), u, ps, cat, engine.Opts{Parallel: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -34,15 +34,17 @@ type QueryCacheStats = qcache.Stats
 // NewQueryCache returns a semantic query cache with the given options.
 func NewQueryCache(opt QueryCacheOptions) *QueryCache { return qcache.New(opt) }
 
-// WithQueryCache routes this Exec call through qc: the plan (executable
-// form, orderability, FEASIBLE verdict) is served from the plan cache
-// when an equivalent query was planned before, and answers are reused
-// per disjunct when the catalog's generation still matches. Cached
-// execution accepts any orderable query (the cache plans a reordering),
-// not only queries executable as written. The cache is bypassed — not
-// an error — under WithNaive, WithAnswerStar/WithImproveUnder, and
-// WithStats (cost ordering is statistics-dependent, so its plans are
-// not a pure function of the query and patterns).
+// WithQueryCache routes this Exec call through qc: the plan (the
+// representative's core.Plan and its FEASIBLE verdict) is served from
+// the plan cache when an equivalent query was planned before, and
+// answers are reused per disjunct when the catalog's generation still
+// matches. A query answers the same with or without the cache: both
+// paths run a plan made by the one planning rule Exec states. The cache
+// is bypassed — not an error — under WithNaive; under
+// WithAnswerStar/WithImproveUnder, because the plan tier holds orderable
+// representatives only and ANSWER* exists for queries that are not; and
+// under WithStats, because cost ordering is statistics-dependent, so its
+// order is not a pure function of the query and patterns.
 func WithQueryCache(qc *QueryCache) ExecOption { return func(c *execConfig) { c.qc = qc } }
 
 // useQueryCache reports whether this Exec call goes through the cache.
@@ -81,7 +83,7 @@ func cacheProfile(qc *QueryCache, info qcache.PlanInfo, hit qcache.AnswerHit) en
 // state exists. A materialized run stores the per-disjunct answers it
 // evaluated; streamed runs do not fill the answer cache (their
 // disjuncts' answers are never held apart).
-func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.PlanEntry, info qcache.PlanInfo, ps *PatternSet, cat *sources.Catalog) (*Result, error) {
+func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.PlanEntry, info qcache.PlanInfo, cat *sources.Catalog) (*Result, error) {
 	hit := c.qc.Answers(entry, cat)
 	res := &Result{profiled: c.profile, prof: cacheProfile(c.qc, info, hit)}
 	if hit.Full != nil && !c.streaming {
@@ -91,14 +93,10 @@ func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.P
 		}
 		return res, nil
 	}
-	exec := entry.Exec()
+	plan := entry.Plan()
 	pre := engine.Answered{Covered: hit.Covered, Rows: hit.Rows}
 	if c.streaming {
-		s, err := rt.StreamEval(ctx, exec, ps, cat, pre, c.engineOpts())
-		if err != nil {
-			return nil, err
-		}
-		res.stream = s
+		res.stream = rt.StreamEval(ctx, plan, cat, pre, c.engineOpts())
 		return res, nil
 	}
 
@@ -107,8 +105,8 @@ func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.P
 	// run calls the sink once per rule with rows that are distinct and
 	// the sink's to keep (engine.Sink), which is what Frozen asks for.
 	out := engine.NewRel()
-	rels := make([]*engine.Rel, len(exec.Rules))
-	prof, inc, err := rt.Run(ctx, exec, ps, cat, pre, c.engineOpts(), func(_ context.Context, i int, rows []engine.Row) (int, bool) {
+	rels := make([]*engine.Rel, len(plan.Exec.Rules))
+	prof, inc, err := rt.Run(ctx, plan, cat, pre, c.engineOpts(), func(_ context.Context, i int, rows []engine.Row) (int, bool) {
 		if !hit.Covered[i] {
 			rels[i] = engine.Frozen(rows)
 		}

@@ -401,3 +401,106 @@ func TestCacheFullHitIdenticalToUncached(t *testing.T) {
 		t.Fatalf("only %d plans checked, %d of them with cross-disjunct duplicates; the draw no longer covers the property", hits, duplicated)
 	}
 }
+
+// incSummary renders what two degraded runs of the same query must agree
+// on: the rule accounting and, per dropped disjunct, its position,
+// failing source and class.
+func incSummary(inc Incompleteness) string {
+	s := fmt.Sprintf("%d/%d", inc.RulesSurvived, inc.RulesTotal)
+	for _, f := range inc.Failed {
+		s += fmt.Sprintf(" rule%d@%s:%s", f.RuleIndex, f.Source, f.Class)
+	}
+	return s
+}
+
+// One plan, cached or not: a query that is orderable but not executable
+// as written — Example 1, and random unions with every body reversed —
+// answers the same through Exec with and without a query cache,
+// materialized, streamed, and under WithPartialResults with one source
+// killed (same rows, same Incompleteness).
+func TestExecSameAnswerWithAndWithoutCache(t *testing.T) {
+	type draw struct {
+		name string
+		q    Query
+		ps   *PatternSet
+		in   *Instance
+	}
+	ex1 := workload.PaperExamples()[0]
+	draws := []draw{{ex1.Name, ex1.Query, ex1.Patterns, paperInstance(ex1.Patterns)}}
+	g := workload.New(4242)
+	cfg := workload.QueryConfig{PosLits: 3, NegLits: 1, VarPool: 4, ConstProb: 0.1, HeadVars: 1, DomainSize: 5}
+	for i := 0; i < 400 && len(draws) < 25; i++ {
+		s := g.Schema(4, 1, 2)
+		ps := g.Patterns(s, 0.4, 2)
+		u := g.UCQ(s, 2, cfg)
+		for r := range u.Rules {
+			u.Rules[r] = workload.Reversed(u.Rules[r])
+		}
+		in := NewInstance()
+		if err := in.LoadFacts(g.Facts(s, 12, 5)); err != nil {
+			t.Fatal(err)
+		}
+		if Orderable(u, ps) && !Executable(u, ps) {
+			draws = append(draws, draw{fmt.Sprintf("draw %d", i), u, ps, in})
+		}
+	}
+	if len(draws) < 20 {
+		t.Fatalf("only %d orderable, non-executable draws", len(draws))
+	}
+	degraded := 0
+	for _, d := range draws {
+		label := fmt.Sprintf("%s: %s", d.name, d.q)
+		cat := d.in.MustCatalog(d.ps)
+		want := execRel(t, d.q, d.ps, cat)
+		qc := NewQueryCache(QueryCacheOptions{})
+		if got := execRel(t, d.q, d.ps, cat, WithQueryCache(qc)); !got.Equal(want) {
+			t.Fatalf("%s\ncached %s, uncached %s", label, got, want)
+		}
+		for _, opts := range [][]ExecOption{{WithStreaming()}, {WithStreaming(), WithQueryCache(NewQueryCache(QueryCacheOptions{}))}} {
+			if got := execRel(t, d.q, d.ps, cat, opts...); !got.Equal(want) {
+				t.Fatalf("%s\nstreamed (%d options) %s, want %s", label, len(opts), got, want)
+			}
+		}
+
+		entry, _ := qc.Plan(d.q, d.ps)
+		if err := entry.Err(); err != nil {
+			t.Fatal(err)
+		}
+		dead := "" // the first source of the last rule that runs
+		for _, rule := range entry.Exec().Rules {
+			if !rule.False {
+				dead = rule.Body[0].Atom.Pred
+			}
+		}
+		if dead == "" {
+			continue
+		}
+		// One call at a time: the order in which a dead source's breaker
+		// sees failures then decides the failure classes, not scheduling.
+		rt := fastRuntime()
+		rt.Concurrency = 1
+		var rels [2]*Rel
+		var incs [2]string
+		for k, opts := range [][]ExecOption{nil, {WithQueryCache(qc)}} {
+			killed, _, _ := killSource(t, d.in, d.ps, dead)
+			res, err := Exec(context.Background(), d.q, d.ps, killed, append(opts, WithRuntime(rt), WithPartialResults())...)
+			if err != nil {
+				t.Fatalf("%s\n%s dead: %v", label, dead, err)
+			}
+			if rels[k], err = res.Rel(); err != nil {
+				t.Fatal(err)
+			}
+			inc, _ := res.Incompleteness()
+			incs[k] = incSummary(inc)
+			if k == 0 && !inc.Complete() {
+				degraded++
+			}
+		}
+		if !rels[1].Equal(rels[0]) || incs[1] != incs[0] {
+			t.Fatalf("%s\n%s dead: cached %s (%s), uncached %s (%s)", label, dead, rels[1], incs[1], rels[0], incs[0])
+		}
+	}
+	if degraded < len(draws)/2 {
+		t.Errorf("only %d of %d draws degraded with a source killed", degraded, len(draws))
+	}
+}

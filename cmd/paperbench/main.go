@@ -1,6 +1,7 @@
 // Command paperbench regenerates every experiment of DESIGN.md
-// (E1–E23 and E26–E28; E24 is the serving harness, cmd/ucqnload, and E25
-// a benchmark beside its oracle, internal/engine): the
+// (E1–E23 and E28; E24 is the serving harness, cmd/ucqnload, E25 a
+// benchmark beside its oracle, internal/engine, and E26/E27 are the
+// bench/ workloads churn_persist and remote_batch): the
 // reproduction of the algorithms, worked examples, and
 // complexity claims of Nash & Ludäscher (EDBT 2004). Each experiment
 // prints one table; EXPERIMENTS.md records the expected shapes.
@@ -36,7 +37,7 @@ import (
 
 var (
 	quick    = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
-	benchOut = flag.String("bench-out", "", "write the bench report of the experiment being run (E26–E28, with -run) to this path")
+	benchOut = flag.String("bench-out", "", "write the bench report of the experiment being run (E28, with -run) to this path")
 )
 
 func main() {
@@ -71,8 +72,6 @@ func main() {
 		{"E21", "graceful degradation: breaker savings and underestimate size", e21},
 		{"E22", "semantic query cache: Zipf repeated workload", e22},
 		{"E23", "hedged requests: tail latency with a slow replica", e23},
-		{"E26", "crash-safe answer cache: cold start vs warm restart", e26},
-		{"E27", "external adapters: batched IN pushdown vs per-call round trips", e27},
 		{"E28", "cache fleet: sibling warm start and fleet-wide invalidation", e28},
 	}
 	found := false
@@ -1345,100 +1344,6 @@ func e23() {
 			calls, hedges, wins, st.MeanLatency().Round(time.Microsecond))
 	}
 	fmt.Println("expected: the slow replica drives the unhedged p99 to ≥5× healthy; hedging restores p99 to ≤2× healthy for <5% extra calls; mean source latency stays near the base round trip")
-}
-
-// --- E26 ----------------------------------------------------------------
-
-func e26() {
-	// Cold start vs warm restart through the serving layer: a server
-	// opens over an empty persistence directory, serves the fixture mix
-	// twice (cold pass pays the source calls; steady pass is the
-	// answer-cache regime), shuts down, and a fresh server — new
-	// catalogs, same directory — serves the mix again. The warm pass
-	// must hit the steady-state call count: the append-only log, not
-	// the sources, repopulated the cache. An artificial per-call delay
-	// makes the saved round trips visible in the p50.
-	delayMS := 2.0
-	if *quick {
-		delayMS = 1.0
-	}
-	dir, err := os.MkdirTemp("", "ucqn-e26-*")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	rep, err := server.RunWarmRestart(context.Background(), dir,
-		server.WarmRestartConfig{Tenants: 3, DelayMS: delayMS})
-	if err != nil {
-		panic(err)
-	}
-
-	fmt.Printf("%-8s %10s %12s %12s\n", "pass", "calls", "p50", "mean")
-	fmt.Printf("%-8s %10d %12s %12s\n", "cold", rep.ColdCalls, fmtMS(rep.ColdP50MS), fmtMS(rep.ColdMeanMS))
-	fmt.Printf("%-8s %10d %12s %12s\n", "steady", rep.SteadyCalls, fmtMS(rep.SteadyP50MS), fmtMS(rep.SteadyMeanMS))
-	fmt.Printf("%-8s %10d %12s %12s\n", "warm", rep.WarmCalls, fmtMS(rep.WarmP50MS), fmtMS(rep.WarmMeanMS))
-	fmt.Printf("restart recovery: %d entries warm-loaded (%d bytes), %d dropped; sound: %v\n",
-		rep.PersistLoads, rep.PersistBytes, rep.PersistDrops, rep.Sound)
-	fmt.Println("expected: the warm restart matches the steady-state call count (≈0) with a mean latency orders of magnitude under cold; recovery loads every persisted entry and every answer verifies against ground truth")
-
-	if *benchOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		data = append(data, '\n')
-		if err := server.ValidateBenchReport(data); err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			panic(err)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-	}
-}
-
-// --- E27 ----------------------------------------------------------------
-
-func e27() {
-	// Batched pushdown through the SQL adapter: a fan-out join drives a
-	// deduplicated binding group into a SQL-backed relation, once with
-	// the adapter's batching property masked (one statement per
-	// binding) and once with it live (one IN statement per chunk). The
-	// backend's own query counter is the round-trip ground truth, and an
-	// injected per-statement latency makes the saving visible in the
-	// percentiles — as it would be on a real network.
-	cfg := server.BatchPushdownConfig{Bindings: 256, Fanout: 4, Iters: 7, LatencyMS: 1}
-	if *quick {
-		cfg.Iters = 2
-	}
-	rep, err := server.RunBatchPushdown(context.Background(), cfg)
-	if err != nil {
-		panic(err)
-	}
-
-	fmt.Printf("%-9s %8s %12s %14s %12s %12s\n", "mode", "calls", "round trips", "bytes on wire", "p50", "p99")
-	fmt.Printf("%-9s %8d %12d %14d %12s %12s\n", "per-call",
-		rep.PerCall.Calls, rep.PerCall.RoundTrips, rep.PerCall.BytesOnWire, fmtMS(rep.PerCall.P50MS), fmtMS(rep.PerCall.P99MS))
-	fmt.Printf("%-9s %8d %12d %14d %12s %12s\n", "batched",
-		rep.Batched.Calls, rep.Batched.RoundTrips, rep.Batched.BytesOnWire, fmtMS(rep.Batched.P50MS), fmtMS(rep.Batched.P99MS))
-	fmt.Printf("bindings: %d  answers: %d  round-trip ratio: %.0fx  equal answers: %v\n",
-		rep.Bindings, rep.Answers, rep.RoundTripRatio, rep.EqualAnswers)
-	fmt.Println("expected: the batched mode services the whole binding group in a handful of IN statements (≥10x fewer round trips), moves fewer wire bytes, and returns byte-identical answers")
-
-	if *benchOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		data = append(data, '\n')
-		if err := server.ValidateBenchReport(data); err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			panic(err)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-	}
 }
 
 // --- E28 ----------------------------------------------------------------

@@ -293,10 +293,16 @@ func (r *Result) Improved() (Query, DomResult, bool) {
 //	for s.Next() { use(s.Tuple()) }
 //	if err := s.Err(); err != nil { ... }
 //
+// One planning rule decides which queries run, with a query cache or
+// without one: a rule executable as written runs in its written order,
+// any other orderable rule (Definition 4) in the order ANSWERABLE
+// chooses, and a query with a rule that has no executable order fails
+// with an error wrapping ErrNotOrderable before any source call.
+//
 // Exec returns an error for contradictory option combinations (see each
-// option), for unplannable queries, and — except in streaming mode,
-// where runtime failures surface through Stream.Err — for execution
-// failures.
+// option), for such unplannable queries, and — except in streaming
+// mode, where runtime failures surface through Stream.Err — for
+// execution failures.
 func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...ExecOption) (*Result, error) {
 	var c execConfig
 	for _, o := range opts {
@@ -360,24 +366,19 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		if err := entry.Err(); err != nil {
 			return nil, err
 		}
-		return execCached(ctx, rt, &c, entry, info, ps, cat)
+		return execCached(ctx, rt, &c, entry, info, cat)
 	}
 	o := c.engineOpts()
-	if c.streaming {
-		var s *Stream
-		var err error
-		if c.star {
-			s, err = rt.StreamAnswerStar(ctx, core.ComputePlans(q, ps), ps, cat, o)
-		} else {
-			s, err = rt.StreamEval(ctx, q, ps, cat, engine.Answered{}, o)
-		}
+	if !c.star {
+		p, err := core.NewPlan(q, ps)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{stream: s, profiled: c.profile}, nil
-	}
-	if !c.star {
-		rel, prof, inc, err := rt.Eval(ctx, q, ps, cat, o)
+		if c.streaming {
+			return &Result{stream: rt.StreamEval(ctx, p, cat, engine.Answered{}, o), profiled: c.profile}, nil
+		}
+		rel := engine.NewRel()
+		prof, inc, err := rt.Run(ctx, p, cat, engine.Answered{}, o, engine.Into(rel))
 		if err != nil {
 			return nil, err
 		}
@@ -385,6 +386,13 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 	}
 	// ANSWER* is PLAN* in front of the same driver call and a sink behind
 	// it (engine/answerstar.go), so o means what it means without it.
+	if c.streaming {
+		s, err := rt.StreamAnswerStar(ctx, core.ComputePlans(q, ps), ps, cat, o)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{stream: s, profiled: c.profile}, nil
+	}
 	star, prof, inc, err := rt.RunAnswerStarWithPlans(ctx, core.ComputePlans(q, ps), ps, cat, o)
 	if err != nil {
 		return nil, err

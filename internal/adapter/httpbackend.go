@@ -16,8 +16,7 @@ import (
 // mount it on httptest servers — with injectable latency and fault
 // bursts — and deployments can use it to expose any Source over the
 // wire (two ucqnd processes can front each other's catalogs with it).
-// It meters requests and approximate bytes on the wire, which is what
-// E27 reports.
+// It meters requests and approximate bytes on the wire.
 type Backend struct {
 	src sources.Source
 

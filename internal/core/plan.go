@@ -155,6 +155,44 @@ func overestimateRule(ans logic.CQ) logic.CQ {
 // executable is not. It is the querier's error, not the mediator's.
 var ErrNotOrderable = errors.New("query is not orderable under the declared access patterns")
 
+// Plan is the one planned form of a union that every execution runs:
+// Exec is the union the driver evaluates and Steps[i] the adorned steps
+// of Exec.Rules[i] (nil for a False rule), both positional with the
+// planned union. A Plan is immutable: a cached one is shared by
+// concurrent executions, which read its rules and steps and never write
+// them.
+type Plan struct {
+	Exec  logic.UCQ
+	Steps [][]access.AdornedLiteral
+}
+
+// NewPlan plans u under ps, rule by rule, with orderability (Definition
+// 4) as the line: a rule executable as written keeps its literal order
+// and that order's adornment; any other orderable rule takes the order
+// ANSWERABLE chooses (Reorder), and an unsatisfiable one becomes False;
+// False rules keep their place with nil steps. A rule with no executable
+// order fails the plan with an error that wraps ErrNotOrderable and names
+// the rule.
+func NewPlan(u logic.UCQ, ps *access.Set) (Plan, error) {
+	p := Plan{Exec: logic.UCQ{Rules: make([]logic.CQ, len(u.Rules))}, Steps: make([][]access.AdornedLiteral, len(u.Rules))}
+	for i, rule := range u.Rules {
+		if !rule.False {
+			steps, ok := access.AdornInOrder(rule.Body, ps)
+			if !ok {
+				if rule, ok = Reorder(rule, ps); ok && !rule.False {
+					steps, ok = access.AdornInOrder(rule.Body, ps)
+				}
+			}
+			if !ok {
+				return Plan{}, fmt.Errorf("core: %w: rule %d: %s", ErrNotOrderable, i+1, u.Rules[i])
+			}
+			p.Steps[i] = steps
+		}
+		p.Exec.Rules[i] = rule
+	}
+	return p, nil
+}
+
 // ExecutionOrder returns the adorned execution steps for an executable
 // rule (one access pattern chosen per literal), or an error if the rule
 // is not executable as written. PLAN* emits rules in executable order, so

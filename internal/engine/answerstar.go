@@ -81,7 +81,6 @@ func (a AnswerStar) Report() string {
 // starSink is the half of ANSWER* behind the driver.
 type starSink struct {
 	plans core.PlanStar
-	union logic.UCQ // Qᵒ, rule i at position i
 	// certain[i]: rule i of Qᵘ is rule i of Qᵒ, so its rows are certain
 	// answers. That is RuleAnalysis.Complete for a satisfiable rule with
 	// a range-restricted head; a head variable no literal binds is null
@@ -95,14 +94,17 @@ type starSink struct {
 	locked bool
 }
 
-func newStarSink(plans core.PlanStar, locked bool) *starSink {
+// newStarSink returns the sink for plans and the plan of the positional
+// Qᵒ it reads (rule i is plans.Rules[i].Over).
+func newStarSink(plans core.PlanStar, ps *access.Set, locked bool) (*starSink, core.Plan, error) {
 	st := &starSink{plans: plans, certain: make([]bool, len(plans.Rules)), under: NewRel(), over: NewRel(), locked: locked}
-	st.union.Rules = make([]logic.CQ, len(plans.Rules))
+	over := logic.UCQ{Rules: make([]logic.CQ, len(plans.Rules))}
 	for i, ra := range plans.Rules {
-		st.union.Rules[i] = ra.Over
+		over.Rules[i] = ra.Over
 		st.certain[i] = ra.Under.Equal(ra.Over)
 	}
-	return st
+	p, err := core.NewPlan(over, ps)
+	return st, p, err
 }
 
 // sink collects the estimates. A stream carries the underestimate — a
@@ -154,8 +156,11 @@ func RunAnswerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerSta
 // one Run of Qᵒ under o, whose profile and — in partial-results mode —
 // degradation report it returns beside the ANSWER* report.
 func (rt *Runtime) RunAnswerStarWithPlans(ctx context.Context, plans core.PlanStar, ps *access.Set, cat *sources.Catalog, o Opts) (AnswerStar, Profile, *Incompleteness, error) {
-	st := newStarSink(plans, false)
-	prof, inc, err := rt.Run(ctx, st.union, ps, cat, Answered{}, o, st.sink(nil))
+	st, p, err := newStarSink(plans, ps, false)
+	if err != nil {
+		return AnswerStar{}, Profile{}, nil, err
+	}
+	prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, st.sink(nil))
 	if err != nil {
 		return AnswerStar{}, Profile{}, nil, err
 	}
@@ -168,8 +173,11 @@ func (rt *Runtime) RunAnswerStarWithPlans(ctx context.Context, plans core.PlanSt
 // equals the materialized Under, in order unless o.Parallel. Stream.Star
 // has the report once the stream has run to its end.
 func (rt *Runtime) StreamAnswerStar(ctx context.Context, plans core.PlanStar, ps *access.Set, cat *sources.Catalog, o Opts) (*Stream, error) {
-	st := newStarSink(plans, o.Parallel)
-	return rt.stream(ctx, st.union, ps, cat, Answered{}, o, st)
+	st, p, err := newStarSink(plans, ps, o.Parallel)
+	if err != nil {
+		return nil, err
+	}
+	return rt.stream(ctx, p, cat, Answered{}, o, st), nil
 }
 
 // ImproveUnder upgrades the underestimate with domain enumeration views

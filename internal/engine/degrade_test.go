@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
 )
@@ -302,8 +303,8 @@ func TestEvalPartialDoesNotAbsorbPlanningErrors(t *testing.T) {
 	in.MustAdd("R", "a")
 	for _, parallel := range []bool{false, true} {
 		_, _, _, err := NewRuntime().Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{Partial: true, Parallel: parallel})
-		if !errors.Is(err, errNotExecutable) {
-			t.Errorf("parallel=%v: err = %v, want the compile error even in partial mode", parallel, err)
+		if !errors.Is(err, core.ErrNotOrderable) {
+			t.Errorf("parallel=%v: err = %v, want the planning error even in partial mode", parallel, err)
 		}
 	}
 }
@@ -402,10 +403,7 @@ func TestStreamPartialDegradedMatchesMaterialized(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	strCat, strFlaky, _ := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-	s, err := degradeRuntime().StreamEval(context.Background(), u, ps, strCat, Answered{}, Opts{Partial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := degradeRuntime().StreamEval(context.Background(), mustPlan(t, u, ps), strCat, Answered{}, Opts{Partial: true})
 	got, err := s.Drain()
 	if err != nil {
 		t.Fatalf("partial stream must not surface the degraded failure: %v", err)
@@ -438,10 +436,7 @@ func TestStreamPartialMidPipelineTeardown(t *testing.T) {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cat, _, breakers := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-			s, err := degradeRuntime().StreamEval(context.Background(), u, ps, cat, Answered{}, Opts{Partial: true, Parallel: parallel})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := degradeRuntime().StreamEval(context.Background(), mustPlan(t, u, ps), cat, Answered{}, Opts{Partial: true, Parallel: parallel})
 			got, err := s.Drain()
 			if err != nil {
 				t.Fatal(err)
@@ -465,10 +460,7 @@ func TestStreamPartialMidPipelineTeardown(t *testing.T) {
 
 			// Strict mode on the same inputs surfaces the failure.
 			cat2, _, _ := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-			s2, err := degradeRuntime().StreamEval(context.Background(), u, ps, cat2, Answered{}, Opts{Parallel: parallel})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s2 := degradeRuntime().StreamEval(context.Background(), mustPlan(t, u, ps), cat2, Answered{}, Opts{Parallel: parallel})
 			if _, err := s2.Drain(); err == nil {
 				t.Error("strict stream must fail when a source is dead")
 			}

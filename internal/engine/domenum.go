@@ -20,9 +20,11 @@ type DomResult struct {
 	Values []string
 	// Calls is the number of source calls spent enumerating.
 	Calls int
-	// Truncated reports that the call budget was exhausted before the
-	// fixpoint; Values is then an under-approximation of the reachable
-	// domain (still sound for underestimates).
+	// Truncated reports that enumeration stopped short of the fixpoint:
+	// the call budget ran out, the context was cancelled, or some call
+	// failed — returned an error or panicked. Values is then an
+	// under-approximation of the reachable domain (still sound for
+	// underestimates).
 	Truncated bool
 }
 
@@ -74,7 +76,7 @@ func EnumerateDomainContext(ctx context.Context, cat *sources.Catalog, seeds []s
 // enumeratePattern issues all not-yet-made calls to src^p whose inputs
 // are drawn from dom, adding returned values to dom. It reports whether
 // dom grew and whether the call budget ran out; a context error aborts
-// the enumeration.
+// the enumeration, and a failed call is skipped and marks res Truncated.
 func enumeratePattern(ctx context.Context, src sources.Source, p access.Pattern, dom map[string]bool, called map[string]bool, res *DomResult, maxCalls int) (grew, stop bool, ctxErr error) {
 	k := p.InputCount()
 	values := sortedKeys(dom)
@@ -82,6 +84,7 @@ func enumeratePattern(ctx context.Context, src sources.Source, p access.Pattern,
 		return false, false, nil
 	}
 	inputs := make([]string, k)
+	var gauge inFlightGauge
 	var rec func(i int) bool // returns true to stop
 	rec = func(i int) bool {
 		if i == k {
@@ -99,14 +102,17 @@ func enumeratePattern(ctx context.Context, src sources.Source, p access.Pattern,
 			}
 			called[key] = true
 			res.Calls++
-			groups, err := src.Call(ctx, p, [][]string{append([]string(nil), inputs...)})
+			// Through the runtime's one leg: a panicking source, or one
+			// answering out of shape, fails the call instead of the process.
+			groups, _, err := defaultRuntime.runLeg(ctx, nil, &gauge, src, src.Name(), p, [][]string{append([]string(nil), inputs...)})
 			switch {
-			case err == nil && len(groups) == 1:
+			case err == nil:
 			case ctx.Err() != nil:
 				ctxErr = ctx.Err()
 				return true
 			default:
-				return false // pattern/source mismatch; skip
+				res.Truncated = true // the values this call would have shown are missing
+				return false
 			}
 			for _, t := range groups[0] {
 				for _, v := range t {

@@ -3,7 +3,9 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/core"
+	"repro/internal/sources"
 )
 
 // Example 8 of the paper: the dismissed rule Q1(x,y) :- not S(z), R(x,z),
@@ -126,5 +128,69 @@ func TestImprovedUnderRuleGuards(t *testing.T) {
 	plans2 := core.ComputePlans(u2, ps)
 	if _, ok := ImprovedUnderRule(plans2.Rules[0].Ans, plans2.Rules[0].Unanswerable, ps); ok {
 		t.Error("complete rule must not be improved")
+	}
+}
+
+// A source that panics or fails while the domain is enumerated is
+// contained: the call counts as failed, the enumeration goes on with the
+// other calls, Truncated says the domain may be short, and every value
+// found is one the healthy run finds too. Under ImproveUnder the panic
+// costs the improvement nothing it could have had without the source.
+func TestEnumerateDomainContainsFailingSources(t *testing.T) {
+	in := NewInstance().
+		MustAdd("R", "a", "b").
+		MustAdd("F", "a", "c").
+		MustAdd("F", "c", "d")
+	ps := pats(t, `R^oo F^io`)
+	healthy := EnumerateDomain(in.MustCatalog(ps), nil, 10_000)
+	if healthy.Truncated {
+		t.Fatal("the healthy run must reach the fixpoint")
+	}
+	base := in.MustCatalog(ps)
+	for _, c := range []struct {
+		name string
+		f    sources.Source
+	}{
+		{"panicking", panicSource{Table: base.Source("F").(*sources.Table)}},
+		{"flaky", sources.NewFlaky(base.Source("F"), sources.FlakyConfig{FailFirst: 1})},
+	} {
+		dom := EnumerateDomain(sources.MustCatalog(base.Source("R"), c.f), nil, 10_000)
+		if !dom.Truncated {
+			t.Errorf("%s: a failed call must mark the domain truncated", c.name)
+		}
+		want := map[string]bool{}
+		for _, v := range healthy.Values {
+			want[v] = true
+		}
+		for _, v := range dom.Values {
+			if !want[v] {
+				t.Errorf("%s: value %q is not in the healthy domain %v", c.name, v, healthy.Values)
+			}
+		}
+	}
+
+	// Example 8 beside a source no rule reads, which panics on every call.
+	u := ucq(t, `
+		Q(x, y) :- not S(z), R(x, z), B(x, y).
+		Q(x, y) :- T(x, y).
+	`)
+	ps = pats(t, `S^o R^oo B^oi T^oo P^io`)
+	ex := NewInstance().MustAdd("R", "a", "b").MustAdd("B", "a", "b").MustAdd("S", "c").MustAdd("T", "t1", "t2")
+	var srcs []sources.Source
+	for _, name := range []string{"S", "R", "B", "T"} {
+		srcs = append(srcs, ex.MustCatalog(ps).Source(name))
+	}
+	srcs = append(srcs, panicSource{Table: sources.MustTable("P", 2, []access.Pattern{"io"}, nil)})
+	cat := sources.MustCatalog(srcs...)
+	res, err := RunAnswerStar(u, ps, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	improved, _, dom, err := ImproveUnder(res, ps, cat, 10_000)
+	if err != nil {
+		t.Fatalf("a panicking source must not fail the improvement: %v", err)
+	}
+	if !dom.Truncated || !improved.Contains(RowOf("a", "b")) {
+		t.Errorf("truncated = %v, improved = %s; want truncated and (a, b) found", dom.Truncated, improved)
 	}
 }

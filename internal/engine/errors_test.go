@@ -307,10 +307,7 @@ func TestShortTupleFailsTheCall(t *testing.T) {
 		var rel *Rel
 		var inc Incompleteness
 		if staged {
-			s, serr := NewRuntime().StreamEval(ctx, u, ps, cat, Answered{}, Opts{Partial: true})
-			if serr != nil {
-				t.Fatal(serr)
-			}
+			s := NewRuntime().StreamEval(ctx, mustPlan(t, u, ps), cat, Answered{}, Opts{Partial: true})
 			rel, err = s.Drain()
 			inc, _ = s.Incomplete()
 		} else {

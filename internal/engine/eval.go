@@ -7,15 +7,19 @@ package engine
 //
 //	driver → rule runner → {whole, staged} schedule → sink
 //
-// The driver (execution.run) compiles the union once, runs the rules in
-// order or concurrently, and assembles the Profile and the
-// Incompleteness report. The runner (runRule) gives one rule its
-// RuleProfile, the one recover, and the hold-back of its rows; under it
-// a schedule (schedule.go) applies the rule's steps and produces its
-// distinct head rows, which the runner pushes — tagged with the rule's
-// index — into the caller's sink. Eval runs the driver inline with a
-// sink that fills a Rel; StreamEval runs the same driver in a goroutine
-// with a sink that sends on the Stream's channel.
+// The driver runs a core.Plan: planning (core.NewPlan) has already
+// chosen each rule's order and adornment, so the driver never re-adorns
+// and never rejects a rule, and a plan served from a cache runs exactly
+// as a fresh one. The driver (execution.run) compiles the plan's steps
+// into slot programs once per execution, runs the rules in order or
+// concurrently, and assembles the Profile and the Incompleteness report.
+// The runner (runRule) gives one rule its RuleProfile, the one recover,
+// and the hold-back of its rows; under it a schedule (schedule.go)
+// applies the rule's steps and produces its distinct head rows, which
+// the runner pushes — tagged with the rule's index — into the caller's
+// sink. Run runs the driver inline with the caller's sink (Eval's fills
+// a Rel); StreamEval runs the same driver in a goroutine with a sink
+// that sends on the Stream's channel.
 
 import (
 	"context"
@@ -29,18 +33,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/sources"
 )
-
-// errNotExecutable marks compile-time plan failures: a rule that cannot
-// be executed as written. Partial-results mode never degrades on it —
-// it is a planning error, not a runtime fault — and callers classify it
-// as core.ErrNotOrderable.
-var errNotExecutable error = notExecutableError{}
-
-type notExecutableError struct{}
-
-func (notExecutableError) Error() string { return "engine: rule is not executable as written" }
-
-func (notExecutableError) Is(target error) bool { return target == core.ErrNotOrderable }
 
 // Opts selects how an execution runs the rules of a union.
 type Opts struct {
@@ -59,8 +51,7 @@ type Opts struct {
 	// certain once the whole disjunct succeeded, so a streamed rule's
 	// rows are held back until it completes: Partial trades
 	// time-to-first-tuple within a rule for that guarantee.
-	// Caller-context cancellation and compile-time planning errors
-	// still abort.
+	// Caller-context cancellation still aborts.
 	Partial bool
 }
 
@@ -123,12 +114,11 @@ func (rt *Runtime) newExecution(cat *sources.Catalog, o Opts, staged bool, sink 
 	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: rt.newBudget(), pool: newColPool()}
 }
 
-// compile translates the union into the execution's rules, once: every
-// rule that is neither False nor pre-answered must be executable as
-// written.
-func (x *execution) compile(u logic.UCQ, ps *access.Set, pre Answered) error {
-	x.rules = make([]ruleRun, 0, len(u.Rules))
-	for i, rule := range u.Rules {
+// compile translates the plan into the execution's rules, once: every
+// rule that is neither False nor pre-answered runs the plan's steps.
+func (x *execution) compile(p core.Plan, pre Answered) {
+	x.rules = make([]ruleRun, 0, len(p.Exec.Rules))
+	for i, rule := range p.Exec.Rules {
 		if rule.False {
 			continue
 		}
@@ -136,15 +126,10 @@ func (x *execution) compile(u logic.UCQ, ps *access.Set, pre Answered) error {
 		if i < len(pre.Covered) && pre.Covered[i] {
 			r.held = [][]Row{pre.Rows[i]}
 		} else {
-			steps, ok := access.AdornInOrder(rule.Body, ps)
-			if !ok {
-				return fmt.Errorf("%w: %s", errNotExecutable, rule)
-			}
-			r.prog = compileRule(rule, steps, x.pool)
+			r.prog = compileRule(rule, p.Steps[i], x.pool)
 		}
 		x.rules = append(x.rules, r)
 	}
-	return nil
 }
 
 // run is the driver: it runs the execution's rules — in order, or one
@@ -317,18 +302,14 @@ func (x *execution) deliver(ctx context.Context, r *ruleRun, rows []Row) bool {
 	return ok
 }
 
-// Run evaluates the executable plan, materializing: every rule's steps
-// run once over the whole binding set, inline on the caller's goroutine
-// (rule goroutines only under o.Parallel), and the answered rules' rows
-// enter sink in rule order. It returns the profile and — in
-// partial-results mode only — the degradation report (nil otherwise).
-// A rule that is not executable as written fails before any source
-// call.
-func (rt *Runtime) Run(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts, sink Sink) (Profile, *Incompleteness, error) {
+// Run evaluates the plan, materializing: every rule's steps run once
+// over the whole binding set, inline on the caller's goroutine (rule
+// goroutines only under o.Parallel), and the answered rules' rows enter
+// sink in rule order. It returns the profile and — in partial-results
+// mode only — the degradation report (nil otherwise).
+func (rt *Runtime) Run(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts, sink Sink) (Profile, *Incompleteness, error) {
 	x := rt.newExecution(cat, o, false, sink)
-	if err := x.compile(u, ps, pre); err != nil {
-		return Profile{}, nil, err
-	}
+	x.compile(p, pre)
 	return x.run(ctx)
 }
 
@@ -340,24 +321,29 @@ func Into(out *Rel) Sink {
 	}
 }
 
-// Eval is Run into a fresh relation: Answer, AnswerProfiled, and
-// AnswerParallel are thin wrappers over it.
+// Eval plans u (core.NewPlan) and runs the plan into a fresh relation:
+// Answer and AnswerProfiled are thin wrappers over it.
 func (rt *Runtime) Eval(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o Opts) (*Rel, Profile, *Incompleteness, error) {
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		return nil, Profile{}, nil, err
+	}
 	out := NewRel()
-	prof, inc, err := rt.Run(ctx, u, ps, cat, Answered{}, o, Into(out))
+	prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
 	if err != nil {
 		return nil, Profile{}, nil, err
 	}
 	return out, prof, inc, nil
 }
 
-// Answer evaluates an executable UCQ¬ plan against the catalog: each rule
-// is executed left to right through source calls that respect the access
-// patterns declared by ps. Rules must be executable as written (PLAN*
-// and Reorder emit such rules); otherwise an error is returned. This is
-// ANSWER(Q, D) of the paper, computed the only way the setting allows —
-// through the sources. It runs on the default Runtime (deduplicating,
-// concurrent); use a Runtime value for cancellation or custom knobs.
+// Answer evaluates a UCQ¬ query against the catalog: each rule is
+// executed left to right — in its written order when that is executable,
+// else in the order ANSWERABLE chooses — through source calls that
+// respect the access patterns declared by ps. A rule with no executable
+// order is an error wrapping core.ErrNotOrderable. This is ANSWER(Q, D)
+// of the paper, computed the only way the setting allows — through the
+// sources. It runs on the default Runtime (deduplicating, concurrent);
+// use a Runtime value for cancellation or custom knobs.
 func Answer(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
 	return defaultRuntime.Answer(context.Background(), u, ps, cat)
 }
@@ -365,23 +351,6 @@ func Answer(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
 // Answer is ANSWER(Q, D) on this runtime; see the package-level Answer.
 func (rt *Runtime) Answer(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
 	rel, _, _, err := rt.Eval(ctx, u, ps, cat, Opts{})
-	return rel, err
-}
-
-// AnswerParallel evaluates the executable plan with one goroutine per
-// rule — the paper's reading of a UCQ¬ plan: "execute each rule
-// separately (possibly in parallel) from left to right" (Section 3).
-// Sources are safe for concurrent use; results are merged under set
-// semantics, so the answer equals Answer's. A rule failure cancels the
-// rules still in flight; every distinct rule error is reported (joined),
-// in rule order.
-func AnswerParallel(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
-	return defaultRuntime.AnswerParallel(context.Background(), u, ps, cat)
-}
-
-// AnswerParallel is the package-level AnswerParallel on this runtime.
-func (rt *Runtime) AnswerParallel(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
-	rel, _, _, err := rt.Eval(ctx, u, ps, cat, Opts{Parallel: true})
 	return rel, err
 }
 
@@ -394,13 +363,9 @@ func AnswerSteps(q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog
 
 // AnswerSteps is the package-level AnswerSteps on this runtime.
 func (rt *Runtime) AnswerSteps(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog) (*Rel, error) {
+	p := core.Plan{Exec: logic.UCQ{Rules: []logic.CQ{q}}, Steps: [][]access.AdornedLiteral{steps}}
 	out := NewRel()
-	if q.False {
-		return out, nil
-	}
-	x := rt.newExecution(cat, Opts{}, false, Into(out))
-	x.rules = []ruleRun{{rule: q, prog: compileRule(q, steps, x.pool)}}
-	if _, _, err := x.run(ctx); err != nil {
+	if _, _, err := rt.Run(ctx, p, cat, Answered{}, Opts{}, Into(out)); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -184,14 +184,12 @@ func (inc *Incompleteness) record(i int, rule logic.CQ, err error) {
 
 // degradable reports whether a rule failure may be absorbed in
 // partial-results mode: the caller's context must still be live (its
-// cancellation always aborts the execution) and the failure must be a
-// runtime condition, not a compile-time planning error.
+// cancellation always aborts the execution) and the failure must not be
+// a cancellation. Planning errors never get here: they fail core.NewPlan
+// before an execution exists.
 func degradable(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return !errors.Is(err, errNotExecutable)
+	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
 )
@@ -39,7 +40,7 @@ func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, c
 		}
 		steps, ok := access.AdornInOrder(rule.Body, ps)
 		if !ok {
-			return nil, Profile{}, nil, fmt.Errorf("%w: %s", errNotExecutable, rule)
+			return nil, Profile{}, nil, fmt.Errorf("%w: %s", core.ErrNotOrderable, rule)
 		}
 		prof.Rules = append(prof.Rules, RuleProfile{Rule: rule.Clone()})
 		target := NewRel() // a rule that dies mid-head leaves no rows behind

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/core"
+	"repro/internal/logic"
+	"repro/internal/sources"
 	"repro/internal/workload"
 )
 
@@ -30,7 +34,7 @@ func TestAnswerParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := AnswerParallel(ordered, ps, cat)
+		par, err := answerParallel(ordered, ps, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +53,7 @@ func TestAnswerParallelErrorPropagates(t *testing.T) {
 	ps := pats(t, `R^o`)
 	cat := in.MustCatalog(ps)
 	u := ucq(t, "Q(x) :- R(x).\nQ(x) :- Z(x).")
-	if _, err := AnswerParallel(u, ps, cat); err == nil {
+	if _, err := answerParallel(u, ps, cat); err == nil {
 		t.Error("rule error must propagate")
 	}
 }
@@ -61,7 +65,7 @@ func TestAnswerParallelAggregatesErrors(t *testing.T) {
 	ps := pats(t, `R^o Z1^o Z2^o`)
 	cat := in.MustCatalog(pats(t, `R^o`)) // Z1/Z2 declared but unpublished
 	u := ucq(t, "Q(x) :- Z1(x).\nQ(x) :- Z2(x).\nQ(x) :- R(x).")
-	_, err := AnswerParallel(u, ps, cat)
+	_, err := answerParallel(u, ps, cat)
 	if err == nil {
 		t.Fatal("rule errors must propagate")
 	}
@@ -82,13 +86,20 @@ func TestAnswerParallelManyRules(t *testing.T) {
 	u := ucq(t, src)
 	ps := pats(t, patternsFor(20))
 	cat := in.MustCatalog(ps)
-	rel, err := AnswerParallel(u, ps, cat)
+	rel, err := answerParallel(u, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Len() != 20 {
 		t.Errorf("answers = %d, want 20", rel.Len())
 	}
+}
+
+// answerParallel is Answer with the rules evaluated concurrently, one
+// goroutine per rule (Opts.Parallel).
+func answerParallel(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
+	rel, _, _, err := NewRuntime().Eval(context.Background(), u, ps, cat, Opts{Parallel: true})
+	return rel, err
 }
 
 func patternsFor(n int) string {

@@ -16,6 +16,9 @@ import (
 // and how the binding set changed. It is the per-operator half of an
 // EXPLAIN ANALYZE for limited-access plans.
 type StepProfile struct {
+	// Step is the plan's adorned literal. It shares its terms with the
+	// executed core.Plan, which a query cache hands to every execution:
+	// read it, never write it.
 	Step access.AdornedLiteral
 	// Calls counts the call attempts issued to the source, including
 	// retried attempts; with healthy sources it equals the catalog's
@@ -458,8 +461,8 @@ func (p Profile) String() string {
 }
 
 // AnswerProfiled is Answer with per-step execution accounting: it
-// evaluates the executable plan and returns both the answers and the
-// profile of every rule's steps.
+// plans and evaluates u and returns both the answers and the profile of
+// every rule's steps.
 func AnswerProfiled(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, Profile, error) {
 	return defaultRuntime.AnswerProfiled(context.Background(), u, ps, cat)
 }

@@ -142,7 +142,7 @@ type Runtime struct {
 	// Retry is the per-call retry policy.
 	Retry RetryPolicy
 	// BatchSize is the number of bindings per batch flowing between the
-	// stages of a streamed pipeline (Stream/StreamParallel). Smaller
+	// stages of a streamed pipeline (Stream/StreamEval). Smaller
 	// batches deliver first tuples earlier; larger batches amortize
 	// per-batch overhead. 0 means DefaultBatchSize. Materializing
 	// evaluation ignores it.
@@ -286,7 +286,7 @@ func SequentialRuntime() *Runtime {
 var defaultRuntime = NewRuntime()
 
 // DefaultRuntime returns the shared runtime behind the package-level
-// Answer/AnswerParallel/RunAnswerStar entry points, so facades can route
+// Answer/AnswerSteps/RunAnswerStar entry points, so facades can route
 // their default path through the exact same per-source limiter state.
 func DefaultRuntime() *Runtime { return defaultRuntime }
 

@@ -62,7 +62,7 @@ func TestRuntimeMatchesSequentialOnPaperExamples(t *testing.T) {
 }
 
 // Same equivalence on random executable plans with negation (the
-// property the seed test suite checks for AnswerParallel).
+// property the seed test suite checks for parallel rules).
 func TestRuntimeMatchesSequentialOnRandomPlans(t *testing.T) {
 	g := workload.New(137)
 	s := g.Schema(4, 1, 2)

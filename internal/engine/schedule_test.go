@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/access"
@@ -38,19 +39,20 @@ var schedules = []schedule{
 // run executes u under the schedule and returns what a caller of either
 // API shape can observe once the execution has finished.
 func (s schedule) run(u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts) (*Rel, Profile, *Incompleteness, error) {
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		return nil, Profile{}, nil, err
+	}
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{}
 	ctx := context.Background()
 	if !s.staged {
 		out := NewRel()
-		prof, inc, err := rt.Run(ctx, u, ps, cat, pre, o, Into(out))
+		prof, inc, err := rt.Run(ctx, p, cat, pre, o, Into(out))
 		return out, prof, inc, err
 	}
 	rt.BatchSize, rt.StageBuffer = s.batch, s.buffer
-	st, err := rt.StreamEval(ctx, u, ps, cat, pre, o)
-	if err != nil {
-		return nil, Profile{}, nil, err
-	}
+	st := rt.StreamEval(ctx, p, cat, pre, o)
 	rel, err := st.Drain()
 	prof, _ := st.Profile()
 	var inc *Incompleteness
@@ -531,10 +533,7 @@ func TestStreamErrJoinsParallelRuleErrors(t *testing.T) {
 	if want == nil {
 		t.Fatal("rule errors must propagate")
 	}
-	s, err := NewRuntime().StreamParallel(context.Background(), u, ps, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewRuntime().StreamEval(context.Background(), mustPlan(t, u, ps), cat, Answered{}, Opts{Parallel: true})
 	for s.Next() {
 	}
 	got := s.Err()
@@ -610,5 +609,50 @@ func TestEvalInlineAllocs(t *testing.T) {
 	const limit = 313 + 8
 	if allocs > limit {
 		t.Errorf("Eval allocated %.0f times, want at most %d", allocs, limit)
+	}
+}
+
+// The driver runs the plan's adornment and does not re-adorn: a plan
+// whose steps chose T's widest pattern (PreferFewestInputs, where
+// planning picks T^io) calls T with that pattern, on either schedule,
+// and answers what the default plan answers.
+func TestRunUsesThePlansAdornment(t *testing.T) {
+	u := ucq(t, `Q(x, y) :- R(x), T(x, y).`)
+	ps := pats(t, `R^o T^io T^oo`)
+	in := NewInstance().MustAdd("R", "a").MustAdd("R", "b").MustAdd("T", "a", "1").MustAdd("T", "c", "2")
+	want, err := Answer(u, ps, in.MustCatalog(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, ok := access.AdornInOrderPrefer(u.Rules[0].Body, ps, access.PreferFewestInputs)
+	if !ok || steps[1].Pattern != "oo" {
+		t.Fatalf("fixture: widest adornment = %v", steps)
+	}
+	p := core.Plan{Exec: u, Steps: [][]access.AdornedLiteral{steps}}
+	for _, staged := range []bool{false, true} {
+		cat := in.MustCatalog(ps)
+		var mu sync.Mutex
+		var seen []access.Pattern
+		cat.Source("T").(*sources.Table).OnCall = func(pat access.Pattern, _ []string) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen = append(seen, pat)
+		}
+		got := NewRel()
+		if staged {
+			if got, err = NewRuntime().StreamEval(context.Background(), p, cat, Answered{}, Opts{}).Drain(); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, _, err := NewRuntime().Run(context.Background(), p, cat, Answered{}, Opts{}, Into(got)); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) == 0 || !got.Equal(want) {
+			t.Fatalf("staged=%v: %d calls to T, answer %s; want calls and %s", staged, len(seen), got, want)
+		}
+		for _, pat := range seen {
+			if pat != "oo" {
+				t.Fatalf("staged=%v: T called with %s, want the plan's oo", staged, pat)
+			}
+		}
 	}
 }

@@ -12,7 +12,7 @@ package engine
 //
 //   - Stream: rules execute in rule order, one pipeline at a time;
 //     emission order equals Answer's insertion order exactly.
-//   - StreamParallel: all rule pipelines run concurrently and their
+//   - Opts.Parallel: all rule pipelines run concurrently and their
 //     emissions interleave; the drained set is still equal (set
 //     semantics), but insertion order is scheduling-dependent.
 //   - StreamAnswerStar (answerstar.go): the same pipelines over Qᵒ with
@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
 )
@@ -213,39 +214,34 @@ func (s *Stream) emit(ctx context.Context, batch []Row) bool {
 	}
 }
 
-// Stream starts pipelined evaluation of the executable plan: one
-// pipeline per rule, rules in order (rule k+1's pipeline starts when
-// rule k's finishes), stages within a rule overlapping. The answer
-// stream, drained, is byte-identical to rt.Answer on the same inputs —
-// same rows in the same order — and issues the same source calls.
-// Batch size and per-stage buffering come from rt.BatchSize and
+// Stream plans u (core.NewPlan) and starts pipelined evaluation of the
+// plan: one pipeline per rule, rules in order (rule k+1's pipeline
+// starts when rule k's finishes), stages within a rule overlapping. The
+// answer stream, drained, is byte-identical to rt.Answer on the same
+// inputs — same rows in the same order — and issues the same source
+// calls. Batch size and per-stage buffering come from rt.BatchSize and
 // rt.StageBuffer.
 //
-// The error return covers plan compilation (a rule not executable as
-// written); runtime failures surface through Stream.Err.
+// The error return covers planning (a rule with no executable order);
+// runtime failures surface through Stream.Err.
 func (rt *Runtime) Stream(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Stream, error) {
-	return rt.StreamEval(ctx, u, ps, cat, Answered{}, Opts{})
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		return nil, err
+	}
+	return rt.StreamEval(ctx, p, cat, Answered{}, Opts{}), nil
 }
 
-// StreamParallel is Stream with all rule pipelines running concurrently
-// (the paper's "execute each rule separately, possibly in parallel").
-// Emission interleaving is scheduling-dependent; the drained answer set
-// is still equal to rt.Answer's.
-func (rt *Runtime) StreamParallel(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Stream, error) {
-	return rt.StreamEval(ctx, u, ps, cat, Answered{}, Opts{Parallel: true})
-}
-
-// StreamEval starts pipelined evaluation with explicit options and
-// pre-answered rules; Stream and StreamParallel are thin wrappers over
-// it. The plan is compiled before it returns; the driver then runs in a
-// goroutine, its sink the stream's channel.
-func (rt *Runtime) StreamEval(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts) (*Stream, error) {
-	return rt.stream(ctx, u, ps, cat, pre, o, nil)
+// StreamEval starts pipelined evaluation of the plan with explicit
+// options and pre-answered rules: the driver runs in a goroutine, its
+// sink the stream's channel.
+func (rt *Runtime) StreamEval(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts) *Stream {
+	return rt.stream(ctx, p, cat, pre, o, nil)
 }
 
 // stream is StreamEval with, for ANSWER*, star's sink between the driver
 // and the stream's channel (nil: every row is emitted).
-func (rt *Runtime) stream(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts, star *starSink) (*Stream, error) {
+func (rt *Runtime) stream(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts, star *starSink) *Stream {
 	s := &Stream{
 		rows:     make(chan []Row, rt.stageBuffer()),
 		profDone: make(chan struct{}),
@@ -257,9 +253,7 @@ func (rt *Runtime) stream(ctx context.Context, u logic.UCQ, ps *access.Set, cat 
 		sink = star.sink(s.emit)
 	}
 	x := rt.newExecution(cat, o, true, sink)
-	if err := x.compile(u, ps, pre); err != nil {
-		return nil, err
-	}
+	x.compile(p, pre)
 	s.start = x.start
 	sctx, cancel := context.WithCancel(ctx)
 	s.cancel = cancel
@@ -279,5 +273,5 @@ func (rt *Runtime) stream(ctx context.Context, u logic.UCQ, ps *access.Set, cat 
 		s.prof, s.inc = prof, inc
 		s.mu.Unlock()
 	}()
-	return s, nil
+	return s
 }

@@ -117,8 +117,8 @@ func TestStreamMatchesSequentialOnRandomPlans(t *testing.T) {
 	}
 }
 
-// StreamParallel merges concurrent rule pipelines into the same answer
-// set (set semantics; interleaving may differ).
+// A parallel stream merges concurrent rule pipelines into the same
+// answer set (set semantics; interleaving may differ).
 func TestStreamParallelMatchesAnswer(t *testing.T) {
 	in := NewInstance()
 	var src, patSrc string
@@ -135,24 +135,24 @@ func TestStreamParallelMatchesAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewRuntime().StreamParallel(context.Background(), u, ps, in.MustCatalog(ps))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewRuntime().StreamEval(context.Background(), mustPlan(t, u, ps), in.MustCatalog(ps), Answered{}, Opts{Parallel: true})
 	got := drainOrdered(t, s)
 	if !got.Equal(want) {
 		t.Errorf("parallel stream = %s, want %s", got, want)
 	}
 }
 
-// A rule that is not executable as written fails at Stream time, before
-// any goroutine or source call is spent.
+// A rule with no executable order fails at Stream time, before any
+// goroutine or source call is spent.
 func TestStreamRejectsNonExecutablePlan(t *testing.T) {
 	u := ucq(t, `Q(x) :- T(z, x).`)
 	ps := pats(t, `T^io`)
 	cat := NewInstance().MustAdd("T", "k", "v").MustCatalog(ps)
-	if _, err := NewRuntime().Stream(context.Background(), u, ps, cat); err == nil {
-		t.Fatal("non-executable plan must be rejected")
+	if _, err := NewRuntime().Stream(context.Background(), u, ps, cat); !errors.Is(err, core.ErrNotOrderable) {
+		t.Fatalf("err = %v, want core.ErrNotOrderable", err)
+	}
+	if n := cat.TotalStats().Calls; n != 0 {
+		t.Errorf("%d source calls before the planning error, want 0", n)
 	}
 }
 
@@ -257,10 +257,7 @@ func TestStreamPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, parallel := range []bool{false, true} {
-		s, err := NewRuntime().StreamEval(ctx, u, ps, cat, Answered{}, Opts{Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := NewRuntime().StreamEval(ctx, mustPlan(t, u, ps), cat, Answered{}, Opts{Parallel: parallel})
 		if _, err := s.Drain(); !errors.Is(err, context.Canceled) {
 			t.Errorf("parallel=%v: Drain err = %v, want context.Canceled", parallel, err)
 		}

@@ -144,6 +144,7 @@ func TestFollowerReadsAreMonotonicUnderCompaction(t *testing.T) {
 	var stop atomic.Bool
 	var writerErr atomic.Value
 	done := make(chan struct{})
+	first := make(chan struct{}) // closed once round 1 is on disk
 	go func() {
 		defer close(done)
 		for i := 1; !stop.Load(); i++ {
@@ -155,6 +156,9 @@ func TestFollowerReadsAreMonotonicUnderCompaction(t *testing.T) {
 			if err := l.Append(entry("t", 0, "ctr", row(v))); err != nil {
 				writerErr.Store(err)
 				return
+			}
+			if i == 1 {
+				close(first)
 			}
 			if i%7 == 0 {
 				if err := l.Compact(); err != nil {
@@ -174,6 +178,12 @@ func TestFollowerReadsAreMonotonicUnderCompaction(t *testing.T) {
 			}
 		}
 		return 0
+	}
+	// Reading before the writer's first round could end the loop having
+	// seen nothing at all.
+	select {
+	case <-first:
+	case <-done:
 	}
 	lastHot, successes, rejects := 0, 0, 0
 	for i := 0; i < 400; i++ {

@@ -180,37 +180,32 @@ func (f Feasibility) String() string {
 // PlanEntry is one cached plan: the executable representative of an
 // equivalence class of submitted queries, with its verdicts.
 type PlanEntry struct {
-	key       string
-	exec      logic.UCQ                 // executable representative; evaluated on behalf of every member
-	steps     [][]access.AdornedLiteral // adornment per non-False exec rule (nil entry = False rule)
-	cores     []logic.CQ                // canonical core per exec rule, head normalized; positional
-	coreKeys  []string                  // CanonicalKey of cores[i]
-	coreSigs  []string                  // coreSig of cores[i] ("" for a False core)
-	orderable bool
-	feasible  Feasibility
-	verdict   core.Verdict
-	planErr   error
-	created   time.Time
+	key      string
+	plan     core.Plan  // the representative's plan; run on behalf of every member
+	cores    []logic.CQ // canonical core per exec rule, head normalized; positional
+	coreKeys []string   // CanonicalKey of cores[i]
+	coreSigs []string   // coreSig of cores[i] ("" for a False core)
+	feasible Feasibility
+	verdict  core.Verdict
+	planErr  error
+	created  time.Time
 }
 
 // Exec returns the executable representative the cache evaluates for
 // this entry. It is equivalent to every query that maps to the entry.
-func (e *PlanEntry) Exec() logic.UCQ { return e.exec }
+func (e *PlanEntry) Exec() logic.UCQ { return e.plan.Exec }
+
+// Plan returns the representative's plan, shared by every execution
+// that uses this entry: read it, never write it.
+func (e *PlanEntry) Plan() core.Plan { return e.plan }
 
 // Err returns the cached planning failure (the query is not orderable
 // under the patterns; it wraps core.ErrNotOrderable), or nil.
 func (e *PlanEntry) Err() error { return e.planErr }
 
-// Orderable reports the cached orderability verdict.
-func (e *PlanEntry) Orderable() bool { return e.orderable }
-
 // Feasible returns the cached FEASIBLE verdict and its certificate
 // class (meaningful when the verdict is not unknown).
 func (e *PlanEntry) Feasible() (Feasibility, core.Verdict) { return e.feasible, e.verdict }
-
-// Steps returns the cached adornment of exec rule i (nil for False
-// rules).
-func (e *PlanEntry) Steps(i int) []access.AdornedLiteral { return e.steps[i] }
 
 // Key returns the entry's canonical cache key (for diagnostics).
 func (e *PlanEntry) Key() string { return e.key }
@@ -456,8 +451,8 @@ func (c *Cache) removePlanLocked(elem *list.Element) {
 }
 
 // build computes a PlanEntry for q: minimize each disjunct to its core,
-// canonicalize, pick an executable representative, adorn it, and run
-// the budgeted FEASIBLE check.
+// canonicalize, pick an executable representative, plan it
+// (core.NewPlan), and run the budgeted FEASIBLE check.
 func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	e := &PlanEntry{created: c.opt.Now()}
 
@@ -481,28 +476,28 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 		}
 	}
 	minimized, minOK := core.ReorderUCQ(logic.UCQ{Rules: cores}, ps)
+	var exec logic.UCQ
 	switch {
 	case minOK && !anyFalse:
-		e.exec = minimized
-		e.orderable = true
+		exec = minimized
 	case core.Executable(q, ps):
-		e.exec = q.Clone()
-		e.orderable = true
+		exec = q.Clone()
 	default:
 		if reordered, ok := core.ReorderUCQ(q, ps); ok {
-			e.exec = reordered
-			e.orderable = true
+			exec = reordered
 		} else if minOK {
-			e.exec = minimized
-			e.orderable = true
+			exec = minimized
 		} else {
 			e.planErr = fmt.Errorf("qcache: %w (no executable form): %s", core.ErrNotOrderable, q)
 		}
 	}
+	if e.planErr == nil {
+		e.plan, e.planErr = core.NewPlan(exec, ps)
+	}
 
-	// Canonical cores, positional with q.Rules (and hence with e.exec's
-	// rules: Reorder preserves positions). The head predicate is
-	// normalized away — it names the answer, it does not select it.
+	// Canonical cores, positional with q.Rules (and hence with the plan's
+	// rules: Reorder and NewPlan preserve positions). The head predicate
+	// is normalized away — it names the answer, it does not select it.
 	e.cores = make([]logic.CQ, len(cores))
 	e.coreKeys = make([]string, len(cores))
 	e.coreSigs = make([]string, len(cores))
@@ -524,23 +519,6 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	}
 	sort.Strings(keySet)
 	e.key = strings.Join(keySet, " | ") + "\x00" + ps.String()
-
-	if e.planErr == nil {
-		e.steps = make([][]access.AdornedLiteral, len(e.exec.Rules))
-		for i, rule := range e.exec.Rules {
-			if rule.False {
-				continue
-			}
-			steps, ok := access.AdornInOrder(rule.Body, ps)
-			if !ok {
-				// Should not happen for an executable representative;
-				// degrade to a planning error rather than panic.
-				e.planErr = fmt.Errorf("qcache: rule is not executable as written (%w): %s", core.ErrNotOrderable, rule)
-				break
-			}
-			e.steps[i] = steps
-		}
-	}
 
 	// The FEASIBLE verdict rides along: on a hit it answers the
 	// Π₂ᴾ-complete question for free. Budgeted, because the cache must
@@ -594,7 +572,7 @@ func (c *Cache) dropCatalogLocked(cat *sources.Catalog) {
 // after it is released, from frozen relations no one writes, so a large
 // answer never stalls another tenant's lookup.
 func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
-	n := len(e.exec.Rules)
+	n := len(e.plan.Exec.Rules)
 	hit := AnswerHit{Rows: make([][]engine.Row, n), Covered: make([]bool, n)}
 	if c.opt.DisableAnswers || e.planErr != nil {
 		return hit
@@ -608,7 +586,7 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 	equivBudget := c.opt.EquivBudget
 	parts := make([]*engine.Rel, 0, n) // the covered disjuncts' answers, in rule order
 	full := true
-	for i, rule := range e.exec.Rules {
+	for i, rule := range e.plan.Exec.Rules {
 		if rule.False {
 			continue
 		}
@@ -772,7 +750,7 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 	gen := cat.Generation()
 	var spill []persist.Entry
 	for i, rel := range rels {
-		if rel == nil || i >= len(e.exec.Rules) || e.exec.Rules[i].False || e.cores[i].False {
+		if rel == nil || i >= len(e.plan.Exec.Rules) || e.plan.Exec.Rules[i].False || e.cores[i].False {
 			continue
 		}
 		key := e.coreKeys[i] + "\x1f" + catFP

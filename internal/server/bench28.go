@@ -194,6 +194,23 @@ func RunFleetShare(ctx context.Context, dir string, cfg FleetShareConfig) (*Flee
 	return rep, nil
 }
 
+// passStats summarizes one full pass over the fixture mix.
+type passStats struct {
+	queries int
+	calls   int
+	p50MS   float64
+	meanMS  float64
+}
+
+// totalCalls sums the catalogs' cumulative source-call meters.
+func totalCalls(cats []*ucqn.Catalog) int {
+	total := 0
+	for _, c := range cats {
+		total += c.TotalStats().Calls
+	}
+	return total
+}
+
 // fleetSharePass serves every fixture query of every tenant once,
 // verifying each response against the ground truth and flipping
 // rep.Sound on any violation. Source traffic is the pass's delta of
@@ -297,7 +314,7 @@ func validateE28(raw map[string]json.RawMessage) error {
 		return fmt.Errorf("bench report: post-invalidation calls B=%d A=%d, want both > 0 (a replica served a tombstoned answer)",
 			r.PostInvalidationCallsB, r.PostInvalidationCallsA)
 	}
-	// As in E26, the per-pass median sits in the cache-hit noise floor;
+	// The per-pass median sits in the cache-hit noise floor;
 	// the mean is the enforceable contrast.
 	if r.WarmMeanMS >= r.ColdMeanMS {
 		return fmt.Errorf("bench report: warm mean %.3fms did not drop below cold %.3fms",

@@ -334,10 +334,9 @@ func WriteBenchReport(path string, r *LoadReport) error {
 // ValidateBenchReport schema-checks a committed BENCH_*.json document:
 // required keys present with the right JSON types and sane values. It
 // dispatches on the experiment tag — "E24" is the serving load report
-// (LoadReport), "E26" the warm-restart report (WarmRestartReport), "E27"
-// the batched pushdown report (BatchPushdownReport), "E28" the
-// cache-fleet report (FleetShareReport). CI runs it on the harness outputs so a drifting
-// schema fails the build, not a later comparison script.
+// (LoadReport), "E28" the cache-fleet report (FleetShareReport). CI runs
+// it on the harness outputs so a drifting schema fails the build, not a
+// later comparison script.
 func ValidateBenchReport(data []byte) error {
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -354,14 +353,10 @@ func ValidateBenchReport(data []byte) error {
 	switch exp {
 	case "E24":
 		return validateE24(raw)
-	case "E26":
-		return validateE26(raw)
-	case "E27":
-		return validateE27(raw)
 	case "E28":
 		return validateE28(raw)
 	default:
-		return fmt.Errorf("bench report: experiment = %q, want E24, E26, E27, or E28", exp)
+		return fmt.Errorf("bench report: experiment = %q, want E24 or E28", exp)
 	}
 }
 

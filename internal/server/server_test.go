@@ -299,53 +299,6 @@ func TestValidateBenchReport(t *testing.T) {
 	}
 }
 
-func TestValidateBenchReportE26(t *testing.T) {
-	good := &WarmRestartReport{
-		Experiment: "E26",
-		Config:     WarmRestartConfig{Tenants: 3, DelayMS: 2},
-		Queries:    24,
-		ColdCalls:  21, ColdP50MS: 0.043, ColdMeanMS: 2.05,
-		SteadyCalls: 0, SteadyP50MS: 0.012, SteadyMeanMS: 0.016,
-		WarmCalls: 0, WarmP50MS: 0.022, WarmMeanMS: 0.038,
-		PersistLoads: 9, PersistDrops: 0, PersistBytes: 1968,
-		Sound: true,
-	}
-	data, _ := json.Marshal(good)
-	if err := ValidateBenchReport(data); err != nil {
-		t.Fatalf("valid E26 report rejected: %v", err)
-	}
-	remarshal := func(mutate func(m map[string]any)) []byte {
-		var m map[string]any
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		mutate(m)
-		out, _ := json.Marshal(m)
-		return out
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { delete(m, "persist_loads") })); err == nil {
-		t.Error("missing persist_loads must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["warm_p50_ms"] = "fast" })); err == nil {
-		t.Error("non-numeric warm_p50_ms must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["sound"] = false })); err == nil {
-		t.Error("sound=false must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["warm_calls"] = 21.0 })); err == nil {
-		t.Error("warm_calls above steady state must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["persist_loads"] = 0.0 })); err == nil {
-		t.Error("zero persist_loads must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["warm_mean_ms"] = 9.9 })); err == nil {
-		t.Error("warm mean above cold must fail validation")
-	}
-	if err := ValidateBenchReport(remarshal(func(m map[string]any) { m["cold_calls"] = 0.0 })); err == nil {
-		t.Error("zero cold_calls must fail validation")
-	}
-}
-
 // Every committed BENCH_*.json at the repo root must pass the schema
 // gate it was written under — a drifting schema or a hand-edited
 // artifact fails here, not in a later comparison script.
@@ -366,36 +319,6 @@ func TestCommittedBenchArtifacts(t *testing.T) {
 		if err := ValidateBenchReport(data); err != nil {
 			t.Errorf("%s: %v", filepath.Base(path), err)
 		}
-	}
-}
-
-// The E26 harness end to end: cold pass pays source calls, the warm
-// restart over the same directory pays none, and the report passes the
-// committed-artifact schema gate.
-func TestRunWarmRestart(t *testing.T) {
-	rep, err := RunWarmRestart(context.Background(), t.TempDir(),
-		WarmRestartConfig{Tenants: 2, DelayMS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ColdCalls == 0 {
-		t.Error("cold pass made no source calls")
-	}
-	if rep.WarmCalls != rep.SteadyCalls {
-		t.Errorf("warm pass made %d calls, steady state is %d", rep.WarmCalls, rep.SteadyCalls)
-	}
-	if rep.PersistLoads == 0 {
-		t.Error("warm restart loaded nothing from disk")
-	}
-	if !rep.Sound {
-		t.Error("a pass served an unsound answer")
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateBenchReport(data); err != nil {
-		t.Errorf("harness report fails its own schema gate: %v", err)
 	}
 }
 

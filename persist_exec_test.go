@@ -77,6 +77,44 @@ func execThrough(t *testing.T, qc *QueryCache, q Query, ps *PatternSet, cat *Cat
 	return rel
 }
 
+// A clean shutdown and restart over the same directory serves the whole
+// workload from the log: the restarted cache's fresh catalog sees no
+// source call, and every answer is byte-identical to a live evaluation.
+func TestPersistWarmRestartMakesNoSourceCalls(t *testing.T) {
+	in, ps, queries := persistWorkload(t)
+	want := persistGroundTruth(t, in, ps, queries)
+	dir := t.TempDir()
+	qc, _, err := qcache.OpenPersistent(dir, qcache.Options{}, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := in.MustCatalog(ps)
+	cat.SetPersistentID("warm-restart")
+	for _, q := range queries {
+		execThrough(t, qc, q, ps, cat)
+	}
+	if err := qc.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+
+	qc2, _, err := qcache.OpenPersistent(dir, qcache.Options{}, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qc2.ClosePersist()
+	cat2 := in.MustCatalog(ps)
+	cat2.SetPersistentID("warm-restart")
+	for i, q := range queries {
+		assertSameRows(t, fmt.Sprintf("q%d after the restart", i), execThrough(t, qc2, q, ps, cat2), want[i])
+	}
+	if n := cat2.TotalStats().Calls; n != 0 {
+		t.Errorf("the warm restart made %d source calls, want 0", n)
+	}
+	if qc2.Stats().PersistLoads == 0 {
+		t.Error("the warm restart loaded nothing from the log")
+	}
+}
+
 // TestPersistCrashRecoveryExec is the end-to-end crash property test:
 // populate through Exec over a doomed filesystem, kill the log at a
 // random offset (optionally flipping bits in whatever survived),
