@@ -112,7 +112,7 @@ adapter-smoke:
 	$(GO) test -race -count=1 ./internal/adapter/...
 	$(GO) test -race -count=1 -run='TestRuntimeBatch|TestInternerCap' ./internal/engine/
 	$(GO) test -race -count=1 -run='TestAdapterDifferentialEquivalence|TestAdapterBatchedJoinEquivalence' .
-	$(GO) test -race -count=1 -run='TestMountCatalogConfig' ./internal/server/
+	$(GO) test -race -count=1 -run='TestMountCatalogConfig|TestRunBatchPushdown' ./internal/server/
 
 # Fleet smoke: the shared-cache fleet under fire — the kill-the-writer
 # chaos suite (seeded crash/takeover/resurrection rounds on a virtual

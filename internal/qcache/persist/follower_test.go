@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestFollowerLoadStateMirrorsTheLog(t *testing.T) {
@@ -143,10 +144,15 @@ func TestFollowerReadsAreMonotonicUnderCompaction(t *testing.T) {
 
 	var stop atomic.Bool
 	var writerErr atomic.Value
+	// loaded counts the follower's successful loads. The writer compacts
+	// again only after one more of them, so an unthrottled writer cannot
+	// reject every load of the loop.
+	var loaded atomic.Int64
 	done := make(chan struct{})
 	first := make(chan struct{}) // closed once round 1 is on disk
 	go func() {
 		defer close(done)
+		compactedAt := int64(-1)
 		for i := 1; !stop.Load(); i++ {
 			v := fmt.Sprintf("%08d", i)
 			if err := l.Append(entry("t", 0, "hot", row(v))); err != nil {
@@ -160,11 +166,12 @@ func TestFollowerReadsAreMonotonicUnderCompaction(t *testing.T) {
 			if i == 1 {
 				close(first)
 			}
-			if i%7 == 0 {
+			if n := loaded.Load(); i%7 == 0 && n > compactedAt {
 				if err := l.Compact(); err != nil {
 					writerErr.Store(err)
 					return
 				}
+				compactedAt = n
 			}
 		}
 	}()
@@ -185,8 +192,11 @@ func TestFollowerReadsAreMonotonicUnderCompaction(t *testing.T) {
 	case <-first:
 	case <-done:
 	}
+	// A reject during a compaction is only a seq read, so 400 of them can
+	// pass within one fsync: keep loading past 400 until one succeeds.
+	deadline := time.Now().Add(10 * time.Second)
 	lastHot, successes, rejects := 0, 0, 0
-	for i := 0; i < 400; i++ {
+	for i := 0; (i < 400 || successes == 0) && time.Now().Before(deadline); i++ {
 		st, err := LoadState(nil, dir)
 		if err == ErrConcurrentCompaction {
 			rejects++
@@ -196,6 +206,7 @@ func TestFollowerReadsAreMonotonicUnderCompaction(t *testing.T) {
 			t.Fatalf("load %d: %v", i, err)
 		}
 		successes++
+		loaded.Add(1)
 		_, es := st.Label("t")
 		hot, ctr := parse(es, "hot"), parse(es, "ctr")
 		// Within one epoch the two keys were written back to back:
