@@ -51,6 +51,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkCQ' -benchtime=1x ./internal/minimize/
 	$(GO) test -run='^$$' -bench='CanonicalKey|ContainedCQ' -benchtime=1x ./internal/containment/
+	$(GO) test -run='^$$' -bench='TableScan' -benchtime=1x ./internal/sources/
 
 # Fault-injection smoke: the paper examples' underestimates with one
 # source killed per run must degrade (partial answers + incompleteness

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/sources/sourcetest"
 	"repro/internal/workload"
 )
 
@@ -171,7 +172,7 @@ func TestCacheSmoke(t *testing.T) {
 			if !ok {
 				t.Skip("no executable form")
 			}
-			cat := paperInstance(ex.Patterns).MustCatalog(ex.Patterns)
+			cat, verify := sourcetest.ReadOnlyCatalog(paperInstance(ex.Patterns).MustCatalog(ex.Patterns))
 
 			first := execRel(t, u, ex.Patterns, cat, WithQueryCache(qc))
 			afterFirst := cat.TotalStats().Calls
@@ -194,6 +195,7 @@ func TestCacheSmoke(t *testing.T) {
 				t.Errorf("streamed replay issued %d source calls, want 0", d)
 			}
 			assertSameRows(t, "streamed replay", streamed, first)
+			verify(t) // the first pass stored its answer without writing into a source's rows
 		})
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sources/sourcetest"
 )
 
 // execFixture returns a two-rule union with shared lookups, its
@@ -313,10 +315,12 @@ func TestExecImproveUnder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), WithImproveUnder(100))
+	cat, verify := sourcetest.ReadOnlyCatalog(in.MustCatalog(ps))
+	res, err := Exec(context.Background(), q, ps, cat, WithImproveUnder(100))
 	if err != nil {
 		t.Fatal(err)
 	}
+	verify(t) // ANSWER* and the domain enumeration only read the sources' rows
 	if rel, err := res.Rel(); err != nil || !rel.Equal(want) {
 		t.Errorf("improved = %s (%v), want ground truth %s", rel, err, want)
 	}

@@ -199,9 +199,8 @@ func (a *SQL) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([]
 		if err != nil {
 			return nil, err
 		}
-		out[0] = rows
-		for i := 1; i < len(out); i++ {
-			out[i] = copyRows(rows)
+		for i := range out {
+			out[i] = rows // shared read-only, per the Source contract
 		}
 		return out, nil
 	}
@@ -214,7 +213,7 @@ func (a *SQL) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([]
 		chunk := inputs[lo:hi]
 		cond, args := where(inCols, chunk)
 		// Demux map: input key -> the chunk's vector indexes wanting it
-		// (duplicates within a group each get the rows).
+		// (duplicates within a group share the rows).
 		want := make(map[string][]int, len(chunk))
 		for k, in := range chunk {
 			key := strings.Join(in, "\x1f")
@@ -231,10 +230,7 @@ func (a *SQL) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([]
 			for c, pos := range inPos {
 				keyParts[c] = row[pos]
 			}
-			for n, i := range want[strings.Join(keyParts, "\x1f")] {
-				if n > 0 {
-					row = append(sources.Tuple(nil), row...)
-				}
+			for _, i := range want[strings.Join(keyParts, "\x1f")] {
 				out[i] = append(out[i], row)
 				tuples++
 			}
@@ -309,12 +305,4 @@ func (a *SQL) ResetStats() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats = sources.Stats{}
-}
-
-func copyRows(rows []sources.Tuple) []sources.Tuple {
-	out := make([]sources.Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = append(sources.Tuple(nil), r...)
-	}
-	return out
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
+	"repro/internal/sources/sourcetest"
 	"repro/internal/workload"
 )
 
@@ -243,11 +244,12 @@ func TestSchedulesAgreeWithOracle(t *testing.T) {
 				label := fmt.Sprintf("plan %d, %s, parallel=%v:\n%s", i, sched, parallel, u)
 				inOrder := !parallel || !sched.staged
 
-				cat := in.MustCatalog(ps)
+				cat, verify := sourcetest.ReadOnlyCatalog(in.MustCatalog(ps))
 				got, prof, inc, err := sched.run(u, ps, cat, Answered{}, Opts{Parallel: parallel})
 				if err != nil {
 					t.Fatalf("%s\nfailed: %v", label, err)
 				}
+				verify(t)
 				if inOrder {
 					sameRows(t, got, want, label)
 				} else if !got.Equal(want) {
@@ -453,11 +455,12 @@ func TestAnswerStarAgreesWithOracle(t *testing.T) {
 						}
 					}
 
-					cat := in.MustCatalog(ps)
+					cat, verify := sourcetest.ReadOnlyCatalog(in.MustCatalog(ps))
 					star, answer, prof, inc, err := sched.runStar(plans, ps, cat, Opts{Parallel: parallel})
 					if err != nil {
 						t.Fatalf("%s\nfailed: %v", label, err)
 					}
+					verify(t)
 					same(star.Under, wantUnder, "Under")
 					same(star.Over, wantOver, "Over")
 					same(answer, wantUnder, "answer handed out")

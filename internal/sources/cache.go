@@ -14,7 +14,8 @@ import (
 // pattern and inputs are served locally. Mediator plans join through
 // remote services, so the same lookup is often issued once per binding;
 // caching converts that to one remote call. The wrapper is safe for
-// concurrent use and exposes hit/miss/eviction counters.
+// concurrent use and exposes hit/miss/eviction counters. Cached rows are
+// the inner source's answer, shared read-only with every caller.
 //
 // Concurrent misses on the same key are collapsed into a single inner
 // call (singleflight): the first caller fetches, the others wait for its
@@ -113,7 +114,7 @@ func (c *Cached) Call(ctx context.Context, p access.Pattern, inputs [][]string) 
 			if elem, ok := c.cache[key]; ok {
 				c.hits++
 				c.lru.MoveToFront(elem)
-				out[i] = copyTuples(elem.Value.(*cacheEntry).rows)
+				out[i] = elem.Value.(*cacheEntry).rows
 			} else if f, ok := c.inflight[key]; ok {
 				waits = append(waits, pending{i, key, f})
 			} else {
@@ -133,7 +134,7 @@ func (c *Cached) Call(ctx context.Context, p access.Pattern, inputs [][]string) 
 				if err != nil {
 					l.f.err = err
 				} else {
-					l.f.rows = copyTuples(groups[k])
+					l.f.rows = groups[k]
 					if gen == c.gen {
 						c.misses++
 						c.install(l.key, l.f.rows)
@@ -164,7 +165,7 @@ func (c *Cached) Call(ctx context.Context, p access.Pattern, inputs [][]string) 
 				return nil, ctx.Err()
 			}
 			if w.f.err == nil {
-				out[w.i] = copyTuples(w.f.rows)
+				out[w.i] = w.f.rows
 				served++
 			} else if isContextError(w.f.err) && ctx.Err() == nil {
 				todo = append(todo, w.i) // leader hung up, we did not: take over

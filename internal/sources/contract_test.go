@@ -1,6 +1,7 @@
 package sources_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -63,6 +64,7 @@ func TestSourceContract(t *testing.T) {
 		one("Breaker", b, func(s sources.Source) sources.Source { return sources.NewBreaker(s, brk) })
 		one("Delayed", b, func(s sources.Source) sources.Source { return sources.NewDelayed(s, time.Millisecond) })
 		one("Flaky", false, func(s sources.Source) sources.Source { return sources.NewFlaky(s, sources.FlakyConfig{}) })
+		one("ReadOnly", b, func(s sources.Source) sources.Source { return sourcetest.NewReadOnly(s) })
 		one("Breaker(Cached)", b, func(s sources.Source) sources.Source {
 			return sources.NewBreaker(sources.NewCached(s), brk)
 		})
@@ -74,5 +76,36 @@ func TestSourceContract(t *testing.T) {
 
 	for _, f := range fixtures {
 		t.Run(f.Name, func(t *testing.T) { sourcetest.Contract(t, f) })
+	}
+}
+
+// recorder is a testing.TB that only notes whether a check failed.
+type recorder struct {
+	testing.TB
+	failed bool
+}
+
+func (r *recorder) Helper()               {}
+func (r *recorder) Errorf(string, ...any) { r.failed = true }
+
+// The read-only checker passes an answer nobody touched and catches a
+// write into a tuple or over a group's element.
+func TestReadOnlyCatchesWrites(t *testing.T) {
+	for name, write := range map[string]func([]sources.Tuple){
+		"none":  func([]sources.Tuple) {},
+		"tuple": func(g []sources.Tuple) { g[0][1] = "mangled" },
+		"group": func(g []sources.Tuple) { g[0] = sources.Tuple{"a", "9"} },
+	} {
+		r := sourcetest.NewReadOnly(sourcetest.NewLeaf(false))
+		out, err := r.Call(context.Background(), "io", [][]string{{"a"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(out[0])
+		var rec recorder
+		r.Verify(&rec)
+		if rec.failed != (name != "none") {
+			t.Errorf("write %s: Verify failed = %v", name, rec.failed)
+		}
 	}
 }

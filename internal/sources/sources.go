@@ -51,6 +51,10 @@ type Source interface {
 	// any traffic: that is exactly the restriction the paper studies. A
 	// done context is reported as ctx.Err(), never as a transient
 	// failure.
+	//
+	// The answer is read-only: callers must not modify the returned
+	// groups or tuples, and a source may share them with other callers
+	// and with its own storage.
 	Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error)
 	// Batches reports whether Call services a whole group in one wire
 	// round trip (a SQL adapter compiles the group into one IN (...)
@@ -262,7 +266,9 @@ func NewTable(name string, arity int, patterns []access.Pattern, rows []Tuple) (
 			continue // set semantics
 		}
 		seen[k] = true
-		t.rows = append(t.rows, append(Tuple(nil), r...))
+		row := make(Tuple, len(r)) // exact capacity: see Call
+		copy(row, r)
+		t.rows = append(t.rows, row)
 	}
 	t.buildIndexes()
 	return t, nil
@@ -318,7 +324,9 @@ func (t *Table) Batches() bool { return false }
 // Call implements Source, enforcing the access-pattern contract. The
 // table answers from memory, so the context is only checked before the
 // lookups. Each input vector is metered (and reported to OnCall) as one
-// logical call.
+// logical call. A group is the index's own slice and its tuples are
+// the stored rows, each capped to its length so that a caller's append
+// reallocates instead of writing into the table.
 func (t *Table) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -340,27 +348,9 @@ func (t *Table) Call(ctx context.Context, p access.Pattern, inputs [][]string) (
 		if hook != nil {
 			hook(p, in)
 		}
-		out[i] = copyTuples(rows)
+		out[i] = rows[:len(rows):len(rows)]
 	}
 	return out, nil
-}
-
-// copyTuples returns rows the caller may keep and modify: the values
-// of all rows share one backing array, each tuple capped to its own
-// extent, so a copy costs two allocations however many rows it holds.
-func copyTuples(rows []Tuple) []Tuple {
-	n := 0
-	for _, r := range rows {
-		n += len(r)
-	}
-	vals := make([]string, 0, n)
-	out := make([]Tuple, len(rows))
-	for i, r := range rows {
-		lo := len(vals)
-		vals = append(vals, r...)
-		out[i] = vals[lo:len(vals):len(vals)]
-	}
-	return out
 }
 
 // StatsSnapshot returns a snapshot of the source's traffic counters.
@@ -380,9 +370,11 @@ func (t *Table) ResetStats() {
 // Rows returns a copy of all tuples (for ground-truth evaluation in
 // tests; real limited sources would not expose this).
 func (t *Table) Rows() []Tuple {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return copyTuples(t.rows)
+	out := make([]Tuple, len(t.rows))
+	for i, r := range t.rows {
+		out[i] = append(Tuple(nil), r...)
+	}
+	return out
 }
 
 // Catalog is a set of sources addressable by relation name.

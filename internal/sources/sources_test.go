@@ -2,6 +2,7 @@ package sources
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/access"
@@ -98,17 +99,40 @@ func TestMetering(t *testing.T) {
 	}
 }
 
-func TestCallReturnsCopies(t *testing.T) {
-	b := bookTable(t)
-	rows, err := callOne(context.Background(), b, "ioo", []string{"i1"})
-	if err != nil {
-		t.Fatal(err)
+// checkSharedAnswer holds s to the read-only contract on the call
+// s^p(in): two calls hand out the same storage, and a caller appending
+// to a returned group or tuple reallocates instead of writing into it,
+// so a later call's answer is unchanged.
+func checkSharedAnswer(t *testing.T, s Source, p access.Pattern, in []string) {
+	t.Helper()
+	ctx := context.Background()
+	first, err := callOne(ctx, s, p, in)
+	if err != nil || len(first) == 0 {
+		t.Fatalf("%s^%s(%v) = %v, %v", s.Name(), p, in, first, err)
 	}
-	rows[0][1] = "mangled"
-	rows2, _ := callOne(context.Background(), b, "ioo", []string{"i1"})
-	if rows2[0][1] != "knuth" {
-		t.Error("Call must return copies of stored tuples")
+	want := fmt.Sprint(first)
+	second, _ := callOne(ctx, s, p, in)
+	if &second[0] != &first[0] || &second[0][0] != &first[0][0] {
+		t.Error("two calls must share the answer's backing arrays")
 	}
+	grown := append(first, make(Tuple, len(first[0])))
+	wider := append(first[0], "x")
+	if &grown[0] == &first[0] || &wider[0] == &first[0][0] {
+		t.Error("append to a returned group or tuple must reallocate")
+	}
+	if third, _ := callOne(ctx, s, p, in); fmt.Sprint(third) != want {
+		t.Errorf("after a caller's appends the answer is %v, want %v", third, want)
+	}
+}
+
+// keyTable is R(k, v)^io with three rows under one key: the index
+// slice behind k has spare capacity that Call must not expose.
+func keyTable() *Table {
+	return MustTable("R", 2, []access.Pattern{"io"}, []Tuple{{"k", "1"}, {"k", "2"}, {"k", "3"}})
+}
+
+func TestCallSharesReadOnlyRows(t *testing.T) {
+	checkSharedAnswer(t, keyTable(), "io", []string{"k"})
 }
 
 func TestCatalog(t *testing.T) {

@@ -2,13 +2,16 @@
 // contract, run by internal/sources over the in-memory implementations
 // and wrapper stacks and by internal/adapter over the SQL and HTTP
 // adapters: one table of obligations instead of per-implementation
-// copies.
+// copies. ReadOnly checks the contract's other side: that no consumer
+// writes into the rows a source hands out.
 package sourcetest
 
 import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -52,6 +55,89 @@ func (l *Leaf) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([
 		return nil, sources.Transient(errors.New("sourcetest: injected mid-group failure"))
 	}
 	return l.Table.Call(ctx, p, inputs)
+}
+
+// ReadOnly wraps a source and fingerprints every group it hands out, so
+// a test can check that no consumer wrote into a source's answer: the
+// sources.Source contract lets a source share its rows with every
+// caller. It forwards metering to the wrapped source.
+type ReadOnly struct {
+	sources.Source
+	mu     sync.Mutex
+	handed []handout
+}
+
+// handout is one group as handed out and its fingerprint at the time.
+type handout struct {
+	group []sources.Tuple
+	print string
+}
+
+// NewReadOnly wraps src.
+func NewReadOnly(src sources.Source) *ReadOnly { return &ReadOnly{Source: src} }
+
+// ReadOnlyCatalog wraps every source of cat; verify checks them all.
+func ReadOnlyCatalog(cat *sources.Catalog) (wrapped *sources.Catalog, verify func(testing.TB)) {
+	var all []*ReadOnly
+	var srcs []sources.Source
+	for _, name := range cat.Names() {
+		r := NewReadOnly(cat.Source(name))
+		all = append(all, r)
+		srcs = append(srcs, r)
+	}
+	return sources.MustCatalog(srcs...), func(t testing.TB) {
+		t.Helper()
+		for _, r := range all {
+			r.Verify(t)
+		}
+	}
+}
+
+// Call implements sources.Source.
+func (r *ReadOnly) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
+	out, err := r.Source.Call(ctx, p, inputs)
+	r.mu.Lock()
+	for _, g := range out {
+		r.handed = append(r.handed, handout{g, fingerprint(g)})
+	}
+	r.mu.Unlock()
+	return out, err
+}
+
+// Verify fails t if any group handed out so far has changed since.
+func (r *ReadOnly) Verify(t testing.TB) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, h := range r.handed {
+		if got := fingerprint(h.group); got != h.print {
+			t.Errorf("a consumer wrote into %s's answer: %q became %q", r.Name(), h.print, got)
+		}
+	}
+}
+
+// StatsSnapshot implements sources.StatsReporter on the wrapped source.
+func (r *ReadOnly) StatsSnapshot() sources.Stats {
+	if m, ok := r.Source.(sources.StatsReporter); ok {
+		return m.StatsSnapshot()
+	}
+	return sources.Stats{}
+}
+
+// ResetStats implements sources.StatsReporter on the wrapped source.
+func (r *ReadOnly) ResetStats() {
+	if m, ok := r.Source.(sources.StatsReporter); ok {
+		m.ResetStats()
+	}
+}
+
+func fingerprint(g []sources.Tuple) string {
+	var sb strings.Builder
+	for _, t := range g {
+		sb.WriteString(t.Key())
+		sb.WriteByte('\x1e')
+	}
+	return sb.String()
 }
 
 // Fixture is one implementation, or one stack of wrappers, under test.
