@@ -25,7 +25,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzIDTable$$' -fuzztime=3s ./internal/engine/
 
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run='^$$' -bench=. -benchmem . ./cmd/paperbench/
 
 # bench/ is its own module (BENCHMARK.json builds it from the checkout),
 # so `go build ./...` does not compile it: vet and build it here, or a
@@ -33,25 +33,28 @@ bench:
 bench-build:
 	$(GO) -C bench vet . && $(GO) -C bench build -o /dev/null .
 
-# One pass over the runtime-heavy benchmarks (E19 dedup ablation, the
-# E20 streaming pipeline, E21 degradation, E22 query cache, E23 hedged
-# requests; then E25, columnar evaluation against the map-based oracle
-# it lives beside): runs each once, which also exercises their built-in
-# acceptance assertions. Then the package microbenchmarks of the answer
-# hand-off (row keys, Sorted fresh and frozen, a full answer hit, the
-# wire flattening), of a plan miss (minimization, canonical key, one
+# One pass over the runtime-heavy paper benchmarks (BenchmarkPaper in
+# cmd/paperbench: E19 dedup ablation, the E20 streaming pipeline, E21
+# degradation, E22 query cache, E23 hedged requests; each first runs its
+# experiment's table once and asserts its count check and timing claim;
+# then E25, columnar evaluation against the map-based oracle it lives
+# beside). Then the package microbenchmarks of the answer hand-off (row
+# keys, Sorted fresh and frozen, a full answer hit, the wire
+# flattening), of a plan miss (minimization, canonical key, one
 # containment test, a whole plan build, an answer-tier miss beside 16
-# and 1024 entries) and of the join (a call's join side by probe-key
+# and 1024 entries), of the join (a call's join side by probe-key
 # width and result size, idTable insert/find by width, an interner
-# lookup), once each, so they keep compiling and running.
+# lookup) and of the persist log (one append, a recovery), once each,
+# so they keep compiling and running.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='E19|E20|E21|E22|E23' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='Paper/E(19|20|21|22|23)' -benchtime=1x ./cmd/paperbench/
 	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
 	$(GO) test -run='^$$' -bench='AnswersFullHit|AnswersMiss|PlanMiss' -benchtime=1x ./internal/qcache/
 	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkCQ' -benchtime=1x ./internal/minimize/
 	$(GO) test -run='^$$' -bench='CanonicalKey|ContainedCQ' -benchtime=1x ./internal/containment/
 	$(GO) test -run='^$$' -bench='TableScan' -benchtime=1x ./internal/sources/
+	$(GO) test -run='^$$' -bench='LogAppend|LogOpen' -benchtime=1x ./internal/qcache/persist/
 
 # Fault-injection smoke: the paper examples' underestimates with one
 # source killed per run must degrade (partial answers + incompleteness
@@ -128,6 +131,8 @@ fleet-smoke:
 	$(GO) test -race -count=1 -run='TestLease|TestFollower|TestInbox|TestReadInboxes' ./internal/qcache/persist/
 	$(GO) test -race -count=1 -run='TestServerFleet|TestRunFleetShare|TestServerHealthzDegraded|TestLoadGenInvalidationMix' ./internal/server/
 
+# Every paper experiment at its quick sizes; exits non-zero when an
+# experiment's count check fails. Prints only, writes no file.
 paperbench:
 	$(GO) run ./cmd/paperbench -quick
 

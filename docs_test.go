@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,52 @@ func TestDocsNameExistingPaths(t *testing.T) {
 		for _, m := range docPath.FindAllStringSubmatch(string(data), -1) {
 			if !resolves(m[1], files) {
 				t.Errorf("%s names %s, which no file of the repository is", doc, m[1])
+			}
+		}
+	}
+}
+
+var (
+	// codeSpan is a fenced block or an inline code span of a document.
+	codeSpan = regexp.MustCompile("(?s)```.*?```|`[^`]+`")
+	// docTest is a Go test, benchmark or fuzz target's name.
+	docTest = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	// testFunc declares one in a _test.go file.
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+)
+
+// The documents cannot send a reader to a test that is gone: every
+// Test…, Benchmark… or Fuzz… name in their code is a prefix of some
+// such function of a _test.go file (a prefix, because they name
+// families: `BenchmarkPaper`, `TestExample1..3`).
+func TestDocsNameExistingTests(t *testing.T) {
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			if err == nil && d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		data, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllStringSubmatch(string(data), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllString(string(data), -1) {
+			for _, name := range docTest.FindAllString(span, -1) {
+				if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) }) {
+					t.Errorf("%s names %s, which no _test.go function is", doc, name)
+				}
 			}
 		}
 	}

@@ -353,20 +353,3 @@ func (rt *Runtime) Answer(ctx context.Context, u logic.UCQ, ps *access.Set, cat 
 	rel, _, _, err := rt.Eval(ctx, u, ps, cat, Opts{})
 	return rel, err
 }
-
-// AnswerSteps executes an explicitly adorned plan for one rule — the
-// caller chooses the access pattern of every step (e.g. via
-// access.AdornInOrderPrefer) — and returns its answers.
-func AnswerSteps(q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog) (*Rel, error) {
-	return defaultRuntime.AnswerSteps(context.Background(), q, steps, cat)
-}
-
-// AnswerSteps is the package-level AnswerSteps on this runtime.
-func (rt *Runtime) AnswerSteps(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog) (*Rel, error) {
-	p := core.Plan{Exec: logic.UCQ{Rules: []logic.CQ{q}}, Steps: [][]access.AdornedLiteral{steps}}
-	out := NewRel()
-	if _, _, err := rt.Run(ctx, p, cat, Answered{}, Opts{}, Into(out)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -286,7 +286,7 @@ func SequentialRuntime() *Runtime {
 var defaultRuntime = NewRuntime()
 
 // DefaultRuntime returns the shared runtime behind the package-level
-// Answer/AnswerSteps/RunAnswerStar entry points, so facades can route
+// Answer/RunAnswerStar entry points, so facades can route
 // their default path through the exact same per-source limiter state.
 func DefaultRuntime() *Runtime { return defaultRuntime }
 

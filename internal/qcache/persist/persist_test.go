@@ -35,7 +35,7 @@ func sortEntries(es []Entry) {
 	sort.Slice(es, func(i, j int) bool { return es[i].CoreKey < es[j].CoreKey })
 }
 
-func mustOpen(t *testing.T, dir string, opt Options) (*Log, RecoveryStats) {
+func mustOpen(t testing.TB, dir string, opt Options) (*Log, RecoveryStats) {
 	t.Helper()
 	l, rs, err := Open(dir, opt)
 	if err != nil {
