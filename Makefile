@@ -43,9 +43,10 @@ bench-build:
 # flattening), of a plan miss (minimization, canonical key, one
 # containment test, a whole plan build, an answer-tier miss beside 16
 # and 1024 entries), of the join (a call's join side by probe-key
-# width and result size, idTable insert/find by width, an interner
-# lookup) and of the persist log (one append, a recovery), once each,
-# so they keep compiling and running.
+# width and result size, built by the call or read from a held answer,
+# idTable insert/find by width, an interner lookup) and of the persist
+# log (one append, a recovery), once each, so they keep compiling and
+# running.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Paper/E(19|20|21|22|23)' -benchtime=1x ./cmd/paperbench/
 	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
@@ -60,9 +61,11 @@ bench-smoke:
 # source killed per run must degrade (partial answers + incompleteness
 # report), never crash; run under -race since degradation exercises the
 # per-rule teardown paths — on both step schedules, which the
-# schedule-agreement table holds to the oracle with a source killed.
+# schedule-agreement table holds to the oracle with a source killed —
+# plus held answers shared by parallel rules, across an invalidation
+# and under a full interner cap.
 fault-smoke:
-	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple' . ./internal/engine/
+	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer' . ./internal/engine/
 
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue

@@ -10,7 +10,10 @@ package engine
 // the static constant and repeated-variable constraints once, and
 // grouped by their bound-position key — built once per call — and each
 // input row probes by its own bound-slot key, emitting one output row
-// per matching tuple. Column buffers are recycled through a
+// per matching tuple. A long answer is interned once per catalog
+// generation instead: its columns are held on the catalog under the
+// returned group's identity and shared by every execution that
+// receives the same group (held.go). Column buffers are recycled through a
 // per-execution colPool. Strings materialize only at the edges: call
 // inputs handed to internal/sources and head rows handed to the sink.
 //
@@ -77,12 +80,16 @@ type colPool struct {
 	nBatches  atomic.Int64 // batches run through applyStepCol
 	nInterned atomic.Int64 // tuple values newly interned this execution
 	nReuses   atomic.Int64 // column buffers served from the free list
+	nHeld     atomic.Int64 // calls whose join side came from the held table
 
 	// Spill table: values the process-wide interner's cap refused
 	// (SetInternerCap) get execution-local IDs at or above spillBase,
 	// resolving here instead. The table dies with the execution, so a
 	// tenant streaming unbounded distinct values pays for them only
-	// while its own query runs.
+	// while its own query runs. nSpilled counts its entries and is raised
+	// before an entry is published, so while it reads zero no lookup
+	// needs spillMu.
+	nSpilled  atomic.Int64
 	spillMu   sync.RWMutex
 	spillIDs  map[string]uint32
 	spillStrs []string
@@ -96,14 +103,14 @@ func newColPool() *colPool { return &colPool{} }
 // the global interner, interning under the cap, then a fresh spill
 // entry. fresh reports a new global intern (Profile.Batch accounting).
 func (p *colPool) internID(s string) (id uint32, fresh bool) {
-	p.spillMu.RLock()
-	if p.spillIDs != nil {
-		if id, ok := p.spillIDs[s]; ok {
-			p.spillMu.RUnlock()
+	if p.nSpilled.Load() > 0 {
+		p.spillMu.RLock()
+		id, ok := p.spillIDs[s]
+		p.spillMu.RUnlock()
+		if ok {
 			return id, false
 		}
 	}
-	p.spillMu.RUnlock()
 	if id, ok := interned.lookup(s); ok {
 		return id, false
 	}
@@ -119,6 +126,7 @@ func (p *colPool) internID(s string) (id uint32, fresh bool) {
 		return id, false
 	}
 	id = spillBase + uint32(len(p.spillStrs))
+	p.nSpilled.Add(1)
 	p.spillStrs = append(p.spillStrs, s)
 	p.spillIDs[s] = id
 	p.spillMu.Unlock()
@@ -137,11 +145,7 @@ func (p *colPool) str(id uint32) string {
 }
 
 // spilled returns the number of values this execution spilled.
-func (p *colPool) spilled() int {
-	p.spillMu.RLock()
-	defer p.spillMu.RUnlock()
-	return len(p.spillStrs)
-}
+func (p *colPool) spilled() int { return int(p.nSpilled.Load()) }
 
 // getCol returns a column of length n, reusing a free buffer when one
 // is large enough.
@@ -211,6 +215,7 @@ func (p *colPool) batchProfile() BatchProfile {
 		BatchesProcessed: int(p.nBatches.Load()),
 		InternedValues:   int(p.nInterned.Load()),
 		ArenaReuses:      int(p.nReuses.Load()),
+		HeldAnswers:      int(p.nHeld.Load()),
 		SpilledValues:    p.spilled(),
 	}
 }
@@ -510,8 +515,11 @@ func (sp *stepProgram) materializeInputs(in *colBatch, row int, pool *colPool) [
 // in a streamed stage the step's state carries it across batches — and
 // probed once per input row.
 type callJoin struct {
-	vals  []uint32 // len(rows) × arity; only needed positions are filled
-	arity int
+	// vals is column-major, arity × n: tuple ti's ID at position p is
+	// vals[p*n+ti]. Only needed positions are filled. For a held answer
+	// it is the held table's shared array (held.go), never written here.
+	vals  []uint32
+	n     int
 	keys  idTable // probe key → group
 	start []int32
 	idx   []int32
@@ -534,36 +542,49 @@ func (j *callJoin) group(key []uint32) []int32 {
 // buildJoin interns and filters the call's tuples and groups them by
 // bound-position key with a stable counting sort: tuple order is
 // preserved within each group, so probing emits matches in exactly the
-// oracle's order. key is the caller's scratch.
-func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, key []uint32) *callJoin {
+// oracle's order. With a held table (a long answer) the IDs come from
+// the answer's held columns, interned once per catalog generation;
+// without one, or when the answer cannot be held, the call interns its
+// own. key is the caller's scratch.
+func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, held *heldTable, key []uint32) *callJoin {
 	if len(rows) == 0 || sp.never {
 		return emptyJoin
 	}
-	arity := len(sp.args)
-	j := &callJoin{arity: arity, vals: make([]uint32, len(rows)*arity)}
+	n, arity := len(rows), len(sp.args)
+	j := &callJoin{n: n}
+	if held != nil && pool.spilled() == 0 {
+		j.vals = held.columns(rows, sp.args, pool)
+	}
+	own := j.vals == nil
+	if own {
+		j.vals = make([]uint32, arity*n)
+	} else {
+		pool.nHeld.Add(1)
+	}
 	// One allocation for both per-tuple arrays: the group of every tuple
 	// (-1: filtered out), then the tuples ordered by group.
-	scratch := make([]int32, 2*len(rows))
-	gid, idx := scratch[:len(rows)], scratch[len(rows):]
+	scratch := make([]int32, 2*n)
+	gid, idx := scratch[:n], scratch[n:]
 	survivors := 0
 	for ti, t := range rows {
-		vals := j.vals[ti*arity : (ti+1)*arity]
 		ok := true
 		for p := 0; p < arity && ok; p++ {
 			a := &sp.args[p]
 			if !a.need {
 				continue
 			}
-			id, fresh := pool.internID(t[p])
-			if fresh {
-				pool.nInterned.Add(1)
+			if own {
+				id, fresh := pool.internID(t[p])
+				if fresh {
+					pool.nInterned.Add(1)
+				}
+				j.vals[p*n+ti] = id
 			}
-			vals[p] = id
-			switch a.role {
+			switch id := j.vals[p*n+ti]; a.role {
 			case argConst:
 				ok = id == a.constID
 			case argRepeat:
-				ok = id == vals[a.firstPos]
+				ok = id == j.vals[a.firstPos*n+ti]
 			}
 		}
 		if !ok {
@@ -572,7 +593,7 @@ func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, key []uint
 		}
 		key = key[:0]
 		for _, p := range sp.boundPos {
-			key = append(key, vals[p])
+			key = append(key, j.vals[p*n+ti])
 		}
 		gid[ti], _ = j.keys.insert(key)
 		survivors++
@@ -677,7 +698,11 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 		return 0, false, err
 	}
 	for _, c := range calls {
-		c.join = sp0.buildJoin(c.rows, pool, key)
+		var held *heldTable
+		if len(c.rows) >= heldMinRows {
+			held = heldOf(cat)
+		}
+		c.join = sp0.buildJoin(c.rows, pool, held, key)
 	}
 
 	// Probe every row, resolving its matching tuple group and an upper
@@ -727,11 +752,11 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 				matches = 1
 			}
 		}
+		join := callOf[i].join
 		for m := 0; m < matches; m++ {
-			var vals []uint32 // the matching tuple; a negated step binds nothing
+			var ti int // the matching tuple; a negated step binds nothing
 			if !negated {
-				join := callOf[i].join
-				vals = join.vals[int(g[m])*join.arity:]
+				ti = int(g[m])
 			}
 			left--
 			if sp0.dedup {
@@ -740,7 +765,7 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 					key = append(key, in.cols[s][i])
 				}
 				for _, nc := range sp0.newCols {
-					key = append(key, vals[nc.pos])
+					key = append(key, join.vals[nc.pos*join.n+ti])
 				}
 				if _, fresh := st.seen.insert(key); !fresh {
 					continue
@@ -763,7 +788,7 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 				ob.cols[s][k] = in.cols[s][i]
 			}
 			for _, nc := range sp0.newCols {
-				ob.cols[nc.slot][k] = vals[nc.pos]
+				ob.cols[nc.slot][k] = join.vals[nc.pos*join.n+ti]
 			}
 			k++
 			if k == limit && !flush() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,6 +27,10 @@ type DomResult struct {
 	// under-approximation of the reachable domain (still sound for
 	// underestimates).
 	Truncated bool
+	// TruncatedBy names the relations whose calls failed, each once, in
+	// the order they first failed; empty when only the budget or the
+	// context cut the enumeration short.
+	TruncatedBy []string
 }
 
 // EnumerateDomain computes a partial domain enumeration view over the
@@ -112,6 +117,9 @@ func enumeratePattern(ctx context.Context, src sources.Source, p access.Pattern,
 				return true
 			default:
 				res.Truncated = true // the values this call would have shown are missing
+				if !slices.Contains(res.TruncatedBy, src.Name()) {
+					res.TruncatedBy = append(res.TruncatedBy, src.Name())
+				}
 				return false
 			}
 			for _, t := range groups[0] {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/access"
@@ -98,8 +99,8 @@ func TestEnumerateDomainBudget(t *testing.T) {
 	in.MustAdd("F", "a0", "z9")
 	cat := in.MustCatalog(ps)
 	dom := EnumerateDomain(cat, nil, 3)
-	if !dom.Truncated {
-		t.Errorf("tiny budget must truncate; calls = %d, values = %d", dom.Calls, len(dom.Values))
+	if !dom.Truncated || dom.TruncatedBy != nil {
+		t.Errorf("tiny budget must truncate, blaming no source; calls = %d, values = %d, by %v", dom.Calls, len(dom.Values), dom.TruncatedBy)
 	}
 	if dom.Calls > 3 {
 		t.Errorf("budget exceeded: %d calls", dom.Calls)
@@ -143,8 +144,8 @@ func TestEnumerateDomainContainsFailingSources(t *testing.T) {
 		MustAdd("F", "c", "d")
 	ps := pats(t, `R^oo F^io`)
 	healthy := EnumerateDomain(in.MustCatalog(ps), nil, 10_000)
-	if healthy.Truncated {
-		t.Fatal("the healthy run must reach the fixpoint")
+	if healthy.Truncated || healthy.TruncatedBy != nil {
+		t.Fatalf("the healthy run must reach the fixpoint, truncated by %v", healthy.TruncatedBy)
 	}
 	base := in.MustCatalog(ps)
 	for _, c := range []struct {
@@ -155,8 +156,8 @@ func TestEnumerateDomainContainsFailingSources(t *testing.T) {
 		{"flaky", sources.NewFlaky(base.Source("F"), sources.FlakyConfig{FailFirst: 1})},
 	} {
 		dom := EnumerateDomain(sources.MustCatalog(base.Source("R"), c.f), nil, 10_000)
-		if !dom.Truncated {
-			t.Errorf("%s: a failed call must mark the domain truncated", c.name)
+		if !dom.Truncated || !slices.Equal(dom.TruncatedBy, []string{"F"}) {
+			t.Errorf("%s: a failed call must mark the domain truncated by F, got %v by %v", c.name, dom.Truncated, dom.TruncatedBy)
 		}
 		want := map[string]bool{}
 		for _, v := range healthy.Values {
@@ -190,7 +191,7 @@ func TestEnumerateDomainContainsFailingSources(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a panicking source must not fail the improvement: %v", err)
 	}
-	if !dom.Truncated || !improved.Contains(RowOf("a", "b")) {
-		t.Errorf("truncated = %v, improved = %s; want truncated and (a, b) found", dom.Truncated, improved)
+	if !dom.Truncated || !slices.Equal(dom.TruncatedBy, []string{"P"}) || !improved.Contains(RowOf("a", "b")) {
+		t.Errorf("truncated = %v by %v, improved = %s; want truncated by P and (a, b) found", dom.Truncated, dom.TruncatedBy, improved)
 	}
 }

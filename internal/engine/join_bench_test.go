@@ -37,13 +37,14 @@ func joinStep(b *testing.B, keys int, pool *colPool) *stepProgram {
 	return &prog.steps[len(prog.steps)-1]
 }
 
-// The join side of one call, by probe-key width and result size: a
-// one-tuple lookup (what remote_batch and cold_plan issue by the
-// hundred) must stay a handful of allocations, a 4000-tuple scan a
-// handful too.
+// The join side of one call, by probe-key width and result size, built
+// privately (own) or from a held answer (held): a one-tuple lookup
+// (what remote_batch and cold_plan issue by the hundred) must stay a
+// handful of allocations, a 4000-tuple scan a handful too. heldMinRows
+// is read off the own/held gap at 1 and 32 rows.
 func BenchmarkBuildJoin(b *testing.B) {
 	for _, keys := range []int{0, 1, 2, 4} {
-		for _, n := range []int{1, 4000} {
+		for _, n := range []int{1, 32, 4000} {
 			pool := newColPool()
 			sp := joinStep(b, keys, pool)
 			rows := make([]sources.Tuple, n)
@@ -53,16 +54,20 @@ func BenchmarkBuildJoin(b *testing.B) {
 					rows[i][p] = fmt.Sprintf("bj%d_%d", p, i%(16*(p+1)))
 				}
 			}
-			sp.buildJoin(rows, pool, nil) // intern the values once
-			b.Run(fmt.Sprintf("keys=%d/rows=%d", keys, n), func(b *testing.B) {
-				var key [8]uint32
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if j := sp.buildJoin(rows, pool, key[:0]); len(j.idx) != n {
-						b.Fatalf("%d of %d tuples survived", len(j.idx), n)
+			held := newHeldTable()
+			sp.buildJoin(rows, pool, held, nil) // intern the values and hold the columns once
+			for _, mode := range []string{"own", "held"} {
+				h := map[string]*heldTable{"held": held}[mode]
+				b.Run(fmt.Sprintf("keys=%d/rows=%d/%s", keys, n, mode), func(b *testing.B) {
+					var key [8]uint32
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if j := sp.buildJoin(rows, pool, h, key[:0]); len(j.idx) != n {
+							b.Fatalf("%d of %d tuples survived", len(j.idx), n)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -184,6 +184,11 @@ type BatchProfile struct {
 	// ArenaReuses counts column buffers served from the execution's
 	// recycling pool instead of fresh allocations.
 	ArenaReuses int
+	// HeldAnswers counts the calls whose join side came from the
+	// catalog's held table: a long answer's interned columns, built once
+	// per catalog generation and reused by every execution that receives
+	// the same answer (held.go).
+	HeldAnswers int
 	// SpilledValues counts values this execution could not intern
 	// because the process-wide interner hit its configured cap
 	// (SetInternerCap) and instead resolved through the execution-local
@@ -438,8 +443,8 @@ func (p Profile) String() string {
 			c.PersistLoads, c.PersistBytes, c.PersistDrops)
 	}
 	if p.Batch.BatchesProcessed > 0 {
-		fmt.Fprintf(&b, "batches: %d processed, %d values interned, %d buffers reused\n",
-			p.Batch.BatchesProcessed, p.Batch.InternedValues, p.Batch.ArenaReuses)
+		fmt.Fprintf(&b, "batches: %d processed, %d values interned, %d buffers reused, %d held answers\n",
+			p.Batch.BatchesProcessed, p.Batch.InternedValues, p.Batch.ArenaReuses, p.Batch.HeldAnswers)
 	}
 	if p.Batch.SpilledValues > 0 {
 		fmt.Fprintf(&b, "interner capped: %d value(s) spilled to execution-local table\n", p.Batch.SpilledValues)

@@ -52,9 +52,15 @@ type Source interface {
 	// done context is reported as ctx.Err(), never as a transient
 	// failure.
 	//
-	// The answer is read-only: callers must not modify the returned
-	// groups or tuples, and a source may share them with other callers
-	// and with its own storage.
+	// The answer is read-only, for good: a group or tuple once handed
+	// out is never written again, by anyone — not by the caller, and not
+	// by the source, which may share it with other callers and with its
+	// own storage and hand the same group out again. A group's identity
+	// (its first element's address and its length) therefore stands for
+	// its contents for as long as anyone holds it: the engine keeps a
+	// large answer's interned join columns under that identity
+	// (Catalog.Held). A source whose data changes answers with new
+	// groups.
 	Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error)
 	// Batches reports whether Call services a whole group in one wire
 	// round trip (a SQL adapter compiles the group into one IN (...)
@@ -395,6 +401,13 @@ type Catalog struct {
 	gen    atomic.Int64
 	id     atomic.Int64
 	pid    atomic.Pointer[string]
+	held   atomic.Pointer[heldSlot]
+}
+
+// heldSlot is the value Held hands out for one generation.
+type heldSlot struct {
+	gen int64
+	v   any
 }
 
 // catalogIDs hands out process-unique catalog identities; 0 is reserved
@@ -494,6 +507,26 @@ func (c *Catalog) Generation() int64 { return c.gen.Load() }
 // earlier generation will not be reused. Call it after mutating the
 // data behind any of the catalog's sources.
 func (c *Catalog) Invalidate() { c.gen.Add(1) }
+
+// Held returns the value the catalog holds for its current generation,
+// calling mk to build it on first use and again after every generation
+// bump (Invalidate, ResetStats, AdvanceGeneration); concurrent first
+// callers may each run mk, and one result wins. The engine keeps its
+// held answers there — the interned join columns of large source
+// answers, keyed by group identity — so they live exactly as long as
+// the catalog and its generation.
+func (c *Catalog) Held(mk func() any) any {
+	gen := c.gen.Load()
+	cur := c.held.Load()
+	if cur != nil && cur.gen == gen {
+		return cur.v
+	}
+	next := &heldSlot{gen: gen, v: mk()}
+	if c.held.CompareAndSwap(cur, next) {
+		return next.v
+	}
+	return c.held.Load().v
+}
 
 // SetPersistentID labels the catalog with a stable, operator-chosen
 // identity (e.g. the tenant name) that — unlike ID(), which is

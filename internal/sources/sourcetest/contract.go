@@ -2,8 +2,8 @@
 // contract, run by internal/sources over the in-memory implementations
 // and wrapper stacks and by internal/adapter over the SQL and HTTP
 // adapters: one table of obligations instead of per-implementation
-// copies. ReadOnly checks the contract's other side: that no consumer
-// writes into the rows a source hands out.
+// copies. ReadOnly checks the contract's read-only rule: that nobody —
+// a consumer or the source itself — writes into rows once handed out.
 package sourcetest
 
 import (
@@ -58,9 +58,11 @@ func (l *Leaf) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([
 }
 
 // ReadOnly wraps a source and fingerprints every group it hands out, so
-// a test can check that no consumer wrote into a source's answer: the
+// a test can check that the answer never changed afterwards: the
 // sources.Source contract lets a source share its rows with every
-// caller. It forwards metering to the wrapped source.
+// caller and lets callers key on a group's identity, so neither a
+// consumer nor the source may write into it. It forwards metering to
+// the wrapped source.
 type ReadOnly struct {
 	sources.Source
 	mu     sync.Mutex
@@ -111,7 +113,7 @@ func (r *ReadOnly) Verify(t testing.TB) {
 	defer r.mu.Unlock()
 	for _, h := range r.handed {
 		if got := fingerprint(h.group); got != h.print {
-			t.Errorf("a consumer wrote into %s's answer: %q became %q", r.Name(), h.print, got)
+			t.Errorf("%s's answer changed after it was handed out (a consumer or the source wrote into it): %q became %q", r.Name(), h.print, got)
 		}
 	}
 }
@@ -202,6 +204,20 @@ func Contract(t *testing.T, f Fixture) {
 	if f.Src.Name() != "r" || f.Src.Arity() != 2 || !reflect.DeepEqual(f.Src.Patterns(), Patterns) {
 		t.Errorf("identity = %s/%d %v", f.Src.Name(), f.Src.Arity(), f.Src.Patterns())
 	}
+
+	// A group once handed out is never written again, by anyone: every
+	// call below — repeats, scans, rejected calls, a failure — leaves
+	// these answers as they were.
+	ro := NewReadOnly(f.Src)
+	for _, call := range []struct {
+		p      access.Pattern
+		inputs [][]string
+	}{{"io", [][]string{{"a"}, {"b"}, {"zz"}}}, {"oo", [][]string{{}}}} {
+		if _, err := ro.Call(ctx, call.p, call.inputs); err != nil {
+			t.Fatalf("Call(%s, %v): %v", call.p, call.inputs, err)
+		}
+	}
+	defer ro.Verify(t)
 
 	// out[i] answers inputs[i]: misses, duplicates and repeats included.
 	aligned(t, "a", "zz", "b", "a")
