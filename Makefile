@@ -43,7 +43,8 @@ bench-build:
 # flattening), of a plan miss (minimization, canonical key, one
 # containment test, a whole plan build, an answer-tier miss beside 16
 # and 1024 entries), of the join (a call's join side by probe-key
-# width and result size, built by the call or read from a held answer,
+# width, result size and carrying or deduplicating step, built by the
+# call, built from a held answer's columns or reused finished,
 # idTable insert/find by width, an interner lookup) and of the persist
 # log (one append, a recovery), once each, so they keep compiling and
 # running.
@@ -62,10 +63,11 @@ bench-smoke:
 # report), never crash; run under -race since degradation exercises the
 # per-rule teardown paths — on both step schedules, which the
 # schedule-agreement table holds to the oracle with a source killed —
-# plus held answers shared by parallel rules, across an invalidation
-# and under a full interner cap.
+# plus held answers and their held joins shared by parallel rules and
+# executions, racing to build one join per step shape, across an
+# invalidation, under a full interner cap and at the table's bound.
 fault-smoke:
-	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer' . ./internal/engine/
+	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin' . ./internal/engine/
 
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue

@@ -10,12 +10,13 @@ package engine
 // the static constant and repeated-variable constraints once, and
 // grouped by their bound-position key — built once per call — and each
 // input row probes by its own bound-slot key, emitting one output row
-// per matching tuple. A long answer is interned once per catalog
-// generation instead: its columns are held on the catalog under the
-// returned group's identity and shared by every execution that
-// receives the same group (held.go). Column buffers are recycled through a
-// per-execution colPool. Strings materialize only at the edges: call
-// inputs handed to internal/sources and head rows handed to the sink.
+// per matching tuple. A long answer's join side is built once per
+// catalog generation and step shape instead: its columns and finished
+// joins are held on the catalog under the returned group's identity and
+// shared by every execution that receives the same group (held.go).
+// Column buffers are recycled through a per-execution colPool. Strings
+// materialize only at the edges: call inputs handed to internal/sources
+// and head rows handed to the sink.
 //
 // A step carries on only what something later reads. compileRule ends
 // with a backward liveness pass (projectLive): a slot is live after a
@@ -49,6 +50,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -539,32 +541,43 @@ func (j *callJoin) group(key []uint32) []int32 {
 	return j.idx[j.start[g]:j.start[g+1]]
 }
 
-// buildJoin interns and filters the call's tuples and groups them by
-// bound-position key with a stable counting sort: tuple order is
-// preserved within each group, so probing emits matches in exactly the
-// oracle's order. With a held table (a long answer) the IDs come from
-// the answer's held columns, interned once per catalog generation;
-// without one, or when the answer cannot be held, the call interns its
-// own. key is the caller's scratch.
+// buildJoin returns the call's join side. A long answer's (held != nil)
+// is built once per catalog generation and step shape and shared
+// (heldTable.join); otherwise, or when the answer cannot be held, the
+// call interns its tuples and builds its own. key is the caller's
+// scratch.
 func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, held *heldTable, key []uint32) *callJoin {
 	if len(rows) == 0 || sp.never {
 		return emptyJoin
 	}
-	n, arity := len(rows), len(sp.args)
-	j := &callJoin{n: n}
 	if held != nil && pool.spilled() == 0 {
-		j.vals = held.columns(rows, sp.args, pool)
+		if j := held.join(rows, sp, pool, key); j != nil {
+			pool.nHeld.Add(1)
+			return j
+		}
 	}
-	own := j.vals == nil
-	if own {
-		j.vals = make([]uint32, arity*n)
-	} else {
-		pool.nHeld.Add(1)
-	}
+	return sp.groupJoin(rows, make([]uint32, len(sp.args)*len(rows)), pool, key, false)
+}
+
+// groupJoin filters the call's tuples and groups them by bound-position
+// key with a stable counting sort: tuple order is preserved within each
+// group, so probing emits matches in exactly the oracle's order. vals is
+// the column-major ID array: a held answer's, its needed columns filled
+// (held), or a fresh one the call interns into as it goes.
+//
+// A held join of a dedup step keeps only the first tuple of each newCols
+// projection within a group. That is exact: the rest would make the same
+// output binding as the first for every input row that probes the group,
+// and stepState.seen would drop it there. A call's own join keeps them,
+// so a short answer pays for no distinct set of its own.
+func (sp *stepProgram) groupJoin(rows []sources.Tuple, vals []uint32, pool *colPool, key []uint32, held bool) *callJoin {
+	n, arity := len(rows), len(sp.args)
+	j := &callJoin{vals: vals, n: n}
 	// One allocation for both per-tuple arrays: the group of every tuple
 	// (-1: filtered out), then the tuples ordered by group.
 	scratch := make([]int32, 2*n)
 	gid, idx := scratch[:n], scratch[n:]
+	var firsts idTable // a held dedup step's (group, newCols values) seen
 	survivors := 0
 	for ti, t := range rows {
 		ok := true
@@ -573,18 +586,18 @@ func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, held *held
 			if !a.need {
 				continue
 			}
-			if own {
+			if !held {
 				id, fresh := pool.internID(t[p])
 				if fresh {
 					pool.nInterned.Add(1)
 				}
-				j.vals[p*n+ti] = id
+				vals[p*n+ti] = id
 			}
-			switch id := j.vals[p*n+ti]; a.role {
+			switch id := vals[p*n+ti]; a.role {
 			case argConst:
 				ok = id == a.constID
 			case argRepeat:
-				ok = id == j.vals[a.firstPos*n+ti]
+				ok = id == vals[a.firstPos*n+ti]
 			}
 		}
 		if !ok {
@@ -593,9 +606,20 @@ func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, held *held
 		}
 		key = key[:0]
 		for _, p := range sp.boundPos {
-			key = append(key, j.vals[p*n+ti])
+			key = append(key, vals[p*n+ti])
 		}
-		gid[ti], _ = j.keys.insert(key)
+		g, _ := j.keys.insert(key)
+		if held && sp.dedup {
+			key = append(key[:0], uint32(g))
+			for _, nc := range sp.newCols {
+				key = append(key, vals[nc.pos*n+ti])
+			}
+			if _, fresh := firsts.insert(key); !fresh {
+				gid[ti] = -1
+				continue
+			}
+		}
+		gid[ti] = g
 		survivors++
 	}
 	// start[g+2] counts group g, becomes its cursor start[g+1] after the
@@ -616,6 +640,9 @@ func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, held *held
 		}
 	}
 	j.start, j.idx = start[:len(start)-1], idx[:survivors]
+	if held { // kept for the catalog's generation: drop gid and the slack
+		j.idx = slices.Clone(j.idx)
+	}
 	return j
 }
 

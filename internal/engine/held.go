@@ -1,8 +1,8 @@
 package engine
 
-// Held answers: the interned join columns of a large source answer,
-// built once per catalog generation and shared by every execution that
-// receives the same answer.
+// Held answers: the interned columns and the finished join sides of a
+// large source answer, built once per catalog generation and shared by
+// every execution that receives the same answer.
 //
 // A source's answer is read-only for good (sources.Source.Call): a group
 // once handed out is never written again, by anyone, and Table.Call and
@@ -10,26 +10,32 @@ package engine
 // identity — its first tuple's address and its length — stands for its
 // contents, and the IDs of its values at one atom position (a column)
 // are the same for every step that reads it. buildJoin looks the group
-// up here and interns each column it needs once, lazily, under the
-// table's lock; the constant and repeat filters and the grouping by
-// probe key depend on the step, so they stay per call.
+// up here. Each column a step needs is interned once, lazily, under the
+// table's lock. The join side — filtered by the step's constants and
+// repeats, grouped by its probe key, and for a dedup step cut to the
+// first tuple of each carried projection — depends on the step only
+// through its shape (appendShape), so it is built once per shape
+// that reads the answer, outside the lock, and the first one published
+// is the one every later call of that shape reads.
 //
 // What keeps identity sound and the table small:
 //   - an entry's key points into its rows and so keeps them alive: their
 //     address cannot be reused by another answer while the entry exists;
 //   - a column that would hold a spill ID (SetInternerCap) is never held,
 //     since spill IDs are local to one execution; and an execution that
-//     has spilled reads no held column, whose global IDs could disagree
-//     with the spill IDs it gave the same values;
+//     has spilled reads no held column or join, whose global IDs could
+//     disagree with the spill IDs it gave the same values;
 //   - answers shorter than heldMinRows are not held, so the one-row
 //     answers an adapter builds afresh for every call never reach the
 //     table;
-//   - the table holds at most heldMaxCells IDs and starts over when a new
-//     answer would overflow it;
+//   - the table holds at most heldMaxCells IDs and join words: it starts
+//     over when a new answer would overflow it, and a join that would is
+//     used by its call but not held;
 //   - it lives on the catalog (sources.Catalog.Held): it dies with the
 //     catalog and is rebuilt after every generation bump.
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/sources"
@@ -45,8 +51,8 @@ const (
 	// every call (remote_batch makes 512 a request), so they would only
 	// churn the table; from 32 rows on a reuse saves ≥ 0.7 µs.
 	heldMinRows = 32
-	// heldMaxCells bounds the IDs one catalog's table holds (1 MB of
-	// uint32s; E25's R, 4 000 × 7, is 28 000).
+	// heldMaxCells bounds the 32-bit words one catalog's table holds
+	// (1 MB; E25's R, 4 000 × 7 IDs, is 28 000, and its one join 23).
 	heldMaxCells = 1 << 18
 )
 
@@ -64,18 +70,43 @@ const (
 )
 
 // heldAnswer is one held group: arity × n IDs, column-major, of which
-// only the columns in state colHeld are filled.
+// only the columns in state colHeld are filled, and the joins built over
+// them, one per step shape.
 type heldAnswer struct {
 	vals  []uint32
 	state []uint8 // per atom position
+	joins []heldJoin
+}
+
+// heldJoin is a finished join side and the shape it was built for.
+type heldJoin struct {
+	shape []uint32
+	join  *callJoin
+}
+
+// cells is a join side's size in 32-bit words beyond its vals, what a
+// held join counts against heldMaxCells.
+func (j *callJoin) cells() int {
+	return cap(j.keys.keys) + cap(j.keys.slots) + cap(j.start) + cap(j.idx)
+}
+
+// joinFor returns a's join for shape, or nil.
+func (a *heldAnswer) joinFor(shape []uint32) *callJoin {
+	for _, hj := range a.joins {
+		if slices.Equal(hj.shape, shape) {
+			return hj.join
+		}
+	}
+	return nil
 }
 
 // heldTable is one catalog generation's held answers.
 type heldTable struct {
 	mu      sync.Mutex
 	answers map[heldKey]*heldAnswer
-	cells   int // len(vals) summed over answers
+	cells   int // IDs and join words held (callJoin.cells)
 	built   int // columns interned so far (tests check a reuse interns none)
+	joined  int // joins built so far (tests check a reuse builds none)
 }
 
 func newHeldTable() *heldTable { return &heldTable{answers: map[heldKey]*heldAnswer{}} }
@@ -85,26 +116,86 @@ func heldOf(cat *sources.Catalog) *heldTable {
 	return cat.Held(func() any { return newHeldTable() }).(*heldTable)
 }
 
-// columns returns the held column-major IDs of rows with every position
-// args needs interned, or nil when the answer is not held: it is too
-// large for the table, or a needed column would hold a spill ID. The
-// result is shared and read-only; a column, once filled, never changes.
-func (h *heldTable) columns(rows []sources.Tuple, args []stepArg, pool *colPool) []uint32 {
-	n, arity := len(rows), len(args)
+// appendShape appends sp's shape to dst: what its held join's groups
+// depend on besides the answer, so that two steps of one shape share a
+// join. Per atom position it is the role and the constant's ID or the
+// repeated position (the roles give boundPos), then dedup, and for a
+// dedup step the positions of newCols. A carry step's newCols are left
+// out: its emit reads them from the answer's shared vals.
+func (sp *stepProgram) appendShape(dst []uint32) []uint32 {
+	for _, a := range sp.args {
+		var operand uint32
+		switch a.role {
+		case argConst:
+			operand = a.constID
+		case argRepeat:
+			operand = uint32(a.firstPos)
+		}
+		dst = append(dst, uint32(a.role), operand)
+	}
+	if !sp.dedup {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	for _, nc := range sp.newCols {
+		dst = append(dst, uint32(nc.pos))
+	}
+	return dst
+}
+
+// join returns the held join side of rows for sp's shape, building it on
+// first use, or nil when the answer is not held (columns). The build runs
+// outside the lock; of two racing builds the first published wins. The
+// result is shared and read-only.
+func (h *heldTable) join(rows []sources.Tuple, sp *stepProgram, pool *colPool, key []uint32) *callJoin {
+	var buf [32]uint32 // a shape of up to 32 words (any arity ≤ 10) stays on the stack
+	shape := sp.appendShape(buf[:0])
+	hk := heldKey{&rows[0], len(rows)}
+	h.mu.Lock()
+	a := h.columns(hk, rows, sp.args, pool)
+	var j *callJoin
+	if a != nil {
+		j = a.joinFor(shape)
+	}
+	h.mu.Unlock()
+	if a == nil || j != nil {
+		return j
+	}
+	j = sp.groupJoin(rows, a.vals, pool, key, true)
+
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	key := heldKey{&rows[0], n}
-	a := h.answers[key]
+	h.joined++
+	if won := a.joinFor(shape); won != nil {
+		return won
+	}
+	// The table started over meanwhile, or the join would overflow it:
+	// this call uses it, and the next one of its shape builds it again.
+	cells := j.cells()
+	if h.answers[hk] != a || h.cells+cells > heldMaxCells {
+		return j
+	}
+	a.joins = append(a.joins, heldJoin{slices.Clone(shape), j})
+	h.cells += cells
+	return j
+}
+
+// columns returns the entry of rows with every position args needs
+// interned, or nil when the answer is not held: it is too large for the
+// table, or a needed column would hold a spill ID. A column, once
+// filled, never changes. h.mu is held.
+func (h *heldTable) columns(hk heldKey, rows []sources.Tuple, args []stepArg, pool *colPool) *heldAnswer {
+	a := h.answers[hk]
 	if a == nil {
-		cells := arity * n
+		cells := len(args) * len(rows)
 		if cells > heldMaxCells {
 			return nil
 		}
 		if h.cells+cells > heldMaxCells {
 			h.answers, h.cells = map[heldKey]*heldAnswer{}, 0
 		}
-		a = &heldAnswer{vals: make([]uint32, cells), state: make([]uint8, arity)}
-		h.answers[key] = a
+		a = &heldAnswer{vals: make([]uint32, cells), state: make([]uint8, len(args))}
+		h.answers[hk] = a
 		h.cells += cells
 	}
 	for p := range args {
@@ -116,7 +207,7 @@ func (h *heldTable) columns(rows []sources.Tuple, args []stepArg, pool *colPool)
 		}
 		h.built++
 	}
-	return a.vals
+	return a
 }
 
 // intern fills column p through the capped global interner; a value the

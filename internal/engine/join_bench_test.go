@@ -12,61 +12,83 @@ import (
 
 // joinStep compiles the step whose join side BenchmarkBuildJoin builds:
 // J(k1..kn, v) probed on n bound positions (none: a scan), v carried on.
-func joinStep(b *testing.B, keys int, pool *colPool) *stepProgram {
+// With dedup it is J(k1..kn, v, d) followed by C(v): d is dropped, so
+// the step deduplicates.
+func joinStep(b *testing.B, keys int, dedup bool, pool *colPool) *stepProgram {
 	b.Helper()
 	ks := make([]string, keys)
 	for i := range ks {
 		ks[i] = fmt.Sprintf("k%d", i)
 	}
-	jArgs := strings.Join(append(ks, "v"), ", ")
-	src, patterns := fmt.Sprintf(`Q(v) :- J(%s).`, jArgs), []access.Pattern{access.Pattern(strings.Repeat("o", keys+1))}
+	jVars, tail, tailPats := append(ks, "v"), "", []access.Pattern(nil)
+	if dedup {
+		jVars, tail, tailPats = append(jVars, "d"), ", C(v)", []access.Pattern{"i"}
+	}
+	jPat := access.Pattern(strings.Repeat("i", keys) + strings.Repeat("o", len(jVars)-keys))
+	src, patterns := fmt.Sprintf(`Q(v) :- J(%s)%s.`, strings.Join(jVars, ", "), tail), []access.Pattern{jPat}
 	if keys > 0 {
-		src = fmt.Sprintf(`Q(v) :- B(%s), J(%s).`, strings.Join(ks, ", "), jArgs)
-		patterns = []access.Pattern{access.Pattern(strings.Repeat("o", keys)), access.Pattern(strings.Repeat("i", keys) + "o")}
+		src = fmt.Sprintf(`Q(v) :- B(%s), J(%s)%s.`, strings.Join(ks, ", "), strings.Join(jVars, ", "), tail)
+		patterns = []access.Pattern{access.Pattern(strings.Repeat("o", keys)), jPat}
 	}
 	u, err := parser.ParseUCQ(src)
 	if err != nil {
 		b.Fatal(err)
 	}
 	q := u.Rules[0]
+	patterns = append(patterns, tailPats...)
 	steps := make([]access.AdornedLiteral, len(q.Body))
 	for i, l := range q.Body {
 		steps[i] = access.AdornedLiteral{Literal: l, Pattern: patterns[i]}
 	}
 	prog := compileRule(q, steps, pool)
-	return &prog.steps[len(prog.steps)-1]
+	return &prog.steps[len(patterns)-1-len(tailPats)]
 }
 
-// The join side of one call, by probe-key width and result size, built
-// privately (own) or from a held answer (held): a one-tuple lookup
+// The join side of one call, by probe-key width, result size and step
+// (carry: v carried; dedup: d dropped, so a held join keeps one tuple per
+// v in each group), built privately (own), from a held answer's columns
+// (held: what the first call of a step shape pays), or read back
+// finished (reuse: every later call of that shape). A one-tuple lookup
 // (what remote_batch and cold_plan issue by the hundred) must stay a
-// handful of allocations, a 4000-tuple scan a handful too. heldMinRows
-// is read off the own/held gap at 1 and 32 rows.
+// handful of allocations, a 4000-tuple scan a handful too, and reuse
+// allocates nothing. heldMinRows is read off the own/reuse gap at 1 and
+// 32 rows.
 func BenchmarkBuildJoin(b *testing.B) {
 	for _, keys := range []int{0, 1, 2, 4} {
 		for _, n := range []int{1, 32, 4000} {
-			pool := newColPool()
-			sp := joinStep(b, keys, pool)
-			rows := make([]sources.Tuple, n)
-			for i := range rows {
-				rows[i] = make(sources.Tuple, keys+1)
-				for p := range rows[i] {
-					rows[i][p] = fmt.Sprintf("bj%d_%d", p, i%(16*(p+1)))
-				}
-			}
-			held := newHeldTable()
-			sp.buildJoin(rows, pool, held, nil) // intern the values and hold the columns once
-			for _, mode := range []string{"own", "held"} {
-				h := map[string]*heldTable{"held": held}[mode]
-				b.Run(fmt.Sprintf("keys=%d/rows=%d/%s", keys, n, mode), func(b *testing.B) {
-					var key [8]uint32
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if j := sp.buildJoin(rows, pool, h, key[:0]); len(j.idx) != n {
-							b.Fatalf("%d of %d tuples survived", len(j.idx), n)
-						}
+			for _, step := range []string{"carry", "dedup"} {
+				pool := newColPool()
+				sp := joinStep(b, keys, step == "dedup", pool)
+				rows := make([]sources.Tuple, n)
+				for i := range rows {
+					rows[i] = make(sources.Tuple, len(sp.args))
+					for p := range rows[i] {
+						rows[i][p] = fmt.Sprintf("bj%d_%d", p, i%(16*(p+1)))
 					}
-				})
+				}
+				h := newHeldTable()
+				held := sp.buildJoin(rows, pool, h, nil) // intern, hold the columns and the join once
+				vals := held.vals
+				builds := map[string]func(key []uint32) *callJoin{
+					"own":   func(key []uint32) *callJoin { return sp.buildJoin(rows, pool, nil, key) },
+					"held":  func(key []uint32) *callJoin { return sp.groupJoin(rows, vals, pool, key, true) },
+					"reuse": func(key []uint32) *callJoin { return sp.buildJoin(rows, pool, h, key) },
+				}
+				for _, mode := range []string{"own", "held", "reuse"} {
+					build, want := builds[mode], len(held.idx)
+					if mode == "own" {
+						want = n
+					}
+					b.Run(fmt.Sprintf("keys=%d/rows=%d/%s/%s", keys, n, step, mode), func(b *testing.B) {
+						var key [8]uint32
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							if j := build(key[:0]); len(j.idx) != want {
+								b.Fatalf("%d of %d tuples survived, want %d", len(j.idx), n, want)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

@@ -185,9 +185,9 @@ type BatchProfile struct {
 	// recycling pool instead of fresh allocations.
 	ArenaReuses int
 	// HeldAnswers counts the calls whose join side came from the
-	// catalog's held table: a long answer's interned columns, built once
-	// per catalog generation and reused by every execution that receives
-	// the same answer (held.go).
+	// catalog's held table: a long answer's interned columns and join,
+	// built once per catalog generation and step shape and reused by
+	// every execution that receives the same answer (held.go).
 	HeldAnswers int
 	// SpilledValues counts values this execution could not intern
 	// because the process-wide interner hit its configured cap

@@ -183,6 +183,54 @@ func checkStepBindings(t *testing.T, label string, got, want Profile, live [][]l
 	}
 }
 
+// agreeStrict runs u over in under every schedule × {sequential,
+// parallel}, each runs times on one read-only catalog — from the second
+// run on, every held answer's joins are the ones the first run built —
+// and holds every run to the oracle: rows in its order (as a set where
+// parallel stages interleave), its source calls, its bindings per step
+// (checkStepBindings), no incompleteness, and no write into an answer.
+// It returns the oracle's rows and the number of calls whose join side
+// was held.
+func agreeStrict(t *testing.T, label string, u logic.UCQ, ps *access.Set, in *Instance, runs int) (want *Rel, held int) {
+	t.Helper()
+	oracleRT := NewRuntime()
+	oracleRT.Retry = RetryPolicy{}
+	healthy := in.MustCatalog(ps)
+	want, wantProf, _, err := oracleEval(context.Background(), oracleRT, u, ps, healthy, false)
+	if err != nil {
+		t.Fatalf("oracle failed on executable query %s: %v", u, err)
+	}
+	wantCalls := healthy.TotalStats().Calls
+	wantLive := oracleLiveBindings(t, oracleRT, u, ps, in.MustCatalog(ps))
+	for _, sched := range schedules {
+		for _, parallel := range []bool{false, true} {
+			cat, verify := sourcetest.ReadOnlyCatalog(in.MustCatalog(ps))
+			for run := 1; run <= runs; run++ {
+				label := fmt.Sprintf("%s, %s, parallel=%v, run %d:\n%s", label, sched, parallel, run, u)
+				got, prof, inc, err := sched.run(u, ps, cat, Answered{}, Opts{Parallel: parallel})
+				if err != nil {
+					t.Fatalf("%s\nfailed: %v", label, err)
+				}
+				if !parallel || !sched.staged {
+					sameRows(t, got, want, label)
+				} else if !got.Equal(want) {
+					t.Fatalf("%s\nrows %s, want %s", label, got, want)
+				}
+				if c := cat.TotalStats().Calls; c != run*wantCalls || prof.TotalCalls() != wantCalls {
+					t.Fatalf("%s\n%d source calls (%d profiled), want %d a run", label, c, prof.TotalCalls(), wantCalls)
+				}
+				checkStepBindings(t, label, prof, wantProf, wantLive)
+				if inc != nil {
+					t.Fatalf("%s\nstrict run reported incompleteness %+v", label, inc)
+				}
+				held += prof.Batch.HeldAnswers
+			}
+			verify(t)
+		}
+	}
+	return want, held
+}
+
 // The executor's differential suite. On random executable plans with
 // negation, constants, and repeated variables, every way to run the one
 // driver — {whole, staged × batch 1/3/64 × stage buffer 1/2} ×
@@ -193,16 +241,20 @@ func checkStepBindings(t *testing.T, label string, got, want Profile, live [][]l
 // live variables (checkStepBindings), and the same Incompleteness
 // report. With half the disjuncts pre-answered, the materialized and the
 // drained-stream results must both be that same relation, for the
-// remaining disjuncts' calls only.
+// remaining disjuncts' calls only. Every fifth plan also runs, strict and
+// twice per catalog, over an instance of ≥ heldMinRows tuples a relation,
+// so that its scans are held answers and the second run reads the held
+// joins the first one built.
 func TestSchedulesAgreeWithOracle(t *testing.T) {
 	g := workload.New(311)
 	s := g.Schema(4, 1, 2)
 	ps := g.Patterns(s, 0.3, 2) // mostly-output patterns: more orderable draws
 	cfg := workload.QueryConfig{PosLits: 3, NegLits: 1, VarPool: 4, ConstProb: 0.1, HeadVars: 1, DomainSize: 5}
+	long := workload.New(312) // its own stream: the draws above stay as they were
 	ctx := context.Background()
 	oracleRT := NewRuntime()
 	oracleRT.Retry = RetryPolicy{}
-	tested, degraded := 0, 0
+	tested, degraded, heldDraws := 0, 0, 0
 	for i := 0; i < 250; i++ {
 		u, ok := core.ReorderUCQ(g.UCQ(s, 3, cfg), ps)
 		if !ok {
@@ -222,13 +274,21 @@ func TestSchedulesAgreeWithOracle(t *testing.T) {
 			continue
 		}
 
-		healthy := in.MustCatalog(ps)
-		want, wantProf, _, err := oracleEval(ctx, oracleRT, u, ps, healthy, false)
-		if err != nil {
-			t.Fatalf("oracle failed on executable query %s: %v", u, err)
+		want, _ := agreeStrict(t, fmt.Sprintf("plan %d", i), u, ps, in, 1)
+		if tested%5 == 0 {
+			big := NewInstance()
+			if err := big.LoadFacts(long.Facts(s, 80, 48)); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range s.Relations {
+				if n := len(big.Rows(r.Name)); n < heldMinRows {
+					t.Fatalf("plan %d: the long instance has %d tuples of %s", i, n, r.Name)
+				}
+			}
+			if _, held := agreeStrict(t, fmt.Sprintf("plan %d, long relations", i), u, ps, big, 2); held > 0 {
+				heldDraws++
+			}
 		}
-		wantCalls := healthy.TotalStats().Calls
-		wantLive := oracleLiveBindings(t, oracleRT, u, ps, in.MustCatalog(ps))
 		killed := killedCatalog(t, in, ps, dead)
 		wantDeg, _, wantInc, err := oracleEval(ctx, oracleRT, u, ps, killed, true)
 		if err != nil {
@@ -244,27 +304,8 @@ func TestSchedulesAgreeWithOracle(t *testing.T) {
 				label := fmt.Sprintf("plan %d, %s, parallel=%v:\n%s", i, sched, parallel, u)
 				inOrder := !parallel || !sched.staged
 
-				cat, verify := sourcetest.ReadOnlyCatalog(in.MustCatalog(ps))
-				got, prof, inc, err := sched.run(u, ps, cat, Answered{}, Opts{Parallel: parallel})
-				if err != nil {
-					t.Fatalf("%s\nfailed: %v", label, err)
-				}
-				verify(t)
-				if inOrder {
-					sameRows(t, got, want, label)
-				} else if !got.Equal(want) {
-					t.Fatalf("%s\nrows %s, want %s", label, got, want)
-				}
-				if c := cat.TotalStats().Calls; c != wantCalls || prof.TotalCalls() != wantCalls {
-					t.Fatalf("%s\n%d source calls (%d profiled), want %d", label, c, prof.TotalCalls(), wantCalls)
-				}
-				checkStepBindings(t, label, prof, wantProf, wantLive)
-				if inc != nil {
-					t.Fatalf("%s\nstrict run reported incompleteness %+v", label, inc)
-				}
-
-				cat = killedCatalog(t, in, ps, dead)
-				got, _, inc, err = sched.run(u, ps, cat, Answered{}, Opts{Parallel: parallel, Partial: true})
+				cat := killedCatalog(t, in, ps, dead)
+				got, _, inc, err := sched.run(u, ps, cat, Answered{}, Opts{Parallel: parallel, Partial: true})
 				if err != nil {
 					t.Fatalf("%s\nfailed to degrade with %s dead: %v", label, dead, err)
 				}
@@ -318,8 +359,8 @@ func TestSchedulesAgreeWithOracle(t *testing.T) {
 		}
 		tested++
 	}
-	if tested < 40 || degraded < 20 {
-		t.Errorf("only %d plans engaged, %d of them degraded", tested, degraded)
+	if tested < 40 || degraded < 20 || heldDraws < 10 {
+		t.Errorf("only %d plans engaged, %d of them degraded, %d read held answers", tested, degraded, heldDraws)
 	}
 }
 
