@@ -45,9 +45,9 @@ bench-build:
 # and 1024 entries), of the join (a call's join side by probe-key
 # width, result size and carrying or deduplicating step, built by the
 # call, built from a held answer's columns or reused finished,
-# idTable insert/find by width, an interner lookup) and of the persist
-# log (one append, a recovery), once each, so they keep compiling and
-# running.
+# idTable insert/find by width, a lookup in a catalog's interner) and
+# of the persist log (one append, a recovery), once each, so they keep
+# compiling and running.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Paper/E(19|20|21|22|23)' -benchtime=1x ./cmd/paperbench/
 	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
@@ -65,7 +65,8 @@ bench-smoke:
 # schedule-agreement table holds to the oracle with a source killed —
 # plus held answers and their held joins shared by parallel rules and
 # executions, racing to build one join per step shape, across an
-# invalidation, under a full interner cap and at the table's bound.
+# invalidation, across an interner rollover that a running execution
+# outlives, and at the table's bound.
 fault-smoke:
 	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin' . ./internal/engine/
 
@@ -112,14 +113,15 @@ persist-smoke:
 # fakedb driver and httptest backends — the fault matrix (injected
 # latency, failed statements, 5xx/429/connection-refused, malformed
 # responses, open breakers), the batched-pushdown engine path, the
-# interner-cap hammer, the adapter differential suite (every adapter
+# per-catalog interner rollover (materialized, streamed, concurrent
+# executions racing it), the adapter differential suite (every adapter
 # answer-equivalent to the in-memory relation it mirrors; a 256-binding
 # group is one round trip), and a catalog config mounted on the server.
 # Under -race because batch demux and HTTP coalescing are concurrent by
 # design.
 adapter-smoke:
 	$(GO) test -race -count=1 ./internal/adapter/...
-	$(GO) test -race -count=1 -run='TestRuntimeBatch|TestInternerCap' ./internal/engine/
+	$(GO) test -race -count=1 -run='TestRuntimeBatch|TestInternerRollover' ./internal/engine/
 	$(GO) test -race -count=1 -run='TestAdapterDifferentialEquivalence|TestAdapterBatchedJoinEquivalence' .
 	$(GO) test -race -count=1 -run='TestMountCatalogConfig|TestRunBatchPushdown' ./internal/server/
 

@@ -12,7 +12,6 @@ import (
 	"context"
 
 	"repro/internal/adapter"
-	"repro/internal/engine"
 )
 
 // Adapter types.
@@ -59,15 +58,3 @@ func NewHTTPBackend(src Source) *HTTPBackend { return adapter.NewBackend(src) }
 func CallBatch(ctx context.Context, s Source, p Pattern, inputs [][]string) ([][]Tuple, error) {
 	return s.Call(ctx, p, inputs)
 }
-
-// SetInternerCap bounds the process-wide value interner backing
-// columnar evaluation: at most maxEntries values and maxBytes
-// approximate resident bytes (0 = unlimited). Values beyond the cap
-// spill to execution-local tables — answers are unaffected; memory
-// stops growing. Cap traffic is surfaced in ExecProfile.Batch and the
-// server's /v1/stats.
-func SetInternerCap(maxEntries int, maxBytes int64) { engine.SetInternerCap(maxEntries, maxBytes) }
-
-// InternerCapStats reports how many intern attempts the cap refused and
-// whether the cap is currently reached.
-func InternerCapStats() (capHits int64, capped bool) { return engine.InternerCapStats() }

@@ -36,12 +36,10 @@ type execConfig struct {
 	hasStats  bool
 	qc        *QueryCache
 
-	replicas    []*Catalog
-	hasReplicas bool
-	hedge       HedgePolicy
-	hasHedge    bool
-	budget      Budget
-	hasBudget   bool
+	hedge     HedgePolicy
+	hasHedge  bool
+	budget    Budget
+	hasBudget bool
 
 	batchSize      int
 	hasBatchSize   bool
@@ -127,27 +125,11 @@ func WithImproveUnder(maxCalls int) ExecOption {
 // nil; no other option combines with it.
 func WithNaive(in *Instance) ExecOption { return func(c *execConfig) { c.naive = in } }
 
-// WithReplicas fronts every relation with a replica set: the primary
-// catalog passed to Exec is zipped with the given backup catalogs
-// (which must declare the same relations and patterns), and each call
-// routes to the healthiest replica, failing over on error. A rule then
-// degrades to a partial answer only when every replica of a needed
-// source has failed. The replica sets use the default configuration
-// (healthiest-first routing, per-replica quarantine breakers); build a
-// catalog with ReplicaCatalog yourself for custom routing or breaker
-// settings.
-func WithReplicas(backups ...*Catalog) ExecOption {
-	return func(c *execConfig) {
-		c.replicas = append(c.replicas, backups...)
-		c.hasReplicas = true
-	}
-}
-
 // WithHedging enables hedged requests against replicated sources for
 // this execution: after the policy's delay (fixed, or an observed
 // latency percentile) a backup attempt is launched on the
 // next-healthiest replica, and the first success wins. Sources that are
-// not replica sets (see WithReplicas or ReplicaCatalog) are unaffected.
+// not replica sets (see ReplicaCatalog) are unaffected.
 // The runtime is cloned for the execution, so a shared runtime passed
 // via WithRuntime is not mutated.
 func WithHedging(h HedgePolicy) ExecOption {
@@ -325,16 +307,6 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 	if rt == nil {
 		rt = engine.DefaultRuntime()
 	}
-	if c.hasReplicas {
-		if cat == nil {
-			return nil, errors.New("ucqn: WithReplicas needs a primary catalog")
-		}
-		combined, _, err := ReplicaCatalog(ReplicaConfig{}, append([]*Catalog{cat}, c.replicas...)...)
-		if err != nil {
-			return nil, err
-		}
-		cat = combined
-	}
 	if c.hasHedge {
 		rt = rt.Clone()
 		rt.Hedge = c.hedge
@@ -421,8 +393,8 @@ func (c *execConfig) validate() error {
 			return errors.New("ucqn: WithNaive does not combine with execution options")
 		case c.hasINDs, c.hasStats, c.rt != nil:
 			return errors.New("ucqn: WithNaive ignores access patterns; planning options do not apply")
-		case c.hasReplicas, c.hasHedge, c.hasBudget:
-			return errors.New("ucqn: WithNaive makes no source calls; replica and budget options do not apply")
+		case c.hasHedge, c.hasBudget:
+			return errors.New("ucqn: WithNaive makes no source calls; hedging and budget options do not apply")
 		case c.hasBatchSize, c.hasStageBuffer:
 			return errors.New("ucqn: WithNaive runs no pipeline; batch options do not apply")
 		}

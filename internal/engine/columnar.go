@@ -5,15 +5,17 @@ package engine
 // A plan is compiled once per rule into a slot program — every variable
 // gets a dense column slot, every atom position a static role — and
 // bindings flow between steps as colBatch values: slot-indexed vectors
-// of interned uint32 value IDs (see intern.go). One step is then a hash
+// of interned uint32 value IDs (see intern.go), all from the one
+// interner the execution pinned. One step is then a hash
 // join: each distinct source call's tuples are interned, filtered by
 // the static constant and repeated-variable constraints once, and
 // grouped by their bound-position key — built once per call — and each
 // input row probes by its own bound-slot key, emitting one output row
 // per matching tuple. A long answer's join side is built once per
-// catalog generation and step shape instead: its columns and finished
-// joins are held on the catalog under the returned group's identity and
-// shared by every execution that receives the same group (held.go).
+// catalog state and step shape instead: its columns and finished joins
+// are held beside the interner under the returned group's identity and
+// shared by every execution that pins the state and receives the same
+// group (held.go).
 // Column buffers are recycled through a per-execution colPool. Strings
 // materialize only at the edges: call inputs handed to internal/sources
 // and head rows handed to the sink.
@@ -24,7 +26,7 @@ package engine
 // the head reads it. A step's output has columns for its live slots
 // only, and of a returned tuple only the positions the step compares or
 // carries are ever interned, so a column nobody reads neither rides
-// along nor grows the process-lifetime interner. Under set semantics a
+// along nor grows the catalog's interner. Under set semantics a
 // binding is its live slots: a non-final step that drops one (it is the
 // last reader of a slot, or binds a variable nothing reads) sends each
 // distinct remaining binding downstream once, the first time it arises.
@@ -73,8 +75,13 @@ type colBatch struct {
 // never aliases the input), so without reuse the hot loop would churn
 // one column allocation per slot per batch. The pool is shared by all
 // rules and stages of an execution and is safe for concurrent use; it
-// also carries the execution's batch accounting (Profile.Batch).
+// also carries the engine state the execution pinned — every value it
+// compares resolves through ids — and its batch accounting
+// (Profile.Batch).
 type colPool struct {
+	ids  *valueInterner
+	held *heldTable
+
 	mu          sync.Mutex
 	freeCols    [][]uint32
 	freeBatches []*colBatch
@@ -83,71 +90,19 @@ type colPool struct {
 	nInterned atomic.Int64 // tuple values newly interned this execution
 	nReuses   atomic.Int64 // column buffers served from the free list
 	nHeld     atomic.Int64 // calls whose join side came from the held table
-
-	// Spill table: values the process-wide interner's cap refused
-	// (SetInternerCap) get execution-local IDs at or above spillBase,
-	// resolving here instead. The table dies with the execution, so a
-	// tenant streaming unbounded distinct values pays for them only
-	// while its own query runs. nSpilled counts its entries and is raised
-	// before an entry is published, so while it reads zero no lookup
-	// needs spillMu.
-	nSpilled  atomic.Int64
-	spillMu   sync.RWMutex
-	spillIDs  map[string]uint32
-	spillStrs []string
 }
 
-func newColPool() *colPool { return &colPool{} }
+func newColPool(st *engineState) *colPool { return &colPool{ids: st.ids, held: st.held} }
 
-// internID resolves a value to an ID for this execution: the spill
-// table first — a value this execution already spilled must keep its
-// spill ID even if another execution interned it globally since — then
-// the global interner, interning under the cap, then a fresh spill
-// entry. fresh reports a new global intern (Profile.Batch accounting).
-func (p *colPool) internID(s string) (id uint32, fresh bool) {
-	if p.nSpilled.Load() > 0 {
-		p.spillMu.RLock()
-		id, ok := p.spillIDs[s]
-		p.spillMu.RUnlock()
-		if ok {
-			return id, false
-		}
+// intern returns the ID of a returned tuple's value, counting it when it
+// is new to the interner (Profile.Batch.InternedValues).
+func (p *colPool) intern(s string) uint32 {
+	id, fresh := p.ids.id(s)
+	if fresh {
+		p.nInterned.Add(1)
 	}
-	if id, ok := interned.lookup(s); ok {
-		return id, false
-	}
-	if id, fresh, ok := interned.tryID(s); ok {
-		return id, fresh
-	}
-	p.spillMu.Lock()
-	if p.spillIDs == nil {
-		p.spillIDs = map[string]uint32{}
-	}
-	if id, ok := p.spillIDs[s]; ok {
-		p.spillMu.Unlock()
-		return id, false
-	}
-	id = spillBase + uint32(len(p.spillStrs))
-	p.nSpilled.Add(1)
-	p.spillStrs = append(p.spillStrs, s)
-	p.spillIDs[s] = id
-	p.spillMu.Unlock()
-	return id, false
+	return id
 }
-
-// str resolves an ID assigned by internID back to its value.
-func (p *colPool) str(id uint32) string {
-	if id < spillBase {
-		return interned.str(id)
-	}
-	p.spillMu.RLock()
-	s := p.spillStrs[id-spillBase]
-	p.spillMu.RUnlock()
-	return s
-}
-
-// spilled returns the number of values this execution spilled.
-func (p *colPool) spilled() int { return int(p.nSpilled.Load()) }
 
 // getCol returns a column of length n, reusing a free buffer when one
 // is large enough.
@@ -213,13 +168,14 @@ func (p *colPool) put(b *colBatch) {
 
 // batchProfile snapshots the pool's counters into a Profile section.
 func (p *colPool) batchProfile() BatchProfile {
-	return BatchProfile{
+	b := BatchProfile{
 		BatchesProcessed: int(p.nBatches.Load()),
 		InternedValues:   int(p.nInterned.Load()),
 		ArenaReuses:      int(p.nReuses.Load()),
 		HeldAnswers:      int(p.nHeld.Load()),
-		SpilledValues:    p.spilled(),
 	}
+	b.InternerEntries, b.InternerBytes = p.ids.occupancy()
+	return b
 }
 
 // argRole classifies one atom position of a compiled step.
@@ -327,8 +283,8 @@ type ruleProgram struct {
 // fails: structural problems (unbound inputs, unsafe heads) become lazy
 // errors raised exactly where the per-binding evaluator would raise
 // them. Compilation is cheap (linear in the plan) and runs once per
-// rule per execution. Constants intern through the execution's pool so
-// a capped interner spills them instead of growing the global table.
+// rule per execution. Constants intern through the interner the
+// execution pinned.
 func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *ruleProgram {
 	prog := &ruleProgram{rule: q, steps: make([]stepProgram, len(steps))}
 	slotOf := map[string]int{}
@@ -353,7 +309,7 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			}
 			switch {
 			case t.IsConst():
-				id, _ := pool.internID(t.Name)
+				id, _ := pool.ids.id(t.Name)
 				sp.inputs = append(sp.inputs, inputSrc{slot: -1, constID: id})
 			case t.IsVar():
 				if s, ok := slotOf[t.Name]; ok && bound[s] {
@@ -374,7 +330,7 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			switch {
 			case t.IsConst():
 				a.role = argConst
-				a.constID, _ = pool.internID(t.Name)
+				a.constID, _ = pool.ids.id(t.Name)
 			case t.IsVar():
 				if s, ok := slotOf[t.Name]; ok && bound[s] {
 					a.role = argBound
@@ -501,9 +457,9 @@ func (sp *stepProgram) materializeInputs(in *colBatch, row int, pool *colPool) [
 	out := make([]string, len(sp.inputs))
 	for k, s := range sp.inputs {
 		if s.slot >= 0 {
-			out[k] = pool.str(in.cols[s.slot][row])
+			out[k] = pool.ids.str(in.cols[s.slot][row])
 		} else {
-			out[k] = pool.str(s.constID)
+			out[k] = pool.ids.str(s.constID)
 		}
 	}
 	return out
@@ -542,7 +498,7 @@ func (j *callJoin) group(key []uint32) []int32 {
 }
 
 // buildJoin returns the call's join side. A long answer's (held != nil)
-// is built once per catalog generation and step shape and shared
+// is built once per catalog state and step shape and shared
 // (heldTable.join); otherwise, or when the answer cannot be held, the
 // call interns its tuples and builds its own. key is the caller's
 // scratch.
@@ -550,7 +506,7 @@ func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, held *held
 	if len(rows) == 0 || sp.never {
 		return emptyJoin
 	}
-	if held != nil && pool.spilled() == 0 {
+	if held != nil {
 		if j := held.join(rows, sp, pool, key); j != nil {
 			pool.nHeld.Add(1)
 			return j
@@ -587,11 +543,7 @@ func (sp *stepProgram) groupJoin(rows []sources.Tuple, vals []uint32, pool *colP
 				continue
 			}
 			if !held {
-				id, fresh := pool.internID(t[p])
-				if fresh {
-					pool.nInterned.Add(1)
-				}
-				vals[p*n+ti] = id
+				vals[p*n+ti] = pool.intern(t[p])
 			}
 			switch id := vals[p*n+ti]; a.role {
 			case argConst:
@@ -640,7 +592,7 @@ func (sp *stepProgram) groupJoin(rows []sources.Tuple, vals []uint32, pool *colP
 		}
 	}
 	j.start, j.idx = start[:len(start)-1], idx[:survivors]
-	if held { // kept for the catalog's generation: drop gid and the slack
+	if held { // kept for the catalog state's lifetime: drop gid and the slack
 		j.idx = slices.Clone(j.idx)
 	}
 	return j
@@ -727,7 +679,7 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 	for _, c := range calls {
 		var held *heldTable
 		if len(c.rows) >= heldMinRows {
-			held = heldOf(cat)
+			held = pool.held
 		}
 		c.join = sp0.buildJoin(c.rows, pool, held, key)
 	}

@@ -109,9 +109,11 @@ type execution struct {
 	resident inFlightGauge
 }
 
-// newExecution starts an execution's clock and budget.
+// newExecution starts an execution's clock and budget and pins cat's
+// engine state: every value the execution compares gets its ID from that
+// state's interner, whatever the catalog installs meanwhile.
 func (rt *Runtime) newExecution(cat *sources.Catalog, o Opts, staged bool, sink Sink) *execution {
-	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: rt.newBudget(), pool: newColPool()}
+	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: rt.newBudget(), pool: newColPool(pinState(cat))}
 }
 
 // compile translates the plan into the execution's rules, once: every

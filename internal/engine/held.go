@@ -1,8 +1,8 @@
 package engine
 
 // Held answers: the interned columns and the finished join sides of a
-// large source answer, built once per catalog generation and shared by
-// every execution that receives the same answer.
+// large source answer, built once per catalog state and shared by every
+// execution that pins the state and receives the same answer.
 //
 // A source's answer is read-only for good (sources.Source.Call): a group
 // once handed out is never written again, by anyone, and Table.Call and
@@ -21,10 +21,10 @@ package engine
 // What keeps identity sound and the table small:
 //   - an entry's key points into its rows and so keeps them alive: their
 //     address cannot be reused by another answer while the entry exists;
-//   - a column that would hold a spill ID (SetInternerCap) is never held,
-//     since spill IDs are local to one execution; and an execution that
-//     has spilled reads no held column or join, whose global IDs could
-//     disagree with the spill IDs it gave the same values;
+//   - the table and the interner whose IDs it holds are one engineState
+//     (intern.go), pinned by an execution as a whole: a held column or
+//     join is only ever read by executions that give the same values the
+//     same IDs;
 //   - answers shorter than heldMinRows are not held, so the one-row
 //     answers an adapter builds afresh for every call never reach the
 //     table;
@@ -32,7 +32,8 @@ package engine
 //     over when a new answer would overflow it, and a join that would is
 //     used by its call but not held;
 //   - it lives on the catalog (sources.Catalog.Held): it dies with the
-//     catalog and is rebuilt after every generation bump.
+//     catalog, and a fresh one comes with every generation bump and
+//     interner rollover.
 
 import (
 	"slices"
@@ -62,20 +63,13 @@ type heldKey struct {
 	n     int
 }
 
-// Column states of a held answer.
-const (
-	colUnbuilt uint8 = iota
-	colHeld
-	colRefused // a value of the column would have spilled
-)
-
 // heldAnswer is one held group: arity × n IDs, column-major, of which
-// only the columns in state colHeld are filled, and the joins built over
-// them, one per step shape.
+// only the filled columns hold IDs, and the joins built over them, one
+// per step shape.
 type heldAnswer struct {
-	vals  []uint32
-	state []uint8 // per atom position
-	joins []heldJoin
+	vals   []uint32
+	filled []bool // per atom position
+	joins  []heldJoin
 }
 
 // heldJoin is a finished join side and the shape it was built for.
@@ -100,7 +94,7 @@ func (a *heldAnswer) joinFor(shape []uint32) *callJoin {
 	return nil
 }
 
-// heldTable is one catalog generation's held answers.
+// heldTable is one catalog state's held answers.
 type heldTable struct {
 	mu      sync.Mutex
 	answers map[heldKey]*heldAnswer
@@ -110,11 +104,6 @@ type heldTable struct {
 }
 
 func newHeldTable() *heldTable { return &heldTable{answers: map[heldKey]*heldAnswer{}} }
-
-// heldOf returns cat's held table for its current generation.
-func heldOf(cat *sources.Catalog) *heldTable {
-	return cat.Held(func() any { return newHeldTable() }).(*heldTable)
-}
 
 // appendShape appends sp's shape to dst: what its held join's groups
 // depend on besides the answer, so that two steps of one shape share a
@@ -181,9 +170,8 @@ func (h *heldTable) join(rows []sources.Tuple, sp *stepProgram, pool *colPool, k
 }
 
 // columns returns the entry of rows with every position args needs
-// interned, or nil when the answer is not held: it is too large for the
-// table, or a needed column would hold a spill ID. A column, once
-// filled, never changes. h.mu is held.
+// interned through pool, or nil when the answer is too large for the
+// table. A column, once filled, never changes. h.mu is held.
 func (h *heldTable) columns(hk heldKey, rows []sources.Tuple, args []stepArg, pool *colPool) *heldAnswer {
 	a := h.answers[hk]
 	if a == nil {
@@ -194,37 +182,20 @@ func (h *heldTable) columns(hk heldKey, rows []sources.Tuple, args []stepArg, po
 		if h.cells+cells > heldMaxCells {
 			h.answers, h.cells = map[heldKey]*heldAnswer{}, 0
 		}
-		a = &heldAnswer{vals: make([]uint32, cells), state: make([]uint8, len(args))}
+		a = &heldAnswer{vals: make([]uint32, cells), filled: make([]bool, len(args))}
 		h.answers[hk] = a
 		h.cells += cells
 	}
 	for p := range args {
-		if !args[p].need || a.state[p] == colHeld {
+		if !args[p].need || a.filled[p] {
 			continue
 		}
-		if a.state[p] == colRefused || !a.intern(p, rows, pool) {
-			return nil
+		col := a.vals[p*len(rows) : (p+1)*len(rows)]
+		for ti, t := range rows {
+			col[ti] = pool.intern(t[p])
 		}
+		a.filled[p] = true
 		h.built++
 	}
 	return a
-}
-
-// intern fills column p through the capped global interner; a value the
-// cap refuses marks the column refused for good.
-func (a *heldAnswer) intern(p int, rows []sources.Tuple, pool *colPool) bool {
-	col := a.vals[p*len(rows) : (p+1)*len(rows)]
-	for ti, t := range rows {
-		id, fresh, ok := interned.tryID(t[p])
-		if !ok {
-			a.state[p] = colRefused
-			return false
-		}
-		if fresh {
-			pool.nInterned.Add(1)
-		}
-		col[ti] = id
-	}
-	a.state[p] = colHeld
-	return true
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/access"
@@ -26,21 +25,6 @@ func (h *heldTable) joinsBuilt() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.joined
-}
-
-// heldColumns is the number of columns h holds.
-func (h *heldTable) heldColumns() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	for _, a := range h.answers {
-		for _, s := range a.state {
-			if s == colHeld {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // heldJoins is the number of joins h holds.
@@ -136,13 +120,13 @@ func sameAnswer(t *testing.T, got, want *Rel, s schedule, parallel bool, label s
 	}
 }
 
-// A long answer is interned once per catalog generation: the second run
-// over one catalog reads R's join sides from the held table, interning
-// none of its values and building no join, with the oracle's rows in the
+// A long answer is interned once per catalog state: the second run over
+// one catalog reads R's join sides from the held table, interning none
+// of its values and building no join, with the oracle's rows in the
 // oracle's order, on both schedules and with the rules sharing the table
-// concurrently. A generation bump rebuilds the table; under a full
-// interner cap no column or join that would spill is held and the
-// answers do not change.
+// concurrently. A generation bump rebuilds the table, and so does a
+// rollover: the fresh state interns R's columns and builds its joins
+// again, and the answers do not change.
 func TestHeldAnswerInternedOnce(t *testing.T) {
 	u, ps := heldQuery(t)
 
@@ -170,7 +154,7 @@ func TestHeldAnswerInternedOnce(t *testing.T) {
 			}
 
 			run("first run")
-			held := heldOf(cat)
+			held := stateOf(cat).held
 			built := held.columnsBuilt()
 			if built != 2 {
 				t.Errorf("%s: %d columns interned, want R's x and z", label, built)
@@ -187,76 +171,81 @@ func TestHeldAnswerInternedOnce(t *testing.T) {
 
 			cat.Invalidate()
 			run("after Invalidate")
-			if again := heldOf(cat); again == held || again.columnsBuilt() != built || again.joinsBuilt() != heldRCalls {
+			if again := stateOf(cat).held; again == held || again.columnsBuilt() != built || again.joinsBuilt() != heldRCalls {
 				t.Errorf("%s: after Invalidate the join side was not rebuilt", label)
 			}
 			verify(t)
 		}
 	}
 
-	// A full cap: values interned above are held as before, and a new
-	// universe spills — its columns are not held and the answer holds.
-	entries, _ := InternerOccupancy()
-	SetInternerCap(entries, 0)
-	defer SetInternerCap(0, 0)
-	for _, tag := range []string{"held", "held_capped"} {
-		in := heldInstance(tag)
-		want, _, _, err := oracleEval(context.Background(), NewRuntime(), u, ps, in.MustCatalog(ps), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat := in.MustCatalog(ps)
-		for _, s := range []schedule{{}, {true, 3, 1}} {
-			for _, parallel := range []bool{false, true} {
-				label := fmt.Sprintf("%s/%s/parallel=%v", tag, s, parallel)
-				got, prof, _, err := s.run(u, ps, cat, Answered{}, Opts{Parallel: parallel})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				sameAnswer(t, got, want, s, parallel, label)
-				spills := tag == "held_capped"
-				if (prof.Batch.SpilledValues > 0) != spills || (prof.Batch.HeldAnswers > 0) == spills {
-					t.Errorf("%s: %d spilled, %d held answers", label, prof.Batch.SpilledValues, prof.Batch.HeldAnswers)
-				}
-				if held := heldOf(cat).heldColumns(); (held > 0) == spills {
-					t.Errorf("%s: %d columns held", label, held)
-				}
-				if held := heldOf(cat).heldJoins(); (held > 0) == spills {
-					t.Errorf("%s: %d joins held", label, held)
-				}
+	// A rollover: past its bound, the catalog's state gives way to a fresh
+	// one at the next execution, which interns R's columns and builds its
+	// joins again under IDs of its own; the answers do not change.
+	in := heldInstance("held")
+	want, _, _, err := oracleEval(context.Background(), NewRuntime(), u, ps, in.MustCatalog(ps), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref, _, err := schedule{}.run(u, ps, in.MustCatalog(ps), Answered{}, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := in.MustCatalog(ps)
+	for _, s := range []schedule{{}, {true, 3, 1}} {
+		for _, parallel := range []bool{false, true} {
+			label := fmt.Sprintf("rollover/%s/parallel=%v", s, parallel)
+			if _, _, _, err := s.run(u, ps, cat, Answered{}, Opts{Parallel: parallel}); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			old := stateOf(cat)
+			var got *Rel
+			var prof Profile
+			withInternLimit(1, func() { got, prof, _, err = s.run(u, ps, cat, Answered{}, Opts{Parallel: parallel}) })
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameAnswer(t, got, want, s, parallel, label)
+			st := stateOf(cat)
+			if st == old {
+				t.Fatalf("%s: a full state was not replaced", label)
+			}
+			if prof.Batch.HeldAnswers != heldRCalls || prof.Batch.InternedValues != ref.Batch.InternedValues {
+				t.Errorf("%s: %d held answers, %d values interned; want %d and a fresh catalog's %d",
+					label, prof.Batch.HeldAnswers, prof.Batch.InternedValues, heldRCalls, ref.Batch.InternedValues)
+			}
+			if st.held.columnsBuilt() != 2 || st.held.joinsBuilt() != heldRCalls || st.held.heldJoins() != heldRCalls {
+				t.Errorf("%s: the fresh state built %d columns and %d joins, want R's x and z and one join per shape",
+					label, st.held.columnsBuilt(), st.held.joinsBuilt())
 			}
 		}
 	}
-	if entries1, _ := InternerOccupancy(); entries1 != entries {
-		t.Errorf("the capped runs grew the interner by %d", entries1-entries)
-	}
 }
 
-var spillGuardRuns atomic.Int64
-
-// An execution that has spilled reads no held column. Here it spills the
-// constant and G's value under a full cap and waits in G's call; the cap
-// is lifted and another execution interns those values and holds R's
-// columns. The held IDs now disagree with the spill IDs the first
-// execution gave the same values, so it must build R's join side itself.
-func TestHeldAnswerSkippedAfterSpill(t *testing.T) {
-	tag := fmt.Sprintf("sg%d", spillGuardRuns.Add(1)) // values no earlier run interned
-	in := NewInstance().MustAdd("G", tag+"_x0")
+// An execution keeps the state it pinned. One execution pins the
+// catalog's state, interns the constant there and waits in G's call.
+// Meanwhile the state is past its bound, so another execution installs a
+// fresh one and holds R's columns and join in it, under IDs that differ
+// from the pinned ones. The first execution must still answer correctly,
+// reading R through the state it pinned.
+func TestHeldAnswerPinnedAcrossRollover(t *testing.T) {
+	in := NewInstance().MustAdd("G", "pin_x0")
 	for i := 0; i < heldMinRows+8; i++ {
-		in.MustAdd("R", fmt.Sprintf("%s_x%d", tag, i), []string{tag + "_const", tag + "_other"}[i%2])
+		in.MustAdd("R", fmt.Sprintf("pin_x%d", i), []string{"pin_const", "pin_other"}[i%2])
 	}
 	ps := pats(t, `G^o R^oo`)
 	cat := in.MustCatalog(ps)
-	first := ucq(t, fmt.Sprintf(`Q(x) :- G(x), R(x, "%s_const").`, tag))
-	second := ucq(t, fmt.Sprintf(`Q(x) :- R(x, "%s_const").`, tag))
+	first := ucq(t, `Q(x) :- G(x), R(x, "pin_const").`)
+	second := ucq(t, `Q(x) :- R(x, "pin_const").`)
 	entered, release := make(chan struct{}), make(chan struct{})
 	cat.Source("G").(*sources.Table).OnCall = func(access.Pattern, []string) {
 		close(entered)
 		<-release
 	}
-	entries, _ := InternerOccupancy()
-	SetInternerCap(entries, 0)
-	defer SetInternerCap(0, 0)
+	// Values only the pinned state holds shift its IDs off the fresh one's.
+	pinned := stateOf(cat)
+	for i := 0; i < 7; i++ {
+		pinned.ids.id(fmt.Sprintf("pin_pad%d", i))
+	}
 
 	type result struct {
 		rel  *Rel
@@ -269,23 +258,33 @@ func TestHeldAnswerSkippedAfterSpill(t *testing.T) {
 		done <- result{rel, prof, err}
 	}()
 	<-entered
-	SetInternerCap(0, 0)
-	if _, prof, err := NewRuntime().AnswerProfiled(context.Background(), second, ps, cat); err != nil || prof.Batch.HeldAnswers != 1 {
-		t.Fatalf("the second execution: %v, %d held answers, want R's held", err, prof.Batch.HeldAnswers)
+	withInternLimit(1, func() {
+		if _, prof, err := NewRuntime().AnswerProfiled(context.Background(), second, ps, cat); err != nil || prof.Batch.HeldAnswers != 1 {
+			t.Fatalf("the second execution: %v, %d held answers, want R's held", err, prof.Batch.HeldAnswers)
+		}
+	})
+	fresh := stateOf(cat)
+	if fresh == pinned {
+		t.Fatal("the second execution did not install a fresh state")
+	}
+	pinnedID, _ := pinned.ids.id("pin_const")
+	freshID, _ := fresh.ids.id("pin_const")
+	if pinnedID == freshID {
+		t.Fatalf("fixture: the constant has ID %d in both states", pinnedID)
 	}
 	close(release)
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if want := RowOf(tag + "_x0"); r.rel.Len() != 1 || !r.rel.Contains(want) {
+	if want := RowOf("pin_x0"); r.rel.Len() != 1 || !r.rel.Contains(want) {
 		t.Errorf("answer %s, want %s", r.rel, want)
 	}
-	if r.prof.Batch.SpilledValues == 0 || r.prof.Batch.HeldAnswers != 0 {
-		t.Errorf("%d spilled, %d held answers; want spills and no held answer", r.prof.Batch.SpilledValues, r.prof.Batch.HeldAnswers)
+	if r.prof.Batch.HeldAnswers != 1 {
+		t.Errorf("%d held answers, want R's, from the pinned state", r.prof.Batch.HeldAnswers)
 	}
-	if built := heldOf(cat).joinsBuilt(); built != 1 {
-		t.Errorf("%d held joins built, want the second execution's alone", built)
+	if p, f := pinned.held.joinsBuilt(), fresh.held.joinsBuilt(); p != 1 || f != 1 {
+		t.Errorf("held joins built: %d in the pinned state, %d in the fresh one; want one each", p, f)
 	}
 }
 
@@ -309,7 +308,7 @@ func TestHeldTableBound(t *testing.T) {
 		return &stepProgram{args: []stepArg{{role: argFirst, need: true}}, newCols: []newCol{{pos: 0}}, dedup: dedup}
 	}
 	carry, first := step(false), step(true)
-	h, pool := newHeldTable(), newColPool()
+	h, pool := newHeldTable(), newColPool(newEngineState())
 	joins := func(rows []sources.Tuple) int { return len(h.answers[heldKey{&rows[0], len(rows)}].joins) }
 
 	if h.join(answer(heldMaxCells+1), first, pool, nil) != nil {
@@ -410,7 +409,7 @@ func TestHeldJoinPerShape(t *testing.T) {
 				if prof.Batch.HeldAnswers != calls {
 					t.Errorf("%s, run %d: %d held answers, want %d", label, run, prof.Batch.HeldAnswers, calls)
 				}
-				held := heldOf(cat)
+				held := stateOf(cat).held
 				if held.heldJoins() != shapes {
 					t.Errorf("%s, run %d: %d joins held, want one per shape (%d)", label, run, held.heldJoins(), shapes)
 				}
@@ -509,7 +508,7 @@ func TestHeldJoinDedupFirstOccurrence(t *testing.T) {
 	if !ok {
 		t.Fatal("not executable")
 	}
-	pool := newColPool()
+	pool := newColPool(newEngineState())
 	sp := &compileRule(u.Rules[0], steps, pool).steps[1]
 	if !sp.dedup || len(sp.boundPos) != 1 {
 		t.Fatalf("fixture: R step dedup=%v, probe positions %v", sp.dedup, sp.boundPos)

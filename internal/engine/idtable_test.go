@@ -7,14 +7,14 @@ import (
 )
 
 // tupleOf is the i-th test tuple of width w: every position varies,
-// position 0 alone tells two tuples apart, and a third of the values sit
-// at or above spillBase, where execution-local IDs live.
+// position 0 alone tells two tuples apart, and a third of the values
+// have the high bit set.
 func tupleOf(i, w int) []uint32 {
 	key := make([]uint32, w)
 	for j := range key {
 		key[j] = uint32(i * (j + 1))
 		if (i+j)%3 == 0 {
-			key[j] |= spillBase
+			key[j] |= 1 << 31
 		}
 	}
 	return key
@@ -62,11 +62,11 @@ func TestIDTableWidths(t *testing.T) {
 	}
 }
 
-// The boundary between interned and execution-local IDs is just
-// another value: tuples differing only across it are different tuples.
+// The high bit of an ID is just another bit: tuples differing only across
+// 1<<31 are different tuples.
 func TestIDTableSpillBoundary(t *testing.T) {
 	var tab idTable
-	ids := []uint32{0, 1, spillBase - 1, spillBase, spillBase + 1, ^uint32(0)}
+	ids := []uint32{0, 1, 1<<31 - 1, 1 << 31, 1<<31 + 1, ^uint32(0)}
 	for i, a := range ids {
 		for j, b := range ids {
 			idx, fresh := tab.insert([]uint32{a, b})
@@ -110,7 +110,7 @@ func TestIDTableZeroValue(t *testing.T) {
 // on first sight, find never inventing a tuple, keys kept verbatim.
 // ops is read as records of one opcode byte and w value bytes; a small
 // value alphabet forces repeats and probe chains, the high bit lifts a
-// value past spillBase.
+// value past 1<<31.
 func FuzzIDTable(f *testing.F) {
 	// More seeds, one per width class, are in testdata/fuzz/FuzzIDTable.
 	f.Add(uint8(2), []byte{0, 1, 2, 0, 2, 1, 1, 1, 2, 0, 1, 2})
@@ -130,7 +130,7 @@ func FuzzIDTable(f *testing.F) {
 				b := ops[1+j]
 				key[j] = uint32(b & 0x0f)
 				if b&0x80 != 0 {
-					key[j] += spillBase
+					key[j] += 1 << 31
 				}
 			}
 			name := fmt.Sprint(key)

@@ -1,21 +1,30 @@
 package engine
 
-// Process-wide value interning for columnar evaluation. Every constant
-// that flows through a plan — source tuple values, call inputs, compile
-// constants — maps to a dense uint32 ID, so binding batches hold machine
-// words instead of string headers and join keys compare in one
-// instruction. The table is append-only for the process lifetime:
-// source values recur across queries (that is what makes the semantic
-// caches pay off), so a per-execution table would re-intern the same
-// working set on every request. Identity of *data* versions is not the
-// interner's job — that is Catalog.Generation and Catalog.ID(); the
-// interner only canonicalizes value bytes, and two catalogs sharing the
-// string "paris" sharing an ID is correct, not a collision.
+// Value interning for columnar evaluation. Every constant that flows
+// through a plan — source tuple values, call inputs, compile constants —
+// maps to a dense uint32 ID, so binding batches hold machine words
+// instead of string headers and join keys compare in one instruction.
+//
+// An interner belongs to one catalog: it is half of the catalog's engine
+// state (engineState), whose other half is the held answers (held.go)
+// whose columns hold its IDs. The values a plan compares all come from
+// one catalog's sources, and they recur across that catalog's queries
+// (that is what makes the semantic caches pay off), so the interner is
+// append-only while it lives and a steady workload interns almost
+// nothing. It lives as long as the held table does: a generation bump
+// starts a fresh state, and so does an interner past internLimit bytes,
+// at the next execution. An execution pins the state it started in
+// (newExecution), so the IDs of two interners never meet, and a state
+// is freed when its catalog has moved on and its last execution ends; a
+// dropped catalog takes its values with it. Two catalogs holding
+// "paris" give it an ID each.
 
 import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sources"
 )
 
 // Reverse-table chunking: IDs index fixed-size chunks, so growing the
@@ -26,6 +35,18 @@ const (
 	internChunkMask  = internChunkSize - 1
 )
 
+// maxInternBytes bounds one catalog state's interner (approximate
+// resident bytes, internEntryOverhead per value included): about 200 000
+// short values. Past it, the next execution over the catalog starts a
+// fresh state. No bench/ workload and no paperbench experiment comes
+// near it: the largest state any of them builds, cold_plan's, stays
+// under 1 MB.
+const maxInternBytes = 16 << 20
+
+// internLimit is the bound a state is checked against: maxInternBytes,
+// which tests lower.
+var internLimit int64 = maxInternBytes
+
 // valueInterner maps strings to dense uint32 IDs and back. id() is
 // lock-free for already-interned values (the hot path: a steady-state
 // workload interns almost nothing); misses take a mutex to append.
@@ -33,19 +54,10 @@ const (
 type valueInterner struct {
 	ids sync.Map // string -> uint32
 
-	mu     sync.Mutex // guards appends: n, bytes, and chunk writes
-	n      uint32     // next ID to assign
-	bytes  int64      // approximate resident bytes of interned values
+	mu     sync.Mutex   // guards appends: n, and chunk writes
+	n      uint32       // next ID to assign
+	bytes  atomic.Int64 // approximate resident bytes, written under mu
 	chunks atomic.Pointer[[][]string]
-
-	// Admission cap (SetInternerCap): the interner is process-wide and
-	// append-only, so without a bound an adversarial tenant streaming
-	// unbounded distinct strings grows it forever. When the cap is
-	// reached, tryID refuses and the columnar evaluator spills the value
-	// to an execution-local table instead (colPool.internID).
-	maxEntries atomic.Int64 // 0 = unlimited
-	maxBytes   atomic.Int64 // 0 = unlimited
-	capHits    atomic.Int64 // intern attempts refused by the cap
 }
 
 // internEntryOverhead approximates the per-entry cost beyond the value
@@ -60,55 +72,26 @@ func newValueInterner() *valueInterner {
 	return in
 }
 
-// interned is the process-wide interner backing columnar evaluation.
-var interned = newValueInterner()
-
 // id returns the ID for s, assigning a fresh one on first sight, and
 // reports whether the value was new. Any byte string round-trips,
 // including "" and non-UTF-8 data: the interner stores values verbatim.
-// id ignores the admission cap; cap-aware callers use tryID.
 func (in *valueInterner) id(s string) (uint32, bool) {
-	id, fresh, _ := in.intern(s, false)
-	return id, fresh
-}
-
-// lookup returns the ID of an already-interned value without interning.
-func (in *valueInterner) lookup(s string) (uint32, bool) {
 	if v, ok := in.ids.Load(s); ok {
-		return v.(uint32), true
+		return v.(uint32), false
 	}
-	return 0, false
+	return in.add(s)
 }
 
-// tryID is id under the admission cap: ok=false means the cap refused
-// the value (and nothing was interned) — the caller must resolve it
-// some other way.
-func (in *valueInterner) tryID(s string) (id uint32, fresh, ok bool) {
-	return in.intern(s, true)
-}
-
-// intern is the shared implementation of id and tryID.
-func (in *valueInterner) intern(s string, capped bool) (uint32, bool, bool) {
-	if v, ok := in.ids.Load(s); ok {
-		return v.(uint32), false, true
-	}
+// add is id's slow path: it assigns s an ID under the lock unless a
+// racing caller has just done so.
+func (in *valueInterner) add(s string) (uint32, bool) {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	if v, ok := in.ids.Load(s); ok {
-		in.mu.Unlock()
-		return v.(uint32), false, true
-	}
-	if capped {
-		maxN, maxB := in.maxEntries.Load(), in.maxBytes.Load()
-		if (maxN > 0 && int64(in.n) >= maxN) ||
-			(maxB > 0 && in.bytes+int64(len(s))+internEntryOverhead > maxB) {
-			in.mu.Unlock()
-			in.capHits.Add(1)
-			return 0, false, false
-		}
+		return v.(uint32), false
 	}
 	id := in.n
 	if id == math.MaxUint32 {
-		in.mu.Unlock()
 		panic("engine: value interner overflow: 2^32-1 distinct values")
 	}
 	chunks := *in.chunks.Load()
@@ -121,81 +104,59 @@ func (in *valueInterner) intern(s string, capped bool) (uint32, bool, bool) {
 	}
 	chunks[id>>internChunkShift][id&internChunkMask] = s
 	in.n = id + 1
-	in.bytes += int64(len(s)) + internEntryOverhead
+	in.bytes.Add(int64(len(s)) + internEntryOverhead)
 	// Publish last: a reader can only learn this ID through the map (or
 	// through data derived after this Store), so the chunk write above
 	// happens-before every str(id).
 	in.ids.Store(s, id)
-	in.mu.Unlock()
-	return id, true, true
+	return id, true
 }
 
 // str returns the string for an ID previously assigned by id. IDs are
-// never recycled, so the result is valid for the process lifetime.
+// never recycled, so the result is valid for the interner's lifetime.
 func (in *valueInterner) str(id uint32) string {
 	return (*in.chunks.Load())[id>>internChunkShift][id&internChunkMask]
 }
 
-// size returns the number of interned values (for tests).
-func (in *valueInterner) size() uint32 {
+// occupancy returns the number of interned values and their approximate
+// resident bytes.
+func (in *valueInterner) occupancy() (entries int, bytes int64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.n
+	return int(in.n), in.bytes.Load()
 }
 
-// InternerOccupancy reports the process-wide value interner's entry
-// count and approximate resident bytes. The table is append-only for
-// the process lifetime, so both numbers are monotonic gauges — useful
-// for watching whether a workload's value universe has stabilized
-// (steady state interns almost nothing) or keeps growing.
-func InternerOccupancy() (entries int, bytes int64) {
-	interned.mu.Lock()
-	defer interned.mu.Unlock()
-	return int(interned.n), interned.bytes
+// full reports whether the interner is past its bound, so that the next
+// execution over its catalog starts a fresh state.
+func (in *valueInterner) full() bool { return in.bytes.Load() >= internLimit }
+
+// engineState is what the engine keeps on a catalog (Catalog.Held): the
+// interner of one generation and the held answers built over its IDs.
+type engineState struct {
+	ids  *valueInterner
+	held *heldTable
 }
 
-// spillBase is the first execution-local spill ID: IDs at or above it
-// resolve through the execution's colPool spill table, never the
-// process-wide interner. SetInternerCap clamps the entry cap below it,
-// so the two ID spaces cannot collide.
-const spillBase uint32 = 1 << 31
-
-// SetInternerCap bounds the process-wide value interner: at most
-// maxEntries values and maxBytes approximate resident bytes (0 means
-// unlimited for either). Values refused by the cap are not lost — the
-// columnar evaluator resolves them through an execution-local spill
-// table at some per-execution cost — so answers are unaffected; the cap
-// only bounds what adversarial tenant input can pin in process memory
-// forever. Already-interned values stay interned: the cap gates
-// admission, it does not evict.
-//
-// Cap hits are surfaced in ExecProfile.Batch (InternerCapHits,
-// SpilledValues) and the server's /v1/stats.
-func SetInternerCap(maxEntries int, maxBytes int64) {
-	if maxEntries < 0 {
-		maxEntries = 0
-	}
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	// Clamp below the spill ID space; 2^31-1 entries is far beyond any
-	// real memory budget anyway.
-	if maxEntries != 0 && int64(maxEntries) >= int64(spillBase) {
-		maxEntries = int(spillBase - 1)
-	}
-	interned.maxEntries.Store(int64(maxEntries))
-	interned.maxBytes.Store(maxBytes)
+func newEngineState() *engineState {
+	return &engineState{ids: newValueInterner(), held: newHeldTable()}
 }
 
-// InternerCapStats reports how often the interner cap refused an intern
-// attempt (a process-lifetime counter) and whether the cap is currently
-// reached — i.e. whether new distinct values are being spilled.
-func InternerCapStats() (capHits int64, capped bool) {
-	hits := interned.capHits.Load()
-	maxN, maxB := interned.maxEntries.Load(), interned.maxBytes.Load()
-	interned.mu.Lock()
-	n, bytes := int64(interned.n), interned.bytes
-	interned.mu.Unlock()
-	capped = (maxN > 0 && n >= maxN) || (maxB > 0 && bytes+internEntryOverhead >= maxB)
-	return hits, capped
+// pinState returns the engine state an execution over cat pins: the
+// catalog's state for its current generation, or a fresh one installed
+// in its place when its interner is full.
+func pinState(cat *sources.Catalog) *engineState {
+	return cat.Held(func() any { return newEngineState() }, func(v any) bool { return v.(*engineState).ids.full() }).(*engineState)
+}
+
+// stateOf returns cat's engine state for its current generation, full
+// or not.
+func stateOf(cat *sources.Catalog) *engineState {
+	return cat.Held(func() any { return newEngineState() }, func(any) bool { return false }).(*engineState)
+}
+
+// InternerOccupancy reports the entry count and approximate resident
+// bytes of cat's current interner: the values its executions have given
+// IDs since the catalog's last generation bump or rollover.
+func InternerOccupancy(cat *sources.Catalog) (entries int, bytes int64) {
+	return stateOf(cat).ids.occupancy()
 }

@@ -22,6 +22,7 @@ func TestInternRoundTrip(t *testing.T) {
 		strings.Repeat("v", 4096),
 		"héllo wörld",
 	}
+	interned := newValueInterner()
 	for _, s := range cases {
 		id, _ := interned.id(s)
 		if got := interned.str(id); got != s {
@@ -41,6 +42,7 @@ func TestInternChunkBoundaries(t *testing.T) {
 	n := 3*internChunkSize + 17
 	ids := make([]uint32, n)
 	vals := make([]string, n)
+	interned := newValueInterner()
 	for i := 0; i < n; i++ {
 		vals[i] = fmt.Sprintf("chunk-test-%d", i)
 		ids[i], _ = interned.id(vals[i])
@@ -60,6 +62,7 @@ func TestInternConcurrent(t *testing.T) {
 	const workers = 8
 	const values = 500
 	got := make([][]uint32, workers)
+	interned := newValueInterner()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -95,6 +98,7 @@ func FuzzInternRoundTrip(f *testing.F) {
 	f.Add("\xff\xfe")
 	f.Add("\x1f\x1f")
 	f.Add(strings.Repeat("long", 1024))
+	interned := newValueInterner()
 	f.Fuzz(func(t *testing.T, s string) {
 		id, _ := interned.id(s)
 		if got := interned.str(id); got != s {

@@ -57,7 +57,7 @@ func BenchmarkBuildJoin(b *testing.B) {
 	for _, keys := range []int{0, 1, 2, 4} {
 		for _, n := range []int{1, 32, 4000} {
 			for _, step := range []string{"carry", "dedup"} {
-				pool := newColPool()
+				pool := newColPool(newEngineState())
 				sp := joinStep(b, keys, step == "dedup", pool)
 				rows := make([]sources.Tuple, n)
 				for i := range rows {
@@ -97,16 +97,16 @@ func BenchmarkBuildJoin(b *testing.B) {
 // Resolving an already-interned value — once per needed position of
 // every returned tuple — is a lock-free lookup that allocates nothing.
 func BenchmarkInternLookup(b *testing.B) {
-	pool := newColPool()
+	in := newValueInterner()
 	vals := make([]string, 4096)
 	for i := range vals {
 		vals[i] = fmt.Sprintf("lookup_%d", i)
-		pool.internID(vals[i])
+		in.id(vals[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, fresh := pool.internID(vals[i%len(vals)]); fresh {
+		if _, fresh := in.id(vals[i%len(vals)]); fresh {
 			b.Fatal("re-interned")
 		}
 	}

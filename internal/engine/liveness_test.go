@@ -164,7 +164,7 @@ func TestCompileRuleLiveSets(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			q, steps := handPlan(t, tc.rule, tc.patterns...)
-			prog := compileRule(q, steps, newColPool())
+			prog := compileRule(q, steps, newColPool(newEngineState()))
 			name := make([]string, prog.numSlots)
 			for si := range prog.steps {
 				for j, a := range prog.steps[si].args {
@@ -336,8 +336,9 @@ func TestStagedRepeatsAcrossBatches(t *testing.T) {
 }
 
 // A column no literal compares and no head returns is never interned:
-// one scan of a wide relation grows the process-lifetime interner — and,
-// under a cap, spends the cap and spills — by its live values only.
+// one scan of a wide relation grows the catalog's interner by its live
+// values only — and so does a scan that finds its state full and starts
+// a fresh one.
 func TestDeadColumnsAreNotInterned(t *testing.T) {
 	const rows, keys = 10000, 10
 	mkInstance := func(tag string) *Instance {
@@ -362,29 +363,30 @@ func TestDeadColumnsAreNotInterned(t *testing.T) {
 	}
 
 	in := mkInstance("deadcol")
-	before, _ := InternerOccupancy()
-	rel, _, err := rt.AnswerProfiled(context.Background(), u, ps, in.MustCatalog(ps))
+	cat := in.MustCatalog(ps)
+	before, _ := InternerOccupancy(cat)
+	rel, _, err := rt.AnswerProfiled(context.Background(), u, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(in, rel)
-	if after, _ := InternerOccupancy(); after-before != keys {
+	if after, _ := InternerOccupancy(cat); after-before != keys {
 		t.Errorf("interner grew by %d entries over a scan with %d live values and %d dead ones, want %d", after-before, keys, rows, keys)
 	}
-	if _, ok := interned.lookup("deadcol_dead17"); ok {
+	if _, ok := stateOf(cat).ids.ids.Load("deadcol_dead17"); ok {
 		t.Error("a value of the dead column was interned")
 	}
 
-	full, _ := InternerOccupancy()
-	SetInternerCap(full, 0) // no headroom: every new value spills
-	defer SetInternerCap(0, 0)
-	in = mkInstance("deadcol_capped")
-	rel, prof, err := rt.AnswerProfiled(context.Background(), u, ps, in.MustCatalog(ps))
+	full := stateOf(cat)
+	withInternLimit(1, func() { rel, _, err = rt.AnswerProfiled(context.Background(), u, ps, cat) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(in, rel)
-	if prof.Batch.SpilledValues != keys {
-		t.Errorf("%d values spilled under a full cap, want the %d live ones", prof.Batch.SpilledValues, keys)
+	if stateOf(cat) == full {
+		t.Fatal("a full state was not replaced")
+	}
+	if entries, _ := InternerOccupancy(cat); entries != keys {
+		t.Errorf("the fresh state holds %d values, want the %d live ones", entries, keys)
 	}
 }

@@ -186,27 +186,17 @@ type BatchProfile struct {
 	ArenaReuses int
 	// HeldAnswers counts the calls whose join side came from the
 	// catalog's held table: a long answer's interned columns and join,
-	// built once per catalog generation and step shape and reused by
-	// every execution that receives the same answer (held.go).
+	// built once per catalog state and step shape and reused by every
+	// execution that pins the state and receives the same answer
+	// (held.go).
 	HeldAnswers int
-	// SpilledValues counts values this execution could not intern
-	// because the process-wide interner hit its configured cap
-	// (SetInternerCap) and instead resolved through the execution-local
-	// spill table. Nonzero spills mean the cap is protecting the process
-	// from unbounded distinct input, at some per-execution cost.
-	SpilledValues int
-	// InternerEntries and InternerBytes are the process-wide value
-	// interner's occupancy (entry count and approximate resident bytes),
-	// snapshotted when the execution finished. The interner is
-	// append-only, so these are monotonic gauges, not per-execution
-	// deltas.
+	// InternerEntries and InternerBytes are the occupancy (entry count
+	// and approximate resident bytes) of the interner the execution
+	// pinned — its catalog's, as of the execution's start — snapshotted
+	// when the execution finished: gauges of the catalog state, not
+	// per-execution deltas.
 	InternerEntries int
 	InternerBytes   int64
-	// InternerCapHits is the process-wide count of intern attempts
-	// refused by the cap (a monotonic gauge, like the occupancy);
-	// InternerCapped reports whether the cap is currently reached.
-	InternerCapHits int64
-	InternerCapped  bool
 }
 
 // Profile is the execution profile of a whole plan. Counter groups:
@@ -251,39 +241,7 @@ func (p *Profile) finalize() {
 			c.BatchedCalls += s.BatchedCalls
 		}
 	}
-	p.Batch.InternerEntries, p.Batch.InternerBytes = InternerOccupancy()
-	p.Batch.InternerCapHits, p.Batch.InternerCapped = InternerCapStats()
 }
-
-// BudgetSpent returns Calls.BudgetSpent.
-//
-// Deprecated: read Calls.BudgetSpent.
-func (p Profile) BudgetSpent() int { return p.Calls.BudgetSpent }
-
-// DegradedRules returns Degraded.Rules.
-//
-// Deprecated: read Degraded.Rules.
-func (p Profile) DegradedRules() int { return p.Degraded.Rules }
-
-// PlanCacheHits returns Cache.PlanHits.
-//
-// Deprecated: read Cache.PlanHits.
-func (p Profile) PlanCacheHits() int { return p.Cache.PlanHits }
-
-// AnswerCacheHits returns Cache.AnswerHits.
-//
-// Deprecated: read Cache.AnswerHits.
-func (p Profile) AnswerCacheHits() int { return p.Cache.AnswerHits }
-
-// PartialReuseRules returns Cache.PartialReuseRules.
-//
-// Deprecated: read Cache.PartialReuseRules.
-func (p Profile) PartialReuseRules() int { return p.Cache.PartialReuseRules }
-
-// CacheEvictions returns Cache.Evictions.
-//
-// Deprecated: read Cache.Evictions.
-func (p Profile) CacheEvictions() int { return p.Cache.Evictions }
 
 // ReplicaSetProfile is the per-replica breakdown of one replicated
 // source.
@@ -445,9 +403,6 @@ func (p Profile) String() string {
 	if p.Batch.BatchesProcessed > 0 {
 		fmt.Fprintf(&b, "batches: %d processed, %d values interned, %d buffers reused, %d held answers\n",
 			p.Batch.BatchesProcessed, p.Batch.InternedValues, p.Batch.ArenaReuses, p.Batch.HeldAnswers)
-	}
-	if p.Batch.SpilledValues > 0 {
-		fmt.Fprintf(&b, "interner capped: %d value(s) spilled to execution-local table\n", p.Batch.SpilledValues)
 	}
 	if p.Calls.BatchGroups > 0 {
 		fmt.Fprintf(&b, "pushdown: %d call(s) batched into %d round-trip group(s)\n",

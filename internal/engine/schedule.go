@@ -78,7 +78,7 @@ func (h *headSet) rows(b *colBatch) ([]Row, error) {
 			case headConst:
 				row[k] = a.val
 			default:
-				row[k] = V(h.pool.str(b.cols[a.slot][i]))
+				row[k] = V(h.pool.ids.str(b.cols[a.slot][i]))
 			}
 		}
 		out = append(out, row)

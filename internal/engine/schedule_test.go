@@ -109,7 +109,7 @@ func oracleLiveBindings(t *testing.T, rt *Runtime, u logic.UCQ, ps *access.Set, 
 		if !ok {
 			t.Fatalf("not executable: %s", rule)
 		}
-		prog := compileRule(rule, steps, newColPool())
+		prog := compileRule(rule, steps, newColPool(newEngineState()))
 		var perStep []liveStep
 		bindings := []binding{{}}
 		for k, step := range steps {

@@ -494,17 +494,14 @@ type TenantStats struct {
 	Calls    int64 `json:"calls"`
 }
 
-// InternerStats is the process-wide value interner's occupancy: how
-// many distinct values the columnar evaluator has interned and their
-// approximate resident bytes (monotonic gauges — the table is
-// append-only for the process lifetime), plus the cap's traffic when
-// one is configured: how many intern attempts were refused (and spilled
-// to execution-local tables) and whether the cap is currently reached.
+// InternerStats is the value interners' occupancy, summed over the
+// mounted tenants: how many distinct values the columnar evaluator holds
+// IDs for and their approximate resident bytes. Each tenant's catalog
+// has an interner of its own, which starts over at a generation bump or
+// when it outgrows its bound, and goes with the tenant.
 type InternerStats struct {
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	CapHits int64 `json:"cap_hits"`
-	Capped  bool  `json:"capped"`
 }
 
 // PersistStats reports the persistence layer's health (zero value for
@@ -534,8 +531,6 @@ type Stats struct {
 // Stats snapshots the serving counters.
 func (s *Server) Stats() Stats {
 	out := Stats{Tenants: map[string]TenantStats{}, Shed: s.sheds.Load(), Cache: s.qc.Stats()}
-	out.Interner.Entries, out.Interner.Bytes = engine.InternerOccupancy()
-	out.Interner.CapHits, out.Interner.Capped = engine.InternerCapStats()
 	if lg := s.qc.Persist(); lg != nil {
 		out.Persist.Enabled = true
 		out.Persist.Dir = lg.Dir()
@@ -550,6 +545,9 @@ func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for name, t := range s.tenants {
+		entries, bytes := engine.InternerOccupancy(t.cat)
+		out.Interner.Entries += entries
+		out.Interner.Bytes += bytes
 		out.Tenants[name] = TenantStats{
 			Requests: t.requests.Load(),
 			Shed:     t.shed.Load(),

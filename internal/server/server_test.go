@@ -14,6 +14,7 @@ import (
 	"time"
 
 	ucqn "repro"
+	"repro/internal/engine"
 )
 
 // newTestServer boots a server over n fixture tenants.
@@ -85,6 +86,40 @@ func TestServerAnswersEveryTenantExactly(t *testing.T) {
 		if ts.Requests != int64(len(f.Queries)) || ts.Errors != 0 || ts.Shed != 0 {
 			t.Errorf("%s stats = %+v", f.Name, ts)
 		}
+	}
+}
+
+// /v1/stats reports the tenants' own interners: after a query,
+// interner.entries and bytes are their sums over the mounted tenants,
+// and only the queried tenant's interner holds values.
+func TestServerStatsSumTenantInterners(t *testing.T) {
+	s, fixtures := newTestServer(t, Config{}, 3)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	queried := fixtures[1]
+	if _, _, status := post(t, ts.URL, queried.Name, queried.Queries[0]); status != http.StatusOK {
+		t.Fatalf("query: status %d", status)
+	}
+	httpResp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(httpResp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	var entries int
+	var bytes int64
+	for _, f := range fixtures {
+		n, b := engine.InternerOccupancy(s.Tenant(f.Name).cat)
+		if (n > 0) != (f == queried) {
+			t.Errorf("%s: its interner holds %d values", f.Name, n)
+		}
+		entries, bytes = entries+n, bytes+b
+	}
+	if st.Interner.Entries != entries || st.Interner.Bytes != bytes || entries == 0 {
+		t.Errorf("/v1/stats interner = %+v, want the tenants' sum: %d entries, %d bytes", st.Interner, entries, bytes)
 	}
 }
 

@@ -509,16 +509,17 @@ func (c *Catalog) Generation() int64 { return c.gen.Load() }
 func (c *Catalog) Invalidate() { c.gen.Add(1) }
 
 // Held returns the value the catalog holds for its current generation,
-// calling mk to build it on first use and again after every generation
-// bump (Invalidate, ResetStats, AdvanceGeneration); concurrent first
-// callers may each run mk, and one result wins. The engine keeps its
-// held answers there — the interned join columns of large source
-// answers, keyed by group identity — so they live exactly as long as
-// the catalog and its generation.
-func (c *Catalog) Held(mk func() any) any {
+// calling mk to build it on first use, again after every generation
+// bump (Invalidate, ResetStats, AdvanceGeneration), and in place of a
+// value that full reports; concurrent callers may each run mk, and one
+// result wins. The engine keeps its state there — the value interner
+// and the held answers, the interned join columns of large source
+// answers keyed by group identity — so it lives no longer than the
+// catalog and its generation.
+func (c *Catalog) Held(mk func() any, full func(any) bool) any {
 	gen := c.gen.Load()
 	cur := c.held.Load()
-	if cur != nil && cur.gen == gen {
+	if cur != nil && cur.gen == gen && !full(cur.v) {
 		return cur.v
 	}
 	next := &heldSlot{gen: gen, v: mk()}

@@ -40,6 +40,19 @@ func slowCatalog(t testing.TB, ps *PatternSet, d time.Duration) *Catalog {
 	return cat
 }
 
+// replicated fronts every source of primary with a replica set whose
+// backups are two healthy copies of the paper instance: one catalog,
+// built once and shared by every Exec over it.
+func replicated(t testing.TB, primary *Catalog, ps *PatternSet) *Catalog {
+	t.Helper()
+	cat, _, err := ReplicaCatalog(ReplicaConfig{}, primary,
+		paperInstance(ps).MustCatalog(ps), paperInstance(ps).MustCatalog(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
 // healthyAnswer is the baseline: the underestimate evaluated against
 // fault-free sources.
 func healthyAnswer(t *testing.T, under Query, ps *PatternSet) *Rel {
@@ -66,17 +79,12 @@ func TestExecReplicasSurviveDeadReplica(t *testing.T) {
 					name = "streamed"
 				}
 				t.Run(name, func(t *testing.T) {
-					dead := brokenCatalog(t, ex.Patterns, FlakyConfig{FailEveryN: 1})
-					opts := []ExecOption{
-						WithRuntime(fastRuntime()),
-						WithReplicas(paperInstance(ex.Patterns).MustCatalog(ex.Patterns),
-							paperInstance(ex.Patterns).MustCatalog(ex.Patterns)),
-						WithPartialResults(),
-					}
+					cat := replicated(t, brokenCatalog(t, ex.Patterns, FlakyConfig{FailEveryN: 1}), ex.Patterns)
+					opts := []ExecOption{WithRuntime(fastRuntime()), WithPartialResults()}
 					if streamed {
 						opts = append(opts, WithStreaming())
 					}
-					res, err := Exec(context.Background(), under, ex.Patterns, dead, opts...)
+					res, err := Exec(context.Background(), under, ex.Patterns, cat, opts...)
 					if err != nil {
 						t.Fatalf("replicated run failed: %v", err)
 					}
@@ -109,11 +117,9 @@ func TestExecReplicasHedgePastHungReplica(t *testing.T) {
 			under := Plan(ex.Query, ex.Patterns).Under
 			want := healthyAnswer(t, under, ex.Patterns)
 
-			hung := brokenCatalog(t, ex.Patterns, FlakyConfig{FailEveryN: 1, Hang: true})
+			hung := replicated(t, brokenCatalog(t, ex.Patterns, FlakyConfig{FailEveryN: 1, Hang: true}), ex.Patterns)
 			res, err := Exec(context.Background(), under, ex.Patterns, hung,
 				WithRuntime(fastRuntime()),
-				WithReplicas(paperInstance(ex.Patterns).MustCatalog(ex.Patterns),
-					paperInstance(ex.Patterns).MustCatalog(ex.Patterns)),
 				WithHedging(HedgePolicy{Delay: 2 * time.Millisecond}),
 				WithPartialResults(), WithProfile())
 			if err != nil {
@@ -142,10 +148,8 @@ func TestExecReplicasHedgePastSlowReplica(t *testing.T) {
 	under := Plan(ex.Query, ex.Patterns).Under
 	want := healthyAnswer(t, under, ex.Patterns)
 
-	slow := slowCatalog(t, ex.Patterns, 40*time.Millisecond)
+	slow := replicated(t, slowCatalog(t, ex.Patterns, 40*time.Millisecond), ex.Patterns)
 	res, err := Exec(context.Background(), under, ex.Patterns, slow,
-		WithReplicas(paperInstance(ex.Patterns).MustCatalog(ex.Patterns),
-			paperInstance(ex.Patterns).MustCatalog(ex.Patterns)),
 		WithHedging(HedgePolicy{Delay: time.Millisecond}),
 		WithProfile())
 	if err != nil {
@@ -197,24 +201,17 @@ func TestExecSurfacesLatencyStats(t *testing.T) {
 	}
 }
 
-// Option validation: replica options need a catalog and never combine
-// with naive evaluation; mismatched backup schemas are rejected.
+// Option validation: hedging never combines with naive evaluation, and
+// a backup catalog of another schema is no replica.
 func TestExecReplicaOptionValidation(t *testing.T) {
 	q := MustParseQuery(`Q(x) :- R(x).`)
 	ps := MustParsePatterns(`R^o`)
 	in := NewInstance().MustAdd("R", "a")
-	if _, err := Exec(context.Background(), q, ps, nil, WithReplicas(in.MustCatalog(ps))); err == nil {
-		t.Error("WithReplicas without a primary catalog must fail")
-	}
-	if _, err := Exec(context.Background(), q, nil, nil, WithNaive(in), WithReplicas(in.MustCatalog(ps))); err == nil {
-		t.Error("WithNaive with WithReplicas must fail")
-	}
 	if _, err := Exec(context.Background(), q, nil, nil, WithNaive(in), WithHedging(HedgePolicy{Delay: time.Millisecond})); err == nil {
 		t.Error("WithNaive with WithHedging must fail")
 	}
 	other := NewInstance().MustAdd("S", "a")
-	if _, err := Exec(context.Background(), q, ps, in.MustCatalog(ps),
-		WithReplicas(other.MustCatalog(MustParsePatterns(`S^o`)))); err == nil {
+	if _, _, err := ReplicaCatalog(ReplicaConfig{}, in.MustCatalog(ps), other.MustCatalog(MustParsePatterns(`S^o`))); err == nil {
 		t.Error("a backup catalog with different relations must fail")
 	}
 }
