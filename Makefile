@@ -66,9 +66,10 @@ bench-smoke:
 # plus held answers and their held joins shared by parallel rules and
 # executions, racing to build one join per step shape, across an
 # invalidation, across an interner rollover that a running execution
-# outlives, and at the table's bound.
+# outlives, and at the table's bound; and domain enumeration, whose
+# rounds run on the driver, its retries and its rule teardown.
 fault-smoke:
-	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin' . ./internal/engine/
+	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin|TestEnumerateDomain|TestExample8' . ./internal/engine/
 
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue

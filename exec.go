@@ -40,11 +40,6 @@ type execConfig struct {
 	hasHedge  bool
 	budget    Budget
 	hasBudget bool
-
-	batchSize      int
-	hasBatchSize   bool
-	stageBuffer    int
-	hasStageBuffer bool
 }
 
 // ExecOption configures Exec; build them with the With... constructors.
@@ -111,9 +106,10 @@ func WithAnswerStar() ExecOption { return func(c *execConfig) { c.star = true } 
 
 // WithImproveUnder is WithAnswerStar followed by the domain-enumeration
 // improvement of the underestimate (Example 8), spending at most
-// maxCalls source calls on enumeration. Result.Rel is the improved
-// underestimate; Result.Improved has the improved rules and enumeration
-// metadata. The improvement is a strict, unprofiled step after the
+// maxCalls source call attempts on enumeration, which runs on the
+// execution's runtime (retries, call timeout, hedging). Result.Rel is
+// the improved underestimate; Result.Improved has the improved rules and
+// enumeration metadata. The improvement is a strict, unprofiled step after the
 // ANSWER* execution (Result.Profile and Result.Incompleteness describe
 // that execution only), so it does not combine with WithStreaming.
 func WithImproveUnder(maxCalls int) ExecOption {
@@ -146,27 +142,6 @@ func WithHedging(h HedgePolicy) ExecOption {
 // the overload-shedding mode of a serving layer.
 func WithBudget(b Budget) ExecOption {
 	return func(c *execConfig) { c.budget, c.hasBudget = b, true }
-}
-
-// WithBatchSize sets the number of bindings per columnar batch flowing
-// between the pipeline stages of this execution (streaming mode; a
-// materialized run evaluates each step over one batch regardless).
-// Larger batches amortize per-batch overhead, smaller ones lower the
-// latency to the first answer. n must be ≥ 1; 0 — the zero value of an
-// unset option — is rejected rather than silently meaning "default".
-// The runtime is cloned for the call, so a shared runtime passed via
-// WithRuntime is not mutated.
-func WithBatchSize(n int) ExecOption {
-	return func(c *execConfig) { c.batchSize, c.hasBatchSize = n, true }
-}
-
-// WithStageBuffer sets the capacity of the channels between consecutive
-// pipeline stages for this execution (streaming mode): how many batches
-// a stage may run ahead of its consumer. n must be ≥ 1. The runtime is
-// cloned for the call, so a shared runtime passed via WithRuntime is
-// not mutated.
-func WithStageBuffer(n int) ExecOption {
-	return func(c *execConfig) { c.stageBuffer, c.hasStageBuffer = n, true }
 }
 
 // Result is the handle Exec returns. Which accessors are populated
@@ -315,14 +290,6 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		rt = rt.Clone()
 		rt.Budget = c.budget
 	}
-	if c.hasBatchSize {
-		rt = rt.Clone()
-		rt.BatchSize = c.batchSize
-	}
-	if c.hasStageBuffer {
-		rt = rt.Clone()
-		rt.StageBuffer = c.stageBuffer
-	}
 	if c.hasINDs {
 		q = c.inds.OptimizeChase(q)
 	}
@@ -395,19 +362,11 @@ func (c *execConfig) validate() error {
 			return errors.New("ucqn: WithNaive ignores access patterns; planning options do not apply")
 		case c.hasHedge, c.hasBudget:
 			return errors.New("ucqn: WithNaive makes no source calls; hedging and budget options do not apply")
-		case c.hasBatchSize, c.hasStageBuffer:
-			return errors.New("ucqn: WithNaive runs no pipeline; batch options do not apply")
 		}
 		return nil
 	}
 	if c.improve && c.streaming {
 		return errors.New("ucqn: WithImproveUnder does not combine with WithStreaming: the improvement starts from the finished ANSWER* report")
-	}
-	if c.hasBatchSize && c.batchSize < 1 {
-		return fmt.Errorf("ucqn: WithBatchSize(%d): batch size must be at least 1", c.batchSize)
-	}
-	if c.hasStageBuffer && c.stageBuffer < 1 {
-		return fmt.Errorf("ucqn: WithStageBuffer(%d): stage buffer must be at least 1", c.stageBuffer)
 	}
 	return nil
 }

@@ -2,12 +2,11 @@ package ucqn
 
 // Exec facade tests: option plumbing, contradictory combinations
 // rejected up front, the streaming path draining to the same answers,
-// and the batch knobs.
+// and the runtime's batch knobs.
 
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/sources/sourcetest"
@@ -423,8 +422,9 @@ func TestExecWithBatchSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 3, 1024} {
-		res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps),
-			WithStreaming(), WithBatchSize(n), WithStageBuffer(2))
+		rt := NewRuntime()
+		rt.BatchSize, rt.StageBuffer = n, 2
+		res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), WithRuntime(rt), WithStreaming())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,37 +433,7 @@ func TestExecWithBatchSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("WithBatchSize(%d) = %s, want %s", n, got, want)
-		}
-	}
-	// The options clone the runtime: a shared runtime is not mutated.
-	rt := NewRuntime()
-	if _, err := Exec(context.Background(), q, ps, in.MustCatalog(ps),
-		WithRuntime(rt), WithBatchSize(7), WithStageBuffer(3)); err != nil {
-		t.Fatal(err)
-	}
-	if rt.BatchSize != 0 || rt.StageBuffer != 0 {
-		t.Errorf("WithBatchSize/WithStageBuffer mutated the shared runtime: %d/%d", rt.BatchSize, rt.StageBuffer)
-	}
-}
-
-func TestExecBatchOptionValidation(t *testing.T) {
-	q, ps, in := execFixture(t)
-	cat := in.MustCatalog(ps)
-	cases := []struct {
-		name string
-		opt  ExecOption
-		want string
-	}{
-		{"batch zero", WithBatchSize(0), "batch size must be at least 1"},
-		{"batch negative", WithBatchSize(-3), "batch size must be at least 1"},
-		{"buffer zero", WithStageBuffer(0), "stage buffer must be at least 1"},
-		{"buffer negative", WithStageBuffer(-1), "stage buffer must be at least 1"},
-	}
-	for _, c := range cases {
-		_, err := Exec(context.Background(), q, ps, cat, WithStreaming(), c.opt)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
+			t.Errorf("BatchSize %d = %s, want %s", n, got, want)
 		}
 	}
 }
@@ -478,7 +448,6 @@ func TestExecRejectsContradictoryOptions(t *testing.T) {
 		{"naive+streaming", []ExecOption{WithNaive(in), WithStreaming()}},
 		{"naive+star", []ExecOption{WithNaive(in), WithAnswerStar()}},
 		{"naive+inds", []ExecOption{WithNaive(in), WithINDs(nil)}},
-		{"naive+batch", []ExecOption{WithNaive(in), WithBatchSize(8)}},
 		{"improve+streaming", []ExecOption{WithImproveUnder(10), WithStreaming()}},
 		{"naive+partial", []ExecOption{WithNaive(in), WithPartialResults()}},
 	}

@@ -190,11 +190,11 @@ func ImproveUnder(a AnswerStar, ps *access.Set, cat *sources.Catalog, maxCalls i
 	return defaultRuntime.ImproveUnder(context.Background(), a, ps, cat, maxCalls)
 }
 
-// ImproveUnder is the package-level ImproveUnder on this runtime,
-// honoring the context through both the domain enumeration and the
-// improved-rule evaluation.
+// ImproveUnder is the package-level ImproveUnder on this runtime: the
+// domain enumeration and the improved-rule evaluation both run on rt and
+// honor the context.
 func (rt *Runtime) ImproveUnder(ctx context.Context, a AnswerStar, ps *access.Set, cat *sources.Catalog, maxCalls int) (*Rel, logic.UCQ, DomResult, error) {
-	dom, err := EnumerateDomainContext(ctx, cat, nil, maxCalls)
+	dom, err := rt.EnumerateDomain(ctx, cat, nil, maxCalls)
 	if err != nil {
 		return nil, logic.UCQ{}, dom, err
 	}

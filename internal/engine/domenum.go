@@ -3,10 +3,10 @@ package engine
 import (
 	"context"
 	"slices"
-	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
 )
@@ -19,13 +19,14 @@ const DomRelation = "__dom"
 type DomResult struct {
 	// Values is the enumerated partial domain, sorted.
 	Values []string
-	// Calls is the number of source calls spent enumerating.
+	// Calls is the number of source call attempts spent enumerating,
+	// retries included.
 	Calls int
 	// Truncated reports that enumeration stopped short of the fixpoint:
 	// the call budget ran out, the context was cancelled, or some call
-	// failed — returned an error or panicked. Values is then an
-	// under-approximation of the reachable domain (still sound for
-	// underestimates).
+	// failed — after the runtime's retries, or by panicking. Values is
+	// then an under-approximation of the reachable domain (still sound
+	// for underestimates).
 	Truncated bool
 	// TruncatedBy names the relations whose calls failed, each once, in
 	// the order they first failed; empty when only the budget or the
@@ -34,123 +35,111 @@ type DomResult struct {
 }
 
 // EnumerateDomain computes a partial domain enumeration view over the
-// catalog, in the style of [DL97] (recursive plans for information
-// gathering): starting from the seed constants and everything obtainable
-// from sources callable with no inputs, it repeatedly calls every source
-// pattern with all combinations of already-known values until no new
-// value appears or maxCalls source calls have been spent. The result is
-// the set of values retrievable from the sources, a sound domain for
-// dom(x) atoms.
-func EnumerateDomain(cat *sources.Catalog, seeds []string, maxCalls int) DomResult {
-	res, _ := EnumerateDomainContext(context.Background(), cat, seeds, maxCalls)
-	return res
-}
-
-// EnumerateDomainContext is EnumerateDomain honoring a context: on
-// cancellation it stops issuing calls and returns the context error
-// alongside the (truncated, still sound) domain enumerated so far.
-func EnumerateDomainContext(ctx context.Context, cat *sources.Catalog, seeds []string, maxCalls int) (DomResult, error) {
-	dom := map[string]bool{}
-	for _, s := range seeds {
-		dom[s] = true
+// catalog in the style of [DL97] (recursive plans for information
+// gathering), as rounds of driver runs. D₀ is the seeds; round r calls
+// every pattern of every source once with each input vector of
+// Dᵣᵏ ∖ Dᵣ₋₁ᵏ (a pattern with no inputs in round 0 only), and Dᵣ₊₁ adds
+// every value returned. The rounds stop at the fixpoint, every vector
+// over the final domain called exactly once, or when maxCalls attempts
+// are spent (maxCalls ≤ 0 admits none): a sound domain for dom(x) atoms.
+//
+// A round is one partial-results Run on a clone of rt with the calls
+// left as its budget, so retries, call deadlines, per-source limits,
+// hedging and panic containment are rt's; a failed call drops its rule
+// and truncates the domain. On cancellation it returns the context error
+// beside the (truncated, still sound) domain enumerated so far.
+func (rt *Runtime) EnumerateDomain(ctx context.Context, cat *sources.Catalog, seeds []string, maxCalls int) (DomResult, error) {
+	known := map[string]bool{}
+	var dom []string // in discovery order; dom[:mark] is enumerated
+	add := func(v string) {
+		if !known[v] {
+			known[v] = true
+			dom = append(dom, v)
+		}
 	}
-	res := DomResult{}
-	called := map[string]bool{} // source^pattern(inputs) already issued
-	for {
-		grew := false
-		for _, name := range cat.Names() {
-			src := cat.Source(name)
-			for _, p := range src.Patterns() {
-				grewHere, stop, err := enumeratePattern(ctx, src, p, dom, called, &res, maxCalls)
-				grew = grew || grewHere
-				if stop || err != nil {
-					res.Truncated = true
-					res.Values = sortedKeys(dom)
-					return res, err
+	for _, s := range seeds {
+		add(s)
+	}
+	sink := func(_ context.Context, _ int, rows []Row) (int, bool) {
+		for _, row := range rows {
+			for _, v := range row {
+				add(v.S)
+			}
+		}
+		return len(rows), true
+	}
+	var res DomResult
+	var err error
+	for first, mark := true, 0; err == nil; first = false {
+		slices.Sort(dom[mark:])
+		left := maxCalls - res.Calls
+		plan, more := roundPlan(cat, dom[:mark], dom[mark:], first, max(left, 0))
+		mark = len(dom)
+		if len(plan.Exec.Rules) > 0 {
+			r := rt.Clone()
+			r.Budget.MaxCalls = left
+			prof, inc, rerr := r.Run(ctx, plan, cat, Answered{}, Opts{Partial: true}, sink)
+			res.Calls, err = res.Calls+prof.Calls.Total, rerr
+			for _, f := range inc.Failed {
+				res.Truncated = true
+				if f.Class != FailBudget && f.Source != "" && !slices.Contains(res.TruncatedBy, f.Source) {
+					res.TruncatedBy = append(res.TruncatedBy, f.Source)
 				}
 			}
 		}
-		if !grew {
+		res.Truncated = res.Truncated || more || err != nil
+		if more || len(dom) == mark {
 			break
 		}
 	}
-	res.Values = sortedKeys(dom)
-	return res, nil
+	slices.Sort(dom)
+	res.Values = dom
+	return res, err
 }
 
-// enumeratePattern issues all not-yet-made calls to src^p whose inputs
-// are drawn from dom, adding returned values to dom. It reports whether
-// dom grew and whether the call budget ran out; a context error aborts
-// the enumeration, and a failed call is skipped and marks res Truncated.
-func enumeratePattern(ctx context.Context, src sources.Source, p access.Pattern, dom map[string]bool, called map[string]bool, res *DomResult, maxCalls int) (grew, stop bool, ctxErr error) {
-	k := p.InputCount()
-	values := sortedKeys(dom)
-	if k > 0 && len(values) == 0 {
-		return false, false, nil
-	}
-	inputs := make([]string, k)
-	var gauge inFlightGauge
-	var rec func(i int) bool // returns true to stop
-	rec = func(i int) bool {
-		if i == k {
-			key := src.Name() + "^" + string(p) + "(" + strings.Join(inputs, "\x1f") + ")"
-			if called[key] {
-				return false
-			}
-			if res.Calls >= maxCalls {
-				stop = true
-				return true
-			}
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return true
-			}
-			called[key] = true
-			res.Calls++
-			// Through the runtime's one leg: a panicking source, or one
-			// answering out of shape, fails the call instead of the process.
-			groups, _, err := defaultRuntime.runLeg(ctx, nil, &gauge, src, src.Name(), p, [][]string{append([]string(nil), inputs...)})
-			switch {
-			case err == nil:
-			case ctx.Err() != nil:
-				ctxErr = ctx.Err()
-				return true
-			default:
-				res.Truncated = true // the values this call would have shown are missing
-				if !slices.Contains(res.TruncatedBy, src.Name()) {
-					res.TruncatedBy = append(res.TruncatedBy, src.Name())
+// roundPlan is one round's plan: for every pattern p of every source R,
+// one rule __enum(t̄) :- R^p(t̄) per input vector over old ∪ fresh that
+// holds a fresh value (in the first round old is empty and every vector
+// counts, the empty one included), with the vector at p's input
+// positions and fresh variables at its outputs. A rule's one step is its
+// literal adorned with p, so no planner picks another pattern. It builds
+// at most limit rules, and more reports a vector left out.
+func roundPlan(cat *sources.Catalog, old, fresh []string, first bool, limit int) (p core.Plan, more bool) {
+	for _, name := range cat.Names() {
+		for _, pat := range cat.Source(name).Patterns() {
+			args := make([]logic.Term, len(pat))
+			var rec func(j int, hasFresh bool) bool // fills args[j:]; false stops
+			rec = func(j int, hasFresh bool) bool {
+				switch {
+				case j == len(pat) && !hasFresh:
+					return true // called in an earlier round
+				case j == len(pat) && len(p.Exec.Rules) == limit:
+					more = true
+					return false
+				case j == len(pat):
+					lit := logic.Pos(logic.NewAtom(name, slices.Clone(args)...))
+					p.Exec.Rules = append(p.Exec.Rules, logic.CQ{HeadPred: "__enum", HeadArgs: lit.Atom.Args, Body: []logic.Literal{lit}})
+					p.Steps = append(p.Steps, []access.AdornedLiteral{{Literal: lit, Pattern: pat}})
+					return true
+				case !pat.Input(j):
+					args[j] = logic.Var("y" + strconv.Itoa(j))
+					return rec(j+1, hasFresh)
 				}
-				return false
-			}
-			for _, t := range groups[0] {
-				for _, v := range t {
-					if !dom[v] {
-						dom[v] = true
-						grew = true
+				for i, vals := range [2][]string{fresh, old} {
+					for _, v := range vals {
+						if args[j] = logic.Const(v); !rec(j+1, hasFresh || i == 0) {
+							return false
+						}
 					}
 				}
-			}
-			return false
-		}
-		for _, v := range values {
-			inputs[i] = v
-			if rec(i + 1) {
 				return true
 			}
+			if !rec(0, first) {
+				return p, more
+			}
 		}
-		return false
 	}
-	rec(0)
-	return grew, stop, ctxErr
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return p, more
 }
 
 // ImprovedUnderRule builds the domain-enumeration-improved underestimate

@@ -233,12 +233,6 @@ func NewTable(name string, arity int, patterns []Pattern, rows []Tuple) (*Table,
 // NewCatalog builds a catalog from sources.
 func NewCatalog(srcs ...Source) (*Catalog, error) { return sources.NewCatalog(srcs...) }
 
-// EnumerateDomain computes the reachable-domain view dom(x) by calling
-// sources to a fixpoint ([DL97]; Example 8).
-func EnumerateDomain(cat *Catalog, seeds []string, maxCalls int) DomResult {
-	return engine.EnumerateDomain(cat, seeds, maxCalls)
-}
-
 // ReduceContToFeasible is the Theorem 18 reduction: P ⊑ Q iff the
 // returned query is feasible under the returned patterns.
 func ReduceContToFeasible(p, q Query) (Query, *PatternSet, error) {
