@@ -16,7 +16,7 @@ test:
 # The runtime and source wrappers are concurrent; the race detector is
 # part of the tier-1 bar, not an optional extra.
 test-race:
-	$(GO) test -race ./internal/sources/ ./internal/engine/ ./internal/containment/ ./internal/qcache/ ./internal/server/ .
+	$(GO) test -race ./internal/access/ ./internal/sources/ ./internal/engine/ ./internal/containment/ ./internal/qcache/ ./internal/server/ .
 
 # A few seconds of the evaluator's hash table against a map[string]int,
 # from the committed seed corpus (internal/engine/testdata/fuzz): every
@@ -47,14 +47,15 @@ bench-build:
 # call, built from a held answer's columns or reused finished,
 # idTable insert/find by width, a lookup in a catalog's interner) and
 # of the persist log (one append, a recovery), once each, so they keep
-# compiling and running.
+# compiling and running. The plan-miss lines (qcache, minimize,
+# containment) add -benchmem, so the log shows their allocs/op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Paper/E(19|20|21|22|23)' -benchtime=1x ./cmd/paperbench/
 	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
-	$(GO) test -run='^$$' -bench='AnswersFullHit|AnswersMiss|PlanMiss' -benchtime=1x ./internal/qcache/
+	$(GO) test -run='^$$' -bench='AnswersFullHit|AnswersMiss|PlanMiss' -benchtime=1x -benchmem ./internal/qcache/
 	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
-	$(GO) test -run='^$$' -bench='BenchmarkCQ' -benchtime=1x ./internal/minimize/
-	$(GO) test -run='^$$' -bench='CanonicalKey|ContainedCQ' -benchtime=1x ./internal/containment/
+	$(GO) test -run='^$$' -bench='BenchmarkCQ' -benchtime=1x -benchmem ./internal/minimize/
+	$(GO) test -run='^$$' -bench='CanonicalKey|ContainedCQ' -benchtime=1x -benchmem ./internal/containment/
 	$(GO) test -run='^$$' -bench='TableScan' -benchtime=1x ./internal/sources/
 	$(GO) test -run='^$$' -bench='LogAppend|LogOpen' -benchtime=1x ./internal/qcache/persist/
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/logic"
 )
@@ -87,9 +88,12 @@ func (p Pattern) Subsumes(q Pattern) bool {
 
 // Set maps relation names to the access patterns available for them.
 // A relation absent from the set has no access pattern and cannot be
-// called at all.
+// called at all. A Set is used through its pointer and never copied.
 type Set struct {
 	patterns map[string][]Pattern
+	// fingerprint memoizes String: a plan cache keys every lookup on
+	// it. Add clears it.
+	fingerprint atomic.Pointer[string]
 }
 
 // NewSet returns an empty pattern set.
@@ -108,6 +112,7 @@ func (s *Set) Add(name string, p Pattern) error {
 		}
 	}
 	s.patterns[name] = append(s.patterns[name], p)
+	s.fingerprint.Store(nil)
 	return nil
 }
 
@@ -154,14 +159,25 @@ func (s *Set) Clone() *Set {
 }
 
 // String renders the set as "B^ioo B^oio C^oo L^o" in sorted order.
+// The rendering is computed once and kept until the next Add.
 func (s *Set) String() string {
-	var parts []string
+	if fp := s.fingerprint.Load(); fp != nil {
+		return *fp
+	}
+	var b strings.Builder
 	for _, name := range s.Relations() {
 		for _, p := range s.patterns[name] {
-			parts = append(parts, fmt.Sprintf("%s^%s", name, p))
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(name)
+			b.WriteByte('^')
+			b.WriteString(string(p))
 		}
 	}
-	return strings.Join(parts, " ")
+	fp := b.String()
+	s.fingerprint.Store(&fp)
+	return fp
 }
 
 // Minimize returns a copy of the set with subsumed patterns removed: a

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/logic"
@@ -278,4 +279,55 @@ func TestExecutableCQ(t *testing.T) {
 	if !ExecutableUCQ(logic.Union(q, q), ps) {
 		t.Error("union of executable rules must be executable")
 	}
+}
+
+// The fingerprint is memoized, and an Add after a first String shows in
+// the next one, whether the Add registers a new relation, a new pattern
+// of a known one, or (changing nothing) a duplicate.
+func TestSetFingerprintFollowsAdd(t *testing.T) {
+	s := NewSet()
+	if got := s.String(); got != "" {
+		t.Fatalf("empty set renders %q", got)
+	}
+	s.MustAdd("R", "io")
+	if got := s.String(); got != "R^io" {
+		t.Fatalf("after Add R^io: %q", got)
+	}
+	if a, b := s.String(), s.String(); a != b {
+		t.Fatalf("two renderings differ: %q, %q", a, b)
+	}
+	s.MustAdd("A", "o").MustAdd("R", "oo").MustAdd("R", "io")
+	if got, want := s.String(), "A^o R^io R^oo"; got != want {
+		t.Fatalf("after more Adds: %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = s.String() }); n != 0 {
+		t.Errorf("a memoized String allocated %.0f times", n)
+	}
+	if got := s.Clone().String(); got != "A^o R^io R^oo" {
+		t.Errorf("a clone renders %q", got)
+	}
+	if got := s.Minimize().String(); got != "A^o R^oo" {
+		t.Errorf("the minimized set renders %q", got)
+	}
+}
+
+// Concurrent first Strings race only to store the same rendering; run
+// under -race.
+func TestSetFingerprintConcurrent(t *testing.T) {
+	s := NewSet().MustAdd("B", "ioo").MustAdd("B", "oio").MustAdd("C", "oo")
+	const want = "B^ioo B^oio C^oo"
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := s.String(); got != want {
+					t.Errorf("String() = %q, want %q", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

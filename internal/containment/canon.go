@@ -2,6 +2,7 @@ package containment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,24 +39,19 @@ import (
 // deterministic assignment order.
 const canonLeafBudget = 512
 
-// Canonicalize returns the canonical form of q: variables renamed as
-// described above, body literals deduplicated and sorted. The result is
-// equivalent to q.
-func Canonicalize(q logic.CQ) logic.CQ {
-	cq, _ := canonicalize(q)
-	return cq
-}
-
 // CanonicalKey returns the canonical rendering of q. Two queries that
 // are isomorphic (equal up to bijective variable renaming, literal
 // order, and literal duplication) receive equal keys; equal keys imply
 // isomorphism.
 func CanonicalKey(q logic.CQ) string {
-	_, key := canonicalize(q)
+	_, key := CanonicalForm(q)
 	return key
 }
 
-func canonicalize(q logic.CQ) (logic.CQ, string) {
+// CanonicalForm returns the canonical form of q — variables renamed as
+// described above, body literals deduplicated and sorted, a query
+// equivalent to q — and its key, the form's rendering, from one search.
+func CanonicalForm(q logic.CQ) (logic.CQ, string) {
 	naming := logic.NewSubst()
 	h := 0
 	for _, t := range q.HeadArgs {
@@ -84,40 +80,49 @@ func canonicalize(q logic.CQ) (logic.CQ, string) {
 	}
 	s := canonSearch{q: q, budget: canonLeafBudget}
 	s.search(naming, unnamed, 0)
-	out := applyCanon(q, s.best)
-	return out, out.String()
+	return s.best, s.bestKey
+}
+
+// keyedLit is a body literal with its rendering, computed once for
+// sorting and deduplication.
+type keyedLit struct {
+	key string
+	lit logic.Literal
 }
 
 // applyCanon applies the naming and normalizes the body: duplicates
-// dropped, literals sorted by their rendering.
-func applyCanon(q logic.CQ, naming logic.Subst) logic.CQ {
+// dropped, literals sorted by their rendering. It returns the result
+// and its rendering.
+func applyCanon(q logic.CQ, naming logic.Subst) (logic.CQ, string) {
 	out := naming.CQ(q)
-	seen := map[string]bool{}
+	lits := make([]keyedLit, len(out.Body))
+	for i, l := range out.Body {
+		lits[i] = keyedLit{l.Key(), l}
+	}
+	// Stable, so a rendering shared by two literals keeps the first.
+	slices.SortStableFunc(lits, func(a, b keyedLit) int { return strings.Compare(a.key, b.key) })
 	body := out.Body[:0]
-	for _, l := range out.Body {
-		k := l.Key()
-		if !seen[k] {
-			seen[k] = true
-			body = append(body, l)
+	for i, kl := range lits {
+		if i == 0 || kl.key != lits[i-1].key {
+			body = append(body, kl.lit)
 		}
 	}
 	out.Body = body
-	sort.Slice(out.Body, func(i, j int) bool { return out.Body[i].Key() < out.Body[j].Key() })
-	return out
+	return out, out.String()
 }
 
 type canonSearch struct {
 	q       logic.CQ
 	budget  int
-	best    logic.Subst
+	best    logic.CQ // the smallest rendering found so far, bestKey
 	bestKey string
+	found   bool
 }
 
 func (s *canonSearch) record(naming logic.Subst) {
-	key := applyCanon(s.q, naming).String()
-	if s.best == nil || key < s.bestKey {
-		s.best = naming.Clone()
-		s.bestKey = key
+	out, key := applyCanon(s.q, naming)
+	if !s.found || key < s.bestKey {
+		s.best, s.bestKey, s.found = out, key, true
 	}
 }
 

@@ -1,10 +1,13 @@
 package containment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/workload"
 )
 
 func TestCanonicalKeyAlphaInvariance(t *testing.T) {
@@ -29,7 +32,7 @@ func TestCanonicalKeyOrderAndDuplicates(t *testing.T) {
 	if ka, kb := CanonicalKey(a), CanonicalKey(b); ka != kb {
 		t.Errorf("literal order/duplication must not matter: %q vs %q", ka, kb)
 	}
-	c := Canonicalize(a)
+	c, _ := CanonicalForm(a)
 	if len(c.Body) != 2 {
 		t.Errorf("canonical form must drop duplicates, got %s", c)
 	}
@@ -108,7 +111,7 @@ func TestCanonicalizeEquivalentToInput(t *testing.T) {
 	}
 	for _, src := range srcs {
 		q := cq(t, src)
-		c := Canonicalize(q)
+		c, _ := CanonicalForm(q)
 		if !Equivalent(logic.AsUnion(q), logic.AsUnion(c)) {
 			t.Errorf("canonical form of %s is not equivalent: %s", q, c)
 		}
@@ -140,4 +143,94 @@ func TestCanonicalKeyBudgetFallbackDeterministic(t *testing.T) {
 	if k1 != CanonicalKey(mk("a", 8)) {
 		t.Error("canonical key must be deterministic")
 	}
+}
+
+// CanonicalForm's key is CanonicalKey's and the rendering of its form,
+// on every rule of the corpus, and the corpus's keys are byte for byte
+// those the search produced before CanonicalForm existed (the digest
+// was taken then): plan keys and persisted answer keys are these
+// strings, so a cache directory written earlier still matches.
+func TestCanonicalFormKeyIsTheRendering(t *testing.T) {
+	corpus := canonCorpus()
+	keys := make([]string, len(corpus))
+	for i, q := range corpus {
+		form, key := CanonicalForm(q)
+		if k := CanonicalKey(q); k != key {
+			t.Fatalf("%s: CanonicalKey %q, CanonicalForm key %q", q, k, key)
+		}
+		if r := form.String(); r != key {
+			t.Fatalf("%s: the form renders %q, its key is %q", q, r, key)
+		}
+		keys[i] = key
+	}
+	const want = "0d39b303078f95af261c3dfa6f395c002fa04664266838baa5b7d831be459333"
+	if len(corpus) != 272 {
+		t.Fatalf("the corpus has %d rules, want 272: the digest below is for that corpus", len(corpus))
+	}
+	if got := corpusDigest(keys); got != want {
+		t.Errorf("canonical keys changed: digest %s, want %s", got, want)
+	}
+}
+
+// canonCorpus is a fixed corpus of rules from the workload generators:
+// random CQ¬ over several seeds and shapes (with constants, negation
+// and heads of zero to two variables), their α-renamed and padded
+// variants, the scaling families, the paper's examples, a cycle and a
+// clique (the search's tie branching and its budget fallback), and a
+// query with control characters in its constants.
+func canonCorpus() []logic.CQ {
+	var out []logic.CQ
+	add := func(u logic.UCQ) { out = append(out, u.Rules...) }
+	for seed := int64(1); seed <= 12; seed++ {
+		g := workload.New(seed)
+		s := g.Schema(4, 1, 3)
+		for _, cfg := range []workload.QueryConfig{
+			workload.DefaultQueryConfig(),
+			{PosLits: 3, NegLits: 2, VarPool: 4, ConstProb: 0.4, HeadVars: 1, DomainSize: 3},
+			{PosLits: 5, NegLits: 0, VarPool: 3, ConstProb: 0, HeadVars: 0, DomainSize: 2},
+		} {
+			u := g.UCQ(s, 2, cfg)
+			add(u)
+			add(workload.AlphaRename(u, "a"))
+			add(workload.PadRedundant(u))
+		}
+	}
+	for n := 1; n <= 4; n++ {
+		chain, _ := workload.ChainQuery(n)
+		star, _ := workload.StarQuery(n)
+		out = append(out, chain, workload.Reversed(chain), star)
+		hard, _ := workload.CaseSplitFamily(n)
+		easy, _ := workload.EasyFamily(n)
+		add(hard)
+		add(easy)
+	}
+	for _, ex := range workload.PaperExamples() {
+		add(ex.Query)
+	}
+	for _, n := range []int{4, 6} {
+		edges := logic.CQ{HeadPred: "Q"}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if j == (i+1)%n || (n == 6 && i != j) {
+					edges.Body = append(edges.Body, logic.Pos(logic.NewAtom("E",
+						logic.Var(fmt.Sprintf("n%d", i)), logic.Var(fmt.Sprintf("n%d", j)))))
+				}
+			}
+		}
+		out = append(out, edges)
+	}
+	out = append(out, logic.CQ{HeadPred: "Q", HeadArgs: []logic.Term{logic.Var("x")}, Body: []logic.Literal{
+		logic.Pos(logic.NewAtom("R", logic.Var("x"), logic.Const("a\\b\"c\nd\re\tf"), logic.Var("y"))),
+		logic.Neg(logic.NewAtom("S", logic.Var("y"), logic.Const(""))),
+	}})
+	return out
+}
+
+func corpusDigest(keys []string) string {
+	h := sha256.New()
+	for _, k := range keys {
+		h.Write([]byte(k))
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -19,20 +19,20 @@ import "repro/internal/logic"
 // Satisfiable reports whether a CQ¬ query is satisfiable. By
 // Proposition 8 of the paper, Q is unsatisfiable iff some atom appears
 // both positively and negatively in the body (or Q is the query false).
-// The check runs in near-linear time using a set of positive atom keys.
+// Each negated atom is compared with the positive ones in place, so the
+// check allocates nothing.
 func Satisfiable(q logic.CQ) bool {
 	if q.False {
 		return false
 	}
-	pos := make(map[string]bool, len(q.Body))
-	for _, l := range q.Body {
-		if !l.Negated {
-			pos[l.Atom.Key()] = true
+	for _, n := range q.Body {
+		if !n.Negated {
+			continue
 		}
-	}
-	for _, l := range q.Body {
-		if l.Negated && pos[l.Atom.Key()] {
-			return false
+		for _, p := range q.Body {
+			if !p.Negated && p.Atom.Equal(n.Atom) {
+				return false
+			}
 		}
 	}
 	return true

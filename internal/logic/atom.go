@@ -52,16 +52,31 @@ func (a Atom) Vars() []Term {
 // String renders the atom, e.g. R(x, "c").
 func (a Atom) String() string {
 	var b strings.Builder
+	b.Grow(a.renderLen())
+	a.render(&b)
+	return b.String()
+}
+
+// renderLen returns the length of the atom's rendering.
+func (a Atom) renderLen() int {
+	n := len(a.Pred) + 2 + 2*max(len(a.Args)-1, 0)
+	for _, t := range a.Args {
+		n += t.renderLen()
+	}
+	return n
+}
+
+// render writes the atom's rendering to b.
+func (a Atom) render(b *strings.Builder) {
 	b.WriteString(a.Pred)
 	b.WriteByte('(')
 	for i, t := range a.Args {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(t.String())
+		t.render(b)
 	}
 	b.WriteByte(')')
-	return b.String()
 }
 
 // Key returns a canonical string usable as a map key for the atom.
@@ -99,10 +114,26 @@ func (l Literal) Vars() []Term { return l.Atom.Vars() }
 
 // String renders the literal, e.g. not S(z).
 func (l Literal) String() string {
+	var b strings.Builder
+	b.Grow(l.renderLen())
+	l.render(&b)
+	return b.String()
+}
+
+// renderLen returns the length of the literal's rendering.
+func (l Literal) renderLen() int {
 	if l.Negated {
-		return "not " + l.Atom.String()
+		return len("not ") + l.Atom.renderLen()
 	}
-	return l.Atom.String()
+	return l.Atom.renderLen()
+}
+
+// render writes the literal's rendering to b.
+func (l Literal) render(b *strings.Builder) {
+	if l.Negated {
+		b.WriteString("not ")
+	}
+	l.Atom.render(b)
 }
 
 // Key returns a canonical string usable as a map key for the literal.

@@ -263,22 +263,35 @@ func (q CQ) HasNullHead() bool {
 //
 //	Q(x, y) :- R(x, z), not S(z), B(x, y)
 func (q CQ) String() string {
-	var b strings.Builder
-	b.WriteString(q.Head().String())
-	b.WriteString(" :- ")
-	if q.False {
-		b.WriteString("false")
-		return b.String()
-	}
-	if len(q.Body) == 0 {
-		b.WriteString("true")
-		return b.String()
-	}
-	for i, l := range q.Body {
-		if i > 0 {
-			b.WriteString(", ")
+	head := q.Head()
+	n := head.renderLen() + len(" :- ")
+	switch {
+	case q.False:
+		n += len("false")
+	case len(q.Body) == 0:
+		n += len("true")
+	default:
+		n += 2 * (len(q.Body) - 1)
+		for _, l := range q.Body {
+			n += l.renderLen()
 		}
-		b.WriteString(l.String())
+	}
+	var b strings.Builder
+	b.Grow(n)
+	head.render(&b)
+	b.WriteString(" :- ")
+	switch {
+	case q.False:
+		b.WriteString("false")
+	case len(q.Body) == 0:
+		b.WriteString("true")
+	default:
+		for i, l := range q.Body {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			l.render(&b)
+		}
 	}
 	return b.String()
 }

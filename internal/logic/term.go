@@ -61,33 +61,61 @@ func (t Term) String() string {
 	case KindNull:
 		return "null"
 	case KindConst:
-		return quoteConst(t.Name)
+		var b strings.Builder
+		b.Grow(t.renderLen())
+		t.render(&b)
+		return b.String()
 	default:
 		return t.Name
 	}
 }
 
-// quoteConst renders a constant in double quotes with minimal escapes.
-func quoteConst(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteByte(c)
+// renderLen returns the length of the term's rendering, so that a
+// renderer can size its builder once.
+func (t Term) renderLen() int {
+	switch t.Kind {
+	case KindNull:
+		return len("null")
+	case KindConst:
+		n := len(t.Name) + 2
+		for i := 0; i < len(t.Name); i++ {
+			switch t.Name[i] {
+			case '\\', '"', '\n', '\r', '\t':
+				n++
+			}
 		}
+		return n
+	default:
+		return len(t.Name)
 	}
-	b.WriteByte('"')
-	return b.String()
+}
+
+// render writes the term's rendering to b.
+func (t Term) render(b *strings.Builder) {
+	switch t.Kind {
+	case KindNull:
+		b.WriteString("null")
+	case KindConst:
+		b.WriteByte('"')
+		s := t.Name
+		for i := 0; i < len(s); i++ {
+			switch c := s[i]; c {
+			case '\\':
+				b.WriteString(`\\`)
+			case '"':
+				b.WriteString(`\"`)
+			case '\n':
+				b.WriteString(`\n`)
+			case '\r':
+				b.WriteString(`\r`)
+			case '\t':
+				b.WriteString(`\t`)
+			default:
+				b.WriteByte(c)
+			}
+		}
+		b.WriteByte('"')
+	default:
+		b.WriteString(t.Name)
+	}
 }

@@ -292,3 +292,32 @@ func BenchmarkPlanMiss(b *testing.B) {
 		}
 	}
 }
+
+// A plan miss's allocations stay bounded: a cache filled past its bound
+// (so every miss also evicts), then misses on texts it has not seen.
+// The ceiling is the measured count (248) plus slack for the race
+// detector's own (5). Running FEASIBLE again on a query that has a plan
+// costs about 100 more; literal renderings that regrow their builder,
+// or a pattern-set fingerprint rendered on every call, about 6 each.
+func TestPlanMissAllocs(t *testing.T) {
+	c := New(Options{MaxPlanEntries: 512})
+	ps := pats(t, "R^oo S^io L^o")
+	texts := make([]logic.UCQ, 1024)
+	for i := range texts {
+		texts[i] = q(t, missText(i))
+	}
+	for _, u := range texts[:600] {
+		c.Plan(u, ps)
+	}
+	next := 600
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, info := c.Plan(texts[next], ps); info.Hit {
+			t.Fatal("the plan lookup must miss")
+		}
+		next++
+	})
+	const limit = 248 + 8
+	if allocs > limit {
+		t.Errorf("a plan miss allocated %.0f times, want at most %d", allocs, limit)
+	}
+}

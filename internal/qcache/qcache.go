@@ -3,7 +3,7 @@
 //
 // Tier 1 (plan cache) keys on an isomorphism-invariant canonical form
 // of the *minimized* query: each disjunct is minimized to its core
-// (minimize.CQ), the cores are canonicalized (containment.Canonicalize)
+// (minimize.CQ), the cores are canonicalized (containment.CanonicalForm)
 // with the head predicate normalized away, and the sorted, deduplicated
 // per-core keys — together with the access-pattern set — form the key.
 // α-renamed, literal-padded, duplicated-disjunct, and otherwise
@@ -84,8 +84,10 @@ type Options struct {
 	// When minimization runs out, the literals not yet tested stay —
 	// the plan is as correct, its cores possibly not minimal, so a
 	// padded variant may miss the plan cache (the answer tier's
-	// equivalence lookup still finds its rows). When FEASIBLE runs out,
-	// the verdict is recorded as unknown; execution is unaffected.
+	// equivalence lookup still finds its rows). FEASIBLE runs only for
+	// a query with no executable form (a plan with one is feasible by
+	// construction); when it runs out, the verdict is recorded as
+	// unknown and execution is unaffected.
 	FeasibleBudget int
 	// EquivScanLimit bounds how many cached cores a single uncovered
 	// disjunct may be tested against for equivalence (default 16;
@@ -204,7 +206,12 @@ func (e *PlanEntry) Plan() core.Plan { return e.plan }
 func (e *PlanEntry) Err() error { return e.planErr }
 
 // Feasible returns the cached FEASIBLE verdict and its certificate
-// class (meaningful when the verdict is not unknown).
+// class (meaningful when the verdict is not unknown). An entry with an
+// executable representative (Err is nil) is FeasibilityYes by
+// core.VerdictUnderEqualsOver without any search: the representative is
+// an executable query equivalent to every member (Definition 5). Only
+// for an entry whose Err is non-nil does the miss run the budgeted
+// FEASIBLE check (Figure 3), whose verdict may be yes, no or unknown.
 func (e *PlanEntry) Feasible() (Feasibility, core.Verdict) { return e.feasible, e.verdict }
 
 // Key returns the entry's canonical cache key (for diagnostics).
@@ -451,8 +458,9 @@ func (c *Cache) removePlanLocked(elem *list.Element) {
 }
 
 // build computes a PlanEntry for q: minimize each disjunct to its core,
-// canonicalize, pick an executable representative, plan it
-// (core.NewPlan), and run the budgeted FEASIBLE check.
+// canonicalize, pick an executable representative and plan it
+// (core.NewPlan); only when there is none, run the budgeted FEASIBLE
+// check.
 func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	e := &PlanEntry{created: c.opt.Now()}
 
@@ -506,9 +514,9 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	for i, cr := range cores {
 		n := cr.Clone()
 		n.HeadPred = canonHeadPred
-		canon := containment.Canonicalize(n)
+		canon, key := containment.CanonicalForm(n)
 		e.cores[i] = canon
-		e.coreKeys[i] = canon.String()
+		e.coreKeys[i] = key
 		if !canon.False {
 			e.coreSigs[i] = coreSig(canon)
 		}
@@ -521,9 +529,14 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	e.key = strings.Join(keySet, " | ") + "\x00" + ps.String()
 
 	// The FEASIBLE verdict rides along: on a hit it answers the
-	// Π₂ᴾ-complete question for free. Budgeted, because the cache must
-	// never stall a request on an adversarial query.
-	if res, err := core.FeasibleLimited(q, ps, c.opt.FeasibleBudget); err == nil {
+	// Π₂ᴾ-complete question for free. A query with an executable form
+	// is feasible by Definition 5 — the representative is executable and
+	// equivalent to q, and its own PLAN* has Qᵘ = Qᵒ — so the search runs
+	// only when no executable form was found, and budgeted, because the
+	// cache must never stall a request on an adversarial query.
+	if e.planErr == nil {
+		e.feasible, e.verdict = FeasibilityYes, core.VerdictUnderEqualsOver
+	} else if res, err := core.FeasibleLimited(q, ps, c.opt.FeasibleBudget); err == nil {
 		if res.Feasible {
 			e.feasible = FeasibilityYes
 		} else {

@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/sources"
+	"repro/internal/workload"
 )
 
 func q(t testing.TB, src string) logic.UCQ {
@@ -124,6 +126,58 @@ func TestPlanCacheReplaysError(t *testing.T) {
 	e2, info2 := c.Plan(q(t, "Q(z) :- R(z)."), ps)
 	if e2.Err() == nil || info1.Hit || !info2.Hit {
 		t.Fatal("the planning failure must be cached and replayed")
+	}
+}
+
+// A plan entry's FEASIBLE verdict comes from its plan when there is
+// one, and from the budgeted check only when there is none.
+func TestPlanEntryFeasible(t *testing.T) {
+	// Written form not orderable (S(w, z) needs w, which nothing binds),
+	// core R(x, y), S(y, z) orderable: the representative certifies
+	// feasibility. Run on the text, FEASIBLE would need the containment
+	// check, so the Qᵘ = Qᵒ verdict shows it did not run.
+	padded := q(t, "Q(x) :- R(x, y), S(y, z), S(w, z).")
+	ps := pats(t, "R^oo S^io")
+	if res, err := core.FeasibleLimited(padded, ps, 20000); err != nil || res.Verdict != core.VerdictContainment {
+		t.Fatalf("fixture: FEASIBLE on the text = %v, %v; want a containment verdict", res, err)
+	}
+	e, _ := New(Options{}).Plan(padded, ps)
+	if e.Err() != nil {
+		t.Fatalf("the core is orderable, so the entry must plan: %v", e.Err())
+	}
+	if f, v := e.Feasible(); f != FeasibilityYes || v != core.VerdictUnderEqualsOver {
+		t.Errorf("padded query: Feasible() = %v, %v; want feasible by its plan (%v)", f, v, core.VerdictUnderEqualsOver)
+	}
+
+	examples := map[string]workload.PaperExample{}
+	for _, ex := range workload.PaperExamples() {
+		examples[ex.Name] = ex
+	}
+	for _, tt := range []struct {
+		name    string
+		example string
+		budget  int
+		want    Feasibility
+	}{
+		// No executable form, and FEASIBLE proves there is none.
+		{"example-4 infeasible", "example-4", 0, FeasibilityNo},
+		// No executable form (the second disjunct's core is not
+		// orderable), yet the union is feasible: FEASIBLE's containment
+		// check finds it, within the default budget and not within one
+		// node.
+		{"example-3 feasible by search", "example-3", 0, FeasibilityYes},
+		{"example-3 budget spent", "example-3", 1, FeasibilityUnknown},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ex := examples[tt.example]
+			e, _ := New(Options{FeasibleBudget: tt.budget}).Plan(ex.Query, ex.Patterns)
+			if e.Err() == nil {
+				t.Fatalf("%s has no executable form, yet the entry planned", tt.example)
+			}
+			if f, _ := e.Feasible(); f != tt.want {
+				t.Errorf("Feasible() = %v, want %v", f, tt.want)
+			}
+		})
 	}
 }
 
