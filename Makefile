@@ -42,16 +42,20 @@ bench-build:
 # keys, Sorted fresh and frozen, a full answer hit, the wire
 # flattening), of a plan miss (minimization, canonical key, one
 # containment test, a whole plan build, an answer-tier miss beside 16
-# and 1024 entries), of the join (a call's join side by probe-key
-# width, result size and carrying or deduplicating step, built by the
-# call, built from a held answer's columns or reused finished,
-# idTable insert/find by width, a lookup in a catalog's interner) and
-# of the persist log (one append, a recovery), once each, so they keep
-# compiling and running. The plan-miss lines (qcache, minimize,
-# containment) add -benchmem, so the log shows their allocs/op.
+# and 1024 entries), of the join (an answer's join side by probe-key
+# width, result size and carrying or deduplicating step, built on its
+# own, built from a held answer's columns or reused finished,
+# idTable insert/find by width, a lookup in a catalog's interner), of a
+# source call's bookkeeping (a short-answer step at 16 and 256 calls, a
+# 256-vector SQL statement) and of the persist log (one append, a
+# recovery), once each, so they keep compiling and running. The
+# plan-miss and call-bookkeeping lines add -benchmem, so the log shows
+# their allocs/op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Paper/E(19|20|21|22|23)' -benchtime=1x ./cmd/paperbench/
 	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
+	$(GO) test -run='^$$' -bench='BatchedStep' -benchtime=1x -benchmem ./internal/engine/
+	$(GO) test -run='^$$' -bench='SQLCall' -benchtime=1x -benchmem ./internal/adapter/
 	$(GO) test -run='^$$' -bench='AnswersFullHit|AnswersMiss|PlanMiss' -benchtime=1x -benchmem ./internal/qcache/
 	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkCQ' -benchtime=1x -benchmem ./internal/minimize/
@@ -116,14 +120,15 @@ persist-smoke:
 # latency, failed statements, 5xx/429/connection-refused, malformed
 # responses, open breakers), the batched-pushdown engine path, the
 # per-catalog interner rollover (materialized, streamed, concurrent
-# executions racing it), the adapter differential suite (every adapter
-# answer-equivalent to the in-memory relation it mirrors; a 256-binding
-# group is one round trip), and a catalog config mounted on the server.
-# Under -race because batch demux and HTTP coalescing are concurrent by
-# design.
+# executions racing it), a step's short answers sharing one join and
+# one call slab (held to the oracle, and a call's allocations), the
+# adapter differential suite (every adapter answer-equivalent to the
+# in-memory relation it mirrors; a 256-binding group is one round
+# trip), and a catalog config mounted on the server. Under -race
+# because batch demux and HTTP coalescing are concurrent by design.
 adapter-smoke:
 	$(GO) test -race -count=1 ./internal/adapter/...
-	$(GO) test -race -count=1 -run='TestRuntimeBatch|TestInternerRollover' ./internal/engine/
+	$(GO) test -race -count=1 -run='TestRuntimeBatch|TestInternerRollover|TestStepJoinSharesShortAnswers|TestStepCallAllocs' ./internal/engine/
 	$(GO) test -race -count=1 -run='TestAdapterDifferentialEquivalence|TestAdapterBatchedJoinEquivalence' .
 	$(GO) test -race -count=1 -run='TestMountCatalogConfig|TestRunBatchPushdown' ./internal/server/
 

@@ -469,3 +469,43 @@ func TestExecHonorsContext(t *testing.T) {
 		t.Error("cancelled context must abort naive Exec")
 	}
 }
+
+// Values holding the key separator or escape byte stay apart end to
+// end: two K facts whose values joined by \x1f read alike are two
+// answers, whether the catalog is in memory, the answer comes from the
+// query cache, or the relations are SQL adapters that demultiplex one
+// batched statement.
+func TestKeysAreInjectiveEndToEnd(t *testing.T) {
+	facts := [][]string{{"a\x1fb", "c", "1"}, {"a", "b\x1fc", "2"}}
+	q := MustParseQuery(`Q(x, y, v) :- K(x, y), L(x, y, v).`)
+	ps := MustParsePatterns(`K^oo L^iio`)
+	in := NewInstance()
+	for _, f := range facts {
+		in.MustAdd("K", f[0], f[1]).MustAdd("L", f...)
+	}
+	answer := func(label string, cat *Catalog, opts ...ExecOption) {
+		t.Helper()
+		res, err := Exec(context.Background(), q, ps, cat, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		rel, err := res.Rel()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if rel.Len() != 2 || !rel.Contains(RowOf(facts[0]...)) || !rel.Contains(RowOf(facts[1]...)) {
+			t.Errorf("%s: answer %q, want both facts", label, rel.Rows())
+		}
+	}
+	mem := in.MustCatalog(ps)
+	answer("in memory", mem)
+	qc := NewQueryCache(QueryCacheOptions{})
+	answer("cached, miss", mem, WithQueryCache(qc))
+	answer("cached, hit", mem, WithQueryCache(qc))
+	sqlCat := mirrorSQLCatalog(t, in, ps, "keys")
+	answer("sql", sqlCat)
+	// K's two tuples, then one L tuple for each vector of the one batch.
+	if st := sqlCat.TotalStats(); st.TuplesReturned != 4 || st.RoundTrips != 2 {
+		t.Errorf("sql: %d tuples in %d round trips, want 4 in 2", st.TuplesReturned, st.RoundTrips)
+	}
+}

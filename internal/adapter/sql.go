@@ -206,51 +206,92 @@ func (a *SQL) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([]
 	}
 	keyParts := make([]string, len(inPos))
 	for lo := 0; lo < len(inputs); lo += a.maxBatch {
-		hi := lo + a.maxBatch
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
+		hi := min(lo+a.maxBatch, len(inputs))
 		chunk := inputs[lo:hi]
 		cond, args := where(inCols, chunk)
-		// Demux map: input key -> the chunk's vector indexes wanting it
-		// (duplicates within a group share the rows).
-		want := make(map[string][]int, len(chunk))
-		for k, in := range chunk {
-			key := strings.Join(in, "\x1f")
-			want[key] = append(want[key], lo+k)
-		}
 		start := time.Now()
 		rows, err := a.query(ctx, sel+" WHERE "+cond, args)
 		if err != nil {
 			a.meter(len(chunk), 0, time.Since(start))
 			return nil, err
 		}
-		tuples := 0
-		for _, row := range rows {
-			for c, pos := range inPos {
-				keyParts[c] = row[pos]
-			}
-			for _, i := range want[strings.Join(keyParts, "\x1f")] {
-				out[i] = append(out[i], row)
-				tuples++
-			}
-		}
-		a.meter(len(chunk), tuples, time.Since(start))
+		a.meter(len(chunk), demux(out[lo:hi], chunk, rows, inPos, keyParts), time.Since(start))
 	}
 	return out, nil
 }
 
-// query runs one SELECT and scans every row into string tuples. Driver
-// and connection failures are transient (the backend may come back);
-// context errors pass through untouched so the engine's timeout and
-// cancellation classification work exactly as for in-memory sources.
+// demux hands each vector of chunk its rows, in statement order, as a
+// capacity-clipped window of one array: a vector's first occurrence
+// owns a window and its duplicates share it. It returns the tuples
+// delivered, a duplicate's counted again. keyParts is scratch of one
+// entry per input position.
+func demux(out [][]sources.Tuple, chunk [][]string, rows []sources.Tuple, inPos []int, keyParts []string) int {
+	// owner[k] is the first vector of chunk equal to vector k.
+	first := make(map[string]int32, len(chunk))
+	owner := make([]int32, len(chunk))
+	for k, in := range chunk {
+		key := sources.Key(in)
+		o, ok := first[key]
+		if !ok {
+			o = int32(k)
+			first[key] = o
+		}
+		owner[k] = o
+	}
+	// of[r] is the owner of row r (-1: no vector asked for it), n[o] the
+	// rows o owns and at[o] its fill cursor, which ends as its window's
+	// end.
+	of := make([]int32, len(rows))
+	counts := make([]int, 2*len(chunk))
+	n, at := counts[:len(chunk)], counts[len(chunk):]
+	placed := 0
+	for r, row := range rows {
+		for c, pos := range inPos {
+			keyParts[c] = row[pos]
+		}
+		o, ok := first[sources.Key(keyParts)]
+		if !ok {
+			of[r] = -1
+			continue
+		}
+		of[r] = o
+		n[o]++
+		placed++
+	}
+	all := make([]sources.Tuple, placed)
+	for o, next := 0, 0; o < len(n); o++ {
+		at[o] = next
+		next += n[o]
+	}
+	for r, o := range of {
+		if o >= 0 {
+			all[at[o]] = rows[r]
+			at[o]++
+		}
+	}
+	tuples := 0
+	for k, o := range owner {
+		if c := n[o]; c > 0 {
+			out[k] = all[at[o]-c : at[o] : at[o]]
+			tuples += c
+		}
+	}
+	return tuples
+}
+
+// query runs one SELECT and scans its rows into one flat array, each
+// tuple a capacity-clipped window of it. Driver and connection failures
+// are transient (the backend may come back); context errors pass
+// through untouched so the engine's timeout and cancellation
+// classification work exactly as for in-memory sources.
 func (a *SQL) query(ctx context.Context, q string, args []any) ([]sources.Tuple, error) {
 	rs, err := a.db.QueryContext(ctx, q, args...)
 	if err != nil {
 		return nil, a.wireErr(err)
 	}
 	defer rs.Close()
-	var out []sources.Tuple
+	var flat []string
+	rows := 0
 	vals := make([]sql.NullString, a.arity)
 	ptrs := make([]any, a.arity)
 	for i := range vals {
@@ -260,14 +301,17 @@ func (a *SQL) query(ctx context.Context, q string, args []any) ([]sources.Tuple,
 		if err := rs.Scan(ptrs...); err != nil {
 			return nil, a.wireErr(err)
 		}
-		t := make(sources.Tuple, a.arity)
 		for i := range vals {
-			t[i] = vals[i].String
+			flat = append(flat, vals[i].String)
 		}
-		out = append(out, t)
+		rows++
 	}
 	if err := rs.Err(); err != nil {
 		return nil, a.wireErr(err)
+	}
+	out := make([]sources.Tuple, rows)
+	for i := range out {
+		out[i] = flat[i*a.arity : (i+1)*a.arity : (i+1)*a.arity]
 	}
 	return out, nil
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/logic"
+	"repro/internal/sources"
 )
 
 // IND is an inclusion dependency From[FromCols] ⊆ To[ToCols]: for every
@@ -137,7 +138,7 @@ func projectKey(row []string, cols []int) string {
 	for i, c := range cols {
 		parts[i] = row[c]
 	}
-	return strings.Join(parts, "\x1f")
+	return sources.Key(parts)
 }
 
 // RefutesRule reports whether the rule body is unsatisfiable on every

@@ -42,6 +42,13 @@ func TestHoldsAndViolations(t *testing.T) {
 	if s.Holds(in) || s.Violations(in) != 1 {
 		t.Errorf("want 1 violation, got %d", s.Violations(in))
 	}
+	// A projection of two values is not matched by one whose values
+	// joined by the key separator read alike.
+	pair := MustParse(`T[0,1] < U[0,1]`)
+	in.MustAdd("T", "a\x1fb", "c").MustAdd("U", "a", "b\x1fc")
+	if got := pair.Violations(in); got != 1 {
+		t.Errorf("T(a\\x1fb, c) against U(a, b\\x1fc): %d violations, want 1", got)
+	}
 }
 
 // Example 6 of the paper: with R.z ⊆ S.z the first disjunct of the

@@ -9,13 +9,15 @@ package engine
 // interner the execution pinned. One step is then a hash
 // join: each distinct source call's tuples are interned, filtered by
 // the static constant and repeated-variable constraints once, and
-// grouped by their bound-position key — built once per call — and each
-// input row probes by its own bound-slot key, emitting one output row
-// per matching tuple. A long answer's join side is built once per
-// catalog state and step shape instead: its columns and finished joins
-// are held beside the interner under the returned group's identity and
-// shared by every execution that pins the state and receives the same
-// group (held.go).
+// grouped by their bound-position key, and each input row probes by its
+// own bound-slot key, emitting one output row per matching tuple. The
+// short answers of one batch's new calls share one such join, built
+// once per batch: there a key starts with the call's ordinal, which
+// keeps each call's tuples to its own rows. A long answer's
+// join side is built once per catalog state and step shape instead: its
+// columns and finished joins are held beside the interner under the
+// returned group's identity and shared by every execution that pins the
+// state and receives the same group (held.go).
 // Column buffers are recycled through a per-execution colPool. Strings
 // materialize only at the edges: call inputs handed to internal/sources
 // and head rows handed to the sink.
@@ -205,7 +207,7 @@ type stepArg struct {
 	constID  uint32 // argConst
 	slot     int    // argFirst: slot written; argBound: slot probed
 	firstPos int    // argRepeat: position of the variable's first occurrence
-	// need says buildJoin reads the tuple's value here: to compare it
+	// need says groupJoin reads the tuple's value here: to compare it
 	// (constants, repeats and the first occurrence they repeat, probe
 	// positions) or to carry it (a fresh variable something later reads).
 	// Every other position is never interned.
@@ -395,7 +397,7 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 // projectLive is the backward liveness pass: a slot is live after step
 // k iff a later literal (as a call input or a probe position) or the
 // head reads it. Each step's output columns shrink to its live slots,
-// each atom position learns whether buildJoin needs its value, and a
+// each atom position learns whether groupJoin needs its value, and a
 // non-final step that thereby drops a slot is marked to deduplicate
 // what it sends on.
 func (prog *ruleProgram) projectLive() {
@@ -448,13 +450,10 @@ func (prog *ruleProgram) projectLive() {
 	}
 }
 
-// materializeInputs builds the string inputs of one distinct call (the
-// only place input strings materialize; deduped rows never do).
-func (sp *stepProgram) materializeInputs(in *colBatch, row int, pool *colPool) []string {
-	if len(sp.inputs) == 0 {
-		return nil
-	}
-	out := make([]string, len(sp.inputs))
+// fillInputs writes the string inputs of one distinct call, made by
+// row, into out (the only place input strings materialize; deduped rows
+// never do).
+func (sp *stepProgram) fillInputs(out []string, in *colBatch, row int, pool *colPool) {
 	for k, s := range sp.inputs {
 		if s.slot >= 0 {
 			out[k] = pool.ids.str(in.cols[s.slot][row])
@@ -462,22 +461,29 @@ func (sp *stepProgram) materializeInputs(in *colBatch, row int, pool *colPool) [
 			out[k] = pool.ids.str(s.constID)
 		}
 	}
-	return out
 }
 
-// callJoin is the hash-join side of one distinct source call: the
-// call's tuples interned at the positions the step needs, pre-filtered
-// by the step's static constraints, and grouped by their bound-position
-// key CSR-style — group g's surviving tuple indices are
-// idx[start[g]:start[g+1]], in tuple order. It is built once per call —
-// in a streamed stage the step's state carries it across batches — and
-// probed once per input row.
+// callJoin is the hash-join side of one or more source calls' answers:
+// their tuples interned at the positions the step needs, pre-filtered by
+// the step's static constraints, and grouped by their bound-position key
+// — behind the answer's ordinal when there are several — CSR-style:
+// group g's surviving tuple indices are idx[start[g]:start[g+1]], in
+// tuple order. The short answers of a batch's new calls share one,
+// built once per batch; a held answer has its own, built once per
+// catalog state and step shape. A call's join outlives its batch: in a
+// streamed stage the step's state carries the call, and a later batch's
+// row that makes it probes it.
 type callJoin struct {
 	// vals is column-major, arity × n: tuple ti's ID at position p is
-	// vals[p*n+ti]. Only needed positions are filled. For a held answer
-	// it is the held table's shared array (held.go), never written here.
-	vals  []uint32
-	n     int
+	// vals[p*n+ti], the answers' tuples numbered in order. Only needed
+	// positions are filled. For a held answer it is the held table's
+	// shared array (held.go), never written here.
+	vals []uint32
+	n    int
+	// byOrd says a key starts with the answer's ordinal: the join holds
+	// more than one answer. One answer's keys are its bound-position
+	// keys alone, so a scan's is the empty tuple and needs no table.
+	byOrd bool
 	keys  idTable // probe key → group
 	start []int32
 	idx   []int32
@@ -487,8 +493,9 @@ type callJoin struct {
 // came back, or the atom has a null term. Shared and never written.
 var emptyJoin = &callJoin{}
 
-// group returns the indices of the tuples matching the probe key, in
-// tuple order; none when the key has no group.
+// group returns the indices of the tuples matching the probe key — the
+// call's ordinal if byOrd, then the row's bound-slot values — in tuple
+// order; none when the key has no group.
 func (j *callJoin) group(key []uint32) []int32 {
 	g := j.keys.find(key)
 	if g < 0 {
@@ -497,82 +504,121 @@ func (j *callJoin) group(key []uint32) []int32 {
 	return j.idx[j.start[g]:j.start[g+1]]
 }
 
-// buildJoin returns the call's join side. A long answer's (held != nil)
-// is built once per catalog state and step shape and shared
-// (heldTable.join); otherwise, or when the answer cannot be held, the
-// call interns its tuples and builds its own. key is the caller's
-// scratch.
-func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool, held *heldTable, key []uint32) *callJoin {
-	if len(rows) == 0 || sp.never {
-		return emptyJoin
+// joinCalls gives each of a batch's new calls its join side. A long
+// answer's (heldMinRows and up) is built once per catalog state and step
+// shape and shared (heldTable.join); every other answer with tuples —
+// short, or too large to hold — goes into the batch's one join, keyed by
+// its ordinal there. key is the caller's scratch.
+func (sp *stepProgram) joinCalls(calls []stepCall, pool *colPool, key []uint32) {
+	shorts, tuples := 0, 0
+	for i := range calls {
+		c := &calls[i]
+		if len(c.rows) == 0 || sp.never {
+			c.join = emptyJoin
+			continue
+		}
+		if len(c.rows) >= heldMinRows {
+			if c.join = pool.held.join(c.rows, sp, pool, key); c.join != nil {
+				pool.nHeld.Add(1)
+				continue
+			}
+		}
+		shorts++
+		tuples += len(c.rows)
 	}
-	if held != nil {
-		if j := held.join(rows, sp, pool, key); j != nil {
-			pool.nHeld.Add(1)
-			return j
+	if shorts == 0 {
+		return
+	}
+	var one [1][]sources.Tuple // a single short answer needs no list of its own
+	answers := one[:0]
+	if shorts > 1 {
+		answers = make([][]sources.Tuple, 0, shorts)
+	}
+	for i := range calls {
+		if c := &calls[i]; c.join == nil {
+			c.ord = uint32(len(answers))
+			answers = append(answers, c.rows)
 		}
 	}
-	return sp.groupJoin(rows, make([]uint32, len(sp.args)*len(rows)), pool, key, false)
+	j := sp.groupJoin(answers, make([]uint32, len(sp.args)*tuples), pool, key, false)
+	for i := range calls {
+		if calls[i].join == nil {
+			calls[i].join = j
+		}
+	}
 }
 
-// groupJoin filters the call's tuples and groups them by bound-position
-// key with a stable counting sort: tuple order is preserved within each
-// group, so probing emits matches in exactly the oracle's order. vals is
+// groupJoin filters the answers' tuples and groups them by (ordinal,
+// bound-position key), or by the key alone for one answer, with a
+// stable counting sort: tuple order is preserved within each group, so
+// probing emits matches in exactly the oracle's order, and a tuple only
+// ever matches rows of the call that returned it, even one that
+// disagrees with the call's inputs. vals is
 // the column-major ID array: a held answer's, its needed columns filled
-// (held), or a fresh one the call interns into as it goes.
+// (held: answers is that one answer), or a fresh one the build interns
+// into as it goes.
 //
 // A held join of a dedup step keeps only the first tuple of each newCols
 // projection within a group. That is exact: the rest would make the same
 // output binding as the first for every input row that probes the group,
-// and stepState.seen would drop it there. A call's own join keeps them,
-// so a short answer pays for no distinct set of its own.
-func (sp *stepProgram) groupJoin(rows []sources.Tuple, vals []uint32, pool *colPool, key []uint32, held bool) *callJoin {
-	n, arity := len(rows), len(sp.args)
-	j := &callJoin{vals: vals, n: n}
+// and stepState.seen would drop it there. A batch's join keeps them, so
+// short answers pay for no distinct set of their own.
+func (sp *stepProgram) groupJoin(answers [][]sources.Tuple, vals []uint32, pool *colPool, key []uint32, held bool) *callJoin {
+	n, arity := 0, len(sp.args)
+	for _, rows := range answers {
+		n += len(rows)
+	}
+	j := &callJoin{vals: vals, n: n, byOrd: len(answers) > 1}
 	// One allocation for both per-tuple arrays: the group of every tuple
 	// (-1: filtered out), then the tuples ordered by group.
 	scratch := make([]int32, 2*n)
 	gid, idx := scratch[:n], scratch[n:]
 	var firsts idTable // a held dedup step's (group, newCols values) seen
-	survivors := 0
-	for ti, t := range rows {
-		ok := true
-		for p := 0; p < arity && ok; p++ {
-			a := &sp.args[p]
-			if !a.need {
-				continue
+	survivors, ti := 0, -1
+	for ord, rows := range answers {
+		for _, t := range rows {
+			ti++
+			ok := true
+			for p := 0; p < arity && ok; p++ {
+				a := &sp.args[p]
+				if !a.need {
+					continue
+				}
+				if !held {
+					vals[p*n+ti] = pool.intern(t[p])
+				}
+				switch id := vals[p*n+ti]; a.role {
+				case argConst:
+					ok = id == a.constID
+				case argRepeat:
+					ok = id == vals[a.firstPos*n+ti]
+				}
 			}
-			if !held {
-				vals[p*n+ti] = pool.intern(t[p])
-			}
-			switch id := vals[p*n+ti]; a.role {
-			case argConst:
-				ok = id == a.constID
-			case argRepeat:
-				ok = id == vals[a.firstPos*n+ti]
-			}
-		}
-		if !ok {
-			gid[ti] = -1
-			continue
-		}
-		key = key[:0]
-		for _, p := range sp.boundPos {
-			key = append(key, vals[p*n+ti])
-		}
-		g, _ := j.keys.insert(key)
-		if held && sp.dedup {
-			key = append(key[:0], uint32(g))
-			for _, nc := range sp.newCols {
-				key = append(key, vals[nc.pos*n+ti])
-			}
-			if _, fresh := firsts.insert(key); !fresh {
+			if !ok {
 				gid[ti] = -1
 				continue
 			}
+			key = key[:0]
+			if j.byOrd {
+				key = append(key, uint32(ord))
+			}
+			for _, p := range sp.boundPos {
+				key = append(key, vals[p*n+ti])
+			}
+			g, _ := j.keys.insert(key)
+			if held && sp.dedup {
+				key = append(key[:0], uint32(g))
+				for _, nc := range sp.newCols {
+					key = append(key, vals[nc.pos*n+ti])
+				}
+				if _, fresh := firsts.insert(key); !fresh {
+					gid[ti] = -1
+					continue
+				}
+			}
+			gid[ti] = g
+			survivors++
 		}
-		gid[ti] = g
-		survivors++
 	}
 	// start[g+2] counts group g, becomes its cursor start[g+1] after the
 	// prefix sum, and ends the placement as the start of group g+1.
@@ -602,11 +648,14 @@ func (sp *stepProgram) groupJoin(rows []sources.Tuple, vals []uint32, pool *colP
 // to, owned by the schedule: one value per step, for the one batch of a
 // whole rule or across all the batches of a stage.
 type stepState struct {
-	// memo maps a call-input tuple to its call in calls (when rt.Dedup):
-	// keys resolved by an earlier batch are served without a new source
-	// call, so per-step deduplication is exactly as strong staged as
-	// whole.
-	memo  idTable
+	// memo maps a call-input tuple to its index in calls (when
+	// rt.Dedup): keys resolved by an earlier batch are served without a
+	// new source call, so per-step deduplication is exactly as strong
+	// staged as whole.
+	memo idTable
+	// calls are the step's distinct calls so far under rt.Dedup, the
+	// current batch's otherwise. Each points into the slab of the batch
+	// that made it (applyStepCol).
 	calls []*stepCall
 	// seen holds the output bindings a slot-dropping step already sent
 	// downstream (stepProgram.dedup), over its output columns.
@@ -638,37 +687,55 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 	}
 	pool.nBatches.Add(1)
 
-	// Group rows into distinct calls by their input-ID tuple.
+	// Group rows into distinct calls by their input-ID tuple: row i's
+	// call is st.calls[of[i]]. Without Dedup every row is a call of its
+	// own.
 	var keyArr [8]uint32
 	key := keyArr[:0]
-	var calls, callOf []*stepCall
-	if rt.Dedup {
-		callOf = make([]*stepCall, in.n)
-		known := len(st.calls)
-		for i := 0; i < in.n; i++ {
-			key = key[:0]
-			for _, is := range sp0.inputs {
-				v := is.constID
-				if is.slot >= 0 {
-					v = in.cols[is.slot][i]
-				}
-				key = append(key, v)
-			}
-			c, fresh := st.memo.insert(key)
-			if fresh {
-				st.calls = append(st.calls, &stepCall{inputs: sp0.materializeInputs(in, i, pool)})
-			} else {
-				sp.DedupedCalls++
-			}
-			callOf[i] = st.calls[c]
+	of := make([]int32, in.n)
+	if !rt.Dedup {
+		st.calls = st.calls[:0]
+	}
+	known, fresh := len(st.calls), 0
+	for i := 0; i < in.n; i++ {
+		if !rt.Dedup {
+			of[i] = int32(i)
+			fresh++
+			continue
 		}
-		calls = st.calls[known:]
-	} else {
-		calls = make([]*stepCall, in.n)
-		for i := range calls {
-			calls[i] = &stepCall{inputs: sp0.materializeInputs(in, i, pool)}
+		key = key[:0]
+		for _, is := range sp0.inputs {
+			v := is.constID
+			if is.slot >= 0 {
+				v = in.cols[is.slot][i]
+			}
+			key = append(key, v)
 		}
-		callOf = calls
+		c, isNew := st.memo.insert(key)
+		if isNew {
+			fresh++
+		} else {
+			sp.DedupedCalls++
+		}
+		of[i] = c
+	}
+	// The batch's new calls are one slab, numbered in the order their
+	// first rows come, and their inputs windows of one array.
+	calls := make([]stepCall, fresh)
+	w := len(sp0.inputs)
+	inputs := make([]string, fresh*w)
+	st.calls = slices.Grow(st.calls, fresh)
+	for i := 0; len(st.calls) < known+fresh; i++ {
+		if int(of[i]) != len(st.calls) {
+			continue
+		}
+		k := len(st.calls) - known
+		c := &calls[k]
+		if w > 0 {
+			c.inputs = inputs[k*w : (k+1)*w : (k+1)*w]
+			sp0.fillInputs(c.inputs, in, i, pool)
+		}
+		st.calls = append(st.calls, c)
 	}
 	t0 := time.Now()
 	err := rt.issue(ctx, src, step, calls, sp, budget)
@@ -676,13 +743,7 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 	if err != nil {
 		return 0, false, err
 	}
-	for _, c := range calls {
-		var held *heldTable
-		if len(c.rows) >= heldMinRows {
-			held = pool.held
-		}
-		c.join = sp0.buildJoin(c.rows, pool, held, key)
-	}
+	sp0.joinCalls(calls, pool, key)
 
 	// Probe every row, resolving its matching tuple group and an upper
 	// bound on the output cardinality (exact unless the step dedups)
@@ -691,11 +752,15 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 	rowGroups := make([][]int32, in.n)
 	left := 0
 	for i := 0; i < in.n; i++ {
+		c := st.calls[of[i]]
 		key = key[:0]
+		if c.join.byOrd {
+			key = append(key, c.ord)
+		}
 		for _, s := range sp0.probeSlots {
 			key = append(key, in.cols[s][i])
 		}
-		g := callOf[i].join.group(key)
+		g := c.join.group(key)
 		rowGroups[i] = g
 		if negated {
 			if len(g) == 0 {
@@ -731,7 +796,7 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 				matches = 1
 			}
 		}
-		join := callOf[i].join
+		join := st.calls[of[i]].join
 		for m := 0; m < matches; m++ {
 			var ti int // the matching tuple; a negated step binds nothing
 			if !negated {

@@ -9,7 +9,7 @@ package engine
 // Cached hand the same group to every caller. So a returned group's
 // identity — its first tuple's address and its length — stands for its
 // contents, and the IDs of its values at one atom position (a column)
-// are the same for every step that reads it. buildJoin looks the group
+// are the same for every step that reads it. joinCalls looks the group
 // up here. Each column a step needs is interned once, lazily, under the
 // table's lock. The join side — filtered by the step's constants and
 // repeats, grouped by its probe key, and for a dedup step cut to the
@@ -27,7 +27,9 @@ package engine
 //     same IDs;
 //   - answers shorter than heldMinRows are not held, so the one-row
 //     answers an adapter builds afresh for every call never reach the
-//     table;
+//     table: they go into their batch's one join, built per batch;
+//   - a held group an adapter returned as a window of one statement's
+//     row array (adapter.SQL) keeps that whole array alive with it;
 //   - the table holds at most heldMaxCells IDs and join words: it starts
 //     over when a new answer would overflow it, and a join that would is
 //     used by its call but not held;
@@ -50,7 +52,10 @@ const (
 	// its IDs and its rows kept alive. At one row the saving is under
 	// 0.1 µs a reuse and short answers are what adapters return afresh on
 	// every call (remote_batch makes 512 a request), so they would only
-	// churn the table; from 32 rows on a reuse saves ≥ 0.7 µs.
+	// churn the table; from 32 rows on a reuse saves ≥ 0.7 µs. A shorter
+	// answer is not joined alone either: the short answers of a batch's
+	// new calls share one join, whose set-up is paid once per batch.
+	// The build sizes above are per call, before that sharing.
 	heldMinRows = 32
 	// heldMaxCells bounds the 32-bit words one catalog's table holds
 	// (1 MB; E25's R, 4 000 × 7 IDs, is 28 000, and its one join 23).
@@ -150,7 +155,7 @@ func (h *heldTable) join(rows []sources.Tuple, sp *stepProgram, pool *colPool, k
 	if a == nil || j != nil {
 		return j
 	}
-	j = sp.groupJoin(rows, a.vals, pool, key, true)
+	j = sp.groupJoin([][]sources.Tuple{rows}, a.vals, pool, key, true)
 
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -513,7 +513,7 @@ func TestHeldJoinDedupFirstOccurrence(t *testing.T) {
 	if !sp.dedup || len(sp.boundPos) != 1 {
 		t.Fatalf("fixture: R step dedup=%v, probe positions %v", sp.dedup, sp.boundPos)
 	}
-	own, held := sp.buildJoin(r.rows, pool, nil, nil), sp.buildJoin(r.rows, pool, newHeldTable(), nil)
+	own, held := ownJoin(sp, r.rows, pool, nil), newHeldTable().join(r.rows, sp, pool, nil)
 	if own.keys.len() != held.keys.len() || len(held.idx) >= len(own.idx) {
 		t.Fatalf("held join: %d groups, %d tuples; own %d, %d", held.keys.len(), len(held.idx), own.keys.len(), len(own.idx))
 	}

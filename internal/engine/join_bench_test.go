@@ -44,15 +44,20 @@ func joinStep(b *testing.B, keys int, dedup bool, pool *colPool) *stepProgram {
 	return &prog.steps[len(patterns)-1-len(tailPats)]
 }
 
-// The join side of one call, by probe-key width, result size and step
+// ownJoin builds the join side of rows alone, as a batch whose one
+// short answer it is does: interning as it goes, keeping every tuple.
+func ownJoin(sp *stepProgram, rows []sources.Tuple, pool *colPool, key []uint32) *callJoin {
+	return sp.groupJoin([][]sources.Tuple{rows}, make([]uint32, len(sp.args)*len(rows)), pool, key, false)
+}
+
+// The join side of one answer, by probe-key width, result size and step
 // (carry: v carried; dedup: d dropped, so a held join keeps one tuple per
 // v in each group), built privately (own), from a held answer's columns
 // (held: what the first call of a step shape pays), or read back
-// finished (reuse: every later call of that shape). A one-tuple lookup
-// (what remote_batch and cold_plan issue by the hundred) must stay a
-// handful of allocations, a 4000-tuple scan a handful too, and reuse
-// allocates nothing. heldMinRows is read off the own/reuse gap at 1 and
-// 32 rows.
+// finished (reuse: every later call of that shape). A 4000-tuple scan
+// must stay a handful of allocations and reuse allocates nothing.
+// heldMinRows is read off the own/reuse gap at 1 and 32 rows; short
+// answers share their batch's join on top of that (BenchmarkBatchedStep).
 func BenchmarkBuildJoin(b *testing.B) {
 	for _, keys := range []int{0, 1, 2, 4} {
 		for _, n := range []int{1, 32, 4000} {
@@ -67,12 +72,12 @@ func BenchmarkBuildJoin(b *testing.B) {
 					}
 				}
 				h := newHeldTable()
-				held := sp.buildJoin(rows, pool, h, nil) // intern, hold the columns and the join once
+				held := h.join(rows, sp, pool, nil) // intern, hold the columns and the join once
 				vals := held.vals
 				builds := map[string]func(key []uint32) *callJoin{
-					"own":   func(key []uint32) *callJoin { return sp.buildJoin(rows, pool, nil, key) },
-					"held":  func(key []uint32) *callJoin { return sp.groupJoin(rows, vals, pool, key, true) },
-					"reuse": func(key []uint32) *callJoin { return sp.buildJoin(rows, pool, h, key) },
+					"own":   func(key []uint32) *callJoin { return ownJoin(sp, rows, pool, key) },
+					"held":  func(key []uint32) *callJoin { return sp.groupJoin([][]sources.Tuple{rows}, vals, pool, key, true) },
+					"reuse": func(key []uint32) *callJoin { return h.join(rows, sp, pool, key) },
 				}
 				for _, mode := range []string{"own", "held", "reuse"} {
 					build, want := builds[mode], len(held.idx)

@@ -80,13 +80,13 @@ func agreesWithOracle(t *testing.T, q logic.CQ, steps []access.AdornedLiteral, m
 }
 
 // The liveness pass, case by case: which slots each step carries on, at
-// which atom positions buildJoin reads the tuple, and which steps
+// which atom positions groupJoin reads the tuple, and which steps
 // deduplicate — then the same plan against the oracle on data that
 // makes the dropped slots matter.
 func TestCompileRuleLiveSets(t *testing.T) {
 	type step struct {
 		carry string // variables of the step's output columns, copied then new
-		need  string // per atom position: n = read by buildJoin, - = never interned
+		need  string // per atom position: n = read by groupJoin, - = never interned
 		dedup bool
 	}
 	cases := []struct {

@@ -11,7 +11,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/access"
 	"repro/internal/core"
@@ -122,24 +121,23 @@ func (rt *Runtime) applyStep(ctx context.Context, step access.AdornedLiteral, ca
 	if src == nil {
 		return nil, fmt.Errorf("engine: no source for relation %s", step.Literal.Atom.Pred)
 	}
-	calls := make([]*stepCall, 0, len(bindings))
-	callOf := make([]*stepCall, len(bindings))
-	byKey := map[string]*stepCall{}
+	calls := make([]stepCall, 0, len(bindings))
+	callOf := make([]int, len(bindings))
+	byKey := map[string]int{}
 	for i, b := range bindings {
 		inputs, err := callInputs(step, b)
 		if err != nil {
 			return nil, err
 		}
-		key := strings.Join(inputs, "\x1f")
+		key := sources.Key(inputs)
 		if c, ok := byKey[key]; ok && rt.Dedup {
 			callOf[i] = c
 			sp.DedupedCalls++
 			continue
 		}
-		c := &stepCall{inputs: inputs}
-		byKey[key] = c
-		calls = append(calls, c)
-		callOf[i] = c
+		byKey[key] = len(calls)
+		callOf[i] = len(calls)
+		calls = append(calls, stepCall{inputs: inputs})
 	}
 	if err := rt.issue(ctx, src, step, calls, sp, budget); err != nil {
 		return nil, err
@@ -149,7 +147,7 @@ func (rt *Runtime) applyStep(ctx context.Context, step access.AdornedLiteral, ca
 	// evaluation, whatever order the calls completed in.
 	var next []binding
 	for i, b := range bindings {
-		tuples := callOf[i].rows
+		tuples := calls[callOf[i]].rows
 		if step.Literal.Negated {
 			// Filter: keep the binding iff no returned tuple matches the
 			// (fully bound) arguments.

@@ -508,16 +508,22 @@ func (rt *Runtime) callWithRetry(ctx context.Context, src sources.Source, name s
 }
 
 // stepCall is one distinct (pattern, inputs) call of a step, shared by
-// every binding whose input slots produced it.
+// every binding whose input slots produced it. A batch's new calls are
+// one slab, and their inputs windows of one array (applyStepCol).
 type stepCall struct {
 	inputs []string
 	rows   []sources.Tuple
 	stats  callStats
 	err    error
-	// join is the call's hash-join side (tuples interned, filtered,
-	// grouped by bound-position key), built once per call and carried
-	// across batches by a staged step's stepState.
+	// join is the hash-join side the call's tuples are in (interned,
+	// filtered, grouped by bound-position key): its batch's
+	// one join of short answers, a held answer's own, or emptyJoin. ord
+	// is the call's ordinal in it, the first word of its probe keys
+	// when the join holds several answers (callJoin.byOrd).
+	// Both are set once per batch (joinCalls) and carried across batches
+	// by a staged step's stepState.
 	join *callJoin
+	ord  uint32
 }
 
 // callError attributes a failed step call to the source it targeted, so
@@ -552,7 +558,7 @@ func (e *callError) Unwrap() error { return e.Err }
 //
 // On failure every distinct error is reported (joined), and
 // outstanding calls are cancelled.
-func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []*stepCall, sp *StepProfile, budget *budgetState) error {
+func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []stepCall, sp *StepProfile, budget *budgetState) error {
 	if len(calls) == 0 {
 		return nil
 	}
@@ -560,8 +566,8 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 	var gauge inFlightGauge
 	// One backing slice for the step: a group of one is all[i:i+1].
 	all := make([][]string, len(calls))
-	for i, c := range calls {
-		all[i] = c.inputs
+	for i := range calls {
+		all[i] = calls[i].inputs
 	}
 	_, hedged := rt.hedgeTarget(src)
 	whole := len(calls) > 1 && !hedged && src.Batches()
@@ -575,8 +581,8 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 		case err == nil:
 			sp.BatchGroups++
 			sp.BatchedCalls += len(calls)
-			for i, c := range calls {
-				c.rows = groups[i]
+			for i := range calls {
+				calls[i].rows = groups[i]
 			}
 		case errors.Is(err, ErrCallBudget) || errors.Is(err, context.Canceled) || ctx.Err() != nil:
 			calls[0].err = err
@@ -588,7 +594,8 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 	case whole:
 		// Answered, or terminally failed, by the one call above.
 	case workers <= 1:
-		for i, c := range calls {
+		for i := range calls {
+			c := &calls[i]
 			rt.callOne(ctx, src, name, p, c, all[i:i+1], &gauge, budget)
 			if c.err != nil {
 				break // abort like the sequential loop; later calls stay unissued
@@ -603,7 +610,7 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 			go func() {
 				defer wg.Done()
 				for i := range feed {
-					c := calls[i]
+					c := &calls[i]
 					if cctx.Err() != nil {
 						c.err = cctx.Err()
 						continue
@@ -624,7 +631,8 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 	}
 	var errs []error
 	var cancelled error
-	for _, c := range calls {
+	for i := range calls {
+		c := &calls[i]
 		sp.Calls += c.stats.attempts
 		if c.stats.rounds > 1 {
 			sp.Retries += c.stats.rounds - 1

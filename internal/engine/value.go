@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"repro/internal/sources"
 )
 
 // Value is a constant answer value or the distinguished null that
@@ -38,44 +40,56 @@ func (v Value) String() string {
 // Row is one answer tuple.
 type Row []Value
 
-// nullKey is how a null encodes in a row key; keySep joins the values.
-const (
-	nullKey = "\x00null"
-	keySep  = "\x1f"
-)
+// nullKey is how a null encodes in a row key: KeyEsc followed by a byte
+// no escaped constant puts there (sources.Key).
+const nullKey = sources.KeyEsc + "null"
 
 // KeyLen returns len(r.Key()) without building the key.
 func (r Row) KeyLen() int {
-	if len(r) == 0 {
-		return 0
-	}
-	n := len(r) - 1
-	for _, v := range r {
-		if v.Null {
-			n += len(nullKey)
-		} else {
-			n += len(v.S)
-		}
-	}
+	n, _ := r.keyLen()
 	return n
 }
 
-// Key encodes the row for set membership: the values joined by \x1f,
-// a null as "\x00null". It allocates once — not at all for a row of one
-// constant, whose key is the constant itself.
+// keyLen returns len(r.Key()) and whether a constant of r needs an
+// escape.
+func (r Row) keyLen() (n int, escape bool) {
+	if len(r) == 0 {
+		return 0, false
+	}
+	n = len(r) - 1
+	for _, v := range r {
+		if v.Null {
+			n += len(nullKey)
+			continue
+		}
+		l := sources.KeyValueLen(v.S)
+		escape = escape || l != len(v.S)
+		n += l
+	}
+	return n, escape
+}
+
+// Key encodes the row for set membership: the constants encoded and
+// joined as sources.Key does, a null as "\x00null". It allocates once —
+// not at all for a row of one constant that needs no escape, whose key
+// is the constant itself.
 func (r Row) Key() string {
-	if len(r) == 1 && !r[0].Null {
+	n, escape := r.keyLen()
+	if len(r) == 1 && !r[0].Null && !escape {
 		return r[0].S
 	}
 	var b strings.Builder
-	b.Grow(r.KeyLen())
+	b.Grow(n)
 	for i, v := range r {
 		if i > 0 {
-			b.WriteString(keySep)
+			b.WriteString(sources.KeySep)
 		}
-		if v.Null {
+		switch {
+		case v.Null:
 			b.WriteString(nullKey)
-		} else {
+		case escape:
+			sources.WriteKeyValue(&b, v.S)
+		default:
 			b.WriteString(v.S)
 		}
 	}

@@ -9,16 +9,22 @@ import (
 	"testing"
 )
 
-// oldKey is Row.Key as it was before it was made to allocate once; the
-// new one must return the same bytes (sort order, persisted byte
-// accounting and every map keyed on it depend on them).
+// escapeKeyValue is sources.Key's escape of one value, spelled out.
+var escapeKeyValue = strings.NewReplacer("\x00", "\x00\x01", "\x1f", "\x00\x02")
+
+// oldKey is Row.Key as a join of per-value parts, the formula it had
+// before it was made to allocate once, with the escape that made it
+// injective; the builder must return the same bytes (sort order,
+// persisted byte accounting and every map keyed on it depend on them).
+// A row whose constants hold neither \x00 nor \x1f keys exactly as
+// before the escape.
 func oldKey(r Row) string {
 	parts := make([]string, len(r))
 	for i, v := range r {
 		if v.Null {
 			parts[i] = "\x00null"
 		} else {
-			parts[i] = v.S
+			parts[i] = escapeKeyValue.Replace(v.S)
 		}
 	}
 	return strings.Join(parts, "\x1f")
@@ -72,6 +78,24 @@ func TestRowKeyMatchesJoinFormula(t *testing.T) {
 		}
 		if got, want := row.KeyLen(), len(oldKey(row)); got != want {
 			t.Fatalf("KeyLen(%s) = %d, want %d", row, got, want)
+		}
+	}
+}
+
+// Rows that a bare join of their values confuses key apart: values
+// holding the separator, and a null beside the constant its marker
+// spells.
+func TestRowKeysAreInjective(t *testing.T) {
+	for _, pair := range [][2]Row{
+		{RowOf("a\x1fb", "c"), RowOf("a", "b\x1fc")},
+		{Row{NullValue}, RowOf("\x00null")},
+		{Row{NullValue, V("")}, RowOf("\x00null", "")},
+	} {
+		if pair[0].Key() == pair[1].Key() {
+			t.Errorf("%s and %s share the key %q", pair[0], pair[1], pair[0].Key())
+		}
+		if rel := NewRel(); !rel.Add(pair[0]) || !rel.Add(pair[1]) {
+			t.Errorf("%s and %s: a relation keeps one of them", pair[0], pair[1])
 		}
 	}
 }

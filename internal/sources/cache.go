@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"strings"
 	"sync"
 
 	"repro/internal/access"
@@ -184,7 +183,7 @@ func (c *Cached) Call(ctx context.Context, p access.Pattern, inputs [][]string) 
 
 // callKey identifies one (pattern, input vector) call of a source.
 func callKey(p access.Pattern, in []string) string {
-	return string(p) + "\x00" + strings.Join(in, "\x1f")
+	return string(p) + "\x00" + Key(in)
 }
 
 // isContextError reports whether err is a context cancellation or

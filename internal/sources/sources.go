@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +27,8 @@ import (
 // Tuple is a row of constant values.
 type Tuple []string
 
-// Key encodes the tuple for use as a map key.
-func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
+// Key encodes the tuple for use as a map key (Key).
+func (t Tuple) Key() string { return Key(t) }
 
 // Source is a callable relation with limited access patterns. It is the
 // one contract everything above the sources — planner, runtime, cache,
@@ -309,7 +308,7 @@ func inputKey(p access.Pattern, r Tuple) string {
 			parts = append(parts, r[j])
 		}
 	}
-	return strings.Join(parts, "\x1f")
+	return Key(parts)
 }
 
 // Name implements Source.
@@ -346,7 +345,7 @@ func (t *Table) Call(ctx context.Context, p access.Pattern, inputs [][]string) (
 		start := time.Now()
 		t.mu.Lock()
 		t.stats.Calls++
-		rows := idx[strings.Join(in, "\x1f")]
+		rows := idx[Key(in)]
 		t.stats.TuplesReturned += len(rows)
 		t.stats.Observe(time.Since(start))
 		hook := t.OnCall
