@@ -21,8 +21,11 @@ test-race:
 # A few seconds of the evaluator's hash table against a map[string]int,
 # from the committed seed corpus (internal/engine/testdata/fuzz): every
 # memo lookup, join probe, binding dedup and head row goes through it.
+# Then a few seconds of Rel.Sorted's keyless comparison against the
+# order of the rows' keys, from its own seed corpus there.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzIDTable$$' -fuzztime=3s ./internal/engine/
+	$(GO) test -run='^$$' -fuzz='^FuzzSortedOrder$$' -fuzztime=3s ./internal/engine/
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem . ./cmd/paperbench/
@@ -39,8 +42,9 @@ bench-build:
 # experiment's table once and asserts its count check and timing claim;
 # then E25, columnar evaluation against the map-based oracle it lives
 # beside). Then the package microbenchmarks of the answer hand-off (row
-# keys, Sorted fresh and frozen, a full answer hit, the wire
-# flattening), of a plan miss (minimization, canonical key, one
+# keys, Sorted fresh and frozen, a batch's head rows, a three-rule
+# union as the sink takes it over and as a full hit assembles it, a
+# full answer hit, the wire flattening), of a plan miss (minimization, canonical key, one
 # containment test, a whole plan build, an answer-tier miss beside 16
 # and 1024 entries), of the join (an answer's join side by probe-key
 # width, result size and carrying or deduplicating step, built on its
@@ -49,12 +53,12 @@ bench-build:
 # source call's bookkeeping (a short-answer step at 16 and 256 calls, a
 # 256-vector SQL statement) and of the persist log (one append, a
 # recovery), once each, so they keep compiling and running. The
-# plan-miss and call-bookkeeping lines add -benchmem, so the log shows
-# their allocs/op.
+# answer-assembly, plan-miss and call-bookkeeping lines add -benchmem,
+# so the log shows their allocs/op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Paper/E(19|20|21|22|23)' -benchtime=1x ./cmd/paperbench/
-	$(GO) test -run='^$$' -bench='E25Columnar|RowKey|RelSorted|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
-	$(GO) test -run='^$$' -bench='BatchedStep' -benchtime=1x -benchmem ./internal/engine/
+	$(GO) test -run='^$$' -bench='E25Columnar|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
+	$(GO) test -run='^$$' -bench='RowKey|RelSorted|HeadRows|RelUnion|BatchedStep' -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench='SQLCall' -benchtime=1x -benchmem ./internal/adapter/
 	$(GO) test -run='^$$' -bench='AnswersFullHit|AnswersMiss|PlanMiss' -benchtime=1x -benchmem ./internal/qcache/
 	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
@@ -71,10 +75,12 @@ bench-smoke:
 # plus held answers and their held joins shared by parallel rules and
 # executions, racing to build one join per step shape, across an
 # invalidation, across an interner rollover that a running execution
-# outlives, and at the table's bound; and domain enumeration, whose
-# rounds run on the driver, its retries and its rule teardown.
+# outlives, and at the table's bound; a plan's prepared rule programs
+# shared by parallel executions and recompiled across a rollover and a
+# generation bump; and domain enumeration, whose rounds run on the
+# driver, its retries and its rule teardown.
 fault-smoke:
-	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin|TestEnumerateDomain|TestExample8' . ./internal/engine/
+	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin|TestPrepared|TestEnumerateDomain|TestExample8' . ./internal/engine/
 
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue

@@ -95,8 +95,10 @@ func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.P
 	}
 	plan := entry.Plan()
 	pre := engine.Answered{Covered: hit.Covered, Rows: hit.Rows}
+	o := c.engineOpts()
+	o.Prepared = entry.Prepared()
 	if c.streaming {
-		res.stream = rt.StreamEval(ctx, plan, cat, pre, c.engineOpts())
+		res.stream = rt.StreamEval(ctx, plan, cat, pre, o)
 		return res, nil
 	}
 
@@ -104,13 +106,16 @@ func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.P
 	// per-disjunct answers are stored — as handed over: a materialized
 	// run calls the sink once per rule with rows that are distinct and
 	// the sink's to keep (engine.Sink), which is what Frozen asks for.
+	// The answer takes the same rows over (engine.Into): the two share
+	// them, and neither writes them.
 	out := engine.NewRel()
+	into := engine.Into(out)
 	rels := make([]*engine.Rel, len(plan.Exec.Rules))
-	prof, inc, err := rt.Run(ctx, plan, cat, pre, c.engineOpts(), func(_ context.Context, i int, rows []engine.Row) (int, bool) {
+	prof, inc, err := rt.Run(ctx, plan, cat, pre, o, func(ctx context.Context, i int, rows []engine.Row) (int, bool) {
 		if !hit.Covered[i] {
 			rels[i] = engine.Frozen(rows)
 		}
-		return out.AddRows(rows), true
+		return into(ctx, i, rows)
 	})
 	if err != nil {
 		return nil, err

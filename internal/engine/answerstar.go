@@ -116,9 +116,16 @@ func (st *starSink) sink(emit func(context.Context, []Row) bool) Sink {
 		if st.locked {
 			st.mu.Lock()
 		}
-		added := st.over.AddRows(rows)
+		// The rows are the sink's: both estimates take them over, and so
+		// may share them. A streamed row also goes to the consumer, so
+		// ansᵤ keeps a copy of its own there.
+		added := st.over.adopt(rows)
 		if st.certain[rule] {
-			st.under.AddRows(rows)
+			if emit == nil {
+				st.under.adopt(rows)
+			} else {
+				st.under.AddRows(rows)
+			}
 		}
 		if st.locked {
 			st.mu.Unlock()

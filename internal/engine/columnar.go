@@ -2,8 +2,10 @@ package engine
 
 // Columnar batch evaluation: the hot loop of every execution.
 //
-// A plan is compiled once per rule into a slot program — every variable
-// gets a dense column slot, every atom position a static role — and
+// Each rule of a plan is compiled into a slot program — every variable
+// gets a dense column slot, every atom position a static role — once
+// per execution, or, for a cached plan, once per engine state (Prepared
+// in eval.go: the program's constants are that state's IDs) — and
 // bindings flow between steps as colBatch values: slot-indexed vectors
 // of interned uint32 value IDs (see intern.go), all from the one
 // interner the execution pinned. One step is then a hash
@@ -20,7 +22,8 @@ package engine
 // state and receives the same group (held.go).
 // Column buffers are recycled through a per-execution colPool. Strings
 // materialize only at the edges: call inputs handed to internal/sources
-// and head rows handed to the sink.
+// and head rows handed to the sink, a batch's new rows cut from one slab
+// of values (headSet.rows) that the sink then owns.
 //
 // A step carries on only what something later reads. compileRule ends
 // with a backward liveness pass (projectLive): a slot is live after a
@@ -42,7 +45,8 @@ package engine
 // Every keyed structure here — a step's call memo, a call's join groups,
 // a dropping step's seen set, the head's distinct rows — is one idTable
 // (idtable.go) over fixed-width tuples of IDs; no key is built as a
-// string.
+// string. Past the sink neither: the answer relation's membership is a
+// value hash (Rel) and its canonical sort compares values (compareRows).
 //
 // The reference semantics is the per-binding map evaluator kept as the
 // in-package test oracle (oracle_test.go), which carries every variable
@@ -284,9 +288,11 @@ type ruleProgram struct {
 // compileRule translates an adorned plan into a slot program. It never
 // fails: structural problems (unbound inputs, unsafe heads) become lazy
 // errors raised exactly where the per-binding evaluator would raise
-// them. Compilation is cheap (linear in the plan) and runs once per
-// rule per execution. Constants intern through the interner the
-// execution pinned.
+// them. Compilation is cheap (linear in the plan): it runs once per
+// rule per execution, or once per engine state for a plan whose
+// executions keep its programs (Opts.Prepared). Constants intern through
+// the interner of the state the compiling execution pinned, so the
+// program is valid only under that state. It is read-only afterwards.
 func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *ruleProgram {
 	prog := &ruleProgram{rule: q, steps: make([]stepProgram, len(steps))}
 	slotOf := map[string]int{}

@@ -10,8 +10,9 @@ package engine
 // The driver runs a core.Plan: planning (core.NewPlan) has already
 // chosen each rule's order and adornment, so the driver never re-adorns
 // and never rejects a rule, and a plan served from a cache runs exactly
-// as a fresh one. The driver (execution.run) compiles the plan's steps
-// into slot programs once per execution, runs the rules in order or
+// as a fresh one. The driver (execution.run) runs the plan's steps as
+// slot programs — compiled once per execution, or once per engine state
+// for a cached plan (Prepared) — runs the rules in order or
 // concurrently, and assembles the Profile and the Incompleteness report.
 // The runner (runRule) gives one rule its RuleProfile, the one recover,
 // and the hold-back of its rows; under it a schedule (schedule.go)
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
@@ -53,6 +55,36 @@ type Opts struct {
 	// time-to-first-tuple within a rule for that guarantee.
 	// Caller-context cancellation still aborts.
 	Partial bool
+	// Prepared, when set, keeps the compiled rule programs of the plan
+	// being run across the executions of that one plan (Prepared). Nil
+	// compiles the rules for this execution and keeps nothing.
+	Prepared *Prepared
+}
+
+// Prepared holds one plan's compiled rule programs for the engine state
+// they were compiled against: a program's constants are that state's
+// value IDs, so it is valid exactly while an execution pins that state.
+// An execution that pins the state runs them. Any other compiles for
+// itself the first time the plan runs under its state, and the second
+// time compiles the whole plan and replaces them: a plan that runs once
+// — a plan miss nobody repeats — keeps nothing, and a catalog rollover
+// or generation bump recompiles a repeated plan once. A program is
+// read-only after compile — all per-execution state lives in stepState,
+// headSet and colPool — so concurrent executions share one. The zero
+// value holds nothing; one Prepared serves one plan (a cached plan entry
+// keeps it beside the plan, and it dies with the entry).
+type Prepared struct {
+	cur atomic.Pointer[preparedRules]
+	// seen is the serial of the last state the plan ran under without
+	// its programs kept.
+	seen atomic.Uint64
+}
+
+// preparedRules is one plan's programs under one engine state: progs[i]
+// is rule i's, nil for a False rule.
+type preparedRules struct {
+	state uint64 // engineState.serial
+	progs []*ruleProgram
 }
 
 // Answered marks rules of a union whose answers the caller already
@@ -103,6 +135,7 @@ type execution struct {
 	start  time.Time
 	budget *budgetState
 	pool   *colPool
+	state  uint64 // the pinned engine state's serial
 	rules  []ruleRun
 	// resident gauges the bindings live across the stages of the
 	// execution's staged rules (RuleProfile.PeakBindings).
@@ -113,25 +146,58 @@ type execution struct {
 // engine state: every value the execution compares gets its ID from that
 // state's interner, whatever the catalog installs meanwhile.
 func (rt *Runtime) newExecution(cat *sources.Catalog, o Opts, staged bool, sink Sink) *execution {
-	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: rt.newBudget(), pool: newColPool(pinState(cat))}
+	st := pinState(cat)
+	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: rt.newBudget(), pool: newColPool(st), state: st.serial}
 }
 
-// compile translates the plan into the execution's rules, once: every
-// rule that is neither False nor pre-answered runs the plan's steps.
+// compile translates the plan into the execution's rules: every rule
+// that is neither False nor pre-answered runs the plan's steps, compiled
+// for this execution or taken from o.Prepared.
 func (x *execution) compile(p core.Plan, pre Answered) {
+	progs := x.prepared(p)
 	x.rules = make([]ruleRun, 0, len(p.Exec.Rules))
 	for i, rule := range p.Exec.Rules {
 		if rule.False {
 			continue
 		}
 		r := ruleRun{idx: i, rule: rule}
-		if i < len(pre.Covered) && pre.Covered[i] {
+		switch {
+		case i < len(pre.Covered) && pre.Covered[i]:
 			r.held = [][]Row{pre.Rows[i]}
-		} else {
+		case progs != nil:
+			r.prog = progs[i]
+		default:
 			r.prog = compileRule(rule, p.Steps[i], x.pool)
 		}
 		x.rules = append(x.rules, r)
 	}
+}
+
+// prepared returns p's programs from o.Prepared when they were compiled
+// under the state this execution pinned. Otherwise, if p ran under that
+// state before, it compiles every rule of p under it and installs the
+// result there; if not, it returns nil, as it does without o.Prepared,
+// and the execution compiles what it runs. Two executions racing to
+// install both run their own compile, and the last one stays.
+func (x *execution) prepared(p core.Plan) []*ruleProgram {
+	pp := x.o.Prepared
+	if pp == nil {
+		return nil
+	}
+	if cur := pp.cur.Load(); cur != nil && cur.state == x.state {
+		return cur.progs
+	}
+	if pp.seen.Swap(x.state) != x.state {
+		return nil
+	}
+	cur := &preparedRules{state: x.state, progs: make([]*ruleProgram, len(p.Exec.Rules))}
+	for i, rule := range p.Exec.Rules {
+		if !rule.False {
+			cur.progs[i] = compileRule(rule, p.Steps[i], x.pool)
+		}
+	}
+	pp.cur.Store(cur)
+	return cur.progs
 }
 
 // run is the driver: it runs the execution's rules — in order, or one
@@ -316,10 +382,12 @@ func (rt *Runtime) Run(ctx context.Context, p core.Plan, cat *sources.Catalog, p
 }
 
 // Into is the sink of a materialized run that collects the union's
-// answers: it adds every row to out.
+// answers into out. The rows are the sink's (Sink), so out takes them
+// over without a copy: the first answered rule's rows become out's rows
+// as they are, and a later rule's are added past the membership index.
 func Into(out *Rel) Sink {
 	return func(_ context.Context, _ int, rows []Row) (int, bool) {
-		return out.AddRows(rows), true
+		return out.adopt(rows), true
 	}
 }
 

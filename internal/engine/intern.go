@@ -132,13 +132,20 @@ func (in *valueInterner) full() bool { return in.bytes.Load() >= internLimit }
 
 // engineState is what the engine keeps on a catalog (Catalog.Held): the
 // interner of one generation and the held answers built over its IDs.
+// serial names the state for as long as the process runs, without
+// keeping it alive: a plan's prepared programs (Prepared) record the
+// serial of the state whose IDs they hold.
 type engineState struct {
-	ids  *valueInterner
-	held *heldTable
+	ids    *valueInterner
+	held   *heldTable
+	serial uint64
 }
 
+// stateSerials hands out engine state serials; 0 is no state.
+var stateSerials atomic.Uint64
+
 func newEngineState() *engineState {
-	return &engineState{ids: newValueInterner(), held: newHeldTable()}
+	return &engineState{ids: newValueInterner(), held: newHeldTable(), serial: stateSerials.Add(1)}
 }
 
 // pinState returns the engine state an execution over cat pins: the

@@ -42,11 +42,13 @@ type headSet struct {
 	key  []uint32
 }
 
-// rows returns the head rows of b not produced before, in row order.
-// Const and null head positions are invariant within a rule, so a row's
-// identity is its slot-bound positions only. The unsafe-plan error
-// (head variable never bound) is raised only when bindings reach the
-// head.
+// rows returns the head rows of b not produced before, in row order,
+// each a capacity-clipped window of one slab of values. Const and null
+// head positions are invariant within a rule, so a row's identity is
+// its slot-bound positions only: the rows new to seen are its entries
+// from the batch on, in insertion order, and their keys are the rows'
+// slot values. The unsafe-plan error (head variable never bound) is
+// raised only when bindings reach the head.
 func (h *headSet) rows(b *colBatch) ([]Row, error) {
 	if b.n == 0 {
 		return nil, nil
@@ -55,22 +57,24 @@ func (h *headSet) rows(b *colBatch) ([]Row, error) {
 	if prog.headErr != nil {
 		return nil, prog.headErr
 	}
-	var out []Row
+	first := h.seen.len()
 	for i := 0; i < b.n; i++ {
 		h.key = h.key[:0]
 		for _, s := range prog.headSlots {
 			h.key = append(h.key, b.cols[s][i])
 		}
-		if _, fresh := h.seen.insert(h.key); !fresh {
-			continue
-		}
-		if out == nil {
-			// Most batches are small or mostly repeats (a later batch of a
-			// staged rule often adds nothing); a large distinct answer
-			// grows from here.
-			out = make([]Row, 0, min(b.n, 64))
-		}
-		row := make(Row, len(prog.head))
+		h.seen.insert(h.key)
+	}
+	n := h.seen.len() - first
+	if n == 0 {
+		return nil, nil
+	}
+	w, ws := len(prog.head), len(prog.headSlots)
+	out := make([]Row, n)
+	slab := make([]Value, n*w)
+	for r := range out {
+		row := slab[r*w : (r+1)*w : (r+1)*w]
+		key := h.seen.keys[(first+r)*ws : (first+r+1)*ws]
 		for k := range prog.head {
 			switch a := &prog.head[k]; a.kind {
 			case headNull:
@@ -78,10 +82,11 @@ func (h *headSet) rows(b *colBatch) ([]Row, error) {
 			case headConst:
 				row[k] = a.val
 			default:
-				row[k] = V(h.pool.ids.str(b.cols[a.slot][i]))
+				row[k] = V(h.pool.ids.str(key[0]))
+				key = key[1:]
 			}
 		}
-		out = append(out, row)
+		out[r] = row
 	}
 	return out, nil
 }

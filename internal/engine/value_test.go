@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -39,9 +40,10 @@ func oldSorted(rows []Row) []Row {
 }
 
 // randomRow draws a row of the given arity over an alphabet that
-// includes the key's own separator and null marker.
+// includes the key's own separator and null marker, and a byte below
+// the separator that needs no escape.
 func randomRow(rng *rand.Rand, arity int) Row {
-	alphabet := []string{"", "a", "b", "ab", "\x1f", "\x00", "\x00null", "a\x1fb", "z"}
+	alphabet := []string{"", "a", "b", "ab", "\x1f", "\x00", "\x00null", "a\x1fb", "z", "\t"}
 	row := make(Row, arity)
 	for i := range row {
 		if rng.Intn(5) == 0 {
@@ -100,6 +102,39 @@ func TestRowKeysAreInjective(t *testing.T) {
 	}
 }
 
+// TestRelMembershipIsInjective: rows a bare join of their values
+// confuses, and a null beside the constants its key marker and "" spell,
+// stay two rows under every membership operation.
+func TestRelMembershipIsInjective(t *testing.T) {
+	for _, pair := range [][2]Row{
+		{RowOf("a\x1fb", "c"), RowOf("a", "b\x1fc")},
+		{Row{NullValue}, RowOf("\x00null")},
+		{Row{NullValue, V("")}, RowOf("\x00null", "")},
+		{Row{NullValue}, RowOf("")},
+		{RowOf("ab", ""), RowOf("a", "b")},
+	} {
+		a, b := pair[0], pair[1]
+		rel := NewRel()
+		if !rel.Add(a) || rel.Contains(b) || !rel.Add(b) || rel.Len() != 2 {
+			t.Errorf("Add: %s and %s are not two rows", a, b)
+		}
+		if !rel.Contains(a) || !rel.Contains(b) || rel.Contains(Row{NullValue, NullValue}) {
+			t.Errorf("Contains: %s and %s", a, b)
+		}
+		only := func(r Row) *Rel { return Frozen([]Row{r}) }
+		if u := Union([]*Rel{only(a), only(b)}); u.Len() != 2 {
+			t.Errorf("Union of %s and %s has %d rows", a, b, u.Len())
+		}
+		if d := only(a).Minus(only(b)); d.Len() != 1 || !d.Contains(a) {
+			t.Errorf("%s minus %s has %d rows", a, b, d.Len())
+		}
+		adopted := NewRel()
+		if adopted.adopt([]Row{a}) != 1 || adopted.adopt([]Row{b}) != 1 || adopted.Len() != 2 {
+			t.Errorf("adopt: %s and %s are not two rows", a, b)
+		}
+	}
+}
+
 func TestRowKeyAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		row  Row
@@ -130,6 +165,53 @@ func TestSortedMatchesPerComparisonOrder(t *testing.T) {
 		sameRowSlices(t, "frozen", Frozen(fresh.Rows()).Sorted(), want)
 		sameRowSlices(t, "view", fresh.View().Sorted(), want)
 	}
+}
+
+// FuzzSortedOrder holds compareRows and Sorted to the key order on rows
+// the fuzzer spells: every pair compares as strings.Compare of its
+// oldKeys, and a relation of them sorts as oldSorted does. More seeds
+// are in testdata/fuzz/FuzzSortedOrder.
+func FuzzSortedOrder(f *testing.F) {
+	f.Add([]byte("\x02\x01a\x02ab\x02\x01a\xff\x01\x02a\x1f\x02\x01\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows := fuzzRows(data)
+		for _, a := range rows {
+			for _, b := range rows {
+				if got, want := compareRows(a, b), strings.Compare(oldKey(a), oldKey(b)); got != want {
+					t.Fatalf("compareRows(%s, %s) = %d, keys %q and %q compare %d", a, b, got, oldKey(a), oldKey(b), want)
+				}
+			}
+		}
+		rel := NewRel()
+		rel.AddRows(rows)
+		want := oldSorted(rel.Rows())
+		sameRowSlices(t, "fresh", rel.Sorted(), want)
+		sameRowSlices(t, "frozen", Frozen(rel.Rows()).Sorted(), want)
+	})
+}
+
+// fuzzRows decodes up to 24 rows: an arity byte (mod 4), then per value
+// a byte that is 0xff for a null or else the length (mod 6) of the
+// constant's bytes that follow.
+func fuzzRows(data []byte) []Row {
+	var rows []Row
+	for len(data) > 0 && len(rows) < 24 {
+		row := make(Row, int(data[0]%4))
+		data = data[1:]
+		for i := range row {
+			if len(data) == 0 {
+				break
+			}
+			if data[0] == 0xff {
+				row[i], data = NullValue, data[1:]
+				continue
+			}
+			n := min(int(data[0]%6), len(data)-1)
+			row[i], data = V(string(data[1:1+n])), data[1+n:]
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // TestViewSemantics: a view answers every read as an AddRows-built copy
@@ -314,5 +396,65 @@ func BenchmarkRelSorted(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// unionParts are three rules' answers of n rows each in which every
+// rule after the first repeats a third of its predecessor's rows.
+func unionParts(n int) [][]Row {
+	parts := make([][]Row, 3)
+	for p := range parts {
+		for i := 0; i < n; i++ {
+			parts[p] = append(parts[p], RowOf(fmt.Sprintf("k%d", p*n-p*n/3+i), "v"))
+		}
+	}
+	return parts
+}
+
+// BenchmarkRelUnion: a three-rule answer assembled as the Into sink
+// takes the rules' rows over (the first rule's become the relation's
+// rows, later ones go past the membership index), and as a full answer
+// hit assembles it from the cached parts (Union).
+func BenchmarkRelUnion(b *testing.B) {
+	parts := unionParts(120)
+	frozen := []*Rel{Frozen(parts[0]), Frozen(parts[1]), Frozen(parts[2])}
+	b.Run("sink", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out := NewRel()
+			into := Into(out)
+			for r, rows := range parts {
+				into(context.Background(), r, rows)
+			}
+			sinkRows = out.Rows()
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkRows = Union(frozen).Rows()
+		}
+	})
+}
+
+// BenchmarkHeadRows: one batch of 4000 bindings over 120 distinct
+// two-column heads, materialized into the rule's rows.
+func BenchmarkHeadRows(b *testing.B) {
+	pool := newColPool(newEngineState())
+	prog := &ruleProgram{numSlots: 3, head: []headArg{{kind: headSlot, slot: 2}, {kind: headConst, val: V("c")}, {kind: headSlot, slot: 0}}, headSlots: []int{2, 0}}
+	batch := &colBatch{n: 4000, cols: [][]uint32{make([]uint32, 4000), nil, make([]uint32, 4000)}}
+	for i := 0; i < batch.n; i++ {
+		batch.cols[0][i], _ = pool.ids.id(fmt.Sprintf("y%d", i%8))
+		batch.cols[2][i], _ = pool.ids.id(fmt.Sprintf("z%d", i%15))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := headSet{prog: prog, pool: pool}
+		rows, err := h.rows(batch)
+		if err != nil || len(rows) != 120 {
+			b.Fatalf("%d rows, %v", len(rows), err)
+		}
+		sinkRows = rows
 	}
 }

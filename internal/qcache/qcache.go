@@ -191,6 +191,9 @@ type PlanEntry struct {
 	verdict  core.Verdict
 	planErr  error
 	created  time.Time
+	// prepared is the plan's compiled rule programs under the last
+	// engine state that ran it; it goes when the entry is evicted.
+	prepared engine.Prepared
 }
 
 // Exec returns the executable representative the cache evaluates for
@@ -200,6 +203,10 @@ func (e *PlanEntry) Exec() logic.UCQ { return e.plan.Exec }
 // Plan returns the representative's plan, shared by every execution
 // that uses this entry: read it, never write it.
 func (e *PlanEntry) Plan() core.Plan { return e.plan }
+
+// Prepared returns the slot where executions of Plan keep its compiled
+// rule programs (engine.Opts.Prepared).
+func (e *PlanEntry) Prepared() *engine.Prepared { return &e.prepared }
 
 // Err returns the cached planning failure (the query is not orderable
 // under the patterns; it wraps core.ErrNotOrderable), or nil.
