@@ -13,10 +13,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# The runtime and source wrappers are concurrent; the race detector is
-# part of the tier-1 bar, not an optional extra.
+# The runtime and source wrappers are concurrent, and so are the
+# server and the load generator's clients; the race detector is part of
+# the tier-1 bar, not an optional extra.
 test-race:
-	$(GO) test -race ./internal/access/ ./internal/sources/ ./internal/engine/ ./internal/containment/ ./internal/qcache/ ./internal/server/ .
+	$(GO) test -race ./internal/access/ ./internal/sources/ ./internal/engine/ ./internal/containment/ ./internal/qcache/ ./internal/server/ ./cmd/ucqnload/ .
 
 # A few seconds of the evaluator's hash table against a map[string]int,
 # from the committed seed corpus (internal/engine/testdata/fuzz): every
@@ -99,27 +100,24 @@ chaos-smoke:
 
 # Serving smoke: boot the multi-tenant daemon in-process, hammer it with
 # the closed-loop load generator under an overload-provoking config
-# (delayed sources, two slots), and require a sound, schema-valid
-# report plus a clean shutdown. ucqnload validates the report in memory
-# and exits non-zero on any unsound answer, transport error, or dirty
-# shutdown; -out '' keeps it from rewriting the committed BENCH_E24.json
-# with this machine's numbers.
+# (delayed sources, two slots), and require a sound run plus a clean
+# shutdown. ucqnload prints its summary, writes no file, and exits
+# non-zero on any unsound answer, transport error, stale generation,
+# zero completed requests, or dirty shutdown.
 serve-smoke:
 	$(GO) run ./cmd/ucqnload -boot -users 8 -duration 2s -quota 50 \
-		-delay 1ms -concurrency 2 -queue 4 -queue-wait 5ms -out ''
+		-delay 1ms -concurrency 2 -queue 4 -queue-wait 5ms
 
 # Persistence smoke: the crash-safe answer cache under fire — the
 # crash-recovery property suite (random kill offsets and bit flips
 # through the full Exec path, recovery must never fail and never serve
 # a wrong row), the chaos crash/reopen cycles (rotating fault regimes,
 # no goroutine or fd leaks), a clean warm restart served at zero source
-# calls, the faultfs-backed persist unit tests, and the committed bench
-# artifacts' schema gate. Under -race because the spill path runs
-# outside the cache lock by design.
+# calls, and the faultfs-backed persist unit tests. Under -race because
+# the spill path runs outside the cache lock by design.
 persist-smoke:
 	$(GO) test -race -count=1 -run='TestPersistCrashRecoveryExec|TestChaosPersistCrashReopenCycles|TestPersistWarmRestart' .
 	$(GO) test -race -count=1 ./internal/qcache/persist/
-	$(GO) test -race -count=1 -run='TestValidateBenchReport|TestCommittedBenchArtifacts' ./internal/server/
 
 # External-adapter smoke: the SQL and HTTP adapters over the in-repo
 # fakedb driver and httptest backends — the fault matrix (injected
@@ -143,13 +141,16 @@ adapter-smoke:
 # clock: takeover within TTL + one poll, a fenced writer's late write
 # never leaks, acked entries always survive, no goroutine or fd leaks),
 # the lease/follower/inbox property tests including the
-# compaction-vs-follower seqlock interleavings, and the two-replica
-# server E2E (warm start off a sibling, fleet-wide invalidation, E28
-# harness). Under -race because replicas share one directory by design.
+# compaction-vs-follower seqlock interleavings, the two-replica server
+# E2E (warm start off a sibling, fleet-wide invalidation, E28's exact
+# call counts), and the load generator's invalidation mix (no stale
+# generation after an ack). Under -race because replicas share one
+# directory by design.
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/qcache/fleet/
 	$(GO) test -race -count=1 -run='TestLease|TestFollower|TestInbox|TestReadInboxes' ./internal/qcache/persist/
-	$(GO) test -race -count=1 -run='TestServerFleet|TestRunFleetShare|TestServerHealthzDegraded|TestLoadGenInvalidationMix' ./internal/server/
+	$(GO) test -race -count=1 -run='TestServerFleet|TestServerHealthzDegraded' ./internal/server/
+	$(GO) test -race -count=1 -run='TestLoadGenInvalidationMix' ./cmd/ucqnload/
 
 # Every paper experiment at its quick sizes; exits non-zero when an
 # experiment's count check fails. Prints only, writes no file.

@@ -1,9 +1,10 @@
 // Command paperbench regenerates the experiments of DESIGN.md: the
 // reproduction of the algorithms, worked examples, and complexity
-// claims of Nash & Ludäscher (EDBT 2004), E1–E23, and the cache-fleet
-// experiment E28 (E24 is the serving harness, cmd/ucqnload, E25 a
-// benchmark beside its oracle, internal/engine, and E26/E27 are the
-// bench/ workloads churn_persist and remote_batch).
+// claims of Nash & Ludäscher (EDBT 2004), E1–E23 (E24 is the load
+// generator, cmd/ucqnload, E25 a benchmark beside its oracle,
+// internal/engine, E26/E27 are the bench/ workloads churn_persist and
+// remote_batch, and E28's counts are asserted by internal/server's
+// TestServerFleetWarmStartAndInvalidationFanOut).
 //
 // Each experiment is declared once, as an entry of registry: its id
 // and title, its full and -quick sizes, the operations it times, the
@@ -20,7 +21,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,12 +42,9 @@ import (
 	"repro/internal/lichang"
 	"repro/internal/logic"
 	"repro/internal/parser"
-	"repro/internal/server"
 	"repro/internal/sources"
 	"repro/internal/workload"
 )
-
-var benchOut = flag.String("bench-out", "", "write the bench report of the experiment being run (E28, with -run) to this path")
 
 func main() {
 	only := flag.String("run", "", "run only this experiment id (e.g. E3); default all")
@@ -259,9 +256,6 @@ var registry = []experiment{
 		// Hedges stay under 5% of the primary calls: 20h < calls − h.
 		timing: []string{"slow-replica.p99 >= 5*healthy.p99", "slow-replica+hedging.p99 <= 2*healthy.p99",
 			"21*slow-replica+hedging.hedges < slow-replica+hedging.calls"}},
-	{id: "E28", title: "cache fleet: sibling warm start and fleet-wide invalidation",
-		full: []int{2}, quick: []int{1}, setup: e28,
-		check: []string{"sound == 1", "warm.calls == steady.calls", "invalidated.a > 0", "invalidated.b > 0"}},
 }
 
 // b2i counts a verdict.
@@ -1416,45 +1410,4 @@ func e23(sz []int) ([]op, table) {
 		fmt.Fprintln(w, "expected: the slow replica drives the unhedged p99 to ≥5× healthy; hedging restores p99 to ≤2× healthy for <5% extra calls; mean source latency stays near the base round trip")
 		return c, t
 	}
-}
-
-func e28(sz []int) ([]op, table) {
-	// Cache-fleet sharing: replica A (the writer) opens over an empty
-	// shared directory and serves the fixture mix twice (cold, then
-	// steady); replica B joins the live fleet as a reader, refreshes
-	// once, and serves the mix at A's steady-state source-call count —
-	// the shared directory, not B's sources, pays for the pass. Then an
-	// invalidation issued on B (through its durable inbox, not the
-	// log) must re-derive the tenant on BOTH replicas.
-	return nil, func(w io.Writer) (counts, times) {
-		dir := must(os.MkdirTemp("", "ucqn-e28-*"))
-		defer os.RemoveAll(dir)
-		rep := must(server.RunFleetShare(context.Background(), dir,
-			server.FleetShareConfig{Tenants: 3, DelayMS: float64(sz[0])}))
-
-		fmt.Fprintf(w, "%-10s %10s %12s %12s\n", "pass", "calls", "p50", "mean")
-		fmt.Fprintf(w, "%-10s %10d %12s %12s\n", "A cold", rep.ColdCalls, fmtMS(rep.ColdP50MS), fmtMS(rep.ColdMeanMS))
-		fmt.Fprintf(w, "%-10s %10d %12s %12s\n", "A steady", rep.SteadyCalls, fmtMS(rep.SteadyP50MS), fmtMS(rep.SteadyMeanMS))
-		fmt.Fprintf(w, "%-10s %10d %12s %12s\n", "B warm", rep.WarmCalls, fmtMS(rep.WarmP50MS), fmtMS(rep.WarmMeanMS))
-		fmt.Fprintf(w, "roles: A=%s B=%s  reader-issued invalidation gen %d re-derived: B paid %d calls, A paid %d; sound: %v\n",
-			rep.RoleA, rep.RoleB, rep.InvalidationGen,
-			rep.PostInvalidationCallsB, rep.PostInvalidationCallsA, rep.Sound)
-		fmt.Fprintln(w, "expected: replica B's warm pass matches A's steady-state call count (≈0) — the fleet directory serviced it — and the fleet-wide invalidation forces both replicas back to the sources for exactly the killed tenant")
-
-		if *benchOut != "" {
-			data := append(must(json.MarshalIndent(rep, "", "  ")), '\n')
-			noErr(server.ValidateBenchReport(data))
-			noErr(os.WriteFile(*benchOut, data, 0o644))
-			fmt.Fprintf(w, "wrote %s\n", *benchOut)
-		}
-		return counts{
-			"cold.calls": rep.ColdCalls, "steady.calls": rep.SteadyCalls, "warm.calls": rep.WarmCalls,
-			"invalidated.a": rep.PostInvalidationCallsA, "invalidated.b": rep.PostInvalidationCallsB, "sound": b2i(rep.Sound),
-		}, nil
-	}
-}
-
-// fmtMS renders a millisecond float at a readable precision.
-func fmtMS(ms float64) string {
-	return time.Duration(ms * float64(time.Millisecond)).Round(time.Microsecond).String()
 }

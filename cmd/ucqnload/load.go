@@ -1,12 +1,11 @@
-package server
+package main
 
-// Closed-loop load generator and the E24 bench harness. N simulated
-// users issue a Zipf-distributed query mix against a running ucqnd,
-// verify every response against the fixture's naive ground truth
-// (complete answers must be exact; shed or degraded answers must be
-// subsets — the soundness half of the ANSWER* contract), and the run is
-// summarized as BENCH_E24.json with p50/p99/QPS so later PRs have a
-// perf trajectory to compare against.
+// The closed-loop load generator: N simulated users issue a
+// Zipf-distributed query mix against a running ucqnd and verify every
+// response against the fixture's naive ground truth (complete answers
+// must be exact; shed or degraded answers must be subsets — the
+// soundness half of the ANSWER* contract). The run is summarized as
+// p50/p99/QPS, shed/degraded/complete counts and a soundness verdict.
 
 import (
 	"bytes"
@@ -15,16 +14,16 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
 	ucqn "repro"
+	"repro/internal/server"
 )
 
-// LoadConfig shapes one load run.
-type LoadConfig struct {
+// loadConfig shapes one load run.
+type loadConfig struct {
 	// Users is the number of closed-loop clients; 0 means 8.
 	Users int
 	// Duration is how long the run lasts; 0 means 3s.
@@ -42,52 +41,50 @@ type LoadConfig struct {
 	InvalidateEvery time.Duration
 }
 
-func (c LoadConfig) users() int {
+func (c loadConfig) users() int {
 	if c.Users > 0 {
 		return c.Users
 	}
 	return 8
 }
 
-func (c LoadConfig) duration() time.Duration {
+func (c loadConfig) duration() time.Duration {
 	if c.Duration > 0 {
 		return c.Duration
 	}
 	return 3 * time.Second
 }
 
-func (c LoadConfig) zipfS() float64 {
+func (c loadConfig) zipfS() float64 {
 	if c.ZipfS > 1 {
 		return c.ZipfS
 	}
 	return 1.2
 }
 
-// LoadReport is the harness output (BENCH_E24.json). Every field is
-// part of the schema checked by ValidateBenchReport.
-type LoadReport struct {
-	Experiment string     `json:"experiment"`
-	Config     LoadParams `json:"config"`
-	Requests   int        `json:"requests"`
-	QPS        float64    `json:"qps"`
-	P50MS      float64    `json:"p50_ms"`
-	P99MS      float64    `json:"p99_ms"`
-	Shed       int        `json:"shed"`
-	Degraded   int        `json:"degraded"`
-	Complete   int        `json:"complete"`
-	Errors     int        `json:"errors"`
-	Sound      bool       `json:"sound"`
-	Unsound    []string   `json:"unsound,omitempty"`
+// loadReport summarizes one load run; ucqnload prints it as JSON.
+type loadReport struct {
+	Config   loadParams `json:"config"`
+	Requests int        `json:"requests"`
+	QPS      float64    `json:"qps"`
+	P50MS    float64    `json:"p50_ms"`
+	P99MS    float64    `json:"p99_ms"`
+	Shed     int        `json:"shed"`
+	Degraded int        `json:"degraded"`
+	Complete int        `json:"complete"`
+	Errors   int        `json:"errors"`
+	Sound    bool       `json:"sound"`
+	Unsound  []string   `json:"unsound,omitempty"`
 	// Invalidations counts acked mid-run /v1/invalidate calls (0 when
-	// LoadConfig.InvalidateEvery is off); Stale counts responses that
+	// loadConfig.InvalidateEvery is off); Stale counts responses that
 	// violated an invalidation watermark — started after an ack yet
 	// carrying an older generation. Any nonzero Stale fails the run.
 	Invalidations int `json:"invalidations"`
 	Stale         int `json:"stale"`
 }
 
-// LoadParams echoes the run's configuration into the report.
-type LoadParams struct {
+// loadParams echoes the run's configuration into the report.
+type loadParams struct {
 	Users     int     `json:"users"`
 	DurationS float64 `json:"duration_s"`
 	Tenants   int     `json:"tenants"`
@@ -98,17 +95,16 @@ type LoadParams struct {
 	InvalidateEveryS float64 `json:"invalidate_every_s,omitempty"`
 }
 
-// RunLoad drives the load against baseURL (e.g. "http://127.0.0.1:8099")
+// runLoad drives the load against baseURL (e.g. "http://127.0.0.1:8099")
 // until the duration elapses or ctx is cancelled, and returns the
 // report. Soundness is verified per response against the fixtures.
-func RunLoad(ctx context.Context, baseURL string, tenants []*TenantFixture, cfg LoadConfig) (*LoadReport, error) {
+func runLoad(ctx context.Context, baseURL string, tenants []*server.TenantFixture, cfg loadConfig) (*loadReport, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("loadgen: no tenants")
 	}
 	nq := len(tenants[0].Queries)
-	report := &LoadReport{
-		Experiment: "E24",
-		Config: LoadParams{
+	report := &loadReport{
+		Config: loadParams{
 			Users:            cfg.users(),
 			DurationS:        cfg.duration().Seconds(),
 			Tenants:          len(tenants),
@@ -233,8 +229,8 @@ func RunLoad(ctx context.Context, baseURL string, tenants []*TenantFixture, cfg 
 }
 
 // postQuery issues one POST /v1/query and decodes the response.
-func postQuery(ctx context.Context, client *http.Client, baseURL, tenant, query string) (*Response, error) {
-	body, err := json.Marshal(Request{Tenant: tenant, Query: query})
+func postQuery(ctx context.Context, client *http.Client, baseURL, tenant, query string) (*server.Response, error) {
+	body, err := json.Marshal(server.Request{Tenant: tenant, Query: query})
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +247,7 @@ func postQuery(ctx context.Context, client *http.Client, baseURL, tenant, query 
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("loadgen: status %d", httpResp.StatusCode)
 	}
-	var resp Response
+	var resp server.Response
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
 		return nil, err
 	}
@@ -261,7 +257,7 @@ func postQuery(ctx context.Context, client *http.Client, baseURL, tenant, query 
 // postInvalidate issues one POST /v1/invalidate and returns the acked
 // generation watermark.
 func postInvalidate(ctx context.Context, client *http.Client, baseURL, tenant string) (int64, error) {
-	body, err := json.Marshal(Request{Tenant: tenant})
+	body, err := json.Marshal(server.Request{Tenant: tenant})
 	if err != nil {
 		return 0, err
 	}
@@ -290,7 +286,7 @@ func postInvalidate(ctx context.Context, client *http.Client, baseURL, tenant st
 // checkSound verifies one response against the ground truth: every
 // answer row must be a certain answer, and a response claiming
 // completeness must be exactly the ground truth. Returns "" when sound.
-func checkSound(f *TenantFixture, qi int, resp *Response) string {
+func checkSound(f *server.TenantFixture, qi int, resp *server.Response) string {
 	expected := f.Expected[qi]
 	got := ucqn.NewRel()
 	for _, row := range resp.Answers {
@@ -320,88 +316,4 @@ func pctlDur(sorted []time.Duration, p int) time.Duration {
 		idx--
 	}
 	return sorted[idx]
-}
-
-// WriteBenchReport writes the report to path as indented JSON.
-func WriteBenchReport(path string, r *LoadReport) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ValidateBenchReport schema-checks a committed BENCH_*.json document:
-// required keys present with the right JSON types and sane values. It
-// dispatches on the experiment tag — "E24" is the serving load report
-// (LoadReport), "E28" the cache-fleet report (FleetShareReport). CI runs
-// it on the harness outputs so a drifting schema fails the build, not a
-// later comparison script.
-func ValidateBenchReport(data []byte) error {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("bench report: not a JSON object: %w", err)
-	}
-	tag, ok := raw["experiment"]
-	if !ok {
-		return fmt.Errorf("bench report: missing key %q", "experiment")
-	}
-	var exp string
-	if err := json.Unmarshal(tag, &exp); err != nil {
-		return fmt.Errorf("bench report: key %q: %w", "experiment", err)
-	}
-	switch exp {
-	case "E24":
-		return validateE24(raw)
-	case "E28":
-		return validateE28(raw)
-	default:
-		return fmt.Errorf("bench report: experiment = %q, want E24 or E28", exp)
-	}
-}
-
-// validateE24 schema-checks the serving load report.
-func validateE24(raw map[string]json.RawMessage) error {
-	checks := []struct {
-		key  string
-		into any
-	}{
-		{"experiment", new(string)},
-		{"config", new(LoadParams)},
-		{"requests", new(int)},
-		{"qps", new(float64)},
-		{"p50_ms", new(float64)},
-		{"p99_ms", new(float64)},
-		{"shed", new(int)},
-		{"degraded", new(int)},
-		{"complete", new(int)},
-		{"errors", new(int)},
-		{"sound", new(bool)},
-	}
-	for _, c := range checks {
-		v, ok := raw[c.key]
-		if !ok {
-			return fmt.Errorf("bench report: missing key %q", c.key)
-		}
-		if err := json.Unmarshal(v, c.into); err != nil {
-			return fmt.Errorf("bench report: key %q: %w", c.key, err)
-		}
-	}
-	var reqs int
-	_ = json.Unmarshal(raw["requests"], &reqs)
-	if reqs < 0 {
-		return fmt.Errorf("bench report: requests = %d", reqs)
-	}
-	// Stale is required to be zero when present (reports predating the
-	// invalidation mix do not carry the key).
-	if v, ok := raw["stale"]; ok {
-		var stale int
-		if err := json.Unmarshal(v, &stale); err != nil {
-			return fmt.Errorf("bench report: key %q: %w", "stale", err)
-		}
-		if stale != 0 {
-			return fmt.Errorf("bench report: stale = %d, want 0 (a post-invalidation response carried an old generation)", stale)
-		}
-	}
-	return nil
 }

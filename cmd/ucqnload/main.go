@@ -1,7 +1,7 @@
 // Command ucqnload drives closed-loop load against a ucqnd server and
-// writes the E24 bench report (p50/p99/QPS, shed/degraded counts, and
-// a soundness verdict: every answer row checked against the fixture's
-// naive ground truth).
+// prints a summary: p50/p99/QPS, shed/degraded counts, and a soundness
+// verdict (every answer row checked against the fixture's naive ground
+// truth).
 //
 // Point it at a running daemon:
 //
@@ -10,10 +10,11 @@
 // or let it boot an in-process server over a real TCP listener for a
 // self-contained smoke run (what `make serve-smoke` does):
 //
-//	$ ucqnload -boot -users 8 -duration 3s -out BENCH_E24.json
+//	$ ucqnload -boot -users 8 -duration 3s
 //
-// The report is schema-checked before it is written; a non-sound run,
-// a dirty shutdown, or any transport error exits non-zero.
+// It writes no file. An unsound response, a transport error, a stale
+// generation, zero completed requests or a dirty shutdown exits
+// non-zero.
 package main
 
 import (
@@ -45,7 +46,6 @@ func run() error {
 	duration := flag.Duration("duration", 3*time.Second, "load duration")
 	seed := flag.Int64("seed", 1, "query-mix seed")
 	zipfS := flag.Float64("zipf", 1.2, "Zipf skew of the query mix (>1)")
-	out := flag.String("out", "BENCH_E24.json", "bench report path ('' = stdout only)")
 	concurrency := flag.Int("concurrency", 0, "boot mode: max concurrent executions (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "boot mode: admission queue depth (0 = 4x concurrency)")
 	queueWait := flag.Duration("queue-wait", 0, "boot mode: max slot wait (0 = 25ms)")
@@ -98,7 +98,7 @@ func run() error {
 	if *invalRate > 0 {
 		invalEvery = time.Duration(float64(time.Second) / *invalRate)
 	}
-	report, loadErr := server.RunLoad(context.Background(), base, fixtures, server.LoadConfig{
+	report, loadErr := runLoad(context.Background(), base, fixtures, loadConfig{
 		Users: *users, Duration: *duration, Seed: *seed, ZipfS: *zipfS,
 		InvalidateEvery: invalEvery,
 	})
@@ -124,16 +124,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := server.ValidateBenchReport(data); err != nil {
-		return err
-	}
 	fmt.Printf("%s\n", data)
-	if *out != "" {
-		if err := server.WriteBenchReport(*out, report); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "ucqnload: wrote %s\n", *out)
-	}
 
 	if report.Requests == 0 {
 		return fmt.Errorf("no requests completed")

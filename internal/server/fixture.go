@@ -3,8 +3,8 @@ package server
 // Shared multi-tenant fixture: every tenant serves the same schema and
 // query mix (the worst case for cache aliasing — identical query texts
 // over distinct data), with per-tenant rows so cross-tenant leakage is
-// observable as wrong answers. The server tests, the hammer, and the
-// load generator (cmd/ucqnload) all build on it.
+// observable as wrong answers. The server tests, cmd/ucqnd,
+// cmd/ucqnload and the bench/ workloads all build on it.
 
 import (
 	"context"

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -39,6 +38,15 @@ func openFleetServer(t *testing.T, dir, id string, fixtures []*TenantFixture) (*
 	return s, cats
 }
 
+// totalCalls sums the catalogs' cumulative source-call meters.
+func totalCalls(cats []*ucqn.Catalog) int {
+	total := 0
+	for _, c := range cats {
+		total += c.TotalStats().Calls
+	}
+	return total
+}
+
 // fleetPass serves every fixture query once, verifies each response
 // against the ground truth, and returns the pass's source-call delta.
 func fleetPass(t *testing.T, s *Server, cats []*ucqn.Catalog, fixtures []*TenantFixture) int {
@@ -63,20 +71,24 @@ func fleetPass(t *testing.T, s *Server, cats []*ucqn.Catalog, fixtures []*Tenant
 
 // Two server replicas over one fleet directory: B warm-starts from
 // the answers A paid for, and an invalidation accepted by B kills the
-// answer on A within one tick — the E28 regime, in-process.
+// answer on A within one tick. This is experiment E28, and its source
+// calls are pinned exactly over the three-tenant mix: A's cold pass
+// pays 21, A's steady pass and B's warm pass pay 0, and the killed
+// tenant's first query costs exactly 1 call on B, then 1 on A.
 func TestServerFleetWarmStartAndInvalidationFanOut(t *testing.T) {
 	dir := t.TempDir()
-	fixtures := PaperTenants(2)
+	fixtures := PaperTenants(3)
 
 	a, catsA := openFleetServer(t, dir, "replica-a", fixtures)
 	if a.Fleet().Role().String() != "writer" {
 		t.Fatalf("first replica role = %s", a.Fleet().Role())
 	}
-	cold := fleetPass(t, a, catsA, fixtures)
-	if cold == 0 {
-		t.Fatal("sanity: cold pass made no source calls")
+	if cold := fleetPass(t, a, catsA, fixtures); cold != 21 {
+		t.Fatalf("A's cold pass made %d source calls, want 21", cold)
 	}
-	steady := fleetPass(t, a, catsA, fixtures)
+	if steady := fleetPass(t, a, catsA, fixtures); steady != 0 {
+		t.Fatalf("A's steady pass made %d source calls, want 0", steady)
+	}
 
 	// B joins the same directory with fresh catalogs: after one tick it
 	// serves the whole mix at the sibling's steady state — A's disk
@@ -86,12 +98,8 @@ func TestServerFleetWarmStartAndInvalidationFanOut(t *testing.T) {
 		t.Fatalf("second replica role = %s", b.Fleet().Role())
 	}
 	b.Fleet().Tick(time.Now())
-	warm := fleetPass(t, b, catsB, fixtures)
-	if warm > steady {
-		t.Fatalf("replica B warm pass made %d calls, sibling steady state is %d", warm, steady)
-	}
-	if warm >= cold {
-		t.Fatalf("replica B paid the cold cost: %d calls vs %d", warm, cold)
+	if warm := fleetPass(t, b, catsB, fixtures); warm != 0 {
+		t.Fatalf("replica B's warm pass made %d source calls, want 0", warm)
 	}
 
 	// Role and lease surface in stats and healthz on both replicas.
@@ -107,40 +115,40 @@ func TestServerFleetWarmStartAndInvalidationFanOut(t *testing.T) {
 		t.Fatalf("writer healthz = %q", body)
 	}
 
+	// reDerive serves the killed tenant's first query on s and returns
+	// its source calls, verifying the answer against the ground truth.
+	f := fixtures[0]
+	reDerive := func(name string, s *Server, cats []*ucqn.Catalog) int {
+		t.Helper()
+		before := totalCalls(cats)
+		resp, err := s.Query(context.Background(), f.Name, f.Queries[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := relOf(resp.Answers); !resp.Complete || !got.Equal(f.Expected[0]) {
+			t.Fatalf("%s: complete=%v answers = %v, ground truth %v", name, resp.Complete, got, f.Expected[0])
+		}
+		return totalCalls(cats) - before
+	}
+
 	// An invalidation accepted by B (a reader: it goes durable in B's
 	// inbox) re-derives on B at once...
-	f := fixtures[0]
 	gen, err := b.Invalidate(f.Name)
 	if err != nil || gen <= 0 {
 		t.Fatalf("Invalidate on reader: gen=%d err=%v", gen, err)
 	}
-	beforeB := totalCalls(catsB)
-	if _, err := b.Query(context.Background(), f.Name, f.Queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if totalCalls(catsB) == beforeB {
-		t.Fatal("B served a tombstoned answer after its own invalidation")
+	if n := reDerive("B", b, catsB); n != 1 {
+		t.Fatalf("B paid %d source calls after its own invalidation, want 1", n)
 	}
 
 	// ...and reaches A within one tick: A's warm cache for the tenant
 	// is orphaned and the next query re-reads the sources.
-	beforeA := totalCalls(catsA)
-	if _, err := a.Query(context.Background(), f.Name, f.Queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if totalCalls(catsA) != beforeA {
-		t.Fatal("sanity: A was not warm before the fan-out tick")
+	if n := reDerive("A before the tick", a, catsA); n != 0 {
+		t.Fatalf("sanity: A was not warm before the fan-out tick (%d calls)", n)
 	}
 	a.Fleet().Tick(time.Now())
-	resp, err := a.Query(context.Background(), f.Name, f.Queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totalCalls(catsA) == beforeA {
-		t.Fatal("A served a tombstoned answer after the invalidation fanned out")
-	}
-	if got := relOf(resp.Answers); !got.Equal(f.Expected[0]) {
-		t.Fatalf("post-invalidation answers = %v, ground truth %v", got, f.Expected[0])
+	if n := reDerive("A", a, catsA); n != 1 {
+		t.Fatalf("A paid %d source calls after the invalidation fanned out, want 1", n)
 	}
 	// The sibling tenant's warm answers survive the bump on both sides.
 	g := fixtures[1]
@@ -157,37 +165,6 @@ func TestServerFleetWarmStartAndInvalidationFanOut(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The E28 harness end to end: replica B's warm pass rides on A's
-// answers, the reader-issued invalidation re-derives on both sides,
-// and the report passes the committed-artifact schema gate.
-func TestRunFleetShare(t *testing.T) {
-	rep, err := RunFleetShare(context.Background(), t.TempDir(),
-		FleetShareConfig{Tenants: 2, DelayMS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ColdCalls == 0 {
-		t.Error("cold pass made no source calls")
-	}
-	if rep.WarmCalls > rep.SteadyCalls {
-		t.Errorf("replica B made %d calls, sibling steady state is %d", rep.WarmCalls, rep.SteadyCalls)
-	}
-	if rep.PostInvalidationCallsB == 0 || rep.PostInvalidationCallsA == 0 {
-		t.Errorf("invalidation did not re-derive on both replicas: B=%d A=%d",
-			rep.PostInvalidationCallsB, rep.PostInvalidationCallsA)
-	}
-	if !rep.Sound {
-		t.Error("a pass served an unsound answer")
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateBenchReport(data); err != nil {
-		t.Errorf("harness report fails its own schema gate: %v", err)
 	}
 }
 

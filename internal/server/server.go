@@ -354,7 +354,7 @@ var ErrParseQuery = errors.New("server: parse query")
 
 // Query answers one tenant query, applying admission control, the
 // tenant quota, and the shared cache. It is the HTTP handler's core and
-// is also callable directly (tests, in-process loadgen). Two failures
+// is also callable directly (tests, the bench/ workloads). Two failures
 // are the request's own and are told apart with errors.Is: a text that
 // does not parse (ErrParseQuery) and a query the tenant's patterns cannot
 // run (ucqn.ErrNotOrderable); neither counts in the tenant's errors.

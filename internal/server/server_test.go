@@ -7,8 +7,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -303,128 +301,6 @@ func TestServerInvalidateBustsTenantAnswers(t *testing.T) {
 	}
 	if gAfter := s.Tenant(g.Name).cat.TotalStats().Calls; gAfter != gBefore {
 		t.Errorf("tenant %s lost its cache to %s's invalidation", g.Name, f.Name)
-	}
-}
-
-func TestValidateBenchReport(t *testing.T) {
-	good := &LoadReport{Experiment: "E24", Requests: 10, QPS: 3.3, Sound: true}
-	data, _ := json.Marshal(good)
-	if err := ValidateBenchReport(data); err != nil {
-		t.Fatalf("valid report rejected: %v", err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	delete(m, "p99_ms")
-	bad, _ := json.Marshal(m)
-	if err := ValidateBenchReport(bad); err == nil {
-		t.Error("missing p99_ms must fail validation")
-	}
-	m["p99_ms"] = "fast"
-	bad, _ = json.Marshal(m)
-	if err := ValidateBenchReport(bad); err == nil {
-		t.Error("non-numeric p99_ms must fail validation")
-	}
-	m["p99_ms"] = 1.0
-	m["experiment"] = "E7"
-	bad, _ = json.Marshal(m)
-	if err := ValidateBenchReport(bad); err == nil {
-		t.Error("wrong experiment tag must fail validation")
-	}
-}
-
-// Every committed BENCH_*.json at the repo root must pass the schema
-// gate it was written under — a drifting schema or a hand-edited
-// artifact fails here, not in a later comparison script.
-func TestCommittedBenchArtifacts(t *testing.T) {
-	matches, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) == 0 {
-		t.Skip("no committed bench artifacts")
-	}
-	for _, path := range matches {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Errorf("%s: %v", filepath.Base(path), err)
-			continue
-		}
-		if err := ValidateBenchReport(data); err != nil {
-			t.Errorf("%s: %v", filepath.Base(path), err)
-		}
-	}
-}
-
-// The load generator against a live server must produce a sound,
-// schema-valid report with traffic in it.
-func TestLoadGenSoundReport(t *testing.T) {
-	s, fixtures := newTestServer(t, Config{}, 3)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	report, err := RunLoad(context.Background(), ts.URL, fixtures, LoadConfig{
-		Users: 4, Duration: 300 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Requests == 0 {
-		t.Fatal("loadgen made no requests")
-	}
-	if !report.Sound {
-		t.Fatalf("unsound responses: %v", report.Unsound)
-	}
-	if report.Errors != 0 {
-		t.Errorf("errors = %d", report.Errors)
-	}
-	if report.QPS <= 0 || report.P50MS < 0 || report.P99MS < report.P50MS {
-		t.Errorf("latency summary: qps=%.1f p50=%.3f p99=%.3f", report.QPS, report.P50MS, report.P99MS)
-	}
-	data, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateBenchReport(data); err != nil {
-		t.Errorf("harness output fails its own schema: %v", err)
-	}
-}
-
-// The invalidation mix: mid-run /v1/invalidate calls interleave with
-// the load, and the generation-watermark check must observe zero
-// post-invalidation responses carrying a pre-invalidation generation.
-func TestLoadGenInvalidationMixSeesNoStaleRows(t *testing.T) {
-	s, fixtures := newTestServer(t, Config{}, 3)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	report, err := RunLoad(context.Background(), ts.URL, fixtures, LoadConfig{
-		Users: 4, Duration: 400 * time.Millisecond, Seed: 1,
-		InvalidateEvery: 25 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Invalidations == 0 {
-		t.Fatal("the invalidator never fired")
-	}
-	if report.Stale != 0 {
-		t.Fatalf("%d responses carried a generation below an acked invalidation watermark: %v",
-			report.Stale, report.Unsound)
-	}
-	if !report.Sound {
-		t.Fatalf("unsound responses under the invalidation mix: %v", report.Unsound)
-	}
-	if report.Config.InvalidateEveryS == 0 {
-		t.Error("report config dropped the invalidation cadence")
-	}
-	data, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateBenchReport(data); err != nil {
-		t.Errorf("invalidation-mix report fails the schema gate: %v", err)
 	}
 }
 
