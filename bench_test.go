@@ -48,14 +48,14 @@ func BenchmarkAnswerParallel(b *testing.B) {
 	cat := in.MustCatalog(ps)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.Answer(u, ps, cat); err != nil {
+			if _, err := Exec(context.Background(), u, ps, cat); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := engine.DefaultRuntime().Eval(context.Background(), u, ps, cat, engine.Opts{Parallel: true}); err != nil {
+			if _, err := Exec(context.Background(), u, ps, cat, WithParallelRules()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,14 +4,13 @@ package ucqn
 // compilation through the canonical plan cache and, when possible,
 // serves answers (whole or per-disjunct) from the answer cache. The
 // cache itself lives in internal/qcache; this file is the facade and
-// the cached execution path.
+// the answer tier's side of a cached run (Exec has the run itself).
 
 import (
 	"context"
 
 	"repro/internal/engine"
 	"repro/internal/qcache"
-	"repro/internal/sources"
 )
 
 // QueryCache is the two-tier semantic query cache: a plan cache keyed
@@ -75,53 +74,28 @@ func cacheProfile(qc *QueryCache, info qcache.PlanInfo, hit qcache.AnswerHit) en
 	return p
 }
 
-// execCached is Exec's path through the cache: the disjuncts the answer
-// cache covers enter the engine's driver pre-answered — no calls, rows
-// at their rule position — and the rest run live, so a partial hit
-// inserts, or drains, exactly as an uncached evaluation would. A
-// materialized full hit returns the cached relation before any driver
-// state exists. A materialized run stores the per-disjunct answers it
-// evaluated; streamed runs do not fill the answer cache (their
-// disjuncts' answers are never held apart).
-func execCached(ctx context.Context, rt *Runtime, c *execConfig, entry *qcache.PlanEntry, info qcache.PlanInfo, cat *sources.Catalog) (*Result, error) {
-	hit := c.qc.Answers(entry, cat)
-	res := &Result{profiled: c.profile, prof: cacheProfile(c.qc, info, hit)}
-	if hit.Full != nil && !c.streaming {
-		res.rel = hit.Full
-		if c.partial {
-			res.inc = &engine.Incompleteness{RulesTotal: hit.ReusedRules, RulesSurvived: hit.ReusedRules}
-		}
-		return res, nil
-	}
-	plan := entry.Plan()
-	pre := engine.Answered{Covered: hit.Covered, Rows: hit.Rows}
-	o := c.engineOpts()
-	o.Prepared = entry.Prepared()
-	if c.streaming {
-		res.stream = rt.StreamEval(ctx, plan, cat, pre, o)
-		return res, nil
-	}
+// answerStore is a materialized cached run's side of the answer tier:
+// the per-disjunct answers it evaluates, stored once it has finished.
+// Streamed runs do not fill the answer cache (their disjuncts' answers
+// are never held apart). The zero value stores nothing.
+type answerStore struct {
+	entry   *qcache.PlanEntry
+	covered []bool
+	rels    []*engine.Rel
+}
 
-	// Degraded disjuncts never reach the sink, so only complete
-	// per-disjunct answers are stored — as handed over: a materialized
-	// run calls the sink once per rule with rows that are distinct and
-	// the sink's to keep (engine.Sink), which is what Frozen asks for.
-	// The answer takes the same rows over (engine.Into): the two share
-	// them, and neither writes them.
-	out := engine.NewRel()
-	into := engine.Into(out)
-	rels := make([]*engine.Rel, len(plan.Exec.Rules))
-	prof, inc, err := rt.Run(ctx, plan, cat, pre, o, func(ctx context.Context, i int, rows []engine.Row) (int, bool) {
-		if !hit.Covered[i] {
-			rels[i] = engine.Frozen(rows)
+// sink wraps into so that every evaluated disjunct's rows are also kept
+// for the store. Degraded disjuncts never reach the sink, so only
+// complete per-disjunct answers are stored — as handed over: a
+// materialized run calls the sink once per rule with rows that are
+// distinct and the sink's to keep (engine.Sink), which is what Frozen
+// asks for. The answer takes the same rows over (engine.Into): the two
+// share them, and neither writes them.
+func (st answerStore) sink(into engine.Sink) engine.Sink {
+	return func(ctx context.Context, i int, rows []engine.Row) (int, bool) {
+		if !st.covered[i] {
+			st.rels[i] = engine.Frozen(rows)
 		}
 		return into(ctx, i, rows)
-	})
-	if err != nil {
-		return nil, err
 	}
-	prof.Cache = res.prof.Cache
-	prof.Cache.Evictions += c.qc.StoreAnswers(entry, cat, rels)
-	res.rel, res.prof, res.inc = out, prof, inc
-	return res, nil
 }

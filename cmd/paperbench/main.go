@@ -671,7 +671,8 @@ func example4() (logic.UCQ, *access.Set, workload.Schema) {
 // run's source traffic to the counts key+"calls" and key+"tuples".
 func answerStar(u logic.UCQ, ps *access.Set, in *engine.Instance, c counts, key string) (engine.AnswerStar, *sources.Catalog) {
 	cat := in.MustCatalog(ps)
-	res := must(engine.RunAnswerStar(u, ps, cat))
+	_, r := exec(u, ps, cat, ucqn.WithAnswerStar())
+	res, _ := r.Star()
 	c[key+"calls"] += cat.TotalStats().Calls
 	c[key+"tuples"] += cat.TotalStats().TuplesReturned
 	return res, cat
@@ -763,7 +764,7 @@ func e11(sz []int) ([]op, table) {
 			in := load(g.Facts(s, 8, 6))
 			res, cat := answerStar(u, ps, in, c, "") // ANSWER* only: taken before ImproveUnder enumerates the domain
 			before := cat.TotalStats()
-			improved, _, dom, err := engine.ImproveUnder(res, ps, cat, 100_000)
+			improved, _, dom, err := engine.DefaultRuntime().ImproveUnder(context.Background(), res, ps, cat, 100_000, engine.Opts{})
 			noErr(err)
 			after := cat.TotalStats()
 			c["dom.calls"] += dom.Calls
@@ -806,7 +807,7 @@ func e12(sz []int) ([]op, table) {
 		}
 		cat, uq := in.MustCatalog(ps), logic.AsUnion(q)
 		cats[n] = cat
-		return func() { must(engine.Answer(uq, ps, cat)) }
+		return func() { exec(uq, ps, cat) }
 	})
 	return ops, func(w io.Writer) (counts, times) {
 		c := counts{}
@@ -908,12 +909,12 @@ func e16([]int) ([]op, table) {
 	return nil, func(w io.Writer) (counts, times) {
 		fmt.Fprintf(w, "%-10s %14s %14s\n", "catalog", "remote calls", "cache hits")
 		plain := in.MustCatalog(ps)
-		must(seq.Answer(context.Background(), q, ps, plain))
+		exec(q, ps, plain, ucqn.WithRuntime(seq))
 		fmt.Fprintf(w, "%-10s %14d %14s\n", "plain", plain.TotalStats().Calls, "-")
 
 		cat, caches, err := ucqn.CachedCatalog(in.MustCatalog(ps))
 		noErr(err)
-		must(seq.Answer(context.Background(), q, ps, cat))
+		exec(q, ps, cat, ucqn.WithRuntime(seq))
 		// The wrapped catalog reports the inner tables' real remote traffic.
 		hits := 0
 		for _, cs := range caches {
@@ -1013,23 +1014,23 @@ func e19(sz []int) ([]op, table) {
 	var ops []op
 	for _, row := range rows {
 		cat := catalog(row.flaky)
-		ops = append(ops, op{row.name, func() { must(row.rt.Answer(context.Background(), q, ps, cat)) }})
+		ops = append(ops, op{row.name, func() { exec(q, ps, cat, ucqn.WithRuntime(row.rt)) }})
 	}
 	return ops, func(w io.Writer) (counts, times) {
 		c := counts{"differ": 0}
 		var first *ucqn.Rel
 		fmt.Fprintf(w, "%-14s %8s %8s %8s %8s\n", "runtime", "calls", "dedup", "retries", "answers")
 		for _, row := range rows {
-			rel, prof, err := row.rt.AnswerProfiled(context.Background(), q, ps, catalog(row.flaky))
-			noErr(err)
+			rel, res := exec(q, ps, catalog(row.flaky), ucqn.WithRuntime(row.rt), ucqn.WithProfile())
+			prof, _ := res.Profile()
 			if first == nil {
 				first = rel
 			}
 			c["differ"] += b2i(!rel.Equal(first))
 			c[row.name+".calls"], c[row.name+".dedup"], c[row.name+".retries"], c[row.name+".answers"] =
-				prof.TotalCalls(), prof.TotalDeduped(), prof.TotalRetries(), rel.Len()
+				prof.Calls.Total, prof.Calls.Deduped, prof.Calls.Retries, rel.Len()
 			fmt.Fprintf(w, "%-14s %8d %8d %8d %8d\n",
-				row.name, prof.TotalCalls(), prof.TotalDeduped(), prof.TotalRetries(), rel.Len())
+				row.name, prof.Calls.Total, prof.Calls.Deduped, prof.Calls.Retries, rel.Len())
 		}
 		fmt.Fprintf(w, "expected: dedup collapses the %d T lookups to 10 distinct calls; retries absorb the injected failures with identical answers\n", n)
 		return c, nil
@@ -1079,11 +1080,11 @@ func e20(sz []int) ([]op, table) {
 			} else {
 				c["identical"] = b2i(slices.EqualFunc(materialized, rel.Rows(), func(a, b ucqn.Row) bool { return a.Key() == b.Key() }))
 			}
-			c[mode+".calls"], c[mode+".answers"] = prof.TotalCalls(), rel.Len()
+			c[mode+".calls"], c[mode+".answers"] = prof.Calls.Total, rel.Len()
 			t[mode+".first"], t[mode+".total"] = ttft, prof.Elapsed
 			fmt.Fprintf(w, "%-14s %12s %12s %8d %8d %8d\n",
 				mode, ttft.Round(time.Microsecond), prof.Elapsed.Round(time.Microsecond),
-				prof.TotalCalls(), prof.PeakBindings(), rel.Len())
+				prof.Calls.Total, prof.PeakBindings(), rel.Len())
 		}
 		fmt.Fprintln(w, "expected: identical calls and answers; the pipeline's first tuple arrives well before the materialized total, with far fewer bindings resident")
 		return c, t
@@ -1397,9 +1398,9 @@ func e23(sz []int) ([]op, table) {
 				lat = append(lat, time.Since(start))
 				c["wrong"] += b2i(!rel.Equal(want))
 				prof, _ := res.Profile()
-				c[m.name+".calls"] += prof.TotalCalls()
-				c[m.name+".hedges"] += prof.HedgedCalls()
-				c[m.name+".wins"] += prof.HedgeWins()
+				c[m.name+".calls"] += prof.Calls.Total
+				c[m.name+".hedges"] += prof.Calls.Hedged
+				c[m.name+".wins"] += prof.Calls.HedgeWins
 			}
 			t[m.name+".p50"], t[m.name+".p99"] = pctl(lat, 0.50), pctl(lat, 0.99)
 			// The catalog's aggregated stats carry observed call latency.

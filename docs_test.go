@@ -94,6 +94,71 @@ func TestDocsNameExistingTests(t *testing.T) {
 	}
 }
 
+// makeRun is a Makefile recipe's -run='…' test selection.
+var makeRun = regexp.MustCompile(`-run='([^']*)'`)
+
+// A smoke target selects its tests by name, so renaming a test would
+// drop it from the smoke silently: every |-separated alternative of
+// every -run='…' in the Makefile must match some Test… function of the
+// packages its line tests.
+func TestMakefileRunPatternsNameExistingTests(t *testing.T) {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for n, line := range strings.Split(string(data), "\n") {
+		m := makeRun.FindStringSubmatchIndex(line)
+		if m == nil {
+			continue
+		}
+		pattern := strings.ReplaceAll(line[m[2]:m[3]], "$$", "$")
+		if pattern == "^$" {
+			continue // benchmarks and fuzz targets only
+		}
+		var pkgs, tests []string
+		for _, f := range strings.Fields(line[m[1]:]) {
+			if f == "." || strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+			}
+		}
+		if len(pkgs) == 0 {
+			t.Errorf("Makefile:%d: -run='%s' names no package", n+1, pattern)
+		}
+		for _, pkg := range pkgs {
+			files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fm := range testFunc.FindAllStringSubmatch(string(src), -1) {
+					if strings.HasPrefix(fm[1], "Test") {
+						tests = append(tests, fm[1])
+					}
+				}
+			}
+		}
+		for _, alt := range strings.Split(pattern, "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("Makefile:%d: -run alternative %q: %v", n+1, alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(tests, re.MatchString) {
+				t.Errorf("Makefile:%d: -run alternative %q matches no Test function in %s", n+1, alt, strings.Join(pkgs, " "))
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Error("the Makefile selects no test by name; the pattern above no longer reads its recipes")
+	}
+}
+
 // resolves reports whether some file's path is p or ends in /p.
 func resolves(p string, files []string) bool {
 	suffix := "/" + strings.TrimPrefix(p, "./")

@@ -125,16 +125,16 @@ func WithNaive(in *Instance) ExecOption { return func(c *execConfig) { c.naive =
 // this execution: after the policy's delay (fixed, or an observed
 // latency percentile) a backup attempt is launched on the
 // next-healthiest replica, and the first success wins. Sources that are
-// not replica sets (see ReplicaCatalog) are unaffected.
-// The runtime is cloned for the execution, so a shared runtime passed
-// via WithRuntime is not mutated.
+// not replica sets (see ReplicaCatalog) are unaffected. The policy is
+// the execution's own (engine.Opts.Hedge): a runtime shared through
+// WithRuntime is not touched, and its per-source cap still holds.
 func WithHedging(h HedgePolicy) ExecOption {
 	return func(c *execConfig) { c.hedge, c.hasHedge = h, true }
 }
 
 // WithBudget caps this execution's source traffic with the per-query
-// call/time budget b, without mutating a shared runtime (the runtime is
-// cloned for the call). Exhausting the budget fails the in-flight call
+// call/time budget b (engine.Opts.Budget), without touching a runtime
+// shared through WithRuntime. Exhausting the budget fails the in-flight call
 // with ErrCallBudget; under WithPartialResults the affected disjuncts
 // degrade instead, yielding a certified underestimate. A negative
 // MaxCalls admits no source calls at all — with WithPartialResults and
@@ -238,7 +238,7 @@ func (r *Result) Improved() (Query, DomResult, bool) {
 
 // Exec evaluates q against the limited-access catalog under the declared
 // patterns, honoring ctx through every source call. With no options it
-// is the materialized Answer on the default runtime; options select the
+// is ANSWER(Q, D), materialized, on the default runtime; options select the
 // runtime, rule parallelism, profiling, streaming, ANSWER*, semantic
 // optimization, cost-based ordering, partial results under failure, or
 // naive ground-truth evaluation.
@@ -282,14 +282,6 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 	if rt == nil {
 		rt = engine.DefaultRuntime()
 	}
-	if c.hasHedge {
-		rt = rt.Clone()
-		rt.Hedge = c.hedge
-	}
-	if c.hasBudget {
-		rt = rt.Clone()
-		rt.Budget = c.budget
-	}
 	if c.hasINDs {
 		q = c.inds.OptimizeChase(q)
 	}
@@ -300,56 +292,93 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		}
 		q = ordered
 	}
+	o := c.engineOpts()
+	res := &Result{profiled: c.profile}
+	if c.star {
+		// ANSWER* is PLAN* in front of the same driver call and a sink
+		// behind it (engine/answerstar.go), so o means what it means
+		// without it.
+		if c.streaming {
+			s, err := rt.StreamAnswerStar(ctx, core.ComputePlans(q, ps), ps, cat, o)
+			if err != nil {
+				return nil, err
+			}
+			res.stream = s
+			return res, nil
+		}
+		star, prof, inc, err := rt.RunAnswerStarWithPlans(ctx, core.ComputePlans(q, ps), ps, cat, o)
+		if err != nil {
+			return nil, err
+		}
+		res.rel, res.star, res.prof, res.inc = star.Under, &star, prof, inc
+		if c.improve {
+			improved, rules, dom, err := rt.ImproveUnder(ctx, star, ps, cat, c.maxCalls, o)
+			if err != nil {
+				return nil, err
+			}
+			res.rel, res.improve, res.rules, res.dom = improved, true, rules, dom
+		}
+		return res, nil
+	}
+
+	// The plan comes from the plan cache or from the planner; the rules
+	// the answer cache covers enter the driver pre-answered — no calls,
+	// rows at their rule position — so a partial hit inserts, or drains,
+	// exactly as an uncached evaluation would.
+	var plan core.Plan
+	var pre engine.Answered
+	var store answerStore
 	if c.useQueryCache() {
 		entry, info := c.qc.Plan(q, ps)
 		if err := entry.Err(); err != nil {
 			return nil, err
 		}
-		return execCached(ctx, rt, &c, entry, info, cat)
-	}
-	o := c.engineOpts()
-	if !c.star {
+		hit := c.qc.Answers(entry, cat)
+		res.prof = cacheProfile(c.qc, info, hit)
+		if hit.Full != nil && !c.streaming {
+			// A materialized full hit returns the cached relation before
+			// any driver state exists.
+			res.rel = hit.Full
+			if c.partial {
+				res.inc = &engine.Incompleteness{RulesTotal: hit.ReusedRules, RulesSurvived: hit.ReusedRules}
+			}
+			return res, nil
+		}
+		plan, pre, o.Prepared = entry.Plan(), engine.Answered{Covered: hit.Covered, Rows: hit.Rows}, entry.Prepared()
+		if !c.streaming {
+			store = answerStore{entry: entry, covered: hit.Covered, rels: make([]*engine.Rel, len(plan.Exec.Rules))}
+		}
+	} else {
 		p, err := core.NewPlan(q, ps)
 		if err != nil {
 			return nil, err
 		}
-		if c.streaming {
-			return &Result{stream: rt.StreamEval(ctx, p, cat, engine.Answered{}, o), profiled: c.profile}, nil
-		}
-		rel := engine.NewRel()
-		prof, inc, err := rt.Run(ctx, p, cat, engine.Answered{}, o, engine.Into(rel))
-		if err != nil {
-			return nil, err
-		}
-		return &Result{rel: rel, profiled: c.profile, prof: prof, inc: inc}, nil
+		plan = p
 	}
-	// ANSWER* is PLAN* in front of the same driver call and a sink behind
-	// it (engine/answerstar.go), so o means what it means without it.
 	if c.streaming {
-		s, err := rt.StreamAnswerStar(ctx, core.ComputePlans(q, ps), ps, cat, o)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{stream: s, profiled: c.profile}, nil
+		res.stream = rt.StreamEval(ctx, plan, cat, pre, o)
+		return res, nil
 	}
-	star, prof, inc, err := rt.RunAnswerStarWithPlans(ctx, core.ComputePlans(q, ps), ps, cat, o)
+	out := engine.NewRel()
+	sink := engine.Into(out)
+	if store.entry != nil {
+		sink = store.sink(sink)
+	}
+	prof, inc, err := rt.Run(ctx, plan, cat, pre, o, sink)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{rel: star.Under, star: &star, profiled: c.profile, prof: prof, inc: inc}
-	if c.improve {
-		improved, rules, dom, err := rt.ImproveUnder(ctx, star, ps, cat, c.maxCalls)
-		if err != nil {
-			return nil, err
-		}
-		res.rel, res.improve, res.rules, res.dom = improved, true, rules, dom
+	if store.entry != nil {
+		prof.Cache = res.prof.Cache
+		prof.Cache.Evictions += c.qc.StoreAnswers(store.entry, cat, store.rels)
 	}
+	res.rel, res.prof, res.inc = out, prof, inc
 	return res, nil
 }
 
 // engineOpts is how the engine's driver runs this call's rules.
 func (c *execConfig) engineOpts() engine.Opts {
-	return engine.Opts{Parallel: c.parallel, Partial: c.partial}
+	return engine.Opts{Parallel: c.parallel, Partial: c.partial, Budget: c.budget, Hedge: c.hedge}
 }
 
 // validate rejects contradictory option combinations up front.

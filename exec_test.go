@@ -7,7 +7,10 @@ package ucqn
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sources/sourcetest"
 )
@@ -146,7 +149,7 @@ func TestExecDefaultAndProfile(t *testing.T) {
 		if len(prof.Rules) != len(q.Rules) {
 			t.Errorf("%s: %d rule profiles, want one per rule (%d)", c.name, len(prof.Rules), len(q.Rules))
 		}
-		if prof.Elapsed <= 0 || prof.TotalCalls() != wantCalls {
+		if prof.Elapsed <= 0 || prof.Calls.Total != wantCalls {
 			t.Errorf("%s: profile must carry wall-clock time and the run's traffic: %+v", c.name, prof)
 		}
 	}
@@ -219,8 +222,8 @@ func TestExecAnswerStarCombines(t *testing.T) {
 			t.Fatal(err)
 		}
 		prof, ok := res.Profile()
-		if !ok || len(prof.Rules) != 2 || prof.TotalCalls() != cat.TotalStats().Calls {
-			t.Errorf("profile = %d rules, %d calls (ok=%v), want the one run of Qᵒ: 2 rules, the catalog's %d calls", len(prof.Rules), prof.TotalCalls(), ok, cat.TotalStats().Calls)
+		if !ok || len(prof.Rules) != 2 || prof.Calls.Total != cat.TotalStats().Calls {
+			t.Errorf("profile = %d rules, %d calls (ok=%v), want the one run of Qᵒ: 2 rules, the catalog's %d calls", len(prof.Rules), prof.Calls.Total, ok, cat.TotalStats().Calls)
 		}
 	})
 
@@ -507,5 +510,74 @@ func TestKeysAreInjectiveEndToEnd(t *testing.T) {
 	// K's two tuples, then one L tuple for each vector of the one batch.
 	if st := sqlCat.TotalStats(); st.TuplesReturned != 4 || st.RoundTrips != 2 {
 		t.Errorf("sql: %d tuples in %d round trips, want 4 in 2", st.TuplesReturned, st.RoundTrips)
+	}
+}
+
+// A runtime's per-source cap spans every execution on it: an Exec's
+// budget and hedge policy are its own options, not a copy of the
+// runtime with limiters of its own. Two concurrent Execs on one runtime
+// with PerSource 1 never have two calls in flight on T, under a budget
+// or hedged over replicas (with a delay no call reaches, so every call
+// is one leg).
+func TestPerSourceCapSpansExecutions(t *testing.T) {
+	q := MustParseQuery(`Q(x, y) :- R(x), T(x, y).`)
+	ps := MustParsePatterns(`R^o T^io`)
+	in := NewInstance()
+	for i := 0; i < 16; i++ {
+		x := fmt.Sprintf("x%d", i)
+		in.MustAdd("R", x).MustAdd("T", x, "y"+x)
+	}
+	var cur, peak atomic.Int64
+	// slowT makes every T call of cat last a millisecond and records
+	// the peak number in flight.
+	slowT := func(cat *Catalog) *Catalog {
+		cat.Source("T").(*Table).OnCall = func(Pattern, []string) {
+			n := cur.Add(1)
+			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			cur.Add(-1)
+		}
+		return cat
+	}
+	replicated := func() *Catalog {
+		cat, _, err := ReplicaCatalog(ReplicaConfig{}, slowT(in.MustCatalog(ps)), slowT(in.MustCatalog(ps)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cat
+	}
+	for _, c := range []struct {
+		name string
+		cat  func() *Catalog
+		opt  ExecOption
+	}{
+		{"budget", func() *Catalog { return slowT(in.MustCatalog(ps)) }, WithBudget(Budget{MaxCalls: 1000})},
+		{"hedging", replicated, WithHedging(HedgePolicy{Delay: time.Hour})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peak.Store(0)
+			rt := NewRuntime()
+			rt.Concurrency, rt.PerSource = 4, 1
+			cat := c.cat()
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = Exec(context.Background(), q, ps, cat, WithRuntime(rt), c.opt)
+				}(i)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := peak.Load(); got > 1 {
+				t.Errorf("%d calls in flight on T at once, want at most PerSource = 1", got)
+			}
+		})
 	}
 }

@@ -57,8 +57,8 @@ func TestAnswerProfiledFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Len() != 1 || prof.TotalCalls() != 2 {
-		t.Errorf("rel=%d calls=%d", rel.Len(), prof.TotalCalls())
+	if rel.Len() != 1 || prof.Calls.Total != 2 {
+		t.Errorf("rel=%d calls=%d", rel.Len(), prof.Calls.Total)
 	}
 }
 

@@ -158,8 +158,9 @@ func CachedCatalog(cat *Catalog) (*Catalog, []*CachedSource, error) {
 // drives distinct calls through a bounded worker pool, and retries
 // transient failures. Construct one with NewRuntime (or
 // SequentialRuntime for the historical per-binding loop), tune the
-// exported fields before first use, and pass it with WithRuntime or
-// call its context-taking Answer/Eval/RunAnswerStarWithPlans methods.
+// exported fields before first use, and pass it with WithRuntime. It is
+// shared policy and limiter state: what one execution may spend
+// (WithBudget) and whether it hedges (WithHedging) are per Exec.
 type Runtime = engine.Runtime
 
 // RetryPolicy configures how a Runtime retries failed source calls.
@@ -263,12 +264,12 @@ func BreakerCatalog(cat *Catalog, cfg BreakerConfig) (*Catalog, []*Breaker, erro
 	return sources.BreakerCatalog(cat, cfg)
 }
 
-// Budget caps what one query execution may spend on source calls; set
-// it on a Runtime. ErrCallBudget failures are terminal.
+// Budget caps what one query execution may spend on source calls; pass
+// it with WithBudget. ErrCallBudget failures are terminal.
 type Budget = engine.Budget
 
 // ErrCallBudget is returned (wrapped) when an execution exhausts its
-// Runtime's per-query call or time budget.
+// per-query call or time budget (WithBudget).
 var ErrCallBudget = engine.ErrCallBudget
 
 // Incompleteness is the degradation report of a partial-results
@@ -349,8 +350,8 @@ func ReplicaCatalog(cfg ReplicaConfig, cats ...*Catalog) (*Catalog, []*ReplicaSe
 	return sources.ReplicaCatalog(cfg, cats...)
 }
 
-// HedgePolicy configures hedged requests on a Runtime (or via
-// WithHedging): after a delay — fixed, or derived from the replica
+// HedgePolicy configures hedged requests for one execution (pass it
+// with WithHedging): after a delay — fixed, or derived from the replica
 // set's observed latency quantile — a backup attempt launches on the
 // next-healthiest replica; the first success wins and the loser is
 // cancelled. The zero value disables hedging.

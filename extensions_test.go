@@ -143,8 +143,8 @@ func TestCachedCatalogFacade(t *testing.T) {
 	if ans.Len() != 20 {
 		t.Errorf("answers = %d, want 20", ans.Len())
 	}
-	if prof.TotalDeduped() != 19 {
-		t.Errorf("deduped = %d, want 19 (20 identical T lookups)", prof.TotalDeduped())
+	if prof.Calls.Deduped != 19 {
+		t.Errorf("deduped = %d, want 19 (20 identical T lookups)", prof.Calls.Deduped)
 	}
 	if ans2, err := execAnswer(q, ps, cat); err != nil || ans2.Len() != 20 {
 		t.Fatalf("second run: %v, %d answers", err, ans2.Len())
@@ -200,17 +200,11 @@ func TestRuntimeFacade(t *testing.T) {
 
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{MaxAttempts: 3}
-	ans, err := rt.Answer(context.Background(), q, ps, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ans := execRel(t, q, ps, cat, WithRuntime(rt))
 	if ans.Len() != 12 {
 		t.Errorf("answers = %d, want 12", ans.Len())
 	}
-	seq, err := SequentialRuntime().Answer(context.Background(), q, ps, in.MustCatalog(ps))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := execRel(t, q, ps, in.MustCatalog(ps), WithRuntime(SequentialRuntime()))
 	if !ans.Equal(seq) {
 		t.Error("runtime answers must match the sequential baseline")
 	}

@@ -5,6 +5,7 @@
 package cli
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -195,7 +196,8 @@ func Answer(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		return e.failf("answer", "%v", err)
 	}
-	res, err := engine.RunAnswerStar(q, ps, cat)
+	rt := engine.DefaultRuntime()
+	res, _, _, err := rt.RunAnswerStarWithPlans(context.Background(), core.ComputePlans(q, ps), ps, cat, engine.Opts{})
 	if err != nil {
 		return e.failf("answer", "%v", err)
 	}
@@ -204,7 +206,7 @@ func Answer(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "source traffic: %d calls, %d tuples\n", st.Calls, st.TuplesReturned)
 
 	if *improve && !res.Complete {
-		improved, rules, dom, err := engine.ImproveUnder(res, ps, cat, *maxCalls)
+		improved, rules, dom, err := rt.ImproveUnder(context.Background(), res, ps, cat, *maxCalls, engine.Opts{})
 		if err != nil {
 			return e.failf("answer", "%v", err)
 		}

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -202,7 +203,7 @@ func (s *session) answer() {
 		fmt.Fprintln(s.errw, err)
 		return
 	}
-	res, err := engine.RunAnswerStar(u, s.patterns, cat)
+	res, _, _, err := engine.DefaultRuntime().RunAnswerStarWithPlans(context.Background(), core.ComputePlans(u, s.patterns), s.patterns, cat, engine.Opts{})
 	if err != nil {
 		fmt.Fprintln(s.errw, err)
 		return

@@ -1,14 +1,24 @@
 package constraints
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/sources"
 	"repro/internal/workload"
 )
+
+// answerStar is ANSWER* of u (PLAN* and one run of Qᵒ) on the engine's
+// default runtime.
+func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (engine.AnswerStar, error) {
+	star, _, _, err := engine.DefaultRuntime().RunAnswerStarWithPlans(context.Background(), core.ComputePlans(u, ps), ps, cat, engine.Opts{})
+	return star, err
+}
 
 func TestChaseAddsImpliedAtom(t *testing.T) {
 	inds := MustParse(`R[1] < S[0]`)
@@ -121,7 +131,7 @@ func TestAnswerStarUnder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.RunAnswerStar(inds.OptimizeChase(u), ps, cat)
+	res, err := answerStar(inds.OptimizeChase(u), ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestAnswerStarUnder(t *testing.T) {
 	}
 	// Sound: equals the unoptimized underestimate's answers (and ground
 	// truth) on this legal instance.
-	plain, err := engine.RunAnswerStar(u, ps, cat)
+	plain, err := answerStar(u, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,14 +150,6 @@ func (st *starSink) report(inc *Incompleteness) AnswerStar {
 	return out
 }
 
-// RunAnswerStar executes ANSWER*: it computes the PLAN* plans for u,
-// evaluates them against the catalog, and derives Δ and the completeness
-// report.
-func RunAnswerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
-	star, _, _, err := defaultRuntime.RunAnswerStarWithPlans(context.Background(), core.ComputePlans(u, ps), ps, cat, Opts{})
-	return star, err
-}
-
 // RunAnswerStarWithPlans is ANSWER* for precomputed plans (so callers
 // can reuse a compile-time PLAN* across database states), materialized:
 // one Run of Qᵒ under o, whose profile and — in partial-results mode —
@@ -192,16 +184,12 @@ func (rt *Runtime) StreamAnswerStar(ctx context.Context, plans core.PlanStar, ps
 // PLAN* dismissed because of an unanswerable part U are re-admitted as
 // ans ∧ dom(v…) ∧ U when every relation of U is callable at all. It
 // returns the improved underestimate relation and the improved rules
-// used, along with the enumeration metadata.
-func ImproveUnder(a AnswerStar, ps *access.Set, cat *sources.Catalog, maxCalls int) (*Rel, logic.UCQ, DomResult, error) {
-	return defaultRuntime.ImproveUnder(context.Background(), a, ps, cat, maxCalls)
-}
-
-// ImproveUnder is the package-level ImproveUnder on this runtime: the
-// domain enumeration and the improved-rule evaluation both run on rt and
-// honor the context.
-func (rt *Runtime) ImproveUnder(ctx context.Context, a AnswerStar, ps *access.Set, cat *sources.Catalog, maxCalls int) (*Rel, logic.UCQ, DomResult, error) {
-	dom, err := rt.EnumerateDomain(ctx, cat, nil, maxCalls)
+// used, along with the enumeration metadata. The enumeration
+// (enumerateDomain, at most maxCalls call attempts) and the strict Run
+// of the improved rules both go through rt under o's budget and hedge
+// policy; o's other fields are the ANSWER* run's and do not apply.
+func (rt *Runtime) ImproveUnder(ctx context.Context, a AnswerStar, ps *access.Set, cat *sources.Catalog, maxCalls int, o Opts) (*Rel, logic.UCQ, DomResult, error) {
+	dom, err := rt.enumerateDomain(ctx, cat, nil, maxCalls, o)
 	if err != nil {
 		return nil, logic.UCQ{}, dom, err
 	}
@@ -226,10 +214,12 @@ func (rt *Runtime) ImproveUnder(ctx context.Context, a AnswerStar, ps *access.Se
 		return improved, logic.UCQ{}, dom, nil
 	}
 	u := logic.UCQ{Rules: rules}
-	extra, err := rt.Answer(ctx, u, ps2, cat2)
+	p, err := core.NewPlan(u, ps2)
+	if err == nil {
+		_, _, err = rt.Run(ctx, p, cat2, Answered{}, Opts{Budget: o.Budget, Hedge: o.Hedge}, Into(improved))
+	}
 	if err != nil {
 		return nil, u, dom, fmt.Errorf("engine: evaluating improved underestimate: %w", err)
 	}
-	improved.AddAll(extra)
 	return improved, u, dom, nil
 }

@@ -118,7 +118,7 @@ func TestRuntimeBatchesCallGroups(t *testing.T) {
 	q := ucq(t, `Q(x, y) :- R(x, z), T(z, y).`)
 	cat, bt, ps := batchJoinFixture(t)
 
-	ans, prof, err := NewRuntime().AnswerProfiled(context.Background(), q, ps, cat)
+	ans, prof, _, err := eval(context.Background(), NewRuntime(), q, ps, cat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRuntimeBatchesCallGroups(t *testing.T) {
 	}
 	// The batch is charged as ONE attempt in the call counters: 1 R scan
 	// + 1 T round trip.
-	if got := prof.TotalCalls(); got != 2 {
+	if got := prof.Calls.Total; got != 2 {
 		t.Fatalf("profile calls = %d, want 2", got)
 	}
 }
@@ -145,7 +145,7 @@ func TestRuntimeBatchesCallGroups(t *testing.T) {
 func TestRuntimeBatchMatchesSequentialAnswers(t *testing.T) {
 	q := ucq(t, `Q(x, y) :- R(x, z), T(z, y).`)
 	cat, _, ps := batchJoinFixture(t)
-	batchAns, err := NewRuntime().Answer(context.Background(), q, ps, cat)
+	batchAns, err := answer(context.Background(), NewRuntime(), q, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRuntimeBatchMatchesSequentialAnswers(t *testing.T) {
 	for z := 0; z < 10; z++ {
 		in.MustAdd("T", fmt.Sprintf("z%d", z), fmt.Sprintf("y%d", z))
 	}
-	plainAns, err := NewRuntime().Answer(context.Background(), q, ps, in.MustCatalog(ps))
+	plainAns, err := answer(context.Background(), NewRuntime(), q, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRuntimeBatchFallsBackPerCall(t *testing.T) {
 	)
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{MaxAttempts: 2}
-	ans, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	ans, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{})
 	if err != nil {
 		t.Fatalf("fallback must absorb the failed batch: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestRuntimeBatchRetriesTransient(t *testing.T) {
 	bt.failNextBatches(sources.Transient(errors.New("backend hiccup")))
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{MaxAttempts: 3}
-	_, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	_, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +217,8 @@ func TestRuntimeBatchRetriesTransient(t *testing.T) {
 func TestRuntimeBatchChargesBudgetPerRoundTrip(t *testing.T) {
 	q := ucq(t, `Q(x, y) :- R(x, z), T(z, y).`)
 	cat, _, ps := batchJoinFixture(t)
-	rt := NewRuntime()
-	rt.Budget = Budget{MaxCalls: 2} // 1 scan + 1 batched round trip
-	ans, err := rt.Answer(context.Background(), q, ps, cat)
+	budget := Opts{Budget: Budget{MaxCalls: 2}} // 1 scan + 1 batched round trip
+	ans, _, _, err := eval(context.Background(), NewRuntime(), q, ps, cat, budget)
 	if err != nil {
 		t.Fatalf("batch must fit the round-trip budget: %v", err)
 	}
@@ -235,9 +234,7 @@ func TestRuntimeBatchChargesBudgetPerRoundTrip(t *testing.T) {
 	for z := 0; z < 10; z++ {
 		in.MustAdd("T", fmt.Sprintf("z%d", z), fmt.Sprintf("y%d", z))
 	}
-	rt2 := NewRuntime()
-	rt2.Budget = Budget{MaxCalls: 2}
-	if _, err := rt2.Answer(context.Background(), q, ps, in.MustCatalog(ps)); !errors.Is(err, ErrCallBudget) {
+	if _, _, _, err := eval(context.Background(), NewRuntime(), q, ps, in.MustCatalog(ps), budget); !errors.Is(err, ErrCallBudget) {
 		t.Fatalf("per-call path under the same budget: err = %v, want ErrCallBudget", err)
 	}
 }
@@ -246,7 +243,7 @@ func TestRuntimeBatchChargesBudgetPerRoundTrip(t *testing.T) {
 func TestRuntimeBatchInStream(t *testing.T) {
 	q := ucq(t, `Q(x, y) :- R(x, z), T(z, y).`)
 	cat, bt, ps := batchJoinFixture(t)
-	stream, err := NewRuntime().Stream(context.Background(), q, ps, cat)
+	stream, err := streamQuery(context.Background(), NewRuntime(), q, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,8 +114,8 @@ func TestStepJoinSharesShortAnswers(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				sameAnswer(t, got, want, sched, parallel, label)
-				if c := cat.TotalStats().Calls; c != wantCalls || prof.TotalCalls() != wantCalls {
-					t.Fatalf("%s: %d source calls (%d profiled), want %d", label, c, prof.TotalCalls(), wantCalls)
+				if c := cat.TotalStats().Calls; c != wantCalls || prof.Calls.Total != wantCalls {
+					t.Fatalf("%s: %d source calls (%d profiled), want %d", label, c, prof.Calls.Total, wantCalls)
 				}
 				for ri, wr := range wantProf.Rules {
 					for k, w := range wr.Steps {
@@ -149,7 +149,7 @@ func shortStepQuery(n int) (logic.UCQ, *access.Set, *sources.Catalog) {
 
 // A call with a short answer costs its answer, not its bookkeeping: the
 // step's short answers share one join and its calls one slab, so from 16
-// to 256 calls an Eval allocates at most 1.5 times more a call (≈ 9
+// to 256 calls an eval allocates at most 1.5 times more a call (≈ 9
 // when each call built its own join and record).
 func TestStepCallAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
@@ -157,7 +157,7 @@ func TestStepCallAllocs(t *testing.T) {
 		rt := NewRuntime()
 		rt.Concurrency = 1 // no worker pool: every allocation is the driver's
 		return testing.AllocsPerRun(20, func() {
-			if _, _, _, err := rt.Eval(context.Background(), u, ps, cat, Opts{}); err != nil {
+			if _, _, _, err := eval(context.Background(), rt, u, ps, cat, Opts{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -168,7 +168,7 @@ func TestStepCallAllocs(t *testing.T) {
 	}
 }
 
-// One Eval of the short-answer step by number of calls: allocs/op over
+// One eval of the short-answer step by number of calls: allocs/op over
 // calls is what a call's bookkeeping costs (TestStepCallAllocs pins it).
 func BenchmarkBatchedStep(b *testing.B) {
 	for _, n := range []int{16, 256} {
@@ -178,7 +178,7 @@ func BenchmarkBatchedStep(b *testing.B) {
 			rt.Concurrency = 1
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := rt.Eval(context.Background(), u, ps, cat, Opts{}); err != nil {
+				if _, _, _, err := eval(context.Background(), rt, u, ps, cat, Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

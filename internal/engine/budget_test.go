@@ -20,7 +20,6 @@ func TestBudgetRefundsAbandonedLeg(t *testing.T) {
 	src := rTable(t, ps)
 	rt := NewRuntime()
 	rt.PerSource = 1
-	rt.Budget = Budget{MaxCalls: 5}
 
 	// Occupy the only per-source slot, then call under an already
 	// cancelled context: the slot wait is abandoned deterministically.
@@ -28,18 +27,18 @@ func TestBudgetRefundsAbandonedLeg(t *testing.T) {
 	sem <- struct{}{}
 	defer func() { <-sem }()
 
-	budget := rt.newBudget()
+	x := rt.newExecution(sources.MustCatalog(src), Opts{Budget: Budget{MaxCalls: 5}}, false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var gauge inFlightGauge
-	_, cs, err := rt.callWithRetry(ctx, src, "R", "o", [][]string{nil}, &gauge, budget)
+	_, cs, err := x.callWithRetry(ctx, src, "R", "o", [][]string{nil}, &gauge)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if cs.attempts != 0 {
 		t.Fatalf("attempts = %d, want 0 (the leg never launched)", cs.attempts)
 	}
-	if got := budget.spent.Load(); got != 0 {
+	if got := x.budget.spent.Load(); got != 0 {
 		t.Errorf("budget spent = %d, want 0: an abandoned slot wait must refund its charge", got)
 	}
 }
@@ -47,7 +46,7 @@ func TestBudgetRefundsAbandonedLeg(t *testing.T) {
 // Meter identity under concurrent rules + hedging: every launched leg —
 // primary, timer hedge, failover, retry — is charged to the budget
 // exactly once and recorded in the profile exactly once, so a profiled
-// run must report BudgetSpent == TotalCalls however the rules
+// run must report BudgetSpent == Calls.Total however the rules
 // interleave. Run under -race this also exercises the budget and
 // profile counters for data races.
 func TestBudgetMeterIdentityParallelHedged(t *testing.T) {
@@ -74,19 +73,17 @@ func TestBudgetMeterIdentityParallelHedged(t *testing.T) {
 
 	for _, maxCalls := range []int{1000, 4, 2} {
 		rt := NewRuntime()
-		rt.Hedge = HedgePolicy{Delay: 100 * time.Microsecond, MaxHedges: 2}
 		rt.PerSource = 2
 		rt.Retry.BaseDelay = 0
-		rt.Budget = Budget{MaxCalls: maxCalls}
+		o := Opts{Parallel: true, Partial: true, Budget: Budget{MaxCalls: maxCalls}, Hedge: HedgePolicy{Delay: 100 * time.Microsecond, MaxHedges: 2}}
 		for i := 0; i < 20; i++ {
-			rel, prof, inc, err := rt.Eval(context.Background(), u, ps, newCat(),
-				Opts{Parallel: true, Partial: true})
+			rel, prof, inc, err := eval(context.Background(), rt, u, ps, newCat(), o)
 			if err != nil {
 				t.Fatalf("MaxCalls=%d iter %d: %v", maxCalls, i, err)
 			}
-			if prof.Calls.BudgetSpent != prof.TotalCalls() {
+			if prof.Calls.BudgetSpent != prof.Calls.Total {
 				t.Fatalf("MaxCalls=%d iter %d: BudgetSpent = %d but profile Calls = %d (dropped or double-counted legs; %d rules degraded)",
-					maxCalls, i, prof.Calls.BudgetSpent, prof.TotalCalls(), len(inc.Failed))
+					maxCalls, i, prof.Calls.BudgetSpent, prof.Calls.Total, len(inc.Failed))
 			}
 			if len(inc.Failed) == 0 && rel.Len() != 1 {
 				t.Fatalf("MaxCalls=%d iter %d: answers = %s, want the single row", maxCalls, i, rel)
@@ -107,14 +104,14 @@ func TestBudgetShedModeAdmitsNoCalls(t *testing.T) {
 	in.MustAdd("S", "b")
 
 	rt := NewRuntime()
-	rt.Budget = Budget{MaxCalls: -1}
+	shed := Budget{MaxCalls: -1}
 
-	if _, _, _, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{}); !errors.Is(err, ErrCallBudget) {
+	if _, _, _, err := eval(context.Background(), rt, u, ps, in.MustCatalog(ps), Opts{Budget: shed}); !errors.Is(err, ErrCallBudget) {
 		t.Fatalf("strict err = %v, want ErrCallBudget", err)
 	}
 
 	cat := in.MustCatalog(ps)
-	rel, prof, inc, err := rt.Eval(context.Background(), u, ps, cat, Opts{Partial: true})
+	rel, prof, inc, err := eval(context.Background(), rt, u, ps, cat, Opts{Partial: true, Budget: shed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +126,8 @@ func TestBudgetShedModeAdmitsNoCalls(t *testing.T) {
 			t.Errorf("failure class = %s, want %s", f.Class, FailBudget)
 		}
 	}
-	if prof.Calls.BudgetSpent != 0 || prof.TotalCalls() != 0 {
-		t.Errorf("shed mode spent budget %d / calls %d, want 0/0", prof.Calls.BudgetSpent, prof.TotalCalls())
+	if prof.Calls.BudgetSpent != 0 || prof.Calls.Total != 0 {
+		t.Errorf("shed mode spent budget %d / calls %d, want 0/0", prof.Calls.BudgetSpent, prof.Calls.Total)
 	}
 	if st := cat.TotalStats(); st.Calls != 0 {
 		t.Errorf("shed mode reached the catalog %d times, want 0", st.Calls)

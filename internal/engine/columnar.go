@@ -681,10 +681,11 @@ type stepState struct {
 //
 // It returns the number of rows emitted and whether emit stopped the
 // step early (pipeline cancellation; not an error).
-func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, cat *sources.Catalog, in *colBatch, sp *StepProfile, st *stepState, budget *budgetState, pool *colPool, limit int, emit func(*colBatch) bool) (int, bool, error) {
+func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int, in *colBatch, sp *StepProfile, st *stepState, limit int, emit func(*colBatch) bool) (int, bool, error) {
 	sp0 := &prog.steps[si]
 	step := sp0.step
-	src := cat.Source(step.Literal.Atom.Pred)
+	dedup, pool := x.rt.Dedup, x.pool
+	src := x.cat.Source(step.Literal.Atom.Pred)
 	if src == nil {
 		return 0, false, fmt.Errorf("engine: no source for relation %s", step.Literal.Atom.Pred)
 	}
@@ -699,12 +700,12 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 	var keyArr [8]uint32
 	key := keyArr[:0]
 	of := make([]int32, in.n)
-	if !rt.Dedup {
+	if !dedup {
 		st.calls = st.calls[:0]
 	}
 	known, fresh := len(st.calls), 0
 	for i := 0; i < in.n; i++ {
-		if !rt.Dedup {
+		if !dedup {
 			of[i] = int32(i)
 			fresh++
 			continue
@@ -744,7 +745,7 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 		st.calls = append(st.calls, c)
 	}
 	t0 := time.Now()
-	err := rt.issue(ctx, src, step, calls, sp, budget)
+	err := x.issue(ctx, src, step, calls, sp)
 	sp.SourceWait += time.Since(t0)
 	if err != nil {
 		return 0, false, err

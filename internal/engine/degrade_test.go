@@ -54,7 +54,7 @@ func TestEvalPartialDropsFailedDisjunct(t *testing.T) {
 	in.MustAdd("R", "b")
 	in.MustAdd("S", "c")
 	healthy := in.MustCatalog(ps)
-	want, err := NewRuntime().Answer(context.Background(), ucq(t, `Q(x) :- R(x).`), ps, healthy)
+	want, err := answer(context.Background(), NewRuntime(), ucq(t, `Q(x) :- R(x).`), ps, healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestEvalPartialDropsFailedDisjunct(t *testing.T) {
 			rt.Retry.BaseDelay = 0
 
 			// Strict mode surfaces the failure.
-			if _, _, _, err := rt.Eval(context.Background(), u, ps, cat, Opts{Parallel: parallel}); err == nil {
+			if _, _, _, err := eval(context.Background(), rt, u, ps, cat, Opts{Parallel: parallel}); err == nil {
 				t.Fatal("strict mode must fail when a source is dead")
 			}
 
 			// Partial mode drops rule 2 and answers with rule 1.
-			rel, prof, inc, err := rt.Eval(context.Background(), u, ps, cat, Opts{Parallel: parallel, Partial: true})
+			rel, prof, inc, err := eval(context.Background(), rt, u, ps, cat, Opts{Parallel: parallel, Partial: true})
 			if err != nil {
 				t.Fatalf("partial mode must absorb the failure: %v", err)
 			}
@@ -114,7 +114,7 @@ func TestEvalPartialCompleteRunReportsComplete(t *testing.T) {
 	in.MustAdd("R", "a")
 	in.MustAdd("S", "b")
 	cat := in.MustCatalog(ps)
-	rel, _, inc, err := NewRuntime().Eval(context.Background(), u, ps, cat, Opts{Partial: true})
+	rel, _, inc, err := eval(context.Background(), NewRuntime(), u, ps, cat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestEvalPartialBreakerCapsDeadSourceCalls(t *testing.T) {
 
 	// Bare retries: every dead-source rule burns its full retry budget.
 	bareCat, bareFlaky, _ := deadCatalog(t, in, ps, map[string]bool{"S": true}, nil)
-	rel, _, inc, err := newRT().Eval(context.Background(), u, ps, bareCat, Opts{Partial: true})
+	rel, _, inc, err := eval(context.Background(), newRT(), u, ps, bareCat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestEvalPartialBreakerCapsDeadSourceCalls(t *testing.T) {
 	// circuit opens; later rules fail fast without touching it.
 	cfg := &sources.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour}
 	brkCat, brkFlaky, breakers := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-	rel2, _, inc2, err := newRT().Eval(context.Background(), u, ps, brkCat, Opts{Partial: true})
+	rel2, _, inc2, err := eval(context.Background(), newRT(), u, ps, brkCat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +209,15 @@ func TestEvalPartialBudgetExhausted(t *testing.T) {
 	in.MustAdd("S", "b")
 
 	rt := NewRuntime()
-	rt.Budget = Budget{MaxCalls: 1} // rule 1's single call spends it all
+	budget := Budget{MaxCalls: 1} // rule 1's single call spends it all
 
 	// Strict: budget exhaustion is an error.
-	if _, _, _, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{}); !errors.Is(err, ErrCallBudget) {
+	if _, _, _, err := eval(context.Background(), rt, u, ps, in.MustCatalog(ps), Opts{Budget: budget}); !errors.Is(err, ErrCallBudget) {
 		t.Fatalf("strict err = %v, want ErrCallBudget", err)
 	}
 
 	// Partial: rule 2 is dropped as budget-exhausted.
-	rel, prof, inc, err := rt.Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{Partial: true})
+	rel, prof, inc, err := eval(context.Background(), rt, u, ps, in.MustCatalog(ps), Opts{Partial: true, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestRuntimeCallTimeoutCutsHungSource(t *testing.T) {
 	rt.Retry.MaxAttempts = 3
 	rt.Retry.BaseDelay = 0
 	start := time.Now()
-	rel, err := rt.Answer(context.Background(), q, ps, cat)
+	rel, err := answer(context.Background(), rt, q, ps, cat)
 	if err != nil {
 		t.Fatalf("the per-call deadline must convert the hang into a retryable timeout: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestRuntimeCallTimeoutExhaustionIsTransient(t *testing.T) {
 	rt.CallTimeout = 2 * time.Millisecond
 	rt.Retry.MaxAttempts = 2
 	rt.Retry.BaseDelay = 0
-	_, err := rt.Answer(context.Background(), q, ps, cat)
+	_, err := answer(context.Background(), rt, q, ps, cat)
 	if err == nil {
 		t.Fatal("permanently hung source must fail")
 	}
@@ -290,7 +290,7 @@ func TestEvalPartialDoesNotAbsorbCallerCancellation(t *testing.T) {
 	in.MustAdd("R", "a")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := NewRuntime().Eval(ctx, u, ps, in.MustCatalog(ps), Opts{Partial: true})
+	_, _, _, err := eval(ctx, NewRuntime(), u, ps, in.MustCatalog(ps), Opts{Partial: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled even in partial mode", err)
 	}
@@ -302,7 +302,7 @@ func TestEvalPartialDoesNotAbsorbPlanningErrors(t *testing.T) {
 	in := NewInstance()
 	in.MustAdd("R", "a")
 	for _, parallel := range []bool{false, true} {
-		_, _, _, err := NewRuntime().Eval(context.Background(), u, ps, in.MustCatalog(ps), Opts{Partial: true, Parallel: parallel})
+		_, _, _, err := eval(context.Background(), NewRuntime(), u, ps, in.MustCatalog(ps), Opts{Partial: true, Parallel: parallel})
 		if !errors.Is(err, core.ErrNotOrderable) {
 			t.Errorf("parallel=%v: err = %v, want the planning error even in partial mode", parallel, err)
 		}
@@ -393,7 +393,7 @@ func TestStreamPartialDegradedMatchesMaterialized(t *testing.T) {
 	cfg := &sources.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour}
 
 	matCat, _, _ := deadCatalog(t, in, ps, map[string]bool{"S": true}, cfg)
-	want, _, matInc, err := degradeRuntime().Eval(context.Background(), u, ps, matCat, Opts{Partial: true})
+	want, _, matInc, err := eval(context.Background(), degradeRuntime(), u, ps, matCat, Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ type DomResult struct {
 	TruncatedBy []string
 }
 
-// EnumerateDomain computes a partial domain enumeration view over the
+// enumerateDomain computes a partial domain enumeration view over the
 // catalog in the style of [DL97] (recursive plans for information
 // gathering), as rounds of driver runs. D₀ is the seeds; round r calls
 // every pattern of every source once with each input vector of
@@ -43,12 +43,13 @@ type DomResult struct {
 // over the final domain called exactly once, or when maxCalls attempts
 // are spent (maxCalls ≤ 0 admits none): a sound domain for dom(x) atoms.
 //
-// A round is one partial-results Run on a clone of rt with the calls
-// left as its budget, so retries, call deadlines, per-source limits,
-// hedging and panic containment are rt's; a failed call drops its rule
-// and truncates the domain. On cancellation it returns the context error
-// beside the (truncated, still sound) domain enumerated so far.
-func (rt *Runtime) EnumerateDomain(ctx context.Context, cat *sources.Catalog, seeds []string, maxCalls int) (DomResult, error) {
+// A round is one partial-results Run on rt with the calls left as its
+// call budget and o's time budget and hedge policy, so retries, call
+// deadlines, per-source limits and panic containment are rt's; a failed
+// call drops its rule and truncates the domain. On cancellation it
+// returns the context error beside the (truncated, still sound) domain
+// enumerated so far.
+func (rt *Runtime) enumerateDomain(ctx context.Context, cat *sources.Catalog, seeds []string, maxCalls int, o Opts) (DomResult, error) {
 	known := map[string]bool{}
 	var dom []string // in discovery order; dom[:mark] is enumerated
 	add := func(v string) {
@@ -76,9 +77,8 @@ func (rt *Runtime) EnumerateDomain(ctx context.Context, cat *sources.Catalog, se
 		plan, more := roundPlan(cat, dom[:mark], dom[mark:], first, max(left, 0))
 		mark = len(dom)
 		if len(plan.Exec.Rules) > 0 {
-			r := rt.Clone()
-			r.Budget.MaxCalls = left
-			prof, inc, rerr := r.Run(ctx, plan, cat, Answered{}, Opts{Partial: true}, sink)
+			round := Opts{Partial: true, Budget: Budget{MaxCalls: left, MaxTime: o.Budget.MaxTime}, Hedge: o.Hedge}
+			prof, inc, rerr := rt.Run(ctx, plan, cat, Answered{}, round, sink)
 			res.Calls, err = res.Calls+prof.Calls.Total, rerr
 			for _, f := range inc.Failed {
 				res.Truncated = true

@@ -13,11 +13,11 @@ import (
 	"repro/internal/sources"
 )
 
-// enumerate is EnumerateDomain on rt under a background context; it
+// enumerate is enumerateDomain on rt under a background context; it
 // fails the test on an error.
 func enumerate(t *testing.T, rt *Runtime, cat *sources.Catalog, seeds []string, maxCalls int) DomResult {
 	t.Helper()
-	dom, err := rt.EnumerateDomain(context.Background(), cat, seeds, maxCalls)
+	dom, err := rt.enumerateDomain(context.Background(), cat, seeds, maxCalls, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +42,14 @@ func TestExample8ImprovedUnderestimate(t *testing.T) {
 		MustAdd("S", "c").
 		MustAdd("T", "t1", "t2")
 	cat := in.MustCatalog(ps)
-	res, err := RunAnswerStar(u, ps, cat)
+	res, err := answerStar(u, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Under.Contains(RowOf("a", "b")) {
 		t.Fatal("plain underestimate must miss (a, b)")
 	}
-	improved, rules, dom, err := ImproveUnder(res, ps, cat, 10_000)
+	improved, rules, dom, err := defaultRuntime.ImproveUnder(context.Background(), res, ps, cat, 10_000, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +222,12 @@ func TestEnumerateDomainContainsFailingSources(t *testing.T) {
 			srcs = append(srcs, ex.MustCatalog(ps).Source(name))
 		}
 		cat := sources.MustCatalog(append(srcs, c.p)...)
-		res, err := RunAnswerStar(u, ps, cat)
+		res, err := answerStar(u, ps, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		improved, _, dom, err := c.rt.ImproveUnder(ctx, res, ps, cat, 10_000)
+		improved, _, dom, err := c.rt.ImproveUnder(ctx, res, ps, cat, 10_000, Opts{})
 		cancel()
 		if err != nil {
 			t.Fatalf("%s: a failing source must not fail the improvement: %v", c.name, err)

@@ -74,7 +74,7 @@ func BenchmarkE25Columnar(b *testing.B) {
 			rel, _, _, err := oracleEval(ctx, rt, q, ps, cat, false)
 			return rel, err
 		}},
-		{"columnar", func() (*Rel, error) { return rt.Answer(ctx, q, ps, cat) }},
+		{"columnar", func() (*Rel, error) { return answer(ctx, rt, q, ps, cat) }},
 	}
 
 	var best [2]time.Duration
@@ -113,7 +113,7 @@ func BenchmarkE25Columnar(b *testing.B) {
 	if calls[1] != calls[0] || calls[1] != 49 {
 		b.Fatalf("source calls: columnar=%d map=%d, want 49", calls[1], calls[0])
 	}
-	_, prof, err := rt.AnswerProfiled(ctx, q, ps, in.MustCatalog(ps))
+	_, prof, _, err := eval(ctx, rt, q, ps, in.MustCatalog(ps), Opts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func BenchmarkE25Columnar(b *testing.B) {
 	for _, sp := range prof.Rules[0].Steps {
 		bindings += sp.BindingsOut
 	}
-	if bindings != 460 || prof.TotalCalls() != 49 {
-		b.Fatalf("steps sent on %d bindings over %d calls, want 460 over 49:\n%s", bindings, prof.TotalCalls(), prof)
+	if bindings != 460 || prof.Calls.Total != 49 {
+		b.Fatalf("steps sent on %d bindings over %d calls, want 460 over 49:\n%s", bindings, prof.Calls.Total, prof)
 	}
 	speedup := float64(best[0]) / float64(best[1])
 	b.Logf("map=%v columnar=%v speedup=%.1fx (%d rows, %d calls); allocs/op: map=%.0f columnar=%.0f",

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/sources"
 )
 
 func pats(t *testing.T, src string) *access.Set {
@@ -35,6 +37,45 @@ func mustPlan(t *testing.T, u logic.UCQ, ps *access.Set) core.Plan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// eval plans u (core.NewPlan) and runs the plan on rt under o into a
+// fresh relation: the materialized answer, the profile and — in
+// partial-results mode — the degradation report.
+func eval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o Opts) (*Rel, Profile, *Incompleteness, error) {
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		return nil, Profile{}, nil, err
+	}
+	out := NewRel()
+	prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
+	if err != nil {
+		return nil, Profile{}, nil, err
+	}
+	return out, prof, inc, nil
+}
+
+// answer is ANSWER(u, D) on rt: eval under the zero Opts, the answer
+// alone.
+func answer(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
+	rel, _, _, err := eval(ctx, rt, u, ps, cat, Opts{})
+	return rel, err
+}
+
+// streamQuery plans u and streams the plan on rt under the zero Opts.
+func streamQuery(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Stream, error) {
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		return nil, err
+	}
+	return rt.StreamEval(ctx, p, cat, Answered{}, Opts{}), nil
+}
+
+// answerStar is ANSWER* of u (PLAN* and one run of Qᵒ) on the default
+// runtime under the zero Opts.
+func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
+	star, _, _, err := defaultRuntime.RunAnswerStarWithPlans(context.Background(), core.ComputePlans(u, ps), ps, cat, Opts{})
+	return star, err
 }
 
 // bookstore is the instance behind Examples 1 and 2.
@@ -89,7 +130,7 @@ func TestExample1EndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("Example 1 must be orderable")
 	}
-	got, err := Answer(ordered, ps, cat)
+	got, err := answer(context.Background(), defaultRuntime, ordered, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +147,7 @@ func TestExample1EndToEnd(t *testing.T) {
 	}
 	// As written the query is not executable, but it is orderable:
 	// planning picks ANSWERABLE's order and the answer is the same.
-	if asWritten, err := Answer(q, ps, cat); err != nil || !asWritten.Equal(got) {
+	if asWritten, err := answer(context.Background(), defaultRuntime, q, ps, cat); err != nil || !asWritten.Equal(got) {
 		t.Errorf("as written: answer %s, err %v; want %s", asWritten, err, got)
 	}
 }
@@ -115,7 +156,7 @@ func TestNegationAsFilter(t *testing.T) {
 	in := NewInstance().MustAdd("R", "a").MustAdd("R", "b").MustAdd("S", "b")
 	ps := pats(t, `R^o S^i`)
 	cat := in.MustCatalog(ps)
-	got, err := Answer(ucq(t, `Q(x) :- R(x), not S(x).`), ps, cat)
+	got, err := answer(context.Background(), defaultRuntime, ucq(t, `Q(x) :- R(x), not S(x).`), ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +171,7 @@ func TestConstantsInBody(t *testing.T) {
 		MustAdd("B", "i2", "date", "dbintro")
 	ps := pats(t, `B^oio`)
 	cat := in.MustCatalog(ps)
-	got, err := Answer(ucq(t, `Q(i, t) :- B(i, "knuth", t).`), ps, cat)
+	got, err := answer(context.Background(), defaultRuntime, ucq(t, `Q(i, t) :- B(i, "knuth", t).`), ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +196,7 @@ func TestExample5RuntimeComplete(t *testing.T) {
 		MustAdd("S", "z1").
 		MustAdd("B", "x1", "y1").
 		MustAdd("T", "t1", "t2")
-	res, err := RunAnswerStar(u, ps, in.MustCatalog(ps))
+	res, err := answerStar(u, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +229,7 @@ func TestExample7NullTuple(t *testing.T) {
 		MustAdd("S", "c").
 		MustAdd("B", "a", "y1").
 		MustAdd("T", "t1", "t2")
-	res, err := RunAnswerStar(u, ps, in.MustCatalog(ps))
+	res, err := answerStar(u, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +261,7 @@ func TestCompletenessRatio(t *testing.T) {
 		MustAdd("T", "t1").
 		MustAdd("R", "r1", "z1").
 		MustAdd("B", "z1")
-	res, err := RunAnswerStar(u, ps, in.MustCatalog(ps))
+	res, err := answerStar(u, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +282,7 @@ func TestCompletenessRatio(t *testing.T) {
 	in2 := NewInstance().
 		MustAdd("T", "t1").
 		MustAdd("R", "r1", "z1")
-	res2, err := RunAnswerStar(u2, ps2, in2.MustCatalog(ps2))
+	res2, err := answerStar(u2, ps2, in2.MustCatalog(ps2))
 	if err != nil {
 		t.Fatal(err)
 	}

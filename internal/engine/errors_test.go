@@ -17,13 +17,13 @@ func TestAnswerErrorPaths(t *testing.T) {
 	cat := in.MustCatalog(ps)
 
 	// Non-executable order.
-	if _, err := Answer(ucq(t, `Q(x) :- S(x).`), ps, cat); err == nil {
+	if _, err := answer(context.Background(), defaultRuntime, ucq(t, `Q(x) :- S(x).`), ps, cat); err == nil {
 		t.Error("rule over a pattern-less relation must fail")
 	}
 
 	// Catalog missing a relation the pattern set declares.
 	ps2 := pats(t, `R^o S^o`)
-	if _, err := Answer(ucq(t, `Q(x) :- S(x).`), ps2, cat); err == nil || !strings.Contains(err.Error(), "no source") {
+	if _, err := answer(context.Background(), defaultRuntime, ucq(t, `Q(x) :- S(x).`), ps2, cat); err == nil || !strings.Contains(err.Error(), "no source") {
 		t.Errorf("missing source must fail, got %v", err)
 	}
 }
@@ -39,7 +39,7 @@ func TestHeadRowErrors(t *testing.T) {
 	in := NewInstance().MustAdd("R", "a")
 	ps := pats(t, `R^o`)
 	cat := in.MustCatalog(ps)
-	if _, err := Answer(logic.UCQ{Rules: []logic.CQ{q}}, ps, cat); err == nil || !strings.Contains(err.Error(), "unbound") {
+	if _, err := answer(context.Background(), defaultRuntime, logic.UCQ{Rules: []logic.CQ{q}}, ps, cat); err == nil || !strings.Contains(err.Error(), "unbound") {
 		t.Errorf("unsafe head must fail, got %v", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestHeadConstantsAndNulls(t *testing.T) {
 		HeadArgs: []logic.Term{logic.Const("tag"), logic.Var("x"), logic.Null},
 		Body:     []logic.Literal{logic.Pos(logic.NewAtom("R", logic.Var("x")))},
 	}
-	rel, err := Answer(logic.UCQ{Rules: []logic.CQ{q}}, ps, cat)
+	rel, err := answer(context.Background(), defaultRuntime, logic.UCQ{Rules: []logic.CQ{q}}, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,18 +233,16 @@ func TestSourcePanicContained(t *testing.T) {
 			rt := NewRuntime()
 			rt.Concurrency = 4
 			rt.Retry = RetryPolicy{}
+			var o Opts
 			if c.hedge {
-				rt.Hedge = HedgePolicy{Delay: time.Millisecond}
+				o.Hedge = HedgePolicy{Delay: time.Millisecond}
 			}
 			cat := sources.MustCatalog(c.r, c.p)
 			var err error
 			if c.stream {
-				var s *Stream
-				if s, err = rt.Stream(context.Background(), q, ps, cat); err == nil {
-					_, err = s.Drain()
-				}
+				_, err = rt.StreamEval(context.Background(), mustPlan(t, q, ps), cat, Answered{}, o).Drain()
 			} else {
-				_, err = rt.Answer(context.Background(), q, ps, cat)
+				_, _, _, err = eval(context.Background(), rt, q, ps, cat, o)
 			}
 			if err == nil || !strings.Contains(err.Error(), "source P panicked: adapter bug") {
 				t.Fatalf("err = %v, want the contained panic of source P", err)
@@ -255,7 +253,7 @@ func TestSourcePanicContained(t *testing.T) {
 	// The contained panic is an ordinary rule failure: partial-results
 	// mode drops the disjunct and answers with the healthy one.
 	u := ucq(t, `Q(x) :- R(x). Q(x) :- R(x), P(x, y).`)
-	rel, _, inc, err := NewRuntime().Eval(context.Background(), u, ps, sources.MustCatalog(r, mk(false)), Opts{Partial: true})
+	rel, _, inc, err := eval(context.Background(), NewRuntime(), u, ps, sources.MustCatalog(r, mk(false)), Opts{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +292,11 @@ func TestShortTupleFailsTheCall(t *testing.T) {
 		var err error
 		if staged {
 			var s *Stream
-			if s, err = NewRuntime().Stream(ctx, u, ps, cat); err == nil {
+			if s, err = streamQuery(ctx, NewRuntime(), u, ps, cat); err == nil {
 				_, err = s.Drain()
 			}
 		} else {
-			_, err = NewRuntime().Answer(ctx, u, ps, cat)
+			_, err = answer(ctx, NewRuntime(), u, ps, cat)
 		}
 		if err == nil || !strings.Contains(err.Error(), want) || sources.IsTransient(err) {
 			t.Errorf("staged=%v: err = %v, want the non-transient %q", staged, err, want)
@@ -312,7 +310,7 @@ func TestShortTupleFailsTheCall(t *testing.T) {
 			inc, _ = s.Incomplete()
 		} else {
 			var got *Incompleteness
-			rel, _, got, err = NewRuntime().Eval(ctx, u, ps, cat, Opts{Partial: true})
+			rel, _, got, err = eval(ctx, NewRuntime(), u, ps, cat, Opts{Partial: true})
 			if got != nil {
 				inc = *got
 			}

@@ -18,9 +18,11 @@ package engine
 // and the hold-back of its rows; under it a schedule (schedule.go)
 // applies the rule's steps and produces its distinct head rows, which
 // the runner pushes — tagged with the rule's index — into the caller's
-// sink. Run runs the driver inline with the caller's sink (Eval's fills
-// a Rel); StreamEval runs the same driver in a goroutine with a sink
-// that sends on the Stream's channel.
+// sink. Run runs the driver inline with the caller's sink (Into fills a
+// Rel); StreamEval runs the same driver in a goroutine with a sink that
+// sends on the Stream's channel. An execution is configured in one
+// place, its Opts; the Runtime it runs on is policy and limiter state
+// shared by every execution on it.
 
 import (
 	"context"
@@ -30,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
@@ -59,6 +60,15 @@ type Opts struct {
 	// being run across the executions of that one plan (Prepared). Nil
 	// compiles the rules for this execution and keeps nothing.
 	Prepared *Prepared
+	// Budget caps the execution's source traffic. The zero value means
+	// unlimited.
+	Budget Budget
+	// Hedge enables hedged requests against replicated sources: after
+	// the configured delay a backup attempt is launched on the
+	// next-healthiest replica, and the first success wins (see
+	// HedgePolicy). Sources that are not replica sets are unaffected.
+	// The zero value disables hedging.
+	Hedge HedgePolicy
 }
 
 // Prepared holds one plan's compiled rule programs for the engine state
@@ -106,7 +116,7 @@ type Answered struct {
 // sink that can block gives up when ctx is done. The sink owns the rows
 // it is handed.
 //
-// A materialized run (Run, Eval) calls the sink from the caller's
+// A materialized run (Run) calls the sink from the caller's
 // goroutine, in rule order, exactly once per answered rule — evaluated
 // to completion or pre-answered — with all of the rule's rows, possibly
 // none; a dropped disjunct gets no call. A streamed run calls it once
@@ -147,7 +157,7 @@ type execution struct {
 // state's interner, whatever the catalog installs meanwhile.
 func (rt *Runtime) newExecution(cat *sources.Catalog, o Opts, staged bool, sink Sink) *execution {
 	st := pinState(cat)
-	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: rt.newBudget(), pool: newColPool(st), state: st.serial}
+	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: newBudget(o.Budget), pool: newColPool(st), state: st.serial}
 }
 
 // compile translates the plan into the execution's rules: every rule
@@ -289,7 +299,7 @@ func (x *execution) run(ctx context.Context) (Profile, *Incompleteness, error) {
 		inc.RulesSurvived = inc.RulesTotal - len(inc.Failed)
 		prof.Degraded.Rules = len(inc.Failed)
 	}
-	if x.rt.Budget.active() {
+	if x.o.Budget.active() {
 		prof.Calls.BudgetSpent = int(x.budget.spent.Load())
 	}
 	prof.Batch = x.pool.batchProfile()
@@ -389,37 +399,4 @@ func Into(out *Rel) Sink {
 	return func(_ context.Context, _ int, rows []Row) (int, bool) {
 		return out.adopt(rows), true
 	}
-}
-
-// Eval plans u (core.NewPlan) and runs the plan into a fresh relation:
-// Answer and AnswerProfiled are thin wrappers over it.
-func (rt *Runtime) Eval(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o Opts) (*Rel, Profile, *Incompleteness, error) {
-	p, err := core.NewPlan(u, ps)
-	if err != nil {
-		return nil, Profile{}, nil, err
-	}
-	out := NewRel()
-	prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
-	if err != nil {
-		return nil, Profile{}, nil, err
-	}
-	return out, prof, inc, nil
-}
-
-// Answer evaluates a UCQ¬ query against the catalog: each rule is
-// executed left to right — in its written order when that is executable,
-// else in the order ANSWERABLE chooses — through source calls that
-// respect the access patterns declared by ps. A rule with no executable
-// order is an error wrapping core.ErrNotOrderable. This is ANSWER(Q, D)
-// of the paper, computed the only way the setting allows — through the
-// sources. It runs on the default Runtime (deduplicating, concurrent);
-// use a Runtime value for cancellation or custom knobs.
-func Answer(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
-	return defaultRuntime.Answer(context.Background(), u, ps, cat)
-}
-
-// Answer is ANSWER(Q, D) on this runtime; see the package-level Answer.
-func (rt *Runtime) Answer(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
-	rel, _, _, err := rt.Eval(ctx, u, ps, cat, Opts{})
-	return rel, err
 }

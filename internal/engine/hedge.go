@@ -22,7 +22,7 @@ import (
 )
 
 // HedgePolicy enables hedged requests against replicated sources
-// (Runtime.Hedge). The zero value disables hedging.
+// (Opts.Hedge). The zero value disables hedging.
 type HedgePolicy struct {
 	// Delay is the fixed wait before a backup attempt is launched on the
 	// next-healthiest replica. When Quantile is also set, Delay is the
@@ -80,10 +80,10 @@ func (l replicaLeg) Call(ctx context.Context, p access.Pattern, inputs [][]strin
 	return l.CallReplica(ctx, l.idx, p, inputs)
 }
 
-// hedgeTarget reports whether calls to src should run hedged: hedging
-// is configured and the source fronts at least two replicas.
-func (rt *Runtime) hedgeTarget(src sources.Source) (Replicated, bool) {
-	if !rt.Hedge.enabled() {
+// target reports whether calls to src should run hedged: hedging is
+// configured and the source fronts at least two replicas.
+func (h HedgePolicy) target(src sources.Source) (Replicated, bool) {
+	if !h.enabled() {
 		return nil, false
 	}
 	r, ok := src.(Replicated)
@@ -93,18 +93,18 @@ func (rt *Runtime) hedgeTarget(src sources.Source) (Replicated, bool) {
 	return r, true
 }
 
-// hedgeDelay picks the wait before a backup leg: the observed latency
+// delay picks the wait before a backup leg: the observed latency
 // quantile when configured and warmed up, else the fixed delay, with a
 // small floor so an unwarmed quantile-only policy does not hedge every
 // call instantly.
-func (rt *Runtime) hedgeDelay(rsrc Replicated) time.Duration {
-	if q := rt.Hedge.Quantile; q > 0 {
+func (h HedgePolicy) delay(rsrc Replicated) time.Duration {
+	if q := h.Quantile; q > 0 {
 		if d, ok := rsrc.ObservedLatency(q); ok && d > 0 {
 			return d
 		}
 	}
-	if rt.Hedge.Delay > 0 {
-		return rt.Hedge.Delay
+	if h.Delay > 0 {
+		return h.Delay
 	}
 	return time.Millisecond
 }
@@ -119,10 +119,10 @@ func (rt *Runtime) hedgeDelay(rsrc Replicated) time.Duration {
 // per-source slot for the whole round; legs here must not re-acquire
 // it, or a round whose slot-holding primary hangs could never launch
 // the backup that cancels it.
-func (rt *Runtime) hedgedRound(ctx context.Context, rsrc Replicated, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge, budget *budgetState, cs *callStats) ([][]sources.Tuple, error) {
+func (x *execution) hedgedRound(ctx context.Context, rsrc Replicated, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge, cs *callStats) ([][]sources.Tuple, error) {
 	order := rsrc.Ranked()
-	delay := rt.hedgeDelay(rsrc)
-	maxHedges := rt.Hedge.maxHedges()
+	delay := x.o.Hedge.delay(rsrc)
+	maxHedges := x.o.Hedge.maxHedges()
 
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -138,7 +138,7 @@ func (rt *Runtime) hedgedRound(ctx context.Context, rsrc Replicated, name string
 		if nextLeg >= len(order) {
 			return errNoMoreReplicas
 		}
-		if err := budget.charge(); err != nil {
+		if err := x.budget.charge(); err != nil {
 			return err
 		}
 		idx := order[nextLeg]
@@ -146,7 +146,7 @@ func (rt *Runtime) hedgedRound(ctx context.Context, rsrc Replicated, name string
 		inFlight++
 		cs.attempts++
 		go func() {
-			groups, _, err := rt.runLeg(rctx, nil, gauge, replicaLeg{rsrc, idx}, name, p, inputs)
+			groups, _, err := x.rt.runLeg(rctx, nil, gauge, replicaLeg{rsrc, idx}, name, p, inputs)
 			results <- legResult{groups: groups, err: err, idx: idx, backup: backup}
 		}()
 		return nil

@@ -57,9 +57,7 @@ func TestHedgeBackupWinsOverHungPrimary(t *testing.T) {
 	cat, rs := replicaCat(t, hung, rTable(t, ps))
 
 	rt := NewRuntime()
-	rt.Hedge = HedgePolicy{Delay: 2 * time.Millisecond}
-	rt.Budget = Budget{MaxCalls: 10}
-	ans, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	ans, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{Hedge: HedgePolicy{Delay: 2 * time.Millisecond}, Budget: Budget{MaxCalls: 10}})
 	if err != nil {
 		t.Fatalf("hedging must mask the hung primary: %v", err)
 	}
@@ -107,8 +105,8 @@ func TestHedgeFailoverIsNotAHedge(t *testing.T) {
 	cat, rs := replicaCat(t, failing, rTable(t, ps))
 
 	rt := NewRuntime()
-	rt.Hedge = HedgePolicy{Delay: time.Hour} // the timer must never decide this test
-	ans, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	// The timer must never decide this test.
+	ans, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{Hedge: HedgePolicy{Delay: time.Hour}})
 	if err != nil {
 		t.Fatalf("failover must absorb the failing replica: %v", err)
 	}
@@ -146,8 +144,7 @@ func TestHedgeExhaustionRetriesAndDegrades(t *testing.T) {
 
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{MaxAttempts: 2}
-	rt.Hedge = HedgePolicy{Delay: time.Hour}
-	rel, prof, inc, err := rt.Eval(context.Background(), q, ps, cat, Opts{Partial: true})
+	rel, prof, inc, err := eval(context.Background(), rt, q, ps, cat, Opts{Partial: true, Hedge: HedgePolicy{Delay: time.Hour}})
 	if err != nil {
 		t.Fatalf("partial mode must absorb the exhaustion: %v", err)
 	}
@@ -185,9 +182,7 @@ func TestHedgeDeniedByBudgetStillSucceeds(t *testing.T) {
 	cat, _ := replicaCat(t, slow, rTable(t, ps))
 
 	rt := NewRuntime()
-	rt.Hedge = HedgePolicy{Delay: 2 * time.Millisecond}
-	rt.Budget = Budget{MaxCalls: 1}
-	ans, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	ans, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{Hedge: HedgePolicy{Delay: 2 * time.Millisecond}, Budget: Budget{MaxCalls: 1}})
 	if err != nil {
 		t.Fatalf("the primary must still win when the hedge is denied: %v", err)
 	}
@@ -197,7 +192,7 @@ func TestHedgeDeniedByBudgetStillSucceeds(t *testing.T) {
 	if prof.Calls.BudgetSpent != 1 {
 		t.Errorf("BudgetSpent = %d, want 1 (denied hedge never charged)", prof.Calls.BudgetSpent)
 	}
-	if got := prof.HedgedCalls(); got != 0 {
+	if got := prof.Calls.Hedged; got != 0 {
 		t.Errorf("HedgedCalls = %d, want 0", got)
 	}
 }
@@ -210,10 +205,9 @@ func TestHedgeBudgetExhaustedBeforePrimary(t *testing.T) {
 	cat, _ := replicaCat(t, rTable(t, ps), rTable(t, ps))
 
 	rt := NewRuntime()
-	rt.Hedge = HedgePolicy{Delay: time.Millisecond}
-	rt.Budget = Budget{MaxCalls: 0, MaxTime: time.Nanosecond}
+	o := Opts{Hedge: HedgePolicy{Delay: time.Millisecond}, Budget: Budget{MaxCalls: 0, MaxTime: time.Nanosecond}}
 	time.Sleep(time.Millisecond) // let the time budget lapse
-	_, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	_, prof, _, err := eval(context.Background(), rt, q, ps, cat, o)
 	if !errors.Is(err, ErrCallBudget) {
 		t.Fatalf("err = %v, want ErrCallBudget", err)
 	}
@@ -223,7 +217,7 @@ func TestHedgeBudgetExhaustedBeforePrimary(t *testing.T) {
 	}
 }
 
-// hedgeDelay prefers the observed latency quantile once the set is
+// HedgePolicy.delay prefers the observed latency quantile once the set is
 // warm, and falls back to the fixed delay (then the 1ms floor) before.
 func TestHedgeDelaySelection(t *testing.T) {
 	ps := pats(t, `R^o`)
@@ -241,10 +235,9 @@ func TestHedgeDelaySelection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt := NewRuntime()
-	rt.Hedge = HedgePolicy{Quantile: 0.5, Delay: 40 * time.Millisecond}
+	h := HedgePolicy{Quantile: 0.5, Delay: 40 * time.Millisecond}
 	// Cold set: quantile has no samples, fixed delay wins.
-	if d := rt.hedgeDelay(rs); d != 40*time.Millisecond {
+	if d := h.delay(rs); d != 40*time.Millisecond {
 		t.Errorf("cold delay = %v, want 40ms fallback", d)
 	}
 	for i := 0; i < 10; i++ {
@@ -252,17 +245,15 @@ func TestHedgeDelaySelection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := rt.hedgeDelay(rs); d != 10*time.Millisecond {
+	if d := h.delay(rs); d != 10*time.Millisecond {
 		t.Errorf("warm delay = %v, want observed 10ms median", d)
 	}
 	// Quantile-only, cold, no fixed delay: the floor applies.
-	rt2 := NewRuntime()
-	rt2.Hedge = HedgePolicy{Quantile: 0.95}
 	rs2, err := sources.NewReplicaSet(sources.ReplicaConfig{Policy: declOrder{}}, rTable(t, ps), rTable(t, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := rt2.hedgeDelay(rs2); d != time.Millisecond {
+	if d := (HedgePolicy{Quantile: 0.95}).delay(rs2); d != time.Millisecond {
 		t.Errorf("floor delay = %v, want 1ms", d)
 	}
 }
@@ -288,18 +279,17 @@ func TestHedgeComposesWithDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewRuntime()
-	rt.Hedge = HedgePolicy{Delay: time.Hour}
-	ans, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	ans, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{Hedge: HedgePolicy{Delay: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ans.Len() != 40 {
 		t.Errorf("answers = %d, want 40", ans.Len())
 	}
-	if got := prof.TotalCalls(); got != 5 { // 1 R scan + 4 distinct T keys
+	if got := prof.Calls.Total; got != 5 { // 1 R scan + 4 distinct T keys
 		t.Errorf("calls = %d, want 5", got)
 	}
-	if got := prof.TotalDeduped(); got != 36 {
+	if got := prof.Calls.Deduped; got != 36 {
 		t.Errorf("deduped = %d, want 36", got)
 	}
 }
@@ -311,7 +301,7 @@ func TestProfileSnapshotsReplicas(t *testing.T) {
 	ps := pats(t, `R^o`)
 	cat, _ := replicaCat(t, rTable(t, ps), rTable(t, ps))
 	rt := NewRuntime()
-	_, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	_, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,15 +346,15 @@ func TestHedgeSharedRuntimeConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewRuntime()
-	rt.Hedge = HedgePolicy{Delay: time.Millisecond, MaxHedges: 2}
 	rt.PerSource = 4
+	hedged := Opts{Hedge: HedgePolicy{Delay: time.Millisecond, MaxHedges: 2}}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				rel, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+				rel, prof, _, err := eval(context.Background(), rt, q, ps, cat, hedged)
 				if err != nil {
 					t.Errorf("Answer: %v", err)
 					return
@@ -392,11 +382,11 @@ func TestHedgeRoundSharesSourceSlot(t *testing.T) {
 
 	rt := NewRuntime()
 	rt.PerSource = 1
-	rt.Hedge = HedgePolicy{Delay: time.Millisecond}
+	hedged := Opts{Hedge: HedgePolicy{Delay: time.Millisecond}}
 
 	done := make(chan error, 1)
 	go func() {
-		ans, err := rt.Answer(context.Background(), q, ps, cat)
+		ans, _, _, err := eval(context.Background(), rt, q, ps, cat, hedged)
 		if err == nil && ans.Len() != 1 {
 			err = fmt.Errorf("answers = %d, want 1", ans.Len())
 		}

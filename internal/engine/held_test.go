@@ -254,12 +254,12 @@ func TestHeldAnswerPinnedAcrossRollover(t *testing.T) {
 	}
 	done := make(chan result)
 	go func() {
-		rel, prof, err := NewRuntime().AnswerProfiled(context.Background(), first, ps, cat)
+		rel, prof, _, err := eval(context.Background(), NewRuntime(), first, ps, cat, Opts{})
 		done <- result{rel, prof, err}
 	}()
 	<-entered
 	withInternLimit(1, func() {
-		if _, prof, err := NewRuntime().AnswerProfiled(context.Background(), second, ps, cat); err != nil || prof.Batch.HeldAnswers != 1 {
+		if _, prof, _, err := eval(context.Background(), NewRuntime(), second, ps, cat, Opts{}); err != nil || prof.Batch.HeldAnswers != 1 {
 			t.Fatalf("the second execution: %v, %d held answers, want R's held", err, prof.Batch.HeldAnswers)
 		}
 	})

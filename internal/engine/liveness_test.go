@@ -49,9 +49,8 @@ func runPlan(q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, st
 
 // oraclePlan is the same rule through the map evaluator.
 func oraclePlan(q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog) (*Rel, error) {
-	rt := NewRuntime()
 	out := NewRel()
-	err := rt.runStepsMap(context.Background(), q, steps, cat, out, &RuleProfile{}, rt.newBudget())
+	err := NewRuntime().newExecution(cat, Opts{}, false, nil).runStepsMap(context.Background(), q, steps, out, &RuleProfile{})
 	return out, err
 }
 
@@ -365,7 +364,7 @@ func TestDeadColumnsAreNotInterned(t *testing.T) {
 	in := mkInstance("deadcol")
 	cat := in.MustCatalog(ps)
 	before, _ := InternerOccupancy(cat)
-	rel, _, err := rt.AnswerProfiled(context.Background(), u, ps, cat)
+	rel, _, _, err := eval(context.Background(), rt, u, ps, cat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +377,7 @@ func TestDeadColumnsAreNotInterned(t *testing.T) {
 	}
 
 	full := stateOf(cat)
-	withInternLimit(1, func() { rel, _, err = rt.AnswerProfiled(context.Background(), u, ps, cat) })
+	withInternLimit(1, func() { rel, _, _, err = eval(context.Background(), rt, u, ps, cat, Opts{}) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,17 +195,3 @@ func headRow(q logic.CQ, b binding) (Row, error) {
 	}
 	return row, nil
 }
-
-// InstanceFromTables builds an Instance from the rows of the catalog's
-// table sources; used by experiments that start from a catalog.
-func InstanceFromTables(cat *sources.Catalog) *Instance {
-	in := NewInstance()
-	for _, name := range cat.Names() {
-		if t, ok := cat.Source(name).(*sources.Table); ok {
-			for _, row := range t.Rows() {
-				_ = in.Add(name, row...)
-			}
-		}
-	}
-	return in
-}

@@ -4,7 +4,7 @@ package engine
 // the reference the columnar executor is tested against. It carries
 // each binding as a map[string]string and re-unifies every returned
 // tuple against every binding (tupleMatches); the only thing it shares
-// with production evaluation is the source-call runtime (Runtime.issue),
+// with production evaluation is the source-call runtime (execution.issue),
 // so a disagreement in rows, order, calls, or dedup counts points at the
 // compiled slot programs, the hash join, or the schedules.
 
@@ -29,7 +29,7 @@ func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, c
 	if partial {
 		inc = &Incompleteness{}
 	}
-	budget := rt.newBudget()
+	x := rt.newExecution(cat, Opts{}, false, nil)
 	for i, rule := range u.Rules {
 		if rule.False {
 			continue
@@ -43,7 +43,7 @@ func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, c
 		}
 		prof.Rules = append(prof.Rules, RuleProfile{Rule: rule.Clone()})
 		target := NewRel() // a rule that dies mid-head leaves no rows behind
-		if err := rt.runStepsMap(ctx, rule, steps, cat, target, &prof.Rules[len(prof.Rules)-1], budget); err != nil {
+		if err := x.runStepsMap(ctx, rule, steps, target, &prof.Rules[len(prof.Rules)-1]); err != nil {
 			if inc == nil || !degradable(ctx, err) {
 				return nil, Profile{}, nil, err
 			}
@@ -55,6 +55,7 @@ func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, c
 	if inc != nil {
 		inc.RulesSurvived = inc.RulesTotal - len(inc.Failed)
 	}
+	prof.finalize()
 	return out, prof, inc, nil
 }
 
@@ -62,12 +63,12 @@ func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, c
 // plan. Within a step the runtime batches the bindings' source calls
 // (see applyStep); across steps the binding set flows left to right as
 // in the paper.
-func (rt *Runtime) runStepsMap(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, out *Rel, prof *RuleProfile, budget *budgetState) error {
+func (x *execution) runStepsMap(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, out *Rel, prof *RuleProfile) error {
 	bindings := []binding{{}}
 	for _, step := range steps {
 		sp := StepProfile{Step: step, BindingsIn: len(bindings)}
 		var err error
-		bindings, err = rt.applyStep(ctx, step, cat, bindings, &sp, budget)
+		bindings, err = x.applyStep(ctx, step, bindings, &sp)
 		sp.BindingsOut = len(bindings)
 		prof.Steps = append(prof.Steps, sp)
 		if err != nil {
@@ -116,8 +117,8 @@ func callInputs(step access.AdornedLiteral, b binding) ([]string, error) {
 // applyStep runs one adorned literal over the current binding set: group
 // bindings into distinct calls, issue the calls, fan the results back
 // out. Traffic is recorded into sp.
-func (rt *Runtime) applyStep(ctx context.Context, step access.AdornedLiteral, cat *sources.Catalog, bindings []binding, sp *StepProfile, budget *budgetState) ([]binding, error) {
-	src := cat.Source(step.Literal.Atom.Pred)
+func (x *execution) applyStep(ctx context.Context, step access.AdornedLiteral, bindings []binding, sp *StepProfile) ([]binding, error) {
+	src := x.cat.Source(step.Literal.Atom.Pred)
 	if src == nil {
 		return nil, fmt.Errorf("engine: no source for relation %s", step.Literal.Atom.Pred)
 	}
@@ -130,7 +131,7 @@ func (rt *Runtime) applyStep(ctx context.Context, step access.AdornedLiteral, ca
 			return nil, err
 		}
 		key := sources.Key(inputs)
-		if c, ok := byKey[key]; ok && rt.Dedup {
+		if c, ok := byKey[key]; ok && x.rt.Dedup {
 			callOf[i] = c
 			sp.DedupedCalls++
 			continue
@@ -139,7 +140,7 @@ func (rt *Runtime) applyStep(ctx context.Context, step access.AdornedLiteral, ca
 		callOf[i] = len(calls)
 		calls = append(calls, stepCall{inputs: inputs})
 	}
-	if err := rt.issue(ctx, src, step, calls, sp, budget); err != nil {
+	if err := x.issue(ctx, src, step, calls, sp); err != nil {
 		return nil, err
 	}
 	// Fan back out in the original binding order: the output bindings —

@@ -30,7 +30,7 @@ func TestAnswerParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		cat := in.MustCatalog(ps)
-		seq, err := Answer(ordered, ps, cat)
+		seq, err := answer(context.Background(), defaultRuntime, ordered, ps, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,10 +95,10 @@ func TestAnswerParallelManyRules(t *testing.T) {
 	}
 }
 
-// answerParallel is Answer with the rules evaluated concurrently, one
+// answerParallel is answer with the rules evaluated concurrently, one
 // goroutine per rule (Opts.Parallel).
 func answerParallel(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, error) {
-	rel, _, _, err := NewRuntime().Eval(context.Background(), u, ps, cat, Opts{Parallel: true})
+	rel, _, _, err := eval(context.Background(), NewRuntime(), u, ps, cat, Opts{Parallel: true})
 	return rel, err
 }
 

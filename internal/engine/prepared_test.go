@@ -91,7 +91,7 @@ func TestPreparedSharedByParallelExecutions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := in.MustCatalog(ps)
-	want, err := Answer(u, ps, cat)
+	want, err := answer(context.Background(), defaultRuntime, u, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -227,16 +226,19 @@ type Profile struct {
 	Replicas []ReplicaSetProfile
 }
 
-// finalize derives the aggregated Calls counters from the per-step
-// profiles (BudgetSpent is set by the budget meter and preserved).
-// Every execution entry point calls it once the Rules slice is
-// complete.
+// finalize sums the per-step counters into Calls in one pass
+// (BudgetSpent is set by the budget meter and preserved). The driver
+// calls it once the Rules slice is complete.
 func (p *Profile) finalize() {
 	c := &p.Calls
-	c.Total, c.Deduped, c.Retries, c.Hedged, c.HedgeWins, c.MaxInFlight =
-		p.TotalCalls(), p.TotalDeduped(), p.TotalRetries(), p.HedgedCalls(), p.HedgeWins(), p.MaxInFlight()
 	for _, r := range p.Rules {
 		for _, s := range r.Steps {
+			c.Total += s.Calls
+			c.Deduped += s.DedupedCalls
+			c.Retries += s.Retries
+			c.Hedged += s.HedgedCalls
+			c.HedgeWins += s.HedgeWins
+			c.MaxInFlight = max(c.MaxInFlight, s.MaxInFlight)
 			c.BatchGroups += s.BatchGroups
 			c.BatchedCalls += s.BatchedCalls
 		}
@@ -274,17 +276,6 @@ func (p *Profile) snapshotReplicas(cat *sources.Catalog) {
 	}
 }
 
-// TotalCalls sums source calls across all rules.
-func (p Profile) TotalCalls() int {
-	n := 0
-	for _, r := range p.Rules {
-		for _, s := range r.Steps {
-			n += s.Calls
-		}
-	}
-	return n
-}
-
 // TotalTuples sums tuples returned across all rules.
 func (p Profile) TotalTuples() int {
 	n := 0
@@ -294,65 +285,6 @@ func (p Profile) TotalTuples() int {
 		}
 	}
 	return n
-}
-
-// TotalDeduped sums the calls saved by per-step deduplication.
-func (p Profile) TotalDeduped() int {
-	n := 0
-	for _, r := range p.Rules {
-		for _, s := range r.Steps {
-			n += s.DedupedCalls
-		}
-	}
-	return n
-}
-
-// TotalRetries sums the retried attempts across all rules.
-func (p Profile) TotalRetries() int {
-	n := 0
-	for _, r := range p.Rules {
-		for _, s := range r.Steps {
-			n += s.Retries
-		}
-	}
-	return n
-}
-
-// HedgedCalls sums the timer-launched backup attempts across all rules.
-func (p Profile) HedgedCalls() int {
-	n := 0
-	for _, r := range p.Rules {
-		for _, s := range r.Steps {
-			n += s.HedgedCalls
-		}
-	}
-	return n
-}
-
-// HedgeWins sums the calls won by a hedged backup attempt across all
-// rules.
-func (p Profile) HedgeWins() int {
-	n := 0
-	for _, r := range p.Rules {
-		for _, s := range r.Steps {
-			n += s.HedgeWins
-		}
-	}
-	return n
-}
-
-// MaxInFlight is the peak per-step call concurrency seen anywhere in the
-// plan.
-func (p Profile) MaxInFlight() int {
-	m := 0
-	for _, r := range p.Rules {
-		for _, s := range r.Steps {
-			if s.MaxInFlight > m {
-				m = s.MaxInFlight
-			}
-		}
-	}
-	return m
 }
 
 // PeakBindings is the largest per-rule binding residency seen in the
@@ -408,8 +340,8 @@ func (p Profile) String() string {
 		fmt.Fprintf(&b, "pushdown: %d call(s) batched into %d round-trip group(s)\n",
 			p.Calls.BatchedCalls, p.Calls.BatchGroups)
 	}
-	if h := p.HedgedCalls(); h > 0 {
-		fmt.Fprintf(&b, "hedged: %d backup call(s), %d won\n", h, p.HedgeWins())
+	if c := p.Calls; c.Hedged > 0 {
+		fmt.Fprintf(&b, "hedged: %d backup call(s), %d won\n", c.Hedged, c.HedgeWins)
 	}
 	for _, rp := range p.Replicas {
 		fmt.Fprintf(&b, "replicas %s\n", rp)
@@ -418,20 +350,4 @@ func (p Profile) String() string {
 		fmt.Fprintf(&b, "total %s\n", p.Elapsed.Round(time.Microsecond))
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// AnswerProfiled is Answer with per-step execution accounting: it
-// plans and evaluates u and returns both the answers and the profile of
-// every rule's steps.
-func AnswerProfiled(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, Profile, error) {
-	return defaultRuntime.AnswerProfiled(context.Background(), u, ps, cat)
-}
-
-// AnswerProfiled is the package-level AnswerProfiled on this runtime.
-func (rt *Runtime) AnswerProfiled(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Rel, Profile, error) {
-	rel, prof, _, err := rt.Eval(ctx, u, ps, cat, Opts{})
-	if err != nil {
-		return nil, Profile{}, err
-	}
-	return rel, prof, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestAnswerProfiled(t *testing.T) {
 	cat := in.MustCatalog(ps)
 	u := ucq(t, `Q(x, y) :- R(x, z), not L(x), T(z, y).`)
 
-	rel, prof, err := AnswerProfiled(u, ps, cat)
+	rel, prof, _, err := eval(context.Background(), defaultRuntime, u, ps, cat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,11 @@ func TestAnswerProfiled(t *testing.T) {
 	if steps[2].Calls != 1 || steps[2].DedupedCalls != 1 || steps[2].BindingsOut != 2 {
 		t.Errorf("T step = %+v", steps[2])
 	}
-	if prof.TotalCalls() != 5 {
-		t.Errorf("TotalCalls = %d, want 5", prof.TotalCalls())
+	if prof.Calls.Total != 5 {
+		t.Errorf("Calls.Total = %d, want 5", prof.Calls.Total)
 	}
-	if prof.TotalDeduped() != 1 {
-		t.Errorf("TotalDeduped = %d, want 1", prof.TotalDeduped())
+	if prof.Calls.Deduped != 1 {
+		t.Errorf("Calls.Deduped = %d, want 1", prof.Calls.Deduped)
 	}
 	if prof.TotalTuples() != 4+steps[1].TuplesReturned {
 		t.Errorf("TotalTuples = %d", prof.TotalTuples())
@@ -79,13 +80,13 @@ func TestProfileAgreesWithMeters(t *testing.T) {
 	ps := pats(t, `B^ioo B^oio C^oo L^o`)
 	cat := in.MustCatalog(ps)
 	u := ucq(t, `Q(i, a, t) :- C(i, a), B(i, a, t), not L(i).`)
-	_, prof, err := AnswerProfiled(u, ps, cat)
+	_, prof, _, err := eval(context.Background(), defaultRuntime, u, ps, cat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := cat.TotalStats()
-	if prof.TotalCalls() != st.Calls {
-		t.Errorf("profile calls %d != meter calls %d", prof.TotalCalls(), st.Calls)
+	if prof.Calls.Total != st.Calls {
+		t.Errorf("profile calls %d != meter calls %d", prof.Calls.Total, st.Calls)
 	}
 	if prof.TotalTuples() != st.TuplesReturned {
 		t.Errorf("profile tuples %d != meter tuples %d", prof.TotalTuples(), st.TuplesReturned)
@@ -97,7 +98,7 @@ func TestAnswerProfiledSkipsFalseRules(t *testing.T) {
 	ps := pats(t, `R^o`)
 	cat := in.MustCatalog(ps)
 	u := ucq(t, "Q(x) :- R(x).\nQ(x) :- false.")
-	rel, prof, err := AnswerProfiled(u, ps, cat)
+	rel, prof, _, err := eval(context.Background(), defaultRuntime, u, ps, cat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,12 +90,12 @@ func testRollover(t *testing.T, streamed bool) {
 			var err error
 			if streamed {
 				var s *Stream
-				if s, err = NewRuntime().Stream(context.Background(), q, ps, cat); err == nil {
+				if s, err = streamQuery(context.Background(), NewRuntime(), q, ps, cat); err == nil {
 					rel, err = s.Drain()
 					prof, _ = s.Profile()
 				}
 			} else {
-				rel, prof, err = NewRuntime().AnswerProfiled(context.Background(), q, ps, cat)
+				rel, prof, _, err = eval(context.Background(), NewRuntime(), q, ps, cat, Opts{})
 			}
 			if err != nil {
 				t.Fatalf("round %d: %v", r, err)
@@ -149,7 +149,7 @@ func TestInternerRolloverConcurrent(t *testing.T) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					q := roundQuery(t, tag, r)
-					rel, err := rt.Answer(context.Background(), q, ps, cat)
+					rel, err := answer(context.Background(), rt, q, ps, cat)
 					if err != nil {
 						t.Errorf("%s round %d: %v", tag, r, err)
 						return
@@ -184,7 +184,7 @@ func TestInternerStateDiesWithCatalog(t *testing.T) {
 	states := make([]weak.Pointer[engineState], tenants)
 	for i := range states {
 		cat := NewInstance().MustAdd("R", fmt.Sprintf("churn%d_x", i), fmt.Sprintf("churn%d_y", i)).MustCatalog(ps)
-		if rel, err := rt.Answer(context.Background(), q, ps, cat); err != nil || rel.Len() != 1 {
+		if rel, err := answer(context.Background(), rt, q, ps, cat); err != nil || rel.Len() != 1 {
 			t.Fatalf("tenant %d: %v, %v", i, rel, err)
 		}
 		if entries, _ := InternerOccupancy(cat); entries != 2 {

@@ -122,8 +122,10 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 // Runtime executes plans against a catalog. NewRuntime returns the
 // production configuration (dedup on, pool per CPU, retries);
 // SequentialRuntime reproduces the historical per-binding loop exactly.
-// A Runtime is safe for concurrent use and may be shared across queries;
-// the per-source limit is enforced across everything in flight on it.
+// A Runtime is shared policy and shared limiter state only: it is safe
+// for concurrent use and may be shared across queries, and the
+// per-source limit is enforced across everything in flight on it. What
+// one execution may spend and whether it hedges are its Opts.
 type Runtime struct {
 	// Concurrency bounds the worker pool issuing a step's distinct
 	// calls. 0 means GOMAXPROCS; 1 means sequential.
@@ -158,35 +160,9 @@ type Runtime struct {
 	// counted as a failure by circuit breakers below). 0 means no
 	// per-call deadline.
 	CallTimeout time.Duration
-	// Budget caps the source traffic of one execution (one Eval, Stream,
-	// or facade Exec). The zero value means unlimited.
-	Budget Budget
-	// Hedge enables hedged requests against replicated sources: after
-	// the configured delay a backup attempt is launched on the
-	// next-healthiest replica, and the first success wins (see
-	// HedgePolicy). Sources that are not replica sets are unaffected.
-	// The zero value disables hedging.
-	Hedge HedgePolicy
 
 	mu   sync.Mutex
 	sems map[string]chan struct{}
-}
-
-// Clone returns a runtime with the same configuration and fresh
-// internal limiter state. The facade uses it to derive a per-execution
-// variant (e.g. enabling hedging) without mutating a shared runtime.
-func (rt *Runtime) Clone() *Runtime {
-	return &Runtime{
-		Concurrency: rt.Concurrency,
-		PerSource:   rt.PerSource,
-		Dedup:       rt.Dedup,
-		Retry:       rt.Retry,
-		BatchSize:   rt.BatchSize,
-		StageBuffer: rt.StageBuffer,
-		CallTimeout: rt.CallTimeout,
-		Budget:      rt.Budget,
-		Hedge:       rt.Hedge,
-	}
 }
 
 // Budget is a per-query source-call budget: how much traffic one
@@ -211,7 +187,7 @@ type Budget struct {
 func (b Budget) active() bool { return b.MaxCalls != 0 || b.MaxTime > 0 }
 
 // ErrCallBudget marks source calls rejected because the per-query
-// budget (Runtime.Budget) was exhausted. Like a breaker rejection it is
+// budget (Opts.Budget) was exhausted. Like a breaker rejection it is
 // terminal, never retried.
 var ErrCallBudget = errors.New("engine: per-query call budget exhausted")
 
@@ -223,14 +199,13 @@ type budgetState struct {
 	spent    atomic.Int64
 }
 
-// newBudget starts the per-execution budget clock for this runtime's
-// configured Budget.
-func (rt *Runtime) newBudget() *budgetState {
-	b := &budgetState{limit: int64(rt.Budget.MaxCalls)}
-	if rt.Budget.MaxTime > 0 {
-		b.deadline = time.Now().Add(rt.Budget.MaxTime)
+// newBudget starts one execution's budget clock for b.
+func newBudget(b Budget) *budgetState {
+	st := &budgetState{limit: int64(b.MaxCalls)}
+	if b.MaxTime > 0 {
+		st.deadline = time.Now().Add(b.MaxTime)
 	}
-	return b
+	return st
 }
 
 // charge admits one call attempt or reports budget exhaustion. spent
@@ -281,13 +256,13 @@ func SequentialRuntime() *Runtime {
 	return &Runtime{Concurrency: 1}
 }
 
-// defaultRuntime backs the package-level Answer/AnswerProfiled/... ; it
-// is shared, which is safe (the only state is the per-source limiter).
+// defaultRuntime is shared, which is safe (the only state is the
+// per-source limiter).
 var defaultRuntime = NewRuntime()
 
-// DefaultRuntime returns the shared runtime behind the package-level
-// Answer/RunAnswerStar entry points, so facades can route
-// their default path through the exact same per-source limiter state.
+// DefaultRuntime returns the shared runtime a caller without one of its
+// own runs on, so every such execution goes through the same per-source
+// limiter state.
 func DefaultRuntime() *Runtime { return defaultRuntime }
 
 // DefaultBatchSize is the binding-batch size streamed pipelines use when
@@ -450,10 +425,11 @@ func checkGroups(name string, p access.Pattern, inputs [][]string, groups [][]so
 // race across replicas instead of a single attempt. It returns the
 // groups and the call's accounting (zero attempts when cancelled or cut
 // off before the first).
-func (rt *Runtime) callWithRetry(ctx context.Context, src sources.Source, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge, budget *budgetState) (groups [][]sources.Tuple, cs callStats, err error) {
+func (x *execution) callWithRetry(ctx context.Context, src sources.Source, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge) (groups [][]sources.Tuple, cs callStats, err error) {
+	rt, budget := x.rt, x.budget
 	sem := rt.sourceSem(name)
 	max := rt.Retry.attempts()
-	rsrc, hedged := rt.hedgeTarget(src)
+	rsrc, hedged := x.o.Hedge.target(src)
 	for attempt := 1; ; attempt++ {
 		if hedged {
 			// The whole round holds ONE per-source slot: its legs are
@@ -468,7 +444,7 @@ func (rt *Runtime) callWithRetry(ctx context.Context, src sources.Source, name s
 				}
 			}
 			before := cs.attempts
-			groups, err = rt.hedgedRound(ctx, rsrc, name, p, inputs, gauge, budget, &cs)
+			groups, err = x.hedgedRound(ctx, rsrc, name, p, inputs, gauge, &cs)
 			if sem != nil {
 				<-sem
 			}
@@ -558,7 +534,7 @@ func (e *callError) Unwrap() error { return e.Err }
 //
 // On failure every distinct error is reported (joined), and
 // outstanding calls are cancelled.
-func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []stepCall, sp *StepProfile, budget *budgetState) error {
+func (x *execution) issue(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []stepCall, sp *StepProfile) error {
 	if len(calls) == 0 {
 		return nil
 	}
@@ -569,10 +545,10 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 	for i := range calls {
 		all[i] = calls[i].inputs
 	}
-	_, hedged := rt.hedgeTarget(src)
+	_, hedged := x.o.Hedge.target(src)
 	whole := len(calls) > 1 && !hedged && src.Batches()
 	if whole {
-		groups, cs, err := rt.callWithRetry(ctx, src, name, p, all, &gauge, budget)
+		groups, cs, err := x.callWithRetry(ctx, src, name, p, all, &gauge)
 		sp.Calls += cs.attempts
 		if cs.rounds > 1 {
 			sp.Retries += cs.rounds - 1
@@ -590,13 +566,13 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 			whole = false
 		}
 	}
-	switch workers := rt.workers(len(calls)); {
+	switch workers := x.rt.workers(len(calls)); {
 	case whole:
 		// Answered, or terminally failed, by the one call above.
 	case workers <= 1:
 		for i := range calls {
 			c := &calls[i]
-			rt.callOne(ctx, src, name, p, c, all[i:i+1], &gauge, budget)
+			x.callOne(ctx, src, name, p, c, all[i:i+1], &gauge)
 			if c.err != nil {
 				break // abort like the sequential loop; later calls stay unissued
 			}
@@ -615,7 +591,7 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 						c.err = cctx.Err()
 						continue
 					}
-					rt.callOne(cctx, src, name, p, c, all[i:i+1], &gauge, budget)
+					x.callOne(cctx, src, name, p, c, all[i:i+1], &gauge)
 					if c.err != nil {
 						cancel() // fail fast: stop issuing, wake sleepers
 					}
@@ -659,9 +635,9 @@ func (rt *Runtime) issue(ctx context.Context, src sources.Source, step access.Ad
 }
 
 // callOne answers one distinct call of a step as a group of one.
-func (rt *Runtime) callOne(ctx context.Context, src sources.Source, name string, p access.Pattern, c *stepCall, in [][]string, gauge *inFlightGauge, budget *budgetState) {
+func (x *execution) callOne(ctx context.Context, src sources.Source, name string, p access.Pattern, c *stepCall, in [][]string, gauge *inFlightGauge) {
 	var groups [][]sources.Tuple
-	groups, c.stats, c.err = rt.callWithRetry(ctx, src, name, p, in, gauge, budget)
+	groups, c.stats, c.err = x.callWithRetry(ctx, src, name, p, in, gauge)
 	if c.err == nil {
 		c.rows = groups[0]
 	}

@@ -80,11 +80,11 @@ func TestRuntimeMatchesSequentialOnRandomPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		cat := in.MustCatalog(ps)
-		seq, err := SequentialRuntime().Answer(context.Background(), ordered, ps, cat)
+		seq, err := answer(context.Background(), SequentialRuntime(), ordered, ps, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ded, err := NewRuntime().Answer(context.Background(), ordered, ps, cat)
+		ded, err := answer(context.Background(), NewRuntime(), ordered, ps, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,12 +113,12 @@ func TestRuntimeDedupIssuesFewerCalls(t *testing.T) {
 	}
 
 	catSeq := in.MustCatalog(ps)
-	seqAns, seqProf, err := SequentialRuntime().AnswerProfiled(context.Background(), q, ps, catSeq)
+	seqAns, seqProf, _, err := eval(context.Background(), SequentialRuntime(), q, ps, catSeq, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	catDed := in.MustCatalog(ps)
-	dedAns, dedProf, err := NewRuntime().AnswerProfiled(context.Background(), q, ps, catDed)
+	dedAns, dedProf, _, err := eval(context.Background(), NewRuntime(), q, ps, catDed, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +135,12 @@ func TestRuntimeDedupIssuesFewerCalls(t *testing.T) {
 	if dedCalls >= seqCalls {
 		t.Errorf("dedup must issue strictly fewer calls: %d vs %d", dedCalls, seqCalls)
 	}
-	if seqProf.TotalCalls() != seqCalls || dedProf.TotalCalls() != dedCalls {
+	if seqProf.Calls.Total != seqCalls || dedProf.Calls.Total != dedCalls {
 		t.Errorf("profiles disagree with meters: %d/%d vs %d/%d",
-			seqProf.TotalCalls(), seqCalls, dedProf.TotalCalls(), dedCalls)
+			seqProf.Calls.Total, seqCalls, dedProf.Calls.Total, dedCalls)
 	}
-	if dedProf.TotalDeduped() != 190 {
-		t.Errorf("deduped = %d, want 190", dedProf.TotalDeduped())
+	if dedProf.Calls.Deduped != 190 {
+		t.Errorf("deduped = %d, want 190", dedProf.Calls.Deduped)
 	}
 }
 
@@ -174,7 +174,7 @@ func TestRuntimeRetriesTransientFailures(t *testing.T) {
 
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{MaxAttempts: 4} // no backoff delay: fast test
-	ans, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	ans, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{})
 	if err != nil {
 		t.Fatalf("retries must absorb the injected failures: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestRuntimeRetriesTransientFailures(t *testing.T) {
 		t.Errorf("answers = %d, want 20", ans.Len())
 	}
 	// Every distinct call (1 R scan + 4 T lookups) fails twice first.
-	if got := prof.TotalRetries(); got != 10 {
+	if got := prof.Calls.Retries; got != 10 {
 		t.Errorf("retries = %d, want 10", got)
 	}
 	// The real traffic that reached the tables: one success per key.
@@ -203,7 +203,7 @@ func TestRuntimeRetryExhaustionAggregatesErrors(t *testing.T) {
 
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{MaxAttempts: 3}
-	_, err := rt.Answer(context.Background(), q, ps, cat)
+	_, err := answer(context.Background(), rt, q, ps, cat)
 	if err == nil {
 		t.Fatal("failures beyond the retry budget must surface")
 	}
@@ -235,7 +235,7 @@ func TestRuntimeBackoffUsesJitterHook(t *testing.T) {
 	ps := pats(t, `R^o`)
 	in := NewInstance().MustAdd("R", "a")
 	cat := flakyCatalog(t, in, ps, sources.FlakyConfig{FailFirst: 3})
-	if _, err := rt.Answer(context.Background(), q, ps, cat); err != nil {
+	if _, err := answer(context.Background(), rt, q, ps, cat); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -257,7 +257,7 @@ func TestRuntimeHonorsCancellation(t *testing.T) {
 	cat := NewInstance().MustAdd("R", "a").MustCatalog(ps)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewRuntime().Answer(ctx, q, ps, cat); !errors.Is(err, context.Canceled) {
+	if _, err := answer(ctx, NewRuntime(), q, ps, cat); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -301,11 +301,11 @@ func TestRuntimeConcurrencyAndPerSourceLimit(t *testing.T) {
 	}
 	rt := NewRuntime()
 	rt.Concurrency = 4
-	_, prof, err := rt.AnswerProfiled(context.Background(), q, ps, cat)
+	_, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prof.MaxInFlight(); got != 4 {
+	if got := prof.Calls.MaxInFlight; got != 4 {
 		t.Errorf("MaxInFlight = %d, want 4", got)
 	}
 
@@ -315,11 +315,11 @@ func TestRuntimeConcurrencyAndPerSourceLimit(t *testing.T) {
 	rt2 := NewRuntime()
 	rt2.Concurrency = 4
 	rt2.PerSource = 1
-	_, prof2, err := rt2.AnswerProfiled(context.Background(), q, ps2, cat2)
+	_, prof2, _, err := eval(context.Background(), rt2, q, ps2, cat2, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prof2.MaxInFlight(); got > 1 {
+	if got := prof2.Calls.MaxInFlight; got > 1 {
 		t.Errorf("MaxInFlight = %d, want ≤1 under PerSource=1", got)
 	}
 }
@@ -345,7 +345,7 @@ func TestRuntimeSharedAcrossGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				rel, err := rt.Answer(context.Background(), q, ps, cat)
+				rel, err := answer(context.Background(), rt, q, ps, cat)
 				if err != nil {
 					t.Errorf("Answer: %v", err)
 					return

@@ -21,7 +21,7 @@ package engine
 //     sends on — are exactly the whole schedule's.
 //
 // What selects between them is the API shape the caller asked for: a
-// materialized answer (Run, Eval) cannot use a row before the last one,
+// materialized answer (Run) cannot use a row before the last one,
 // so it runs whole; an iterator (StreamEval) runs staged.
 
 import (
@@ -105,7 +105,7 @@ func (x *execution) whole(ctx context.Context, r *ruleRun, emit func(context.Con
 		t0 := time.Now()
 		var next *colBatch
 		var st stepState
-		n, _, err := x.rt.applyStepCol(ctx, prog, si, x.cat, cur, sp, &st, x.budget, pool, 0, func(b *colBatch) bool {
+		n, _, err := x.applyStepCol(ctx, prog, si, cur, sp, &st, 0, func(b *colBatch) bool {
 			next = b
 			return true
 		})
@@ -196,7 +196,7 @@ func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(contex
 				n := batch.n
 				sp.BindingsIn += n
 				t0 := time.Now()
-				sent, stopped, err := rt.applyStepCol(rctx, prog, i, x.cat, batch, sp, &st, x.budget, pool, rt.batchSize(), send)
+				sent, stopped, err := x.applyStepCol(rctx, prog, i, batch, sp, &st, rt.batchSize(), send)
 				sp.Elapsed += time.Since(t0)
 				pool.put(batch)
 				x.resident.add(int64(-n))

@@ -16,7 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// schedule is one way to run the driver: whole (Eval) or staged
+// schedule is one way to run the driver: whole (Run) or staged
 // (StreamEval, drained) with the batch knobs that shape the stages.
 type schedule struct {
 	staged        bool
@@ -100,6 +100,7 @@ type liveStep struct {
 // compileRule's slot analysis.
 func oracleLiveBindings(t *testing.T, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog) [][]liveStep {
 	t.Helper()
+	x := rt.newExecution(cat, Opts{}, false, nil)
 	var out [][]liveStep
 	for _, rule := range u.Rules {
 		if rule.False {
@@ -115,7 +116,7 @@ func oracleLiveBindings(t *testing.T, rt *Runtime, u logic.UCQ, ps *access.Set, 
 		for k, step := range steps {
 			var err error
 			var sp StepProfile
-			if bindings, err = rt.applyStep(context.Background(), step, cat, bindings, &sp, rt.newBudget()); err != nil {
+			if bindings, err = x.applyStep(context.Background(), step, bindings, &sp); err != nil {
 				t.Fatal(err)
 			}
 			live := map[string]bool{}
@@ -216,8 +217,8 @@ func agreeStrict(t *testing.T, label string, u logic.UCQ, ps *access.Set, in *In
 				} else if !got.Equal(want) {
 					t.Fatalf("%s\nrows %s, want %s", label, got, want)
 				}
-				if c := cat.TotalStats().Calls; c != run*wantCalls || prof.TotalCalls() != wantCalls {
-					t.Fatalf("%s\n%d source calls (%d profiled), want %d a run", label, c, prof.TotalCalls(), wantCalls)
+				if c := cat.TotalStats().Calls; c != run*wantCalls || prof.Calls.Total != wantCalls {
+					t.Fatalf("%s\n%d source calls (%d profiled), want %d a run", label, c, prof.Calls.Total, wantCalls)
 				}
 				checkStepBindings(t, label, prof, wantProf, wantLive)
 				if inc != nil {
@@ -505,8 +506,8 @@ func TestAnswerStarAgreesWithOracle(t *testing.T) {
 					same(star.Under, wantUnder, "Under")
 					same(star.Over, wantOver, "Over")
 					same(answer, wantUnder, "answer handed out")
-					if got := cat.TotalStats(); got.Calls != wantStats.Calls || got.TuplesReturned != wantStats.TuplesReturned || prof.TotalCalls() != wantStats.Calls {
-						t.Fatalf("%s\n%d calls / %d tuples (%d calls profiled), want those of the overestimate alone: %d / %d", label, got.Calls, got.TuplesReturned, prof.TotalCalls(), wantStats.Calls, wantStats.TuplesReturned)
+					if got := cat.TotalStats(); got.Calls != wantStats.Calls || got.TuplesReturned != wantStats.TuplesReturned || prof.Calls.Total != wantStats.Calls {
+						t.Fatalf("%s\n%d calls / %d tuples (%d calls profiled), want those of the overestimate alone: %d / %d", label, got.Calls, got.TuplesReturned, prof.Calls.Total, wantStats.Calls, wantStats.TuplesReturned)
 					}
 					if len(prof.Rules) != len(plans.Over.Rules) {
 						t.Fatalf("%s\n%d rule profiles, want one per rule of the overestimate (%d)", label, len(prof.Rules), len(plans.Over.Rules))
@@ -566,14 +567,14 @@ func TestAnswerStarAgreesWithOracle(t *testing.T) {
 // What the merge of the materialized and streamed drivers could
 // silently change, pinned.
 
-// A streamed execution reports the same error value Eval does: under
+// A streamed execution reports the same error value a materialized run does: under
 // Parallel, every distinct rule failure, joined in rule order.
 func TestStreamErrJoinsParallelRuleErrors(t *testing.T) {
 	in := NewInstance().MustAdd("R", "a")
 	ps := pats(t, `R^o Z1^o Z2^o`)
 	cat := in.MustCatalog(pats(t, `R^o`)) // Z1/Z2 declared but unpublished
 	u := ucq(t, "Q(x) :- Z1(x).\nQ(x) :- Z2(x).\nQ(x) :- R(x).")
-	_, _, _, want := NewRuntime().Eval(context.Background(), u, ps, cat, Opts{Parallel: true})
+	_, _, _, want := eval(context.Background(), NewRuntime(), u, ps, cat, Opts{Parallel: true})
 	if want == nil {
 		t.Fatal("rule errors must propagate")
 	}
@@ -582,7 +583,7 @@ func TestStreamErrJoinsParallelRuleErrors(t *testing.T) {
 	}
 	got := s.Err()
 	if got == nil || got.Error() != want.Error() {
-		t.Errorf("Stream.Err = %v, want Eval's %v", got, want)
+		t.Errorf("Stream.Err = %v, want the materialized run's %v", got, want)
 	}
 	if err := s.Close(); err == nil || err.Error() != want.Error() {
 		t.Errorf("Close = %v, want %v", err, want)
@@ -605,7 +606,7 @@ func TestStreamEmitsDistinctRowsPerRule(t *testing.T) {
 	}
 	rt := NewRuntime()
 	rt.BatchSize = 3
-	s, err := rt.Stream(context.Background(), u, ps, in.MustCatalog(ps))
+	s, err := streamQuery(context.Background(), rt, u, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +630,7 @@ func TestStreamEmitsDistinctRowsPerRule(t *testing.T) {
 	}
 }
 
-// The inline path stays inline: Eval of a one-rule, two-step plan over
+// The inline path stays inline: eval of a one-rule, two-step plan over
 // Tables allocates 104 times (269 before head rows were cut from one
 // slab and the answer relation took them over without a key or a copy;
 // 299 before a step's short answers shared one join and its calls one
@@ -648,13 +649,13 @@ func TestEvalInlineAllocs(t *testing.T) {
 	rt := NewRuntime()
 	rt.Concurrency = 1 // no worker pool: every allocation is the driver's
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, _, err := rt.Eval(context.Background(), u, ps, cat, Opts{}); err != nil {
+		if _, _, _, err := eval(context.Background(), rt, u, ps, cat, Opts{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const limit = 104 + 8
 	if allocs > limit {
-		t.Errorf("Eval allocated %.0f times, want at most %d", allocs, limit)
+		t.Errorf("eval allocated %.0f times, want at most %d", allocs, limit)
 	}
 }
 
@@ -666,7 +667,7 @@ func TestRunUsesThePlansAdornment(t *testing.T) {
 	u := ucq(t, `Q(x, y) :- R(x), T(x, y).`)
 	ps := pats(t, `R^o T^io T^oo`)
 	in := NewInstance().MustAdd("R", "a").MustAdd("R", "b").MustAdd("T", "a", "1").MustAdd("T", "c", "2")
-	want, err := Answer(u, ps, in.MustCatalog(ps))
+	want, err := answer(context.Background(), defaultRuntime, u, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}

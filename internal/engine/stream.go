@@ -11,7 +11,7 @@ package engine
 // Ordering and teardown guarantees:
 //
 //   - Stream: rules execute in rule order, one pipeline at a time;
-//     emission order equals Answer's insertion order exactly.
+//     emission order equals Run's insertion order exactly.
 //   - Opts.Parallel: all rule pipelines run concurrently and their
 //     emissions interleave; the drained set is still equal (set
 //     semantics), but insertion order is scheduling-dependent.
@@ -28,17 +28,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/logic"
 	"repro/internal/sources"
 )
 
 // Stream is a pull-style iterator over the head tuples of a streamed
 // plan execution. The usual loop is
 //
-//	s, err := rt.Stream(ctx, q, ps, cat)
-//	if err != nil { ... }
+//	s := rt.StreamEval(ctx, plan, cat, Answered{}, Opts{})
 //	defer s.Close()
 //	for s.Next() {
 //	    use(s.Tuple())
@@ -214,27 +211,15 @@ func (s *Stream) emit(ctx context.Context, batch []Row) bool {
 	}
 }
 
-// Stream plans u (core.NewPlan) and starts pipelined evaluation of the
-// plan: one pipeline per rule, rules in order (rule k+1's pipeline
-// starts when rule k's finishes), stages within a rule overlapping. The
-// answer stream, drained, is byte-identical to rt.Answer on the same
-// inputs — same rows in the same order — and issues the same source
-// calls. Batch size and per-stage buffering come from rt.BatchSize and
-// rt.StageBuffer.
-//
-// The error return covers planning (a rule with no executable order);
-// runtime failures surface through Stream.Err.
-func (rt *Runtime) Stream(ctx context.Context, u logic.UCQ, ps *access.Set, cat *sources.Catalog) (*Stream, error) {
-	p, err := core.NewPlan(u, ps)
-	if err != nil {
-		return nil, err
-	}
-	return rt.StreamEval(ctx, p, cat, Answered{}, Opts{}), nil
-}
-
 // StreamEval starts pipelined evaluation of the plan with explicit
 // options and pre-answered rules: the driver runs in a goroutine, its
-// sink the stream's channel.
+// sink the stream's channel. One pipeline runs per rule, rules in order
+// (rule k+1's pipeline starts when rule k's finishes) unless
+// o.Parallel, stages within a rule overlapping. Drained, the stream is
+// byte-identical to Run into Into on the same inputs — same rows in the
+// same order — and issues the same source calls. Batch size and
+// per-stage buffering come from rt.BatchSize and rt.StageBuffer;
+// runtime failures surface through Stream.Err.
 func (rt *Runtime) StreamEval(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts) *Stream {
 	return rt.stream(ctx, p, cat, pre, o, nil)
 }

@@ -53,12 +53,12 @@ func TestStreamDrainByteIdenticalOnPaperExamples(t *testing.T) {
 				u    logic.UCQ
 			}{{"under", plans.Under}, {"over", plans.Over}} {
 				matCat := exampleInstance(ex.Patterns).MustCatalog(ex.Patterns)
-				want, err := SequentialRuntime().Answer(context.Background(), plan.u, ex.Patterns, matCat)
+				want, err := answer(context.Background(), SequentialRuntime(), plan.u, ex.Patterns, matCat)
 				if err != nil {
 					t.Fatal(err)
 				}
 				strCat := exampleInstance(ex.Patterns).MustCatalog(ex.Patterns)
-				s, err := NewRuntime().Stream(context.Background(), plan.u, ex.Patterns, strCat)
+				s, err := streamQuery(context.Background(), NewRuntime(), plan.u, ex.Patterns, strCat)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +93,7 @@ func TestStreamMatchesSequentialOnRandomPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		matCat := in.MustCatalog(ps)
-		want, err := SequentialRuntime().Answer(context.Background(), ordered, ps, matCat)
+		want, err := answer(context.Background(), SequentialRuntime(), ordered, ps, matCat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestStreamMatchesSequentialOnRandomPlans(t *testing.T) {
 		rt := NewRuntime()
 		rt.BatchSize, rt.StageBuffer = k.batch, k.buffer
 		strCat := in.MustCatalog(ps)
-		st, err := rt.Stream(context.Background(), ordered, ps, strCat)
+		st, err := streamQuery(context.Background(), rt, ordered, ps, strCat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestStreamParallelMatchesAnswer(t *testing.T) {
 	}
 	u := ucq(t, src)
 	ps := pats(t, patSrc)
-	want, err := Answer(u, ps, in.MustCatalog(ps))
+	want, err := answer(context.Background(), defaultRuntime, u, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStreamRejectsNonExecutablePlan(t *testing.T) {
 	u := ucq(t, `Q(x) :- T(z, x).`)
 	ps := pats(t, `T^io`)
 	cat := NewInstance().MustAdd("T", "k", "v").MustCatalog(ps)
-	if _, err := NewRuntime().Stream(context.Background(), u, ps, cat); !errors.Is(err, core.ErrNotOrderable) {
+	if _, err := streamQuery(context.Background(), NewRuntime(), u, ps, cat); !errors.Is(err, core.ErrNotOrderable) {
 		t.Fatalf("err = %v, want core.ErrNotOrderable", err)
 	}
 	if n := cat.TotalStats().Calls; n != 0 {
@@ -191,7 +191,7 @@ func TestStreamCloseMidFlightLeaksNothing(t *testing.T) {
 	rt := NewRuntime()
 	rt.BatchSize = 8
 	baseline := runtime.NumGoroutine()
-	s, err := rt.Stream(context.Background(), u, ps, base)
+	s, err := streamQuery(context.Background(), rt, u, ps, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestStreamContextCancellation(t *testing.T) {
 	rt.BatchSize = 4
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := rt.Stream(ctx, u, ps, cat)
+	s, err := streamQuery(ctx, rt, u, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestStreamSourceFailureSurfaces(t *testing.T) {
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{MaxAttempts: 1}
 	baseline := runtime.NumGoroutine()
-	s, err := rt.Stream(context.Background(), u, ps, cat)
+	s, err := streamQuery(context.Background(), rt, u, ps, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestStreamProfile(t *testing.T) {
 		in.MustAdd("T", fmt.Sprintf("z%d", i%5), fmt.Sprintf("y%d", i%5))
 	}
 	matCat := in.MustCatalog(ps)
-	_, matProf, err := NewRuntime().AnswerProfiled(context.Background(), u, ps, matCat)
+	_, matProf, _, err := eval(context.Background(), NewRuntime(), u, ps, matCat, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestStreamProfile(t *testing.T) {
 	rt := NewRuntime()
 	rt.BatchSize = 8
 	strCat := in.MustCatalog(ps)
-	s, err := rt.Stream(context.Background(), u, ps, strCat)
+	s, err := streamQuery(context.Background(), rt, u, ps, strCat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +329,10 @@ func TestStreamProfile(t *testing.T) {
 	if prof.TimeToFirst <= 0 || prof.Elapsed < prof.TimeToFirst {
 		t.Errorf("TimeToFirst=%v Elapsed=%v", prof.TimeToFirst, prof.Elapsed)
 	}
-	if got, want := prof.TotalCalls(), matProf.TotalCalls(); got != want {
+	if got, want := prof.Calls.Total, matProf.Calls.Total; got != want {
 		t.Errorf("streamed calls = %d, want %d (materialized)", got, want)
 	}
-	if got, want := prof.TotalDeduped(), matProf.TotalDeduped(); got != want {
+	if got, want := prof.Calls.Deduped, matProf.Calls.Deduped; got != want {
 		t.Errorf("streamed dedup = %d, want %d", got, want)
 	}
 	if prof.PeakBindings() <= 0 {

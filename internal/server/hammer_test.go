@@ -99,8 +99,8 @@ func TestMultiTenantHammer(t *testing.T) {
 					// Exact accounting: the per-request budget meter equals
 					// the profile's launched calls (no drops, no double
 					// counts) and respects the quota.
-					if prof.Calls.BudgetSpent != prof.TotalCalls() {
-						t.Errorf("tenant %d q%d: BudgetSpent = %d, profile calls = %d", ti, qi, prof.Calls.BudgetSpent, prof.TotalCalls())
+					if prof.Calls.BudgetSpent != prof.Calls.Total {
+						t.Errorf("tenant %d q%d: BudgetSpent = %d, profile calls = %d", ti, qi, prof.Calls.BudgetSpent, prof.Calls.Total)
 						return
 					}
 					if prof.Calls.BudgetSpent > quota.MaxCalls {

@@ -84,7 +84,7 @@ func TestFullPipeline(t *testing.T) {
 	if !answers.Equal(truth) {
 		t.Fatalf("pipeline answers differ from ground truth:\n%s\nvs\n%s", answers, truth)
 	}
-	if prof.TotalCalls() == 0 {
+	if prof.Calls.Total == 0 {
 		t.Error("profile must record calls")
 	}
 
