@@ -23,10 +23,13 @@ test-race:
 # from the committed seed corpus (internal/engine/testdata/fuzz): every
 # memo lookup, join probe, binding dedup and head row goes through it.
 # Then a few seconds of Rel.Sorted's keyless comparison against the
-# order of the rows' keys, from its own seed corpus there.
+# order of the rows' keys, from its own seed corpus there, and of the
+# compiled containment checker against the map-based reference search
+# (internal/containment/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzIDTable$$' -fuzztime=3s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz='^FuzzSortedOrder$$' -fuzztime=3s ./internal/engine/
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckerAgreesWithOracle$$' -fuzztime=3s ./internal/containment/
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem . ./cmd/paperbench/

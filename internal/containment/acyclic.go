@@ -1,8 +1,7 @@
 package containment
 
 import (
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -20,233 +19,184 @@ import (
 // α-acyclic, using GYO ear removal. Queries with no positive literals
 // are trivially acyclic.
 func Acyclic(q logic.CQ) bool {
-	_, ok := joinTree(q.Positive())
-	return ok
+	var s symbols
+	q.Body = q.Positive()
+	ints, lits := make([]int32, 0, intsFor(q)), make([]clit, 0, len(q.Body))
+	return s.compileRule(q, &ints, &lits).tree != nil
 }
 
-// joinTree runs GYO reduction and returns, for each literal index, the
-// parent literal index it was absorbed into (-1 for the root/last
-// remaining edges), together with the removal order. ok is false when
-// the hypergraph is cyclic.
-func joinTree(pos []logic.Literal) (tree joinTreeInfo, ok bool) {
-	n := len(pos)
-	tree.parent = make([]int, n)
-	for i := range tree.parent {
-		tree.parent[i] = -1
-	}
-	if n <= 1 {
-		return tree, true
-	}
-	vars := make([]map[string]bool, n)
-	for i, l := range pos {
-		vars[i] = map[string]bool{}
-		for _, v := range l.Vars() {
-			vars[i][v.Name] = true
+// semijoinProgram is the GYO join tree of a disjunct's positive
+// literals, laid out as the semijoins to run.
+type semijoinProgram struct {
+	vars  [][]int32 // by positive literal (index in pos): its distinct variable slots
+	edges []treeEdge
+}
+
+// treeEdge is one semijoin of the program: parent ⋉ child, on the
+// variables they share. Edges are in GYO removal order of their parent,
+// so a child's own children come before it.
+type treeEdge struct {
+	parent, child int32
+	shared        [][2]int32 // the shared variables' positions in vars[parent] and vars[child]
+}
+
+// buildSemijoin runs GYO reduction on d's positive literals and returns
+// their join tree, or nil when the hypergraph is cyclic.
+func buildSemijoin(d *disjunct) *semijoinProgram {
+	n := len(d.pos)
+	t := &semijoinProgram{vars: make([][]int32, n)}
+	for i, li := range d.pos {
+		for _, a := range d.body[li].args {
+			if a >= 0 && !slices.Contains(t.vars[i], a) {
+				t.vars[i] = append(t.vars[i], a)
+			}
 		}
 	}
+	if n <= 1 {
+		return t
+	}
+	parent := make([]int32, n)
 	alive := make([]bool, n)
 	for i := range alive {
-		alive[i] = true
+		parent[i], alive[i] = -1, true
 	}
-	remaining := n
-	for remaining > 1 {
+	order := make([]int32, 0, n)
+	var shared []int32
+	for remaining := n; remaining > 1; {
 		removed := false
 		for e := 0; e < n && remaining > 1; e++ {
 			if !alive[e] {
 				continue
 			}
 			// Shared vertices of e: those appearing in another live edge.
-			shared := map[string]bool{}
-			for v := range vars[e] {
+			shared = shared[:0]
+			for _, v := range t.vars[e] {
 				for w := 0; w < n; w++ {
-					if w != e && alive[w] && vars[w][v] {
-						shared[v] = true
+					if w != e && alive[w] && slices.Contains(t.vars[w], v) {
+						shared = append(shared, v)
 						break
 					}
 				}
 			}
 			// e is an ear if some other live edge w covers shared(e).
 			for w := 0; w < n; w++ {
-				if w == e || !alive[w] {
+				if w == e || !alive[w] || !containsAll(t.vars[w], shared) {
 					continue
 				}
-				covered := true
-				for v := range shared {
-					if !vars[w][v] {
-						covered = false
-						break
-					}
-				}
-				if covered {
-					alive[e] = false
-					tree.parent[e] = w
-					tree.order = append(tree.order, e)
-					remaining--
-					removed = true
-					break
-				}
+				alive[e], parent[e] = false, int32(w)
+				order = append(order, int32(e))
+				remaining--
+				removed = true
+				break
 			}
 		}
 		if !removed {
-			return tree, false
+			return nil
 		}
 	}
-	for i := 0; i < n; i++ {
-		if alive[i] {
-			tree.root = i
-			tree.order = append(tree.order, i)
-		}
-	}
-	return tree, true
-}
-
-type joinTreeInfo struct {
-	parent []int // parent[i] = literal index i was absorbed into, -1 for root
-	order  []int // removal order; root last
-	root   int
-}
-
-// acyclicMappingExists reports whether a containment mapping from the
-// negation-free acyclic query q into p exists, by a bottom-up semijoin
-// over q's join tree. sigma0 is the head-alignment binding. It must
-// only be called when q has no negative literals (and hence no
-// unconstrained variables to enumerate).
-func acyclicMappingExists(p, q logic.CQ, tree joinTreeInfo) bool {
-	qPos := q.Positive()
-	if len(qPos) == 0 {
-		return true
-	}
-	sigma0, ok := headAlignment(p, q)
-	if !ok {
-		return false
-	}
-	pPos := p.Positive()
-
-	// Candidate assignments per node, restricted to the node's variables.
-	cands := make([]map[string]logic.Subst, len(qPos))
-	for i, ql := range qPos {
-		cands[i] = map[string]logic.Subst{}
-		for _, pl := range pPos {
-			if pl.Atom.Pred != ql.Atom.Pred || pl.Atom.Arity() != ql.Atom.Arity() {
+	for _, node := range append(order, int32(slices.Index(alive, true))) {
+		for child, p := range parent {
+			if p != node {
 				continue
 			}
-			if a, ok := extend(sigma0, ql.Atom, pl.Atom); ok {
-				local := restrict(a, ql)
-				cands[i][substKey(local)] = local
-			}
-		}
-		if len(cands[i]) == 0 {
-			return false
-		}
-	}
-
-	// children[w] = ears absorbed into w.
-	children := make(map[int][]int)
-	for e, w := range tree.parent {
-		if w >= 0 {
-			children[w] = append(children[w], e)
-		}
-	}
-	// Process in removal order (children always precede parents), hash
-	// semijoin on the shared variables so each pass is linear in the
-	// candidate sets.
-	for _, node := range tree.order {
-		for _, c := range children[node] {
-			shared := sharedVars(qPos[node], qPos[c])
-			// Index the child's candidates by their shared-variable
-			// projection.
-			index := map[string]bool{}
-			for _, b := range cands[c] {
-				index[projKey(b, shared)] = true
-			}
-			for key, a := range cands[node] {
-				if !index[projKey(a, shared)] {
-					delete(cands[node], key)
+			e := treeEdge{parent: node, child: int32(child)}
+			for i, v := range t.vars[node] {
+				if j := slices.Index(t.vars[child], v); j >= 0 {
+					e.shared = append(e.shared, [2]int32{int32(i), int32(j)})
 				}
 			}
-			if len(cands[node]) == 0 {
-				return false
-			}
+			t.edges = append(t.edges, e)
+		}
+	}
+	return t
+}
+
+func containsAll(set, vs []int32) bool {
+	for _, v := range vs {
+		if !slices.Contains(set, v) {
+			return false
 		}
 	}
 	return true
 }
 
-// sharedVars lists the variable names common to two literals, sorted.
-func sharedVars(a, b logic.Literal) []string {
-	inA := map[string]bool{}
-	for _, v := range a.Vars() {
-		inA[v.Name] = true
-	}
-	var out []string
-	for _, v := range b.Vars() {
-		if inA[v.Name] {
-			out = append(out, v.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
+// semijoin is the scratch of acyclicMapping: each positive literal's
+// candidate local assignments (σ restricted to the literal's variables,
+// as term-ID tuples), whether each is still alive, and the set of one
+// child's projections.
+type semijoin struct {
+	data  []int32 // the tuples, node after node
+	first []int32 // by node: index of its first tuple; one more entry ends the last
+	at    []int32 // by tuple: its offset in data
+	alive []bool  // by tuple
+	proj  tupleSet
+	key   []int32
 }
 
-// projKey encodes an assignment's values on the given variables.
-func projKey(a logic.Subst, vars []string) string {
-	var b strings.Builder
-	for _, v := range vars {
-		b.WriteString(a[v].String())
-		b.WriteByte(';')
-	}
-	return b.String()
+func (s *semijoin) tuple(k int32, width int) []int32 {
+	return s.data[s.at[k] : int(s.at[k])+width]
 }
 
-// restrict keeps only the bindings for variables of literal ql.
-func restrict(a logic.Subst, ql logic.Literal) logic.Subst {
-	out := logic.NewSubst()
-	for _, v := range ql.Vars() {
-		if t, ok := a[v.Name]; ok {
-			out[v.Name] = t
-		}
+// acyclicMapping reports whether a containment mapping from the
+// negation-free acyclic disjunct d into P exists, by a bottom-up
+// semijoin over d's join tree. f's σ holds the head alignment while the
+// candidates are built.
+func (c *Checker) acyclicMapping(d *disjunct, f *frame) bool {
+	if !c.align(d, f) {
+		return false
 	}
-	return out
-}
-
-func substKey(s logic.Subst) string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(s[k].String())
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// headAlignment computes the initial binding unifying q's head with p's
-// head (the σ-is-identity-on-free-variables requirement).
-func headAlignment(p, q logic.CQ) (logic.Subst, bool) {
-	if len(p.HeadArgs) != len(q.HeadArgs) || p.HeadPred != q.HeadPred {
-		return nil, false
-	}
-	sigma := logic.NewSubst()
-	for j, qa := range q.HeadArgs {
-		pa := p.HeadArgs[j]
-		if qa.IsVar() {
-			if bound, ok := sigma[qa.Name]; ok {
-				if bound != pa {
-					return nil, false
+	t, s := d.tree, &c.semi
+	s.data, s.first, s.at, s.alive = s.data[:0], s.first[:0], s.at[:0], s.alive[:0]
+	// Candidate assignments per node, restricted to the node's variables.
+	for i, li := range d.pos {
+		ql := &d.body[li]
+		s.first = append(s.first, int32(len(s.at)))
+		for k := c.p.chains[chainOf(ql.pred, false)].first; k >= 0; k = c.p.lits[k].next {
+			mark := len(f.trail)
+			if f.bind(ql.args, c.p.lits[k].args) {
+				s.at, s.alive = append(s.at, int32(len(s.data))), append(s.alive, true)
+				for _, v := range t.vars[i] {
+					s.data = append(s.data, f.sigma[v])
 				}
-				continue
 			}
-			sigma[qa.Name] = pa
-			continue
+			f.undo(mark)
 		}
-		if qa != pa {
-			return nil, false
+		if int(s.first[i]) == len(s.at) {
+			return false
 		}
 	}
-	return sigma, true
+	s.first = append(s.first, int32(len(s.at)))
+	// Children come before their parents, so each parent is semijoined
+	// with fully reduced children: index the child's surviving
+	// projections on the shared variables, then drop the parent's
+	// candidates whose projection is not among them.
+	for _, e := range t.edges {
+		s.proj.reset(len(e.shared))
+		for k := s.first[e.child]; k < s.first[e.child+1]; k++ {
+			if s.alive[k] {
+				s.proj.add(s.project(s.tuple(k, len(t.vars[e.child])), e.shared, 1))
+			}
+		}
+		left := false
+		for k := s.first[e.parent]; k < s.first[e.parent+1]; k++ {
+			if s.alive[k] {
+				s.alive[k] = s.proj.has(s.project(s.tuple(k, len(t.vars[e.parent])), e.shared, 0))
+				left = left || s.alive[k]
+			}
+		}
+		if !left {
+			return false
+		}
+	}
+	return true
+}
+
+// project returns a tuple's values at the shared positions of one side
+// (0 = parent, 1 = child), in a buffer the next call reuses.
+func (s *semijoin) project(tuple []int32, shared [][2]int32, side int) []int32 {
+	s.key = s.key[:0]
+	for _, p := range shared {
+		s.key = append(s.key, tuple[p[side]])
+	}
+	return s.key
 }

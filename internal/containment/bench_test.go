@@ -38,3 +38,27 @@ func BenchmarkContainedCQ(b *testing.B) {
 		b.Fatal("the core must be contained in its padded form")
 	}
 }
+
+// One containment test from scratch allocates the checker's compiled
+// query, the memo and its key, and nothing per mapping step: the
+// search's scratch comes from a pool, σ is a slot array and a child
+// problem a push onto the scratch body. The map-based search it
+// replaced allocated 87 times here. The ceiling is the measured count
+// (9) plus slack, and under the race detector raceAllocSlack more: it
+// drops a quarter of what is given back to a sync.Pool.
+func TestContainedCQAllocs(t *testing.T) {
+	p, q := parser.MustCQ(benchCore), parser.MustCQ(benchPadded)
+	allocs := testing.AllocsPerRun(200, func() {
+		if !ContainedCQ(p, q) {
+			t.Fatal("the core must be contained in its padded form")
+		}
+	})
+	limit := 9 + 3 + raceAllocSlack
+	if allocs > float64(limit) {
+		t.Errorf("a containment test allocated %.0f times, want at most %d", allocs, limit)
+	}
+}
+
+// raceAllocSlack is what the race detector adds to an allocation count
+// (racealloc_test.go).
+var raceAllocSlack = 0

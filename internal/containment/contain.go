@@ -2,8 +2,6 @@ package containment
 
 import (
 	"errors"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/logic"
@@ -26,10 +24,13 @@ import (
 // are only meaningful when read with no call in flight.
 type Checker struct {
 	mu    sync.Mutex
-	q     logic.UCQ
+	sym   symbols
+	rules []disjunct // Q, compiled: the checker's own copy
 	memo  map[string]bool
 	limit int
-	trees []*joinTreeInfo // per-disjunct join tree (nil = cyclic or has negation)
+
+	// The working memory of the call in progress, nil between calls.
+	*scratch
 
 	// DisableAcyclic turns off the Chekuri–Rajaraman acyclic fast path
 	// (Section 5.1 of the paper); for ablation benchmarks.
@@ -49,18 +50,29 @@ type Checker struct {
 // exhausted before the search concludes.
 var ErrBudget = errors.New("containment: node budget exhausted")
 
-// NewChecker returns a checker for containment in q.
+// NewChecker returns a checker for containment in q. It compiles q once;
+// the checker keeps no reference to q.
 func NewChecker(q logic.UCQ) *Checker {
-	c := &Checker{q: q.Clone(), memo: map[string]bool{}}
-	c.trees = make([]*joinTreeInfo, len(c.q.Rules))
-	for i, qi := range c.q.Rules {
-		if len(qi.Negative()) > 0 {
-			continue // enumeration needed; fast path does existence only
+	nints, nlits, nterms := 0, 0, 0
+	for _, r := range q.Rules {
+		nints += intsFor(r)
+		nlits += len(r.Body)
+		nterms += len(r.HeadArgs)
+		for _, l := range r.Body {
+			nterms += len(l.Atom.Args)
 		}
-		if tree, ok := joinTree(qi.Positive()); ok {
-			t := tree
-			c.trees[i] = &t
-		}
+	}
+	c := &Checker{
+		sym: symbols{
+			terms: make([]logic.Term, 0, nterms),
+			preds: make([]predSym, 0, len(q.Rules)+nlits),
+		},
+		rules: make([]disjunct, len(q.Rules)),
+		memo:  map[string]bool{},
+	}
+	ints, lits := make([]int32, 0, nints), make([]clit, 0, nlits)
+	for i, r := range q.Rules {
+		c.rules[i] = c.sym.compileRule(r, &ints, &lits)
 	}
 	return c
 }
@@ -86,7 +98,9 @@ func (c *Checker) ContainsLimited(p logic.CQ, maxNodes int) (result bool, err er
 			panic(r)
 		}
 	}()
-	return c.contains(p), nil
+	c.begin(p)
+	defer c.end()
+	return c.contains(), nil
 }
 
 var errBudgetSentinel = new(int)
@@ -95,104 +109,96 @@ var errBudgetSentinel = new(int)
 func (c *Checker) Contains(p logic.CQ) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.contains(p)
+	c.begin(p)
+	defer c.end()
+	return c.contains()
 }
 
-// contains is the recursive body of Contains; c.mu must be held.
-func (c *Checker) contains(p logic.CQ) bool {
+// contains is the recursive body of Contains, on the loaded P; c.mu
+// must be held.
+func (c *Checker) contains() bool {
 	c.Nodes++
 	if c.limit > 0 && c.Nodes > c.limit {
 		panic(errBudgetSentinel)
 	}
-	if !Satisfiable(p) {
+	if !c.p.sat {
 		return true
 	}
-	key := canonKey(p)
-	if v, ok := c.memo[key]; ok {
+	k := c.memoKey()
+	if v, ok := c.memo[string(k)]; ok {
 		c.MemoHits++
 		return v
 	}
+	key := string(k)
+	f := c.frame()
+	c.depth++
 	result := false
-	for i, qi := range c.q.Rules {
-		if qi.False || !Satisfiable(qi) {
+	for i := range c.rules {
+		d := &c.rules[i]
+		if !d.live {
 			continue
 		}
-		if !c.DisableAcyclic && c.trees[i] != nil {
+		if !c.DisableAcyclic && d.tree != nil {
 			// Negation-free acyclic disjunct: mapping existence decides,
 			// via the polynomial semijoin program (CR97, Section 5.1).
 			c.AcyclicHits++
-			if acyclicMappingExists(p, qi, *c.trees[i]) {
+			if c.acyclicMapping(d, f) {
 				result = true
 				break
 			}
 			continue
 		}
-		if c.viaDisjunct(p, qi) {
+		if c.viaDisjunct(d, f) {
 			result = true
 			break
 		}
 	}
+	c.depth--
 	c.memo[key] = result
 	return result
 }
 
-// viaDisjunct reports whether containment of p in the union is witnessed
-// through disjunct qi.
-func (c *Checker) viaDisjunct(p, qi logic.CQ) bool {
-	// Distinct mappings often induce the same images of qi's negative
+// viaDisjunct reports whether containment of P in the union is
+// witnessed through disjunct d.
+func (c *Checker) viaDisjunct(d *disjunct, f *frame) bool {
+	// Distinct mappings often induce the same images of d's negative
 	// literals; each image set needs to be explored only once.
-	triedImages := map[string]bool{}
-	return findMapping(p, qi, func(sigma logic.Subst) bool {
-		negs := qi.Negative()
+	f.tried.reset(d.imgWidth)
+	return c.findMapping(d, f, func() bool {
 		// Condition of Theorem 12/13: R(σȳ) must not occur positively
 		// in P for any negative literal ¬R(ȳ) of Qᵢ.
-		images := make([]logic.Atom, len(negs))
-		var key strings.Builder
-		for i, nl := range negs {
-			ra := sigma.Atom(nl.Atom)
-			if p.HasAtom(ra, false) {
+		f.images = f.images[:0]
+		for _, i := range d.negs {
+			nl := &d.body[i]
+			at := len(f.images)
+			f.images = f.apply(f.images, nl.args)
+			if c.p.has(nl.pred, false, f.images[at:]) {
 				return false
 			}
-			images[i] = ra
-			key.WriteString(ra.Key())
-			key.WriteByte(';')
 		}
-		if k := key.String(); triedImages[k] {
+		if !f.tried.add(f.images) {
 			return false // equivalent mapping already failed (or this one is redundant)
-		} else {
-			triedImages[k] = true
 		}
 		// Recursive step: P ∧ R(σȳ) ⊑ Q for every negative literal.
-		for _, ra := range images {
-			if p.HasAtom(ra, true) {
+		at := 0
+		for _, i := range d.negs {
+			nl := &d.body[i]
+			ra := f.images[at : at+len(nl.args)]
+			at += len(nl.args)
+			if c.p.has(nl.pred, true, ra) {
 				// ¬R(σȳ) is already in P, so P ∧ R(σȳ) is unsatisfiable
 				// and the child containment holds trivially.
 				continue
 			}
-			ext := p.Clone()
-			ext.Body = append(ext.Body, logic.Pos(ra))
-			if !c.contains(ext) {
+			undo := c.push(nl.pred, ra)
+			ok := c.contains()
+			c.pop(undo)
+			if !ok {
 				return false
 			}
 		}
 		return true
 	})
-}
-
-// canonKey renders p's head and body as an order-insensitive,
-// duplicate-insensitive key for memoization.
-func canonKey(p logic.CQ) string {
-	keys := make([]string, 0, len(p.Body))
-	seen := map[string]bool{}
-	for _, l := range p.Body {
-		k := l.Key()
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return p.Head().String() + " :- " + strings.Join(keys, ", ")
 }
 
 // Contained reports whether the CQ¬ query p is contained in the UCQ¬
@@ -204,7 +210,7 @@ func Contained(p logic.CQ, q logic.UCQ) bool {
 // ContainedCQ reports whether p ⊑ q for CQ¬ queries p and q
 // (Theorem 12 of the paper; plain Chandra–Merlin when negation-free).
 func ContainedCQ(p, q logic.CQ) bool {
-	return Contained(p, logic.AsUnion(q))
+	return Contained(p, logic.UCQ{Rules: []logic.CQ{q}})
 }
 
 // ContainedUCQ reports whether p ⊑ q for UCQ¬ queries: every rule of p

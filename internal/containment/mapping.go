@@ -1,9 +1,8 @@
 package containment
 
 import (
-	"sort"
-
-	"repro/internal/logic"
+	"cmp"
+	"slices"
 )
 
 // A containment mapping from Q to P (witnessing P ⊑ Q for positive
@@ -13,168 +12,205 @@ import (
 // needs σ to be total on all variables of Q, including variables that
 // occur only in negative literals; those range over the terms of P.
 
-// mappingSearch enumerates containment mappings from q's positive part
-// into p's positive part, extended to be total on totalVars (variables of
-// q not determined by the positive match range over p's terms). It calls
-// yield for each mapping found and stops early when yield returns true.
-// The overall return value is true iff some yield returned true.
-type mappingSearch struct {
-	pPos   []logic.Literal // positive literals of P (match targets)
-	pTerms []logic.Term    // candidate values for unconstrained variables
-	yield  func(logic.Subst) bool
+// frame is the state of one mapping search. A search yields to a
+// callback that may start child problems, each with a search of its
+// own, so the checker keeps one frame per recursion depth.
+type frame struct {
+	sigma  []int32 // by slot of the disjunct; −1 = unbound
+	trail  []int32 // slots bound by bind, for undo
+	order  []int32 // positive literals (by index in pos), most constrained first
+	ncand  []int32 // candidate count per positive literal
+	images []int32 // σ of the negative literals' arguments
+	tried  tupleSet
 }
 
-// findMapping reports whether some containment mapping σ from q into p
-// exists for which yield returns true. The heads are aligned positionally:
-// q's head argument j must map to p's head argument j.
-func findMapping(p, q logic.CQ, yield func(logic.Subst) bool) bool {
-	// Align heads: σ is the identity on free variables in the paper's
-	// setting (same head variable tuple); positional unification
-	// generalizes this to heads with constants.
-	sigma, ok := headAlignment(p, q)
-	if !ok {
-		return false
+// frame returns the frame of the current depth.
+func (c *Checker) frame() *frame {
+	for len(c.frames) <= c.depth {
+		c.frames = append(c.frames, new(frame))
 	}
+	return c.frames[c.depth]
+}
 
-	qPos := q.Positive()
-	// Candidate target literals per source literal, by predicate and arity.
-	cands := make([][]logic.Literal, len(qPos))
-	pPos := p.Positive()
-	for i, ql := range qPos {
-		for _, pl := range pPos {
-			if pl.Atom.Pred == ql.Atom.Pred && pl.Atom.Arity() == ql.Atom.Arity() {
-				cands[i] = append(cands[i], pl)
+// bind extends σ so that it maps the compiled arguments qs onto P's
+// terms ps: a bound slot must agree, a free one binds and goes on the
+// trail, a constant must be the same term.
+func (f *frame) bind(qs, ps []int32) bool {
+	for j, a := range qs {
+		t := ps[j]
+		switch {
+		case a < 0:
+			if ^a != t {
+				return false
 			}
-		}
-		if len(cands[i]) == 0 {
+		case f.sigma[a] < 0:
+			f.sigma[a] = t
+			f.trail = append(f.trail, a)
+		case f.sigma[a] != t:
 			return false
 		}
 	}
-	// Most-constrained-first: match literals with few candidates early.
-	order := make([]int, len(qPos))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(cands[order[a]]) < len(cands[order[b]])
-	})
-
-	ms := &mappingSearch{pPos: pPos, pTerms: termsOf(p), yield: yield}
-	extra := unconstrainedVars(q, qPos)
-	return ms.match(sigma, qPos, cands, order, 0, extra)
+	return true
 }
 
-// match extends sigma literal by literal, then enumerates values for the
-// remaining unconstrained variables.
-func (ms *mappingSearch) match(sigma logic.Subst, qPos []logic.Literal, cands [][]logic.Literal, order []int, k int, extra []string) bool {
-	if k == len(order) {
-		return ms.assignExtra(sigma, extra, 0)
+// undo unbinds the slots bound since the trail had length mark.
+func (f *frame) undo(mark int) {
+	for _, a := range f.trail[mark:] {
+		f.sigma[a] = -1
 	}
-	i := order[k]
-	ql := qPos[i]
-	for _, pl := range cands[i] {
-		next, ok := extend(sigma, ql.Atom, pl.Atom)
-		if !ok {
-			continue
-		}
-		if ms.match(next, qPos, cands, order, k+1, extra) {
-			return true
-		}
-	}
-	return false
+	f.trail = f.trail[:mark]
 }
 
-// assignExtra enumerates assignments of p's terms to variables of q that
-// the positive match left unbound (they occur only in negative literals).
-func (ms *mappingSearch) assignExtra(sigma logic.Subst, extra []string, k int) bool {
-	for k < len(extra) {
-		if _, ok := sigma[extra[k]]; ok {
-			k++
-			continue
+// apply appends σ(args) to out.
+func (f *frame) apply(out []int32, args []int32) []int32 {
+	for _, a := range args {
+		if a < 0 {
+			out = append(out, ^a)
+		} else {
+			out = append(out, f.sigma[a])
 		}
-		break
-	}
-	if k == len(extra) {
-		return ms.yield(sigma)
-	}
-	for _, t := range ms.pTerms {
-		if ms.assignExtra(sigma.Bind(extra[k], t), extra, k+1) {
-			return true
-		}
-	}
-	return false
-}
-
-// extend unifies source atom qa with target atom pa under sigma,
-// returning the extended substitution. Constants and null must match
-// exactly; variables of q bind to the corresponding term of p.
-func extend(sigma logic.Subst, qa, pa logic.Atom) (logic.Subst, bool) {
-	next := sigma
-	copied := false
-	for j, qt := range qa.Args {
-		pt := pa.Args[j]
-		if qt.IsVar() {
-			if bound, ok := next[qt.Name]; ok {
-				if bound != pt {
-					return nil, false
-				}
-				continue
-			}
-			if !copied {
-				next = next.Clone()
-				copied = true
-			}
-			next[qt.Name] = pt
-			continue
-		}
-		if qt != pt {
-			return nil, false
-		}
-	}
-	return next, true
-}
-
-// termsOf returns the distinct terms (variables and constants) occurring
-// in p's head and body, in first-occurrence order.
-func termsOf(p logic.CQ) []logic.Term {
-	var out []logic.Term
-	seen := map[logic.Term]bool{}
-	add := func(ts []logic.Term) {
-		for _, t := range ts {
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	add(p.HeadArgs)
-	for _, l := range p.Body {
-		add(l.Atom.Args)
 	}
 	return out
 }
 
-// unconstrainedVars lists variables of q that do not occur in its head or
-// positive part, in deterministic order. These occur only in negative
-// literals (the paper's Example 3 has such variables); a total containment
-// mapping must still assign them.
-func unconstrainedVars(q logic.CQ, qPos []logic.Literal) []string {
-	bound := map[string]bool{}
-	for _, t := range q.HeadArgs {
-		if t.IsVar() {
-			bound[t.Name] = true
+// align starts σ for d: empty, then aligned with P's head (q's head
+// argument j maps to P's head argument j). It reports false when the
+// heads cannot be unified.
+func (c *Checker) align(d *disjunct, f *frame) bool {
+	f.sigma = slices.Grow(f.sigma[:0], len(d.vars))[:len(d.vars)]
+	for i := range f.sigma {
+		f.sigma[i] = -1
+	}
+	f.trail = f.trail[:0]
+	return d.headPred == c.p.headPred && f.bind(d.head, c.p.head)
+}
+
+// findMapping reports whether some containment mapping σ from d into P
+// exists for which yield returns true; yield reads σ from f. The order
+// in which mappings are tried is fixed: positive literals with fewer
+// candidates first (a stable sort, ties in body order), each literal's
+// candidates in P's body order, then the variables of d's negative
+// literals alone over P's terms in first-occurrence order.
+func (c *Checker) findMapping(d *disjunct, f *frame, yield func() bool) bool {
+	if !c.align(d, f) {
+		return false
+	}
+	f.order, f.ncand = f.order[:0], f.ncand[:0]
+	for i, li := range d.pos {
+		n := c.p.chains[chainOf(d.body[li].pred, false)].n
+		if n == 0 {
+			return false
+		}
+		f.order, f.ncand = append(f.order, int32(i)), append(f.ncand, n)
+	}
+	slices.SortStableFunc(f.order, func(a, b int32) int { return cmp.Compare(f.ncand[a], f.ncand[b]) })
+	return c.match(d, f, 0, yield)
+}
+
+// match extends σ literal by literal, then enumerates values for the
+// variables left unbound. A child problem run from yield pushes onto
+// P and pops before returning, so every chain this walks is as it was
+// when the search began.
+func (c *Checker) match(d *disjunct, f *frame, k int, yield func() bool) bool {
+	if k == len(f.order) {
+		return c.assignExtra(d, f, 0, yield)
+	}
+	ql := &d.body[d.pos[f.order[k]]]
+	for i := c.p.chains[chainOf(ql.pred, false)].first; i >= 0; i = c.p.lits[i].next {
+		mark := len(f.trail)
+		if f.bind(ql.args, c.p.lits[i].args) && c.match(d, f, k+1, yield) {
+			return true
+		}
+		f.undo(mark)
+	}
+	return false
+}
+
+// assignExtra enumerates assignments of P's terms to the slots of d
+// that occur only in negative literals.
+func (c *Checker) assignExtra(d *disjunct, f *frame, k int, yield func() bool) bool {
+	if k == len(d.extra) {
+		return yield()
+	}
+	v := d.extra[k]
+	for _, t := range c.p.terms {
+		f.sigma[v] = t
+		if c.assignExtra(d, f, k+1, yield) {
+			return true
 		}
 	}
-	for _, l := range qPos {
-		for _, v := range l.Vars() {
-			bound[v.Name] = true
+	f.sigma[v] = -1
+	return false
+}
+
+// tupleSet is a hashed set of int32 tuples of one width. reset empties
+// it in time proportional to its members, so a pooled one is reused
+// without allocating.
+type tupleSet struct {
+	width int
+	data  []int32 // the members, width values each
+	slots []int32 // open addressing: member number + 1, 0 = free
+	at    []int32 // the slot of each member
+}
+
+// reset empties the set and sets its width.
+func (s *tupleSet) reset(width int) {
+	for _, i := range s.at {
+		s.slots[i] = 0
+	}
+	s.width, s.data, s.at = width, s.data[:0], s.at[:0]
+}
+
+func (s *tupleSet) member(m int) []int32 { return s.data[m*s.width : (m+1)*s.width] }
+
+// has reports whether t is a member.
+func (s *tupleSet) has(t []int32) bool {
+	_, found := s.find(t)
+	return found
+}
+
+// add inserts t and reports whether it was not yet a member.
+func (s *tupleSet) add(t []int32) bool {
+	if 2*(len(s.at)+1) > len(s.slots) {
+		s.grow()
+	}
+	i, found := s.find(t)
+	if found {
+		return false
+	}
+	s.slots[i] = int32(len(s.at) + 1)
+	s.at = append(s.at, i)
+	s.data = append(s.data, t...)
+	return true
+}
+
+// find returns t's slot, or the free slot where it would go.
+func (s *tupleSet) find(t []int32) (int32, bool) {
+	if len(s.slots) == 0 {
+		return 0, false
+	}
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, v := range t {
+		h = (h ^ uint64(uint32(v))) * 1099511628211
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		m := s.slots[i]
+		if m == 0 {
+			return int32(i), false
+		}
+		if slices.Equal(s.member(int(m-1)), t) {
+			return int32(i), true
 		}
 	}
-	var out []string
-	for _, v := range q.Vars() {
-		if !bound[v.Name] {
-			out = append(out, v.Name)
-		}
+}
+
+// grow doubles the table (16 slots at first) and re-indexes the members.
+func (s *tupleSet) grow() {
+	s.slots = make([]int32, max(16, 2*len(s.slots)))
+	for m := range s.at {
+		i, _ := s.find(s.member(m))
+		s.slots[i] = int32(m + 1)
+		s.at[m] = i
 	}
-	return out
 }

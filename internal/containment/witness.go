@@ -61,61 +61,99 @@ func (w *Witness) render(b *strings.Builder, depth int) {
 func (c *Checker) Explain(p logic.CQ) (*Witness, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.explain(p)
+	c.begin(p)
+	defer c.end()
+	return c.explain()
 }
 
-// explain is the recursive body of Explain; c.mu must be held.
-func (c *Checker) explain(p logic.CQ) (*Witness, bool) {
+// explain is the recursive body of Explain, on the loaded P; c.mu must
+// be held.
+func (c *Checker) explain() (*Witness, bool) {
 	c.Nodes++
-	if !Satisfiable(p) {
+	if !c.p.sat {
 		return &Witness{Unsat: true}, true
 	}
-	key := canonKey(p)
-	if v, ok := c.memo[key]; ok && !v {
+	k := c.memoKey()
+	if v, ok := c.memo[string(k)]; ok && !v {
 		c.MemoHits++
 		return nil, false
 	}
-	for i, qi := range c.q.Rules {
-		if qi.False || !Satisfiable(qi) {
-			continue
-		}
-		if w, ok := c.explainDisjunct(p, qi, i); ok {
-			c.memo[key] = true
-			return w, true
+	key := string(k)
+	f := c.frame()
+	c.depth++
+	var w *Witness
+	for i := range c.rules {
+		if c.rules[i].live {
+			if w = c.explainDisjunct(&c.rules[i], i, f); w != nil {
+				break
+			}
 		}
 	}
-	c.memo[key] = false
-	return nil, false
+	c.depth--
+	c.memo[key] = w != nil
+	return w, w != nil
 }
 
-func (c *Checker) explainDisjunct(p, qi logic.CQ, index int) (*Witness, bool) {
+// explainDisjunct runs the mapping search of viaDisjunct without its
+// shortcuts (the tried image sets, skipping an unsatisfiable child),
+// so every child problem yields a witness. It returns nil when no
+// mapping into d leads to one.
+func (c *Checker) explainDisjunct(d *disjunct, index int, f *frame) *Witness {
 	var found *Witness
-	findMapping(p, qi, func(sigma logic.Subst) bool {
-		negs := qi.Negative()
-		w := &Witness{Disjunct: index, Mapping: sigma.Clone()}
-		for _, nl := range negs {
-			ra := sigma.Atom(nl.Atom)
-			if p.HasAtom(ra, false) {
+	c.findMapping(d, f, func() bool {
+		var subs []*Witness
+		for _, i := range d.negs {
+			nl := &d.body[i]
+			f.images = f.apply(f.images[:0], nl.args)
+			if c.p.has(nl.pred, false, f.images) {
 				return false
 			}
-			ext := p.Clone()
-			ext.Body = append(ext.Body, logic.Pos(ra))
-			sub, ok := c.explain(ext)
+			undo := c.push(nl.pred, f.images)
+			sub, ok := c.explain()
+			c.pop(undo)
 			if !ok {
 				return false
 			}
-			w.Children = append(w.Children, ChildWitness{Negative: nl.Clone(), Added: ra, Sub: sub})
+			subs = append(subs, sub)
 		}
-		found = w
+		found = c.witness(d, index, f, subs)
 		return true
 	})
-	return found, found != nil
+	return found
+}
+
+// witness builds the witness of a successful mapping: σ as a logic
+// substitution, and one child per negative literal of d.
+func (c *Checker) witness(d *disjunct, index int, f *frame, subs []*Witness) *Witness {
+	w := &Witness{Disjunct: index, Mapping: make(logic.Subst, len(d.vars))}
+	for v, id := range d.vars {
+		w.Mapping[c.sym.terms[id].Name] = c.sym.terms[f.sigma[v]]
+	}
+	for k, i := range d.negs {
+		nl := &d.body[i]
+		added := logic.Atom{Pred: c.sym.preds[nl.pred].name, Args: make([]logic.Term, len(nl.args))}
+		for j, t := range f.apply(f.images[:0], nl.args) {
+			added.Args[j] = c.sym.terms[t]
+		}
+		w.Children = append(w.Children, ChildWitness{Negative: logic.Neg(d.atom(&c.sym, nl)), Added: added, Sub: subs[k]})
+	}
+	return w
 }
 
 // Verify checks a witness against p and the checker's query q,
 // re-validating every mapping and every unsatisfiability claim. It
 // returns an error describing the first defect found.
 func (c *Checker) Verify(p logic.CQ, w *Witness) error {
+	c.mu.Lock()
+	rules := make([]logic.CQ, len(c.rules))
+	for i := range c.rules {
+		rules[i] = c.rules[i].rule(&c.sym)
+	}
+	c.mu.Unlock()
+	return verify(p, w, rules)
+}
+
+func verify(p logic.CQ, w *Witness, rules []logic.CQ) error {
 	if w == nil {
 		return fmt.Errorf("containment: nil witness")
 	}
@@ -125,10 +163,10 @@ func (c *Checker) Verify(p logic.CQ, w *Witness) error {
 		}
 		return nil
 	}
-	if w.Disjunct < 0 || w.Disjunct >= len(c.q.Rules) {
-		return fmt.Errorf("containment: witness names disjunct %d of %d", w.Disjunct+1, len(c.q.Rules))
+	if w.Disjunct < 0 || w.Disjunct >= len(rules) {
+		return fmt.Errorf("containment: witness names disjunct %d of %d", w.Disjunct+1, len(rules))
 	}
-	qi := c.q.Rules[w.Disjunct]
+	qi := rules[w.Disjunct]
 	if err := checkMapping(p, qi, w.Mapping); err != nil {
 		return err
 	}
@@ -150,7 +188,7 @@ func (c *Checker) Verify(p logic.CQ, w *Witness) error {
 		}
 		ext := p.Clone()
 		ext.Body = append(ext.Body, logic.Pos(cw.Added))
-		if err := c.Verify(ext, cw.Sub); err != nil {
+		if err := verify(ext, cw.Sub, rules); err != nil {
 			return err
 		}
 	}

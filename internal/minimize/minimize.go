@@ -37,7 +37,10 @@ func minimizeCQ(q logic.CQ, budget *int) logic.CQ {
 	if q.False || !containment.Satisfiable(q) {
 		return logic.FalseQuery(q.HeadPred, q.HeadArgs)
 	}
-	cur := q.Clone()
+	// Only the body slice is the result's own: its literals and head
+	// are q's, shared as without shares them, since nothing here writes
+	// to one.
+	cur := logic.CQ{HeadPred: q.HeadPred, HeadArgs: q.HeadArgs, Body: slices.Clone(q.Body)}
 	// ck decides containment in cur; its memo is shared by every
 	// candidate tested against the same cur, and it is rebuilt only
 	// after a removal changed cur.

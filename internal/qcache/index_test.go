@@ -295,10 +295,13 @@ func BenchmarkPlanMiss(b *testing.B) {
 
 // A plan miss's allocations stay bounded: a cache filled past its bound
 // (so every miss also evicts), then misses on texts it has not seen.
-// The ceiling is the measured count (248) plus slack for the race
-// detector's own (5). Running FEASIBLE again on a query that has a plan
-// costs about 100 more; literal renderings that regrow their builder,
-// or a pattern-set fingerprint rendered on every call, about 6 each.
+// The ceiling is the measured count (102) plus slack (8), and under the
+// race detector raceAllocSlack more: it drops a quarter of the
+// containment scratch given back to its pool. Running FEASIBLE again on
+// a query that has a plan costs about 100 more; literal renderings that
+// regrow their builder, or a pattern-set fingerprint rendered on every
+// call, about 6 each; the containment search as it was before its
+// queries were compiled, about 110.
 func TestPlanMissAllocs(t *testing.T) {
 	c := New(Options{MaxPlanEntries: 512})
 	ps := pats(t, "R^oo S^io L^o")
@@ -316,8 +319,12 @@ func TestPlanMissAllocs(t *testing.T) {
 		}
 		next++
 	})
-	const limit = 248 + 8
-	if allocs > limit {
+	limit := 102 + 8 + raceAllocSlack
+	if allocs > float64(limit) {
 		t.Errorf("a plan miss allocated %.0f times, want at most %d", allocs, limit)
 	}
 }
+
+// raceAllocSlack is what the race detector adds to an allocation count
+// (racealloc_test.go).
+var raceAllocSlack = 0

@@ -42,10 +42,12 @@
 package qcache
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -519,9 +521,8 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	keySet := make([]string, 0, len(cores))
 	seen := map[string]bool{}
 	for i, cr := range cores {
-		n := cr.Clone()
-		n.HeadPred = canonHeadPred
-		canon, key := containment.CanonicalForm(n)
+		cr.HeadPred = canonHeadPred // on the loop's copy: CanonicalForm builds a new query
+		canon, key := containment.CanonicalForm(cr)
 		e.cores[i] = canon
 		e.coreKeys[i] = key
 		if !canon.False {
@@ -680,35 +681,98 @@ type bucketKey struct{ catFP, sig string }
 // theorem one level down, where c's negated literals are the same; the
 // recursion is finite, so it ends at a ¬R(σ′ȳ) in c, which has ȳ's
 // constants where ȳ has them. Equivalence makes all these sets equal.
+//
+// It renders in one pass: the facts go into a sorted, deduplicated slice
+// of sigParts, and from there into one builder.
 func coreSig(c logic.CQ) string {
-	var parts []string
+	var buf [32]sigPart
+	parts := buf[:0]
+	size := 8
 	for _, l := range c.Body {
-		pred := fmt.Sprintf("%s/%d", l.Atom.Pred, len(l.Atom.Args))
-		if l.Negated {
-			pred = "!" + pred
-		}
-		parts = append(parts, pred)
+		p := sigPart{neg: l.Negated, pred: l.Atom.Pred, arity: len(l.Atom.Args), pos: -1}
+		parts = append(parts, p)
+		size += len(p.pred) + 8
 		for k, t := range l.Atom.Args {
 			if !t.IsVar() {
-				parts = append(parts, fmt.Sprintf("%s#%d=%s", pred, k, t))
+				p.pos, p.val = k, t
+				parts = append(parts, p)
+				size += len(p.pred) + len(t.Name) + 16
 			}
 		}
 	}
-	sort.Strings(parts)
+	for _, t := range c.HeadArgs {
+		size += len(t.Name) + 8
+	}
+	slices.SortFunc(parts, sigPart.compare)
+	parts = slices.Compact(parts)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d", len(c.HeadArgs))
+	b.Grow(size)
+	var num [20]byte
+	b.Write(strconv.AppendInt(num[:0], int64(len(c.HeadArgs)), 10))
 	for k, t := range c.HeadArgs {
 		if !t.IsVar() {
-			fmt.Fprintf(&b, " %d=%s", k, t)
+			b.WriteByte(' ')
+			b.Write(strconv.AppendInt(num[:0], int64(k), 10))
+			writeSigTerm(&b, t)
 		}
 	}
-	for i, p := range parts {
-		if i == 0 || p != parts[i-1] {
-			b.WriteString(" ")
-			b.WriteString(p)
+	for _, p := range parts {
+		b.WriteByte(' ')
+		if p.neg {
+			b.WriteByte('!')
+		}
+		b.WriteString(p.pred)
+		b.WriteByte('/')
+		b.Write(strconv.AppendInt(num[:0], int64(p.arity), 10))
+		if p.pos >= 0 {
+			b.WriteByte('#')
+			b.Write(strconv.AppendInt(num[:0], int64(p.pos), 10))
+			writeSigTerm(&b, p.val)
 		}
 	}
 	return b.String()
+}
+
+// sigPart is one fact of a core signature: a body literal's sign,
+// predicate and arity, and for pos ≥ 0 the constant at position pos.
+type sigPart struct {
+	neg   bool
+	pred  string
+	arity int
+	pos   int
+	val   logic.Term
+}
+
+func (p sigPart) compare(q sigPart) int {
+	return cmp.Or(
+		strings.Compare(p.pred, q.pred),
+		cmp.Compare(p.arity, q.arity),
+		cmp.Compare(boolInt(p.neg), boolInt(q.neg)),
+		cmp.Compare(p.pos, q.pos),
+		cmp.Compare(p.val.Kind, q.val.Kind),
+		strings.Compare(p.val.Name, q.val.Name),
+	)
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// writeSigTerm writes "=" and a constant or null, its name prefixed by
+// its length so that no name can run into the next part.
+func writeSigTerm(b *strings.Builder, t logic.Term) {
+	var num [20]byte
+	if t.IsNull() {
+		b.WriteString("=null")
+		return
+	}
+	b.WriteByte('=')
+	b.Write(strconv.AppendInt(num[:0], int64(len(t.Name)), 10))
+	b.WriteByte(':')
+	b.WriteString(t.Name)
 }
 
 // equivScanLocked looks for a cached entry whose core is equivalent to
