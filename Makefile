@@ -89,9 +89,12 @@ fault-smoke:
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue
 # zero source calls and return byte-identical rows; under -race because
-# the cache is shared across concurrent Exec callers in production.
+# the cache is shared across concurrent Exec callers in production. Then
+# the safe-negation idioms in their unanswerable form, cached (miss and
+# hit) against uncached and over HTTP: the same certified underestimate,
+# the dismissed disjunct reported access-limited.
 cache-smoke:
-	$(GO) test -race -count=1 -run='TestCacheSmoke|TestCacheConcurrentExec|TestExecQueryCacheProfile' .
+	$(GO) test -race -count=1 -run='TestCacheSmoke|TestCacheConcurrentExec|TestExecQueryCacheProfile|TestNegationIdiom' .
 
 # Chaos-schedule smoke: seeded randomized fault schedules (dropped and
 # hung calls, injected latency, breakers, replica kills) over every

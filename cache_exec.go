@@ -38,17 +38,15 @@ func NewQueryCache(opt QueryCacheOptions) *QueryCache { return qcache.New(opt) }
 // the plan cache when an equivalent query was planned before, and
 // answers are reused per disjunct when the catalog's generation still
 // matches. A query answers the same with or without the cache: both
-// paths run a plan made by the one planning rule Exec states. The cache
-// is bypassed — not an error — under WithNaive; under
-// WithAnswerStar/WithImproveUnder, because the plan tier holds orderable
-// representatives only and ANSWER* exists for queries that are not; and
-// under WithStats, because cost ordering is statistics-dependent, so its
-// order is not a pure function of the query and patterns.
+// paths run a plan made by the one planner Exec states. The cache is
+// bypassed — not an error — under WithNaive, and under WithStats,
+// because cost ordering is statistics-dependent, so its order is not a
+// pure function of the query and patterns.
 func WithQueryCache(qc *QueryCache) ExecOption { return func(c *execConfig) { c.qc = qc } }
 
 // useQueryCache reports whether this Exec call goes through the cache.
 func (c *execConfig) useQueryCache() bool {
-	return c.qc != nil && c.naive == nil && !c.star && !c.hasStats
+	return c.qc != nil && c.naive == nil && !c.hasStats
 }
 
 // cacheProfile seeds an ExecProfile's cache counters from a plan lookup

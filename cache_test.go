@@ -506,3 +506,42 @@ func TestExecSameAnswerWithAndWithoutCache(t *testing.T) {
 		t.Errorf("only %d of %d draws degraded with a source killed", degraded, len(draws))
 	}
 }
+
+// A rule the plan dismissed is never covered by the answer cache and
+// never stored in it: its rows are its overestimate's, not its core's.
+// The same rule over one catalog is dismissed under one pattern set and
+// certain under another, and the answer tier keys rows by core and
+// catalog alone, so without both guards a stored overestimate would be
+// served as certain rows, or certain rows as the overestimate.
+func TestDismissedRulesNeverCached(t *testing.T) {
+	q := MustParseQuery(`D(x) :- A(x), Alias(k, x, y), not B(y).`)
+	limited, full := MustParsePatterns(`A^o B^i Alias^ioo`), MustParsePatterns(`A^o B^i Alias^ioo Alias^ooo`)
+	in := NewInstance()
+	if err := in.ParseInto(`A("a"). A("b"). A("c"). B("b"). B("d"). Alias("k", "b", "e"). Alias("k", "c", "d").`); err != nil {
+		t.Fatal(err)
+	}
+	cat := in.MustCatalog(full)
+	report := func(ps *PatternSet, opts ...ExecOption) string {
+		t.Helper()
+		res, err := Exec(context.Background(), q, ps, cat, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		star, _ := res.Star()
+		return star.Report()
+	}
+	want := map[*PatternSet]string{limited: report(limited), full: report(full)}
+	if want[limited] == want[full] {
+		t.Fatal("fixture: the two pattern sets must answer differently")
+	}
+	for _, order := range [][]*PatternSet{{limited, full}, {full, limited}} {
+		qc := NewQueryCache(QueryCacheOptions{})
+		for pass := 0; pass < 2; pass++ {
+			for _, ps := range order {
+				if got := report(ps, WithQueryCache(qc)); got != want[ps] {
+					t.Errorf("under %s, cached:\n%s\nwant the uncached\n%s", ps, got, want[ps])
+				}
+			}
+		}
+	}
+}

@@ -671,7 +671,7 @@ func example4() (logic.UCQ, *access.Set, workload.Schema) {
 // run's source traffic to the counts key+"calls" and key+"tuples".
 func answerStar(u logic.UCQ, ps *access.Set, in *engine.Instance, c counts, key string) (engine.AnswerStar, *sources.Catalog) {
 	cat := in.MustCatalog(ps)
-	_, r := exec(u, ps, cat, ucqn.WithAnswerStar())
+	_, r := exec(u, ps, cat)
 	res, _ := r.Star()
 	c[key+"calls"] += cat.TotalStats().Calls
 	c[key+"tuples"] += cat.TotalStats().TuplesReturned
@@ -764,7 +764,7 @@ func e11(sz []int) ([]op, table) {
 			in := load(g.Facts(s, 8, 6))
 			res, cat := answerStar(u, ps, in, c, "") // ANSWER* only: taken before ImproveUnder enumerates the domain
 			before := cat.TotalStats()
-			improved, _, dom, err := engine.DefaultRuntime().ImproveUnder(context.Background(), res, ps, cat, 100_000, engine.Opts{})
+			improved, _, dom, err := engine.DefaultRuntime().ImproveUnder(context.Background(), must(core.NewPlan(u, ps)), res.Under, ps, cat, 100_000, engine.Opts{})
 			noErr(err)
 			after := cat.TotalStats()
 			c["dom.calls"] += dom.Calls

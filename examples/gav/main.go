@@ -68,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	starRes, err := ucqn.Exec(context.Background(), unfolded, ps, cat, ucqn.WithAnswerStar())
+	starRes, err := ucqn.Exec(context.Background(), unfolded, ps, cat)
 	if err != nil {
 		log.Fatal(err)
 	}

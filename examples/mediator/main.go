@@ -35,7 +35,7 @@ func runScenario(name string, load func(*ucqn.Instance)) ucqn.AnswerStar {
 	if err != nil {
 		log.Fatal(err)
 	}
-	starRes, err := ucqn.Exec(context.Background(), q, ps, cat, ucqn.WithAnswerStar())
+	starRes, err := ucqn.Exec(context.Background(), q, ps, cat)
 	if err != nil {
 		log.Fatal(err)
 	}

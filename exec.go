@@ -2,12 +2,12 @@ package ucqn
 
 // Exec is the single context-first entry point for every way this
 // package evaluates a query: materialized, parallel, profiled, streamed,
-// ANSWER*, semantically optimized, cost-ordered, or naive ground truth.
+// semantically optimized, cost-ordered, or naive ground truth. Every
+// execution is ANSWER*.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -26,7 +26,6 @@ type execConfig struct {
 	profile   bool
 	streaming bool
 	partial   bool
-	star      bool
 	improve   bool
 	maxCalls  int
 	naive     *Instance
@@ -68,8 +67,9 @@ func WithINDs(inds INDSet) ExecOption {
 	return func(c *execConfig) { c.inds, c.hasINDs = inds, true }
 }
 
-// WithStats reorders each rule to minimize estimated source calls under
-// the given cardinality statistics before executing.
+// WithStats reorders each rule it can order to minimize estimated
+// source calls under the given cardinality statistics before executing;
+// the planner takes the rest.
 func WithStats(st PlanStats) ExecOption {
 	return func(c *execConfig) { c.stats, c.hasStats = st, true }
 }
@@ -88,32 +88,20 @@ func WithStreaming() ExecOption { return func(c *execConfig) { c.streaming = tru
 // underestimate of the full answer, in the spirit of ANSWER*'s ansᵤ;
 // Result.Incompleteness reports the dropped disjuncts, their failing
 // sources, and the disjunct-level completeness ratio. Caller-context
-// cancellation and planning errors still abort. With WithAnswerStar the
-// underestimate stays sound and the report says the overestimate is
-// not certified (AnswerStar.OverCertified). It does not combine with
-// WithNaive.
+// cancellation and planning errors still abort. The report also names
+// each rule the planner dismissed whose rows reached Δ (class
+// access-limited). It does not combine with WithNaive.
 func WithPartialResults() ExecOption { return func(c *execConfig) { c.partial = true } }
 
-// WithAnswerStar runs the full ANSWER* algorithm (Figure 4): Result.Rel
-// is the certain underestimate and Result.Star carries the completeness
-// report. It is one execution of the overestimate plan Qᵒ — the rules
-// the underestimate shares with it are not evaluated twice — on the
-// driver every Exec runs, so it combines with WithProfile (that
-// execution's profile), WithParallelRules, WithPartialResults and
-// WithStreaming (the stream carries the underestimate; Result.Star
-// reports once it has ended). A query cache is bypassed.
-func WithAnswerStar() ExecOption { return func(c *execConfig) { c.star = true } }
-
-// WithImproveUnder is WithAnswerStar followed by the domain-enumeration
-// improvement of the underestimate (Example 8), spending at most
-// maxCalls source call attempts on enumeration, which runs on the
-// execution's runtime (retries, call timeout, hedging). Result.Rel is
-// the improved underestimate; Result.Improved has the improved rules and
-// enumeration metadata. The improvement is a strict, unprofiled step after the
-// ANSWER* execution (Result.Profile and Result.Incompleteness describe
-// that execution only), so it does not combine with WithStreaming.
+// WithImproveUnder follows an execution whose plan dismissed a rule
+// with the domain-enumeration improvement of the underestimate (Example
+// 8), spending at most maxCalls source call attempts on enumeration, on
+// the execution's runtime. Result.Rel is the improved underestimate and
+// Result.Improved has the improved rules and enumeration metadata. It
+// is a strict, unprofiled step after the execution, which the other
+// accessors describe, so it does not combine with WithStreaming.
 func WithImproveUnder(maxCalls int) ExecOption {
-	return func(c *execConfig) { c.star, c.improve, c.maxCalls = true, true, maxCalls }
+	return func(c *execConfig) { c.improve, c.maxCalls = true, maxCalls }
 }
 
 // WithNaive evaluates the query directly over the instance, ignoring
@@ -147,9 +135,10 @@ func WithBudget(b Budget) ExecOption {
 // Result is the handle Exec returns. Which accessors are populated
 // depends on the options: Rel always yields the materialized answers
 // (draining the stream first in streaming mode), Stream is non-nil only
-// with WithStreaming, Profile reports ok only with WithProfile, Star and
-// Improved only with WithAnswerStar / WithImproveUnder. Profile,
-// Incompleteness and Star of a stream report ok once it has finished.
+// with WithStreaming, Profile reports ok only with WithProfile,
+// Improved only with WithImproveUnder; Star reports for every
+// execution. Profile, Incompleteness and Star of a stream report ok
+// once it has finished.
 type Result struct {
 	rel    *Rel
 	stream *Stream
@@ -157,7 +146,7 @@ type Result struct {
 	profiled bool
 	prof     ExecProfile // streaming mode: the cache counters only
 
-	star    *AnswerStar
+	star    *AnswerStar // nil when the plan dismissed no rule
 	improve bool
 	rules   Query
 	dom     DomResult
@@ -213,18 +202,19 @@ func (r *Result) Incompleteness() (Incompleteness, bool) {
 	return *r.inc, true
 }
 
-// Star returns the ANSWER* report (requires WithAnswerStar or
-// WithImproveUnder). In streaming mode it is available only after the
-// stream ran to its end — ok is false before that, and for a stream
-// that failed or was closed early.
+// Star returns the ANSWER* report of the execution; for a plan that
+// dismissed no rule it is built from the answer (Under = Over, Δ = ∅).
+// In streaming mode it is available once the stream ran to its end
+// (Stream.Star) — ok is false before that, and for good when it failed
+// or was closed early.
 func (r *Result) Star() (AnswerStar, bool) {
-	if r.stream != nil {
+	switch {
+	case r.stream != nil:
 		return r.stream.Star()
+	case r.star != nil:
+		return *r.star, true
 	}
-	if r.star == nil {
-		return AnswerStar{}, false
-	}
-	return *r.star, true
+	return engine.CertainStar(r.rel, r.inc), true
 }
 
 // Improved returns the domain-enumeration-improved underestimate rules
@@ -237,11 +227,12 @@ func (r *Result) Improved() (Query, DomResult, bool) {
 }
 
 // Exec evaluates q against the limited-access catalog under the declared
-// patterns, honoring ctx through every source call. With no options it
-// is ANSWER(Q, D), materialized, on the default runtime; options select the
-// runtime, rule parallelism, profiling, streaming, ANSWER*, semantic
-// optimization, cost-based ordering, partial results under failure, or
-// naive ground-truth evaluation.
+// patterns, honoring ctx through every source call. Every execution is
+// ANSWER* (Figure 4): Result.Rel is the certain underestimate — ANSWER(Q,
+// D) itself for an orderable query — and Result.Star the completeness
+// report. Options select the runtime, rule parallelism, profiling,
+// streaming, semantic optimization, cost-based ordering, partial
+// results under failure, or naive ground-truth evaluation.
 //
 //	res, err := ucqn.Exec(ctx, q, ps, cat, ucqn.WithStreaming())
 //	if err != nil { ... }
@@ -250,11 +241,11 @@ func (r *Result) Improved() (Query, DomResult, bool) {
 //	for s.Next() { use(s.Tuple()) }
 //	if err := s.Err(); err != nil { ... }
 //
-// One planning rule decides which queries run, with a query cache or
-// without one: a rule executable as written runs in its written order,
-// any other orderable rule (Definition 4) in the order ANSWERABLE
-// chooses, and a query with a rule that has no executable order fails
-// with an error wrapping ErrNotOrderable before any source call.
+// One planner (core.NewPlan) plans every query, cached or not: a rule
+// with no executable order runs as PLAN*'s overestimate (Figure 2),
+// whose rows go into the overestimate and Δ only. A literal no declared
+// pattern can call (an unknown relation or a wrong arity) fails the
+// query with an error wrapping ErrNotOrderable before any source call.
 //
 // Exec returns an error for contradictory option combinations (see each
 // option), for such unplannable queries, and — except in streaming
@@ -286,40 +277,10 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		q = c.inds.OptimizeChase(q)
 	}
 	if c.hasStats {
-		ordered, ok := core.CostOrderUCQ(q, ps, c.stats)
-		if !ok {
-			return nil, fmt.Errorf("ucqn: %w", ErrNotOrderable)
-		}
-		q = ordered
+		q, _ = core.CostOrderUCQ(q, ps, c.stats)
 	}
 	o := c.engineOpts()
-	res := &Result{profiled: c.profile}
-	if c.star {
-		// ANSWER* is PLAN* in front of the same driver call and a sink
-		// behind it (engine/answerstar.go), so o means what it means
-		// without it.
-		if c.streaming {
-			s, err := rt.StreamAnswerStar(ctx, core.ComputePlans(q, ps), ps, cat, o)
-			if err != nil {
-				return nil, err
-			}
-			res.stream = s
-			return res, nil
-		}
-		star, prof, inc, err := rt.RunAnswerStarWithPlans(ctx, core.ComputePlans(q, ps), ps, cat, o)
-		if err != nil {
-			return nil, err
-		}
-		res.rel, res.star, res.prof, res.inc = star.Under, &star, prof, inc
-		if c.improve {
-			improved, rules, dom, err := rt.ImproveUnder(ctx, star, ps, cat, c.maxCalls, o)
-			if err != nil {
-				return nil, err
-			}
-			res.rel, res.improve, res.rules, res.dom = improved, true, rules, dom
-		}
-		return res, nil
-	}
+	res := &Result{profiled: c.profile, improve: c.improve}
 
 	// The plan comes from the plan cache or from the planner; the rules
 	// the answer cache covers enter the driver pre-answered — no calls,
@@ -359,8 +320,14 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		res.stream = rt.StreamEval(ctx, plan, cat, pre, o)
 		return res, nil
 	}
+	// A plan that dismissed a rule runs into ANSWER*'s sink.
 	out := engine.NewRel()
 	sink := engine.Into(out)
+	var star *engine.StarSink
+	if plan.Dismissed != nil {
+		star = engine.NewStarSink(plan)
+		sink = star.Sink()
+	}
 	if store.entry != nil {
 		sink = store.sink(sink)
 	}
@@ -373,6 +340,16 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		prof.Cache.Evictions += c.qc.StoreAnswers(store.entry, cat, store.rels)
 	}
 	res.rel, res.prof, res.inc = out, prof, inc
+	if star == nil {
+		return res, nil
+	}
+	report := star.Report(inc)
+	res.rel, res.star = report.Under, &report
+	if c.improve {
+		if res.rel, res.rules, res.dom, err = rt.ImproveUnder(ctx, plan, report.Under, ps, cat, c.maxCalls, o); err != nil {
+			return nil, err
+		}
+	}
 	return res, nil
 }
 
@@ -385,7 +362,7 @@ func (c *execConfig) engineOpts() engine.Opts {
 func (c *execConfig) validate() error {
 	if c.naive != nil {
 		switch {
-		case c.star, c.streaming, c.profile, c.parallel, c.partial:
+		case c.improve, c.streaming, c.profile, c.parallel, c.partial:
 			return errors.New("ucqn: WithNaive does not combine with execution options")
 		case c.hasINDs, c.hasStats, c.rt != nil:
 			return errors.New("ucqn: WithNaive ignores access patterns; planning options do not apply")

@@ -67,9 +67,9 @@ func execProfiled(q Query, ps *PatternSet, cat *Catalog) (*Rel, ExecProfile, err
 	return rel, prof, nil
 }
 
-// execStar runs the full ANSWER* algorithm through Exec.
+// execStar runs Exec and returns its ANSWER* report.
 func execStar(q Query, ps *PatternSet, cat *Catalog) (AnswerStar, error) {
-	res, err := Exec(context.Background(), q, ps, cat, WithAnswerStar())
+	res, err := Exec(context.Background(), q, ps, cat)
 	if err != nil {
 		return AnswerStar{}, err
 	}
@@ -79,7 +79,7 @@ func execStar(q Query, ps *PatternSet, cat *Catalog) (AnswerStar, error) {
 
 // execStarUnder is ANSWER* under inclusion dependencies through Exec.
 func execStarUnder(q Query, ps *PatternSet, cat *Catalog, inds INDSet) (AnswerStar, error) {
-	res, err := Exec(context.Background(), q, ps, cat, WithAnswerStar(), WithINDs(inds))
+	res, err := Exec(context.Background(), q, ps, cat, WithINDs(inds))
 	if err != nil {
 		return AnswerStar{}, err
 	}
@@ -161,13 +161,13 @@ func TestExecAnswerStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), WithAnswerStar())
+	res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	star, ok := res.Star()
 	if !ok {
-		t.Fatal("Star must be populated with WithAnswerStar")
+		t.Fatal("Star must be populated")
 	}
 	rel, err := res.Rel()
 	if err != nil {
@@ -217,7 +217,7 @@ func TestExecAnswerStarCombines(t *testing.T) {
 
 	t.Run("profile", func(t *testing.T) {
 		cat := in.MustCatalog(ps)
-		res, err := Exec(ctx, q, ps, cat, WithAnswerStar(), WithProfile())
+		res, err := Exec(ctx, q, ps, cat, WithProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,12 +228,12 @@ func TestExecAnswerStarCombines(t *testing.T) {
 	})
 
 	t.Run("parallel", func(t *testing.T) {
-		res, err := Exec(ctx, q, ps, in.MustCatalog(ps), WithAnswerStar(), WithParallelRules())
+		res, err := Exec(ctx, q, ps, in.MustCatalog(ps), WithParallelRules())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if star, ok := res.Star(); !ok {
-			t.Error("Star must be populated with WithAnswerStar")
+			t.Error("Star must be populated")
 		} else if star.Report() != want.Report() {
 			t.Errorf("parallel report:\n%s\nwant the sequential one:\n%s", star.Report(), want.Report())
 		}
@@ -245,7 +245,7 @@ func TestExecAnswerStarCombines(t *testing.T) {
 		// ended when the report is asked for.
 		release := make(chan struct{})
 		cat.Source("S").(*Table).OnCall = func(Pattern, []string) { <-release }
-		res, err := Exec(ctx, q, ps, cat, WithAnswerStar(), WithStreaming())
+		res, err := Exec(ctx, q, ps, cat, WithStreaming())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,16 +275,16 @@ func TestExecAnswerStarCombines(t *testing.T) {
 
 	t.Run("partial", func(t *testing.T) {
 		cat, _, _ := killSource(t, in, ps, "R")
-		if _, err := Exec(ctx, q, ps, cat, WithRuntime(fastRuntime()), WithAnswerStar()); err == nil {
+		if _, err := Exec(ctx, q, ps, cat, WithRuntime(fastRuntime())); err == nil {
 			t.Fatal("strict ANSWER* must fail with a dead source")
 		}
-		res, err := Exec(ctx, q, ps, cat, WithRuntime(fastRuntime()), WithAnswerStar(), WithPartialResults())
+		res, err := Exec(ctx, q, ps, cat, WithRuntime(fastRuntime()), WithPartialResults())
 		if err != nil {
 			t.Fatalf("partial ANSWER* must degrade, not fail: %v", err)
 		}
 		star, ok := res.Star()
 		if !ok {
-			t.Fatal("Star must be populated with WithAnswerStar")
+			t.Fatal("Star must be populated")
 		}
 		if star.OverCertified || star.Complete || star.RatioValid {
 			t.Fatalf("a dropped disjunct must leave the overestimate uncertified:\n%s", star.Report())
@@ -331,6 +331,54 @@ func TestExecImproveUnder(t *testing.T) {
 	}
 	if star, ok := res.Star(); !ok || star.Under.Equal(want) {
 		t.Error("WithImproveUnder implies the ANSWER* report, whose underestimate is strictly smaller here")
+	}
+}
+
+// Q(y) :- S(x, y) under S^io has an empty answerable part: its plan is
+// Qᵒ = Q(null) :- true, a rule with no steps that yields the one empty
+// binding. ANSWER* answers it — Qᵘ = false, ansₒ = {(null)},
+// Δ = {(null)} — alone and inside a union, materialized, streamed and
+// through a query cache.
+func TestExecEmptyAnswerablePart(t *testing.T) {
+	ps := MustParsePatterns(`R^oo S^io`)
+	in := NewInstance().MustAdd("R", "a", "b").MustAdd("R", "c", "d").MustAdd("S", "b", "e")
+	for _, c := range []struct {
+		query string
+		under []string
+	}{
+		{`Q(y) :- S(x, y).`, nil},
+		{"Q(y) :- R(x, y).\nQ(y) :- S(x, y).", []string{"b", "d"}},
+	} {
+		q := MustParseQuery(c.query)
+		want := NewRel()
+		for _, v := range c.under {
+			want.Add(RowOf(v))
+		}
+		qc := NewQueryCache(QueryCacheOptions{})
+		for _, mode := range []struct {
+			name string
+			opts []ExecOption
+		}{
+			{"materialized", nil},
+			{"streamed", []ExecOption{WithStreaming()}},
+			{"cached miss", []ExecOption{WithQueryCache(qc)}},
+			{"cached hit", []ExecOption{WithQueryCache(qc)}},
+			{"cached, streamed", []ExecOption{WithQueryCache(qc), WithStreaming()}},
+		} {
+			res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), mode.opts...)
+			if err != nil {
+				t.Fatalf("%q, %s: %v", c.query, mode.name, err)
+			}
+			rel, err := res.Rel()
+			if err != nil {
+				t.Fatalf("%q, %s: %v", c.query, mode.name, err)
+			}
+			star, ok := res.Star()
+			if !ok || !rel.Equal(want) || !star.Under.Equal(want) || star.Complete ||
+				star.Over.Len() != want.Len()+1 || star.Delta.Len() != 1 || !star.Delta.HasNull() {
+				t.Errorf("%q, %s: answer %s, report (ok=%v):\n%s\nwant the underestimate %s and Δ = {(null)}", c.query, mode.name, rel, ok, star.Report(), want)
+			}
+		}
 	}
 }
 
@@ -449,7 +497,7 @@ func TestExecRejectsContradictoryOptions(t *testing.T) {
 		opts []ExecOption
 	}{
 		{"naive+streaming", []ExecOption{WithNaive(in), WithStreaming()}},
-		{"naive+star", []ExecOption{WithNaive(in), WithAnswerStar()}},
+		{"naive+improve", []ExecOption{WithNaive(in), WithImproveUnder(10)}},
 		{"naive+inds", []ExecOption{WithNaive(in), WithINDs(nil)}},
 		{"improve+streaming", []ExecOption{WithImproveUnder(10), WithStreaming()}},
 		{"naive+partial", []ExecOption{WithNaive(in), WithPartialResults()}},

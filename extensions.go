@@ -284,12 +284,14 @@ type RuleFailure = engine.RuleFailure
 // FailureClass classifies why a disjunct was dropped.
 type FailureClass = engine.FailureClass
 
-// Failure classes.
+// Failure classes. FailAccessLimited is the one that is no runtime
+// failure: a rule the planner dismissed put rows into Δ.
 const (
-	FailBreaker   = engine.FailBreaker
-	FailBudget    = engine.FailBudget
-	FailTransient = engine.FailTransient
-	FailTerminal  = engine.FailTerminal
+	FailBreaker       = engine.FailBreaker
+	FailBudget        = engine.FailBudget
+	FailTransient     = engine.FailTransient
+	FailTerminal      = engine.FailTerminal
+	FailAccessLimited = engine.FailAccessLimited
 )
 
 // ClassifyFailure maps a rule-evaluation error to its failure class.

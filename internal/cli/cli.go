@@ -12,6 +12,7 @@ import (
 	"os"
 	"strings"
 
+	ucqn "repro"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/logic"
@@ -196,17 +197,21 @@ func Answer(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		return e.failf("answer", "%v", err)
 	}
-	rt := engine.DefaultRuntime()
-	res, _, _, err := rt.RunAnswerStarWithPlans(context.Background(), core.ComputePlans(q, ps), ps, cat, engine.Opts{})
+	opts := []ucqn.ExecOption{ucqn.WithProfile()}
+	if *improve {
+		opts = append(opts, ucqn.WithImproveUnder(*maxCalls))
+	}
+	res, err := ucqn.Exec(context.Background(), q, ps, cat, opts...)
 	if err != nil {
 		return e.failf("answer", "%v", err)
 	}
-	fmt.Fprintln(stdout, res.Report())
-	st := cat.TotalStats()
-	fmt.Fprintf(stdout, "source traffic: %d calls, %d tuples\n", st.Calls, st.TuplesReturned)
+	star, _ := res.Star()
+	fmt.Fprintln(stdout, star.Report())
+	prof, _ := res.Profile()
+	fmt.Fprintf(stdout, "source traffic: %d calls, %d tuples\n", prof.Calls.Total, prof.TotalTuples())
 
-	if *improve && !res.Complete {
-		improved, rules, dom, err := rt.ImproveUnder(context.Background(), res, ps, cat, *maxCalls, engine.Opts{})
+	if rules, dom, ok := res.Improved(); ok && !star.Complete {
+		improved, err := res.Rel()
 		if err != nil {
 			return e.failf("answer", "%v", err)
 		}

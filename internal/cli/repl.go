@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 
+	ucqn "repro"
 	"repro/internal/access"
 	"repro/internal/constraints"
 	"repro/internal/core"
@@ -203,12 +204,13 @@ func (s *session) answer() {
 		fmt.Fprintln(s.errw, err)
 		return
 	}
-	res, _, _, err := engine.DefaultRuntime().RunAnswerStarWithPlans(context.Background(), core.ComputePlans(u, s.patterns), s.patterns, cat, engine.Opts{})
+	res, err := ucqn.Exec(context.Background(), u, s.patterns, cat)
 	if err != nil {
 		fmt.Fprintln(s.errw, err)
 		return
 	}
-	fmt.Fprintln(s.out, res.Report())
+	star, _ := res.Star()
+	fmt.Fprintln(s.out, star.Report())
 }
 
 func (s *session) show() {

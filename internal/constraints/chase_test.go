@@ -13,11 +13,16 @@ import (
 	"repro/internal/workload"
 )
 
-// answerStar is ANSWER* of u (PLAN* and one run of Qᵒ) on the engine's
-// default runtime.
+// answerStar is ANSWER* of u (one run of its plan into ANSWER*'s sink)
+// on the engine's default runtime.
 func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (engine.AnswerStar, error) {
-	star, _, _, err := engine.DefaultRuntime().RunAnswerStarWithPlans(context.Background(), core.ComputePlans(u, ps), ps, cat, engine.Opts{})
-	return star, err
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		return engine.AnswerStar{}, err
+	}
+	st := engine.NewStarSink(p)
+	_, inc, err := engine.DefaultRuntime().Run(context.Background(), p, cat, engine.Answered{}, engine.Opts{}, st.Sink())
+	return st.Report(inc), err
 }
 
 func TestChaseAddsImpliedAtom(t *testing.T) {
@@ -108,8 +113,8 @@ func TestFeasibleUnder(t *testing.T) {
 	}
 }
 
-// ANSWER* on the chase-optimized query (what WithINDs + WithAnswerStar
-// run) certifies completeness at compile time: the Example 4 view under
+// ANSWER* on the chase-optimized query (what Exec runs under
+// WithINDs) certifies completeness at compile time: the Example 4 view under
 // the Example 6 foreign key plans without the null rule, so ANSWER*
 // reports a complete answer with no overestimate gap.
 func TestAnswerStarUnder(t *testing.T) {

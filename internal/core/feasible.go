@@ -65,27 +65,8 @@ func (r FeasibleResult) String() string {
 // ans(Q) ⊑ Q). Deciding feasibility of UCQ¬ queries is Π₂ᴾ-complete
 // (Corollary 19), and all the cost is in the containment check.
 func Feasible(u logic.UCQ, ps *access.Set) FeasibleResult {
-	plans := ComputePlans(u, ps)
-	if plans.UnderEqualsOver() {
-		return FeasibleResult{Feasible: true, Verdict: VerdictUnderEqualsOver, Plans: plans}
-	}
-	if plans.HasNull() {
-		return FeasibleResult{Feasible: false, Verdict: VerdictNullInOverestimate, Plans: plans}
-	}
-	checker := containment.NewChecker(u)
-	contained := true
-	for _, r := range plans.Over.Rules {
-		if !checker.Contains(r) {
-			contained = false
-			break
-		}
-	}
-	return FeasibleResult{
-		Feasible: contained,
-		Verdict:  VerdictContainment,
-		Plans:    plans,
-		Nodes:    checker.Nodes,
-	}
+	res, _ := feasible(u, ps, func(ck *containment.Checker, r logic.CQ) (bool, error) { return ck.Contains(r), nil })
+	return res
 }
 
 // FeasibleCQ is Feasible on a single CQ¬ query.
@@ -107,34 +88,16 @@ type Explanation struct {
 // ExplainFeasible is Feasible with witness construction for the
 // containment path, so "why is this feasible?" has an auditable answer.
 func ExplainFeasible(u logic.UCQ, ps *access.Set) Explanation {
-	plans := ComputePlans(u, ps)
-	if plans.UnderEqualsOver() {
-		return Explanation{Result: FeasibleResult{Feasible: true, Verdict: VerdictUnderEqualsOver, Plans: plans}}
-	}
-	if plans.HasNull() {
-		return Explanation{Result: FeasibleResult{Feasible: false, Verdict: VerdictNullInOverestimate, Plans: plans}}
-	}
-	checker := containment.NewChecker(u)
 	var witnesses []*containment.Witness
-	contained := true
-	for _, r := range plans.Over.Rules {
-		w, ok := checker.Explain(r)
-		if !ok {
-			contained = false
-			witnesses = nil
-			break
-		}
+	res, _ := feasible(u, ps, func(ck *containment.Checker, r logic.CQ) (bool, error) {
+		w, ok := ck.Explain(r)
 		witnesses = append(witnesses, w)
+		return ok, nil
+	})
+	if !res.Feasible {
+		witnesses = nil
 	}
-	return Explanation{
-		Result: FeasibleResult{
-			Feasible: contained,
-			Verdict:  VerdictContainment,
-			Plans:    plans,
-			Nodes:    checker.Nodes,
-		},
-		Witnesses: witnesses,
-	}
+	return Explanation{Result: res, Witnesses: witnesses}
 }
 
 // FeasibleLimited is Feasible with a bound on the containment search
@@ -143,29 +106,33 @@ func ExplainFeasible(u logic.UCQ, ps *access.Set) Explanation {
 // budget is exhausted before the test concludes; the fast paths of
 // FEASIBLE are unaffected by the budget.
 func FeasibleLimited(u logic.UCQ, ps *access.Set, maxNodes int) (FeasibleResult, error) {
-	plans := ComputePlans(u, ps)
-	if plans.UnderEqualsOver() {
-		return FeasibleResult{Feasible: true, Verdict: VerdictUnderEqualsOver, Plans: plans}, nil
-	}
-	if plans.HasNull() {
-		return FeasibleResult{Feasible: false, Verdict: VerdictNullInOverestimate, Plans: plans}, nil
+	return feasible(u, ps, func(ck *containment.Checker, r logic.CQ) (bool, error) {
+		return ck.ContainsLimited(r, maxNodes-ck.Nodes)
+	})
+}
+
+// feasible is FEASIBLE with contains deciding, on one checker for u,
+// whether each rule of the overestimate is contained in u.
+func feasible(u logic.UCQ, ps *access.Set, contains func(*containment.Checker, logic.CQ) (bool, error)) (FeasibleResult, error) {
+	res := FeasibleResult{Plans: ComputePlans(u, ps)}
+	switch {
+	case res.Plans.UnderEqualsOver():
+		res.Feasible, res.Verdict = true, VerdictUnderEqualsOver
+		return res, nil
+	case res.Plans.HasNull():
+		res.Verdict = VerdictNullInOverestimate
+		return res, nil
 	}
 	checker := containment.NewChecker(u)
-	contained := true
-	for _, r := range plans.Over.Rules {
-		ok, err := checker.ContainsLimited(r, maxNodes-checker.Nodes)
-		if err != nil {
-			return FeasibleResult{Verdict: VerdictContainment, Plans: plans, Nodes: checker.Nodes}, err
-		}
-		if !ok {
-			contained = false
+	res.Verdict, res.Feasible = VerdictContainment, true
+	var err error
+	for _, r := range res.Plans.Over.Rules {
+		var ok bool
+		if ok, err = contains(checker, r); err != nil || !ok {
+			res.Feasible = false
 			break
 		}
 	}
-	return FeasibleResult{
-		Feasible: contained,
-		Verdict:  VerdictContainment,
-		Plans:    plans,
-		Nodes:    checker.Nodes,
-	}, nil
+	res.Nodes = checker.Nodes
+	return res, err
 }

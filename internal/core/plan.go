@@ -149,10 +149,9 @@ func overestimateRule(ans logic.CQ) logic.CQ {
 }
 
 // ErrNotOrderable is the planning failure every layer reports, wrapped,
-// for a query the declared access patterns cannot run: no ordering of
-// some rule's literals binds every input slot (an unknown relation or a
-// wrong arity has no pattern to call at all), or a rule handed over as
-// executable is not. It is the querier's error, not the mediator's.
+// for a literal over a relation with no declared pattern, or with an
+// arity no pattern has. It is the querier's error, not the mediator's.
+// A rule with no executable order is no error (NewPlan).
 var ErrNotOrderable = errors.New("query is not orderable under the declared access patterns")
 
 // Plan is the one planned form of a union that every execution runs:
@@ -164,19 +163,36 @@ var ErrNotOrderable = errors.New("query is not orderable under the declared acce
 type Plan struct {
 	Exec  logic.UCQ
 	Steps [][]access.AdornedLiteral
+	// Dismissed[i] is PLAN*'s analysis of rule i when no order of it is
+	// executable: Exec.Rules[i] is then its overestimate Qᵢᵒ and the
+	// analysis's Unanswerable the literals Uᵢ the plan dismissed, so the
+	// rule's rows are no certain answers. It is nil for a certain rule,
+	// and Dismissed is nil when every rule is certain.
+	Dismissed []*RuleAnalysis
 }
 
-// NewPlan plans u under ps, rule by rule, with orderability (Definition
-// 4) as the line: a rule executable as written keeps its literal order
-// and that order's adornment; any other orderable rule takes the order
+// Certain reports whether rule i of the plan is run in full, so that
+// its rows are certain answers.
+func (p Plan) Certain(i int) bool { return p.Dismissed == nil || p.Dismissed[i] == nil }
+
+// NewPlan plans u under ps, rule by rule, in one of three ways: a rule
+// executable as written keeps its literal order and that order's
+// adornment; any other orderable rule (Definition 4) takes the order
 // ANSWERABLE chooses (Reorder), and an unsatisfiable one becomes False;
-// False rules keep their place with nil steps. A rule with no executable
-// order fails the plan with an error that wraps ErrNotOrderable and names
-// the rule.
+// any other rule runs as PLAN*'s overestimate Qᵢᵒ (Figure 2), recorded
+// in Dismissed — an empty answerable part is a rule with no steps, which
+// yields the one empty binding. False rules keep their place with nil
+// steps. NewPlan fails, wrapping ErrNotOrderable and naming the rule,
+// only for a literal over an undeclared relation or with a wrong arity.
 func NewPlan(u logic.UCQ, ps *access.Set) (Plan, error) {
 	p := Plan{Exec: logic.UCQ{Rules: make([]logic.CQ, len(u.Rules))}, Steps: make([][]access.AdornedLiteral, len(u.Rules))}
 	for i, rule := range u.Rules {
 		if !rule.False {
+			for _, l := range rule.Body {
+				if ps.Arity(l.Atom.Pred) != l.Atom.Arity() {
+					return Plan{}, fmt.Errorf("core: %w: rule %d: no pattern of %s/%d: %s", ErrNotOrderable, i+1, l.Atom.Pred, l.Atom.Arity(), rule)
+				}
+			}
 			steps, ok := access.AdornInOrder(rule.Body, ps)
 			if !ok {
 				if rule, ok = Reorder(rule, ps); ok && !rule.False {
@@ -184,7 +200,15 @@ func NewPlan(u logic.UCQ, ps *access.Set) (Plan, error) {
 				}
 			}
 			if !ok {
-				return Plan{}, fmt.Errorf("core: %w: rule %d: %s", ErrNotOrderable, i+1, u.Rules[i])
+				ra := analyzeRule(u.Rules[i], ps)
+				rule = ra.Over
+				steps, _ = access.AdornInOrder(rule.Body, ps) // ANSWERABLE's order; none for an empty body
+				if !ra.Under.Equal(ra.Over) {
+					if p.Dismissed == nil {
+						p.Dismissed = make([]*RuleAnalysis, len(u.Rules))
+					}
+					p.Dismissed[i] = &ra
+				}
 			}
 			p.Steps[i] = steps
 		}
@@ -196,7 +220,7 @@ func NewPlan(u logic.UCQ, ps *access.Set) (Plan, error) {
 // ExecutionOrder returns the adorned execution steps for an executable
 // rule (one access pattern chosen per literal), or an error if the rule
 // is not executable as written. PLAN* emits rules in executable order, so
-// this succeeds on every rule of Under and Over.
+// this succeeds on every rule of Under and Over with a nonempty body.
 func ExecutionOrder(q logic.CQ, ps *access.Set) ([]access.AdornedLiteral, error) {
 	if q.False {
 		return nil, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -12,24 +13,20 @@ import (
 	"repro/internal/sources"
 )
 
-// ANSWER* (Figure 4 of the paper) on the one executor. PLAN* makes every
-// rule of Qᵘ syntactically a rule of Qᵒ — Qᵢᵘ is Aᵢ exactly when Uᵢ is
-// empty, and then Qᵢᵒ is Aᵢ too — so the two estimates come from ONE
-// execution of the positional overestimate union (rule i is
-// plans.Rules[i].Over; false rules keep their place and are skipped by
-// the driver, so the sink's rule index is the index into plans.Rules).
-// The sink behind the driver puts every rule's rows into ansₒ and the
-// rows of the rules Qᵘ shares into ansᵤ: insertion order is that of
-// evaluating plans.Under and plans.Over separately, at the source calls
-// of plans.Over alone.
+// ANSWER* (Figure 4 of the paper) on the one executor. The planner
+// (core.NewPlan) is PLAN*: a rule it can order runs in full, and a rule
+// it cannot runs as its overestimate Qᵢᵒ, recorded in Plan.Dismissed. So
+// both estimates come from the one execution of the plan: every rule's
+// rows go into ansₒ, and the rows of the certain rules — the rules Qᵘ
+// shares with Qᵒ — into ansᵤ. A plan that dismissed nothing has
+// ansᵤ = ansₒ, the answer itself, and runs into Into; StarSink is the
+// sink of the rest.
 
 // AnswerStar is the outcome of the ANSWER* algorithm (Figure 4 of the
 // paper): the runtime underestimate and overestimate of the answer to Q
 // on the current database, their difference Δ, and the completeness
 // information ANSWER* reports to the user.
 type AnswerStar struct {
-	// Plans is the compile-time PLAN* output that was executed.
-	Plans core.PlanStar
 	// Under is ansᵤ = ANSWER(Qᵘ, D): tuples guaranteed to be answers.
 	Under *Rel
 	// Over is ansₒ = ANSWER(Qᵒ, D): every answer is subsumed by some
@@ -78,41 +75,45 @@ func (a AnswerStar) Report() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// starSink is the half of ANSWER* behind the driver.
-type starSink struct {
-	plans core.PlanStar
-	// certain[i]: rule i of Qᵘ is rule i of Qᵒ, so its rows are certain
-	// answers. That is RuleAnalysis.Complete for a satisfiable rule with
-	// a range-restricted head; a head variable no literal binds is null
-	// in Qᵢᵒ only, and such rows are no certain answers.
-	certain     []bool
+// CertainStar is the ANSWER* report of an execution whose plan
+// dismissed no rule: ansᵤ = ansₒ = answer and Δ = ∅, built on demand
+// from the answer, so a run pays nothing for its report. inc is the
+// execution's degradation report (nil in strict mode).
+func CertainStar(answer *Rel, inc *Incompleteness) AnswerStar {
+	certified := inc == nil || inc.Complete()
+	return AnswerStar{Under: answer, Over: answer, Delta: NewRel(), OverCertified: certified, Complete: certified}
+}
+
+// StarSink is the half of ANSWER* behind the driver, for a plan that
+// dismissed a rule.
+type StarSink struct {
+	plan        core.Plan
 	under, over *Rel
-	// mu guards the relations when rule pipelines deliver concurrently
+	// dismissed[i] holds the batches of dismissed rule i, whose rows Δ
+	// may hold.
+	dismissed [][][]Row
+	// mu guards the sink when rule pipelines deliver concurrently
 	// (staged and Opts.Parallel); every other run delivers from one
 	// goroutine at a time.
 	mu     sync.Mutex
 	locked bool
 }
 
-// newStarSink returns the sink for plans and the plan of the positional
-// Qᵒ it reads (rule i is plans.Rules[i].Over).
-func newStarSink(plans core.PlanStar, ps *access.Set, locked bool) (*starSink, core.Plan, error) {
-	st := &starSink{plans: plans, certain: make([]bool, len(plans.Rules)), under: NewRel(), over: NewRel(), locked: locked}
-	over := logic.UCQ{Rules: make([]logic.CQ, len(plans.Rules))}
-	for i, ra := range plans.Rules {
-		over.Rules[i] = ra.Over
-		st.certain[i] = ra.Under.Equal(ra.Over)
-	}
-	p, err := core.NewPlan(over, ps)
-	return st, p, err
+// NewStarSink returns the sink of a run of p.
+func NewStarSink(p core.Plan) *StarSink {
+	return &StarSink{plan: p, under: NewRel(), over: NewRel(), dismissed: make([][][]Row, len(p.Exec.Rules))}
 }
+
+// Sink collects the estimates of a materialized run.
+func (st *StarSink) Sink() Sink { return st.sink(nil) }
 
 // sink collects the estimates. A stream carries the underestimate — a
 // row of a certain rule is an answer the moment the driver delivers it —
 // so those rows, and only those, go on to emit (nil on a materialized
 // run). The count it reports is the rows new to ansₒ.
-func (st *starSink) sink(emit func(context.Context, []Row) bool) Sink {
+func (st *StarSink) sink(emit func(context.Context, []Row) bool) Sink {
 	return func(ctx context.Context, rule int, rows []Row) (int, bool) {
+		certain := st.plan.Certain(rule)
 		if st.locked {
 			st.mu.Lock()
 		}
@@ -120,75 +121,59 @@ func (st *starSink) sink(emit func(context.Context, []Row) bool) Sink {
 		// may share them. A streamed row also goes to the consumer, so
 		// ansᵤ keeps a copy of its own there.
 		added := st.over.adopt(rows)
-		if st.certain[rule] {
-			if emit == nil {
-				st.under.adopt(rows)
-			} else {
-				st.under.AddRows(rows)
-			}
+		switch {
+		case !certain:
+			st.dismissed[rule] = append(st.dismissed[rule], rows)
+		case emit == nil:
+			st.under.adopt(rows)
+		default:
+			st.under.AddRows(rows)
 		}
 		if st.locked {
 			st.mu.Unlock()
 		}
-		if emit == nil || !st.certain[rule] {
+		if emit == nil || !certain {
 			return added, true
 		}
 		return added, emit(ctx, rows)
 	}
 }
 
-// report derives Δ and the completeness information once the execution
-// has finished; inc is its degradation report (nil in strict mode).
-func (st *starSink) report(inc *Incompleteness) AnswerStar {
-	out := AnswerStar{Plans: st.plans, Under: st.under, Over: st.over, Delta: st.over.Minus(st.under)}
+// Report derives Δ and the completeness information once the execution
+// has finished; inc is its degradation report (nil in strict mode). In
+// partial-results mode every dismissed rule that put a row into Δ joins
+// inc's failures, class FailAccessLimited, its step the literals the
+// plan dismissed — unless a runtime failure dropped a disjunct, which
+// leaves Δ bounding nothing (OverCertified counts runtime failures only).
+func (st *StarSink) Report(inc *Incompleteness) AnswerStar {
+	out := AnswerStar{Under: st.under, Over: st.over, Delta: st.over.Minus(st.under)}
 	out.OverCertified = inc == nil || inc.Complete()
 	out.Complete = out.OverCertified && out.Delta.Len() == 0
 	if out.OverCertified && !out.Complete && !out.Delta.HasNull() {
 		out.Ratio = float64(out.Under.Len()) / float64(out.Over.Len())
 		out.RatioValid = true
 	}
+	if inc == nil || out.Complete || !out.OverCertified {
+		return out
+	}
+	for i, batches := range st.dismissed {
+		if slices.ContainsFunc(batches, func(rows []Row) bool { return slices.ContainsFunc(rows, out.Delta.Contains) }) {
+			inc.accessLimited(i, st.plan.Dismissed[i])
+		}
+	}
 	return out
 }
 
-// RunAnswerStarWithPlans is ANSWER* for precomputed plans (so callers
-// can reuse a compile-time PLAN* across database states), materialized:
-// one Run of Qᵒ under o, whose profile and — in partial-results mode —
-// degradation report it returns beside the ANSWER* report.
-func (rt *Runtime) RunAnswerStarWithPlans(ctx context.Context, plans core.PlanStar, ps *access.Set, cat *sources.Catalog, o Opts) (AnswerStar, Profile, *Incompleteness, error) {
-	st, p, err := newStarSink(plans, ps, false)
-	if err != nil {
-		return AnswerStar{}, Profile{}, nil, err
-	}
-	prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, st.sink(nil))
-	if err != nil {
-		return AnswerStar{}, Profile{}, nil, err
-	}
-	return st.report(inc), prof, inc, nil
-}
-
-// StreamAnswerStar is RunAnswerStarWithPlans streamed: the same driver
-// on the staged schedule. The stream carries the underestimate — held
-// back per rule under o.Partial, as in every stream — and, drained,
-// equals the materialized Under, in order unless o.Parallel. Stream.Star
-// has the report once the stream has run to its end.
-func (rt *Runtime) StreamAnswerStar(ctx context.Context, plans core.PlanStar, ps *access.Set, cat *sources.Catalog, o Opts) (*Stream, error) {
-	st, p, err := newStarSink(plans, ps, o.Parallel)
-	if err != nil {
-		return nil, err
-	}
-	return rt.stream(ctx, p, cat, Answered{}, o, st), nil
-}
-
-// ImproveUnder upgrades the underestimate with domain enumeration views
-// (the optional last step of Figure 4, detailed in Example 8): rules that
-// PLAN* dismissed because of an unanswerable part U are re-admitted as
-// ans ∧ dom(v…) ∧ U when every relation of U is callable at all. It
-// returns the improved underestimate relation and the improved rules
-// used, along with the enumeration metadata. The enumeration
-// (enumerateDomain, at most maxCalls call attempts) and the strict Run
+// ImproveUnder upgrades the underestimate under of a run of p with
+// domain enumeration views (the optional last step of Figure 4, detailed
+// in Example 8): the rules p dismissed because of an unanswerable part U
+// are re-admitted as ans ∧ dom(v…) ∧ U when every relation of U is
+// callable at all. It returns the improved underestimate relation and
+// the improved rules used, along with the enumeration metadata. The
+// enumeration (enumerateDomain, at most maxCalls call attempts) and the strict Run
 // of the improved rules both go through rt under o's budget and hedge
 // policy; o's other fields are the ANSWER* run's and do not apply.
-func (rt *Runtime) ImproveUnder(ctx context.Context, a AnswerStar, ps *access.Set, cat *sources.Catalog, maxCalls int, o Opts) (*Rel, logic.UCQ, DomResult, error) {
+func (rt *Runtime) ImproveUnder(ctx context.Context, p core.Plan, under *Rel, ps *access.Set, cat *sources.Catalog, maxCalls int, o Opts) (*Rel, logic.UCQ, DomResult, error) {
 	dom, err := rt.enumerateDomain(ctx, cat, nil, maxCalls, o)
 	if err != nil {
 		return nil, logic.UCQ{}, dom, err
@@ -198,10 +183,10 @@ func (rt *Runtime) ImproveUnder(ctx context.Context, a AnswerStar, ps *access.Se
 		return nil, logic.UCQ{}, dom, err
 	}
 	improved := NewRel()
-	improved.AddAll(a.Under)
+	improved.AddAll(under)
 	var rules []logic.CQ
-	for _, ra := range a.Plans.Rules {
-		if ra.Complete() || ra.Ans.False {
+	for _, ra := range p.Dismissed {
+		if ra == nil {
 			continue
 		}
 		rule, ok := ImprovedUnderRule(ra.Ans, ra.Unanswerable, ps)
@@ -214,9 +199,9 @@ func (rt *Runtime) ImproveUnder(ctx context.Context, a AnswerStar, ps *access.Se
 		return improved, logic.UCQ{}, dom, nil
 	}
 	u := logic.UCQ{Rules: rules}
-	p, err := core.NewPlan(u, ps2)
+	up, err := core.NewPlan(u, ps2)
 	if err == nil {
-		_, _, err = rt.Run(ctx, p, cat2, Answered{}, Opts{Budget: o.Budget, Hedge: o.Hedge}, Into(improved))
+		_, _, err = rt.Run(ctx, up, cat2, Answered{}, Opts{Budget: o.Budget, Hedge: o.Hedge}, Into(improved))
 	}
 	if err != nil {
 		return nil, u, dom, fmt.Errorf("engine: evaluating improved underestimate: %w", err)

@@ -297,8 +297,8 @@ func TestEvalPartialDoesNotAbsorbCallerCancellation(t *testing.T) {
 }
 
 func TestEvalPartialDoesNotAbsorbPlanningErrors(t *testing.T) {
-	u := ucq(t, `Q(x) :- R(x).`)
-	ps := pats(t, `R^i`) // no way to produce x
+	u := ucq(t, `Q(x) :- R(x), Nowhere(x).`)
+	ps := pats(t, `R^o`) // no pattern calls Nowhere
 	in := NewInstance()
 	in.MustAdd("R", "a")
 	for _, parallel := range []bool{false, true} {

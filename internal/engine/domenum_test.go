@@ -49,7 +49,7 @@ func TestExample8ImprovedUnderestimate(t *testing.T) {
 	if res.Under.Contains(RowOf("a", "b")) {
 		t.Fatal("plain underestimate must miss (a, b)")
 	}
-	improved, rules, dom, err := defaultRuntime.ImproveUnder(context.Background(), res, ps, cat, 10_000, Opts{})
+	improved, rules, dom, err := defaultRuntime.ImproveUnder(context.Background(), mustPlan(t, u, ps), res.Under, ps, cat, 10_000, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestEnumerateDomainContainsFailingSources(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		improved, _, dom, err := c.rt.ImproveUnder(ctx, res, ps, cat, 10_000, Opts{})
+		improved, _, dom, err := c.rt.ImproveUnder(ctx, mustPlan(t, u, ps), res.Under, ps, cat, 10_000, Opts{})
 		cancel()
 		if err != nil {
 			t.Fatalf("%s: a failing source must not fail the improvement: %v", c.name, err)

@@ -71,11 +71,29 @@ func streamQuery(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, 
 	return rt.StreamEval(ctx, p, cat, Answered{}, Opts{}), nil
 }
 
-// answerStar is ANSWER* of u (PLAN* and one run of Qᵒ) on the default
+// answerStar is ANSWER* of u (one run of its plan) on the default
 // runtime under the zero Opts.
 func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
-	star, _, _, err := defaultRuntime.RunAnswerStarWithPlans(context.Background(), core.ComputePlans(u, ps), ps, cat, Opts{})
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		return AnswerStar{}, err
+	}
+	star, _, _, err := runStar(context.Background(), defaultRuntime, p, cat, Opts{})
 	return star, err
+}
+
+// runStar runs p materialized on rt under o into the sink its
+// dismissed rules call for, as the facade's Exec does, and returns the
+// ANSWER* report beside the profile and the degradation report.
+func runStar(ctx context.Context, rt *Runtime, p core.Plan, cat *sources.Catalog, o Opts) (AnswerStar, Profile, *Incompleteness, error) {
+	if p.Dismissed == nil {
+		out := NewRel()
+		prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
+		return CertainStar(out, inc), prof, inc, err
+	}
+	st := NewStarSink(p)
+	prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, st.Sink())
+	return st.Report(inc), prof, inc, err
 }
 
 // bookstore is the instance behind Examples 1 and 2.

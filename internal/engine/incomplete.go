@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sources"
 )
@@ -45,6 +46,12 @@ const (
 	// FailTerminal: a non-retryable failure — contract violation,
 	// unsafe plan, source panic.
 	FailTerminal FailureClass = "terminal"
+	// FailAccessLimited: no order of the disjunct is executable, so the
+	// plan ran its overestimate Qᵢᵒ without the literals it dismissed
+	// (RuleFailure.Step), and some of its rows are in Δ: they may or may
+	// not be answers. It is the compile-time incompleteness of ANSWER*,
+	// not a runtime failure, and it never uncertifies the overestimate.
+	FailAccessLimited FailureClass = "access-limited"
 )
 
 // ClassifyFailure maps a rule-evaluation error to its failure class.
@@ -180,6 +187,19 @@ func (inc *Incompleteness) record(i int, rule logic.CQ, err error) {
 		f.Replicas = append([]string(nil), re.Tried...)
 	}
 	inc.Failed = append(inc.Failed, f)
+}
+
+// accessLimited records dismissed rule i, whose rows reached Δ: it is no
+// certain part of the answer.
+func (inc *Incompleteness) accessLimited(i int, ra *core.RuleAnalysis) {
+	lits := make([]string, len(ra.Unanswerable))
+	for j, l := range ra.Unanswerable {
+		lits[j] = l.String()
+	}
+	step := strings.Join(lits, ", ")
+	inc.Failed = append(inc.Failed, RuleFailure{RuleIndex: i, Rule: ra.Rule, Step: step, Class: FailAccessLimited,
+		Err: fmt.Errorf("engine: no access pattern answers %s", step)})
+	inc.RulesSurvived--
 }
 
 // degradable reports whether a rule failure may be absorbed in

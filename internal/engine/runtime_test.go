@@ -41,13 +41,13 @@ func exampleInstance(ps *access.Set) *Instance {
 func TestRuntimeMatchesSequentialOnPaperExamples(t *testing.T) {
 	for _, ex := range workload.PaperExamples() {
 		t.Run(ex.Name, func(t *testing.T) {
-			plans := core.ComputePlans(ex.Query, ex.Patterns)
+			p := mustPlan(t, ex.Query, ex.Patterns)
 			cat := exampleInstance(ex.Patterns).MustCatalog(ex.Patterns)
-			seq, _, _, err := SequentialRuntime().RunAnswerStarWithPlans(context.Background(), plans, ex.Patterns, cat, Opts{})
+			seq, _, _, err := runStar(context.Background(), SequentialRuntime(), p, cat, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ded, _, _, err := NewRuntime().RunAnswerStarWithPlans(context.Background(), plans, ex.Patterns, cat, Opts{})
+			ded, _, _, err := runStar(context.Background(), NewRuntime(), p, cat, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}

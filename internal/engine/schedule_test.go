@@ -365,22 +365,19 @@ func TestSchedulesAgreeWithOracle(t *testing.T) {
 	}
 }
 
-// runStar executes ANSWER* for plans under the schedule: the report,
+// runStar executes ANSWER* for plan p under the schedule: the report,
 // what the caller's API shape hands out as the answer (Under itself, or
 // the drained stream), the profile and the degradation report.
-func (s schedule) runStar(plans core.PlanStar, ps *access.Set, cat *sources.Catalog, o Opts) (AnswerStar, *Rel, Profile, *Incompleteness, error) {
+func (s schedule) runStar(p core.Plan, cat *sources.Catalog, o Opts) (AnswerStar, *Rel, Profile, *Incompleteness, error) {
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{}
 	ctx := context.Background()
 	if !s.staged {
-		star, prof, inc, err := rt.RunAnswerStarWithPlans(ctx, plans, ps, cat, o)
+		star, prof, inc, err := runStar(ctx, rt, p, cat, o)
 		return star, star.Under, prof, inc, err
 	}
 	rt.BatchSize, rt.StageBuffer = s.batch, s.buffer
-	st, err := rt.StreamAnswerStar(ctx, plans, ps, cat, o)
-	if err != nil {
-		return AnswerStar{}, nil, Profile{}, nil, err
-	}
+	st := rt.StreamEval(ctx, p, cat, Answered{}, o)
 	rel, err := st.Drain()
 	if err != nil {
 		return AnswerStar{}, nil, Profile{}, nil, err
@@ -443,7 +440,7 @@ func TestAnswerStarAgreesWithOracle(t *testing.T) {
 	g := workload.New(97)
 	for _, c := range cases {
 		u := ucq(t, c.query)
-		plans := core.ComputePlans(u, ps)
+		plans, p := core.ComputePlans(u, ps), mustPlan(t, u, ps)
 		for i, ra := range plans.Rules {
 			if ra.Complete() != c.certain[i] {
 				t.Fatalf("%s: rule %d complete = %v, the case needs %v", c.name, i+1, ra.Complete(), c.certain[i])
@@ -498,7 +495,7 @@ func TestAnswerStarAgreesWithOracle(t *testing.T) {
 					}
 
 					cat, verify := sourcetest.ReadOnlyCatalog(in.MustCatalog(ps))
-					star, answer, prof, inc, err := sched.runStar(plans, ps, cat, Opts{Parallel: parallel})
+					star, answer, prof, inc, err := sched.runStar(p, cat, Opts{Parallel: parallel})
 					if err != nil {
 						t.Fatalf("%s\nfailed: %v", label, err)
 					}
@@ -539,7 +536,7 @@ func TestAnswerStarAgreesWithOracle(t *testing.T) {
 					}
 
 					cat = killedCatalog(t, in, ps, c.dead)
-					star, answer, _, inc, err = sched.runStar(plans, ps, cat, Opts{Parallel: parallel, Partial: true})
+					star, answer, _, inc, err = sched.runStar(p, cat, Opts{Parallel: parallel, Partial: true})
 					if err != nil {
 						t.Fatalf("%s\nfailed to degrade with %s dead: %v", label, c.dead, err)
 					}

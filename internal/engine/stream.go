@@ -15,9 +15,9 @@ package engine
 //   - Opts.Parallel: all rule pipelines run concurrently and their
 //     emissions interleave; the drained set is still equal (set
 //     semantics), but insertion order is scheduling-dependent.
-//   - StreamAnswerStar (answerstar.go): the same pipelines over Qᵒ with
-//     ANSWER*'s sink in front of the channel; only the underestimate's
-//     rows are emitted, in the order above.
+//   - A plan that dismissed a rule (answerstar.go): the same pipelines
+//     with ANSWER*'s sink in front of the channel; only the
+//     underestimate's rows are emitted, in the order above.
 //   - Close (or cancelling the caller's context) tears down every stage:
 //     all pipeline goroutines exit before Close returns; no goroutine
 //     outlives the stream.
@@ -62,7 +62,8 @@ type Stream struct {
 
 	prof     Profile
 	inc      *Incompleteness // partial-results report; nil in strict mode
-	star     *AnswerStar     // ANSWER* report; nil unless StreamAnswerStar ran to its end
+	star     *AnswerStar     // a dismissing plan's ANSWER* report, once it ran to its end
+	drained  *Rel            // what Drain collected
 	profDone chan struct{}   // closed when prof (and inc, star) are fully assembled
 }
 
@@ -128,6 +129,7 @@ func (s *Stream) Drain() (*Rel, error) {
 	if err := s.Close(); err != nil {
 		return nil, err
 	}
+	s.drained = out
 	return out, nil
 }
 
@@ -165,15 +167,20 @@ func (s *Stream) Incomplete() (Incompleteness, bool) {
 	return *s.inc, true
 }
 
-// Star returns the ANSWER* report of a stream started by
-// StreamAnswerStar once it has run to its end. ok is false while the
-// stream is still running, and for good when it failed or was closed
-// early: estimates cut short bound nothing.
+// Star returns the ANSWER* report once the stream has run to its end.
+// ok is false while the stream is still running, and for good when it
+// failed or was closed early: estimates cut short bound nothing. The
+// report of a plan that dismissed no rule is its answer (CertainStar),
+// which the stream holds once Drain has collected it.
 func (s *Stream) Star() (AnswerStar, bool) {
-	if !s.finished() || s.star == nil {
-		return AnswerStar{}, false
+	switch {
+	case !s.finished():
+	case s.star != nil:
+		return *s.star, true
+	case s.drained != nil:
+		return CertainStar(s.drained, s.inc), true
 	}
-	return *s.star, true
+	return AnswerStar{}, false
 }
 
 // fail records the pipeline's first real failure and cancels every
@@ -219,14 +226,10 @@ func (s *Stream) emit(ctx context.Context, batch []Row) bool {
 // byte-identical to Run into Into on the same inputs — same rows in the
 // same order — and issues the same source calls. Batch size and
 // per-stage buffering come from rt.BatchSize and rt.StageBuffer;
-// runtime failures surface through Stream.Err.
+// runtime failures surface through Stream.Err. A plan that dismissed a
+// rule has ANSWER*'s sink between the driver and the channel: the
+// stream carries the underestimate, and Star reports once it has ended.
 func (rt *Runtime) StreamEval(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts) *Stream {
-	return rt.stream(ctx, p, cat, pre, o, nil)
-}
-
-// stream is StreamEval with, for ANSWER*, star's sink between the driver
-// and the stream's channel (nil: every row is emitted).
-func (rt *Runtime) stream(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts, star *starSink) *Stream {
 	s := &Stream{
 		rows:     make(chan []Row, rt.stageBuffer()),
 		profDone: make(chan struct{}),
@@ -234,7 +237,10 @@ func (rt *Runtime) stream(ctx context.Context, p core.Plan, cat *sources.Catalog
 	sink := func(ctx context.Context, _ int, rows []Row) (int, bool) {
 		return len(rows), s.emit(ctx, rows)
 	}
-	if star != nil {
+	var star *StarSink
+	if p.Dismissed != nil {
+		star = NewStarSink(p)
+		star.locked = o.Parallel
 		sink = star.sink(s.emit)
 	}
 	x := rt.newExecution(cat, o, true, sink)
@@ -250,7 +256,7 @@ func (rt *Runtime) stream(ctx context.Context, p core.Plan, cat *sources.Catalog
 		prof, inc, err := x.run(sctx)
 		s.fail(err)
 		if star != nil && err == nil {
-			report := star.report(inc)
+			report := star.Report(inc)
 			s.star = &report
 		}
 		s.mu.Lock()

@@ -142,10 +142,10 @@ func TestStreamParallelMatchesAnswer(t *testing.T) {
 	}
 }
 
-// A rule with no executable order fails at Stream time, before any
-// goroutine or source call is spent.
+// A rule no pattern can call (here a wrong arity) fails at planning,
+// before any goroutine or source call is spent.
 func TestStreamRejectsNonExecutablePlan(t *testing.T) {
-	u := ucq(t, `Q(x) :- T(z, x).`)
+	u := ucq(t, `Q(x) :- T(z, x), T(x).`)
 	ps := pats(t, `T^io`)
 	cat := NewInstance().MustAdd("T", "k", "v").MustCatalog(ps)
 	if _, err := streamQuery(context.Background(), NewRuntime(), u, ps, cat); !errors.Is(err, core.ErrNotOrderable) {

@@ -210,17 +210,19 @@ func (e *PlanEntry) Plan() core.Plan { return e.plan }
 // rule programs (engine.Opts.Prepared).
 func (e *PlanEntry) Prepared() *engine.Prepared { return &e.prepared }
 
-// Err returns the cached planning failure (the query is not orderable
-// under the patterns; it wraps core.ErrNotOrderable), or nil.
+// Err returns the cached planning failure (a literal over an undeclared
+// relation or with the wrong arity; it wraps core.ErrNotOrderable), or
+// nil.
 func (e *PlanEntry) Err() error { return e.planErr }
 
 // Feasible returns the cached FEASIBLE verdict and its certificate
-// class (meaningful when the verdict is not unknown). An entry with an
-// executable representative (Err is nil) is FeasibilityYes by
-// core.VerdictUnderEqualsOver without any search: the representative is
-// an executable query equivalent to every member (Definition 5). Only
-// for an entry whose Err is non-nil does the miss run the budgeted
-// FEASIBLE check (Figure 3), whose verdict may be yes, no or unknown.
+// class (meaningful when the verdict is not unknown). An entry whose
+// plan dismissed no rule is FeasibilityYes by core.VerdictUnderEqualsOver
+// without any search: its representative is an executable query
+// equivalent to every member (Definition 5). Only for a plan that
+// dismissed a rule does the miss run the budgeted FEASIBLE check
+// (Figure 3), whose verdict may be yes, no or unknown; an entry whose
+// Err is non-nil stays unknown.
 func (e *PlanEntry) Feasible() (Feasibility, core.Verdict) { return e.feasible, e.verdict }
 
 // Key returns the entry's canonical cache key (for diagnostics).
@@ -385,8 +387,8 @@ func fastKey(q logic.UCQ, ps *access.Set) string {
 }
 
 // Plan returns the cached plan entry for q under ps, building (and
-// caching) it on a miss. The entry's Err is non-nil when the query
-// admits no executable form under ps; callers should return it.
+// caching) it on a miss. The entry's Err is non-nil when a literal of
+// the query has no declared pattern to call; callers should return it.
 func (c *Cache) Plan(q logic.UCQ, ps *access.Set) (*PlanEntry, PlanInfo) {
 	fk := fastKey(q, ps)
 	c.mu.Lock()
@@ -467,50 +469,38 @@ func (c *Cache) removePlanLocked(elem *list.Element) {
 }
 
 // build computes a PlanEntry for q: minimize each disjunct to its core,
-// canonicalize, pick an executable representative and plan it
-// (core.NewPlan); only when there is none, run the budgeted FEASIBLE
-// check.
+// canonicalize, pick a representative and plan it (core.NewPlan); only
+// when the plan dismissed a rule, run the budgeted FEASIBLE check.
 func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	e := &PlanEntry{created: c.opt.Now()}
 
 	// Choose the representative to evaluate. Preferred: the reordered
 	// minimized union — minimal bodies mean minimal source calls, and
 	// every member of the equivalence class (padded, α-renamed, …) then
-	// executes the same minimal plan. It is skipped when minimization
-	// proved a disjunct unsatisfiable (a False exec rule would change
-	// partial-results rule accounting relative to an uncached run, which
-	// evaluates the satisfiable-but-unminimized rule) or when dropping
-	// literals lost a binding provider and broke orderability. Fallbacks:
-	// the submitted form if executable as written, else its ANSWERABLE
-	// reordering. Every candidate is equivalent to q, so evaluating the
-	// representative is sound for every query that maps to this entry.
+	// executes the same minimal plan — unless minimization proved a
+	// disjunct unsatisfiable (a False exec rule would change
+	// partial-results rule accounting relative to an uncached run) or
+	// broke orderability. Fallbacks: the submitted form if executable as
+	// written, else its ANSWERABLE reordering, else the minimized union
+	// if orderable, else the submitted form, some of whose rules NewPlan
+	// dismisses. Every candidate is equivalent to q, so evaluating it is
+	// sound for every query that maps to this entry.
 	cores := minimize.Cores(q, c.opt.FeasibleBudget)
-	anyFalse := false
-	for _, cr := range cores {
-		if cr.False {
-			anyFalse = true
-			break
-		}
-	}
+	anyFalse := slices.ContainsFunc(cores, func(cr logic.CQ) bool { return cr.False })
 	minimized, minOK := core.ReorderUCQ(logic.UCQ{Rules: cores}, ps)
-	var exec logic.UCQ
+	exec := minimized
 	switch {
 	case minOK && !anyFalse:
-		exec = minimized
 	case core.Executable(q, ps):
 		exec = q.Clone()
 	default:
 		if reordered, ok := core.ReorderUCQ(q, ps); ok {
 			exec = reordered
-		} else if minOK {
-			exec = minimized
-		} else {
-			e.planErr = fmt.Errorf("qcache: %w (no executable form): %s", core.ErrNotOrderable, q)
+		} else if !minOK {
+			exec = q.Clone()
 		}
 	}
-	if e.planErr == nil {
-		e.plan, e.planErr = core.NewPlan(exec, ps)
-	}
+	e.plan, e.planErr = core.NewPlan(exec, ps)
 
 	// Canonical cores, positional with q.Rules (and hence with the plan's
 	// rules: Reorder and NewPlan preserve positions). The head predicate
@@ -537,12 +527,15 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	e.key = strings.Join(keySet, " | ") + "\x00" + ps.String()
 
 	// The FEASIBLE verdict rides along: on a hit it answers the
-	// Π₂ᴾ-complete question for free. A query with an executable form
-	// is feasible by Definition 5 — the representative is executable and
+	// Π₂ᴾ-complete question for free. A plan that dismissed no rule is
+	// feasible by Definition 5 — the representative is executable and
 	// equivalent to q, and its own PLAN* has Qᵘ = Qᵒ — so the search runs
-	// only when no executable form was found, and budgeted, because the
+	// only for a plan that dismissed one, and budgeted, because the
 	// cache must never stall a request on an adversarial query.
-	if e.planErr == nil {
+	if e.planErr != nil {
+		return e
+	}
+	if e.plan.Dismissed == nil {
 		e.feasible, e.verdict = FeasibilityYes, core.VerdictUnderEqualsOver
 	} else if res, err := core.FeasibleLimited(q, ps, c.opt.FeasibleBudget); err == nil {
 		if res.Feasible {
@@ -587,7 +580,9 @@ func (c *Cache) dropCatalogLocked(cat *sources.Catalog) {
 // disjunct's rows are reused only when its core is equivalent to the
 // cached core (key equality ⇒ isomorphism ⇒ equivalence, or the mutual
 // containment check) and the catalog fingerprint — identity plus
-// generation — matches. One-way containment is never used.
+// generation — matches. One-way containment is never used, and a rule
+// the plan dismissed is never covered: it runs as its overestimate Qᵢᵒ,
+// whose rows are not those of its core.
 //
 // The lock covers the lookups only: a full hit's union is assembled
 // after it is released, from frozen relations no one writes, so a large
@@ -609,6 +604,10 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 	full := true
 	for i, rule := range e.plan.Exec.Rules {
 		if rule.False {
+			continue
+		}
+		if !e.plan.Certain(i) {
+			full = false
 			continue
 		}
 		if e.cores[i].False {
@@ -815,8 +814,9 @@ func equivalentWithin(a, b logic.CQ, budget *int) bool {
 // StoreAnswers records per-disjunct answer relations from a live
 // evaluation: rels[i] is exec rule i's own answer relation, nil when
 // the rule did not run (cached, False, or degraded — degraded disjuncts
-// must never be cached: their rows are incomplete). It returns the
-// number of entries evicted to make room.
+// must never be cached: their rows are incomplete). A rule the plan
+// dismissed is never stored: its rows are Qᵢᵒ's, not its core's. It
+// returns the number of entries evicted to make room.
 func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.Rel) int {
 	if c.opt.DisableAnswers || e.planErr != nil {
 		return 0
@@ -834,7 +834,7 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 	gen := cat.Generation()
 	var spill []persist.Entry
 	for i, rel := range rels {
-		if rel == nil || i >= len(e.plan.Exec.Rules) || e.plan.Exec.Rules[i].False || e.cores[i].False {
+		if rel == nil || i >= len(e.plan.Exec.Rules) || e.plan.Exec.Rules[i].False || !e.plan.Certain(i) || e.cores[i].False {
 			continue
 		}
 		key := e.coreKeys[i] + "\x1f" + catFP

@@ -118,19 +118,19 @@ func TestPlanCacheReordersOrderable(t *testing.T) {
 func TestPlanCacheReplaysError(t *testing.T) {
 	c := New(Options{})
 	ps := pats(t, "R^i")
-	u := q(t, "Q(x) :- R(x).") // needs x bound; not orderable
+	u := q(t, "Q(x) :- R(x), Nowhere(x).") // no pattern calls Nowhere
 	e1, info1 := c.Plan(u, ps)
 	if e1.Err() == nil {
-		t.Fatal("unorderable query must carry a plan error")
+		t.Fatal("a query over an undeclared relation must carry a plan error")
 	}
-	e2, info2 := c.Plan(q(t, "Q(z) :- R(z)."), ps)
+	e2, info2 := c.Plan(q(t, "Q(z) :- R(z), Nowhere(z)."), ps)
 	if e2.Err() == nil || info1.Hit || !info2.Hit {
 		t.Fatal("the planning failure must be cached and replayed")
 	}
 }
 
-// A plan entry's FEASIBLE verdict comes from its plan when there is
-// one, and from the budgeted check only when there is none.
+// A plan entry's FEASIBLE verdict comes from its plan when it dismissed
+// no rule, and from the budgeted check only when it dismissed one.
 func TestPlanEntryFeasible(t *testing.T) {
 	// Written form not orderable (S(w, z) needs w, which nothing binds),
 	// core R(x, y), S(y, z) orderable: the representative certifies
@@ -171,8 +171,8 @@ func TestPlanEntryFeasible(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			ex := examples[tt.example]
 			e, _ := New(Options{FeasibleBudget: tt.budget}).Plan(ex.Query, ex.Patterns)
-			if e.Err() == nil {
-				t.Fatalf("%s has no executable form, yet the entry planned", tt.example)
+			if e.Err() != nil || e.Plan().Dismissed == nil {
+				t.Fatalf("%s has no executable form, yet the plan (err %v) dismissed no rule", tt.example, e.Err())
 			}
 			if f, _ := e.Feasible(); f != tt.want {
 				t.Errorf("Feasible() = %v, want %v", f, tt.want)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -273,11 +274,14 @@ type Request struct {
 	Query  string `json:"query"`
 }
 
-// FailedRule is one dropped disjunct of a degraded answer.
+// FailedRule is one disjunct missing from the answer: dropped by a
+// runtime failure, or dismissed by the planner (class access-limited,
+// Step naming the literals no access pattern answers).
 type FailedRule struct {
 	Rule   int    `json:"rule"` // 1-based index in the executed union
 	Class  string `json:"class"`
 	Source string `json:"source,omitempty"`
+	Step   string `json:"step,omitempty"`
 	Error  string `json:"error"`
 }
 
@@ -292,6 +296,8 @@ type IncompletenessReport struct {
 // Response is the wire shape of one answered query. Answers are always
 // sound (every row is a certain answer); Complete says whether they are
 // also exact, and Incompleteness reports what was dropped when not.
+// Degraded says a runtime failure dropped a disjunct; a query the access
+// patterns cannot answer in full is incomplete without being degraded.
 // Shed marks answers produced in overload shed mode (no source calls;
 // the certified underestimate covered by the cache).
 type Response struct {
@@ -356,8 +362,11 @@ var ErrParseQuery = errors.New("server: parse query")
 // tenant quota, and the shared cache. It is the HTTP handler's core and
 // is also callable directly (tests, the bench/ workloads). Two failures
 // are the request's own and are told apart with errors.Is: a text that
-// does not parse (ErrParseQuery) and a query the tenant's patterns cannot
-// run (ucqn.ErrNotOrderable); neither counts in the tenant's errors.
+// does not parse (ErrParseQuery) and a query with a literal the tenant's
+// patterns cannot call at all (ucqn.ErrNotOrderable); neither counts in
+// the tenant's errors. A query the patterns cannot answer in full is
+// answered: its certain rows, with complete false and the dismissed
+// rules in the report (class access-limited).
 func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, error) {
 	t := s.Tenant(tenant)
 	if t == nil {
@@ -419,9 +428,9 @@ func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, er
 	}
 	if inc, ok := res.Incompleteness(); ok {
 		resp.Incompleteness = wireIncompleteness(inc)
-		if !inc.Complete() {
-			resp.Complete = false
-			resp.Degraded = true
+		resp.Complete = inc.Complete()
+		resp.Degraded = slices.ContainsFunc(inc.Failed, func(f ucqn.RuleFailure) bool { return f.Class != ucqn.FailAccessLimited })
+		if resp.Degraded {
 			t.degraded.Add(1)
 		}
 	}
@@ -457,7 +466,7 @@ func wireRows(rel *ucqn.Rel) [][]string {
 func wireIncompleteness(inc ucqn.Incompleteness) *IncompletenessReport {
 	rep := &IncompletenessReport{RulesTotal: inc.RulesTotal, RulesSurvived: inc.RulesSurvived}
 	for _, f := range inc.Failed {
-		fr := FailedRule{Rule: f.RuleIndex + 1, Class: string(f.Class), Source: f.Source}
+		fr := FailedRule{Rule: f.RuleIndex + 1, Class: string(f.Class), Source: f.Source, Step: f.Step}
 		if f.Err != nil {
 			fr.Error = f.Err.Error()
 		}
@@ -563,7 +572,7 @@ func (s *Server) Stats() Stats {
 //
 //	POST /v1/query      {"tenant": ..., "query": ...} → Response
 //	                    404 unknown tenant · 400 query does not parse ·
-//	                    422 query not orderable under the tenant's patterns
+//	                    422 a literal no pattern of the tenant's calls
 //	                    (unknown relation, wrong arity) · 500 anything else
 //	POST /v1/invalidate {"tenant": ...}               → {"tenant": ..., "gen": N}
 //	GET  /v1/stats                                    → Stats

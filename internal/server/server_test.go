@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -128,7 +130,8 @@ func TestServerUnknownTenantAndBadQuery(t *testing.T) {
 
 	// Whose fault a refused query is: the request's (404, 400, 422) —
 	// never a 500, and never counted in the tenant's errors. The fixture
-	// declares R^oo S^io L^o.
+	// declares R^oo S^io L^o. A query no order of which is executable is
+	// no refusal: it is answered, incomplete (TestServerAnswersInfeasible).
 	name := fixtures[0].Name
 	for _, tc := range []struct {
 		what, tenant, query string
@@ -138,7 +141,7 @@ func TestServerUnknownTenantAndBadQuery(t *testing.T) {
 		{"answerable", name, `Q(x, y) :- R(x, z), S(z, y).`, http.StatusOK, nil},
 		{"unknown tenant", "nobody", fixtures[0].Queries[0], http.StatusNotFound, nil},
 		{"malformed", name, "this is not a query", http.StatusBadRequest, ErrParseQuery},
-		{"S's input never bound", name, `Q(y) :- S(x, y).`, http.StatusUnprocessableEntity, ucqn.ErrNotOrderable},
+		{"S's input never bound", name, `Q(y) :- S(x, y).`, http.StatusOK, nil},
 		{"unknown relation", name, `Q(x) :- Nowhere(x).`, http.StatusUnprocessableEntity, ucqn.ErrNotOrderable},
 		{"wrong arity", name, `Q(x) :- R(x).`, http.StatusUnprocessableEntity, ucqn.ErrNotOrderable},
 	} {
@@ -166,6 +169,57 @@ func TestServerUnknownTenantAndBadQuery(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized invalidate status = %d, want 413", resp.StatusCode)
+	}
+}
+
+// ANSWER* over the wire: a query the tenant's patterns cannot order is
+// answered with its certified underestimate. Δ = ∅ makes it complete
+// (Example 5); otherwise complete is false, every rule the planner
+// dismissed whose rows reached Δ is reported access-limited, naming the
+// literals it dismissed, and the answer is not "degraded": no runtime
+// failure dropped anything.
+func TestServerAnswersInfeasible(t *testing.T) {
+	s, fixtures := newTestServer(t, Config{}, 1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	name := fixtures[0].Name // R^oo S^io L^o
+	for _, tc := range []struct {
+		query    string
+		rows     int
+		complete bool
+		failed   []FailedRule // class, rule and step only
+	}{
+		{"Q(x) :- R(x, y).\nQ(x) :- R(x, y), S(z, w).", 6, true, nil},
+		{"Q(x, y) :- R(x, y), not L(x).\nQ(x, y) :- R(x, y), S(z, y).", 4, false,
+			[]FailedRule{{Rule: 2, Class: "access-limited", Step: "S(z, y)"}}},
+		{"Q(y) :- S(x, y).", 0, false, []FailedRule{{Rule: 1, Class: "access-limited", Step: "S(x, y)"}}},
+	} {
+		resp, hdr, status := post(t, ts.URL, name, tc.query)
+		if status != http.StatusOK {
+			t.Fatalf("%q: status = %d, want 200", tc.query, status)
+		}
+		if len(resp.Answers) != tc.rows || resp.Complete != tc.complete || resp.Degraded || resp.Shed {
+			t.Errorf("%q: %d rows, complete=%v, degraded=%v, shed=%v; want %d rows, complete=%v, not degraded",
+				tc.query, len(resp.Answers), resp.Complete, resp.Degraded, resp.Shed, tc.rows, tc.complete)
+		}
+		if got := hdr.Get(HeaderComplete); got != strconv.FormatBool(tc.complete) {
+			t.Errorf("%q: %s = %q", tc.query, HeaderComplete, got)
+		}
+		var failed []FailedRule
+		if inc := resp.Incompleteness; inc != nil {
+			for _, f := range inc.Failed {
+				failed = append(failed, FailedRule{Rule: f.Rule, Class: f.Class, Step: f.Step})
+			}
+		}
+		if !slices.Equal(failed, tc.failed) {
+			t.Errorf("%q: failed rules %+v, want %+v", tc.query, failed, tc.failed)
+		}
+		if !tc.complete && !strings.Contains(hdr.Get(HeaderIncompleteness), "access-limited") {
+			t.Errorf("%q: %s = %q, want the access-limited class", tc.query, HeaderIncompleteness, hdr.Get(HeaderIncompleteness))
+		}
+	}
+	if st := s.Stats().Tenants[name]; st.Errors != 0 || st.Degraded != 0 {
+		t.Errorf("tenant stats %+v: infeasible queries are neither errors nor degraded", st)
 	}
 }
 

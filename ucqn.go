@@ -176,10 +176,10 @@ func FeasibleLimited(q Query, ps *PatternSet, maxNodes int) (FeasibleResult, err
 // is exhausted.
 var ErrBudget = containment.ErrBudget
 
-// ErrNotOrderable is wrapped by every error Exec returns for a query the
-// declared patterns cannot run — no executable ordering (with or without
-// a query cache, under WithStats too), an unknown relation, a wrong
-// arity, or a rule that is not executable as written. Test with
+// ErrNotOrderable is wrapped by every error Exec returns for a query with
+// a literal the declared patterns cannot call at all: an unknown
+// relation or a wrong arity. A rule with no executable ordering is no
+// error: Exec runs it as PLAN*'s overestimate (ANSWER*). Test with
 // errors.Is: it marks the request, not the mediator, as at fault.
 var ErrNotOrderable = core.ErrNotOrderable
 
