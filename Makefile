@@ -23,13 +23,15 @@ test-race:
 # from the committed seed corpus (internal/engine/testdata/fuzz): every
 # memo lookup, join probe, binding dedup and head row goes through it.
 # Then a few seconds of Rel.Sorted's keyless comparison against the
-# order of the rows' keys, from its own seed corpus there, and of the
+# order of the rows' keys, from its own seed corpus there, of the
 # compiled containment checker against the map-based reference search
-# (internal/containment/testdata/fuzz).
+# (internal/containment/testdata/fuzz), and of the /v1/query response
+# encoder against encoding/json (internal/server/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzIDTable$$' -fuzztime=3s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz='^FuzzSortedOrder$$' -fuzztime=3s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckerAgreesWithOracle$$' -fuzztime=3s ./internal/containment/
+	$(GO) test -run='^$$' -fuzz='^FuzzWireCodecAgreesWithStdlib$$' -fuzztime=3s ./internal/server/
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem . ./cmd/paperbench/
@@ -48,7 +50,8 @@ bench-build:
 # beside). Then the package microbenchmarks of the answer hand-off (row
 # keys, Sorted fresh and frozen, a batch's head rows, a three-rule
 # union as the sink takes it over and as a full hit assembles it, a
-# full answer hit, the wire flattening), of a plan miss (minimization, canonical key, one
+# full answer hit, the wire flattening, the response encode beside
+# encoding/json's), of a plan miss (minimization, canonical key, one
 # containment test, a whole plan build, an answer-tier miss beside 16
 # and 1024 entries), of the join (an answer's join side by probe-key
 # width, result size and carrying or deduplicating step, built on its
@@ -57,7 +60,7 @@ bench-build:
 # source call's bookkeeping (a short-answer step at 16 and 256 calls, a
 # 256-vector SQL statement) and of the persist log (one append, a
 # recovery), once each, so they keep compiling and running. The
-# answer-assembly, plan-miss and call-bookkeeping lines add -benchmem,
+# answer-assembly, response-encode, plan-miss and call-bookkeeping lines add -benchmem,
 # so the log shows their allocs/op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Paper/E(19|20|21|22|23)' -benchtime=1x ./cmd/paperbench/
@@ -66,6 +69,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='SQLCall' -benchtime=1x -benchmem ./internal/adapter/
 	$(GO) test -run='^$$' -bench='AnswersFullHit|AnswersMiss|PlanMiss' -benchtime=1x -benchmem ./internal/qcache/
 	$(GO) test -run='^$$' -bench='WireRows' -benchtime=1x ./internal/server/
+	$(GO) test -run='^$$' -bench='WireCodec' -benchtime=1x -benchmem ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkCQ' -benchtime=1x -benchmem ./internal/minimize/
 	$(GO) test -run='^$$' -bench='CanonicalKey|ContainedCQ' -benchtime=1x -benchmem ./internal/containment/
 	$(GO) test -run='^$$' -bench='TableScan' -benchtime=1x ./internal/sources/

@@ -650,6 +650,22 @@ func (sp *stepProgram) groupJoin(answers [][]sources.Tuple, vals []uint32, pool 
 	return j
 }
 
+// stopCheckEvery is how many bindings the join and head loops handle
+// between two looks at the context and the time budget (stopped): an
+// execution that is cancelled or out of time stops within that many,
+// not at its next source call, which a cross product makes only once
+// per step.
+const stopCheckEvery = 1024
+
+// stopped is why the execution's loops must stop now, or nil: its time
+// budget spent (ErrCallBudget), else ctx done.
+func (x *execution) stopped(ctx context.Context) error {
+	if err := x.budget.expired(); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
 // stepState is what a step remembers between the batches it is applied
 // to, owned by the schedule: one value per step, for the one batch of a
 // whole rule or across all the batches of a stage.
@@ -759,6 +775,11 @@ func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int,
 	rowGroups := make([][]int32, in.n)
 	left := 0
 	for i := 0; i < in.n; i++ {
+		if i%stopCheckEvery == 0 {
+			if err := x.stopped(ctx); err != nil {
+				return 0, false, err
+			}
+		}
 		c := st.calls[of[i]]
 		key = key[:0]
 		if c.join.byOrd {
@@ -795,6 +816,11 @@ func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int,
 		return true
 	}
 	for i := 0; i < in.n; i++ {
+		if i%stopCheckEvery == 0 {
+			if err := x.stopped(ctx); err != nil {
+				return emitted, false, err
+			}
+		}
 		g := rowGroups[i]
 		matches := len(g)
 		if negated {

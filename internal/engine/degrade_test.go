@@ -296,6 +296,121 @@ func TestEvalPartialDoesNotAbsorbCallerCancellation(t *testing.T) {
 	}
 }
 
+// A caller's deadline is a time budget to a materialized partial run:
+// every rule it stops, here before the first call, is dropped as
+// budget-exhausted and the run answers. A strict run fails with the
+// deadline, and so does a stream, which hands its rows over through the
+// caller's context.
+func TestEvalPartialDegradesAtDeadline(t *testing.T) {
+	u := ucq(t, `Q(x) :- R(x). Q(x) :- R(x), not S(x).`)
+	ps := pats(t, `R^o S^i`)
+	in := NewInstance()
+	in.MustAdd("R", "a")
+	cat := in.MustCatalog(ps)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	rel, _, inc, err := eval(ctx, NewRuntime(), u, ps, cat, Opts{Partial: true})
+	if err != nil {
+		t.Fatalf("partial run past its deadline: %v, want the underestimate", err)
+	}
+	if rel.Len() != 0 || inc.RulesSurvived != 0 || len(inc.Failed) != 2 {
+		t.Fatalf("%d rows, report %+v; want both rules dropped", rel.Len(), inc)
+	}
+	for _, f := range inc.Failed {
+		if f.Class != FailBudget || !errors.Is(f.Err, ErrCallBudget) {
+			t.Errorf("rule %d: class %s, error %v; want budget-exhausted", f.RuleIndex+1, f.Class, f.Err)
+		}
+	}
+	if _, _, _, err := eval(ctx, NewRuntime(), u, ps, cat, Opts{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("strict run: err = %v, want the deadline", err)
+	}
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewRuntime().StreamEval(ctx, p, cat, Answered{}, Opts{Partial: true})
+	defer s.Close()
+	for s.Next() {
+	}
+	if err := s.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("streamed partial run: err = %v, want the deadline", err)
+	}
+}
+
+// The time budget stops a join, not only the calls before it. R has
+// 600 rows, so the product of two R literals joins 360 000 bindings
+// after two calls made in the first milliseconds, neither left to
+// notice the budget; the join's own checks must, and the rule is
+// dropped as budget-exhausted long before the whole join would finish
+// — for Budget.MaxTime and for a caller's deadline alike.
+func TestEvalTimeBudgetStopsAJoin(t *testing.T) {
+	u := ucq(t, `Q(x0, x1) :- R(x0, y0), R(x1, y1).`)
+	ps := pats(t, `R^oo`)
+	in := NewInstance()
+	for i := 0; i < 600; i++ {
+		in.MustAdd("R", fmt.Sprint("a", i), fmt.Sprint("b", i))
+	}
+	cat := in.MustCatalog(ps)
+	for _, tc := range []struct {
+		name   string
+		budget Budget
+		wait   time.Duration
+	}{
+		{"MaxTime", Budget{MaxTime: 20 * time.Millisecond}, time.Hour},
+		{"deadline", Budget{}, 20 * time.Millisecond},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), tc.wait)
+		start := time.Now()
+		rel, _, inc, err := eval(ctx, NewRuntime(), u, ps, cat, Opts{Partial: true, Budget: tc.budget})
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v, want the underestimate", tc.name, err)
+		}
+		if rel.Len() != 0 || len(inc.Failed) != 1 || inc.Failed[0].Class != FailBudget {
+			t.Errorf("%s: %d rows, report %+v; want the rule dropped as budget-exhausted", tc.name, rel.Len(), inc)
+		}
+		if elapsed > 120*time.Millisecond {
+			t.Errorf("%s: answered after %s: the join ran on past its 20 ms", tc.name, elapsed)
+		}
+	}
+}
+
+// The time budget is also the deadline of a call in flight: a source
+// that hangs, with no CallTimeout to cut it, holds a partial run only
+// until MaxTime or the caller's deadline, and the rule is dropped as
+// budget-exhausted, not failed as a cancellation.
+func TestEvalTimeBudgetCutsHungCall(t *testing.T) {
+	u := ucq(t, `Q(x) :- R(x).`)
+	ps := pats(t, `R^o`)
+	in := NewInstance()
+	in.MustAdd("R", "a")
+	cat := flakyCatalog(t, in, ps, sources.FlakyConfig{FailEveryN: 1, Hang: true})
+	for _, tc := range []struct {
+		name   string
+		budget Budget
+		wait   time.Duration
+	}{
+		{"MaxTime", Budget{MaxTime: 20 * time.Millisecond}, time.Hour},
+		{"deadline", Budget{}, 20 * time.Millisecond},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), tc.wait)
+		start := time.Now()
+		_, _, inc, err := eval(ctx, NewRuntime(), u, ps, cat, Opts{Partial: true, Budget: tc.budget})
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v, want the underestimate", tc.name, err)
+		}
+		if len(inc.Failed) != 1 || inc.Failed[0].Class != FailBudget || errors.Is(inc.Failed[0].Err, context.DeadlineExceeded) {
+			t.Errorf("%s: report %+v; want the rule dropped as budget-exhausted", tc.name, inc)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: the hung call held the run for %s", tc.name, elapsed)
+		}
+	}
+}
+
 func TestEvalPartialDoesNotAbsorbPlanningErrors(t *testing.T) {
 	u := ucq(t, `Q(x) :- R(x), Nowhere(x).`)
 	ps := pats(t, `R^o`) // no pattern calls Nowhere

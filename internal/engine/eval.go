@@ -54,7 +54,10 @@ type Opts struct {
 	// certain once the whole disjunct succeeded, so a streamed rule's
 	// rows are held back until it completes: Partial trades
 	// time-to-first-tuple within a rule for that guarantee.
-	// Caller-context cancellation still aborts.
+	// Caller-context cancellation still aborts. A materialized run takes
+	// its caller's deadline as its time budget (Budget.MaxTime), and
+	// degrades on it; a stream, which hands its rows over through the
+	// caller's context, aborts at it.
 	Partial bool
 	// Prepared, when set, keeps the compiled rule programs of the plan
 	// being run across the executions of that one plan (Prepared). Nil
@@ -384,9 +387,17 @@ func (x *execution) deliver(ctx context.Context, r *ruleRun, rows []Row) bool {
 // over the whole binding set, inline on the caller's goroutine (rule
 // goroutines only under o.Parallel), and the answered rules' rows enter
 // sink in rule order. It returns the profile and — in partial-results
-// mode only — the degradation report (nil otherwise).
+// mode only — the degradation report (nil otherwise). A partial run
+// past ctx's deadline has run out of time budget: what the deadline
+// stopped is dropped as budget-exhausted, and the rules that finished
+// answer.
 func (rt *Runtime) Run(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts, sink Sink) (Profile, *Incompleteness, error) {
 	x := rt.newExecution(cat, o, false, sink)
+	if o.Partial {
+		var stop func()
+		ctx, stop = x.budget.adopt(ctx)
+		defer stop()
+	}
 	x.compile(p, pre)
 	return x.run(ctx)
 }

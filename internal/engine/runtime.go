@@ -178,9 +178,11 @@ type Budget struct {
 	// to whatever cached answers cover — the overload-shedding mode of a
 	// serving layer.
 	MaxCalls int
-	// MaxTime is the execution's wall-clock allowance, checked before
-	// each attempt (attempts already in flight finish, bounded by
-	// CallTimeout when set); 0 means unlimited.
+	// MaxTime is the execution's wall-clock allowance: checked before
+	// each attempt and every 1 024 bindings of a join, and the
+	// deadline of the attempts in flight; 0 means unlimited. A
+	// materialized partial-results execution takes its caller's
+	// deadline as this allowance when that is sooner (Runtime.Run).
 	MaxTime time.Duration
 }
 
@@ -217,8 +219,8 @@ func (b *budgetState) charge() error {
 	if b.limit < 0 {
 		return fmt.Errorf("%w: call budget is zero, no source calls admitted", ErrCallBudget)
 	}
-	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
-		return fmt.Errorf("%w: time budget spent after %d calls", ErrCallBudget, b.spent.Load())
+	if err := b.expired(); err != nil {
+		return err
 	}
 	if b.limit > 0 {
 		if n := b.spent.Add(1); n > b.limit {
@@ -229,6 +231,38 @@ func (b *budgetState) charge() error {
 	}
 	b.spent.Add(1)
 	return nil
+}
+
+// expired reports a spent time budget as ErrCallBudget, and nil while
+// time is left or when there is no time budget.
+func (b *budgetState) expired() error {
+	if b == nil || b.deadline.IsZero() || !time.Now().After(b.deadline) {
+		return nil
+	}
+	return fmt.Errorf("%w: time budget spent after %d calls", ErrCallBudget, b.spent.Load())
+}
+
+// adopt makes ctx's deadline, if it has one, the time budget when it is
+// sooner than the budget's own, and returns the context to run under:
+// ctx with its cancellation but without its deadline, so that running
+// out of time stops the execution where the budget does — before a
+// call, in a call, in a join — as ErrCallBudget, not as a
+// cancellation. stop releases the returned context.
+func (b *budgetState) adopt(ctx context.Context) (_ context.Context, stop func()) {
+	d, ok := ctx.Deadline()
+	if !ok {
+		return ctx, func() {}
+	}
+	if b.deadline.IsZero() || d.Before(b.deadline) {
+		b.deadline = d
+	}
+	run, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	unhook := context.AfterFunc(ctx, func() {
+		if errors.Is(ctx.Err(), context.Canceled) {
+			cancel()
+		}
+	})
+	return run, func() { unhook(); cancel() }
 }
 
 // refund hands back one admitted attempt that was never launched (the
@@ -427,6 +461,20 @@ func checkGroups(name string, p access.Pattern, inputs [][]string, groups [][]so
 // off before the first).
 func (x *execution) callWithRetry(ctx context.Context, src sources.Source, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge) (groups [][]sources.Tuple, cs callStats, err error) {
 	rt, budget := x.rt, x.budget
+	if !budget.deadline.IsZero() {
+		// The time budget is the deadline of the attempts in flight, of
+		// the backoff and of the per-source slot wait; an attempt it
+		// cuts off is the budget's failure, not the caller's.
+		caller := ctx
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, budget.deadline)
+		defer cancel()
+		defer func() {
+			if err != nil && !errors.Is(err, ErrCallBudget) && caller.Err() == nil && ctx.Err() != nil {
+				err = fmt.Errorf("%w: time budget spent during a call to %s", ErrCallBudget, name)
+			}
+		}()
+	}
 	sem := rt.sourceSem(name)
 	max := rt.Retry.attempts()
 	rsrc, hedged := x.o.Hedge.target(src)

@@ -48,8 +48,9 @@ type headSet struct {
 // its slot-bound positions only: the rows new to seen are its entries
 // from the batch on, in insertion order, and their keys are the rows'
 // slot values. The unsafe-plan error (head variable never bound) is
-// raised only when bindings reach the head.
-func (h *headSet) rows(b *colBatch) ([]Row, error) {
+// raised only when bindings reach the head, and stopped's error when it
+// has one, looked at every stopCheckEvery bindings.
+func (h *headSet) rows(b *colBatch, stopped func() error) ([]Row, error) {
 	if b.n == 0 {
 		return nil, nil
 	}
@@ -59,6 +60,11 @@ func (h *headSet) rows(b *colBatch) ([]Row, error) {
 	}
 	first := h.seen.len()
 	for i := 0; i < b.n; i++ {
+		if i%stopCheckEvery == 0 {
+			if err := stopped(); err != nil {
+				return nil, err
+			}
+		}
 		h.key = h.key[:0]
 		for _, s := range prog.headSlots {
 			h.key = append(h.key, b.cols[s][i])
@@ -73,6 +79,11 @@ func (h *headSet) rows(b *colBatch) ([]Row, error) {
 	out := make([]Row, n)
 	slab := make([]Value, n*w)
 	for r := range out {
+		if r%stopCheckEvery == 0 {
+			if err := stopped(); err != nil {
+				return nil, err
+			}
+		}
 		row := slab[r*w : (r+1)*w : (r+1)*w]
 		key := h.seen.keys[(first+r)*ws : (first+r+1)*ws]
 		for k := range prog.head {
@@ -130,7 +141,7 @@ func (x *execution) whole(ctx context.Context, r *ruleRun, emit func(context.Con
 		cur = next
 	}
 	h := headSet{prog: prog, pool: pool}
-	rows, err := h.rows(cur)
+	rows, err := h.rows(cur, func() error { return x.stopped(ctx) })
 	pool.put(cur)
 	if err != nil {
 		return err
@@ -220,7 +231,7 @@ func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(contex
 		h := headSet{prog: prog, pool: pool}
 		for batch := range in {
 			n := batch.n
-			rows, err := h.rows(batch)
+			rows, err := h.rows(batch, func() error { return x.stopped(rctx) })
 			pool.put(batch)
 			x.resident.add(int64(-n))
 			if err != nil {

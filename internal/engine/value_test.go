@@ -451,7 +451,7 @@ func BenchmarkHeadRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := headSet{prog: prog, pool: pool}
-		rows, err := h.rows(batch)
+		rows, err := h.rows(batch, func() error { return nil })
 		if err != nil || len(rows) != 120 {
 			b.Fatalf("%d rows, %v", len(rows), err)
 		}

@@ -437,32 +437,6 @@ func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, er
 	return resp, nil
 }
 
-// wireRows flattens a relation for the wire, in Sorted order, every row
-// a window of one backing array. Underestimates carry no nulls (they
-// are answers of surviving disjuncts); a null from other execution modes
-// serializes as the string "null".
-func wireRows(rel *ucqn.Rel) [][]string {
-	rows := rel.Sorted()
-	cells := 0
-	for _, row := range rows {
-		cells += len(row)
-	}
-	flat := make([]string, 0, cells)
-	out := make([][]string, len(rows))
-	for i, row := range rows {
-		start := len(flat)
-		for _, v := range row {
-			if v.Null {
-				flat = append(flat, "null")
-			} else {
-				flat = append(flat, v.S)
-			}
-		}
-		out[i] = flat[start:len(flat):len(flat)]
-	}
-	return out
-}
-
 func wireIncompleteness(inc ucqn.Incompleteness) *IncompletenessReport {
 	rep := &IncompletenessReport{RulesTotal: inc.RulesTotal, RulesSurvived: inc.RulesSurvived}
 	for _, f := range inc.Failed {
@@ -663,9 +637,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resp.Incompleteness != nil && !resp.Complete {
 		w.Header().Set(HeaderIncompleteness, compactIncompleteness(resp.Incompleteness))
 	}
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		return // client went away mid-body; nothing to salvage
-	}
+	writeResponse(w, resp)
 }
 
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {

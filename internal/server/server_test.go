@@ -393,3 +393,33 @@ func TestServerHostileQueryPlansWithinBudget(t *testing.T) {
 		}
 	}
 }
+
+// A request's join stops at its deadline. The fixture's R has six rows,
+// so the k = 7 cross product is 6⁷ = 279 936 rows from seven source
+// calls: no call is left to notice the deadline once the join runs, so
+// the join and head loops must. Past it, the request degrades like a
+// budget stop — answered, incomplete, its rule dropped as
+// budget-exhausted — long before the ≈ 200 ms the whole join takes.
+func TestServerQueryStopsAtDeadline(t *testing.T) {
+	s, fixtures := newTestServer(t, Config{}, 1)
+	const cross = `Q(x0, x1, x2, x3, x4, x5, x6) :- R(x0, y0), R(x1, y1), R(x2, y2), R(x3, y3), R(x4, y4), R(x5, y5), R(x6, y6).`
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	resp, err := s.Query(ctx, fixtures[0].Name, cross)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("a request past its deadline must be answered, not fail: %v", err)
+	}
+	t.Logf("answered in %s", elapsed)
+	if resp.Complete || !resp.Degraded || len(resp.Answers) != 0 {
+		t.Errorf("complete=%v degraded=%v with %d rows; want the empty underestimate, degraded",
+			resp.Complete, resp.Degraded, len(resp.Answers))
+	}
+	if inc := resp.Incompleteness; inc == nil || len(inc.Failed) != 1 || inc.Failed[0].Class != "budget-exhausted" {
+		t.Errorf("incompleteness = %+v, want the one rule dropped as budget-exhausted", inc)
+	}
+	if elapsed > 120*time.Millisecond {
+		t.Errorf("answered after %s: the join ran on past its 20 ms deadline", elapsed)
+	}
+}
