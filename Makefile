@@ -25,13 +25,16 @@ test-race:
 # Then a few seconds of Rel.Sorted's keyless comparison against the
 # order of the rows' keys, from its own seed corpus there, of the
 # compiled containment checker against the map-based reference search
-# (internal/containment/testdata/fuzz), and of the /v1/query response
-# encoder against encoding/json (internal/server/testdata/fuzz).
+# (internal/containment/testdata/fuzz), of the /v1/query response
+# encoder against encoding/json (internal/server/testdata/fuzz), and of
+# the persist record decoder against its encoder
+# (internal/qcache/persist/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzIDTable$$' -fuzztime=3s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz='^FuzzSortedOrder$$' -fuzztime=3s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckerAgreesWithOracle$$' -fuzztime=3s ./internal/containment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWireCodecAgreesWithStdlib$$' -fuzztime=3s ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=3s ./internal/qcache/persist/
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem . ./cmd/paperbench/
@@ -85,8 +88,9 @@ bench-smoke:
 # invalidation, across an interner rollover that a running execution
 # outlives, and at the table's bound; a plan's prepared rule programs
 # shared by parallel executions and recompiled across a rollover and a
-# generation bump; and domain enumeration, whose rounds run on the
-# driver, its retries and its rule teardown.
+# generation bump; domain enumeration, whose rounds run on the
+# driver, its retries and its rule teardown; and a stream's report,
+# built on the driver goroutine and read by the consumer.
 fault-smoke:
 	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin|TestPrepared|TestEnumerateDomain|TestExample8' . ./internal/engine/
 

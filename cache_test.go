@@ -74,7 +74,7 @@ func TestCacheCorrectnessProperty(t *testing.T) {
 			}
 
 			want := execRel(t, ordered, ps, cat)
-			wantInc, ok := func() (Incompleteness, bool) {
+			wantInc, ok := func() (Report, bool) {
 				res, err := Exec(context.Background(), ordered, ps, cat, WithPartialResults())
 				if err != nil {
 					t.Fatal(err)
@@ -407,7 +407,7 @@ func TestCacheFullHitIdenticalToUncached(t *testing.T) {
 // incSummary renders what two degraded runs of the same query must agree
 // on: the rule accounting and, per dropped disjunct, its position,
 // failing source and class.
-func incSummary(inc Incompleteness) string {
+func incSummary(inc Report) string {
 	s := fmt.Sprintf("%d/%d", inc.RulesSurvived, inc.RulesTotal)
 	for _, f := range inc.Failed {
 		s += fmt.Sprintf(" rule%d@%s:%s", f.RuleIndex, f.Source, f.Class)
@@ -419,7 +419,7 @@ func incSummary(inc Incompleteness) string {
 // as written — Example 1, and random unions with every body reversed —
 // answers the same through Exec with and without a query cache,
 // materialized, streamed, and under WithPartialResults with one source
-// killed (same rows, same Incompleteness).
+// killed (same rows, same Report).
 func TestExecSameAnswerWithAndWithoutCache(t *testing.T) {
 	type draw struct {
 		name string
@@ -527,8 +527,8 @@ func TestDismissedRulesNeverCached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		star, _ := res.Star()
-		return star.Report()
+		star, _ := res.Report()
+		return star.String()
 	}
 	want := map[*PatternSet]string{limited: report(limited), full: report(full)}
 	if want[limited] == want[full] {

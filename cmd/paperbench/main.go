@@ -669,10 +669,10 @@ func example4() (logic.UCQ, *access.Set, workload.Schema) {
 
 // answerStar runs ANSWER* for u over a fresh catalog of in and adds the
 // run's source traffic to the counts key+"calls" and key+"tuples".
-func answerStar(u logic.UCQ, ps *access.Set, in *engine.Instance, c counts, key string) (engine.AnswerStar, *sources.Catalog) {
+func answerStar(u logic.UCQ, ps *access.Set, in *engine.Instance, c counts, key string) (engine.Report, *sources.Catalog) {
 	cat := in.MustCatalog(ps)
 	_, r := exec(u, ps, cat)
-	res, _ := r.Star()
+	res, _ := r.Report()
 	c[key+"calls"] += cat.TotalStats().Calls
 	c[key+"tuples"] += cat.TotalStats().TuplesReturned
 	return res, cat
@@ -707,7 +707,7 @@ func e4(sz []int) ([]op, table) {
 					facts = g.FactsWithInclusion(s, 6, 8, "R", 1, "S", 0)
 				}
 				res, _ := answerStar(u, ps, load(facts), c, fam.key+".")
-				c[fam.key+".complete"] += b2i(res.Complete)
+				c[fam.key+".complete"] += b2i(res.Complete())
 				c[fam.key+".under"] += res.Under.Len()
 				c[fam.key+".delta"] += res.Delta.Len()
 			}
@@ -745,7 +745,7 @@ func e8(sz []int) ([]op, table) {
 			key := fmt.Sprintf("violations-%d.", extra)
 			for i := 0; i < trials; i++ {
 				res, _ := answerStar(u, ps, instance(extra), c, key)
-				c[key+"complete"] += b2i(res.Complete)
+				c[key+"complete"] += b2i(res.Complete())
 			}
 			fmt.Fprintf(w, "%14d %11.0f%% %8d %8d\n", extra, 100*float64(c[key+"complete"])/float64(trials), c[key+"calls"], c[key+"tuples"])
 		}
@@ -1127,7 +1127,7 @@ func e21(sz []int) ([]op, table) {
 	}
 	// partial runs q degraded on a runtime with deterministic call
 	// counts: one worker, four attempts.
-	partial := func(q ucqn.Query, ps *ucqn.PatternSet, cat *ucqn.Catalog) (*ucqn.Rel, ucqn.Incompleteness) {
+	partial := func(q ucqn.Query, ps *ucqn.PatternSet, cat *ucqn.Catalog) (*ucqn.Rel, ucqn.Report) {
 		rt := ucqn.NewRuntime()
 		rt.Concurrency = 1
 		rt.Retry = ucqn.RetryPolicy{MaxAttempts: 4}

@@ -8,6 +8,7 @@ package ucqn
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +28,25 @@ func degradeFixtureQ(t *testing.T) (Query, *PatternSet, *Instance) {
 	in := NewInstance()
 	in.MustAdd("R", "a").MustAdd("R", "b").MustAdd("S", "c")
 	return q, ps, in
+}
+
+// ReportInvariants returns what rep breaks of the invariants every
+// report holds, whichever path built it: Complete is a certified, empty
+// Δ; Degraded is an uncertified report; the survivors are the rules not
+// in Failed; and the report of a plan that dismissed no rule (certain)
+// has an empty Δ. It is exported for the external idioms test.
+func ReportInvariants(rep Report, certain bool) error {
+	switch {
+	case rep.Complete() != (rep.Certified && rep.Delta.Len() == 0):
+		return fmt.Errorf("Complete() = %v with Certified = %v and |Δ| = %d", rep.Complete(), rep.Certified, rep.Delta.Len())
+	case rep.Degraded() == rep.Certified:
+		return fmt.Errorf("Degraded() = %v with Certified = %v", rep.Degraded(), rep.Certified)
+	case rep.RulesSurvived != rep.RulesTotal-len(rep.Failed):
+		return fmt.Errorf("%d of %d rules survived with %d failed", rep.RulesSurvived, rep.RulesTotal, len(rep.Failed))
+	case certain && rep.Delta.Len() != 0:
+		return fmt.Errorf("a certain plan's report has |Δ| = %d", rep.Delta.Len())
+	}
+	return nil
 }
 
 // fastRuntime is a runtime with cheap retries for fault tests.
@@ -96,6 +116,9 @@ func TestExecPartialResultsMaterialized(t *testing.T) {
 	if r, ok := inc.RuleRatio(); !ok || r != 0.5 {
 		t.Errorf("RuleRatio = %v/%v, want 0.5", r, ok)
 	}
+	if err := ReportInvariants(inc, true); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestExecPartialResultsStreaming(t *testing.T) {
@@ -142,6 +165,12 @@ func TestExecPartialResultsStreaming(t *testing.T) {
 	}
 	if got := inc.FailedSources(); len(got) != 1 || got[0] != "S" {
 		t.Errorf("FailedSources = %v, want [S]", got)
+	}
+	if err := ReportInvariants(inc, true); err != nil {
+		t.Error(err)
+	}
+	if matRep, _ := matRes.Report(); inc.String() != matRep.String() {
+		t.Errorf("streamed report:\n%s\nwant the materialized one:\n%s", inc, matRep)
 	}
 }
 
@@ -254,7 +283,7 @@ func TestExecPartialReportVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc, _ := res.Incompleteness()
-	report := inc.Report()
+	report := inc.String()
 	for _, want := range []string{"underestimate", "failed sources: S", "1 of 2 disjuncts"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)

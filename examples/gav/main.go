@@ -72,8 +72,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	star, _ := starRes.Star()
-	fmt.Println(star.Report())
+	star, _ := starRes.Report()
+	fmt.Println(star)
 
 	// Integrity constraints: every consented subject has been screened
 	// or not — suppose instead the deployment guarantees every LabB

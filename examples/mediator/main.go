@@ -25,7 +25,7 @@ const view = `
 
 const patterns = `S^o R^oo B^oi T^oo`
 
-func runScenario(name string, load func(*ucqn.Instance)) ucqn.AnswerStar {
+func runScenario(name string, load func(*ucqn.Instance)) ucqn.Report {
 	fmt.Printf("--- %s ---\n", name)
 	q := ucqn.MustParseQuery(view)
 	ps := ucqn.MustParsePatterns(patterns)
@@ -39,8 +39,8 @@ func runScenario(name string, load func(*ucqn.Instance)) ucqn.AnswerStar {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _ := starRes.Star()
-	fmt.Println(res.Report())
+	res, _ := starRes.Report()
+	fmt.Println(res)
 
 	// Compare with the (normally unobservable) ground truth.
 	naiveRes, err := ucqn.Exec(context.Background(), q, nil, nil, ucqn.WithNaive(in))
@@ -106,7 +106,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	star, _ := ires.Star()
+	star, _ := ires.Report()
 	fmt.Printf("plain underestimate: %d tuples\n", star.Under.Len())
 	improved, err := ires.Rel()
 	if err != nil {

@@ -86,11 +86,9 @@ func WithStreaming() ExecOption { return func(c *execConfig) { c.streaming = tru
 // dropped and recorded instead of failing the execution. Result.Rel is
 // then exactly the answer of the surviving rules: a certified
 // underestimate of the full answer, in the spirit of ANSWER*'s ansᵤ;
-// Result.Incompleteness reports the dropped disjuncts, their failing
-// sources, and the disjunct-level completeness ratio. Caller-context
-// cancellation and planning errors still abort. The report also names
-// each rule the planner dismissed whose rows reached Δ (class
-// access-limited). It does not combine with WithNaive.
+// Result.Report lists the dropped disjuncts, their failing sources, and
+// the disjunct-level completeness ratio. Caller-context cancellation and
+// planning errors still abort. It does not combine with WithNaive.
 func WithPartialResults() ExecOption { return func(c *execConfig) { c.partial = true } }
 
 // WithImproveUnder follows an execution whose plan dismissed a rule
@@ -136,9 +134,9 @@ func WithBudget(b Budget) ExecOption {
 // depends on the options: Rel always yields the materialized answers
 // (draining the stream first in streaming mode), Stream is non-nil only
 // with WithStreaming, Profile reports ok only with WithProfile,
-// Improved only with WithImproveUnder; Star reports for every
-// execution. Profile, Incompleteness and Star of a stream report ok
-// once it has finished.
+// Improved only with WithImproveUnder; Report reports for every
+// execution. Profile and Report of a stream report ok once it has
+// finished.
 type Result struct {
 	rel    *Rel
 	stream *Stream
@@ -146,12 +144,11 @@ type Result struct {
 	profiled bool
 	prof     ExecProfile // streaming mode: the cache counters only
 
-	star    *AnswerStar // nil when the plan dismissed no rule
+	rep     Report // materialized path
+	partial bool
 	improve bool
 	rules   Query
 	dom     DomResult
-
-	inc *Incompleteness // partial-results report (materialized path)
 }
 
 // Rel returns the materialized answers. In streaming mode the first call
@@ -188,33 +185,26 @@ func (r *Result) Profile() (ExecProfile, bool) {
 	return r.prof, true
 }
 
-// Incompleteness returns the degradation report (requires
-// WithPartialResults). In streaming mode it is available only after the
-// stream finished — ok is false before that. A complete report (no
-// failures) still returns ok = true; check Complete() on it.
-func (r *Result) Incompleteness() (Incompleteness, bool) {
+// Report returns the completeness report of the execution: ANSWER*'s
+// estimates and the rules not answered in full — under
+// WithPartialResults each disjunct a runtime failure dropped, and
+// otherwise each dismissed rule whose rows reached Δ (class
+// access-limited). For a plan that dismissed no rule Under = Over = the
+// answer and Δ = ∅. In streaming mode it is available once the stream
+// ran to its end, however it was read (Stream.Report) — ok is false
+// before that, and for good when it failed or was closed early.
+func (r *Result) Report() (Report, bool) {
 	if r.stream != nil {
-		return r.stream.Incomplete()
+		return r.stream.Report()
 	}
-	if r.inc == nil {
-		return Incompleteness{}, false
-	}
-	return *r.inc, true
+	return r.rep, true
 }
 
-// Star returns the ANSWER* report of the execution; for a plan that
-// dismissed no rule it is built from the answer (Under = Over, Δ = ∅).
-// In streaming mode it is available once the stream ran to its end
-// (Stream.Star) — ok is false before that, and for good when it failed
-// or was closed early.
-func (r *Result) Star() (AnswerStar, bool) {
-	switch {
-	case r.stream != nil:
-		return r.stream.Star()
-	case r.star != nil:
-		return *r.star, true
-	}
-	return engine.CertainStar(r.rel, r.inc), true
+// Incompleteness is Report under WithPartialResults: ok is false without
+// that option.
+func (r *Result) Incompleteness() (Report, bool) {
+	rep, ok := r.Report()
+	return rep, ok && r.partial
 }
 
 // Improved returns the domain-enumeration-improved underestimate rules
@@ -229,7 +219,7 @@ func (r *Result) Improved() (Query, DomResult, bool) {
 // Exec evaluates q against the limited-access catalog under the declared
 // patterns, honoring ctx through every source call. Every execution is
 // ANSWER* (Figure 4): Result.Rel is the certain underestimate — ANSWER(Q,
-// D) itself for an orderable query — and Result.Star the completeness
+// D) itself for an orderable query — and Result.Report the completeness
 // report. Options select the runtime, rule parallelism, profiling,
 // streaming, semantic optimization, cost-based ordering, partial
 // results under failure, or naive ground-truth evaluation.
@@ -267,7 +257,7 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		if err != nil {
 			return nil, err
 		}
-		return &Result{rel: rel}, nil
+		return &Result{rel: rel, rep: Report{Under: rel, Over: rel, Certified: true}}, nil
 	}
 	rt := c.rt
 	if rt == nil {
@@ -280,7 +270,7 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		q, _ = core.CostOrderUCQ(q, ps, c.stats)
 	}
 	o := c.engineOpts()
-	res := &Result{profiled: c.profile, improve: c.improve}
+	res := &Result{profiled: c.profile, partial: c.partial, improve: c.improve}
 
 	// The plan comes from the plan cache or from the planner; the rules
 	// the answer cache covers enter the driver pre-answered — no calls,
@@ -300,9 +290,7 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 			// A materialized full hit returns the cached relation before
 			// any driver state exists.
 			res.rel = hit.Full
-			if c.partial {
-				res.inc = &engine.Incompleteness{RulesTotal: hit.ReusedRules, RulesSurvived: hit.ReusedRules}
-			}
+			res.rep = Report{Under: hit.Full, Over: hit.Full, Certified: true, RulesTotal: hit.ReusedRules, RulesSurvived: hit.ReusedRules}
 			return res, nil
 		}
 		plan, pre, o.Prepared = entry.Plan(), engine.Answered{Covered: hit.Covered, Rows: hit.Rows}, entry.Prepared()
@@ -331,7 +319,7 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 	if store.entry != nil {
 		sink = store.sink(sink)
 	}
-	prof, inc, err := rt.Run(ctx, plan, cat, pre, o, sink)
+	prof, rep, err := rt.Run(ctx, plan, cat, pre, o, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -339,14 +327,14 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		prof.Cache = res.prof.Cache
 		prof.Cache.Evictions += c.qc.StoreAnswers(store.entry, cat, store.rels)
 	}
-	res.rel, res.prof, res.inc = out, prof, inc
 	if star == nil {
-		return res, nil
+		rep.Under, rep.Over = out, out
+	} else {
+		star.Fill(&rep)
 	}
-	report := star.Report(inc)
-	res.rel, res.star = report.Under, &report
-	if c.improve {
-		if res.rel, res.rules, res.dom, err = rt.ImproveUnder(ctx, plan, report.Under, ps, cat, c.maxCalls, o); err != nil {
+	res.rel, res.prof, res.rep = rep.Under, prof, rep
+	if star != nil && c.improve {
+		if res.rel, res.rules, res.dom, err = rt.ImproveUnder(ctx, plan, rep.Under, ps, cat, c.maxCalls, o); err != nil {
 			return nil, err
 		}
 	}

@@ -68,37 +68,37 @@ func execProfiled(q Query, ps *PatternSet, cat *Catalog) (*Rel, ExecProfile, err
 }
 
 // execStar runs Exec and returns its ANSWER* report.
-func execStar(q Query, ps *PatternSet, cat *Catalog) (AnswerStar, error) {
+func execStar(q Query, ps *PatternSet, cat *Catalog) (Report, error) {
 	res, err := Exec(context.Background(), q, ps, cat)
 	if err != nil {
-		return AnswerStar{}, err
+		return Report{}, err
 	}
-	star, _ := res.Star()
+	star, _ := res.Report()
 	return star, nil
 }
 
 // execStarUnder is ANSWER* under inclusion dependencies through Exec.
-func execStarUnder(q Query, ps *PatternSet, cat *Catalog, inds INDSet) (AnswerStar, error) {
+func execStarUnder(q Query, ps *PatternSet, cat *Catalog, inds INDSet) (Report, error) {
 	res, err := Exec(context.Background(), q, ps, cat, WithINDs(inds))
 	if err != nil {
-		return AnswerStar{}, err
+		return Report{}, err
 	}
-	star, _ := res.Star()
+	star, _ := res.Report()
 	return star, nil
 }
 
 // execImproveUnder is ANSWER* plus domain-enumeration improvement
 // through Exec.
-func execImproveUnder(q Query, ps *PatternSet, cat *Catalog, maxCalls int) (*Rel, AnswerStar, DomResult, error) {
+func execImproveUnder(q Query, ps *PatternSet, cat *Catalog, maxCalls int) (*Rel, Report, DomResult, error) {
 	res, err := Exec(context.Background(), q, ps, cat, WithImproveUnder(maxCalls))
 	if err != nil {
-		return nil, AnswerStar{}, DomResult{}, err
+		return nil, Report{}, DomResult{}, err
 	}
 	rel, err := res.Rel()
 	if err != nil {
-		return nil, AnswerStar{}, DomResult{}, err
+		return nil, Report{}, DomResult{}, err
 	}
-	star, _ := res.Star()
+	star, _ := res.Report()
 	_, dom, _ := res.Improved()
 	return rel, star, dom, nil
 }
@@ -165,7 +165,7 @@ func TestExecAnswerStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	star, ok := res.Star()
+	star, ok := res.Report()
 	if !ok {
 		t.Fatal("Star must be populated")
 	}
@@ -207,8 +207,8 @@ func TestExecAnswerStarCombines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Complete || want.Under.Len() != 2 || !want.Delta.HasNull() {
-		t.Fatalf("fixture must leave a null-carrying Δ beside two certain answers:\n%s", want.Report())
+	if want.Complete() || want.Under.Len() != 2 || !want.Delta.HasNull() {
+		t.Fatalf("fixture must leave a null-carrying Δ beside two certain answers:\n%s", want.String())
 	}
 	naive, err := execNaive(q, in)
 	if err != nil {
@@ -232,10 +232,10 @@ func TestExecAnswerStarCombines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if star, ok := res.Star(); !ok {
+		if star, ok := res.Report(); !ok {
 			t.Error("Star must be populated")
-		} else if star.Report() != want.Report() {
-			t.Errorf("parallel report:\n%s\nwant the sequential one:\n%s", star.Report(), want.Report())
+		} else if star.String() != want.String() {
+			t.Errorf("parallel report:\n%s\nwant the sequential one:\n%s", star.String(), want.String())
 		}
 	})
 
@@ -249,7 +249,7 @@ func TestExecAnswerStarCombines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := res.Star(); ok {
+		if _, ok := res.Report(); ok {
 			t.Error("Star must not report before the stream has ended")
 		}
 		close(release)
@@ -266,10 +266,10 @@ func TestExecAnswerStarCombines(t *testing.T) {
 				t.Fatalf("row %d = %s, want %s (the materialized Under, in order)", i, g[i], w[i])
 			}
 		}
-		if star, ok := res.Star(); !ok {
+		if star, ok := res.Report(); !ok {
 			t.Error("Star must report once the stream has ended")
-		} else if star.Report() != want.Report() {
-			t.Errorf("drained report:\n%s\nwant the materialized one:\n%s", star.Report(), want.Report())
+		} else if star.String() != want.String() {
+			t.Errorf("drained report:\n%s\nwant the materialized one:\n%s", star.String(), want.String())
 		}
 	})
 
@@ -282,12 +282,12 @@ func TestExecAnswerStarCombines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partial ANSWER* must degrade, not fail: %v", err)
 		}
-		star, ok := res.Star()
+		star, ok := res.Report()
 		if !ok {
 			t.Fatal("Star must be populated")
 		}
-		if star.OverCertified || star.Complete || star.RatioValid {
-			t.Fatalf("a dropped disjunct must leave the overestimate uncertified:\n%s", star.Report())
+		if star.Certified || star.Complete() || star.RatioValid {
+			t.Fatalf("a dropped disjunct must leave the overestimate uncertified:\n%s", star.String())
 		}
 		if star.Under.Len() != 2 {
 			t.Errorf("underestimate = %s, want the surviving complete rule's 2 rows", star.Under)
@@ -329,7 +329,7 @@ func TestExecImproveUnder(t *testing.T) {
 	if _, dom, ok := res.Improved(); !ok || dom.Calls == 0 {
 		t.Errorf("Improved must be populated with WithImproveUnder: %+v, %v", dom, ok)
 	}
-	if star, ok := res.Star(); !ok || star.Under.Equal(want) {
+	if star, ok := res.Report(); !ok || star.Under.Equal(want) {
 		t.Error("WithImproveUnder implies the ANSWER* report, whose underestimate is strictly smaller here")
 	}
 }
@@ -373,10 +373,10 @@ func TestExecEmptyAnswerablePart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q, %s: %v", c.query, mode.name, err)
 			}
-			star, ok := res.Star()
-			if !ok || !rel.Equal(want) || !star.Under.Equal(want) || star.Complete ||
+			star, ok := res.Report()
+			if !ok || !rel.Equal(want) || !star.Under.Equal(want) || star.Complete() ||
 				star.Over.Len() != want.Len()+1 || star.Delta.Len() != 1 || !star.Delta.HasNull() {
-				t.Errorf("%q, %s: answer %s, report (ok=%v):\n%s\nwant the underestimate %s and Δ = {(null)}", c.query, mode.name, rel, ok, star.Report(), want)
+				t.Errorf("%q, %s: answer %s, report (ok=%v):\n%s\nwant the underestimate %s and Δ = {(null)}", c.query, mode.name, rel, ok, star.String(), want)
 			}
 		}
 	}
@@ -421,6 +421,54 @@ func TestExecStreaming(t *testing.T) {
 		}
 		if prof.TimeToFirst <= 0 {
 			t.Error("streamed profile must record time to first tuple")
+		}
+	}
+}
+
+// A stream reports once it has run to its end, however it was read: a
+// Next loop and Close leave the report of a plan that dismissed no rule
+// readable — complete, every rule survived — with Under and Over unset,
+// since the stream keeps no copy of the rows it handed out. Run by `make
+// fault-smoke` under -race: the driver goroutine builds the report the
+// consumer reads.
+func TestStreamReportAfterNext(t *testing.T) {
+	q, ps, in := execFixture(t)
+	want, err := execAnswer(q, ps, in.MustCatalog(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []bool{false, true} {
+		opts := []ExecOption{WithStreaming()}
+		if parallel {
+			opts = append(opts, WithParallelRules())
+		}
+		res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Stream()
+		n := 0
+		for s.Next() {
+			n++
+		}
+		if err := s.Close(); err != nil || n != want.Len() {
+			t.Fatalf("parallel=%v: Next read %d rows (%v), want %d", parallel, n, err, want.Len())
+		}
+		rep, ok := res.Report()
+		if !ok {
+			t.Fatalf("parallel=%v: no report after the stream ran to its end", parallel)
+		}
+		if srep, sok := s.Report(); !sok || srep.String() != rep.String() {
+			t.Errorf("parallel=%v: Stream.Report = %v, want Result.Report's", parallel, sok)
+		}
+		if !rep.Complete() || rep.Degraded() || len(rep.Failed) != 0 || rep.RulesTotal != len(q.Rules) || rep.RulesSurvived != len(q.Rules) {
+			t.Errorf("parallel=%v: report %+v, want complete with every rule survived", parallel, rep)
+		}
+		if rep.Under != nil || rep.Over != nil {
+			t.Errorf("parallel=%v: a stream read with Next must not keep its rows for the report", parallel)
+		}
+		if err := ReportInvariants(rep, true); err != nil {
+			t.Errorf("parallel=%v: %v", parallel, err)
 		}
 	}
 }

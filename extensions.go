@@ -272,13 +272,7 @@ type Budget = engine.Budget
 // per-query call or time budget (WithBudget).
 var ErrCallBudget = engine.ErrCallBudget
 
-// Incompleteness is the degradation report of a partial-results
-// execution (Exec with WithPartialResults): which disjuncts were
-// dropped, which sources failed them, and the disjunct-level
-// completeness ratio.
-type Incompleteness = engine.Incompleteness
-
-// RuleFailure is one dropped disjunct of an Incompleteness report.
+// RuleFailure is one disjunct a Report lists as not answered in full.
 type RuleFailure = engine.RuleFailure
 
 // FailureClass classifies why a disjunct was dropped.

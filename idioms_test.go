@@ -40,12 +40,13 @@ var negationIdioms = []negationIdiom{
 		`Child("c1", "p1"). Child("c2", "p2"). Child("c3", "p9"). Parent("p1"). Parent("p2"). Archive("a", "p1", "p7").`},
 }
 
-// The idioms through Exec: uncached and cached (miss, then hit) runs
-// agree, Under ⊆ naive ⊆ Over with Δ = Over − Under, and under
-// WithPartialResults the dismissed rule is reported access-limited,
-// naming the literals it dismissed. Each idiom is its own core, so the
-// cached runs reproduce the uncached rows byte for byte and the same
-// report. Over HTTP the response is a 200 carrying the same class. Run
+// The idioms through Exec: uncached, cached (miss, then hit) and
+// streamed (drained, or read with Next) runs agree, Under ⊆ naive ⊆ Over
+// with Δ = Over − Under, and under WithPartialResults the dismissed rule
+// is reported access-limited, naming the literals it dismissed. Each
+// idiom is its own core, so the cached and streamed runs reproduce the
+// uncached rows byte for byte and the same report, which holds
+// ucqn.ReportInvariants on every path. Over HTTP the response is a 200 carrying the same class. Run
 // by `make cache-smoke`.
 func TestNegationIdiomsUnanswerable(t *testing.T) {
 	ctx := context.Background()
@@ -73,19 +74,37 @@ func TestNegationIdiomsUnanswerable(t *testing.T) {
 		qc := ucqn.NewQueryCache(ucqn.QueryCacheOptions{})
 		var first []ucqn.Row
 		var firstReport string
-		for _, mode := range []string{"uncached", "cached miss", "cached hit"} {
+		for _, mode := range []string{"uncached", "cached miss", "cached hit", "streamed, drained", "streamed, Next"} {
 			opts := []ucqn.ExecOption{ucqn.WithPartialResults(), ucqn.WithProfile()}
-			if mode != "uncached" {
+			switch mode {
+			case "cached miss", "cached hit":
 				opts = append(opts, ucqn.WithQueryCache(qc))
+			case "streamed, drained", "streamed, Next":
+				opts = append(opts, ucqn.WithStreaming())
 			}
 			res, err := ucqn.Exec(ctx, q, ps, cat, opts...)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", id.name, mode, err)
 			}
-			rel, _ := res.Rel()
-			star, ok := res.Star()
-			if !ok || star.Complete || !star.OverCertified {
-				t.Fatalf("%s, %s: want an incomplete, certified report:\n%s", id.name, mode, star.Report())
+			var rows []ucqn.Row
+			if mode == "streamed, Next" {
+				s := res.Stream()
+				for s.Next() {
+					rows = append(rows, s.Tuple())
+				}
+				if err := s.Close(); err != nil {
+					t.Fatalf("%s, %s: %v", id.name, mode, err)
+				}
+			} else {
+				rel, _ := res.Rel()
+				rows = rel.Rows()
+			}
+			star, ok := res.Report()
+			if !ok || star.Complete() || !star.Certified {
+				t.Fatalf("%s, %s: want an incomplete, certified report:\n%s", id.name, mode, star.String())
+			}
+			if err := ucqn.ReportInvariants(star, false); err != nil {
+				t.Errorf("%s, %s: %v", id.name, mode, err)
 			}
 			for _, row := range star.Under.Rows() {
 				if !naive.Contains(row) {
@@ -108,17 +127,16 @@ func TestNegationIdiomsUnanswerable(t *testing.T) {
 			if prof, _ := res.Profile(); mode == "cached hit" && (prof.Cache.PlanHits != 1 || prof.Cache.PartialReuseRules != 1) {
 				t.Errorf("%s: cached hit = %+v, want the plan and the certain disjunct's rows from the cache", id.name, prof.Cache)
 			}
-			rows := rel.Rows()
 			if first == nil {
-				first, firstReport = rows, star.Report()
+				first, firstReport = rows, star.String()
 				continue
 			}
 			same := len(rows) == len(first)
 			for i := 0; same && i < len(rows); i++ {
 				same = rows[i].Key() == first[i].Key()
 			}
-			if !same || star.Report() != firstReport {
-				t.Errorf("%s, %s: rows %v, report\n%s\nwant the uncached %v,\n%s", id.name, mode, rows, star.Report(), first, firstReport)
+			if !same || star.String() != firstReport {
+				t.Errorf("%s, %s: rows %v, report\n%s\nwant the uncached %v,\n%s", id.name, mode, rows, star.String(), first, firstReport)
 			}
 		}
 

@@ -205,12 +205,12 @@ func Answer(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		return e.failf("answer", "%v", err)
 	}
-	star, _ := res.Star()
-	fmt.Fprintln(stdout, star.Report())
+	rep, _ := res.Report()
+	fmt.Fprintln(stdout, rep)
 	prof, _ := res.Profile()
 	fmt.Fprintf(stdout, "source traffic: %d calls, %d tuples\n", prof.Calls.Total, prof.TotalTuples())
 
-	if rules, dom, ok := res.Improved(); ok && !star.Complete {
+	if rules, dom, ok := res.Improved(); ok && !rep.Complete() {
 		improved, err := res.Rel()
 		if err != nil {
 			return e.failf("answer", "%v", err)

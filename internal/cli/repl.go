@@ -209,8 +209,8 @@ func (s *session) answer() {
 		fmt.Fprintln(s.errw, err)
 		return
 	}
-	star, _ := res.Star()
-	fmt.Fprintln(s.out, star.Report())
+	rep, _ := res.Report()
+	fmt.Fprintln(s.out, rep)
 }
 
 func (s *session) show() {

@@ -15,14 +15,15 @@ import (
 
 // answerStar is ANSWER* of u (one run of its plan into ANSWER*'s sink)
 // on the engine's default runtime.
-func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (engine.AnswerStar, error) {
+func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (engine.Report, error) {
 	p, err := core.NewPlan(u, ps)
 	if err != nil {
-		return engine.AnswerStar{}, err
+		return engine.Report{}, err
 	}
 	st := engine.NewStarSink(p)
-	_, inc, err := engine.DefaultRuntime().Run(context.Background(), p, cat, engine.Answered{}, engine.Opts{}, st.Sink())
-	return st.Report(inc), err
+	_, rep, err := engine.DefaultRuntime().Run(context.Background(), p, cat, engine.Answered{}, engine.Opts{}, st.Sink())
+	st.Fill(&rep)
+	return rep, err
 }
 
 func TestChaseAddsImpliedAtom(t *testing.T) {
@@ -140,8 +141,8 @@ func TestAnswerStarUnder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Complete || res.Over.HasNull() {
-		t.Errorf("optimized ANSWER* must be complete and null-free: %s", res.Report())
+	if !res.Complete() || res.Over.HasNull() {
+		t.Errorf("optimized ANSWER* must be complete and null-free: %s", res)
 	}
 	// Sound: equals the unoptimized underestimate's answers (and ground
 	// truth) on this legal instance.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/access"
@@ -20,69 +19,7 @@ import (
 // rows go into ansₒ, and the rows of the certain rules — the rules Qᵘ
 // shares with Qᵒ — into ansᵤ. A plan that dismissed nothing has
 // ansᵤ = ansₒ, the answer itself, and runs into Into; StarSink is the
-// sink of the rest.
-
-// AnswerStar is the outcome of the ANSWER* algorithm (Figure 4 of the
-// paper): the runtime underestimate and overestimate of the answer to Q
-// on the current database, their difference Δ, and the completeness
-// information ANSWER* reports to the user.
-type AnswerStar struct {
-	// Under is ansᵤ = ANSWER(Qᵘ, D): tuples guaranteed to be answers.
-	Under *Rel
-	// Over is ansₒ = ANSWER(Qᵒ, D): every answer is subsumed by some
-	// overestimate tuple (null means "unknown value", Example 7).
-	Over *Rel
-	// Delta is Δ = ansₒ \ ansᵤ, the tuples that may be answers.
-	Delta *Rel
-	// OverCertified is false iff partial-results mode dropped a rule:
-	// Under is then still a sound underestimate (the rows of the
-	// surviving rules of Qᵘ), but Over and Δ lack the dropped rule's rows
-	// and bound nothing, so Complete and RatioValid are false.
-	OverCertified bool
-	// Complete reports Δ = ∅: the answer is complete even if the query
-	// is infeasible (Example 5).
-	Complete bool
-	// Ratio is the completeness lower bound |ansᵤ|/|ansₒ|, valid only
-	// when RatioValid (Δ nonempty and free of nulls; Example 7 explains
-	// why nulls forbid a numeric bound).
-	Ratio      float64
-	RatioValid bool
-}
-
-// Report renders the ANSWER* output in the shape of Figure 4.
-func (a AnswerStar) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "answer tuples (underestimate, %d):\n", a.Under.Len())
-	for _, r := range a.Under.Sorted() {
-		fmt.Fprintf(&b, "  %s\n", r)
-	}
-	if a.Complete {
-		b.WriteString("answer is complete\n")
-		return strings.TrimRight(b.String(), "\n")
-	}
-	b.WriteString("answer is not known to be complete\n")
-	if !a.OverCertified {
-		b.WriteString("the overestimate is not certified: a disjunct failed and was dropped")
-		return b.String()
-	}
-	b.WriteString("these tuples may be part of the answer:\n")
-	for _, r := range a.Delta.Sorted() {
-		fmt.Fprintf(&b, "  %s\n", r)
-	}
-	if a.RatioValid {
-		fmt.Fprintf(&b, "answer is at least %.2f complete\n", a.Ratio)
-	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
-// CertainStar is the ANSWER* report of an execution whose plan
-// dismissed no rule: ansᵤ = ansₒ = answer and Δ = ∅, built on demand
-// from the answer, so a run pays nothing for its report. inc is the
-// execution's degradation report (nil in strict mode).
-func CertainStar(answer *Rel, inc *Incompleteness) AnswerStar {
-	certified := inc == nil || inc.Complete()
-	return AnswerStar{Under: answer, Over: answer, Delta: NewRel(), OverCertified: certified, Complete: certified}
-}
+// sink of the rest, and fills in the estimates of the execution's Report.
 
 // StarSink is the half of ANSWER* behind the driver, for a plan that
 // dismissed a rule.
@@ -139,29 +76,25 @@ func (st *StarSink) sink(emit func(context.Context, []Row) bool) Sink {
 	}
 }
 
-// Report derives Δ and the completeness information once the execution
-// has finished; inc is its degradation report (nil in strict mode). In
-// partial-results mode every dismissed rule that put a row into Δ joins
-// inc's failures, class FailAccessLimited, its step the literals the
-// plan dismissed — unless a runtime failure dropped a disjunct, which
-// leaves Δ bounding nothing (OverCertified counts runtime failures only).
-func (st *StarSink) Report(inc *Incompleteness) AnswerStar {
-	out := AnswerStar{Under: st.under, Over: st.over, Delta: st.over.Minus(st.under)}
-	out.OverCertified = inc == nil || inc.Complete()
-	out.Complete = out.OverCertified && out.Delta.Len() == 0
-	if out.OverCertified && !out.Complete && !out.Delta.HasNull() {
-		out.Ratio = float64(out.Under.Len()) / float64(out.Over.Len())
-		out.RatioValid = true
+// Fill completes rep, the report of the run that fed the sink, once it
+// has finished: Under, Over, Δ and the ratio. Every dismissed rule that
+// put a row into Δ joins rep's failures, class FailAccessLimited, its
+// step the literals the plan dismissed — unless a runtime failure
+// dropped a disjunct, which leaves Δ bounding nothing.
+func (st *StarSink) Fill(rep *Report) {
+	rep.Under, rep.Over, rep.Delta = st.under, st.over, st.over.Minus(st.under)
+	if !rep.Certified || rep.Delta.Len() == 0 {
+		return
 	}
-	if inc == nil || out.Complete || !out.OverCertified {
-		return out
+	if !rep.Delta.HasNull() {
+		rep.Ratio = float64(rep.Under.Len()) / float64(rep.Over.Len())
+		rep.RatioValid = true
 	}
 	for i, batches := range st.dismissed {
-		if slices.ContainsFunc(batches, func(rows []Row) bool { return slices.ContainsFunc(rows, out.Delta.Contains) }) {
-			inc.accessLimited(i, st.plan.Dismissed[i])
+		if slices.ContainsFunc(batches, func(rows []Row) bool { return slices.ContainsFunc(rows, rep.Delta.Contains) }) {
+			rep.accessLimited(i, st.plan.Dismissed[i])
 		}
 	}
-	return out
 }
 
 // ImproveUnder upgrades the underestimate under of a run of p with

@@ -71,7 +71,7 @@ func TestEvalPartialDropsFailedDisjunct(t *testing.T) {
 			}
 
 			// Partial mode drops rule 2 and answers with rule 1.
-			rel, prof, inc, err := eval(context.Background(), rt, u, ps, cat, Opts{Parallel: parallel, Partial: true})
+			rel, _, inc, err := eval(context.Background(), rt, u, ps, cat, Opts{Parallel: parallel, Partial: true})
 			if err != nil {
 				t.Fatalf("partial mode must absorb the failure: %v", err)
 			}
@@ -97,11 +97,8 @@ func TestEvalPartialDropsFailedDisjunct(t *testing.T) {
 			if inc.RulesTotal != 2 || inc.RulesSurvived != 1 {
 				t.Errorf("rules = %d/%d, want 1 of 2 survived", inc.RulesSurvived, inc.RulesTotal)
 			}
-			if !strings.Contains(inc.Report(), "underestimate") || !strings.Contains(inc.Report(), "S") {
-				t.Errorf("report must name the failure:\n%s", inc.Report())
-			}
-			if prof.Degraded.Rules != 1 {
-				t.Errorf("prof.Degraded.Rules = %d, want 1", prof.Degraded.Rules)
+			if !strings.Contains(inc.String(), "underestimate") || !strings.Contains(inc.String(), "S") {
+				t.Errorf("report must name the failure:\n%s", inc.String())
 			}
 		})
 	}
@@ -124,8 +121,8 @@ func TestEvalPartialCompleteRunReportsComplete(t *testing.T) {
 	if inc == nil || !inc.Complete() || inc.RulesSurvived != 2 {
 		t.Errorf("inc = %+v, want complete 2/2", inc)
 	}
-	if !strings.Contains(inc.Report(), "complete") {
-		t.Errorf("report = %q", inc.Report())
+	if !strings.Contains(inc.String(), "complete") {
+		t.Errorf("report = %q", inc.String())
 	}
 }
 
@@ -524,7 +521,7 @@ func TestStreamPartialDegradedMatchesMaterialized(t *testing.T) {
 		t.Fatalf("partial stream must not surface the degraded failure: %v", err)
 	}
 	sameRows(t, got, want, "degraded stream vs materialized")
-	inc, ok := s.Incomplete()
+	inc, ok := s.Report()
 	if !ok {
 		t.Fatal("Incomplete must be available after the stream finished")
 	}
@@ -568,7 +565,7 @@ func TestStreamPartialMidPipelineTeardown(t *testing.T) {
 			if breakers["S"].State() != sources.BreakerOpen {
 				t.Errorf("breaker = %v, want open", breakers["S"].State())
 			}
-			if inc, ok := s.Incomplete(); !ok || len(inc.Failed) != 1 {
+			if inc, ok := s.Report(); !ok || len(inc.Failed) != 1 {
 				t.Errorf("Incomplete = %+v/%v, want the one dropped disjunct", inc, ok)
 			}
 			settleGoroutines(t, baseline)

@@ -41,18 +41,29 @@ func mustPlan(t *testing.T, u logic.UCQ, ps *access.Set) core.Plan {
 
 // eval plans u (core.NewPlan) and runs the plan on rt under o into a
 // fresh relation: the materialized answer, the profile and — in
-// partial-results mode — the degradation report.
-func eval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o Opts) (*Rel, Profile, *Incompleteness, error) {
+// partial-results mode — the report (partialReport).
+func eval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o Opts) (*Rel, Profile, *Report, error) {
 	p, err := core.NewPlan(u, ps)
 	if err != nil {
 		return nil, Profile{}, nil, err
 	}
 	out := NewRel()
-	prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
+	prof, rep, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
 	if err != nil {
 		return nil, Profile{}, nil, err
 	}
-	return out, prof, inc, nil
+	rep.Under, rep.Over = out, out
+	return out, prof, partialReport(rep, o), nil
+}
+
+// partialReport is rep under o.Partial and nil otherwise: the report the
+// degradation assertions read, as the facade's Result.Incompleteness
+// projects it.
+func partialReport(rep Report, o Opts) *Report {
+	if !o.Partial {
+		return nil
+	}
+	return &rep
 }
 
 // answer is ANSWER(u, D) on rt: eval under the zero Opts, the answer
@@ -73,10 +84,10 @@ func streamQuery(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, 
 
 // answerStar is ANSWER* of u (one run of its plan) on the default
 // runtime under the zero Opts.
-func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerStar, error) {
+func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (Report, error) {
 	p, err := core.NewPlan(u, ps)
 	if err != nil {
-		return AnswerStar{}, err
+		return Report{}, err
 	}
 	star, _, _, err := runStar(context.Background(), defaultRuntime, p, cat, Opts{})
 	return star, err
@@ -84,16 +95,19 @@ func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (AnswerStar, 
 
 // runStar runs p materialized on rt under o into the sink its
 // dismissed rules call for, as the facade's Exec does, and returns the
-// ANSWER* report beside the profile and the degradation report.
-func runStar(ctx context.Context, rt *Runtime, p core.Plan, cat *sources.Catalog, o Opts) (AnswerStar, Profile, *Incompleteness, error) {
+// report beside the profile and, under o.Partial, the report again
+// (partialReport).
+func runStar(ctx context.Context, rt *Runtime, p core.Plan, cat *sources.Catalog, o Opts) (Report, Profile, *Report, error) {
 	if p.Dismissed == nil {
 		out := NewRel()
-		prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
-		return CertainStar(out, inc), prof, inc, err
+		prof, rep, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
+		rep.Under, rep.Over = out, out
+		return rep, prof, partialReport(rep, o), err
 	}
 	st := NewStarSink(p)
-	prof, inc, err := rt.Run(ctx, p, cat, Answered{}, o, st.Sink())
-	return st.Report(inc), prof, inc, err
+	prof, rep, err := rt.Run(ctx, p, cat, Answered{}, o, st.Sink())
+	st.Fill(&rep)
+	return rep, prof, partialReport(rep, o), err
 }
 
 // bookstore is the instance behind Examples 1 and 2.
@@ -218,8 +232,8 @@ func TestExample5RuntimeComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Complete {
-		t.Errorf("answer must be complete: %s", res.Report())
+	if !res.Complete() {
+		t.Errorf("answer must be complete: %s", res.String())
 	}
 	if res.Under.Len() != 1 || !res.Under.Contains(RowOf("t1", "t2")) {
 		t.Errorf("underestimate = %s", res.Under)
@@ -251,7 +265,7 @@ func TestExample7NullTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Complete {
+	if res.Complete() {
 		t.Fatal("answer must not be known complete")
 	}
 	if !res.Delta.Contains(Row{V("a"), NullValue}) {
@@ -260,7 +274,7 @@ func TestExample7NullTuple(t *testing.T) {
 	if res.RatioValid {
 		t.Error("no numeric completeness bound when Δ has nulls (Example 7)")
 	}
-	report := res.Report()
+	report := res.String()
 	if !containsStr(report, "not known to be complete") {
 		t.Errorf("report = %q", report)
 	}
@@ -286,8 +300,8 @@ func TestCompletenessRatio(t *testing.T) {
 	// Rule 2's B(z) is unanswerable (B^i, z bound though... z is bound by
 	// R, so B(z) is answerable as a filter call). Wait: B^i with z bound
 	// is callable, so rule 2 is fully answerable and the query complete.
-	if !res.Complete {
-		t.Fatalf("expected complete: %s", res.Report())
+	if !res.Complete() {
+		t.Fatalf("expected complete: %s", res.String())
 	}
 
 	// Now make the head variable come from an unanswerable literal-free
@@ -304,7 +318,7 @@ func TestCompletenessRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Complete {
+	if res2.Complete() {
 		t.Fatal("rule 2 has unanswerable U, so completeness is unknown")
 	}
 	// Δ = {(r1)} (x is bound in the answerable part, so no null).
@@ -314,8 +328,8 @@ func TestCompletenessRatio(t *testing.T) {
 	if !res2.RatioValid || res2.Ratio != 0.5 {
 		t.Errorf("ratio = %v (valid=%v), want 0.5", res2.Ratio, res2.RatioValid)
 	}
-	if !containsStr(res2.Report(), "at least 0.50 complete") {
-		t.Errorf("report = %q", res2.Report())
+	if !containsStr(res2.String(), "at least 0.50 complete") {
+		t.Errorf("report = %q", res2.String())
 	}
 }
 

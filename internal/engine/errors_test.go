@@ -303,13 +303,13 @@ func TestShortTupleFailsTheCall(t *testing.T) {
 		}
 
 		var rel *Rel
-		var inc Incompleteness
+		var inc Report
 		if staged {
 			s := NewRuntime().StreamEval(ctx, mustPlan(t, u, ps), cat, Answered{}, Opts{Partial: true})
 			rel, err = s.Drain()
-			inc, _ = s.Incomplete()
+			inc, _ = s.Report()
 		} else {
-			var got *Incompleteness
+			var got *Report
 			rel, _, got, err = eval(ctx, NewRuntime(), u, ps, cat, Opts{Partial: true})
 			if got != nil {
 				inc = *got

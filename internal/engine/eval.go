@@ -13,7 +13,7 @@ package engine
 // as a fresh one. The driver (execution.run) runs the plan's steps as
 // slot programs — compiled once per execution, or once per engine state
 // for a cached plan (Prepared) — runs the rules in order or
-// concurrently, and assembles the Profile and the Incompleteness report.
+// concurrently, and assembles the Profile and the execution's Report.
 // The runner (runRule) gives one rule its RuleProfile, the one recover,
 // and the hold-back of its rows; under it a schedule (schedule.go)
 // applies the rule's steps and produces its distinct head rows, which
@@ -48,7 +48,7 @@ type Opts struct {
 	// rule whose evaluation fails terminally at runtime — circuit
 	// breaker open, per-query budget exhausted, retries exhausted, or a
 	// non-transient source error — is dropped and recorded in the
-	// Incompleteness report instead of failing the execution. The
+	// execution's Report instead of failing the execution. The
 	// answer is then exactly ANSWER of the surviving rules: a certified
 	// underestimate of the full answer. A disjunct's answers are only
 	// certain once the whole disjunct succeeded, so a streamed rule's
@@ -215,19 +215,16 @@ func (x *execution) prepared(p core.Plan) []*ruleProgram {
 
 // run is the driver: it runs the execution's rules — in order, or one
 // goroutine per rule — settles each rule's outcome in rule order, and
-// finalizes the Profile and the Incompleteness report (nil in strict
-// mode). Both are returned on failure too: a failed or degraded
+// finalizes the Profile and the Report, whose estimates the caller's
+// sink fills in. Both are returned on failure too: a failed or degraded
 // execution still reports the traffic it cost.
 //
 // Concurrently running rules report every distinct failure, joined in
 // rule order with the rule's number; a sibling's cancellation is
 // reported only when no real failure surfaced. Sequential runs stop at,
 // and report, the first.
-func (x *execution) run(ctx context.Context) (Profile, *Incompleteness, error) {
-	var inc *Incompleteness
-	if x.o.Partial {
-		inc = &Incompleteness{RulesTotal: len(x.rules)}
-	}
+func (x *execution) run(ctx context.Context) (Profile, Report, error) {
+	rep := Report{RulesTotal: len(x.rules)}
 	var errs []error
 	var cancelled error
 	// settle classifies a finished rule's outcome and delivers what a
@@ -241,7 +238,7 @@ func (x *execution) run(ctx context.Context) (Profile, *Incompleteness, error) {
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			cancelled = err
 		case x.absorbs(ctx, err):
-			inc.record(r.idx, r.rule, err)
+			rep.record(r.idx, r.rule, err)
 			return true
 		case x.o.Parallel:
 			errs = append(errs, fmt.Errorf("engine: rule %d: %w", r.idx+1, err))
@@ -298,17 +295,15 @@ func (x *execution) run(ctx context.Context) (Profile, *Incompleteness, error) {
 			prof.Rules = append(prof.Rules, x.rules[i].rp)
 		}
 	}
-	if inc != nil {
-		inc.RulesSurvived = inc.RulesTotal - len(inc.Failed)
-		prof.Degraded.Rules = len(inc.Failed)
-	}
+	rep.RulesSurvived = rep.RulesTotal - len(rep.Failed)
+	rep.Certified = len(rep.Failed) == 0
 	if x.o.Budget.active() {
 		prof.Calls.BudgetSpent = int(x.budget.spent.Load())
 	}
 	prof.Batch = x.pool.batchProfile()
 	prof.finalize()
 	prof.snapshotReplicas(x.cat)
-	return prof, inc, err
+	return prof, rep, err
 }
 
 // absorbs reports whether partial-results mode drops the failed rule
@@ -386,12 +381,13 @@ func (x *execution) deliver(ctx context.Context, r *ruleRun, rows []Row) bool {
 // Run evaluates the plan, materializing: every rule's steps run once
 // over the whole binding set, inline on the caller's goroutine (rule
 // goroutines only under o.Parallel), and the answered rules' rows enter
-// sink in rule order. It returns the profile and — in partial-results
-// mode only — the degradation report (nil otherwise). A partial run
+// sink in rule order. It returns the profile and the report, whose
+// Under, Over and Δ are the sink's to fill in: the answer itself for a
+// plan that dismissed no rule, StarSink.Fill for any other. A partial run
 // past ctx's deadline has run out of time budget: what the deadline
 // stopped is dropped as budget-exhausted, and the rules that finished
 // answer.
-func (rt *Runtime) Run(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts, sink Sink) (Profile, *Incompleteness, error) {
+func (rt *Runtime) Run(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts, sink Sink) (Profile, Report, error) {
 	x := rt.newExecution(cat, o, false, sink)
 	if o.Partial {
 		var stop func()

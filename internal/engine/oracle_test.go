@@ -22,12 +22,12 @@ import (
 // map evaluator. With partial set, a degradable rule failure drops the
 // rule and is recorded, exactly as Opts.Partial specifies; inc is nil
 // otherwise. The profile carries per-step accounting only.
-func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog, partial bool) (*Rel, Profile, *Incompleteness, error) {
+func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog, partial bool) (*Rel, Profile, *Report, error) {
 	out := NewRel()
 	var prof Profile
-	var inc *Incompleteness
+	var inc *Report
 	if partial {
-		inc = &Incompleteness{}
+		inc = &Report{}
 	}
 	x := rt.newExecution(cat, Opts{}, false, nil)
 	for i, rule := range u.Rules {

@@ -163,13 +163,6 @@ type CacheProfile struct {
 	PersistBytes int64
 }
 
-// DegradedProfile groups the partial-results accounting.
-type DegradedProfile struct {
-	// Rules counts the disjuncts dropped in partial-results mode (0 in
-	// strict mode or on a complete run).
-	Rules int
-}
-
 // BatchProfile groups the columnar evaluator's batch accounting.
 type BatchProfile struct {
 	// BatchesProcessed counts the binding batches run through step
@@ -199,8 +192,8 @@ type BatchProfile struct {
 }
 
 // Profile is the execution profile of a whole plan. Counter groups:
-// Calls (source traffic), Cache (semantic query cache), Degraded
-// (partial results), Batch (columnar evaluator).
+// Calls (source traffic), Cache (semantic query cache), Batch (columnar
+// evaluator). What a partial-results run dropped is in its Report.
 type Profile struct {
 	Rules []RuleProfile
 	// Elapsed is the whole plan's wall-clock time.
@@ -214,8 +207,6 @@ type Profile struct {
 	Calls CallsProfile
 	// Cache is the semantic query cache's contribution.
 	Cache CacheProfile
-	// Degraded is the partial-results accounting.
-	Degraded DegradedProfile
 	// Batch is the columnar evaluator's batch accounting.
 	Batch BatchProfile
 
@@ -317,9 +308,6 @@ func (p Profile) String() string {
 	}
 	if p.TimeToFirst > 0 {
 		fmt.Fprintf(&b, "first tuple after %s\n", p.TimeToFirst.Round(time.Microsecond))
-	}
-	if p.Degraded.Rules > 0 {
-		fmt.Fprintf(&b, "degraded: %d disjunct(s) dropped\n", p.Degraded.Rules)
 	}
 	if p.Calls.BudgetSpent > 0 {
 		fmt.Fprintf(&b, "budget spent: %d call(s)\n", p.Calls.BudgetSpent)

@@ -1,18 +1,18 @@
 package engine
 
-// Graceful degradation. ANSWER* (Figure 4 of the paper) already accepts
-// that the full answer may be unobtainable at compile time and returns a
-// certified underestimate plus completeness information instead of
-// nothing. Partial-results mode extends the same contract to *runtime*
-// failure: when a rule's evaluation dies terminally — circuit breaker
-// open, per-query budget exhausted, a non-transient source error — the
-// engine drops that disjunct, keeps the rest, and reports what was
-// dropped. The surviving rules' tuples are exactly
-// ANSWER(Q \ failed rules, D): every reported tuple is a certain answer
-// (each disjunct's answers are answers of the union), i.e. a certified
-// underestimate in the sense of ansᵤ; the Δ of the failed disjuncts is
-// unknown because they were never evaluated, so the report carries the
-// disjunct-level ratio instead of the paper's tuple-level one.
+// The completeness report of an execution. ANSWER* (Figure 4 of the
+// paper) returns one result: the certain rows ansᵤ, the overestimate
+// ansₒ, their difference Δ, and whether the answer is complete.
+// Partial-results mode extends that contract to *runtime* failure: when
+// a rule's evaluation dies terminally — circuit breaker open, per-query
+// budget exhausted, a non-transient source error — the engine drops that
+// disjunct, keeps the rest, and reports what was dropped. The surviving
+// rules' tuples are exactly ANSWER(Q \ failed rules, D): every reported
+// tuple is a certain answer (each disjunct's answers are answers of the
+// union), i.e. a certified underestimate in the sense of ansᵤ; the Δ of
+// the failed disjuncts is unknown because they were never evaluated, so
+// the report carries the disjunct-level ratio instead of the paper's
+// tuple-level one. Both are one Report, built by the execution.
 
 import (
 	"context"
@@ -105,41 +105,67 @@ func (f RuleFailure) String() string {
 	return fmt.Sprintf("rule %d (%s) failed at %s: %s: %v", f.RuleIndex+1, f.Rule, at, f.Class, f.Err)
 }
 
-// Incompleteness is the completeness report of a degraded execution,
-// shaped after the AnswerStar report: the answers returned are the
-// certified underestimate (surviving disjuncts only), Failed lists the
-// disjuncts that could not be evaluated, and RuleRatio is the
-// disjunct-level completeness lower bound standing in for Figure 4's
-// |ansᵤ|/|ansₒ| (Δ over the failed disjuncts is unknown — they were
-// never evaluated).
-type Incompleteness struct {
-	// Failed lists the dropped disjuncts in rule order, with the failing
-	// source, step, and failure class.
+// Report is the completeness report of one execution. The driver
+// counts the rules and records each one a runtime failure dropped; at the
+// end of the run the answer fills in the estimates: for a plan that
+// dismissed no rule Under = Over = the answer and Δ = ∅, for any other
+// StarSink.Fill.
+type Report struct {
+	// Under is ansᵤ = ANSWER(Qᵘ, D): tuples guaranteed to be answers.
+	Under *Rel
+	// Over is ansₒ = ANSWER(Qᵒ, D): every answer is subsumed by some
+	// overestimate tuple (null means "unknown value", Example 7).
+	Over *Rel
+	// Delta is Δ = ansₒ \ ansᵤ, the tuples that may be answers. It is
+	// nil — the empty relation to every read-only Rel method — when the
+	// plan dismissed no rule.
+	Delta *Rel
+	// Certified is false iff partial-results mode dropped a rule at
+	// runtime: Under is then still a sound underestimate (the rows of the
+	// surviving rules of Qᵘ), but Over and Δ lack the dropped rule's rows
+	// and bound nothing, so Complete and RatioValid are false.
+	Certified bool
+	// Ratio is the completeness lower bound |ansᵤ|/|ansₒ|, valid only
+	// when RatioValid (certified, Δ nonempty and free of nulls; Example 7
+	// explains why nulls forbid a numeric bound).
+	Ratio      float64
+	RatioValid bool
+	// Failed lists the rules that are not part of the answer in full, in
+	// rule order: each rule a runtime failure dropped (partial-results
+	// mode, with the failing source, step and class) or else, on a
+	// certified report, each rule the plan dismissed whose rows reached Δ
+	// (FailAccessLimited).
 	Failed []RuleFailure
 	// RulesTotal counts the executable disjuncts of the union;
-	// RulesSurvived those that evaluated fully.
+	// RulesSurvived those not in Failed.
 	RulesTotal, RulesSurvived int
 }
 
-// Complete reports whether every disjunct evaluated fully: the answer
-// is the exact ANSWER(Q, D), not just an underestimate.
-func (inc Incompleteness) Complete() bool { return len(inc.Failed) == 0 }
+// Complete reports a certified, empty Δ: the answer is the exact
+// ANSWER(Q, D), even if the query is infeasible (Example 5).
+func (r Report) Complete() bool { return r.Certified && r.Delta.Len() == 0 }
+
+// Degraded reports that a runtime failure dropped a rule: the answer is
+// a sound underestimate and the overestimate is not certified. A query
+// the access patterns cannot answer in full is incomplete without being
+// degraded.
+func (r Report) Degraded() bool { return !r.Certified }
 
 // RuleRatio is the fraction of disjuncts that evaluated fully; ok is
 // false for an empty union. 1.0 means complete.
-func (inc Incompleteness) RuleRatio() (float64, bool) {
-	if inc.RulesTotal == 0 {
+func (r Report) RuleRatio() (float64, bool) {
+	if r.RulesTotal == 0 {
 		return 0, false
 	}
-	return float64(inc.RulesSurvived) / float64(inc.RulesTotal), true
+	return float64(r.RulesSurvived) / float64(r.RulesTotal), true
 }
 
 // FailedSources returns the distinct sources named by the failures, in
 // first-failure order.
-func (inc Incompleteness) FailedSources() []string {
+func (r Report) FailedSources() []string {
 	var out []string
 	seen := map[string]bool{}
-	for _, f := range inc.Failed {
+	for _, f := range r.Failed {
 		if f.Source == "" || seen[f.Source] {
 			continue
 		}
@@ -149,30 +175,48 @@ func (inc Incompleteness) FailedSources() []string {
 	return out
 }
 
-// Report renders the degradation report in the shape of Figure 4's
-// completeness output.
-func (inc Incompleteness) Report() string {
+// String renders the report in the shape of Figure 4. The lines naming
+// the dropped disjuncts follow only when a runtime failure dropped one.
+func (r Report) String() string {
 	var b strings.Builder
-	if inc.Complete() {
-		b.WriteString("answer is complete: every disjunct evaluated\n")
-		return strings.TrimRight(b.String(), "\n")
+	fmt.Fprintf(&b, "answer tuples (underestimate, %d):\n", r.Under.Len())
+	for _, row := range r.Under.Sorted() {
+		fmt.Fprintf(&b, "  %s\n", row)
 	}
-	b.WriteString("answer is an underestimate: these disjuncts could not be evaluated:\n")
-	for _, f := range inc.Failed {
-		fmt.Fprintf(&b, "  %s\n", f)
+	switch {
+	case r.Complete():
+		b.WriteString("answer is complete\n")
+	case !r.Certified:
+		b.WriteString("answer is not known to be complete\n")
+		b.WriteString("the overestimate is not certified: a disjunct failed and was dropped\n")
+	default:
+		b.WriteString("answer is not known to be complete\n")
+		b.WriteString("these tuples may be part of the answer:\n")
+		for _, row := range r.Delta.Sorted() {
+			fmt.Fprintf(&b, "  %s\n", row)
+		}
+		if r.RatioValid {
+			fmt.Fprintf(&b, "answer is at least %.2f complete\n", r.Ratio)
+		}
 	}
-	if srcs := inc.FailedSources(); len(srcs) > 0 {
-		fmt.Fprintf(&b, "failed sources: %s\n", strings.Join(srcs, ", "))
-	}
-	if r, ok := inc.RuleRatio(); ok {
-		fmt.Fprintf(&b, "at least %d of %d disjuncts (%.2f) answered in full\n", inc.RulesSurvived, inc.RulesTotal, r)
+	if r.Degraded() {
+		b.WriteString("these disjuncts could not be evaluated:\n")
+		for _, f := range r.Failed {
+			fmt.Fprintf(&b, "  %s\n", f)
+		}
+		if srcs := r.FailedSources(); len(srcs) > 0 {
+			fmt.Fprintf(&b, "failed sources: %s\n", strings.Join(srcs, ", "))
+		}
+		if ratio, ok := r.RuleRatio(); ok {
+			fmt.Fprintf(&b, "at least %d of %d disjuncts (%.2f) answered in full\n", r.RulesSurvived, r.RulesTotal, ratio)
+		}
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
 
 // record appends a failure for rule i, attributing source and step when
 // the error chain carries a callError.
-func (inc *Incompleteness) record(i int, rule logic.CQ, err error) {
+func (r *Report) record(i int, rule logic.CQ, err error) {
 	f := RuleFailure{RuleIndex: i, Rule: rule.Clone(), Class: ClassifyFailure(err), Err: err}
 	var ce *callError
 	if errors.As(err, &ce) {
@@ -186,20 +230,20 @@ func (inc *Incompleteness) record(i int, rule logic.CQ, err error) {
 		}
 		f.Replicas = append([]string(nil), re.Tried...)
 	}
-	inc.Failed = append(inc.Failed, f)
+	r.Failed = append(r.Failed, f)
 }
 
 // accessLimited records dismissed rule i, whose rows reached Δ: it is no
 // certain part of the answer.
-func (inc *Incompleteness) accessLimited(i int, ra *core.RuleAnalysis) {
+func (r *Report) accessLimited(i int, ra *core.RuleAnalysis) {
 	lits := make([]string, len(ra.Unanswerable))
 	for j, l := range ra.Unanswerable {
 		lits[j] = l.String()
 	}
 	step := strings.Join(lits, ", ")
-	inc.Failed = append(inc.Failed, RuleFailure{RuleIndex: i, Rule: ra.Rule, Step: step, Class: FailAccessLimited,
+	r.Failed = append(r.Failed, RuleFailure{RuleIndex: i, Rule: ra.Rule, Step: step, Class: FailAccessLimited,
 		Err: fmt.Errorf("engine: no access pattern answers %s", step)})
-	inc.RulesSurvived--
+	r.RulesSurvived--
 }
 
 // degradable reports whether a rule failure may be absorbed in

@@ -51,7 +51,7 @@ func TestRuntimeMatchesSequentialOnPaperExamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := ded.Report(), seq.Report(); got != want {
+			if got, want := ded.String(), seq.String(); got != want {
 				t.Errorf("reports differ:\nsequential:\n%s\nruntime:\n%s", want, got)
 			}
 			if !ded.Under.Equal(seq.Under) || !ded.Over.Equal(seq.Over) {

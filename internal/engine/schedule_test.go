@@ -39,7 +39,7 @@ var schedules = []schedule{
 
 // run executes u under the schedule and returns what a caller of either
 // API shape can observe once the execution has finished.
-func (s schedule) run(u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts) (*Rel, Profile, *Incompleteness, error) {
+func (s schedule) run(u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Answered, o Opts) (*Rel, Profile, *Report, error) {
 	p, err := core.NewPlan(u, ps)
 	if err != nil {
 		return nil, Profile{}, nil, err
@@ -49,23 +49,24 @@ func (s schedule) run(u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Ans
 	ctx := context.Background()
 	if !s.staged {
 		out := NewRel()
-		prof, inc, err := rt.Run(ctx, p, cat, pre, o, Into(out))
-		return out, prof, inc, err
+		prof, rep, err := rt.Run(ctx, p, cat, pre, o, Into(out))
+		rep.Under, rep.Over = out, out
+		return out, prof, partialReport(rep, o), err
 	}
 	rt.BatchSize, rt.StageBuffer = s.batch, s.buffer
 	st := rt.StreamEval(ctx, p, cat, pre, o)
 	rel, err := st.Drain()
 	prof, _ := st.Profile()
-	var inc *Incompleteness
-	if got, ok := st.Incomplete(); ok {
-		inc = &got
+	var inc *Report
+	if got, ok := st.Report(); ok {
+		inc = partialReport(got, o)
 	}
 	return rel, prof, inc, err
 }
 
 // incSummary renders the parts of a degradation report two executions
 // of the same plan over the same faults must agree on.
-func incSummary(inc *Incompleteness) string {
+func incSummary(inc *Report) string {
 	if inc == nil {
 		return "<nil>"
 	}
@@ -239,7 +240,7 @@ func agreeStrict(t *testing.T, label string, u logic.UCQ, ps *access.Set, in *In
 // must agree with the map-based oracle: byte-identical rows in the same
 // insertion order (as a set where parallel pipelines interleave), the
 // same source calls, per step the oracle's bindings projected onto the
-// live variables (checkStepBindings), and the same Incompleteness
+// live variables (checkStepBindings), and the same Report
 // report. With half the disjuncts pre-answered, the materialized and the
 // drained-stream results must both be that same relation, for the
 // remaining disjuncts' calls only. Every fifth plan also runs, strict and
@@ -367,8 +368,9 @@ func TestSchedulesAgreeWithOracle(t *testing.T) {
 
 // runStar executes ANSWER* for plan p under the schedule: the report,
 // what the caller's API shape hands out as the answer (Under itself, or
-// the drained stream), the profile and the degradation report.
-func (s schedule) runStar(p core.Plan, cat *sources.Catalog, o Opts) (AnswerStar, *Rel, Profile, *Incompleteness, error) {
+// the drained stream), the profile and, under o.Partial, the report
+// again (partialReport).
+func (s schedule) runStar(p core.Plan, cat *sources.Catalog, o Opts) (Report, *Rel, Profile, *Report, error) {
 	rt := NewRuntime()
 	rt.Retry = RetryPolicy{}
 	ctx := context.Background()
@@ -380,18 +382,14 @@ func (s schedule) runStar(p core.Plan, cat *sources.Catalog, o Opts) (AnswerStar
 	st := rt.StreamEval(ctx, p, cat, Answered{}, o)
 	rel, err := st.Drain()
 	if err != nil {
-		return AnswerStar{}, nil, Profile{}, nil, err
+		return Report{}, nil, Profile{}, nil, err
 	}
-	star, ok := st.Star()
+	star, ok := st.Report()
 	if !ok {
-		return AnswerStar{}, nil, Profile{}, nil, fmt.Errorf("no ANSWER* report after the stream ran to its end")
+		return Report{}, nil, Profile{}, nil, fmt.Errorf("no ANSWER* report after the stream ran to its end")
 	}
 	prof, _ := st.Profile()
-	var inc *Incompleteness
-	if got, ok := st.Incomplete(); ok {
-		inc = &got
-	}
-	return star, rel, prof, inc, nil
+	return star, rel, prof, partialReport(star, o), nil
 }
 
 // covered reports whether some row of rel equals row on every non-null
@@ -523,15 +521,15 @@ func TestAnswerStarAgreesWithOracle(t *testing.T) {
 						}
 					}
 					delta := wantOver.Minus(wantUnder)
-					if !star.OverCertified || !star.Delta.Equal(delta) || star.Complete != (delta.Len() == 0) ||
+					if !star.Certified || !star.Delta.Equal(delta) || star.Complete() != (delta.Len() == 0) ||
 						star.RatioValid != (delta.Len() > 0 && !delta.HasNull()) ||
 						(star.RatioValid && star.Ratio != float64(wantUnder.Len())/float64(wantOver.Len())) {
-						t.Fatalf("%s\nreport does not follow from the estimates:\n%s", label, star.Report())
+						t.Fatalf("%s\nreport does not follow from the estimates:\n%s", label, star.String())
 					}
 					if star.RatioValid {
 						ratios++
 					}
-					if !star.Complete {
+					if !star.Complete() {
 						incomplete++
 					}
 
@@ -546,8 +544,8 @@ func TestAnswerStarAgreesWithOracle(t *testing.T) {
 					if g, w := incSummary(inc), incSummary(wantInc); g != w {
 						t.Fatalf("%s\nincompleteness %s, want %s", label, g, w)
 					}
-					if star.OverCertified || star.Complete || star.RatioValid || !strings.Contains(star.Report(), "not certified") {
-						t.Fatalf("%s\na dropped disjunct must leave the overestimate uncertified:\n%s", label, star.Report())
+					if star.Certified || star.Complete() || star.RatioValid || !strings.Contains(star.String(), "not certified") {
+						t.Fatalf("%s\na dropped disjunct must leave the overestimate uncertified:\n%s", label, star.String())
 					}
 				}
 			}

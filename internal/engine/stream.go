@@ -61,10 +61,10 @@ type Stream struct {
 	ttf    time.Duration
 
 	prof     Profile
-	inc      *Incompleteness // partial-results report; nil in strict mode
-	star     *AnswerStar     // a dismissing plan's ANSWER* report, once it ran to its end
-	drained  *Rel            // what Drain collected
-	profDone chan struct{}   // closed when prof (and inc, star) are fully assembled
+	rep      Report        // the execution's report; Under and Over unset for a certain plan
+	ended    bool          // the driver ran to its end: no failure, not closed early
+	drained  *Rel          // what Drain collected
+	profDone chan struct{} // closed when prof, rep and ended are assembled
 }
 
 // Next advances to the next tuple, blocking until one is available. It
@@ -156,31 +156,22 @@ func (s *Stream) Profile() (Profile, bool) {
 	return s.prof, true
 }
 
-// Incomplete returns the degradation report of a partial-results stream
-// once it has finished (exhausted, failed, or closed). ok is false while
-// the stream is still running or when the stream was not started with
-// Opts.Partial.
-func (s *Stream) Incomplete() (Incompleteness, bool) {
-	if !s.finished() || s.inc == nil {
-		return Incompleteness{}, false
+// Report returns the execution's report once the stream has run to its
+// end, however it was read. ok is false while the stream is still
+// running, and for good when it failed or was closed before the driver
+// finished: estimates cut short bound nothing. Under and Over of a plan
+// that dismissed no rule are its answer, which the stream does not keep:
+// they are set only once Drain has collected it, and nil (empty) after
+// a Next loop.
+func (s *Stream) Report() (Report, bool) {
+	if !s.finished() || !s.ended {
+		return Report{}, false
 	}
-	return *s.inc, true
-}
-
-// Star returns the ANSWER* report once the stream has run to its end.
-// ok is false while the stream is still running, and for good when it
-// failed or was closed early: estimates cut short bound nothing. The
-// report of a plan that dismissed no rule is its answer (CertainStar),
-// which the stream holds once Drain has collected it.
-func (s *Stream) Star() (AnswerStar, bool) {
-	switch {
-	case !s.finished():
-	case s.star != nil:
-		return *s.star, true
-	case s.drained != nil:
-		return CertainStar(s.drained, s.inc), true
+	rep := s.rep
+	if rep.Over == nil {
+		rep.Under, rep.Over = s.drained, s.drained
 	}
-	return AnswerStar{}, false
+	return rep, true
 }
 
 // fail records the pipeline's first real failure and cancels every
@@ -228,7 +219,8 @@ func (s *Stream) emit(ctx context.Context, batch []Row) bool {
 // per-stage buffering come from rt.BatchSize and rt.StageBuffer;
 // runtime failures surface through Stream.Err. A plan that dismissed a
 // rule has ANSWER*'s sink between the driver and the channel: the
-// stream carries the underestimate, and Star reports once it has ended.
+// stream carries the underestimate, and Report has both estimates once
+// the stream has ended.
 func (rt *Runtime) StreamEval(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts) *Stream {
 	s := &Stream{
 		rows:     make(chan []Row, rt.stageBuffer()),
@@ -253,15 +245,14 @@ func (rt *Runtime) StreamEval(ctx context.Context, p core.Plan, cat *sources.Cat
 		defer s.wg.Done()
 		defer close(s.rows)
 		defer close(s.profDone)
-		prof, inc, err := x.run(sctx)
+		prof, rep, err := x.run(sctx)
 		s.fail(err)
 		if star != nil && err == nil {
-			report := star.Report(inc)
-			s.star = &report
+			star.Fill(&rep)
 		}
 		s.mu.Lock()
 		prof.TimeToFirst = s.ttf
-		s.prof, s.inc = prof, inc
+		s.prof, s.rep, s.ended = prof, rep, err == nil
 		s.mu.Unlock()
 	}()
 	return s

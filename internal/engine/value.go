@@ -293,7 +293,7 @@ func (r *Rel) insert(row Row) bool {
 
 // Contains reports membership.
 func (r *Rel) Contains(row Row) bool {
-	if len(r.rows) == 0 {
+	if r.Len() == 0 {
 		return false
 	}
 	r.index(0)
@@ -302,17 +302,26 @@ func (r *Rel) Contains(row Row) bool {
 }
 
 // Len returns the number of rows.
-func (r *Rel) Len() int { return len(r.rows) }
+func (r *Rel) Len() int { return len(r.Rows()) }
 
 // Rows returns the rows in insertion order (shared backing; do not
-// mutate).
-func (r *Rel) Rows() []Row { return r.rows }
+// mutate). A nil *Rel is the empty relation to Rows and to every other
+// method that only reads.
+func (r *Rel) Rows() []Row {
+	if r == nil {
+		return nil
+	}
+	return r.rows
+}
 
 // Sorted returns the rows in canonical order: the order of their keys
 // (Row.Key), with no key built (compareRows). On a frozen relation or a
 // view the order is computed by the first call and the slice is shared
 // by every handle over the same rows: like Rows, do not mutate it.
 func (r *Rel) Sorted() []Row {
+	if r == nil {
+		return nil
+	}
 	if o := r.order; o != nil {
 		o.once.Do(func() { o.rows = sortedRows(r.rows) })
 		return o.rows
@@ -333,7 +342,7 @@ func sortedRows(rows []Row) []Row {
 // distinct.
 func (r *Rel) Minus(other *Rel) *Rel {
 	out := NewRel()
-	for _, row := range r.rows {
+	for _, row := range r.Rows() {
 		if !other.Contains(row) {
 			out.rows = append(out.rows, row)
 		}
@@ -545,7 +554,7 @@ func (r *Rel) Equal(other *Rel) bool {
 	if r.Len() != other.Len() {
 		return false
 	}
-	for _, row := range r.rows {
+	for _, row := range r.Rows() {
 		if !other.Contains(row) {
 			return false
 		}
@@ -555,7 +564,7 @@ func (r *Rel) Equal(other *Rel) bool {
 
 // HasNull reports whether any row contains a null.
 func (r *Rel) HasNull() bool {
-	for _, row := range r.rows {
+	for _, row := range r.Rows() {
 		if row.HasNull() {
 			return true
 		}

@@ -16,8 +16,8 @@ package persist
 // A payload is a record-type byte followed by the record's fields:
 //
 //	entry     = 0x01, label, gen, created, coreKey, coreJSON, arity,
-//	            nrows, rows (each: ncols, then per value a null flag
-//	            byte and the string bytes)
+//	            nrows, rows (each: ncols, then per value a flag byte:
+//	            0 and the string, or 1 for null)
 //	tombstone = 0x02, label, gen
 //
 // Integers are varints; strings are uvarint length + raw bytes. Rows
@@ -270,10 +270,13 @@ func decodeRecord(payload []byte) (record, error) {
 				row = make([]Value, 0, ncols)
 			}
 			for j := uint64(0); j < ncols; j++ {
-				if r.byte() == 1 {
-					row = append(row, Value{Null: true})
-				} else {
+				switch r.byte() {
+				case 0:
 					row = append(row, Value{S: r.string()})
+				case 1:
+					row = append(row, Value{Null: true})
+				default:
+					return record{}, fmt.Errorf("%w: unknown value flag", errCorrupt)
 				}
 			}
 			e.Rows = append(e.Rows, row)

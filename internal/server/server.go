@@ -7,7 +7,7 @@
 // the server cannot afford to evaluate is not refused with a 503 — it
 // is executed in shed mode (a per-query budget that admits no source
 // calls), which degrades it to the certified underestimate covered by
-// the answer cache, with the Incompleteness report serialized into the
+// the answer cache, with the execution's report serialized into the
 // response instead of an error. Every 200 is sound; "complete" says
 // whether it is also exact.
 //
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -285,8 +284,8 @@ type FailedRule struct {
 	Error  string `json:"error"`
 }
 
-// IncompletenessReport serializes an engine Incompleteness for the
-// wire: how many disjuncts survived and why the rest were dropped.
+// IncompletenessReport serializes an execution's Report for the wire:
+// how many disjuncts survived and why the rest did not.
 type IncompletenessReport struct {
 	RulesTotal    int          `json:"rules_total"`
 	RulesSurvived int          `json:"rules_survived"`
@@ -426,10 +425,10 @@ func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, er
 		resp.Calls = prof.Calls.Total
 		t.calls.Add(int64(prof.Calls.Total))
 	}
-	if inc, ok := res.Incompleteness(); ok {
-		resp.Incompleteness = wireIncompleteness(inc)
-		resp.Complete = inc.Complete()
-		resp.Degraded = slices.ContainsFunc(inc.Failed, func(f ucqn.RuleFailure) bool { return f.Class != ucqn.FailAccessLimited })
+	if rep, ok := res.Report(); ok {
+		resp.Incompleteness = wireIncompleteness(rep)
+		resp.Complete = rep.Complete()
+		resp.Degraded = rep.Degraded()
 		if resp.Degraded {
 			t.degraded.Add(1)
 		}
@@ -437,9 +436,9 @@ func (s *Server) Query(ctx context.Context, tenant, query string) (*Response, er
 	return resp, nil
 }
 
-func wireIncompleteness(inc ucqn.Incompleteness) *IncompletenessReport {
-	rep := &IncompletenessReport{RulesTotal: inc.RulesTotal, RulesSurvived: inc.RulesSurvived}
-	for _, f := range inc.Failed {
+func wireIncompleteness(r ucqn.Report) *IncompletenessReport {
+	rep := &IncompletenessReport{RulesTotal: r.RulesTotal, RulesSurvived: r.RulesSurvived}
+	for _, f := range r.Failed {
 		fr := FailedRule{Rule: f.RuleIndex + 1, Class: string(f.Class), Source: f.Source, Step: f.Step}
 		if f.Err != nil {
 			fr.Error = f.Err.Error()

@@ -93,8 +93,8 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !star.Complete {
-		t.Errorf("constrained ANSWER* must certify completeness: %s", star.Report())
+	if !star.Complete() {
+		t.Errorf("constrained ANSWER* must certify completeness: %s", star.String())
 	}
 	if !star.Under.Equal(truth) {
 		t.Error("constrained ANSWER* answers must match ground truth")

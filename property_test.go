@@ -225,7 +225,7 @@ func TestEstimateSandwichProperty(t *testing.T) {
 				t.Fatalf("overestimate incomplete: true answer %s not covered for\n%s\nover = %s", row, u, res.Over)
 			}
 		}
-		if res.Complete && !res.Under.Equal(truth) {
+		if res.Complete() && !res.Under.Equal(truth) {
 			t.Fatalf("ANSWER* claimed completeness falsely for\n%s", u)
 		}
 	}

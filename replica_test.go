@@ -100,7 +100,7 @@ func TestExecReplicasSurviveDeadReplica(t *testing.T) {
 						t.Fatal("no incompleteness report")
 					}
 					if !inc.Complete() {
-						t.Errorf("with healthy backups the answer must be complete:\n%s", inc.Report())
+						t.Errorf("with healthy backups the answer must be complete:\n%s", inc.String())
 					}
 				})
 			}
@@ -134,7 +134,7 @@ func TestExecReplicasHedgePastHungReplica(t *testing.T) {
 			}
 			inc, _ := res.Incompleteness()
 			if !inc.Complete() {
-				t.Errorf("hedging must keep the answer complete:\n%s", inc.Report())
+				t.Errorf("hedging must keep the answer complete:\n%s", inc.String())
 			}
 		})
 	}

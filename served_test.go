@@ -116,10 +116,10 @@ func TestUnionOrderAcrossPaths(t *testing.T) {
 		t.Fatal("the second cached run was no full answer hit")
 	}
 	check("cached, parallel rules", WithQueryCache(NewQueryCache(QueryCacheOptions{DisableAnswers: true})), WithParallelRules())
-	star, _ := seq.Star()
+	star, _ := seq.Report()
 	sameRowsByRefKey(t, "ANSWER* overestimate", star.Over.Rows(), want)
 	sameRowsByRefKey(t, "ANSWER* overestimate, sorted", star.Over.Sorted(), wantSorted)
-	if star.Delta.Len() != 0 || !star.Complete {
+	if star.Delta.Len() != 0 || !star.Complete() {
 		t.Fatalf("ANSWER*: Δ has %d rows, want a complete answer", star.Delta.Len())
 	}
 }

@@ -105,8 +105,9 @@ type (
 	Row = engine.Row
 	// Value is a constant answer value or null.
 	Value = engine.Value
-	// AnswerStar is the ANSWER* runtime report.
-	AnswerStar = engine.AnswerStar
+	// Report is the completeness report of an execution (Result.Report):
+	// ANSWER*'s estimates and the disjuncts a runtime failure dropped.
+	Report = engine.Report
 	// DomResult is the outcome of domain enumeration.
 	DomResult = engine.DomResult
 )

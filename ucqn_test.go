@@ -137,7 +137,7 @@ func TestAnswerStarFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Complete {
+	if res.Complete() {
 		t.Error("must not be complete (R/S mismatch)")
 	}
 	improved, _, dom, err := execImproveUnder(q, ps, cat, 10_000)
