@@ -284,7 +284,7 @@ func TestExecPartialReportVocabulary(t *testing.T) {
 	}
 	inc, _ := res.Incompleteness()
 	report := inc.String()
-	for _, want := range []string{"underestimate", "failed sources: S", "1 of 2 disjuncts"} {
+	for _, want := range []string{"these disjuncts could not be evaluated", "failed sources: S", "1 of 2 disjuncts"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
 		}

@@ -192,7 +192,10 @@ func (r *Result) Profile() (ExecProfile, bool) {
 // access-limited). For a plan that dismissed no rule Under = Over = the
 // answer and Δ = ∅. In streaming mode it is available once the stream
 // ran to its end, however it was read (Stream.Report) — ok is false
-// before that, and for good when it failed or was closed early.
+// before that, and for good when it failed or was closed early. The
+// stream keeps no copy of its rows, so a streamed plan that dismissed no
+// rule has Under and Over once Drain collected them, and nil (not kept)
+// after a Next loop.
 func (r *Result) Report() (Report, bool) {
 	if r.stream != nil {
 		return r.stream.Report()
@@ -308,14 +311,8 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		res.stream = rt.StreamEval(ctx, plan, cat, pre, o)
 		return res, nil
 	}
-	// A plan that dismissed a rule runs into ANSWER*'s sink.
-	out := engine.NewRel()
-	sink := engine.Into(out)
-	var star *engine.StarSink
-	if plan.Dismissed != nil {
-		star = engine.NewStarSink(plan)
-		sink = star.Sink()
-	}
+	star := engine.NewStarSink(plan)
+	sink := star.Sink()
 	if store.entry != nil {
 		sink = store.sink(sink)
 	}
@@ -327,13 +324,9 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		prof.Cache = res.prof.Cache
 		prof.Cache.Evictions += c.qc.StoreAnswers(store.entry, cat, store.rels)
 	}
-	if star == nil {
-		rep.Under, rep.Over = out, out
-	} else {
-		star.Fill(&rep)
-	}
+	star.Fill(&rep)
 	res.rel, res.prof, res.rep = rep.Under, prof, rep
-	if star != nil && c.improve {
+	if plan.Dismissed != nil && c.improve {
 		if res.rel, res.rules, res.dom, err = rt.ImproveUnder(ctx, plan, rep.Under, ps, cat, c.maxCalls, o); err != nil {
 			return nil, err
 		}

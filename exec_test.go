@@ -7,6 +7,7 @@ package ucqn
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -466,6 +467,9 @@ func TestStreamReportAfterNext(t *testing.T) {
 		}
 		if rep.Under != nil || rep.Over != nil {
 			t.Errorf("parallel=%v: a stream read with Next must not keep its rows for the report", parallel)
+		}
+		if text := rep.String(); !strings.HasPrefix(text, "answer tuples (underestimate): rows not kept\n") || strings.Contains(text, "underestimate, 0") {
+			t.Errorf("parallel=%v: report text %q does not say the rows were not kept", parallel, text)
 		}
 		if err := ReportInvariants(rep, true); err != nil {
 			t.Errorf("parallel=%v: %v", parallel, err)

@@ -17,15 +17,18 @@ import (
 // it cannot runs as its overestimate Qᵢᵒ, recorded in Plan.Dismissed. So
 // both estimates come from the one execution of the plan: every rule's
 // rows go into ansₒ, and the rows of the certain rules — the rules Qᵘ
-// shares with Qᵒ — into ansᵤ. A plan that dismissed nothing has
-// ansᵤ = ansₒ, the answer itself, and runs into Into; StarSink is the
-// sink of the rest, and fills in the estimates of the execution's Report.
+// shares with Qᵒ — into ansᵤ. StarSink is the sink of every run, and
+// fills in the estimates of the execution's Report once it has finished.
 
-// StarSink is the half of ANSWER* behind the driver, for a plan that
-// dismissed a rule.
+// StarSink is the half of ANSWER* behind the driver. For a plan that
+// dismissed no rule ansᵤ = ansₒ, the answer itself, and the sink is
+// Into it.
 type StarSink struct {
 	plan        core.Plan
 	under, over *Rel
+	// answer holds ansᵤ = ansₒ of a materialized run of a plan that
+	// dismissed no rule, so the sink and the answer are one allocation.
+	answer Rel
 	// dismissed[i] holds the batches of dismissed rule i, whose rows Δ
 	// may hold.
 	dismissed [][][]Row
@@ -38,17 +41,34 @@ type StarSink struct {
 
 // NewStarSink returns the sink of a run of p.
 func NewStarSink(p core.Plan) *StarSink {
-	return &StarSink{plan: p, under: NewRel(), over: NewRel(), dismissed: make([][][]Row, len(p.Exec.Rules))}
+	st := &StarSink{plan: p}
+	if p.Dismissed != nil {
+		st.under, st.over, st.dismissed = NewRel(), NewRel(), make([][][]Row, len(p.Exec.Rules))
+	}
+	return st
 }
 
 // Sink collects the estimates of a materialized run.
-func (st *StarSink) Sink() Sink { return st.sink(nil) }
+func (st *StarSink) Sink() Sink {
+	if st.plan.Dismissed == nil {
+		st.under, st.over = &st.answer, &st.answer
+		return Into(&st.answer)
+	}
+	return st.sink(nil)
+}
 
-// sink collects the estimates. A stream carries the underestimate — a
-// row of a certain rule is an answer the moment the driver delivers it —
-// so those rows, and only those, go on to emit (nil on a materialized
-// run). The count it reports is the rows new to ansₒ.
+// sink collects the estimates of a streamed run. A stream carries the
+// underestimate — a row of a certain rule is an answer the moment the
+// driver delivers it — so those rows, and only those, go on to emit. The
+// count it reports is the rows new to ansₒ. A stream of a plan that
+// dismissed no rule carries the whole answer, which the sink does not
+// keep: its report's Under and Over stay nil.
 func (st *StarSink) sink(emit func(context.Context, []Row) bool) Sink {
+	if st.plan.Dismissed == nil {
+		return func(ctx context.Context, _ int, rows []Row) (int, bool) {
+			return len(rows), emit(ctx, rows)
+		}
+	}
 	return func(ctx context.Context, rule int, rows []Row) (int, bool) {
 		certain := st.plan.Certain(rule)
 		if st.locked {
@@ -77,12 +97,18 @@ func (st *StarSink) sink(emit func(context.Context, []Row) bool) Sink {
 }
 
 // Fill completes rep, the report of the run that fed the sink, once it
-// has finished: Under, Over, Δ and the ratio. Every dismissed rule that
-// put a row into Δ joins rep's failures, class FailAccessLimited, its
-// step the literals the plan dismissed — unless a runtime failure
-// dropped a disjunct, which leaves Δ bounding nothing.
+// has finished: Under, Over, Δ and the ratio. A plan that dismissed no
+// rule has Under = Over = its answer (nil when a stream carried it) and
+// no Δ. Every dismissed rule that put a row into Δ joins rep's failures,
+// class FailAccessLimited, its step the literals the plan dismissed —
+// unless a runtime failure dropped a disjunct, which leaves Δ bounding
+// nothing.
 func (st *StarSink) Fill(rep *Report) {
-	rep.Under, rep.Over, rep.Delta = st.under, st.over, st.over.Minus(st.under)
+	rep.Under, rep.Over = st.under, st.over
+	if st.plan.Dismissed == nil {
+		return
+	}
+	rep.Delta = st.over.Minus(st.under)
 	if !rep.Certified || rep.Delta.Len() == 0 {
 		return
 	}

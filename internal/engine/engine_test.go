@@ -39,21 +39,21 @@ func mustPlan(t *testing.T, u logic.UCQ, ps *access.Set) core.Plan {
 	return p
 }
 
-// eval plans u (core.NewPlan) and runs the plan on rt under o into a
-// fresh relation: the materialized answer, the profile and — in
-// partial-results mode — the report (partialReport).
+// eval plans u (core.NewPlan) and runs the plan on rt under o into
+// ANSWER*'s sink: the materialized answer (every rule's rows, ansₒ), the
+// profile and — in partial-results mode — the report (partialReport).
 func eval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, cat *sources.Catalog, o Opts) (*Rel, Profile, *Report, error) {
 	p, err := core.NewPlan(u, ps)
 	if err != nil {
 		return nil, Profile{}, nil, err
 	}
-	out := NewRel()
-	prof, rep, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
+	st := NewStarSink(p)
+	prof, rep, err := rt.Run(ctx, p, cat, Answered{}, o, st.Sink())
 	if err != nil {
 		return nil, Profile{}, nil, err
 	}
-	rep.Under, rep.Over = out, out
-	return out, prof, partialReport(rep, o), nil
+	st.Fill(&rep)
+	return rep.Over, prof, partialReport(rep, o), nil
 }
 
 // partialReport is rep under o.Partial and nil otherwise: the report the
@@ -93,17 +93,11 @@ func answerStar(u logic.UCQ, ps *access.Set, cat *sources.Catalog) (Report, erro
 	return star, err
 }
 
-// runStar runs p materialized on rt under o into the sink its
-// dismissed rules call for, as the facade's Exec does, and returns the
+// runStar runs p materialized on rt under o into ANSWER*'s sink, as
+// the facade's Exec does, and returns the
 // report beside the profile and, under o.Partial, the report again
 // (partialReport).
 func runStar(ctx context.Context, rt *Runtime, p core.Plan, cat *sources.Catalog, o Opts) (Report, Profile, *Report, error) {
-	if p.Dismissed == nil {
-		out := NewRel()
-		prof, rep, err := rt.Run(ctx, p, cat, Answered{}, o, Into(out))
-		rep.Under, rep.Over = out, out
-		return rep, prof, partialReport(rep, o), err
-	}
 	st := NewStarSink(p)
 	prof, rep, err := rt.Run(ctx, p, cat, Answered{}, o, st.Sink())
 	st.Fill(&rep)

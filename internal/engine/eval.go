@@ -382,8 +382,8 @@ func (x *execution) deliver(ctx context.Context, r *ruleRun, rows []Row) bool {
 // over the whole binding set, inline on the caller's goroutine (rule
 // goroutines only under o.Parallel), and the answered rules' rows enter
 // sink in rule order. It returns the profile and the report, whose
-// Under, Over and Δ are the sink's to fill in: the answer itself for a
-// plan that dismissed no rule, StarSink.Fill for any other. A partial run
+// Under, Over and Δ StarSink.Fill fills in when sink is a StarSink's.
+// A partial run
 // past ctx's deadline has run out of time budget: what the deadline
 // stopped is dropped as budget-exhausted, and the rules that finished
 // answer.

@@ -107,11 +107,13 @@ func (f RuleFailure) String() string {
 
 // Report is the completeness report of one execution. The driver
 // counts the rules and records each one a runtime failure dropped; at the
-// end of the run the answer fills in the estimates: for a plan that
-// dismissed no rule Under = Over = the answer and Δ = ∅, for any other
-// StarSink.Fill.
+// end of the run StarSink.Fill fills in the estimates.
 type Report struct {
 	// Under is ansᵤ = ANSWER(Qᵘ, D): tuples guaranteed to be answers.
+	// Under and Over are nil — not kept, which is not empty — on the
+	// report of a stream of a plan that dismissed no rule, read with Next
+	// rather than Drain: the stream keeps no copy of the answer it
+	// delivered.
 	Under *Rel
 	// Over is ansₒ = ANSWER(Qᵒ, D): every answer is subsumed by some
 	// overestimate tuple (null means "unknown value", Example 7).
@@ -176,10 +178,15 @@ func (r Report) FailedSources() []string {
 }
 
 // String renders the report in the shape of Figure 4. The lines naming
-// the dropped disjuncts follow only when a runtime failure dropped one.
+// the dropped disjuncts follow only when a runtime failure dropped one;
+// the answer tuples are listed only when Under was kept.
 func (r Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "answer tuples (underestimate, %d):\n", r.Under.Len())
+	if r.Under == nil {
+		b.WriteString("answer tuples (underestimate): rows not kept\n")
+	} else {
+		fmt.Fprintf(&b, "answer tuples (underestimate, %d):\n", r.Under.Len())
+	}
 	for _, row := range r.Under.Sorted() {
 		fmt.Fprintf(&b, "  %s\n", row)
 	}

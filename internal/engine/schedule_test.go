@@ -48,10 +48,10 @@ func (s schedule) run(u logic.UCQ, ps *access.Set, cat *sources.Catalog, pre Ans
 	rt.Retry = RetryPolicy{}
 	ctx := context.Background()
 	if !s.staged {
-		out := NewRel()
-		prof, rep, err := rt.Run(ctx, p, cat, pre, o, Into(out))
-		rep.Under, rep.Over = out, out
-		return out, prof, partialReport(rep, o), err
+		star := NewStarSink(p)
+		prof, rep, err := rt.Run(ctx, p, cat, pre, o, star.Sink())
+		star.Fill(&rep)
+		return rep.Over, prof, partialReport(rep, o), err
 	}
 	rt.BatchSize, rt.StageBuffer = s.batch, s.buffer
 	st := rt.StreamEval(ctx, p, cat, pre, o)

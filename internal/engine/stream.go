@@ -217,25 +217,18 @@ func (s *Stream) emit(ctx context.Context, batch []Row) bool {
 // byte-identical to Run into Into on the same inputs — same rows in the
 // same order — and issues the same source calls. Batch size and
 // per-stage buffering come from rt.BatchSize and rt.StageBuffer;
-// runtime failures surface through Stream.Err. A plan that dismissed a
-// rule has ANSWER*'s sink between the driver and the channel: the
-// stream carries the underestimate, and Report has both estimates once
-// the stream has ended.
+// runtime failures surface through Stream.Err. ANSWER*'s sink sits
+// between the driver and the channel: the stream of a plan that
+// dismissed a rule carries the underestimate, and Report has both
+// estimates once the stream has ended.
 func (rt *Runtime) StreamEval(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts) *Stream {
 	s := &Stream{
 		rows:     make(chan []Row, rt.stageBuffer()),
 		profDone: make(chan struct{}),
 	}
-	sink := func(ctx context.Context, _ int, rows []Row) (int, bool) {
-		return len(rows), s.emit(ctx, rows)
-	}
-	var star *StarSink
-	if p.Dismissed != nil {
-		star = NewStarSink(p)
-		star.locked = o.Parallel
-		sink = star.sink(s.emit)
-	}
-	x := rt.newExecution(cat, o, true, sink)
+	star := NewStarSink(p)
+	star.locked = o.Parallel
+	x := rt.newExecution(cat, o, true, star.sink(s.emit))
 	x.compile(p, pre)
 	s.start = x.start
 	sctx, cancel := context.WithCancel(ctx)
@@ -247,7 +240,7 @@ func (rt *Runtime) StreamEval(ctx context.Context, p core.Plan, cat *sources.Cat
 		defer close(s.profDone)
 		prof, rep, err := x.run(sctx)
 		s.fail(err)
-		if star != nil && err == nil {
+		if err == nil {
 			star.Fill(&rep)
 		}
 		s.mu.Lock()

@@ -178,7 +178,11 @@ func Frozen(rows []Row) *Rel {
 // same rows, same insertion order and — when r is frozen — the same
 // shared canonical order. Later Adds to r or to the view are invisible
 // to the other (the first new row copies the slice of row headers).
+// The view of a nil *Rel is a fresh empty relation.
 func (r *Rel) View() *Rel {
+	if r == nil {
+		return NewRel()
+	}
 	if r.order == nil {
 		return Frozen(r.rows)
 	}
@@ -236,8 +240,8 @@ func (r *Rel) AddRows(rows []Row) int {
 	return added
 }
 
-// AddAll inserts every row of other.
-func (r *Rel) AddAll(other *Rel) { r.AddRows(other.rows) }
+// AddAll inserts every row of other (none when other is nil).
+func (r *Rel) AddAll(other *Rel) { r.AddRows(other.Rows()) }
 
 // adopt inserts rows handed over by their owner — distinct among
 // themselves and never written again — without copying them, reporting
@@ -306,7 +310,8 @@ func (r *Rel) Len() int { return len(r.Rows()) }
 
 // Rows returns the rows in insertion order (shared backing; do not
 // mutate). A nil *Rel is the empty relation to Rows and to every other
-// method that only reads.
+// method that only reads it — View, Contains, Len, Sorted, Minus, Equal,
+// HasNull, String — and to AddAll as its argument.
 func (r *Rel) Rows() []Row {
 	if r == nil {
 		return nil

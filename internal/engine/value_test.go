@@ -458,3 +458,32 @@ func BenchmarkHeadRows(b *testing.B) {
 		sinkRows = rows
 	}
 }
+
+// TestNilRelIsEmpty: a nil *Rel — a report's Δ of a plan that dismissed
+// no rule — is the empty relation to every method that only reads it,
+// and to AddAll as its argument.
+func TestNilRelIsEmpty(t *testing.T) {
+	var r *Rel
+	row := RowOf("a")
+	full := Frozen([]Row{row})
+	if r.Len() != 0 || r.Rows() != nil || r.Sorted() != nil || r.String() != "" {
+		t.Error("a nil relation lists rows")
+	}
+	if r.Contains(row) || r.HasNull() {
+		t.Error("a nil relation holds a row")
+	}
+	if !r.Equal(NewRel()) || !NewRel().Equal(r) || r.Equal(full) || full.Equal(r) {
+		t.Error("a nil relation is not equal to exactly the empty relations")
+	}
+	if r.Minus(full).Len() != 0 || full.Minus(r).Len() != 1 {
+		t.Error("Minus with a nil relation")
+	}
+	if v := r.View(); v == nil || v.Len() != 0 || !v.Add(row) {
+		t.Error("the view of a nil relation is not a fresh empty relation")
+	}
+	into := NewRel()
+	into.AddAll(r)
+	if into.Len() != 0 {
+		t.Error("AddAll of a nil relation added rows")
+	}
+}
