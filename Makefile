@@ -100,9 +100,12 @@ fault-smoke:
 # the cache is shared across concurrent Exec callers in production. Then
 # the safe-negation idioms in their unanswerable form, cached (miss and
 # hit) against uncached and over HTTP: the same certified underestimate,
-# the dismissed disjunct reported access-limited.
+# the dismissed disjunct reported access-limited. Then the one planner:
+# uncached and cached runs of drawn unions make the same calls, and a
+# 20 000-disjunct union plans within the plan miss's budget.
 cache-smoke:
-	$(GO) test -race -count=1 -run='TestCacheSmoke|TestCacheConcurrentExec|TestExecQueryCacheProfile|TestNegationIdiom' .
+	$(GO) test -race -count=1 -run='TestCacheSmoke|TestCacheConcurrentExec|TestExecQueryCacheProfile|TestNegationIdiom|TestOnePlannerAcrossPaths|TestMinimizedUnionCallsOnEveryPath' .
+	$(GO) test -race -count=1 -run='TestServerWideUnionPlansWithinBudget' ./internal/server/
 
 # Chaos-schedule smoke: seeded randomized fault schedules (dropped and
 # hung calls, injected latency, breakers, replica kills) over every

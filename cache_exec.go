@@ -33,15 +33,15 @@ type QueryCacheStats = qcache.Stats
 // NewQueryCache returns a semantic query cache with the given options.
 func NewQueryCache(opt QueryCacheOptions) *QueryCache { return qcache.New(opt) }
 
-// WithQueryCache routes this Exec call through qc: the plan (the
-// representative's core.Plan and its FEASIBLE verdict) is served from
-// the plan cache when an equivalent query was planned before, and
-// answers are reused per disjunct when the catalog's generation still
-// matches. A query answers the same with or without the cache: both
-// paths run a plan made by the one planner Exec states. The cache is
-// bypassed — not an error — under WithNaive, and under WithStats,
-// because cost ordering is statistics-dependent, so its order is not a
-// pure function of the query and patterns.
+// WithQueryCache routes this Exec call through qc: the plan — what the
+// one planner Exec states made of the first query of its class — and
+// its FEASIBLE verdict are served from the plan cache when an
+// equivalent query was planned before, and answers are reused per
+// disjunct when the catalog's generation still matches. A query makes
+// the same calls and answers the same with or without the cache. The
+// cache is bypassed — not an error — under WithNaive, and under
+// WithStats, because cost ordering is statistics-dependent, so its
+// order is not a pure function of the query and patterns.
 func WithQueryCache(qc *QueryCache) ExecOption { return func(c *execConfig) { c.qc = qc } }
 
 // useQueryCache reports whether this Exec call goes through the cache.

@@ -404,6 +404,160 @@ func TestCacheFullHitIdenticalToUncached(t *testing.T) {
 	}
 }
 
+// One planner for every path: over drawn unions, orderable or not, and
+// four rewrites of each — as drawn, with a disjunct repeated, with an
+// unsatisfiable disjunct, and with a disjunct beside itself plus one
+// literal — an uncached Exec and a cached miss make the same source
+// calls and return the same rows and the same report, and a cached hit
+// returns the same rows.
+func TestOnePlannerAcrossPaths(t *testing.T) {
+	checked, dismissed, dropped := 0, 0, 0
+	for seed := int64(0); seed < 30; seed++ {
+		g := workload.New(1300 + seed)
+		s := g.Schema(4, 1, 2)
+		ps := g.Patterns(s, 0.3, 2)
+		cfg := workload.QueryConfig{PosLits: 2, NegLits: 1, VarPool: 3, ConstProb: 0.1, HeadVars: 1, DomainSize: 5}
+		in := engine.NewInstance()
+		if err := in.LoadFacts(g.Facts(s, 14, 5)); err != nil {
+			t.Fatal(err)
+		}
+		cat, err := in.Catalog(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for disjuncts := 1; disjuncts <= 3; disjuncts++ {
+			drawn := g.UCQ(s, disjuncts, cfg)
+			first := drawn.Rules[0]
+			repeated := drawn.Clone()
+			repeated.Rules = append(repeated.Rules, workload.AlphaRename(Query{Rules: []Rule{first}}, "dup").Rules[0])
+			unsat := drawn.Clone()
+			dead := first.Clone()
+			dead.Body = append(dead.Body, Literal{Atom: first.Body[0].Atom.Clone(), Negated: true})
+			unsat.Rules = append([]Rule{dead}, unsat.Rules...)
+			contained := drawn.Clone()
+			longer := first.Clone()
+			longer.Body = append(longer.Body, g.CQ(s, cfg).Body[0])
+			contained.Rules = append(contained.Rules, longer)
+
+			for _, v := range []struct {
+				name string
+				q    Query
+			}{{"drawn", drawn}, {"repeated", repeated}, {"unsat", unsat}, {"contained", contained}} {
+				what := fmt.Sprintf("seed %d, %d disjuncts, %s: %s", seed, disjuncts, v.name, v.q)
+				run := func(opts ...ExecOption) (*Rel, string, int) {
+					t.Helper()
+					before := cat.TotalStats().Calls
+					res, err := Exec(context.Background(), v.q, ps, cat, opts...)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					rel, err := res.Rel()
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					rep, _ := res.Report()
+					return rel, rep.String(), cat.TotalStats().Calls - before
+				}
+				wantRel, wantRep, wantCalls := run()
+				qc := NewQueryCache(QueryCacheOptions{})
+				gotRel, gotRep, gotCalls := run(WithQueryCache(qc))
+				if gotCalls != wantCalls || !gotRel.Equal(wantRel) || gotRep != wantRep {
+					t.Fatalf("%s\ncached miss: %d calls, %s\n%s\nuncached: %d calls, %s\n%s", what, gotCalls, gotRel, gotRep, wantCalls, wantRel, wantRep)
+				}
+				if hitRel, _, _ := run(WithQueryCache(qc)); !hitRel.Equal(wantRel) {
+					t.Fatalf("%s\ncached hit %s, want %s", what, hitRel, wantRel)
+				}
+				entry, _ := qc.Plan(v.q, ps)
+				checked++
+				if entry.Plan().Dismissed != nil {
+					dismissed++
+				}
+				if len(entry.Exec().Rules) < len(v.q.Rules) {
+					dropped++
+				}
+			}
+		}
+	}
+	if checked < 300 || dismissed < 30 || dropped < 100 {
+		t.Fatalf("%d variants checked, %d with a dismissed rule, %d with a rule dropped; the draw no longer covers the property", checked, dismissed, dropped)
+	}
+}
+
+// The union is minimized before it is planned, on every path: a rule
+// padded with a literal that folds away, and a disjunct contained in
+// another, cost no calls of their own. Each query makes the 3 calls of
+// R(x, y), S(y, w) alone: one scan of R, and S at b and at c.
+func TestMinimizedUnionCallsOnEveryPath(t *testing.T) {
+	ps := MustParsePatterns(`R^oo S^io L^o`)
+	in := NewInstance()
+	if err := in.ParseInto(`R("a", "b"). R("a", "c"). R("d", "b"). S("b", "e"). S("c", "f"). L("a").`); err != nil {
+		t.Fatal(err)
+	}
+	cat := in.MustCatalog(ps)
+	for _, src := range []string{
+		`Q(x) :- R(x, y), R(x, z), S(y, w).`,
+		`Q(x) :- R(x, y), S(y, w). Q(x) :- R(x, y), S(y, w), L(x).`,
+	} {
+		q := MustParseQuery(src)
+		for _, path := range []struct {
+			name string
+			opts []ExecOption
+		}{{"uncached", nil}, {"cached miss", []ExecOption{WithQueryCache(NewQueryCache(QueryCacheOptions{}))}}} {
+			before := cat.TotalStats().Calls
+			if got := execRel(t, q, ps, cat, path.opts...); got.Len() != 2 {
+				t.Errorf("%s, %s: %d rows, want a and d", src, path.name, got.Len())
+			}
+			if calls := cat.TotalStats().Calls - before; calls != 3 {
+				t.Errorf("%s, %s: %d calls, want 3", src, path.name, calls)
+			}
+		}
+	}
+}
+
+// Example 3 is feasible though no rule of it is orderable as written:
+// its first rule minimizes to B(i, a, t), L(i), which is, and contains
+// the second. The planner keeps the first alone, so every path answers
+// exactly and reports the answer complete.
+func TestExample3AnsweredExactly(t *testing.T) {
+	var ex workload.PaperExample
+	for _, e := range workload.PaperExamples() {
+		if e.Name == "example-3" {
+			ex = e
+		}
+	}
+	in := NewInstance()
+	if err := in.ParseInto(`B("i1", "a1", "t1"). B("i2", "a2", "t1"). B("i3", "a3", "t2"). L("i1"). L("i2").`); err != nil {
+		t.Fatal(err)
+	}
+	cat := in.MustCatalog(ex.Patterns)
+	want := execRel(t, ex.Query, nil, nil, WithNaive(in))
+	if want.Len() != 2 {
+		t.Fatalf("fixture: naive answer %s, want a1 and a2", want)
+	}
+	qc := NewQueryCache(QueryCacheOptions{})
+	for _, path := range []struct {
+		name string
+		opts []ExecOption
+	}{
+		{"uncached", nil},
+		{"streamed", []ExecOption{WithStreaming()}},
+		{"cached miss", []ExecOption{WithQueryCache(qc)}},
+		{"cached hit", []ExecOption{WithQueryCache(qc)}},
+	} {
+		res, err := Exec(context.Background(), ex.Query, ex.Patterns, cat, path.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		got, err := res.Rel()
+		if err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		if rep, ok := res.Report(); !got.Equal(want) || !ok || !rep.Complete() {
+			t.Errorf("%s: %s, complete %v; want %s, complete", path.name, got, rep.Complete(), want)
+		}
+	}
+}
+
 // incSummary renders what two degraded runs of the same query must agree
 // on: the rule accounting and, per dropped disjunct, its position,
 // failing source and class.

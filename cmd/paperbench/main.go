@@ -1281,7 +1281,7 @@ func e22(sz []int) ([]op, table) {
 			fmt.Fprintf(w, "%-10s %10d %10s %10s %12s %12s\n", m, c[m+".calls"], planHits, ansHits,
 				t[m+".p50"].Round(time.Microsecond), t[m+".p99"].Round(time.Microsecond))
 		}
-		fmt.Fprintln(w, "expected: one plan build per equivalence class (variants collapse); the full cache cuts source calls ≥5× and p50 by orders of magnitude; plan-only already beats off (minimal representative plans)")
+		fmt.Fprintln(w, "expected: one plan build per equivalence class (variants collapse); the full cache cuts source calls ≥5× and p50 by orders of magnitude; off and plan-only make the same calls (one planner: minimal plans either way)")
 		return c, t
 	}
 }

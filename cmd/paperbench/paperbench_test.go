@@ -31,7 +31,7 @@ var quickCounts = map[string]string{
 	"E19": "dedup+flaky.answers=80 dedup+flaky.calls=33 dedup+flaky.dedup=70 dedup+flaky.retries=22 dedup.answers=80 dedup.calls=11 dedup.dedup=70 dedup.retries=0 differ=0 sequential.answers=80 sequential.calls=81 sequential.dedup=0 sequential.retries=0",
 	"E20": "identical=1 materialized.answers=60 materialized.calls=121 streamed.answers=60 streamed.calls=121",
 	"E21": "bare-retries.answers=40 bare-retries.dead-calls=16 bare-retries.dropped=4 bare-retries.healthy=1 breaker.answers=40 breaker.dead-calls=2 breaker.dropped=4 breaker.failed-S=1 breaker.healthy=1 breaker.open=1 killed-0.answers=80 killed-0.dropped=0 killed-0.survived=8 killed-25.answers=60 killed-25.dropped=2 killed-25.survived=6 killed-50.answers=40 killed-50.dropped=4 killed-50.survived=4 killed-75.answers=20 killed-75.dropped=6 killed-75.survived=2 rules=4 strict.failed=1",
-	"E22": "classes=3 diverged=0 full.answer-hits=45 full.calls=6 full.plan-hits=45 full.plan-misses=3 off.calls=108 plan-only.answer-hits=0 plan-only.calls=84 plan-only.plan-hits=45 plan-only.plan-misses=3 requests=48",
+	"E22": "classes=3 diverged=0 full.answer-hits=45 full.calls=4 full.plan-hits=45 full.plan-misses=3 off.calls=64 plan-only.answer-hits=0 plan-only.calls=64 plan-only.plan-hits=45 plan-only.plan-misses=3 requests=48",
 }
 
 // TestPaperCounts runs every quick entry of the registry but E23,

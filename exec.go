@@ -234,11 +234,13 @@ func (r *Result) Improved() (Query, DomResult, bool) {
 //	for s.Next() { use(s.Tuple()) }
 //	if err := s.Err(); err != nil { ... }
 //
-// One planner (core.NewPlan) plans every query, cached or not: a rule
-// with no executable order runs as PLAN*'s overestimate (Figure 2),
-// whose rows go into the overestimate and Δ only. A literal no declared
-// pattern can call (an unknown relation or a wrong arity) fails the
-// query with an error wrapping ErrNotOrderable before any source call.
+// One planner (core.PlanUnion) plans every query, cached or not: it
+// minimizes each rule to its core, drops the unsatisfiable rules and
+// those a certain rule contains, and plans the rest. A rule with no
+// executable order runs as PLAN*'s overestimate (Figure 2), whose rows
+// go into the overestimate and Δ only. A literal no declared pattern
+// can call (an unknown relation or a wrong arity) fails the query with
+// an error wrapping ErrNotOrderable before any source call.
 //
 // Exec returns an error for contradictory option combinations (see each
 // option), for such unplannable queries, and — except in streaming
@@ -293,7 +295,7 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 			// A materialized full hit returns the cached relation before
 			// any driver state exists.
 			res.rel = hit.Full
-			res.rep = Report{Under: hit.Full, Over: hit.Full, Certified: true, RulesTotal: hit.ReusedRules, RulesSurvived: hit.ReusedRules}
+			res.rep = Report{Under: hit.Full, Over: hit.Full, Certified: true, RulesTotal: hit.CachedRules, RulesSurvived: hit.CachedRules}
 			return res, nil
 		}
 		plan, pre, o.Prepared = entry.Plan(), engine.Answered{Covered: hit.Covered, Rows: hit.Rows}, entry.Prepared()
@@ -301,11 +303,10 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 			store = answerStore{entry: entry, covered: hit.Covered, rels: make([]*engine.Rel, len(plan.Exec.Rules))}
 		}
 	} else {
-		p, err := core.NewPlan(q, ps)
-		if err != nil {
+		var err error
+		if plan, _, err = core.PlanUnion(q, ps, core.PlanBudget); err != nil {
 			return nil, err
 		}
-		plan = p
 	}
 	if c.streaming {
 		res.stream = rt.StreamEval(ctx, plan, cat, pre, o)

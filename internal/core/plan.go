@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/access"
+	"repro/internal/containment"
 	"repro/internal/logic"
+	"repro/internal/minimize"
 )
 
 // RuleAnalysis is the per-rule outcome of PLAN* (Figure 2 of the paper).
@@ -187,34 +190,197 @@ func (p Plan) Certain(i int) bool { return p.Dismissed == nil || p.Dismissed[i] 
 func NewPlan(u logic.UCQ, ps *access.Set) (Plan, error) {
 	p := Plan{Exec: logic.UCQ{Rules: make([]logic.CQ, len(u.Rules))}, Steps: make([][]access.AdornedLiteral, len(u.Rules))}
 	for i, rule := range u.Rules {
-		if !rule.False {
-			for _, l := range rule.Body {
-				if ps.Arity(l.Atom.Pred) != l.Atom.Arity() {
-					return Plan{}, fmt.Errorf("core: %w: rule %d: no pattern of %s/%d: %s", ErrNotOrderable, i+1, l.Atom.Pred, l.Atom.Arity(), rule)
-				}
-			}
-			steps, ok := access.AdornInOrder(rule.Body, ps)
-			if !ok {
-				if rule, ok = Reorder(rule, ps); ok && !rule.False {
-					steps, ok = access.AdornInOrder(rule.Body, ps)
-				}
-			}
-			if !ok {
-				ra := analyzeRule(u.Rules[i], ps)
-				rule = ra.Over
-				steps, _ = access.AdornInOrder(rule.Body, ps) // ANSWERABLE's order; none for an empty body
-				if !ra.Under.Equal(ra.Over) {
-					if p.Dismissed == nil {
-						p.Dismissed = make([]*RuleAnalysis, len(u.Rules))
-					}
-					p.Dismissed[i] = &ra
-				}
-			}
-			p.Steps[i] = steps
+		if err := declared(i, rule, ps); err != nil {
+			return Plan{}, err
 		}
-		p.Exec.Rules[i] = rule
+		if rule.False {
+			p.Exec.Rules[i] = rule
+			continue
+		}
+		rule, steps, ok := certainOrder(rule, ps)
+		if !ok {
+			ra := analyzeRule(u.Rules[i], ps)
+			rule = ra.Over
+			steps, _ = access.AdornInOrder(rule.Body, ps) // ANSWERABLE's order; none for an empty body
+			if !ra.Under.Equal(ra.Over) {
+				if p.Dismissed == nil {
+					p.Dismissed = make([]*RuleAnalysis, len(u.Rules))
+				}
+				p.Dismissed[i] = &ra
+			}
+		}
+		p.Exec.Rules[i], p.Steps[i] = rule, steps
 	}
 	return p, nil
+}
+
+// declared fails, wrapping ErrNotOrderable, when a literal of rule i
+// has no declared pattern of its relation and arity.
+func declared(i int, rule logic.CQ, ps *access.Set) error {
+	for _, l := range rule.Body {
+		if ps.Arity(l.Atom.Pred) != l.Atom.Arity() {
+			return fmt.Errorf("core: %w: rule %d: no pattern of %s/%d: %s", ErrNotOrderable, i+1, l.Atom.Pred, l.Atom.Arity(), rule)
+		}
+	}
+	return nil
+}
+
+// certainOrder is the order NewPlan runs a rule in full: as written when
+// that order is executable, else ANSWERABLE's (False when the rule is
+// unsatisfiable); ok is false when the rule is not orderable.
+func certainOrder(rule logic.CQ, ps *access.Set) (logic.CQ, []access.AdornedLiteral, bool) {
+	steps, ok := access.AdornInOrder(rule.Body, ps)
+	if !ok {
+		if rule, ok = Reorder(rule, ps); ok && !rule.False {
+			steps, ok = access.AdornInOrder(rule.Body, ps)
+		}
+	}
+	return rule, steps, ok
+}
+
+// PlanBudget is the default planning budget of one union: the
+// containment nodes PlanUnion's minimization and disjunct scan may
+// examine together.
+const PlanBudget = 20000
+
+// PlanUnion is the planner every execution runs, cached or not. It
+// minimizes each rule of q to its core (minimize.Cores) and drops
+// the unsatisfiable ones; plans the rest with NewPlan, except that a
+// core NewPlan dismisses runs as written when the rule as written is
+// orderable (minimization the budget stopped partway can leave a
+// non-orderable core); and drops every rule whose core is contained in
+// the core of a certain rule kept beside it (Sagiv–Yannakakis: j ⊑ i
+// makes i ∨ j ≡ i). A rule contained only in dismissed rules stays:
+// their rows are no certain answers. Minimization keeps literal order,
+// so a rule executable as written still runs in its written order.
+//
+// Containment is Π₂ᴾ-complete and this runs on a request path, so the
+// minimization and the scan together examine at most budget nodes; the
+// scan charges at least one per pair it looks at, and once the budget
+// is spent every rule not yet dropped stays. Either way the plan is
+// equivalent to q, merely less minimal.
+//
+// It returns the plan and, positional with its rules, the cores those
+// rules are equivalent to. Like NewPlan it fails, wrapping
+// ErrNotOrderable, only for a literal of q with no declared pattern.
+func PlanUnion(q logic.UCQ, ps *access.Set, budget int) (Plan, []logic.CQ, error) {
+	for i, rule := range q.Rules {
+		if err := declared(i, rule, ps); err != nil {
+			return Plan{}, nil, err
+		}
+	}
+	cores := minimize.Cores(q, &budget)
+	p, err := NewPlan(logic.UCQ{Rules: cores}, ps)
+	if err != nil {
+		return Plan{}, nil, err
+	}
+	for i, ra := range p.Dismissed {
+		if ra == nil {
+			continue
+		}
+		if rule, steps, ok := certainOrder(q.Rules[i], ps); ok {
+			p.Exec.Rules[i], p.Steps[i], p.Dismissed[i] = rule, steps, nil
+		}
+	}
+	drop := containedRules(p, cores, budget)
+	n := 0
+	for i, c := range cores {
+		if c.False || (drop != nil && drop[i]) {
+			continue
+		}
+		p.Exec.Rules[n], p.Steps[n], cores[n] = p.Exec.Rules[i], p.Steps[i], c
+		if p.Dismissed != nil {
+			p.Dismissed[n] = p.Dismissed[i]
+		}
+		n++
+	}
+	p.Exec.Rules, p.Steps, cores = p.Exec.Rules[:n], p.Steps[:n], cores[:n]
+	if p.Dismissed != nil {
+		if p.Dismissed = p.Dismissed[:n]; !slices.ContainsFunc(p.Dismissed, func(ra *RuleAnalysis) bool { return ra != nil }) {
+			p.Dismissed = nil
+		}
+	}
+	return p, cores, nil
+}
+
+// containedRules marks, within budget, each satisfiable rule j of p
+// whose core is contained in the core of a certain, satisfiable rule i
+// not marked. It scans j in order and, for each, the rules after it
+// before those before it, so a rule equivalent to a later one goes and
+// the later one stays, and the marked rules, all before j, come last.
+// Every pair it looks at costs a node. It returns nil when it marks
+// none.
+func containedRules(p Plan, cores []logic.CQ, budget int) []bool {
+	var drop []bool
+	var cks []*containment.Checker // cks[i] decides containment in cores[i]
+	n := len(cores)
+	for j := range cores {
+		for d := 1; d < n && !cores[j].False; d++ {
+			if budget--; budget < 0 {
+				return drop
+			}
+			i := (j + d) % n
+			if cores[i].False || !p.Certain(i) || (drop != nil && drop[i]) || !mayContain(cores[i], cores[j]) {
+				continue
+			}
+			if cks == nil {
+				cks = make([]*containment.Checker, len(cores))
+			}
+			if cks[i] == nil {
+				cks[i] = containment.NewChecker(logic.AsUnion(cores[i]))
+			}
+			before := cks[i].Nodes
+			ok, err := cks[i].ContainsLimited(cores[j], budget)
+			budget -= cks[i].Nodes - before
+			if ok && err == nil {
+				if drop == nil {
+					drop = make([]bool, len(cores))
+				}
+				drop[j] = true
+				break
+			}
+		}
+	}
+	return drop
+}
+
+// mayContain reports whether c ⊑ d is possible at all for satisfiable
+// cores c and d. By Theorem 12 it needs a mapping σ from d into c that
+// fixes the head positionally and every constant: each positive literal
+// of d has its image in c, and each negated literal ¬R(ȳ) of d finds,
+// at the end of the theorem's recursion, a negated ¬R(σ′ȳ) in c. Either
+// way each literal of d has one in c of the same sign, predicate and
+// arity with d's constants at the same positions, and each head
+// constant of d is c's head term at its position. A pair that fails
+// this needs no containment test; the check allocates nothing.
+func mayContain(d, c logic.CQ) bool {
+	if !sameConstants(d.HeadArgs, c.HeadArgs) {
+		return false
+	}
+next:
+	for _, l := range d.Body {
+		for _, m := range c.Body {
+			if m.Negated == l.Negated && m.Atom.Pred == l.Atom.Pred && sameConstants(l.Atom.Args, m.Atom.Args) {
+				continue next
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// sameConstants reports whether args has the same length as pattern
+// and pattern's constants at the same positions.
+func sameConstants(pattern, args []logic.Term) bool {
+	if len(args) != len(pattern) {
+		return false
+	}
+	for k, t := range pattern {
+		if !t.IsVar() && args[k] != t {
+			return false
+		}
+	}
+	return true
 }
 
 // ExecutionOrder returns the adorned execution steps for an executable

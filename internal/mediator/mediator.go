@@ -15,6 +15,16 @@ import (
 	"repro/internal/logic"
 )
 
+// MaxUnfoldedRules caps the rules one unfolding may produce. Unfolding
+// multiplies: each positive literal over a k-rule view multiplies the
+// rules built so far by k, so a handful of views nest into billions of
+// rules. The cap is checked before a product is built.
+const MaxUnfoldedRules = 4096
+
+// ErrUnfoldLimit is the error, wrapped, of an unfolding that would pass
+// MaxUnfoldedRules.
+var ErrUnfoldLimit = fmt.Errorf("mediator: unfolding exceeds %d rules", MaxUnfoldedRules)
+
 // Views is a set of GAV view definitions, one per global relation.
 type Views struct {
 	defs map[string]logic.UCQ
@@ -101,10 +111,13 @@ func (v *Views) Globals() []string {
 //     negated source atoms (¬(A ∨ B) = ¬A ∧ ¬B). Otherwise Unfold
 //     returns an error, because ¬∃ȳ φ(ȳ) has no UCQ¬ equivalent;
 //   - literals over undefined (source) relations pass through unchanged.
+//
+// It fails with ErrUnfoldLimit once the result would pass
+// MaxUnfoldedRules rules.
 func (v *Views) Unfold(q logic.UCQ) (logic.UCQ, error) {
 	var out []logic.CQ
 	for _, r := range q.Rules {
-		rules, err := v.unfoldRule(r)
+		rules, err := v.unfoldRule(r, MaxUnfoldedRules-len(out))
 		if err != nil {
 			return logic.UCQ{}, err
 		}
@@ -118,8 +131,11 @@ func (v *Views) Unfold(q logic.UCQ) (logic.UCQ, error) {
 }
 
 // unfoldRule expands one rule into the cross product of its positive
-// global literals' definitions.
-func (v *Views) unfoldRule(r logic.CQ) ([]logic.CQ, error) {
+// global literals' definitions, of at most limit rules.
+func (v *Views) unfoldRule(r logic.CQ, limit int) ([]logic.CQ, error) {
+	if limit < 1 {
+		return nil, ErrUnfoldLimit
+	}
 	if r.False {
 		return []logic.CQ{r.Clone()}, nil
 	}
@@ -142,7 +158,10 @@ func (v *Views) unfoldRule(r logic.CQ) ([]logic.CQ, error) {
 			}
 			continue
 		}
-		var next []logic.CQ
+		if len(partial)*len(def.Rules) > limit {
+			return nil, fmt.Errorf("%w: %s", ErrUnfoldLimit, r)
+		}
+		next := make([]logic.CQ, 0, len(partial)*len(def.Rules))
 		for _, p := range partial {
 			for _, d := range def.Rules {
 				expanded, err := inline(p, l.Atom, d, r)

@@ -126,17 +126,18 @@ next:
 // Cores minimizes each rule of u independently, preserving positions:
 // result[i] is the core of u.Rules[i] (or the query "false" when the
 // rule is unsatisfiable). Unlike UCQ it never drops or reorders
-// disjuncts, so callers can correlate cores with the original rules —
-// the semantic query cache keys each disjunct's answers by its core.
+// disjuncts, so callers can correlate cores with the original rules
+// (core.PlanUnion drops the unsatisfiable and contained ones itself).
 //
 // It runs on a request path, so all its containment tests together
-// examine at most budget nodes (containment is Π₂ᴾ-complete). When the
-// budget runs out the literals not yet tested stay: every result is
-// equivalent to its rule, the later ones possibly not minimal.
-func Cores(u logic.UCQ, budget int) []logic.CQ {
+// examine at most *budget nodes (containment is Π₂ᴾ-complete), and it
+// leaves in *budget the nodes not spent (zero or less once it ran out).
+// When the budget runs out the literals not yet tested stay: every
+// result is equivalent to its rule, the later ones possibly not minimal.
+func Cores(u logic.UCQ, budget *int) []logic.CQ {
 	out := make([]logic.CQ, len(u.Rules))
 	for i, r := range u.Rules {
-		out[i] = minimizeCQ(r, &budget)
+		out[i] = minimizeCQ(r, budget)
 	}
 	return out
 }

@@ -153,7 +153,8 @@ func TestCoresPreservesPositions(t *testing.T) {
 		Q(x) :- S(x), not S(x).
 		Q(x) :- T(x).
 	`)
-	cores := Cores(u, 1<<20)
+	budget := 1 << 20
+	cores := Cores(u, &budget)
 	if len(cores) != len(u.Rules) {
 		t.Fatalf("Cores returned %d entries for %d rules", len(cores), len(u.Rules))
 	}

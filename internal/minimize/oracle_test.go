@@ -118,7 +118,8 @@ func TestCQMatchesRestartOracle(t *testing.T) {
 		}
 		removed += len(r.Body) - len(got.Body)
 		// An unbounded budget is the same algorithm.
-		if cores := Cores(logic.AsUnion(r), 1<<30); cores[0].String() != want.String() {
+		budget := 1 << 30
+		if cores := Cores(logic.AsUnion(r), &budget); cores[0].String() != want.String() {
 			t.Fatalf("Cores(%s) = %s, want %s", r, cores[0], want)
 		}
 	}
@@ -163,7 +164,8 @@ const hostile = `Q(x) :- R(x, v0), R(x, v1), R(x, v2), R(x, v3), not S(v0, v1), 
 func TestCoresStaysWithinBudget(t *testing.T) {
 	q := ucq(t, hostile)
 	for _, budget := range []int{0, 1, 500} {
-		cores := Cores(q, budget)
+		left := budget
+		cores := Cores(q, &left)
 		if got := cores[0].String(); got != q.Rules[0].String() {
 			t.Errorf("budget %d: core = %s, want every literal kept", budget, got)
 		}
@@ -171,15 +173,18 @@ func TestCoresStaysWithinBudget(t *testing.T) {
 	// The budget is shared: a first rule that spends it leaves the
 	// second untested, where the same rule alone is minimized.
 	redundant := cq(t, `Q(x) :- R(x, y), R(x, z), not S(x).`)
-	cores := Cores(logic.UCQ{Rules: []logic.CQ{q.Rules[0], redundant}}, 500)
+	budget := 500
+	cores := Cores(logic.UCQ{Rules: []logic.CQ{q.Rules[0], redundant}}, &budget)
 	if len(cores[1].Body) != 3 {
 		t.Errorf("after the budget is spent: core = %s, want the rule as written", cores[1])
 	}
-	if cores = Cores(logic.AsUnion(redundant), 500); len(cores[0].Body) != 2 {
+	budget = 500
+	if cores = Cores(logic.AsUnion(redundant), &budget); len(cores[0].Body) != 2 {
 		t.Errorf("within budget: core = %s, want one R literal folded away", cores[0])
 	}
 	// Duplicates go without a containment test, budget or none.
-	if cores = Cores(ucq(t, `Q(x) :- R(x, y), not S(x), R(x, y), not S(x).`), 0); len(cores[0].Body) != 2 {
+	budget = 0
+	if cores = Cores(ucq(t, `Q(x) :- R(x, y), not S(x), R(x, y), not S(x).`), &budget); len(cores[0].Body) != 2 {
 		t.Errorf("budget 0: core = %s, want the duplicates dropped", cores[0])
 	}
 }

@@ -1,11 +1,14 @@
 package program
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/logic"
+	"repro/internal/mediator"
 	"repro/internal/parser"
 	"repro/internal/workload"
 )
@@ -223,5 +226,37 @@ func TestCompileSemantics(t *testing.T) {
 			t.Fatalf("compiled program disagrees with bottom-up on trial %d:\ncompiled: %s\nbottom-up: %s\nprogram:\n%s",
 				trial, got, want, compiled)
 		}
+	}
+}
+
+// Unfolding multiplies: each Pk doubles its literals and squares its
+// rules, so P4 is 2¹⁶ = 65 536 disjuncts. Compile refuses it with the
+// named error before building the product, while P3's 256 compile.
+func TestCompileStopsAtUnfoldLimit(t *testing.T) {
+	p := prog(t, `
+		P0(x) :- A(x).
+		P0(x) :- B(x).
+		P1(x) :- P0(x), P0(x).
+		P2(x) :- P1(x), P1(x).
+		P3(x) :- P2(x), P2(x).
+		P4(x) :- P3(x), P3(x).
+	`)
+	start := time.Now()
+	_, err := p.Compile("P4")
+	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+		t.Errorf("Compile took %s, want it refused before the product is built", elapsed)
+	}
+	if !errors.Is(err, mediator.ErrUnfoldLimit) {
+		t.Fatalf("Compile(P4) = %v, want %v", err, mediator.ErrUnfoldLimit)
+	}
+	p3 := prog(t, `
+		P0(x) :- A(x).
+		P0(x) :- B(x).
+		P1(x) :- P0(x), P0(x).
+		P2(x) :- P1(x), P1(x).
+		P3(x) :- P2(x), P2(x).
+	`)
+	if u, err := p3.Compile("P3"); err != nil || len(u.Rules) != 256 {
+		t.Fatalf("Compile(P3) = %d rules, %v; want 256", len(u.Rules), err)
 	}
 }

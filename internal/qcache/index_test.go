@@ -105,7 +105,8 @@ func TestCoreSigNecessaryForEquivalence(t *testing.T) {
 		check(r, padded)
 		check(padded, minimize.CQ(r))
 		// Minimization cut short: some literals folded away, some not.
-		check(r, minimize.Cores(logic.AsUnion(padded), 1+i%4)[0])
+		budget := 1 + i%4
+		check(r, minimize.Cores(logic.AsUnion(padded), &budget)[0])
 	}
 	for i := 0; i < 6000; i++ {
 		check(pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))])

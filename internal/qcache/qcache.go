@@ -1,17 +1,19 @@
 // Package qcache is a two-tier semantic query cache for UCQ¬ execution
 // under limited access patterns.
 //
-// Tier 1 (plan cache) keys on an isomorphism-invariant canonical form
-// of the *minimized* query: each disjunct is minimized to its core
-// (minimize.CQ), the cores are canonicalized (containment.CanonicalForm)
-// with the head predicate normalized away, and the sorted, deduplicated
-// per-core keys — together with the access-pattern set — form the key.
-// α-renamed, literal-padded, duplicated-disjunct, and otherwise
-// non-minimal resubmissions of the same query therefore hit the same
-// entry and skip re-planning (orderability check, reordering,
-// adornment, FEASIBLE verdict). A textual fast key (order-insensitive
-// but multiplicity-sensitive) fronts the canonical computation for
-// exact resubmissions, and an in-flight table (singleflight) makes a
+// Tier 1 (plan cache) memoizes the one planner, core.PlanUnion, which
+// every execution runs: it minimizes each disjunct to its core, drops
+// the unsatisfiable ones and those a certain disjunct contains, and
+// plans the rest. The plan's cores are canonicalized
+// (containment.CanonicalForm) with the head predicate normalized away,
+// and the sorted, deduplicated per-core keys — together with the
+// access-pattern set — form the key. α-renamed, literal-padded,
+// duplicated-disjunct, and otherwise non-minimal resubmissions of the
+// same query therefore hit the same entry and skip re-planning
+// (minimization, orderability check, reordering, adornment, FEASIBLE
+// verdict). A textual fast key (order-insensitive but
+// multiplicity-sensitive) fronts the canonical computation for exact
+// resubmissions, and an in-flight table (singleflight) makes a
 // thundering herd on a cold hot query plan once.
 //
 // Tier 2 (answer cache) stores, per executed disjunct, the disjunct's
@@ -57,7 +59,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/logic"
-	"repro/internal/minimize"
 	"repro/internal/qcache/persist"
 	"repro/internal/sources"
 )
@@ -80,16 +81,18 @@ type Options struct {
 	MaxAnswerBytes int64
 	// TTL expires entries of both tiers after this duration (0 = never).
 	TTL time.Duration
-	// FeasibleBudget is the planning budget of a plan miss: minimizing
-	// the query's disjuncts and computing the cached FEASIBLE verdict
-	// each draw at most this many containment nodes (default 20000).
-	// When minimization runs out, the literals not yet tested stay —
-	// the plan is as correct, its cores possibly not minimal, so a
-	// padded variant may miss the plan cache (the answer tier's
-	// equivalence lookup still finds its rows). FEASIBLE runs only for
-	// a query with no executable form (a plan with one is feasible by
-	// construction); when it runs out, the verdict is recorded as
-	// unknown and execution is unaffected.
+	// FeasibleBudget is the planning budget of a plan miss (default
+	// core.PlanBudget, which an uncached Exec uses too): the planner's
+	// minimization of the disjuncts and its scan for contained
+	// disjuncts together draw at most this many containment nodes, and
+	// the cached FEASIBLE verdict as many again. When the planner runs
+	// out, the literals and disjuncts not yet tested stay — the plan is
+	// as correct, possibly not minimal, so a padded variant may miss the
+	// plan cache (the answer tier's equivalence lookup still finds its
+	// rows). FEASIBLE runs only for a plan that dismissed a rule (one
+	// that dismissed none is feasible by construction); when it runs
+	// out, the verdict is recorded as unknown and execution is
+	// unaffected.
 	FeasibleBudget int
 	// EquivScanLimit bounds how many cached cores a single uncovered
 	// disjunct may be tested against for equivalence (default 16;
@@ -120,7 +123,7 @@ func (o Options) withDefaults() Options {
 		o.MaxAnswerBytes = 64 << 20
 	}
 	if o.FeasibleBudget == 0 {
-		o.FeasibleBudget = 20000
+		o.FeasibleBudget = core.PlanBudget
 	}
 	if o.EquivScanLimit == 0 {
 		o.EquivScanLimit = 16
@@ -186,9 +189,9 @@ func (f Feasibility) String() string {
 type PlanEntry struct {
 	key      string
 	plan     core.Plan  // the representative's plan; run on behalf of every member
-	cores    []logic.CQ // canonical core per exec rule, head normalized; positional
+	cores    []logic.CQ // canonical core per plan rule, head normalized; positional
 	coreKeys []string   // CanonicalKey of cores[i]
-	coreSigs []string   // coreSig of cores[i] ("" for a False core)
+	coreSigs []string   // coreSig of cores[i]
 	feasible Feasibility
 	verdict  core.Verdict
 	planErr  error
@@ -263,21 +266,17 @@ type ansEntry struct {
 // entry.
 type AnswerHit struct {
 	// Full is the complete answer, the union of the cached disjuncts in
-	// rule order, when every non-False disjunct is covered; nil
-	// otherwise. It borrows the cached rows but is the caller's to Add
-	// to (see engine.Union).
+	// rule order, when every disjunct is covered; nil otherwise. It
+	// borrows the cached rows but is the caller's to Add to (see
+	// engine.Union).
 	Full *engine.Rel
-	// Rows[i] holds exec rule i's cached rows when Covered[i].
+	// Rows[i] holds plan rule i's cached rows when Covered[i].
 	Rows [][]engine.Row
-	// Covered[i] reports whether exec rule i needs no live evaluation
-	// (cached rows, or a statically unsatisfiable core).
+	// Covered[i] reports whether plan rule i's rows came from the cache,
+	// so it needs no live evaluation.
 	Covered []bool
-	// ReusedRules counts the covered non-False exec rules — the number
-	// of disjuncts the incompleteness accounting must credit as
-	// survived-without-running.
-	ReusedRules int
-	// CachedRules counts the disjuncts covered by cached rows (excludes
-	// statically unsatisfiable cores); this is the profile's
+	// CachedRules counts the covered disjuncts: the rules the report
+	// credits as survived without running, and the profile's
 	// PartialReuseRules on a non-full hit.
 	CachedRules int
 	// EquivHits counts disjuncts covered via the mutual containment
@@ -468,43 +467,21 @@ func (c *Cache) removePlanLocked(elem *list.Element) {
 	delete(c.plans, e.key)
 }
 
-// build computes a PlanEntry for q: minimize each disjunct to its core,
-// canonicalize, pick a representative and plan it (core.NewPlan); only
-// when the plan dismissed a rule, run the budgeted FEASIBLE check.
+// build computes a PlanEntry for q: plan it with the one planner
+// (core.PlanUnion), key it by the canonical forms of the plan's cores,
+// and, only when the plan dismissed a rule, run the budgeted FEASIBLE
+// check.
 func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	e := &PlanEntry{created: c.opt.Now()}
-
-	// Choose the representative to evaluate. Preferred: the reordered
-	// minimized union — minimal bodies mean minimal source calls, and
-	// every member of the equivalence class (padded, α-renamed, …) then
-	// executes the same minimal plan — unless minimization proved a
-	// disjunct unsatisfiable (a False exec rule would change
-	// partial-results rule accounting relative to an uncached run) or
-	// broke orderability. Fallbacks: the submitted form if executable as
-	// written, else its ANSWERABLE reordering, else the minimized union
-	// if orderable, else the submitted form, some of whose rules NewPlan
-	// dismisses. Every candidate is equivalent to q, so evaluating it is
-	// sound for every query that maps to this entry.
-	cores := minimize.Cores(q, c.opt.FeasibleBudget)
-	anyFalse := slices.ContainsFunc(cores, func(cr logic.CQ) bool { return cr.False })
-	minimized, minOK := core.ReorderUCQ(logic.UCQ{Rules: cores}, ps)
-	exec := minimized
-	switch {
-	case minOK && !anyFalse:
-	case core.Executable(q, ps):
-		exec = q.Clone()
-	default:
-		if reordered, ok := core.ReorderUCQ(q, ps); ok {
-			exec = reordered
-		} else if !minOK {
-			exec = q.Clone()
-		}
+	var cores []logic.CQ
+	e.plan, cores, e.planErr = core.PlanUnion(q, ps, c.opt.FeasibleBudget)
+	if e.planErr != nil {
+		cores = q.Rules // keyed as written, so α-renamed variants replay the failure
 	}
-	e.plan, e.planErr = core.NewPlan(exec, ps)
 
-	// Canonical cores, positional with q.Rules (and hence with the plan's
-	// rules: Reorder and NewPlan preserve positions). The head predicate
-	// is normalized away — it names the answer, it does not select it.
+	// Canonical cores, positional with the plan's rules. The head
+	// predicate is normalized away — it names the answer, it does not
+	// select it.
 	e.cores = make([]logic.CQ, len(cores))
 	e.coreKeys = make([]string, len(cores))
 	e.coreSigs = make([]string, len(cores))
@@ -512,12 +489,8 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	seen := map[string]bool{}
 	for i, cr := range cores {
 		cr.HeadPred = canonHeadPred // on the loop's copy: CanonicalForm builds a new query
-		canon, key := containment.CanonicalForm(cr)
-		e.cores[i] = canon
-		e.coreKeys[i] = key
-		if !canon.False {
-			e.coreSigs[i] = coreSig(canon)
-		}
+		e.cores[i], e.coreKeys[i] = containment.CanonicalForm(cr)
+		e.coreSigs[i] = coreSig(e.cores[i])
 		if !seen[e.coreKeys[i]] {
 			seen[e.coreKeys[i]] = true
 			keySet = append(keySet, e.coreKeys[i])
@@ -602,19 +575,9 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 	equivBudget := c.opt.EquivBudget
 	parts := make([]*engine.Rel, 0, n) // the covered disjuncts' answers, in rule order
 	full := true
-	for i, rule := range e.plan.Exec.Rules {
-		if rule.False {
-			continue
-		}
+	for i := range n {
 		if !e.plan.Certain(i) {
 			full = false
-			continue
-		}
-		if e.cores[i].False {
-			// Statically unsatisfiable disjunct: covered with no rows on
-			// any catalog.
-			hit.Covered[i] = true
-			hit.ReusedRules++
 			continue
 		}
 		key := e.coreKeys[i] + "\x1f" + catFP
@@ -644,7 +607,6 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 		}
 		hit.Rows[i] = a.rel.Rows()
 		hit.Covered[i] = true
-		hit.ReusedRules++
 		hit.CachedRules++
 		parts = append(parts, a.rel)
 	}
@@ -834,7 +796,7 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 	gen := cat.Generation()
 	var spill []persist.Entry
 	for i, rel := range rels {
-		if rel == nil || i >= len(e.plan.Exec.Rules) || e.plan.Exec.Rules[i].False || !e.plan.Certain(i) || e.cores[i].False {
+		if rel == nil || i >= len(e.plan.Exec.Rules) || !e.plan.Certain(i) {
 			continue
 		}
 		key := e.coreKeys[i] + "\x1f" + catFP

@@ -153,26 +153,40 @@ func TestPlanEntryFeasible(t *testing.T) {
 	for _, ex := range workload.PaperExamples() {
 		examples[ex.Name] = ex
 	}
+	// Example 3's second disjunct is not orderable, but it is contained
+	// in the first one's core, which is: the plan drops it and certifies
+	// feasibility with no search.
+	ex3 := examples["example-3"]
+	e, _ = New(Options{}).Plan(ex3.Query, ex3.Patterns)
+	if f, v := e.Feasible(); e.Err() != nil || e.Plan().Dismissed != nil || f != FeasibilityYes || v != core.VerdictUnderEqualsOver {
+		t.Errorf("example-3: err %v, dismissed %v, Feasible() = %v, %v; want feasible by its plan", e.Err(), e.Plan().Dismissed, f, v)
+	}
+
+	// The third disjunct is not orderable and is in no single other
+	// disjunct, only in their union: FEASIBLE's containment check
+	// proves the union feasible.
+	byUnion := q(t, "Q(x) :- R(x), S(x). Q(x) :- R(x), not S(x). Q(x) :- R(x), V(y).")
 	for _, tt := range []struct {
-		name    string
-		example string
-		budget  int
-		want    Feasibility
+		name   string
+		q      logic.UCQ
+		ps     *access.Set
+		budget int
+		want   Feasibility
 	}{
 		// No executable form, and FEASIBLE proves there is none.
-		{"example-4 infeasible", "example-4", 0, FeasibilityNo},
-		// No executable form (the second disjunct's core is not
-		// orderable), yet the union is feasible: FEASIBLE's containment
-		// check finds it, within the default budget and not within one
-		// node.
-		{"example-3 feasible by search", "example-3", 0, FeasibilityYes},
-		{"example-3 budget spent", "example-3", 1, FeasibilityUnknown},
+		{"example-4 infeasible", examples["example-4"].Query, examples["example-4"].Patterns, 0, FeasibilityNo},
+		// Feasible, found by the containment check within the default
+		// budget and not within one node.
+		{"union feasible by search", byUnion, pats(t, "R^o S^i V^i"), 0, FeasibilityYes},
+		{"union budget spent", byUnion, pats(t, "R^o S^i V^i"), 1, FeasibilityUnknown},
+		// With one node minimization keeps example-3's padding, so no
+		// rule is certain and nothing is dropped.
+		{"example-3 budget spent", ex3.Query, ex3.Patterns, 1, FeasibilityUnknown},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			ex := examples[tt.example]
-			e, _ := New(Options{FeasibleBudget: tt.budget}).Plan(ex.Query, ex.Patterns)
+			e, _ := New(Options{FeasibleBudget: tt.budget}).Plan(tt.q, tt.ps)
 			if e.Err() != nil || e.Plan().Dismissed == nil {
-				t.Fatalf("%s has no executable form, yet the plan (err %v) dismissed no rule", tt.example, e.Err())
+				t.Fatalf("%s has no executable form, yet the plan (err %v) dismissed no rule", tt.name, e.Err())
 			}
 			if f, _ := e.Feasible(); f != tt.want {
 				t.Errorf("Feasible() = %v, want %v", f, tt.want)
@@ -238,8 +252,8 @@ func TestAnswerStoreAndFullHit(t *testing.T) {
 	if hit.Full == nil {
 		t.Fatalf("both disjuncts stored; want a full hit, got %+v", hit)
 	}
-	if hit.ReusedRules != 2 || hit.CachedRules != 2 {
-		t.Fatalf("reuse accounting = %d/%d, want 2/2", hit.ReusedRules, hit.CachedRules)
+	if hit.CachedRules != 2 {
+		t.Fatalf("reuse accounting = %d, want 2", hit.CachedRules)
 	}
 	// Union semantics: "b" appears in both disjuncts, deduped in Full.
 	if hit.Full.Len() != 2 {

@@ -54,7 +54,8 @@ func parentCoreSig(c logic.CQ) string {
 func TestCoreSigPartitionMatchesParent(t *testing.T) {
 	var cores []logic.CQ
 	add := func(u logic.UCQ) {
-		for _, cr := range minimize.Cores(u, 20000) {
+		budget := 20000
+		for _, cr := range minimize.Cores(u, &budget) {
 			cr.HeadPred = canonHeadPred
 			if canon, _ := containment.CanonicalForm(cr); !canon.False {
 				cores = append(cores, canon)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -390,6 +391,64 @@ func TestServerHostileQueryPlansWithinBudget(t *testing.T) {
 		}
 		if n := len(entry.Exec().Rules[0].Body); budget == 1 && n != 8 {
 			t.Fatalf("budget 1: the plan runs %d literals, want all 8 kept", n)
+		}
+	}
+}
+
+// A wide union is planned within the plan miss's budget. 20 000
+// disjuncts (under the 1 MiB request cap) are 2·10⁸ pairs for the scan
+// that drops contained disjuncts, and every pair it looks at is charged
+// to the budget minimization shares. With distinct constants no pair
+// gets past the signature check, so every disjunct stays; 20 000
+// α-renamed copies of one rule drop as many as the budget pays for.
+// Parsing the same text is the yardstick, so the bound scales with the
+// machine and with -race: a plan miss of either union takes 1.2–1.7
+// times its parse, and the bound is 4. Both unions answer exactly.
+func TestServerWideUnionPlansWithinBudget(t *testing.T) {
+	s, fixtures := newTestServer(t, Config{}, 1)
+	f := fixtures[0]
+	for _, tt := range []struct {
+		name, rule string
+		keepAll    bool
+	}{
+		{"distinct constants", `Q(x) :- R(x, "b0_%d").`, true},
+		{"α-renamed", `Q(x) :- R(x, y%[1]d), S(y%[1]d, z%[1]d).`, false},
+	} {
+		var b strings.Builder
+		for i := 0; i < 20000; i++ {
+			fmt.Fprintf(&b, tt.rule+"\n", i)
+		}
+		src := b.String()
+		start := time.Now()
+		q := ucqn.MustParseQuery(src)
+		parse := time.Since(start)
+		start = time.Now()
+		entry, info := s.Cache().Plan(q, f.Patterns)
+		miss := time.Since(start)
+		t.Logf("%s (%d bytes): parse %s, plan miss %s, %d rules planned", tt.name, len(src), parse, miss, len(entry.Exec().Rules))
+		if info.Hit || entry.Err() != nil {
+			t.Fatalf("%s: hit %v, err %v; want a plan miss", tt.name, info.Hit, entry.Err())
+		}
+		if miss > 4*parse {
+			t.Errorf("%s: the plan miss took %s, more than 4× the %s parse", tt.name, miss, parse)
+		}
+		if n := len(entry.Exec().Rules); (tt.keepAll && n != 20000) || (!tt.keepAll && (n == 0 || n == 20000)) {
+			t.Errorf("%s: %d rules planned; want all 20000 kept: %v", tt.name, n, tt.keepAll)
+		}
+		truth, err := ucqn.Exec(context.Background(), q, nil, nil, ucqn.WithNaive(f.Instance))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := truth.Rel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := s.Query(context.Background(), f.Name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if got := relOf(resp.Answers); !resp.Complete || !got.Equal(want) || want.Len() == 0 {
+			t.Errorf("%s: complete=%v answers = %v, ground truth %v", tt.name, resp.Complete, got, want)
 		}
 	}
 }
