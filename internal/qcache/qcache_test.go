@@ -154,13 +154,19 @@ func TestPlanEntryFeasible(t *testing.T) {
 		examples[ex.Name] = ex
 	}
 	// Example 3's second disjunct is not orderable, but it is contained
-	// in the first one's core, which is: the plan drops it and certifies
-	// feasibility with no search.
+	// in the first one's core, which is: FEASIBLE on the text needs its
+	// containment search, while the plan drops the disjunct and
+	// certifies the same verdict with no search.
 	ex3 := examples["example-3"]
-	e, _ = New(Options{}).Plan(ex3.Query, ex3.Patterns)
-	if f, v := e.Feasible(); e.Err() != nil || e.Plan().Dismissed != nil || f != FeasibilityYes || v != core.VerdictUnderEqualsOver {
-		t.Errorf("example-3: err %v, dismissed %v, Feasible() = %v, %v; want feasible by its plan", e.Err(), e.Plan().Dismissed, f, v)
-	}
+	t.Run("example-3 feasible by search", func(t *testing.T) {
+		if res, err := core.FeasibleLimited(ex3.Query, ex3.Patterns, core.PlanBudget); err != nil || !res.Feasible || res.Verdict != core.VerdictContainment {
+			t.Fatalf("FEASIBLE on the text = %+v, %v; want feasible by containment", res, err)
+		}
+		e, _ := New(Options{}).Plan(ex3.Query, ex3.Patterns)
+		if f, v := e.Feasible(); e.Err() != nil || e.Plan().Dismissed != nil || f != FeasibilityYes || v != core.VerdictUnderEqualsOver {
+			t.Errorf("err %v, dismissed %v, Feasible() = %v, %v; want feasible by its plan", e.Err(), e.Plan().Dismissed, f, v)
+		}
+	})
 
 	// The third disjunct is not orderable and is in no single other
 	// disjunct, only in their union: FEASIBLE's containment check
