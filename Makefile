@@ -102,10 +102,14 @@ fault-smoke:
 # hit) against uncached and over HTTP: the same certified underestimate,
 # the dismissed disjunct reported access-limited. Then the one planner:
 # uncached and cached runs of drawn unions make the same calls, and a
-# 20 000-disjunct union plans within the plan miss's budget.
+# 20 000-disjunct union plans within the plan miss's budget. Then a
+# repeated access-limited query — Example 4's union, a server query,
+# and the same after a restart on a persistence log — answers from the
+# cache with no source call, and a CachedCatalog's call caches forget
+# rows fetched before an invalidation.
 cache-smoke:
-	$(GO) test -race -count=1 -run='TestCacheSmoke|TestCacheConcurrentExec|TestExecQueryCacheProfile|TestNegationIdiom|TestOnePlannerAcrossPaths|TestMinimizedUnionCallsOnEveryPath' .
-	$(GO) test -race -count=1 -run='TestServerWideUnionPlansWithinBudget' ./internal/server/
+	$(GO) test -race -count=1 -run='TestCacheSmoke|TestCacheConcurrentExec|TestExecQueryCacheProfile|TestNegationIdiom|TestOnePlannerAcrossPaths|TestMinimizedUnionCallsOnEveryPath|TestAccessLimitedHitMakesNoCalls|TestPersistAccessLimitedAnswers|TestCachedCatalogForgetsEarlierGenerations' .
+	$(GO) test -race -count=1 -run='TestServerWideUnionPlansWithinBudget|TestServerInfeasibleHitMakesNoCalls' ./internal/server/
 
 # Chaos-schedule smoke: seeded randomized fault schedules (dropped and
 # hung calls, injected latency, breakers, replica kills) over every

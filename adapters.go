@@ -31,16 +31,8 @@ type (
 )
 
 // OpenAdapter builds the source for a spec, dispatching on the scheme
-// of spec.Backend (see RegisterAdapter).
+// of spec.Backend: "sql", "http" or "https".
 func OpenAdapter(spec AdapterSpec) (Source, error) { return adapter.Open(spec) }
-
-// RegisterAdapter installs an opener for a backend scheme.
-func RegisterAdapter(scheme string, open func(AdapterSpec) (Source, error)) {
-	adapter.Register(scheme, open)
-}
-
-// AdapterSchemes lists the registered backend schemes.
-func AdapterSchemes() []string { return adapter.Schemes() }
 
 // ParseCatalogConfig decodes a catalog config (single- or multi-tenant
 // JSON).

@@ -16,9 +16,10 @@ import (
 // QueryCache is the two-tier semantic query cache: a plan cache keyed
 // on an isomorphism-invariant canonical form of the minimized query
 // (α-renamed and non-minimal resubmissions hit without re-planning) and
-// an answer cache that reuses a disjunct's rows only when its
-// minimized core is provably *equivalent* to a cached one and the
-// catalog generation matches. Construct with NewQueryCache, share one
+// an answer cache that reuses a disjunct's rows only when the query
+// they answer — its minimized core, or the overestimate the plan runs
+// for a disjunct it dismissed — is provably *equivalent* to a cached
+// one and the catalog generation matches. Construct with NewQueryCache, share one
 // instance across Exec callers (it is safe for concurrent use), and
 // attach it per call with WithQueryCache.
 type QueryCache = qcache.Cache

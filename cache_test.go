@@ -409,7 +409,8 @@ func TestCacheFullHitIdenticalToUncached(t *testing.T) {
 // unsatisfiable disjunct, and with a disjunct beside itself plus one
 // literal — an uncached Exec and a cached miss make the same source
 // calls and return the same rows and the same report, and a cached hit
-// returns the same rows.
+// returns the same rows and the same report with no source call, a
+// dismissed rule's included.
 func TestOnePlannerAcrossPaths(t *testing.T) {
 	checked, dismissed, dropped := 0, 0, 0
 	for seed := int64(0); seed < 30; seed++ {
@@ -464,8 +465,8 @@ func TestOnePlannerAcrossPaths(t *testing.T) {
 				if gotCalls != wantCalls || !gotRel.Equal(wantRel) || gotRep != wantRep {
 					t.Fatalf("%s\ncached miss: %d calls, %s\n%s\nuncached: %d calls, %s\n%s", what, gotCalls, gotRel, gotRep, wantCalls, wantRel, wantRep)
 				}
-				if hitRel, _, _ := run(WithQueryCache(qc)); !hitRel.Equal(wantRel) {
-					t.Fatalf("%s\ncached hit %s, want %s", what, hitRel, wantRel)
+				if hitRel, hitRep, hitCalls := run(WithQueryCache(qc)); hitCalls != 0 || !hitRel.Equal(wantRel) || hitRep != wantRep {
+					t.Fatalf("%s\ncached hit: %d calls, %s\n%s\nwant no calls, %s\n%s", what, hitCalls, hitRel, hitRep, wantRel, wantRep)
 				}
 				entry, _ := qc.Plan(v.q, ps)
 				checked++
@@ -661,12 +662,13 @@ func TestExecSameAnswerWithAndWithoutCache(t *testing.T) {
 	}
 }
 
-// A rule the plan dismissed is never covered by the answer cache and
-// never stored in it: its rows are its overestimate's, not its core's.
-// The same rule over one catalog is dismissed under one pattern set and
-// certain under another, and the answer tier keys rows by core and
-// catalog alone, so without both guards a stored overestimate would be
-// served as certain rows, or certain rows as the overestimate.
+// A rule the plan dismissed is never cached under its core: its rows
+// are those of the overestimate Qᵢᵒ the plan runs, and the answer tier
+// keys them by that query. The same rule over one catalog is dismissed
+// under one pattern set and certain under another, and the answer tier
+// keys rows by query and catalog alone, not by pattern set, so rows
+// keyed by the core would serve an overestimate as certain rows, or
+// certain rows as the overestimate.
 func TestDismissedRulesNeverCached(t *testing.T) {
 	q := MustParseQuery(`D(x) :- A(x), Alias(k, x, y), not B(y).`)
 	limited, full := MustParsePatterns(`A^o B^i Alias^ioo`), MustParsePatterns(`A^o B^i Alias^ioo Alias^ooo`)
@@ -697,5 +699,75 @@ func TestDismissedRulesNeverCached(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A repeated access-limited query is answered from the cache: the rule
+// the plan dismissed is cached under the overestimate Qᵢᵒ it runs, so on
+// Example 4's union a hit — materialized or streamed — makes no source
+// call, while an uncached run and a cached miss make the 3 of the live
+// run. Every path returns the same rows and the same report.
+func TestAccessLimitedHitMakesNoCalls(t *testing.T) {
+	q, ps, in := starFixture(t)
+	cat := in.MustCatalog(ps)
+	qc := NewQueryCache(QueryCacheOptions{})
+	var firstRows []Row
+	var firstReport string
+	for _, mode := range []struct {
+		name  string
+		calls int
+		opts  []ExecOption
+		next  bool // read the stream with a Next loop rather than Rel
+	}{
+		{"uncached", 3, nil, false},
+		{"streamed, drained", 3, []ExecOption{WithStreaming()}, false},
+		{"streamed, Next", 3, []ExecOption{WithStreaming()}, true},
+		{"cached miss", 3, []ExecOption{WithQueryCache(qc)}, false},
+		{"cached hit", 0, []ExecOption{WithQueryCache(qc)}, false},
+		{"cached hit, streamed, drained", 0, []ExecOption{WithQueryCache(qc), WithStreaming()}, false},
+		{"cached hit, streamed, Next", 0, []ExecOption{WithQueryCache(qc), WithStreaming()}, true},
+	} {
+		before := cat.TotalStats().Calls
+		res, err := Exec(context.Background(), q, ps, cat, mode.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		var rows []Row
+		if mode.next {
+			s := res.Stream()
+			for s.Next() {
+				rows = append(rows, s.Tuple())
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("%s: %v", mode.name, err)
+			}
+		} else {
+			rel, err := res.Rel()
+			if err != nil {
+				t.Fatalf("%s: %v", mode.name, err)
+			}
+			rows = rel.Rows()
+		}
+		if calls := cat.TotalStats().Calls - before; calls != mode.calls {
+			t.Errorf("%s: %d source calls, want %d", mode.name, calls, mode.calls)
+		}
+		rep, ok := res.Report()
+		if !ok || rep.Complete() || !rep.Delta.HasNull() {
+			t.Fatalf("%s: want an incomplete report with a null-carrying Δ:\n%s", mode.name, rep.String())
+		}
+		if firstReport == "" {
+			firstRows, firstReport = rows, rep.String()
+			continue
+		}
+		same := len(rows) == len(firstRows)
+		for i := 0; same && i < len(rows); i++ {
+			same = rows[i].Key() == firstRows[i].Key()
+		}
+		if !same || rep.String() != firstReport {
+			t.Errorf("%s: rows %v, report\n%s\nwant the uncached %v,\n%s", mode.name, rows, rep.String(), firstRows, firstReport)
+		}
+	}
+	if st := qc.Stats(); st.AnswerHits != 3 {
+		t.Errorf("cache stats %+v, want the three hits answered in full", st)
 	}
 }

@@ -65,13 +65,6 @@ func main() {
 	catalog := flag.String("catalog", "", "external-source catalog config file (JSON); its tenants are mounted behind SQL/HTTP adapters")
 	flag.Parse()
 
-	if *fleetDir != "" && *fleetID == "" {
-		host, err := os.Hostname()
-		if err != nil || host == "" {
-			host = "ucqnd"
-		}
-		*fleetID = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
 	s, err := server.Open(server.Config{
 		MaxConcurrent: *concurrency,
 		MaxQueue:      *queue,
@@ -126,7 +119,7 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "ucqnd: serving %d tenants on %s\n", *tenants, *addr)
 	if n := s.Fleet(); n != nil {
-		fmt.Fprintf(os.Stderr, "ucqnd: fleet replica %s joined %s as %s\n", *fleetID, *fleetDir, n.Role())
+		fmt.Fprintf(os.Stderr, "ucqnd: fleet replica %s joined %s as %s\n", n.Stats().ID, *fleetDir, n.Role())
 	}
 
 	sigc := make(chan os.Signal, 1)

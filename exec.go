@@ -279,8 +279,9 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 
 	// The plan comes from the plan cache or from the planner; the rules
 	// the answer cache covers enter the driver pre-answered — no calls,
-	// rows at their rule position — so a partial hit inserts, or drains,
-	// exactly as an uncached evaluation would.
+	// rows at their rule position — so a hit inserts, or drains, exactly
+	// as an uncached evaluation would, and the sink sorts a dismissed
+	// rule's rows into the estimates as it does for a live run.
 	var plan core.Plan
 	var pre engine.Answered
 	var store answerStore
@@ -291,9 +292,9 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 		}
 		hit := c.qc.Answers(entry, cat)
 		res.prof = cacheProfile(c.qc, info, hit)
-		if hit.Full != nil && !c.streaming {
-			// A materialized full hit returns the cached relation before
-			// any driver state exists.
+		if hit.Full != nil && entry.Plan().Dismissed == nil && !c.streaming {
+			// A materialized full hit of a plan that dismissed no rule
+			// returns the cached answer before any driver state exists.
 			res.rel = hit.Full
 			res.rep = Report{Under: hit.Full, Over: hit.Full, Certified: true, RulesTotal: hit.CachedRules, RulesSurvived: hit.CachedRules}
 			return res, nil

@@ -3,7 +3,10 @@ package ucqn
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
+
+	"repro/internal/sources"
 )
 
 func TestViewsUnfoldFacade(t *testing.T) {
@@ -116,6 +119,63 @@ func TestAcyclicRuleFacade(t *testing.T) {
 	if AcyclicRule(MustParseRule(`Q(x) :- E(x, y), E(y, z), E(z, x).`)) {
 		t.Error("triangle is cyclic")
 	}
+}
+
+// swapSource answers from whichever table it was last pointed at: a
+// source whose data changes behind the caller's back.
+type swapSource struct {
+	*Table // name, arity, patterns and stats
+	mu     sync.Mutex
+	cur    *Table
+}
+
+func (s *swapSource) Call(ctx context.Context, p Pattern, inputs [][]string) ([][]Tuple, error) {
+	s.mu.Lock()
+	cur := s.cur
+	s.mu.Unlock()
+	return cur.Call(ctx, p, inputs)
+}
+
+func (s *swapSource) swap(row string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cur = sources.MustTable("R", 1, s.Patterns(), []Tuple{{row}})
+}
+
+// A CachedCatalog's call caches serve the catalog's current generation
+// only: after the source's data changed, both QueryCache.InvalidateCatalog
+// and Catalog.ResetStats make every later execution, cached or not,
+// fetch the new rows, and the answer tier stores those.
+func TestCachedCatalogForgetsEarlierGenerations(t *testing.T) {
+	ps := MustParsePatterns(`R^o`)
+	src := &swapSource{Table: sources.MustTable("R", 1, ps.Patterns("R"), nil)}
+	src.swap("a")
+	base, err := NewCatalog(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, _, err := CachedCatalog(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery(`Q(x) :- R(x).`)
+	qc := NewQueryCache(QueryCacheOptions{})
+	check := func(when, want string) {
+		t.Helper()
+		for _, opts := range [][]ExecOption{{WithQueryCache(qc)}, nil, {WithQueryCache(qc)}} {
+			rel := execRel(t, q, ps, cat, opts...)
+			if rel.Len() != 1 || rel.Rows()[0][0].S != want {
+				t.Errorf("%s, %d options: %s, want {%s}", when, len(opts), rel, want)
+			}
+		}
+	}
+	check("before any change", "a")
+	src.swap("b")
+	qc.InvalidateCatalog(cat)
+	check("after InvalidateCatalog", "b")
+	src.swap("c")
+	cat.ResetStats()
+	check("after ResetStats", "c")
 }
 
 func TestCachedCatalogFacade(t *testing.T) {

@@ -10,9 +10,6 @@ package ucqn
 // one poll interval. The mechanics live in internal/qcache/fleet.
 
 import (
-	"fmt"
-	"os"
-
 	"repro/internal/qcache"
 	"repro/internal/qcache/fleet"
 )
@@ -29,18 +26,6 @@ type FleetStats = fleet.Stats
 // FleetNode is this process's handle on the shared cache directory.
 type FleetNode = fleet.Node
 
-// defaultFleetID names this process in a fleet when the caller did
-// not: hostname plus pid is unique across a fleet of machines and
-// across restarts on one machine (a stale inbox file from a previous
-// pid is still read by everyone — at-least-once holds either way).
-func defaultFleetID() string {
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "ucqn"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
-
 // OpenFleetCache opens a query cache on the shared dir, joining the
 // fleet and starting the background poll/renewal ticker: answers
 // computed by any replica of the fleet warm this process's cache, and
@@ -52,9 +37,6 @@ func defaultFleetID() string {
 // the cache during graceful shutdown: it releases the lease (when this
 // replica is the writer) and makes the final fsync batch durable.
 func OpenFleetCache(dir string, opt QueryCacheOptions, fopt FleetOptions) (*QueryCache, *FleetNode, error) {
-	if fopt.ID == "" {
-		fopt.ID = defaultFleetID()
-	}
 	fopt.Background = true
 	return qcache.OpenFleet(dir, opt, fopt)
 }

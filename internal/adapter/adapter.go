@@ -9,20 +9,16 @@
 // query; HTTP: one POSTed group), so the engine's call layer hands them
 // each step's group in one call.
 //
-// Backends are addressed by scheme — "sql://driver/dsn" compiles
-// adorned accesses to parameterized SELECTs over database/sql;
-// "http://host/path" speaks the JSON group protocol of Backend — and
-// opened through a registry (Register/Open), so deployments can mount
-// additional backend kinds without touching this package. A catalog
-// config file (config.go) maps tenant relations onto backend specs;
-// cmd/ucqnd mounts it via -catalog.
+// Backends are addressed by scheme and opened with Open:
+// "sql://driver/dsn" compiles adorned accesses to parameterized SELECTs
+// over database/sql; "http://host/path" (or https) speaks the JSON group
+// protocol of Backend. A catalog config file (config.go) maps tenant
+// relations onto backend specs; cmd/ucqnd mounts it via -catalog.
 package adapter
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/access"
 	"repro/internal/sources"
@@ -91,53 +87,18 @@ func (s Spec) patterns() ([]access.Pattern, error) {
 	return out, nil
 }
 
-// OpenFunc builds a source for one backend scheme.
-type OpenFunc func(spec Spec) (sources.Source, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]OpenFunc{}
-)
-
-// Register installs an OpenFunc for a backend scheme (e.g. "sql").
-// Registering a duplicate scheme panics, like database/sql.Register:
-// two subsystems silently fighting over a scheme is a deployment bug.
-func Register(scheme string, open OpenFunc) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if open == nil {
-		panic("adapter: Register with nil OpenFunc")
-	}
-	if _, dup := registry[scheme]; dup {
-		panic("adapter: Register called twice for scheme " + scheme)
-	}
-	registry[scheme] = open
-}
-
-// Schemes returns the registered backend schemes, sorted.
-func Schemes() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for s := range registry {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Open builds the source for a spec, dispatching on the scheme of
-// spec.Backend.
+// spec.Backend: "sql", "http" or "https".
 func Open(spec Spec) (sources.Source, error) {
 	scheme, _, ok := strings.Cut(spec.Backend, "://")
 	if !ok || scheme == "" {
 		return nil, fmt.Errorf("adapter: source %s: backend %q has no scheme:// prefix", spec.Name, spec.Backend)
 	}
-	regMu.RLock()
-	open, found := registry[scheme]
-	regMu.RUnlock()
-	if !found {
-		return nil, fmt.Errorf("adapter: source %s: no adapter registered for scheme %q (have %v)", spec.Name, scheme, Schemes())
+	switch scheme {
+	case "sql":
+		return openSQL(spec)
+	case "http", "https":
+		return openHTTP(spec)
 	}
-	return open(spec)
+	return nil, fmt.Errorf("adapter: source %s: no adapter for scheme %q (have http, https, sql)", spec.Name, scheme)
 }

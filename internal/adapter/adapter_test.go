@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -253,15 +254,27 @@ func TestSQLSpecValidation(t *testing.T) {
 	}
 }
 
+// Open knows three schemes: each opens a source of its adapter, and an
+// unknown scheme is an error that names them.
 func TestSchemesRegistered(t *testing.T) {
-	have := map[string]bool{}
-	for _, s := range Schemes() {
-		have[s] = true
-	}
-	for _, want := range []string{"sql", "http", "https"} {
-		if !have[want] {
-			t.Errorf("scheme %s not registered (have %v)", want, Schemes())
+	spec := Spec{Name: "r", Arity: 2, Patterns: []string{"io"}, Table: "t", Columns: []string{"a", "b"}}
+	for backend, want := range map[string]string{
+		"sql://fakedb/schemes":  "*adapter.SQL",
+		"http://127.0.0.1:1/r":  "*adapter.HTTP",
+		"https://127.0.0.1:1/r": "*adapter.HTTP",
+	} {
+		spec.Backend = backend
+		src, err := Open(spec)
+		if err != nil || fmt.Sprintf("%T", src) != want {
+			t.Errorf("Open(%s) = %T, %v; want a %s", backend, src, err, want)
 		}
+		if c, ok := src.(io.Closer); ok {
+			c.Close()
+		}
+	}
+	spec.Backend = "nosuch://x/y"
+	if _, err := Open(spec); err == nil || !strings.Contains(err.Error(), "(have http, https, sql)") {
+		t.Errorf("unknown scheme: %v, want an error naming http, https and sql", err)
 	}
 }
 

@@ -16,11 +16,6 @@ import (
 	"repro/internal/sources"
 )
 
-func init() {
-	Register("http", openHTTP)
-	Register("https", openHTTP)
-}
-
 // wireRequest is the JSON group protocol's request: one access pattern
 // and the binding group's input vectors (a plain call is a group of
 // one). wireResponse aligns groups[i] with inputs[i].

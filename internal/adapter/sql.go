@@ -13,10 +13,6 @@ import (
 	"repro/internal/sources"
 )
 
-func init() {
-	Register("sql", openSQL)
-}
-
 // SQL adapts a relational table behind database/sql to a limited-access
 // source: an adorned access compiles to a parameterized
 //

@@ -260,9 +260,11 @@ const PlanBudget = 20000
 // is spent every rule not yet dropped stays. Either way the plan is
 // equivalent to q, merely less minimal.
 //
-// It returns the plan and, positional with its rules, the cores those
-// rules are equivalent to. Like NewPlan it fails, wrapping
-// ErrNotOrderable, only for a literal of q with no declared pattern.
+// It returns the plan and, positional with its rules, the cores of the
+// rules of q they stand for: a certain rule is equivalent to its core,
+// and a dismissed rule runs as its overestimate Qᵢᵒ, which contains it.
+// Like NewPlan it fails, wrapping ErrNotOrderable, only for a literal
+// of q with no declared pattern.
 func PlanUnion(q logic.UCQ, ps *access.Set, budget int) (Plan, []logic.CQ, error) {
 	for i, rule := range q.Rules {
 		if err := declared(i, rule, ps); err != nil {

@@ -33,6 +33,7 @@ package fleet
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -60,7 +61,10 @@ func (r Role) String() string {
 // Options configures a fleet node.
 type Options struct {
 	// ID names this replica; it must be unique across the fleet and
-	// stable across restarts (it keys the replica's inbox file).
+	// stable across restarts (it keys the replica's inbox file). Empty
+	// means hostname-pid, unique across a fleet of machines and across
+	// restarts on one (a stale inbox file from an earlier pid is still
+	// read by everyone: at-least-once holds either way).
 	ID string
 	// TTL is the lease duration (default 10s). A writer must renew
 	// within it or self-fence; takeover happens within one poll
@@ -86,6 +90,13 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.ID == "" {
+		host, err := os.Hostname()
+		if err != nil || host == "" {
+			host = "ucqn"
+		}
+		o.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
 	if o.TTL <= 0 {
 		o.TTL = 10 * time.Second
 	}
@@ -178,9 +189,6 @@ type Node struct {
 // shared-state trouble degrades, never fails.
 func Open(dir string, opt Options) (*Node, error) {
 	opt = opt.withDefaults()
-	if opt.ID == "" {
-		return nil, fmt.Errorf("fleet: Options.ID must be non-empty")
-	}
 	if err := opt.FS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -422,5 +423,21 @@ func TestBackgroundTickerStopsOnClose(t *testing.T) {
 	// Closing twice is fine, and a closed node's store surface is inert.
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A node opened without an ID is named hostname-pid.
+func TestOpenDefaultsIDToHostnamePid(t *testing.T) {
+	n, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	host, err := os.Hostname()
+	if err != nil || host == "" {
+		host = "ucqn"
+	}
+	if got, want := n.Stats().ID, fmt.Sprintf("%s-%d", host, os.Getpid()); got != want {
+		t.Errorf("ID = %q, want %q", got, want)
 	}
 }

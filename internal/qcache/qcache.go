@@ -16,20 +16,27 @@
 // resubmissions, and an in-flight table (singleflight) makes a
 // thundering herd on a cold hot query plan once.
 //
-// Tier 2 (answer cache) stores, per executed disjunct, the disjunct's
-// own answer rows keyed by (canonical core key, catalog identity,
-// catalog generation). A later execution reuses a disjunct's rows only
-// when its core is *equivalent* to the cached core — either the keys
-// are equal (isomorphism, hence equivalence) or a budgeted mutual
-// containment check (containment.ContainsLimited both ways) proves
-// equivalence for non-isomorphic cores. That check is started only
-// against entries whose signature (coreSig: what equivalent cores must
-// share syntactically) equals the core's, found through a bucket index
-// rather than a walk of the tier. One-way containment is never
-// enough: p ⊑ q makes q's rows an overestimate of p's, and answer-level
-// reuse must return exactly ANSWER(p). When every disjunct is covered
-// the union is assembled from cache without any source call; when only
-// some are, the remainder runs live and the results are unioned.
+// Tier 2 (answer cache) stores, per executed disjunct, the rows it
+// produced, keyed by (canonical key, catalog identity, catalog
+// generation) of the query those rows answer: the disjunct's core when
+// the plan runs it in full, and the overestimate Qᵢᵒ the plan runs
+// instead when it dismissed the disjunct (PLAN*, Figure 2). Qᵢᵒ is an
+// executable query, so its rows depend on nothing but what its accesses
+// return; only the plan knows they are Δ candidates rather than certain
+// answers, and the tier treats every disjunct alike. A later execution
+// reuses a disjunct's rows only when its query is *equivalent* to the
+// cached one — either the keys are equal (isomorphism, hence
+// equivalence) or a budgeted mutual containment check
+// (containment.ContainsLimited both ways) proves equivalence for
+// non-isomorphic queries. That check is started only against entries
+// whose signature (coreSig: what equivalent queries must share
+// syntactically) equals the query's, found through a bucket index
+// rather than a walk of the tier. One-way containment is never enough:
+// p ⊑ q makes q's rows an overestimate of p's, and answer-level reuse
+// must return exactly ANSWER(p). When every disjunct is covered the
+// execution makes no source call; when only some are, the remainder
+// runs live, and either way the driver sorts the rows into the
+// estimates as it would for a live run.
 //
 // A cached answer is immutable until its catalog generation moves, so
 // the cache holds it as a frozen relation (engine.Frozen) and hands out
@@ -187,11 +194,15 @@ func (f Feasibility) String() string {
 // PlanEntry is one cached plan: the executable representative of an
 // equivalence class of submitted queries, with its verdicts.
 type PlanEntry struct {
-	key      string
-	plan     core.Plan  // the representative's plan; run on behalf of every member
-	cores    []logic.CQ // canonical core per plan rule, head normalized; positional
-	coreKeys []string   // CanonicalKey of cores[i]
-	coreSigs []string   // coreSig of cores[i]
+	key  string
+	plan core.Plan // the representative's plan; run on behalf of every member
+	// cores[i], head normalized, is the canonical form of the query
+	// whose answer plan rule i's rows are: the rule's core when the
+	// plan keeps it certain, the overestimate Qᵢᵒ the plan runs when it
+	// dismissed it. The answer tier keys rule i's rows by it.
+	cores    []logic.CQ
+	coreKeys []string // CanonicalKey of cores[i]
+	coreSigs []string // coreSig of cores[i]
 	feasible Feasibility
 	verdict  core.Verdict
 	planErr  error
@@ -265,10 +276,10 @@ type ansEntry struct {
 // AnswerHit is the result of consulting the answer cache for one plan
 // entry.
 type AnswerHit struct {
-	// Full is the complete answer, the union of the cached disjuncts in
-	// rule order, when every disjunct is covered; nil otherwise. It
-	// borrows the cached rows but is the caller's to Add to (see
-	// engine.Union).
+	// Full is the union of the cached disjuncts' rows in rule order
+	// when every disjunct is covered, nil otherwise: the answer itself
+	// when the plan dismissed no rule. It borrows the cached rows but is
+	// the caller's to Add to (see engine.Union).
 	Full *engine.Rel
 	// Rows[i] holds plan rule i's cached rows when Covered[i].
 	Rows [][]engine.Row
@@ -490,11 +501,18 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	for i, cr := range cores {
 		cr.HeadPred = canonHeadPred // on the loop's copy: CanonicalForm builds a new query
 		e.cores[i], e.coreKeys[i] = containment.CanonicalForm(cr)
-		e.coreSigs[i] = coreSig(e.cores[i])
 		if !seen[e.coreKeys[i]] {
 			seen[e.coreKeys[i]] = true
 			keySet = append(keySet, e.coreKeys[i])
 		}
+		if !e.plan.Certain(i) {
+			// A dismissed rule runs as its overestimate Qᵢᵒ, whose rows
+			// are that rule's answer: they are cached under it.
+			run := e.plan.Exec.Rules[i]
+			run.HeadPred = canonHeadPred
+			e.cores[i], e.coreKeys[i] = containment.CanonicalForm(run)
+		}
+		e.coreSigs[i] = coreSig(e.cores[i])
 	}
 	sort.Strings(keySet)
 	e.key = strings.Join(keySet, " | ") + "\x00" + ps.String()
@@ -549,13 +567,14 @@ func (c *Cache) dropCatalogLocked(cat *sources.Catalog) {
 	}
 }
 
-// Answers consults the answer cache for e against cat. Soundness: a
-// disjunct's rows are reused only when its core is equivalent to the
-// cached core (key equality ⇒ isomorphism ⇒ equivalence, or the mutual
-// containment check) and the catalog fingerprint — identity plus
-// generation — matches. One-way containment is never used, and a rule
-// the plan dismissed is never covered: it runs as its overestimate Qᵢᵒ,
-// whose rows are not those of its core.
+// Answers consults the answer cache for e against cat. Soundness: plan
+// rule i's rows are reused only when the query they answer — its core,
+// or the overestimate Qᵢᵒ the plan runs for a dismissed rule — is
+// equivalent to a cached one (key equality ⇒ isomorphism ⇒
+// equivalence, or the mutual containment check) and the catalog
+// fingerprint — identity plus generation — matches. One-way containment
+// is never used. Whether the rows are certain is the plan's business,
+// not the cache's.
 //
 // The lock covers the lookups only: a full hit's union is assembled
 // after it is released, from frozen relations no one writes, so a large
@@ -576,10 +595,6 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 	parts := make([]*engine.Rel, 0, n) // the covered disjuncts' answers, in rule order
 	full := true
 	for i := range n {
-		if !e.plan.Certain(i) {
-			full = false
-			continue
-		}
 		key := e.coreKeys[i] + "\x1f" + catFP
 		var a *ansEntry
 		if elem, ok := c.answers[key]; ok {
@@ -776,9 +791,9 @@ func equivalentWithin(a, b logic.CQ, budget *int) bool {
 // StoreAnswers records per-disjunct answer relations from a live
 // evaluation: rels[i] is exec rule i's own answer relation, nil when
 // the rule did not run (cached, False, or degraded — degraded disjuncts
-// must never be cached: their rows are incomplete). A rule the plan
-// dismissed is never stored: its rows are Qᵢᵒ's, not its core's. It
-// returns the number of entries evicted to make room.
+// must never be cached: their rows are incomplete). Each is stored
+// under the query it answers (PlanEntry.cores): a dismissed rule's rows
+// under its Qᵢᵒ. It returns the number of entries evicted to make room.
 func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.Rel) int {
 	if c.opt.DisableAnswers || e.planErr != nil {
 		return 0
@@ -796,7 +811,7 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 	gen := cat.Generation()
 	var spill []persist.Entry
 	for i, rel := range rels {
-		if rel == nil || i >= len(e.plan.Exec.Rules) || !e.plan.Certain(i) {
+		if rel == nil || i >= len(e.plan.Exec.Rules) {
 			continue
 		}
 		key := e.coreKeys[i] + "\x1f" + catFP

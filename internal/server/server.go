@@ -81,8 +81,9 @@ type Config struct {
 	// any sibling paid for. Invalidations fan out fleet-wide within one
 	// poll interval. See internal/qcache/fleet.
 	FleetDir string
-	// FleetID names this replica in the fleet (required with FleetDir;
-	// must be unique across replicas and stable across restarts).
+	// FleetID names this replica in the fleet (unique across replicas
+	// and stable across restarts; empty = hostname-pid, see
+	// fleet.Options.ID).
 	FleetID string
 	// FleetTTL and FleetPoll are the lease TTL and the poll/renewal
 	// interval (defaults per fleet.Options).

@@ -224,6 +224,47 @@ func TestServerAnswersInfeasible(t *testing.T) {
 	}
 }
 
+// A repeated access-limited query costs no source call: each query of
+// TestServerAnswersInfeasible makes as many calls on its first
+// submission as with the answer tier off — the second 3 — and none on a
+// repeat, which answers as the first did.
+func TestServerInfeasibleHitMakesNoCalls(t *testing.T) {
+	uncached, fixtures := newTestServer(t, Config{Cache: ucqn.QueryCacheOptions{DisableAnswers: true}}, 1)
+	cached, _ := newTestServer(t, Config{}, 1)
+	name := fixtures[0].Name
+	for _, tc := range []struct {
+		query string
+		calls int
+	}{
+		{"Q(x) :- R(x, y).\nQ(x) :- R(x, y), S(z, w).", 1},
+		{"Q(x, y) :- R(x, y), not L(x).\nQ(x, y) :- R(x, y), S(z, y).", 3},
+		{"Q(y) :- S(x, y).", 0},
+	} {
+		var want *Response
+		for _, run := range []struct {
+			name  string
+			s     *Server
+			calls int
+		}{{"uncached", uncached, tc.calls}, {"uncached, again", uncached, tc.calls}, {"cached miss", cached, tc.calls}, {"cached hit", cached, 0}, {"cached hit, again", cached, 0}} {
+			resp, err := run.s.Query(context.Background(), name, tc.query)
+			if err != nil {
+				t.Fatalf("%q, %s: %v", tc.query, run.name, err)
+			}
+			if resp.Calls != run.calls {
+				t.Errorf("%q, %s: %d source calls, want %d", tc.query, run.name, resp.Calls, run.calls)
+			}
+			if want == nil {
+				want = resp
+				continue
+			}
+			if !slices.EqualFunc(resp.Answers, want.Answers, slices.Equal) || resp.Complete != want.Complete ||
+				resp.Degraded != want.Degraded || fmt.Sprint(resp.Incompleteness) != fmt.Sprint(want.Incompleteness) {
+				t.Errorf("%q, %s: %+v, want the uncached %+v", tc.query, run.name, resp, want)
+			}
+		}
+	}
+}
+
 // Overload must degrade to the certified underestimate, never a 503:
 // with the only execution slot occupied and the queue wait elapsed, a
 // query with warm cached answers still returns them complete; a cold

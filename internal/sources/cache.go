@@ -27,12 +27,17 @@ import (
 type Cached struct {
 	forward
 	capacity int // 0 = unbounded
+	// generation, set by CachedCatalog, reads the generation of the
+	// catalog the cache serves in: what was fetched under an earlier one
+	// is dropped before the next call is served.
+	generation func() int64
 
 	mu        sync.Mutex
 	cache     map[string]*list.Element // key -> element in lru
 	lru       *list.List               // of *cacheEntry; front = most recently used
 	inflight  map[string]*flight
-	gen       int // bumped by Reset; fetches from an old generation are not installed
+	gen       int   // bumped by every drop; fetches from an old one are not installed
+	catGen    int64 // the catalog generation the cached keys were fetched under
 	hits      int
 	misses    int
 	evictions int
@@ -108,6 +113,7 @@ func (c *Cached) Call(ctx context.Context, p access.Pattern, inputs [][]string) 
 		var leadInputs [][]string
 
 		c.mu.Lock()
+		c.followCatalogLocked()
 		for _, i := range todo {
 			key := callKey(p, inputs[i])
 			if elem, ok := c.cache[key]; ok {
@@ -129,6 +135,7 @@ func (c *Cached) Call(ctx context.Context, p access.Pattern, inputs [][]string) 
 		if len(leads) > 0 {
 			groups, err := c.inner.Call(ctx, p, leadInputs)
 			c.mu.Lock()
+			c.followCatalogLocked()
 			for k, l := range leads {
 				if err != nil {
 					l.f.err = err
@@ -228,14 +235,35 @@ func (c *Cached) Evictions() int {
 func (c *Cached) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dropLocked()
+	c.hits, c.misses, c.evictions = 0, 0, 0
+}
+
+// dropLocked forgets every cached key and in-flight fetch; c.mu must be
+// held.
+func (c *Cached) dropLocked() {
 	c.cache = map[string]*list.Element{}
 	c.lru = list.New()
 	c.inflight = map[string]*flight{}
 	c.gen++
-	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
-// CachedCatalog wraps every source of a catalog with a cache.
+// followCatalogLocked drops what was fetched under an earlier generation
+// of the catalog the cache serves in; c.mu must be held.
+func (c *Cached) followCatalogLocked() {
+	if c.generation == nil {
+		return
+	}
+	if g := c.generation(); g != c.catGen {
+		c.catGen = g
+		c.dropLocked()
+	}
+}
+
+// CachedCatalog wraps every source of a catalog with a cache. Each cache
+// follows the returned catalog's generation: after Invalidate,
+// ResetStats or AdvanceGeneration on it, no call is served from rows
+// fetched before.
 func CachedCatalog(cat *Catalog) (*Catalog, []*Cached, error) {
 	var wrapped []Source
 	var caches []*Cached
@@ -247,6 +275,9 @@ func CachedCatalog(cat *Catalog) (*Catalog, []*Cached, error) {
 	out, err := NewCatalog(wrapped...)
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, c := range caches {
+		c.generation, c.catGen = out.Generation, out.Generation()
 	}
 	return out, caches, nil
 }

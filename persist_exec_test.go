@@ -11,6 +11,7 @@ package ucqn
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -112,6 +113,72 @@ func TestPersistWarmRestartMakesNoSourceCalls(t *testing.T) {
 	}
 	if qc2.Stats().PersistLoads == 0 {
 		t.Error("the warm restart loaded nothing from the log")
+	}
+}
+
+// A dismissed rule's rows survive a restart like any other answer:
+// Example 4's union stores the rows of its overestimate rule
+// Q(x, null) :- R(x, z), not S(z) under that rule's null-headed
+// canonical form, and after a
+// restart the repeat makes no source call and reports as the live run
+// did. InvalidateCatalog then costs the query its calls again.
+func TestPersistAccessLimitedAnswers(t *testing.T) {
+	q, ps, in := starFixture(t)
+	dir := t.TempDir()
+	run := func(qc *QueryCache, cat *Catalog) (string, int) {
+		t.Helper()
+		before := cat.TotalStats().Calls
+		res, err := Exec(context.Background(), q, ps, cat, WithQueryCache(qc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _ := res.Report()
+		return rep.String(), cat.TotalStats().Calls - before
+	}
+	qc, _, err := qcache.OpenPersistent(dir, qcache.Options{}, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := in.MustCatalog(ps)
+	cat.SetPersistentID("example-4")
+	want, calls := run(qc, cat)
+	if calls != 3 {
+		t.Fatalf("the first run made %d source calls, want 3", calls)
+	}
+	if err := qc.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+
+	qc2, _, err := qcache.OpenPersistent(dir, qcache.Options{}, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qc2.ClosePersist()
+	nullHeads := 0
+	_, entries := qc2.Persist().Label("example-4")
+	for _, pe := range entries {
+		var core Rule
+		if err := json.Unmarshal(pe.Core, &core); err != nil {
+			t.Fatal(err)
+		}
+		if core.HasNullHead() {
+			nullHeads++
+		}
+	}
+	if nullHeads != 1 {
+		t.Fatalf("%d persisted entries with a null head, want the overestimate rule's", nullHeads)
+	}
+	cat2 := in.MustCatalog(ps)
+	cat2.SetPersistentID("example-4")
+	if got, calls := run(qc2, cat2); calls != 0 || got != want {
+		t.Errorf("after the restart: %d source calls, report\n%s\nwant none and\n%s", calls, got, want)
+	}
+	if n := qc2.Stats().PersistLoads; n != 2 {
+		t.Errorf("%d entries loaded from the log, want both rules'", n)
+	}
+	qc2.InvalidateCatalog(cat2)
+	if got, calls := run(qc2, cat2); calls != 3 || got != want {
+		t.Errorf("after InvalidateCatalog: %d source calls, report\n%s\nwant 3 and\n%s", calls, got, want)
 	}
 }
 
