@@ -108,7 +108,7 @@ fault-smoke:
 # cache with no source call, and a CachedCatalog's call caches forget
 # rows fetched before an invalidation.
 cache-smoke:
-	$(GO) test -race -count=1 -run='TestCacheSmoke|TestCacheConcurrentExec|TestExecQueryCacheProfile|TestNegationIdiom|TestOnePlannerAcrossPaths|TestMinimizedUnionCallsOnEveryPath|TestAccessLimitedHitMakesNoCalls|TestPersistAccessLimitedAnswers|TestCachedCatalogForgetsEarlierGenerations' .
+	$(GO) test -race -count=1 -run='TestCacheSmoke|TestCacheConcurrentExec|TestExecQueryCacheProfile|TestNegationIdiom|TestOnePlannerAcrossPaths|TestMinimizedUnionCallsOnEveryPath|TestAccessLimitedHitMakesNoCalls|TestPersistAccessLimitedAnswers|TestCachedCatalogForgetsEarlierGenerations|TestFeasibleDismissedUnionAnsweredExactly' .
 	$(GO) test -race -count=1 -run='TestServerWideUnionPlansWithinBudget|TestServerInfeasibleHitMakesNoCalls' ./internal/server/
 
 # Chaos-schedule smoke: seeded randomized fault schedules (dropped and

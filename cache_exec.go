@@ -35,27 +35,24 @@ type QueryCacheStats = qcache.Stats
 func NewQueryCache(opt QueryCacheOptions) *QueryCache { return qcache.New(opt) }
 
 // WithQueryCache routes this Exec call through qc: the plan — what the
-// one planner Exec states made of the first query of its class — and
-// its FEASIBLE verdict are served from the plan cache when an
-// equivalent query was planned before, and answers are reused per
-// disjunct when the catalog's generation still matches. A query makes
-// the same calls and answers the same with or without the cache. The
-// cache is bypassed — not an error — under WithNaive, and under
-// WithStats, because cost ordering is statistics-dependent, so its
-// order is not a pure function of the query and patterns.
+// one planner Exec states made of the first query of its class — is
+// served from the plan cache when an equivalent query was planned
+// before, and answers are reused per disjunct when the catalog's
+// generation still matches. A query makes the same calls and answers
+// the same with or without the cache. The cache is bypassed — not an
+// error — under WithNaive.
 func WithQueryCache(qc *QueryCache) ExecOption { return func(c *execConfig) { c.qc = qc } }
 
 // useQueryCache reports whether this Exec call goes through the cache.
 func (c *execConfig) useQueryCache() bool {
-	return c.qc != nil && c.naive == nil && !c.hasStats
+	return c.qc != nil && c.naive == nil
 }
 
 // cacheProfile seeds an ExecProfile's cache counters from a plan lookup
-// and an answer-cache consultation. The persistence counters are the
-// cache's cumulative totals (like Profile.Replicas), not per-execution
-// deltas: warm loads happen lazily at the first lookup per catalog
-// label, so a per-call delta would credit them to an arbitrary request.
-func cacheProfile(qc *QueryCache, info qcache.PlanInfo, hit qcache.AnswerHit) engine.Profile {
+// and an answer-cache consultation: what this execution did. The cache's
+// lifetime totals (persistence warm loads and drops among them) are
+// QueryCache.Stats.
+func cacheProfile(info qcache.PlanInfo, hit qcache.AnswerHit) engine.Profile {
 	var p engine.Profile
 	if info.Hit {
 		p.Cache.PlanHits = 1
@@ -66,10 +63,6 @@ func cacheProfile(qc *QueryCache, info qcache.PlanInfo, hit qcache.AnswerHit) en
 	} else {
 		p.Cache.PartialReuseRules = hit.CachedRules
 	}
-	st := qc.Stats()
-	p.Cache.PersistLoads = st.PersistLoads
-	p.Cache.PersistDrops = st.PersistDrops
-	p.Cache.PersistBytes = st.PersistBytes
 	return p
 }
 

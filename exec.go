@@ -2,8 +2,7 @@ package ucqn
 
 // Exec is the single context-first entry point for every way this
 // package evaluates a query: materialized, parallel, profiled, streamed,
-// semantically optimized, cost-ordered, or naive ground truth. Every
-// execution is ANSWER*.
+// or naive ground truth. Every execution is ANSWER*.
 
 import (
 	"context"
@@ -29,10 +28,6 @@ type execConfig struct {
 	improve   bool
 	maxCalls  int
 	naive     *Instance
-	inds      INDSet
-	hasINDs   bool
-	stats     PlanStats
-	hasStats  bool
 	qc        *QueryCache
 
 	hedge     HedgePolicy
@@ -58,21 +53,6 @@ func WithParallelRules() ExecOption { return func(c *execConfig) { c.parallel = 
 // Result.Profile. With WithStreaming the profile becomes available once
 // the stream finishes.
 func WithProfile() ExecOption { return func(c *execConfig) { c.profile = true } }
-
-// WithINDs semantically optimizes the query under the inclusion
-// dependencies before planning (rules whose chase is unsatisfiable are
-// dropped, Example 6 of the paper). Use only when the sources' data
-// satisfies the dependencies.
-func WithINDs(inds INDSet) ExecOption {
-	return func(c *execConfig) { c.inds, c.hasINDs = inds, true }
-}
-
-// WithStats reorders each rule it can order to minimize estimated
-// source calls under the given cardinality statistics before executing;
-// the planner takes the rest.
-func WithStats(st PlanStats) ExecOption {
-	return func(c *execConfig) { c.stats, c.hasStats = st, true }
-}
 
 // WithStreaming executes the plan as a pipeline and exposes the answers
 // through Result.Stream: head tuples become available while upstream
@@ -224,8 +204,10 @@ func (r *Result) Improved() (Query, DomResult, bool) {
 // ANSWER* (Figure 4): Result.Rel is the certain underestimate — ANSWER(Q,
 // D) itself for an orderable query — and Result.Report the completeness
 // report. Options select the runtime, rule parallelism, profiling,
-// streaming, semantic optimization, cost-based ordering, partial
-// results under failure, or naive ground-truth evaluation.
+// streaming, partial results under failure, or naive ground-truth
+// evaluation. Rewriting q before planning — under inclusion
+// dependencies (INDSet.OptimizeChase) or into a cost-based order
+// (CostOrder) — is the caller's step.
 //
 //	res, err := ucqn.Exec(ctx, q, ps, cat, ucqn.WithStreaming())
 //	if err != nil { ... }
@@ -268,12 +250,6 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 	if rt == nil {
 		rt = engine.DefaultRuntime()
 	}
-	if c.hasINDs {
-		q = c.inds.OptimizeChase(q)
-	}
-	if c.hasStats {
-		q, _ = core.CostOrderUCQ(q, ps, c.stats)
-	}
 	o := c.engineOpts()
 	res := &Result{profiled: c.profile, partial: c.partial, improve: c.improve}
 
@@ -291,7 +267,7 @@ func Exec(ctx context.Context, q Query, ps *PatternSet, cat *Catalog, opts ...Ex
 			return nil, err
 		}
 		hit := c.qc.Answers(entry, cat)
-		res.prof = cacheProfile(c.qc, info, hit)
+		res.prof = cacheProfile(info, hit)
 		if hit.Full != nil && entry.Plan().Dismissed == nil && !c.streaming {
 			// A materialized full hit of a plan that dismissed no rule
 			// returns the cached answer before any driver state exists.
@@ -347,8 +323,8 @@ func (c *execConfig) validate() error {
 		switch {
 		case c.improve, c.streaming, c.profile, c.parallel, c.partial:
 			return errors.New("ucqn: WithNaive does not combine with execution options")
-		case c.hasINDs, c.hasStats, c.rt != nil:
-			return errors.New("ucqn: WithNaive ignores access patterns; planning options do not apply")
+		case c.rt != nil:
+			return errors.New("ucqn: WithNaive ignores access patterns; a runtime does not apply")
 		case c.hasHedge, c.hasBudget:
 			return errors.New("ucqn: WithNaive makes no source calls; hedging and budget options do not apply")
 		}

@@ -80,7 +80,7 @@ func execStar(q Query, ps *PatternSet, cat *Catalog) (Report, error) {
 
 // execStarUnder is ANSWER* under inclusion dependencies through Exec.
 func execStarUnder(q Query, ps *PatternSet, cat *Catalog, inds INDSet) (Report, error) {
-	res, err := Exec(context.Background(), q, ps, cat, WithINDs(inds))
+	res, err := Exec(context.Background(), inds.OptimizeChase(q), ps, cat)
 	if err != nil {
 		return Report{}, err
 	}
@@ -477,6 +477,7 @@ func TestStreamReportAfterNext(t *testing.T) {
 	}
 }
 
+// A cost-ordered query (CostOrder before Exec) answers as written.
 func TestExecWithStats(t *testing.T) {
 	q, ps, in := execFixture(t)
 	st := StatsFromCardinalities(map[string]int{"R": 40, "T": 5, "S": 2, "L": 1})
@@ -484,7 +485,8 @@ func TestExecWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), WithStats(st))
+	ordered, _ := CostOrder(q, ps, st)
+	res, err := Exec(context.Background(), ordered, ps, in.MustCatalog(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +552,7 @@ func TestExecRejectsContradictoryOptions(t *testing.T) {
 	}{
 		{"naive+streaming", []ExecOption{WithNaive(in), WithStreaming()}},
 		{"naive+improve", []ExecOption{WithNaive(in), WithImproveUnder(10)}},
-		{"naive+inds", []ExecOption{WithNaive(in), WithINDs(nil)}},
+		{"naive+runtime", []ExecOption{WithNaive(in), WithRuntime(NewRuntime())}},
 		{"improve+streaming", []ExecOption{WithImproveUnder(10), WithStreaming()}},
 		{"naive+partial", []ExecOption{WithNaive(in), WithPartialResults()}},
 	}

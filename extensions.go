@@ -353,10 +353,6 @@ func ReplicaCatalog(cfg ReplicaConfig, cats ...*Catalog) (*Catalog, []*ReplicaSe
 // cancelled. The zero value disables hedging.
 type HedgePolicy = engine.HedgePolicy
 
-// ReplicaSetProfile is the per-replica breakdown of one replicated
-// source in an ExecProfile.
-type ReplicaSetProfile = engine.ReplicaSetProfile
-
 // VirtualClock is a manually advanced clock for deterministic tests of
 // time-dependent wrappers (DelayedSource, Breaker, ReplicaSet): inject
 // its Now/Sleep methods and call Advance to move time.

@@ -114,8 +114,8 @@ func TestFeasibleUnder(t *testing.T) {
 	}
 }
 
-// ANSWER* on the chase-optimized query (what Exec runs under
-// WithINDs) certifies completeness at compile time: the Example 4 view under
+// ANSWER* on the chase-optimized query (Set.OptimizeChase before Exec)
+// certifies completeness at compile time: the Example 4 view under
 // the Example 6 foreign key plans without the null rule, so ANSWER*
 // reports a complete answer with no overestimate gap.
 func TestAnswerStarUnder(t *testing.T) {

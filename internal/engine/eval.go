@@ -302,7 +302,6 @@ func (x *execution) run(ctx context.Context) (Profile, Report, error) {
 	}
 	prof.Batch = x.pool.batchProfile()
 	prof.finalize()
-	prof.snapshotReplicas(x.cat)
 	return prof, rep, err
 }
 

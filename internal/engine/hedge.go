@@ -49,30 +49,11 @@ func (h HedgePolicy) maxHedges() int {
 	return 1
 }
 
-// Replicated is implemented by sources that front several equivalent
-// replicas (sources.ReplicaSet): the runtime hedges across them by
-// driving replicas individually in health-ranked order.
-type Replicated interface {
-	sources.Source
-	// Replicas returns the number of replicas.
-	Replicas() int
-	// Ranked returns the order in which replicas should be tried now.
-	Ranked() []int
-	// CallReplica sends one group to one specific replica.
-	CallReplica(ctx context.Context, idx int, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error)
-	// ObservedLatency returns the q-quantile of recent call latencies,
-	// when enough samples exist.
-	ObservedLatency(q float64) (time.Duration, bool)
-	// ExhaustedError wraps the member failures of a call that failed on
-	// every replica (errs[i] belongs to replica tried[i]).
-	ExhaustedError(tried []int, errs []error) error
-}
-
 // replicaLeg addresses one replica of a replicated source as a source
 // of its own, so a hedged round races its groups through the same
 // runLeg as every other call.
 type replicaLeg struct {
-	Replicated
+	*sources.ReplicaSet
 	idx int
 }
 
@@ -81,12 +62,14 @@ func (l replicaLeg) Call(ctx context.Context, p access.Pattern, inputs [][]strin
 }
 
 // target reports whether calls to src should run hedged: hedging is
-// configured and the source fronts at least two replicas.
-func (h HedgePolicy) target(src sources.Source) (Replicated, bool) {
+// configured and the source is a replica set (sources.ReplicaSet) of at
+// least two replicas, which the round drives one by one in
+// health-ranked order.
+func (h HedgePolicy) target(src sources.Source) (*sources.ReplicaSet, bool) {
 	if !h.enabled() {
 		return nil, false
 	}
-	r, ok := src.(Replicated)
+	r, ok := src.(*sources.ReplicaSet)
 	if !ok || r.Replicas() < 2 {
 		return nil, false
 	}
@@ -97,7 +80,7 @@ func (h HedgePolicy) target(src sources.Source) (Replicated, bool) {
 // quantile when configured and warmed up, else the fixed delay, with a
 // small floor so an unwarmed quantile-only policy does not hedge every
 // call instantly.
-func (h HedgePolicy) delay(rsrc Replicated) time.Duration {
+func (h HedgePolicy) delay(rsrc *sources.ReplicaSet) time.Duration {
 	if q := h.Quantile; q > 0 {
 		if d, ok := rsrc.ObservedLatency(q); ok && d > 0 {
 			return d
@@ -119,7 +102,7 @@ func (h HedgePolicy) delay(rsrc Replicated) time.Duration {
 // per-source slot for the whole round; legs here must not re-acquire
 // it, or a round whose slot-holding primary hangs could never launch
 // the backup that cancels it.
-func (x *execution) hedgedRound(ctx context.Context, rsrc Replicated, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge, cs *callStats) ([][]sources.Tuple, error) {
+func (x *execution) hedgedRound(ctx context.Context, rsrc *sources.ReplicaSet, name string, p access.Pattern, inputs [][]string, gauge *inFlightGauge, cs *callStats) ([][]sources.Tuple, error) {
 	order := rsrc.Ranked()
 	delay := x.o.Hedge.delay(rsrc)
 	maxHedges := x.o.Hedge.maxHedges()

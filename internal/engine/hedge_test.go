@@ -294,22 +294,25 @@ func TestHedgeComposesWithDedup(t *testing.T) {
 	}
 }
 
-// A profiled run against replicated sources reports the per-replica
-// breakdown.
+// After a run against replicated sources the replica set, which owns
+// the lifetime counters, reports the per-replica breakdown.
 func TestProfileSnapshotsReplicas(t *testing.T) {
 	q := ucq(t, `Q(x) :- R(x).`)
 	ps := pats(t, `R^o`)
-	cat, _ := replicaCat(t, rTable(t, ps), rTable(t, ps))
+	cat, rs := replicaCat(t, rTable(t, ps), rTable(t, ps))
 	rt := NewRuntime()
-	_, prof, _, err := eval(context.Background(), rt, q, ps, cat, Opts{})
-	if err != nil {
+	if _, _, _, err := eval(context.Background(), rt, q, ps, cat, Opts{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(prof.Replicas) != 1 || prof.Replicas[0].Source != "R" {
-		t.Fatalf("Replicas = %+v, want one entry for R", prof.Replicas)
+	if cat.Source("R") != rs {
+		t.Fatal("the catalog must front R with the replica set")
 	}
-	if got := len(prof.Replicas[0].Replicas); got != 2 {
-		t.Errorf("replica breakdown has %d entries, want 2", got)
+	st := rs.ReplicaStats()
+	if len(st) != 2 {
+		t.Fatalf("replica breakdown has %d entries, want 2", len(st))
+	}
+	if calls := st[0].Calls + st[1].Calls; calls != 1 {
+		t.Errorf("replicas observed %d calls, want the run's 1", calls)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/logic"
-	"repro/internal/sources"
 )
 
 // StepProfile is the traffic accounting of one plan step (one adorned
@@ -151,16 +150,6 @@ type CacheProfile struct {
 	// Evictions counts query-cache entries (plans or answers) evicted
 	// while serving this execution.
 	Evictions int
-	// PersistLoads counts answer entries warm-loaded from the cache's
-	// persistence log. Like Replicas, these persistence counters are
-	// cumulative across the cache's lifetime, not per-execution.
-	PersistLoads int
-	// PersistDrops counts persisted records dropped as unverifiable
-	// (torn, bit-flipped, failed validation) or stale — dropped records
-	// are never served.
-	PersistDrops int
-	// PersistBytes approximates the row bytes warm-loaded from disk.
-	PersistBytes int64
 }
 
 // BatchProfile groups the columnar evaluator's batch accounting.
@@ -193,7 +182,9 @@ type BatchProfile struct {
 
 // Profile is the execution profile of a whole plan. Counter groups:
 // Calls (source traffic), Cache (semantic query cache), Batch (columnar
-// evaluator). What a partial-results run dropped is in its Report.
+// evaluator). It counts what this execution did: lifetime counters stay
+// with their owners (the query cache's Stats, a replica set's
+// ReplicaStats). What a partial-results run dropped is in its Report.
 type Profile struct {
 	Rules []RuleProfile
 	// Elapsed is the whole plan's wall-clock time.
@@ -209,12 +200,6 @@ type Profile struct {
 	Cache CacheProfile
 	// Batch is the columnar evaluator's batch accounting.
 	Batch BatchProfile
-
-	// Replicas is the per-replica health and traffic breakdown of every
-	// replica-set source in the catalog, snapshotted when the execution
-	// finished (profiled runs only; counters are cumulative across the
-	// catalog's lifetime, not per-execution).
-	Replicas []ReplicaSetProfile
 }
 
 // finalize sums the per-step counters into Calls in one pass
@@ -232,37 +217,6 @@ func (p *Profile) finalize() {
 			c.MaxInFlight = max(c.MaxInFlight, s.MaxInFlight)
 			c.BatchGroups += s.BatchGroups
 			c.BatchedCalls += s.BatchedCalls
-		}
-	}
-}
-
-// ReplicaSetProfile is the per-replica breakdown of one replicated
-// source.
-type ReplicaSetProfile struct {
-	// Source is the relation name the replica set fronts.
-	Source string
-	// Replicas holds each replica's health and traffic, in declaration
-	// order.
-	Replicas []sources.ReplicaStats
-}
-
-// String renders one replica-set line.
-func (rp ReplicaSetProfile) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", rp.Source)
-	for _, r := range rp.Replicas {
-		fmt.Fprintf(&b, " %s[%s calls=%d fail=%d ewma=%s]",
-			r.Replica, r.State, r.Calls, r.Failures, r.EWMALatency.Round(time.Microsecond))
-	}
-	return b.String()
-}
-
-// snapshotReplicas fills p.Replicas with the current per-replica
-// breakdown of every replica-set source in the catalog.
-func (p *Profile) snapshotReplicas(cat *sources.Catalog) {
-	for _, name := range cat.Names() {
-		if rs, ok := cat.Source(name).(*sources.ReplicaSet); ok {
-			p.Replicas = append(p.Replicas, ReplicaSetProfile{Source: name, Replicas: rs.ReplicaStats()})
 		}
 	}
 }
@@ -316,10 +270,6 @@ func (p Profile) String() string {
 		fmt.Fprintf(&b, "cache: plan hits=%d answer hits=%d reused rules=%d evictions=%d\n",
 			c.PlanHits, c.AnswerHits, c.PartialReuseRules, c.Evictions)
 	}
-	if c := p.Cache; c.PersistLoads > 0 || c.PersistDrops > 0 {
-		fmt.Fprintf(&b, "persist: %d entries warm-loaded (%d bytes), %d dropped\n",
-			c.PersistLoads, c.PersistBytes, c.PersistDrops)
-	}
 	if p.Batch.BatchesProcessed > 0 {
 		fmt.Fprintf(&b, "batches: %d processed, %d values interned, %d buffers reused, %d held answers\n",
 			p.Batch.BatchesProcessed, p.Batch.InternedValues, p.Batch.ArenaReuses, p.Batch.HeldAnswers)
@@ -330,9 +280,6 @@ func (p Profile) String() string {
 	}
 	if c := p.Calls; c.Hedged > 0 {
 		fmt.Fprintf(&b, "hedged: %d backup call(s), %d won\n", c.Hedged, c.HedgeWins)
-	}
-	for _, rp := range p.Replicas {
-		fmt.Fprintf(&b, "replicas %s\n", rp)
 	}
 	if p.Elapsed > 0 {
 		fmt.Fprintf(&b, "total %s\n", p.Elapsed.Round(time.Microsecond))

@@ -169,7 +169,7 @@ func TestEquivIndexBookkeeping(t *testing.T) {
 	for _, bounds := range []Options{{MaxAnswerEntries: 5}, {MaxAnswerBytes: 400}} {
 		now := time.Unix(1_700_000_000, 0)
 		opt := bounds
-		opt.FeasibleBudget, opt.TTL, opt.Now = 1, time.Minute, func() time.Time { return now }
+		opt.PlanBudget, opt.TTL, opt.Now = 1, time.Minute, func() time.Time { return now }
 		dir := t.TempDir()
 		open := func() *Cache {
 			c, _, err := OpenPersistent(dir, opt, persist.Options{})
@@ -215,7 +215,7 @@ func TestEquivIndexConcurrent(t *testing.T) {
 	var clock sync.Mutex
 	now := time.Unix(1_700_000_000, 0)
 	c := New(Options{
-		MaxAnswerEntries: 6, FeasibleBudget: 1, TTL: time.Minute,
+		MaxAnswerEntries: 6, PlanBudget: 1, TTL: time.Minute,
 		Now: func() time.Time { clock.Lock(); defer clock.Unlock(); return now },
 	})
 	cats := []*sources.Catalog{testCatalog(t), testCatalog(t)}

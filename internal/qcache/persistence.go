@@ -49,22 +49,16 @@ func OpenPersistent(dir string, opt Options, popt persist.Options) (*Cache, pers
 	if err != nil {
 		return nil, rs, err
 	}
-	c.AttachPersist(lg, rs)
+	c.AttachStore(lg, rs)
 	return c, rs, nil
 }
 
-// AttachPersist wires an opened log into the cache and folds its
-// recovery accounting into the cache stats. Entries are installed
-// lazily, per catalog label, at the first Answers/StoreAnswers against
-// a catalog with that PersistentID.
-func (c *Cache) AttachPersist(lg *persist.Log, rs persist.RecoveryStats) {
-	c.AttachStore(lg, rs)
-}
-
-// AttachStore wires any persistence backend (a private Log or a fleet
-// node) into the cache; see AttachPersist. On a backend whose Version
-// advances (fleet), labels re-restore whenever the shared state moved
-// behind this cache's back.
+// AttachStore wires a persistence backend (a private Log or a fleet
+// node) into the cache and folds its recovery accounting into the cache
+// stats. Entries are installed lazily, per catalog label, at the first
+// Answers/StoreAnswers against a catalog with that PersistentID. On a
+// backend whose Version advances (fleet), labels re-restore whenever the
+// shared state moved behind this cache's back.
 func (c *Cache) AttachStore(st persist.Store, rs persist.RecoveryStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -10,8 +10,8 @@
 // access-pattern set — form the key. α-renamed, literal-padded,
 // duplicated-disjunct, and otherwise non-minimal resubmissions of the
 // same query therefore hit the same entry and skip re-planning
-// (minimization, orderability check, reordering, adornment, FEASIBLE
-// verdict). A textual fast key (order-insensitive but
+// (minimization, the contained-disjunct scan, orderability check,
+// reordering, adornment). A textual fast key (order-insensitive but
 // multiplicity-sensitive) fronts the canonical computation for exact
 // resubmissions, and an in-flight table (singleflight) makes a
 // thundering herd on a cold hot query plan once.
@@ -75,6 +75,10 @@ import (
 // and "Ans(x) :- R(x)" must share cache entries.
 const canonHeadPred = "Q"
 
+// equivBudget bounds the total containment nodes one Answers call may
+// spend on equivalence scans.
+const equivBudget = 20000
+
 // Options configures a Cache. The zero value selects the defaults.
 type Options struct {
 	// MaxPlanEntries bounds the plan cache (default 512; negative =
@@ -88,28 +92,21 @@ type Options struct {
 	MaxAnswerBytes int64
 	// TTL expires entries of both tiers after this duration (0 = never).
 	TTL time.Duration
-	// FeasibleBudget is the planning budget of a plan miss (default
+	// PlanBudget is the planning budget of a plan miss (default
 	// core.PlanBudget, which an uncached Exec uses too): the planner's
 	// minimization of the disjuncts and its scan for contained
-	// disjuncts together draw at most this many containment nodes, and
-	// the cached FEASIBLE verdict as many again. When the planner runs
-	// out, the literals and disjuncts not yet tested stay — the plan is
-	// as correct, possibly not minimal, so a padded variant may miss the
-	// plan cache (the answer tier's equivalence lookup still finds its
-	// rows). FEASIBLE runs only for a plan that dismissed a rule (one
-	// that dismissed none is feasible by construction); when it runs
-	// out, the verdict is recorded as unknown and execution is
-	// unaffected.
-	FeasibleBudget int
+	// disjuncts together draw at most this many containment nodes, once.
+	// When it runs out, the literals and disjuncts not yet tested stay —
+	// the plan is as correct, possibly not minimal, so a padded variant
+	// may miss the plan cache (the answer tier's equivalence lookup
+	// still finds its rows).
+	PlanBudget int
 	// EquivScanLimit bounds how many cached cores a single uncovered
 	// disjunct may be tested against for equivalence (default 16;
 	// negative = no test). Only plausible candidates count: cores
 	// cached for the same catalog whose signature (coreSig) equals the
 	// disjunct's, newest first.
 	EquivScanLimit int
-	// EquivBudget bounds the total containment nodes one Answers call
-	// may spend on equivalence scans (default 20000).
-	EquivBudget int
 	// DisableAnswers turns tier 2 off: plans are cached, answers are
 	// always computed live (the "plan-only" mode of the E22 ablation).
 	DisableAnswers bool
@@ -129,14 +126,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxAnswerBytes == 0 {
 		o.MaxAnswerBytes = 64 << 20
 	}
-	if o.FeasibleBudget == 0 {
-		o.FeasibleBudget = core.PlanBudget
+	if o.PlanBudget == 0 {
+		o.PlanBudget = core.PlanBudget
 	}
 	if o.EquivScanLimit == 0 {
 		o.EquivScanLimit = 16
-	}
-	if o.EquivBudget == 0 {
-		o.EquivBudget = 20000
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -168,31 +162,8 @@ type Stats struct {
 	PersistDrops int
 }
 
-// Feasibility is the cached FEASIBLE verdict.
-type Feasibility int
-
-const (
-	// FeasibilityUnknown: the budgeted check did not conclude.
-	FeasibilityUnknown Feasibility = iota
-	// FeasibilityYes: the query is feasible under the patterns.
-	FeasibilityYes
-	// FeasibilityNo: the query is infeasible under the patterns.
-	FeasibilityNo
-)
-
-func (f Feasibility) String() string {
-	switch f {
-	case FeasibilityYes:
-		return "feasible"
-	case FeasibilityNo:
-		return "infeasible"
-	default:
-		return "unknown"
-	}
-}
-
 // PlanEntry is one cached plan: the executable representative of an
-// equivalence class of submitted queries, with its verdicts.
+// equivalence class of submitted queries.
 type PlanEntry struct {
 	key  string
 	plan core.Plan // the representative's plan; run on behalf of every member
@@ -203,8 +174,6 @@ type PlanEntry struct {
 	cores    []logic.CQ
 	coreKeys []string // CanonicalKey of cores[i]
 	coreSigs []string // coreSig of cores[i]
-	feasible Feasibility
-	verdict  core.Verdict
 	planErr  error
 	created  time.Time
 	// prepared is the plan's compiled rule programs under the last
@@ -228,16 +197,6 @@ func (e *PlanEntry) Prepared() *engine.Prepared { return &e.prepared }
 // relation or with the wrong arity; it wraps core.ErrNotOrderable), or
 // nil.
 func (e *PlanEntry) Err() error { return e.planErr }
-
-// Feasible returns the cached FEASIBLE verdict and its certificate
-// class (meaningful when the verdict is not unknown). An entry whose
-// plan dismissed no rule is FeasibilityYes by core.VerdictUnderEqualsOver
-// without any search: its representative is an executable query
-// equivalent to every member (Definition 5). Only for a plan that
-// dismissed a rule does the miss run the budgeted FEASIBLE check
-// (Figure 3), whose verdict may be yes, no or unknown; an entry whose
-// Err is non-nil stays unknown.
-func (e *PlanEntry) Feasible() (Feasibility, core.Verdict) { return e.feasible, e.verdict }
 
 // Key returns the entry's canonical cache key (for diagnostics).
 func (e *PlanEntry) Key() string { return e.key }
@@ -479,13 +438,12 @@ func (c *Cache) removePlanLocked(elem *list.Element) {
 }
 
 // build computes a PlanEntry for q: plan it with the one planner
-// (core.PlanUnion), key it by the canonical forms of the plan's cores,
-// and, only when the plan dismissed a rule, run the budgeted FEASIBLE
-// check.
+// (core.PlanUnion) and key it by the canonical forms of the plan's
+// cores.
 func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	e := &PlanEntry{created: c.opt.Now()}
 	var cores []logic.CQ
-	e.plan, cores, e.planErr = core.PlanUnion(q, ps, c.opt.FeasibleBudget)
+	e.plan, cores, e.planErr = core.PlanUnion(q, ps, c.opt.PlanBudget)
 	if e.planErr != nil {
 		cores = q.Rules // keyed as written, so α-renamed variants replay the failure
 	}
@@ -516,26 +474,6 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	}
 	sort.Strings(keySet)
 	e.key = strings.Join(keySet, " | ") + "\x00" + ps.String()
-
-	// The FEASIBLE verdict rides along: on a hit it answers the
-	// Π₂ᴾ-complete question for free. A plan that dismissed no rule is
-	// feasible by Definition 5 — the representative is executable and
-	// equivalent to q, and its own PLAN* has Qᵘ = Qᵒ — so the search runs
-	// only for a plan that dismissed one, and budgeted, because the
-	// cache must never stall a request on an adversarial query.
-	if e.planErr != nil {
-		return e
-	}
-	if e.plan.Dismissed == nil {
-		e.feasible, e.verdict = FeasibilityYes, core.VerdictUnderEqualsOver
-	} else if res, err := core.FeasibleLimited(q, ps, c.opt.FeasibleBudget); err == nil {
-		if res.Feasible {
-			e.feasible = FeasibilityYes
-		} else {
-			e.feasible = FeasibilityNo
-		}
-		e.verdict = res.Verdict
-	}
 	return e
 }
 
@@ -591,7 +529,7 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 	// generation, and the fingerprint must reflect it.
 	c.ensureRestoredLocked(cat, true)
 	catFP := catFingerprint(cat)
-	equivBudget := c.opt.EquivBudget
+	budget := equivBudget
 	parts := make([]*engine.Rel, 0, n) // the covered disjuncts' answers, in rule order
 	full := true
 	for i := range n {
@@ -607,7 +545,7 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 			}
 		}
 		if a == nil {
-			if a = c.equivScanLocked(e.cores[i], e.coreSigs[i], catFP, &equivBudget); a == nil {
+			if a = c.equivScanLocked(e.cores[i], e.coreSigs[i], catFP, &budget); a == nil {
 				full = false
 				continue
 			}

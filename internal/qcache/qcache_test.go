@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -129,25 +130,36 @@ func TestPlanCacheReplaysError(t *testing.T) {
 	}
 }
 
-// A plan entry's FEASIBLE verdict comes from its plan when it dismissed
-// no rule, and from the budgeted check only when it dismissed one.
+// A plan miss is core.PlanUnion and nothing more: the entry's plan is
+// the planner's under the same budget. FEASIBLE's verdicts, which the
+// cache does not compute, are asserted of core.FeasibleLimited itself:
+// a plan that dismissed no rule certifies feasibility with no search,
+// and one that dismissed a rule is answered by ANSWER* at runtime.
 func TestPlanEntryFeasible(t *testing.T) {
+	samePlan := func(t *testing.T, e *PlanEntry, u logic.UCQ, ps *access.Set, budget int) {
+		t.Helper()
+		want, _, err := core.PlanUnion(u, ps, budget)
+		if e.Err() != nil || err != nil {
+			t.Fatalf("entry err %v, PlanUnion err %v", e.Err(), err)
+		}
+		if !reflect.DeepEqual(e.Plan(), want) {
+			t.Errorf("entry plan %v differs from PlanUnion's %v", e.Plan().Exec, want.Exec)
+		}
+	}
+
 	// Written form not orderable (S(w, z) needs w, which nothing binds),
 	// core R(x, y), S(y, z) orderable: the representative certifies
-	// feasibility. Run on the text, FEASIBLE would need the containment
-	// check, so the Qᵘ = Qᵒ verdict shows it did not run.
+	// feasibility, while FEASIBLE on the text needs its containment check.
 	padded := q(t, "Q(x) :- R(x, y), S(y, z), S(w, z).")
 	ps := pats(t, "R^oo S^io")
 	if res, err := core.FeasibleLimited(padded, ps, 20000); err != nil || res.Verdict != core.VerdictContainment {
 		t.Fatalf("fixture: FEASIBLE on the text = %v, %v; want a containment verdict", res, err)
 	}
 	e, _ := New(Options{}).Plan(padded, ps)
-	if e.Err() != nil {
-		t.Fatalf("the core is orderable, so the entry must plan: %v", e.Err())
+	if e.Err() != nil || e.Plan().Dismissed != nil {
+		t.Fatalf("the core is orderable, so the entry must plan every rule: err %v, dismissed %v", e.Err(), e.Plan().Dismissed)
 	}
-	if f, v := e.Feasible(); f != FeasibilityYes || v != core.VerdictUnderEqualsOver {
-		t.Errorf("padded query: Feasible() = %v, %v; want feasible by its plan (%v)", f, v, core.VerdictUnderEqualsOver)
-	}
+	samePlan(t, e, padded, ps, core.PlanBudget)
 
 	examples := map[string]workload.PaperExample{}
 	for _, ex := range workload.PaperExamples() {
@@ -156,16 +168,17 @@ func TestPlanEntryFeasible(t *testing.T) {
 	// Example 3's second disjunct is not orderable, but it is contained
 	// in the first one's core, which is: FEASIBLE on the text needs its
 	// containment search, while the plan drops the disjunct and
-	// certifies the same verdict with no search.
+	// dismisses nothing.
 	ex3 := examples["example-3"]
 	t.Run("example-3 feasible by search", func(t *testing.T) {
 		if res, err := core.FeasibleLimited(ex3.Query, ex3.Patterns, core.PlanBudget); err != nil || !res.Feasible || res.Verdict != core.VerdictContainment {
 			t.Fatalf("FEASIBLE on the text = %+v, %v; want feasible by containment", res, err)
 		}
 		e, _ := New(Options{}).Plan(ex3.Query, ex3.Patterns)
-		if f, v := e.Feasible(); e.Err() != nil || e.Plan().Dismissed != nil || f != FeasibilityYes || v != core.VerdictUnderEqualsOver {
-			t.Errorf("err %v, dismissed %v, Feasible() = %v, %v; want feasible by its plan", e.Err(), e.Plan().Dismissed, f, v)
+		if e.Err() != nil || e.Plan().Dismissed != nil {
+			t.Errorf("err %v, dismissed %v; want a plan that dismisses nothing", e.Err(), e.Plan().Dismissed)
 		}
+		samePlan(t, e, ex3.Query, ex3.Patterns, core.PlanBudget)
 	})
 
 	// The third disjunct is not orderable and is in no single other
@@ -177,25 +190,32 @@ func TestPlanEntryFeasible(t *testing.T) {
 		q      logic.UCQ
 		ps     *access.Set
 		budget int
-		want   Feasibility
+		want   string
 	}{
 		// No executable form, and FEASIBLE proves there is none.
-		{"example-4 infeasible", examples["example-4"].Query, examples["example-4"].Patterns, 0, FeasibilityNo},
+		{"example-4 infeasible", examples["example-4"].Query, examples["example-4"].Patterns, core.PlanBudget, "no"},
 		// Feasible, found by the containment check within the default
 		// budget and not within one node.
-		{"union feasible by search", byUnion, pats(t, "R^o S^i V^i"), 0, FeasibilityYes},
-		{"union budget spent", byUnion, pats(t, "R^o S^i V^i"), 1, FeasibilityUnknown},
+		{"union feasible by search", byUnion, pats(t, "R^o S^i V^i"), core.PlanBudget, "yes"},
+		{"union budget spent", byUnion, pats(t, "R^o S^i V^i"), 1, "unknown"},
 		// With one node minimization keeps example-3's padding, so no
 		// rule is certain and nothing is dropped.
-		{"example-3 budget spent", ex3.Query, ex3.Patterns, 1, FeasibilityUnknown},
+		{"example-3 budget spent", ex3.Query, ex3.Patterns, 1, "unknown"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			e, _ := New(Options{FeasibleBudget: tt.budget}).Plan(tt.q, tt.ps)
+			e, _ := New(Options{PlanBudget: tt.budget}).Plan(tt.q, tt.ps)
 			if e.Err() != nil || e.Plan().Dismissed == nil {
 				t.Fatalf("%s has no executable form, yet the plan (err %v) dismissed no rule", tt.name, e.Err())
 			}
-			if f, _ := e.Feasible(); f != tt.want {
-				t.Errorf("Feasible() = %v, want %v", f, tt.want)
+			samePlan(t, e, tt.q, tt.ps, tt.budget)
+			got := "unknown"
+			if res, err := core.FeasibleLimited(tt.q, tt.ps, tt.budget); err == nil && res.Feasible {
+				got = "yes"
+			} else if err == nil {
+				got = "no"
+			}
+			if got != tt.want {
+				t.Errorf("FeasibleLimited verdict = %s, want %s", got, tt.want)
 			}
 		})
 	}

@@ -402,12 +402,12 @@ func TestServerInvalidateBustsTenantAnswers(t *testing.T) {
 
 // A query whose minimization is exponential must cost its tenant a
 // bounded number of containment nodes, not the process 25 s of CPU with
-// an admission slot held: planning draws on Cache.FeasibleBudget, keeps
+// an admission slot held: planning draws on Cache.PlanBudget, keeps
 // the literals it could not test, and the answer is the naive one.
 func TestServerHostileQueryPlansWithinBudget(t *testing.T) {
 	const hostile = `Q(x) :- R(x, v0), R(x, v1), R(x, v2), R(x, v3), not S(v0, v1), not S(v1, v2), not S(v2, v3), not S(v3, v0).`
 	for _, budget := range []int{0, 1} { // the default, and next to nothing
-		s, fixtures := newTestServer(t, Config{Cache: ucqn.QueryCacheOptions{FeasibleBudget: budget}}, 1)
+		s, fixtures := newTestServer(t, Config{Cache: ucqn.QueryCacheOptions{PlanBudget: budget}}, 1)
 		f := fixtures[0]
 		truth, err := ucqn.Exec(context.Background(), ucqn.MustParseQuery(hostile), nil, nil, ucqn.WithNaive(f.Instance))
 		if err != nil {

@@ -85,8 +85,6 @@ func (s *Delayed) StatsSnapshot() Stats {
 	if s.lat.LatencyCalls > 0 {
 		st.LatencyCalls = s.lat.LatencyCalls
 		st.TotalLatency = s.lat.TotalLatency
-		st.MaxLatency = s.lat.MaxLatency
-		st.EWMALatency = s.lat.EWMALatency
 	}
 	return st
 }

@@ -65,7 +65,7 @@ func TestDelayedAddsLatencyAndForwards(t *testing.T) {
 	if st.Calls != 1 || st.TuplesReturned != 2 {
 		t.Errorf("stats must forward to the inner meters: %+v", st)
 	}
-	if st.LatencyCalls != 1 || st.TotalLatency != 5*time.Second || st.MaxLatency != 5*time.Second || st.EWMALatency != 5*time.Second {
+	if st.LatencyCalls != 1 || st.TotalLatency != 5*time.Second {
 		t.Errorf("delayed call must meter its end-to-end virtual latency: %+v", st)
 	}
 }
@@ -88,17 +88,14 @@ func TestDelayedLatencyAggregates(t *testing.T) {
 		}
 	}
 	st := d.StatsSnapshot()
-	if st.LatencyCalls != 3 || st.TotalLatency != 6*time.Second || st.MaxLatency != 2*time.Second {
+	if st.LatencyCalls != 3 || st.TotalLatency != 6*time.Second {
 		t.Errorf("latency aggregates = %+v", st)
 	}
 	if st.MeanLatency() != 2*time.Second {
 		t.Errorf("MeanLatency = %v, want 2s", st.MeanLatency())
 	}
-	if st.EWMALatency != 2*time.Second {
-		t.Errorf("EWMA over constant samples must be the constant: %v", st.EWMALatency)
-	}
 	d.ResetStats()
-	if st := d.StatsSnapshot(); st.Calls != 0 || st.LatencyCalls != 0 || st.EWMALatency != 0 {
+	if st := d.StatsSnapshot(); st.Calls != 0 || st.LatencyCalls != 0 {
 		t.Errorf("ResetStats must clear the latency overlay: %+v", st)
 	}
 }

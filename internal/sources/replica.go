@@ -158,6 +158,15 @@ func (c ReplicaConfig) window() int {
 	return 64
 }
 
+// DefaultEWMAAlpha is the smoothing factor of a replica's latency
+// moving average (ReplicaStats.EWMALatency).
+const DefaultEWMAAlpha = 0.2
+
+// ewma advances a moving average by one sample.
+func ewma(prev, sample time.Duration, alpha float64) time.Duration {
+	return time.Duration(float64(prev) + alpha*(float64(sample)-float64(prev)))
+}
+
 func (c ReplicaConfig) alpha() float64 {
 	if c.Alpha > 0 {
 		return c.Alpha

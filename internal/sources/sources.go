@@ -119,17 +119,16 @@ func (f forward) ResetStats() {
 }
 
 // Stats is a source's traffic accounting. Besides call and tuple
-// counts it carries per-call latency aggregates: sources that meter
-// latency (Table, Delayed) fold each observed call duration in via
-// Observe, and the replica router uses the EWMA to rank replicas.
+// counts it carries per-call latency totals: sources that meter latency
+// (Delayed, the SQL and HTTP adapters) fold each observed call duration
+// in via Observe. An in-memory Table answers without a wait and meters
+// none.
 type Stats struct {
 	Calls          int // input vectors answered (logical calls)
 	TuplesReturned int // total tuples transferred
 
 	LatencyCalls int           // calls with a latency observation
 	TotalLatency time.Duration // sum of observed call latencies
-	MaxLatency   time.Duration // slowest observed call
-	EWMALatency  time.Duration // moving average (alpha DefaultEWMAAlpha)
 
 	// Wire round trips: a source that services a whole binding group in
 	// one request counts it as one round trip, and as BatchedCalls
@@ -144,28 +143,11 @@ type Stats struct {
 	RateLimitWait  time.Duration // total time spent waiting
 }
 
-// DefaultEWMAAlpha is the smoothing factor of the latency moving
-// average kept by Stats.Observe and the replica health tracker.
-const DefaultEWMAAlpha = 0.2
-
-// Observe folds one call latency into the latency aggregates. The
-// caller is responsible for synchronization.
+// Observe folds one call latency into the latency totals. The caller is
+// responsible for synchronization.
 func (s *Stats) Observe(d time.Duration) {
 	s.LatencyCalls++
 	s.TotalLatency += d
-	if d > s.MaxLatency {
-		s.MaxLatency = d
-	}
-	if s.LatencyCalls == 1 {
-		s.EWMALatency = d
-		return
-	}
-	s.EWMALatency = ewma(s.EWMALatency, d, DefaultEWMAAlpha)
-}
-
-// ewma advances a moving average by one sample.
-func ewma(prev, sample time.Duration, alpha float64) time.Duration {
-	return time.Duration(float64(prev) + alpha*(float64(sample)-float64(prev)))
 }
 
 // MeanLatency returns the average observed call latency (zero when no
@@ -177,9 +159,7 @@ func (s Stats) MeanLatency() time.Duration {
 	return s.TotalLatency / time.Duration(s.LatencyCalls)
 }
 
-// Add accumulates other into s. The merged EWMA is the
-// observation-count-weighted mean of the two averages: exact enough for
-// catalog-level reporting, where per-source ordering is what matters.
+// Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Calls += other.Calls
 	s.TuplesReturned += other.TuplesReturned
@@ -188,16 +168,7 @@ func (s *Stats) Add(other Stats) {
 	s.RateLimitWaits += other.RateLimitWaits
 	s.RateLimitWait += other.RateLimitWait
 	s.TotalLatency += other.TotalLatency
-	if other.MaxLatency > s.MaxLatency {
-		s.MaxLatency = other.MaxLatency
-	}
-	if other.LatencyCalls > 0 {
-		n := s.LatencyCalls + other.LatencyCalls
-		s.EWMALatency = time.Duration(
-			(int64(s.EWMALatency)*int64(s.LatencyCalls) +
-				int64(other.EWMALatency)*int64(other.LatencyCalls)) / int64(n))
-		s.LatencyCalls = n
-	}
+	s.LatencyCalls += other.LatencyCalls
 }
 
 // StatsReporter is implemented by sources that meter their traffic.
@@ -342,12 +313,10 @@ func (t *Table) Call(ctx context.Context, p access.Pattern, inputs [][]string) (
 	idx := t.index[p]
 	out := make([][]Tuple, len(inputs))
 	for i, in := range inputs {
-		start := time.Now()
 		t.mu.Lock()
 		t.stats.Calls++
 		rows := idx[Key(in)]
 		t.stats.TuplesReturned += len(rows)
-		t.stats.Observe(time.Since(start))
 		hook := t.OnCall
 		t.mu.Unlock()
 		if hook != nil {
