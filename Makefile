@@ -89,10 +89,13 @@ bench-smoke:
 # outlives, and at the table's bound; a plan's prepared rule programs
 # shared by parallel executions and recompiled across a rollover and a
 # generation bump; domain enumeration, whose rounds run on the
-# driver, its retries and its rule teardown; and a stream's report,
-# built on the driver goroutine and read by the consumer.
+# driver, its retries and its rule teardown; a stream's report, built
+# on the driver goroutine and read by the consumer; and the execution's
+# call table, one call shared by parallel rules and streamed stages,
+# failing every rule that reads it, keyed by relation, pattern and
+# inputs, and bounded by the call budget.
 fault-smoke:
-	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin|TestPrepared|TestEnumerateDomain|TestExample8|TestStreamReportAfterNext' . ./internal/engine/
+	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin|TestPrepared|TestEnumerateDomain|TestExample8|TestStreamReportAfterNext|TestCallTable' . ./internal/engine/
 
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue

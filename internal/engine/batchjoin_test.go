@@ -21,10 +21,11 @@ type liarSource struct {
 }
 
 func (s liarSource) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
-	out, err := s.Table.Call(ctx, p, inputs)
+	groups, err := s.Table.Call(ctx, p, inputs)
 	if err != nil {
 		return nil, err
 	}
+	out := append([][]sources.Tuple(nil), groups...) // the table's answer is read-only
 	for i, in := range inputs {
 		if in[0] == s.liar {
 			out[i] = s.lies
@@ -44,7 +45,8 @@ func (s liarSource) Call(ctx context.Context, p access.Pattern, inputs [][]strin
 // sequential and parallel, calls deduplicated or not — gives the
 // oracle's rows in its order (as a set where parallel stages
 // interleave), its source calls and its per-step calls, deduplicated
-// calls, tuples and bindings.
+// calls, tuples and bindings — of which parallel rules that share calls
+// keep only the bindings and the calls asked or read per step.
 func TestStepJoinSharesShortAnswers(t *testing.T) {
 	u := parser.MustUCQ(`
 		Q(r, x, y) :- R(r, x), S(x, y).
@@ -120,6 +122,14 @@ func TestStepJoinSharesShortAnswers(t *testing.T) {
 				for ri, wr := range wantProf.Rules {
 					for k, w := range wr.Steps {
 						g := prof.Rules[ri].Steps[k]
+						if parallel && dedup {
+							// Which of the two rules asks a call they share is
+							// a race; the other reads it from the call table.
+							if g.Calls+g.DedupedCalls != w.Calls+w.DedupedCalls {
+								t.Fatalf("%s: rule %d step %d: %d calls and %d deduped, oracle %d and %d", label, ri+1, k+1, g.Calls, g.DedupedCalls, w.Calls, w.DedupedCalls)
+							}
+							g.Calls, g.DedupedCalls, g.TuplesReturned = w.Calls, w.DedupedCalls, w.TuplesReturned
+						}
 						if g.Calls != w.Calls || g.DedupedCalls != w.DedupedCalls || g.TuplesReturned != w.TuplesReturned ||
 							g.BindingsIn != w.BindingsIn || g.BindingsOut != w.BindingsOut {
 							t.Fatalf("%s: rule %d step %d: calls %d, deduped %d, tuples %d, bindings %d → %d; oracle %d, %d, %d, %d → %d",

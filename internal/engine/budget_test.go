@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sources"
 )
 
@@ -131,5 +133,39 @@ func TestBudgetShedModeAdmitsNoCalls(t *testing.T) {
 	}
 	if st := cat.TotalStats(); st.Calls != 0 {
 		t.Errorf("shed mode reached the catalog %d times, want 0", st.Calls)
+	}
+}
+
+// The call table holds an outcome only for a call the budget admitted:
+// a step of 64 distinct calls under MaxCalls = 10 fails with
+// ErrCallBudget leaving at most 10 entries that hold rows or a failure —
+// whether its calls go one by one or through a worker pool, whole or
+// staged.
+func TestCallTableBoundedByBudget(t *testing.T) {
+	u, ps, cat := shortStepQuery(64)
+	p, err := core.NewPlan(u, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, staged := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("staged=%v, workers=%d", staged, workers)
+			rt := NewRuntime()
+			rt.Concurrency, rt.Retry = workers, RetryPolicy{}
+			x := rt.newExecution(cat, Opts{Budget: Budget{MaxCalls: 10}}, staged, func(context.Context, int, []Row) (int, bool) { return 0, true })
+			x.compile(p, Answered{})
+			if _, _, err := x.run(context.Background()); !errors.Is(err, ErrCallBudget) {
+				t.Fatalf("%s: err = %v, want ErrCallBudget", label, err)
+			}
+			live := 0
+			for _, c := range x.calls.calls {
+				if c.state == callDone {
+					live++
+				}
+			}
+			if spent := x.budget.spent.Load(); live > 10 || int64(live) > spent {
+				t.Fatalf("%s: %d calls hold an outcome, %d admitted; want at most the 10 admitted", label, live, spent)
+			}
+		}
 	}
 }

@@ -9,18 +9,22 @@ package engine
 // bindings flow between steps as colBatch values: slot-indexed vectors
 // of interned uint32 value IDs (see intern.go), all from the one
 // interner the execution pinned. One step is then a hash
-// join: each distinct source call's tuples are interned, filtered by
-// the static constant and repeated-variable constraints once, and
-// grouped by their bound-position key, and each input row probes by its
-// own bound-slot key, emitting one output row per matching tuple. The
-// short answers of one batch's new calls share one such join, built
-// once per batch: there a key starts with the call's ordinal, which
-// keeps each call's tuples to its own rows. A long answer's
+// join: its rows are grouped into distinct calls by their input IDs,
+// each looked up in the execution's one call table (calltable.go) —
+// asked of the source only when no step asked it before — and each
+// call's tuples are interned, filtered by the static constant and
+// repeated-variable constraints once, and grouped by their
+// bound-position key; each input row probes by its own bound-slot key,
+// emitting one output row per matching tuple. The join is the step's
+// own: the short answers of the calls a batch meets first share one
+// such join, built once per batch: there a key starts with the call's
+// ordinal, which keeps each call's tuples to its own rows. A long answer's
 // join side is built once per catalog state and step shape instead: its
 // columns and finished joins are held beside the interner under the
 // returned group's identity and shared by every execution that pins the
 // state and receives the same group (held.go).
-// Column buffers are recycled through a per-execution colPool. Strings
+// Column buffers are recycled through a per-execution colPool, and a
+// step's scratch through the execution's stepStates. Strings
 // materialize only at the edges: call inputs handed to internal/sources
 // and head rows handed to the sink, a batch's new rows cut from one slab
 // of values (headSet.rows) that the sink then owns.
@@ -42,10 +46,10 @@ package engine
 // no such set (distinct inputs and a set-valued source give distinct
 // outputs), and the last step has the head's distinct set behind it.
 //
-// Every keyed structure here — a step's call memo, a call's join groups,
-// a dropping step's seen set, the head's distinct rows — is one idTable
-// (idtable.go) over fixed-width tuples of IDs; no key is built as a
-// string. Past the sink neither: the answer relation's membership is a
+// Every keyed structure here — the execution's call table, a call's join
+// groups, a dropping step's seen set, the head's distinct rows — is one
+// idTable (idtable.go) over fixed-width tuples of IDs; no key is built
+// as a string. Past the sink neither: the answer relation's membership is a
 // value hash (Rel) and its canonical sort compares values (compareRows).
 //
 // The reference semantics is the per-binding map evaluator kept as the
@@ -233,7 +237,10 @@ type newCol struct {
 
 // stepProgram is one compiled plan step.
 type stepProgram struct {
-	step       access.AdornedLiteral
+	step access.AdornedLiteral
+	// ord is the step's (relation, pattern) ordinal: its part of the
+	// execution's call table (relOrds).
+	ord        int
 	args       []stepArg
 	inputs     []inputSrc
 	boundPos   []int // atom positions with role argBound, in order
@@ -292,25 +299,47 @@ type ruleProgram struct {
 // rule per execution, or once per engine state for a plan whose
 // executions keep its programs (Opts.Prepared). Constants intern through
 // the interner of the state the compiling execution pinned, so the
-// program is valid only under that state. It is read-only afterwards.
-func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *ruleProgram {
-	prog := &ruleProgram{rule: q, steps: make([]stepProgram, len(steps))}
-	slotOf := map[string]int{}
-	var bound []bool // indexed by slot
-	slot := func(name string) int {
-		if s, ok := slotOf[name]; ok {
-			return s
+// program is valid only under that state; each step's (relation,
+// pattern) gets its ordinal from ords, which every rule of the
+// execution shares. It is read-only afterwards.
+//
+// The steps' per-position slices are windows of one array per element
+// type, each window capped so that no append reaches a neighbour's.
+func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool, ords *relOrds) *ruleProgram {
+	arity, inputs := 0, 0
+	for _, st := range steps {
+		arity += len(st.Literal.Atom.Args)
+		for j := range st.Literal.Atom.Args {
+			if st.Pattern.Input(j) {
+				inputs++
+			}
 		}
-		s := prog.numSlots
-		prog.numSlots++
-		slotOf[name] = s
-		bound = append(bound, false)
-		return s
 	}
+	prog := &ruleProgram{rule: q, steps: make([]stepProgram, len(steps)), head: make([]headArg, len(q.HeadArgs))}
+	args := make([]stepArg, arity)
+	ins := make([]inputSrc, 0, inputs)
+	cols := make([]newCol, 0, arity)
+	// boundPos, probeSlots and copySlots of every step, then headSlots;
+	// copySlots can outgrow the guess, and a regrowth leaves the windows
+	// cut before it in the old array.
+	ints := make([]int, 0, 3*arity+len(q.HeadArgs))
+	names := make([]string, 0, arity) // slot → variable
+	bound := make([]bool, 0, arity)   // by slot
+	slotOf := func(name string) (int, bool) {
+		for s, n := range names {
+			if n == name {
+				return s, true
+			}
+		}
+		return -1, false
+	}
+	window := func(from int) []int { return ints[from:len(ints):len(ints)] }
 	for si, st := range steps {
 		sp := &prog.steps[si]
 		sp.step = st
 		atom := st.Literal.Atom
+		sp.ord = ords.of(atom.Pred, st.Pattern)
+		from := len(ins)
 		for j, t := range atom.Args {
 			if !st.Pattern.Input(j) {
 				continue
@@ -318,10 +347,10 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			switch {
 			case t.IsConst():
 				id, _ := pool.ids.id(t.Name)
-				sp.inputs = append(sp.inputs, inputSrc{slot: -1, constID: id})
+				ins = append(ins, inputSrc{slot: -1, constID: id})
 			case t.IsVar():
-				if s, ok := slotOf[t.Name]; ok && bound[s] {
-					sp.inputs = append(sp.inputs, inputSrc{slot: s})
+				if s, ok := slotOf(t.Name); ok && bound[s] {
+					ins = append(ins, inputSrc{slot: s})
 				} else if sp.err == nil {
 					sp.err = fmt.Errorf("engine: input slot %d of %s needs unbound variable %s", j+1, st, t.Name)
 				}
@@ -331,8 +360,9 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 				}
 			}
 		}
-		sp.args = make([]stepArg, len(atom.Args))
-		firstAt := map[string]int{}
+		sp.inputs = ins[from:len(ins):len(ins)]
+		sp.args, args = args[:len(atom.Args):len(atom.Args)], args[len(atom.Args):]
+		from = len(ints)
 		for j, t := range atom.Args {
 			a := &sp.args[j]
 			switch {
@@ -340,44 +370,62 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 				a.role = argConst
 				a.constID, _ = pool.ids.id(t.Name)
 			case t.IsVar():
-				if s, ok := slotOf[t.Name]; ok && bound[s] {
+				if s, ok := slotOf(t.Name); ok && bound[s] {
 					a.role = argBound
 					a.slot = s
-					sp.boundPos = append(sp.boundPos, j)
-					sp.probeSlots = append(sp.probeSlots, s)
+					ints = append(ints, j)
 					continue
 				}
-				if p, ok := firstAt[t.Name]; ok {
-					a.role = argRepeat
-					a.firstPos = p
+				a.role, a.firstPos = argFirst, -1
+				for k := 0; k < j; k++ {
+					if atom.Args[k].Name == t.Name && sp.args[k].role == argFirst {
+						a.role, a.firstPos = argRepeat, k
+						break
+					}
+				}
+				if a.role == argRepeat {
 					continue
 				}
-				a.role = argFirst
-				a.slot = slot(t.Name)
-				firstAt[t.Name] = j
+				s, ok := slotOf(t.Name)
+				if !ok {
+					s = len(names)
+					names, bound = append(names, t.Name), append(bound, false)
+				}
+				a.slot = s
 			default:
 				a.role = argNull
 				sp.never = true
 			}
 		}
-		for s := 0; s < len(bound); s++ {
-			if bound[s] {
-				sp.copySlots = append(sp.copySlots, s)
+		sp.boundPos = window(from)
+		from = len(ints)
+		for _, j := range sp.boundPos {
+			ints = append(ints, sp.args[j].slot)
+		}
+		sp.probeSlots = window(from)
+		from = len(ints)
+		for s, b := range bound {
+			if b {
+				ints = append(ints, s)
 			}
 		}
+		sp.copySlots = window(from)
 		// A positive step binds its fresh variables for downstream steps;
 		// a negated step is a pure filter (the oracle discards the
 		// extended binding and keeps the original).
+		from = len(cols)
 		if !st.Literal.Negated {
 			for j := range sp.args {
 				if sp.args[j].role == argFirst {
-					sp.newCols = append(sp.newCols, newCol{slot: sp.args[j].slot, pos: j})
+					cols = append(cols, newCol{slot: sp.args[j].slot, pos: j})
 					bound[sp.args[j].slot] = true
 				}
 			}
 		}
+		sp.newCols = cols[from:len(cols):len(cols)]
 	}
-	prog.head = make([]headArg, len(q.HeadArgs))
+	prog.numSlots = len(names)
+	from := len(ints)
 	for i, t := range q.HeadArgs {
 		h := &prog.head[i]
 		switch {
@@ -387,16 +435,17 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			h.kind = headConst
 			h.val = V(t.Name)
 		default:
-			if s, ok := slotOf[t.Name]; ok && bound[s] {
+			if s, ok := slotOf(t.Name); ok && bound[s] {
 				h.kind = headSlot
 				h.slot = s
-				prog.headSlots = append(prog.headSlots, s)
+				ints = append(ints, s)
 			} else if prog.headErr == nil {
 				prog.headErr = fmt.Errorf("engine: head variable %s is unbound; plan for %s is unsafe", t.Name, q.HeadPred)
 			}
 		}
 	}
-	prog.projectLive()
+	prog.headSlots = window(from)
+	prog.projectLive(bound)
 	return prog
 }
 
@@ -405,9 +454,9 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 // head reads it. Each step's output columns shrink to its live slots,
 // each atom position learns whether groupJoin needs its value, and a
 // non-final step that thereby drops a slot is marked to deduplicate
-// what it sends on.
-func (prog *ruleProgram) projectLive() {
-	live := make([]bool, prog.numSlots)
+// what it sends on. live is scratch of numSlots entries.
+func (prog *ruleProgram) projectLive(live []bool) {
+	clear(live)
 	for _, s := range prog.headSlots {
 		live[s] = true
 	}
@@ -510,21 +559,23 @@ func (j *callJoin) group(key []uint32) []int32 {
 	return j.idx[j.start[g]:j.start[g+1]]
 }
 
-// joinCalls gives each of a batch's new calls its join side. A long
-// answer's (heldMinRows and up) is built once per catalog state and step
-// shape and shared (heldTable.join); every other answer with tuples —
-// short, or too large to hold — goes into the batch's one join, keyed by
-// its ordinal there. key is the caller's scratch.
-func (sp *stepProgram) joinCalls(calls []stepCall, pool *colPool, key []uint32) {
+// joinCalls gives each call the batch meets for the first time
+// (st.need) the step's join side of it. A long answer's (heldMinRows and
+// up) is built once per catalog state and step shape and shared
+// (heldTable.join); every other answer with tuples — short, or too large
+// to hold — goes into the batch's one join, keyed by its ordinal there.
+// key is the caller's scratch.
+func (sp *stepProgram) joinCalls(st *stepState, pool *colPool, key []uint32) {
 	shorts, tuples := 0, 0
-	for i := range calls {
-		c := &calls[i]
+	for k, c := range st.need {
+		j := &st.joins[st.needIdx[k]]
+		j.join = nil
 		if len(c.rows) == 0 || sp.never {
-			c.join = emptyJoin
+			j.join = emptyJoin
 			continue
 		}
 		if len(c.rows) >= heldMinRows {
-			if c.join = pool.held.join(c.rows, sp, pool, key); c.join != nil {
+			if j.join = pool.held.join(c.rows, sp, pool, key); j.join != nil {
 				pool.nHeld.Add(1)
 				continue
 			}
@@ -535,21 +586,19 @@ func (sp *stepProgram) joinCalls(calls []stepCall, pool *colPool, key []uint32) 
 	if shorts == 0 {
 		return
 	}
-	var one [1][]sources.Tuple // a single short answer needs no list of its own
-	answers := one[:0]
-	if shorts > 1 {
-		answers = make([][]sources.Tuple, 0, shorts)
-	}
-	for i := range calls {
-		if c := &calls[i]; c.join == nil {
-			c.ord = uint32(len(answers))
+	answers := grown(st.answers, shorts)[:0]
+	for k, c := range st.need {
+		if j := &st.joins[st.needIdx[k]]; j.join == nil {
+			j.ord = uint32(len(answers))
 			answers = append(answers, c.rows)
 		}
 	}
-	j := sp.groupJoin(answers, make([]uint32, len(sp.args)*tuples), pool, key, false)
-	for i := range calls {
-		if calls[i].join == nil {
-			calls[i].join = j
+	st.answers = answers
+	bj := sp.groupJoin(answers, make([]uint32, len(sp.args)*tuples), pool, key, false)
+	clear(answers) // the scratch keeps no answer alive
+	for _, e := range st.needIdx {
+		if j := &st.joins[e]; j.join == nil {
+			j.join = bj
 		}
 	}
 }
@@ -666,41 +715,124 @@ func (x *execution) stopped(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// stepJoin is the join side a step built for one call, and the call's
+// ordinal in it: the first word of its probe keys when the join holds
+// several answers (callJoin.byOrd).
+type stepJoin struct {
+	join *callJoin
+	ord  uint32
+}
+
+// pendingJoin marks a call whose join the current batch is building.
+var pendingJoin = &callJoin{}
+
 // stepState is what a step remembers between the batches it is applied
-// to, owned by the schedule: one value per step, for the one batch of a
-// whole rule or across all the batches of a stage.
+// to — one value per stage of a streamed rule, carried across its
+// batches — and the scratch applyStepCol regrows and reuses. The whole
+// schedule hands a rule's steps one value in turn, reset between them.
+// Values are recycled across executions (takeState, releaseState).
 type stepState struct {
-	// memo maps a call-input tuple to its index in calls (when
-	// rt.Dedup): keys resolved by an earlier batch are served without a
-	// new source call, so per-step deduplication is exactly as strong
-	// staged as whole.
-	memo idTable
-	// calls are the step's distinct calls so far under rt.Dedup, the
-	// current batch's otherwise. Each points into the slab of the batch
-	// that made it (applyStepCol).
-	calls []*stepCall
+	// joins[e] is the join side the step built for call e — its index
+	// in the execution's call table, or, without Dedup, in own — nil
+	// until a batch meets e. A staged step's later batch probes the joins
+	// an earlier one built.
+	joins []stepJoin
 	// seen holds the output bindings a slot-dropping step already sent
 	// downstream (stepProgram.dedup), over its output columns.
 	seen idTable
+
+	// Scratch of one batch. of[i] is row i's call; need lists the calls
+	// whose joins the batch builds, with their indices, in first-row
+	// order; claimed the ones it issues itself; own the batch's calls
+	// without Dedup, their inputs windows of ownInputs.
+	of        []int32
+	rowGroups [][]int32
+	need      []*stepCall
+	needIdx   []int32
+	claimed   []*stepCall
+	own       []stepCall
+	ownInputs []string
+	answers   [][]sources.Tuple
+	// all and gauge are issue's: the group's input vectors and the calls
+	// in flight.
+	all   [][]string
+	gauge inFlightGauge
+}
+
+// grown returns buf resized to n: in place when n fits its capacity,
+// else in a new array with room to spare, zeroed past buf's length.
+func grown[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	out := make([]T, n, max(n, 2*cap(buf), 16))
+	copy(out, buf)
+	return out
+}
+
+// reset readies st for another step, keeping its buffers.
+func (st *stepState) reset() {
+	clear(st.joins[:cap(st.joins)])
+	st.joins = st.joins[:0]
+	st.seen.reset()
+}
+
+// stepStates recycles stepStates across executions, so that a warm
+// process sizes no small step's scratch afresh.
+var stepStates = sync.Pool{New: func() any { return new(stepState) }}
+
+// stepStateMaxKept bounds, in elements, each buffer a recycled
+// stepState keeps — its seen set's slots and keys sixteen times that —
+// and a larger one is dropped, so that what the pool holds between
+// requests stays small.
+const stepStateMaxKept = 64
+
+// takeState returns a reset stepState.
+func takeState() *stepState { return stepStates.Get().(*stepState) }
+
+// releaseState recycles st, keeping of its buffers the small ones,
+// emptied of what they point into: the execution's calls and answers.
+func releaseState(st *stepState) {
+	st.joins = recycled(st.joins)
+	if len(st.seen.slots) > 16*stepStateMaxKept || cap(st.seen.keys) > 16*stepStateMaxKept {
+		st.seen = idTable{}
+	}
+	st.seen.reset()
+	st.of, st.rowGroups = recycled(st.of), recycled(st.rowGroups)
+	st.need, st.needIdx, st.claimed = recycled(st.need), recycled(st.needIdx), recycled(st.claimed)
+	st.own, st.ownInputs = recycled(st.own), recycled(st.ownInputs)
+	st.answers, st.all = recycled(st.answers), recycled(st.all)
+	stepStates.Put(st)
+}
+
+// recycled returns buf emptied and zeroed, or nil when it is larger than
+// stepStateMaxKept.
+func recycled[T any](buf []T) []T {
+	if cap(buf) > stepStateMaxKept {
+		return nil
+	}
+	clear(buf[:cap(buf)])
+	return buf[:0]
 }
 
 // applyStepCol runs one compiled plan step over a columnar batch: group
-// rows into distinct calls by their input IDs, issue the distinct calls
-// through the runtime (worker pool, retries, hedging, budget), then
-// hash-join each row against its call's tuples and emit output batches
-// of at most limit rows (limit ≤ 0 means one batch) over the step's live
-// slots. A slot-dropping step emits each distinct output binding once,
-// the first time it arises: everything downstream is a function of the
-// live slots, so a repeat could only re-derive, later, head rows its
-// first occurrence already derives — dropping it changes neither the
-// rule's rows nor the order they first appear in, nor any source call.
+// rows into distinct calls by their input IDs, look each up in the
+// execution's call table and issue the ones nobody asked before through
+// the runtime (worker pool, retries, hedging, budget), then hash-join
+// each row against its call's tuples and emit output batches of at most
+// limit rows (limit ≤ 0 means one batch) over the step's live slots. A
+// slot-dropping step emits each distinct output binding once, the first
+// time it arises: everything downstream is a function of the live
+// slots, so a repeat could only re-derive, later, head rows its first
+// occurrence already derives — dropping it changes neither the rule's
+// rows nor the order they first appear in, nor any source call.
 //
 // It returns the number of rows emitted and whether emit stopped the
 // step early (pipeline cancellation; not an error).
 func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int, in *colBatch, sp *StepProfile, st *stepState, limit int, emit func(*colBatch) bool) (int, bool, error) {
 	sp0 := &prog.steps[si]
 	step := sp0.step
-	dedup, pool := x.rt.Dedup, x.pool
+	pool := x.pool
 	src := x.cat.Source(step.Literal.Atom.Pred)
 	if src == nil {
 		return 0, false, fmt.Errorf("engine: no source for relation %s", step.Literal.Atom.Pred)
@@ -710,69 +842,98 @@ func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int,
 	}
 	pool.nBatches.Add(1)
 
-	// Group rows into distinct calls by their input-ID tuple: row i's
-	// call is st.calls[of[i]]. Without Dedup every row is a call of its
+	// Row i's call is entry st.of[i] of the execution's call table; a
+	// call the step meets for the first time joins need, and claimed when
+	// nobody has asked it yet. Without Dedup every row is a call of its
 	// own.
 	var keyArr [8]uint32
 	key := keyArr[:0]
-	of := make([]int32, in.n)
-	if !dedup {
-		st.calls = st.calls[:0]
-	}
-	known, fresh := len(st.calls), 0
-	for i := 0; i < in.n; i++ {
-		if !dedup {
-			of[i] = int32(i)
-			fresh++
-			continue
-		}
-		key = key[:0]
-		for _, is := range sp0.inputs {
-			v := is.constID
-			if is.slot >= 0 {
-				v = in.cols[is.slot][i]
-			}
-			key = append(key, v)
-		}
-		c, isNew := st.memo.insert(key)
-		if isNew {
-			fresh++
-		} else {
-			sp.DedupedCalls++
-		}
-		of[i] = c
-	}
-	// The batch's new calls are one slab, numbered in the order their
-	// first rows come, and their inputs windows of one array.
-	calls := make([]stepCall, fresh)
+	of := grown(st.of, in.n)
+	st.of = of
+	need, needIdx, claimed := grown(st.need, in.n)[:0], grown(st.needIdx, in.n)[:0], grown(st.claimed, in.n)[:0]
+	var failed []*stepCall // read failed from the table
 	w := len(sp0.inputs)
-	inputs := make([]string, fresh*w)
-	st.calls = slices.Grow(st.calls, fresh)
-	for i := 0; len(st.calls) < known+fresh; i++ {
-		if int(of[i]) != len(st.calls) {
-			continue
+	if x.rt.Dedup {
+		tab := &x.calls
+		tab.mu.Lock()
+		known := len(tab.calls)
+		for i := 0; i < in.n; i++ {
+			key = append(key[:0], uint32(sp0.ord))
+			for _, is := range sp0.inputs {
+				v := is.constID
+				if is.slot >= 0 {
+					v = in.cols[is.slot][i]
+				}
+				key = append(key, v)
+			}
+			of[i] = tab.index(key)
 		}
-		k := len(st.calls) - known
-		c := &calls[k]
-		if w > 0 {
-			c.inputs = inputs[k*w : (k+1)*w : (k+1)*w]
-			sp0.fillInputs(c.inputs, in, i, pool)
+		// The batch's new calls are numbered in the order their first rows
+		// come: row i makes the next one when its index is the next.
+		tab.reserve(tab.keys.len()-known, w)
+		st.joins = grown(st.joins, max(len(st.joins), tab.keys.len()))
+		for i := 0; i < in.n; i++ {
+			e := of[i]
+			if int(e) == len(tab.calls) {
+				sp0.fillInputs(tab.enter(w).inputs, in, i, pool)
+			}
+			if st.joins[e].join != nil {
+				sp.DedupedCalls++
+				continue
+			}
+			st.joins[e].join = pendingJoin
+			c := tab.calls[e]
+			need, needIdx = append(need, c), append(needIdx, e)
+			switch {
+			case c.state == callAbsent:
+				c.state = callInFlight
+				claimed = append(claimed, c)
+			case c.state == callDone && c.err != nil:
+				failed = append(failed, c)
+				fallthrough
+			default:
+				sp.DedupedCalls++
+			}
 		}
-		st.calls = append(st.calls, c)
+		tab.mu.Unlock()
+	} else {
+		own := grown(st.own, in.n)
+		clear(own)
+		inputs := grown(st.ownInputs, in.n*w)
+		st.own, st.ownInputs = own, inputs
+		st.joins = grown(st.joins, in.n)
+		for i := 0; i < in.n; i++ {
+			c := &own[i]
+			if w > 0 {
+				c.inputs = inputs[i*w : (i+1)*w : (i+1)*w]
+				sp0.fillInputs(c.inputs, in, i, pool)
+			}
+			of[i] = int32(i)
+			need, needIdx, claimed = append(need, c), append(needIdx, int32(i)), append(claimed, c)
+		}
+	}
+	st.need, st.needIdx = need, needIdx
+	if failed != nil {
+		// The step reads a failure: it fails as the step that asked did,
+		// and asks nothing.
+		x.calls.settle(claimed)
+		st.claimed = claimed[:0]
+		return 0, false, callFailures(failed, step)
 	}
 	t0 := time.Now()
-	err := x.issue(ctx, src, step, calls, sp)
+	err := x.resolve(ctx, src, step, st, claimed, sp)
 	sp.SourceWait += time.Since(t0)
 	if err != nil {
 		return 0, false, err
 	}
-	sp0.joinCalls(calls, pool, key)
+	sp0.joinCalls(st, pool, key)
 
 	// Probe every row, resolving its matching tuple group and an upper
 	// bound on the output cardinality (exact unless the step dedups)
 	// before any output column is allocated.
 	negated := step.Literal.Negated
-	rowGroups := make([][]int32, in.n)
+	rowGroups := grown(st.rowGroups, in.n)
+	st.rowGroups = rowGroups
 	left := 0
 	for i := 0; i < in.n; i++ {
 		if i%stopCheckEvery == 0 {
@@ -780,7 +941,7 @@ func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int,
 				return 0, false, err
 			}
 		}
-		c := st.calls[of[i]]
+		c := st.joins[of[i]]
 		key = key[:0]
 		if c.join.byOrd {
 			key = append(key, c.ord)
@@ -829,7 +990,7 @@ func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int,
 				matches = 1
 			}
 		}
-		join := st.calls[of[i]].join
+		join := st.joins[of[i]].join
 		for m := 0; m < matches; m++ {
 			var ti int // the matching tuple; a negated step binds nothing
 			if !negated {
@@ -877,4 +1038,31 @@ func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int,
 		return emitted, true, nil
 	}
 	return emitted, false, nil
+}
+
+// resolve gives every call in st.need its outcome: it issues the calls
+// the step claimed, settles them in the call table, then waits for the
+// ones other steps have in flight — asking itself any of those released
+// unanswered — and fails the step with the failures they brought.
+// Without Dedup it only issues: the step's calls are its own.
+func (x *execution) resolve(ctx context.Context, src sources.Source, step access.AdornedLiteral, st *stepState, claimed []*stepCall, sp *StepProfile) error {
+	defer func() { st.claimed = claimed[:0] }()
+	for {
+		err := x.issue(ctx, src, step, claimed, sp, st)
+		if !x.rt.Dedup {
+			return err
+		}
+		x.calls.settle(claimed)
+		if err != nil {
+			return err
+		}
+		if claimed, err = x.calls.await(ctx, st.need, claimed[:0]); err != nil {
+			x.calls.settle(claimed) // claimed, never issued: released
+			return err
+		}
+		if len(claimed) == 0 {
+			break
+		}
+	}
+	return callFailures(st.need, step)
 }

@@ -94,10 +94,11 @@ type Prepared struct {
 }
 
 // preparedRules is one plan's programs under one engine state: progs[i]
-// is rule i's, nil for a False rule.
+// is rule i's, nil for a False rule, their steps numbered by ords.
 type preparedRules struct {
 	state uint64 // engineState.serial
 	progs []*ruleProgram
+	ords  relOrds
 }
 
 // Answered marks rules of a union whose answers the caller already
@@ -150,6 +151,11 @@ type execution struct {
 	pool   *colPool
 	state  uint64 // the pinned engine state's serial
 	rules  []ruleRun
+	// calls is every source call the execution made (calltable.go).
+	calls callTable
+	// ords backs the (relation, pattern) numbering of the rules the
+	// execution compiles itself.
+	ords [8]relPattern
 	// resident gauges the bindings live across the stages of the
 	// execution's staged rules (RuleProfile.PeakBindings).
 	resident inFlightGauge
@@ -165,9 +171,13 @@ func (rt *Runtime) newExecution(cat *sources.Catalog, o Opts, staged bool, sink 
 
 // compile translates the plan into the execution's rules: every rule
 // that is neither False nor pre-answered runs the plan's steps, compiled
-// for this execution or taken from o.Prepared.
+// for this execution or taken from o.Prepared. It sizes the call table
+// for the (relation, pattern) pairs the programs access.
 func (x *execution) compile(p core.Plan, pre Answered) {
-	progs := x.prepared(p)
+	progs, ords := x.prepared(p)
+	if progs == nil {
+		ords = x.ords[:0]
+	}
 	x.rules = make([]ruleRun, 0, len(p.Exec.Rules))
 	for i, rule := range p.Exec.Rules {
 		if rule.False {
@@ -180,37 +190,40 @@ func (x *execution) compile(p core.Plan, pre Answered) {
 		case progs != nil:
 			r.prog = progs[i]
 		default:
-			r.prog = compileRule(rule, p.Steps[i], x.pool)
+			r.prog = compileRule(rule, p.Steps[i], x.pool, &ords)
 		}
 		x.rules = append(x.rules, r)
 	}
+	x.calls.init(ords)
 }
 
-// prepared returns p's programs from o.Prepared when they were compiled
+// prepared returns p's programs from o.Prepared, and the numbering of
+// the (relation, pattern) pairs they access, when they were compiled
 // under the state this execution pinned. Otherwise, if p ran under that
 // state before, it compiles every rule of p under it and installs the
-// result there; if not, it returns nil, as it does without o.Prepared,
-// and the execution compiles what it runs. Two executions racing to
-// install both run their own compile, and the last one stays.
-func (x *execution) prepared(p core.Plan) []*ruleProgram {
+// result there; if not, it returns no programs, as it does without
+// o.Prepared, and the execution compiles what it runs, numbering on
+// from the returned relOrds. Two executions racing to install both run
+// their own compile, and the last one stays.
+func (x *execution) prepared(p core.Plan) ([]*ruleProgram, relOrds) {
 	pp := x.o.Prepared
 	if pp == nil {
-		return nil
+		return nil, nil
 	}
 	if cur := pp.cur.Load(); cur != nil && cur.state == x.state {
-		return cur.progs
+		return cur.progs, cur.ords
 	}
 	if pp.seen.Swap(x.state) != x.state {
-		return nil
+		return nil, nil
 	}
 	cur := &preparedRules{state: x.state, progs: make([]*ruleProgram, len(p.Exec.Rules))}
 	for i, rule := range p.Exec.Rules {
 		if !rule.False {
-			cur.progs[i] = compileRule(rule, p.Steps[i], x.pool)
+			cur.progs[i] = compileRule(rule, p.Steps[i], x.pool, &cur.ords)
 		}
 	}
 	pp.cur.Store(cur)
-	return cur.progs
+	return cur.progs, cur.ords
 }
 
 // run is the driver: it runs the execution's rules — in order, or one
@@ -323,7 +336,7 @@ func (x *execution) absorbs(ctx context.Context, err error) bool {
 func (x *execution) runRule(ctx context.Context, r *ruleRun) {
 	if r.prog != nil {
 		start := time.Now()
-		r.rp.Rule = r.rule.Clone()
+		r.rp.Rule = r.rule
 		r.rp.Steps = make([]StepProfile, len(r.prog.steps))
 		for i := range r.rp.Steps {
 			r.rp.Steps[i].Step = r.prog.steps[i].step

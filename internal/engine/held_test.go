@@ -491,7 +491,7 @@ func TestHeldJoinDedupFirstOccurrence(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				sameAnswer(t, got, want, s, parallel, label)
-				checkStepBindings(t, label, prof, wantProf, wantLive)
+				checkStepBindings(t, label, prof, wantProf, wantLive, !parallel && !s.staged)
 				if g, w := prof.Rules[2].Steps[0].BindingsOut, wantProf.Rules[2].Steps[0].BindingsOut; g != w || w != len(r.rows) {
 					t.Fatalf("%s: the last rule sent on %d bindings, want one per tuple (%d, oracle %d)", label, g, len(r.rows), w)
 				}
@@ -509,7 +509,7 @@ func TestHeldJoinDedupFirstOccurrence(t *testing.T) {
 		t.Fatal("not executable")
 	}
 	pool := newColPool(newEngineState())
-	sp := &compileRule(u.Rules[0], steps, pool).steps[1]
+	sp := &compileRule(u.Rules[0], steps, pool, &relOrds{}).steps[1]
 	if !sp.dedup || len(sp.boundPos) != 1 {
 		t.Fatalf("fixture: R step dedup=%v, probe positions %v", sp.dedup, sp.boundPos)
 	}

@@ -4,18 +4,18 @@ import "math/bits"
 
 // idTable is the evaluator's one hash table: an insert-only set of
 // fixed-width tuples of interned value IDs, each given a dense index in
-// insertion order. It backs a step's call memo (input tuple → call), a
-// call's join side (probe-key tuple → group), a slot-dropping step's
-// seen set and a rule's distinct head rows, so no site builds a key
-// string per row.
+// insertion order. It backs an execution's call table ((relation,
+// pattern) ordinal and input tuple → call), a call's join side
+// (probe-key tuple → group), a slot-dropping step's seen set and a
+// rule's distinct head rows, so no site builds a key string per row.
 //
 // The zero value is an empty table that has allocated nothing; the
 // width is the length of the first tuple inserted. Keys live in one flat
 // array (index i at keys[i*w:(i+1)*w]) and slots holds index+1 under
 // open addressing with linear probing, so no key is ever allocated on
-// its own, at any width. A width-0 table — a scan's memo and join key, a
-// boolean head — can hold only the empty tuple and is a counter with no
-// slots at all.
+// its own, at any width. A width-0 table — a scan's join key, a boolean
+// head — can hold only the empty tuple and is a counter with no slots at
+// all.
 //
 // Indices are int32, the bound tuple indices within a call already had.
 // A table is not safe for concurrent insertion; find on a table nobody
@@ -91,6 +91,12 @@ func (t *idTable) insert(key []uint32) (idx int32, fresh bool) {
 	t.n++
 	t.slots[p] = idx + 1
 	return idx, true
+}
+
+// reset empties the table, keeping its buffers.
+func (t *idTable) reset() {
+	clear(t.slots)
+	t.keys, t.n = t.keys[:0], 0
 }
 
 func (t *idTable) equal(i int32, key []uint32) bool {

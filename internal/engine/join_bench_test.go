@@ -40,7 +40,7 @@ func joinStep(b *testing.B, keys int, dedup bool, pool *colPool) *stepProgram {
 	for i, l := range q.Body {
 		steps[i] = access.AdornedLiteral{Literal: l, Pattern: patterns[i]}
 	}
-	prog := compileRule(q, steps, pool)
+	prog := compileRule(q, steps, pool, &relOrds{})
 	return &prog.steps[len(patterns)-1-len(tailPats)]
 }
 

@@ -42,7 +42,9 @@ func runPlan(q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, st
 	rt.BatchSize = 1
 	out := NewRel()
 	x := rt.newExecution(cat, Opts{}, staged, Into(out))
-	x.rules = []ruleRun{{rule: q, prog: compileRule(q, steps, x.pool)}}
+	var ords relOrds
+	x.rules = []ruleRun{{rule: q, prog: compileRule(q, steps, x.pool, &ords)}}
+	x.calls.init(ords)
 	prof, _, err := x.run(context.Background())
 	return out, prof, err
 }
@@ -50,7 +52,7 @@ func runPlan(q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, st
 // oraclePlan is the same rule through the map evaluator.
 func oraclePlan(q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog) (*Rel, error) {
 	out := NewRel()
-	err := NewRuntime().newExecution(cat, Opts{}, false, nil).runStepsMap(context.Background(), q, steps, out, &RuleProfile{})
+	err := NewRuntime().newExecution(cat, Opts{}, false, nil).runStepsMap(context.Background(), q, steps, out, &RuleProfile{}, oracleCalls{})
 	return out, err
 }
 
@@ -163,7 +165,7 @@ func TestCompileRuleLiveSets(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			q, steps := handPlan(t, tc.rule, tc.patterns...)
-			prog := compileRule(q, steps, newColPool(newEngineState()))
+			prog := compileRule(q, steps, newColPool(newEngineState()), &relOrds{})
 			name := make([]string, prog.numSlots)
 			for si := range prog.steps {
 				for j, a := range prog.steps[si].args {
@@ -253,14 +255,15 @@ type twiceSource struct{ *sources.Table }
 
 func (s twiceSource) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]sources.Tuple, error) {
 	groups, err := s.Table.Call(ctx, p, inputs)
+	out := make([][]sources.Tuple, len(groups)) // the table's answer is read-only
 	for i, g := range groups {
 		twice := make([]sources.Tuple, 0, 2*len(g))
 		for _, tup := range g {
 			twice = append(twice, tup, tup)
 		}
-		groups[i] = twice
+		out[i] = twice
 	}
-	return groups, err
+	return out, err
 }
 
 // Duplicate tuples from a source never reach the answer twice and never

@@ -3,10 +3,12 @@ package engine
 // The map evaluator: the engine's original per-binding loop, kept as
 // the reference the columnar executor is tested against. It carries
 // each binding as a map[string]string and re-unifies every returned
-// tuple against every binding (tupleMatches); the only thing it shares
-// with production evaluation is the source-call runtime (execution.issue),
-// so a disagreement in rows, order, calls, or dedup counts points at the
-// compiled slot programs, the hash join, or the schedules.
+// tuple against every binding (tupleMatches); the only things it shares
+// with production evaluation are the source-call runtime (execution.issue)
+// and which outcomes a call keeps (stepCall.kept) — its call memo is its
+// own, string-keyed — so a disagreement in rows, order, calls, or dedup
+// counts points at the compiled slot programs, the call table, the hash
+// join, or the schedules.
 
 import (
 	"context"
@@ -30,6 +32,10 @@ func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, c
 		inc = &Report{}
 	}
 	x := rt.newExecution(cat, Opts{}, false, nil)
+	var memo oracleCalls // one question, one call, across the union
+	if rt.Dedup {
+		memo = oracleCalls{}
+	}
 	for i, rule := range u.Rules {
 		if rule.False {
 			continue
@@ -43,7 +49,7 @@ func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, c
 		}
 		prof.Rules = append(prof.Rules, RuleProfile{Rule: rule.Clone()})
 		target := NewRel() // a rule that dies mid-head leaves no rows behind
-		if err := x.runStepsMap(ctx, rule, steps, target, &prof.Rules[len(prof.Rules)-1]); err != nil {
+		if err := x.runStepsMap(ctx, rule, steps, target, &prof.Rules[len(prof.Rules)-1], memo); err != nil {
 			if inc == nil || !degradable(ctx, err) {
 				return nil, Profile{}, nil, err
 			}
@@ -61,14 +67,14 @@ func oracleEval(ctx context.Context, rt *Runtime, u logic.UCQ, ps *access.Set, c
 
 // runStepsMap drives the nested-loop map-based execution of an adorned
 // plan. Within a step the runtime batches the bindings' source calls
-// (see applyStep); across steps the binding set flows left to right as
-// in the paper.
-func (x *execution) runStepsMap(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, out *Rel, prof *RuleProfile) error {
+// (see applyStep), and memo serves the ones asked before; across steps
+// the binding set flows left to right as in the paper.
+func (x *execution) runStepsMap(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, out *Rel, prof *RuleProfile, memo oracleCalls) error {
 	bindings := []binding{{}}
 	for _, step := range steps {
 		sp := StepProfile{Step: step, BindingsIn: len(bindings)}
 		var err error
-		bindings, err = x.applyStep(ctx, step, bindings, &sp)
+		bindings, err = x.applyStep(ctx, step, bindings, &sp, memo)
 		sp.BindingsOut = len(bindings)
 		prof.Steps = append(prof.Steps, sp)
 		if err != nil {
@@ -114,33 +120,59 @@ func callInputs(step access.AdornedLiteral, b binding) ([]string, error) {
 	return inputs, nil
 }
 
+// oracleCalls is the map evaluator's call memo across an execution:
+// relation, pattern and input key → the call that answered them, built
+// from strings where the columnar executor's call table (calltable.go)
+// is keyed by IDs. Nil is no memo beyond the step's own.
+type oracleCalls map[string]*stepCall
+
 // applyStep runs one adorned literal over the current binding set: group
-// bindings into distinct calls, issue the calls, fan the results back
-// out. Traffic is recorded into sp.
-func (x *execution) applyStep(ctx context.Context, step access.AdornedLiteral, bindings []binding, sp *StepProfile) ([]binding, error) {
+// bindings into distinct calls, serve from memo the ones asked before —
+// failing, without a call, when one of those failed — issue the rest,
+// fan the results back out. Traffic is recorded into sp.
+func (x *execution) applyStep(ctx context.Context, step access.AdornedLiteral, bindings []binding, sp *StepProfile, memo oracleCalls) ([]binding, error) {
 	src := x.cat.Source(step.Literal.Atom.Pred)
 	if src == nil {
 		return nil, fmt.Errorf("engine: no source for relation %s", step.Literal.Atom.Pred)
 	}
-	calls := make([]stepCall, 0, len(bindings))
-	callOf := make([]int, len(bindings))
-	byKey := map[string]int{}
+	var calls, failed []*stepCall
+	var keys []string
+	callOf := make([]*stepCall, len(bindings))
+	byKey := map[string]*stepCall{}
 	for i, b := range bindings {
 		inputs, err := callInputs(step, b)
 		if err != nil {
 			return nil, err
 		}
-		key := sources.Key(inputs)
+		key := step.Literal.Atom.Pred + "^" + string(step.Pattern) + "\x00" + sources.Key(inputs)
 		if c, ok := byKey[key]; ok && x.rt.Dedup {
 			callOf[i] = c
 			sp.DedupedCalls++
 			continue
 		}
-		byKey[key] = len(calls)
-		callOf[i] = len(calls)
-		calls = append(calls, stepCall{inputs: inputs})
+		c, ok := memo[key]
+		if ok {
+			sp.DedupedCalls++
+			if c.err != nil {
+				failed = append(failed, c)
+			}
+		} else {
+			c = &stepCall{inputs: inputs}
+			calls, keys = append(calls, c), append(keys, key)
+		}
+		byKey[key] = c
+		callOf[i] = c
 	}
-	if err := x.issue(ctx, src, step, calls, sp); err != nil {
+	if failed != nil {
+		return nil, callFailures(failed, step)
+	}
+	err := x.issue(ctx, src, step, calls, sp, &stepState{})
+	for k, c := range calls {
+		if memo != nil && c.kept() {
+			memo[keys[k]] = c
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	// Fan back out in the original binding order: the output bindings —
@@ -148,7 +180,7 @@ func (x *execution) applyStep(ctx context.Context, step access.AdornedLiteral, b
 	// evaluation, whatever order the calls completed in.
 	var next []binding
 	for i, b := range bindings {
-		tuples := calls[callOf[i]].rows
+		tuples := callOf[i].rows
 		if step.Literal.Negated {
 			// Filter: keep the binding iff no returned tuple matches the
 			// (fully bound) arguments.

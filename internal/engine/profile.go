@@ -30,11 +30,12 @@ type StepProfile struct {
 	// reads, sends each distinct remaining binding on once.
 	BindingsIn  int
 	BindingsOut int
-	// DedupedCalls counts bindings served by another binding's call:
-	// their (pattern, inputs) key was already being fetched this step,
-	// so no extra source call was issued. It counts the bindings that
-	// reached the step (BindingsIn), so it falls with them; the distinct
-	// calls, and Calls, do not.
+	// DedupedCalls counts bindings served by a call the step did not
+	// issue for them: another binding of the step asked it, or an earlier
+	// step or another rule did (the execution's call table), so no extra
+	// source call was issued. It counts the bindings that reached the
+	// step (BindingsIn), so it falls with them; the distinct calls do
+	// not.
 	DedupedCalls int
 	// Retries counts retry rounds beyond the first per call (transient
 	// failures that the retry policy absorbed). A hedged race across
@@ -91,6 +92,8 @@ func (sp StepProfile) String() string {
 
 // RuleProfile is the execution profile of one rule.
 type RuleProfile struct {
+	// Rule is the rule as it ran, shared with the plan and its compiled
+	// program: read-only.
 	Rule    logic.CQ
 	Steps   []StepProfile
 	Answers int // new answer tuples this rule contributed
@@ -112,7 +115,8 @@ type CallsProfile struct {
 	// Total is the number of call attempts issued, retries and hedged
 	// legs included (the sum of StepProfile.Calls).
 	Total int
-	// Deduped counts bindings served by another binding's call.
+	// Deduped counts bindings served by a call asked before
+	// (StepProfile.DedupedCalls).
 	Deduped int
 	// Retries counts retry rounds beyond the first per call.
 	Retries int

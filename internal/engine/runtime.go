@@ -3,10 +3,11 @@ package engine
 // The source-call runtime. The paper's cost model is source traffic —
 // calls made through limited access patterns — and its setting is remote
 // web services (Section 1), so the engine treats each plan step as a
-// batch of service calls: bindings are grouped by their input-slot key
-// (each distinct call issued exactly once), distinct calls go through a
-// bounded worker pool, transient failures are retried with exponential
-// backoff, and everything honors context cancellation. Answer sets are
+// batch of service calls: bindings are grouped by their input-slot key,
+// each distinct call is issued once per execution (the call table,
+// calltable.go), the calls a step issues go through a bounded worker
+// pool, transient failures are retried with exponential backoff, and
+// everything honors context cancellation. Answer sets are
 // byte-identical to sequential per-binding evaluation: results are
 // fanned back out to the bindings in their original order.
 
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,12 +134,13 @@ type Runtime struct {
 	// all concurrent rules and steps (0 = no cap) — remote services
 	// rate-limit per endpoint, not per client goroutine.
 	PerSource int
-	// Dedup groups a step's bindings by input-slot key so each distinct
-	// (pattern, inputs) call is issued exactly once per step: it is the
-	// call memo's switch and nothing else. The evaluator's deduplication
-	// of bindings on their live variables is not an option — it never
-	// changes the distinct calls, only how many bindings ask for each —
-	// so with Dedup off a step still calls once per binding it is handed.
+	// Dedup keys an execution's calls by (relation, pattern, inputs) so
+	// each distinct call is issued once per execution, whichever steps
+	// and rules ask it: it is the call table's switch and nothing else.
+	// The evaluator's deduplication of bindings on their live variables
+	// is not an option — it never changes the distinct calls, only how
+	// many bindings ask for each — so with Dedup off a step still calls
+	// once per binding it is handed.
 	Dedup bool
 	// Retry is the per-call retry policy.
 	Retry RetryPolicy
@@ -531,25 +532,6 @@ func (x *execution) callWithRetry(ctx context.Context, src sources.Source, name 
 	}
 }
 
-// stepCall is one distinct (pattern, inputs) call of a step, shared by
-// every binding whose input slots produced it. A batch's new calls are
-// one slab, and their inputs windows of one array (applyStepCol).
-type stepCall struct {
-	inputs []string
-	rows   []sources.Tuple
-	stats  callStats
-	err    error
-	// join is the hash-join side the call's tuples are in (interned,
-	// filtered, grouped by bound-position key): its batch's
-	// one join of short answers, a held answer's own, or emptyJoin. ord
-	// is the call's ordinal in it, the first word of its probe keys
-	// when the join holds several answers (callJoin.byOrd).
-	// Both are set once per batch (joinCalls) and carried across batches
-	// by a staged step's stepState.
-	join *callJoin
-	ord  uint32
-}
-
 // callError attributes a failed step call to the source it targeted, so
 // degraded executions can name the failing service in their
 // incompleteness report.
@@ -581,22 +563,27 @@ func (e *callError) Unwrap() error { return e.Err }
 // sources produce.
 //
 // On failure every distinct error is reported (joined), and
-// outstanding calls are cancelled.
-func (x *execution) issue(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []stepCall, sp *StepProfile) error {
+// outstanding calls are cancelled. A call issue gave an outcome is
+// marked answered; one it left unissued is not. The input vectors and
+// the in-flight gauge are st's scratch.
+func (x *execution) issue(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []*stepCall, sp *StepProfile, st *stepState) error {
 	if len(calls) == 0 {
 		return nil
 	}
 	name, p := step.Literal.Atom.Pred, step.Pattern
-	var gauge inFlightGauge
+	gauge := &st.gauge
+	gauge.cur.Store(0)
+	gauge.max.Store(0)
 	// One backing slice for the step: a group of one is all[i:i+1].
-	all := make([][]string, len(calls))
-	for i := range calls {
-		all[i] = calls[i].inputs
+	all := grown(st.all, len(calls))
+	for i, c := range calls {
+		all[i] = c.inputs
 	}
+	st.all = all
 	_, hedged := x.o.Hedge.target(src)
 	whole := len(calls) > 1 && !hedged && src.Batches()
 	if whole {
-		groups, cs, err := x.callWithRetry(ctx, src, name, p, all, &gauge)
+		groups, cs, err := x.callWithRetry(ctx, src, name, p, all, gauge)
 		sp.Calls += cs.attempts
 		if cs.rounds > 1 {
 			sp.Retries += cs.rounds - 1
@@ -605,11 +592,11 @@ func (x *execution) issue(ctx context.Context, src sources.Source, step access.A
 		case err == nil:
 			sp.BatchGroups++
 			sp.BatchedCalls += len(calls)
-			for i := range calls {
-				calls[i].rows = groups[i]
+			for i, c := range calls {
+				c.rows, c.answered = groups[i], true
 			}
 		case errors.Is(err, ErrCallBudget) || errors.Is(err, context.Canceled) || ctx.Err() != nil:
-			calls[0].err = err
+			calls[0].err, calls[0].answered = err, true
 		default:
 			whole = false
 		}
@@ -618,9 +605,8 @@ func (x *execution) issue(ctx context.Context, src sources.Source, step access.A
 	case whole:
 		// Answered, or terminally failed, by the one call above.
 	case workers <= 1:
-		for i := range calls {
-			c := &calls[i]
-			x.callOne(ctx, src, name, p, c, all[i:i+1], &gauge)
+		for i, c := range calls {
+			x.callOne(ctx, src, name, p, c, all[i:i+1], gauge)
 			if c.err != nil {
 				break // abort like the sequential loop; later calls stay unissued
 			}
@@ -634,12 +620,12 @@ func (x *execution) issue(ctx context.Context, src sources.Source, step access.A
 			go func() {
 				defer wg.Done()
 				for i := range feed {
-					c := &calls[i]
+					c := calls[i]
 					if cctx.Err() != nil {
 						c.err = cctx.Err()
 						continue
 					}
-					x.callOne(cctx, src, name, p, c, all[i:i+1], &gauge)
+					x.callOne(cctx, src, name, p, c, all[i:i+1], gauge)
 					if c.err != nil {
 						cancel() // fail fast: stop issuing, wake sleepers
 					}
@@ -655,8 +641,7 @@ func (x *execution) issue(ctx context.Context, src sources.Source, step access.A
 	}
 	var errs []error
 	var cancelled error
-	for i := range calls {
-		c := &calls[i]
+	for _, c := range calls {
 		sp.Calls += c.stats.attempts
 		if c.stats.rounds > 1 {
 			sp.Retries += c.stats.rounds - 1
@@ -671,7 +656,7 @@ func (x *execution) issue(ctx context.Context, src sources.Source, step access.A
 			cancelled = c.err // secondary: either the real failure or the caller's ctx
 			continue
 		}
-		errs = append(errs, &callError{Source: name, Pattern: p, Inputs: strings.Join(c.inputs, ","), Err: c.err})
+		errs = append(errs, c.failure(name, p))
 	}
 	if m := int(gauge.max.Load()); m > sp.MaxInFlight {
 		sp.MaxInFlight = m
@@ -686,6 +671,7 @@ func (x *execution) issue(ctx context.Context, src sources.Source, step access.A
 func (x *execution) callOne(ctx context.Context, src sources.Source, name string, p access.Pattern, c *stepCall, in [][]string, gauge *inFlightGauge) {
 	var groups [][]sources.Tuple
 	groups, c.stats, c.err = x.callWithRetry(ctx, src, name, p, in, gauge)
+	c.answered = true
 	if c.err == nil {
 		c.rows = groups[0]
 	}

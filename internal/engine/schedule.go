@@ -1,9 +1,10 @@
 package engine
 
 // The two step schedules under the rule runner. Both apply a rule's
-// compiled steps left to right through applyStepCol, one stepState per
-// step (its call memo and, where it drops a slot, the bindings it has
-// already sent on), and materialize the rule's distinct head rows
+// compiled steps left to right through applyStepCol — every step asks
+// its calls of the execution's one call table — with a stepState per
+// step (the joins it built and, where it drops a slot, the bindings it
+// has already sent on), and materialize the rule's distinct head rows
 // through one headSet; they differ only in when a step sees its
 // bindings.
 //
@@ -17,8 +18,8 @@ package engine
 //     leave as soon as the last stage produces them. Stages are single
 //     goroutines consuming batches in order and applyStepCol fans
 //     results out in input-row order, so the rows — and, through the
-//     per-stage stepState, the source calls and the bindings each step
-//     sends on — are exactly the whole schedule's.
+//     call table and the per-stage stepState, the source calls and the
+//     bindings each step sends on — are exactly the whole schedule's.
 //
 // What selects between them is the API shape the caller asked for: a
 // materialized answer (Run) cannot use a row before the last one,
@@ -108,6 +109,8 @@ func (h *headSet) rows(b *colBatch, stopped func() error) ([]Row, error) {
 // steps the bindings reached.
 func (x *execution) whole(ctx context.Context, r *ruleRun, emit func(context.Context, []Row) bool) error {
 	prog, pool, rp := r.prog, x.pool, &r.rp
+	st := takeState() // one for the rule's steps in turn
+	defer releaseState(st)
 	cur := pool.getBatch(prog.numSlots)
 	cur.n = 1 // the single empty binding
 	for si := range prog.steps {
@@ -115,8 +118,8 @@ func (x *execution) whole(ctx context.Context, r *ruleRun, emit func(context.Con
 		sp.BindingsIn = cur.n
 		t0 := time.Now()
 		var next *colBatch
-		var st stepState
-		n, _, err := x.applyStepCol(ctx, prog, si, cur, sp, &st, 0, func(b *colBatch) bool {
+		st.reset()
+		n, _, err := x.applyStepCol(ctx, prog, si, cur, sp, st, 0, func(b *colBatch) bool {
 			next = b
 			return true
 		})
@@ -189,7 +192,8 @@ func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(contex
 			defer wg.Done()
 			defer close(out)
 			sp := &rp.Steps[i]
-			var st stepState // call dedup and binding dedup extend across the stage's batches
+			st := takeState() // its joins and seen set extend across the stage's batches
+			defer releaseState(st)
 			// send hands one output batch downstream, charging the
 			// resident gauge; ownership transfers to the next stage.
 			send := func(b *colBatch) bool {
@@ -207,7 +211,7 @@ func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(contex
 				n := batch.n
 				sp.BindingsIn += n
 				t0 := time.Now()
-				sent, stopped, err := x.applyStepCol(rctx, prog, i, batch, sp, &st, rt.batchSize(), send)
+				sent, stopped, err := x.applyStepCol(rctx, prog, i, batch, sp, st, rt.batchSize(), send)
 				sp.Elapsed += time.Since(t0)
 				pool.put(batch)
 				x.resident.add(int64(-n))

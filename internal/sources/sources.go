@@ -51,10 +51,12 @@ type Source interface {
 	// done context is reported as ctx.Err(), never as a transient
 	// failure.
 	//
-	// The answer is read-only, for good: a group or tuple once handed
-	// out is never written again, by anyone — not by the caller, and not
-	// by the source, which may share it with other callers and with its
-	// own storage and hand the same group out again. A group's identity
+	// The answer is read-only, for good: the returned slice of groups, a
+	// group or a tuple once handed out is never written again, by anyone
+	// — not by the caller, and not by the source, which may share it with
+	// other callers and with its own storage and hand the same one out
+	// again (Table.Call returns a single input's answer as its index's
+	// own one-group slice). A group's identity
 	// (its first element's address and its length) therefore stands for
 	// its contents for as long as anyone holds it: the engine keeps a
 	// large answer's interned join columns under that identity
@@ -213,9 +215,11 @@ type Table struct {
 	arity    int
 	patterns []access.Pattern
 
-	mu     sync.Mutex
-	rows   []Tuple
-	index  map[access.Pattern]map[string][]Tuple
+	mu   sync.Mutex
+	rows []Tuple
+	// index maps a pattern and an input key to the answer as a group of
+	// one: a call with a single input vector returns it as it is.
+	index  map[access.Pattern]map[string][][]Tuple
 	stats  Stats
 	OnCall func(p access.Pattern, inputs []string) // optional test/benchmark hook
 }
@@ -260,16 +264,23 @@ func MustTable(name string, arity int, patterns []access.Pattern, rows []Tuple) 
 }
 
 func (t *Table) buildIndexes() {
-	t.index = map[access.Pattern]map[string][]Tuple{}
+	t.index = map[access.Pattern]map[string][][]Tuple{}
 	for _, p := range t.patterns {
-		idx := map[string][]Tuple{}
+		groups := map[string][]Tuple{}
 		for _, r := range t.rows {
 			k := inputKey(p, r)
-			idx[k] = append(idx[k], r)
+			groups[k] = append(groups[k], r)
+		}
+		idx := make(map[string][][]Tuple, len(groups))
+		for k, rows := range groups {
+			idx[k] = [][]Tuple{rows[:len(rows):len(rows)]}
 		}
 		t.index[p] = idx
 	}
 }
+
+// noRows is the answer of one input vector no stored tuple matches.
+var noRows = [][]Tuple{nil}
 
 // inputKey extracts the input-slot values of row r under pattern p.
 func inputKey(p access.Pattern, r Tuple) string {
@@ -302,7 +313,11 @@ func (t *Table) Batches() bool { return false }
 // lookups. Each input vector is metered (and reported to OnCall) as one
 // logical call. A group is the index's own slice and its tuples are
 // the stored rows, each capped to its length so that a caller's append
-// reallocates instead of writing into the table.
+// reallocates instead of writing into the table. A group of one input
+// vector is answered without allocating: the result is the index's own
+// one-group slice, capped too, shared by every call with that input.
+// No wrapper in this package or in the adapters writes into the slice
+// an inner source returns.
 func (t *Table) Call(ctx context.Context, p access.Pattern, inputs [][]string) ([][]Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -311,18 +326,27 @@ func (t *Table) Call(ctx context.Context, p access.Pattern, inputs [][]string) (
 		return nil, err
 	}
 	idx := t.index[p]
-	out := make([][]Tuple, len(inputs))
+	var out [][]Tuple
+	if len(inputs) != 1 {
+		out = make([][]Tuple, len(inputs))
+	}
 	for i, in := range inputs {
 		t.mu.Lock()
 		t.stats.Calls++
-		rows := idx[Key(in)]
-		t.stats.TuplesReturned += len(rows)
+		one, ok := idx[Key(in)]
+		if !ok {
+			one = noRows
+		}
+		t.stats.TuplesReturned += len(one[0])
 		hook := t.OnCall
 		t.mu.Unlock()
 		if hook != nil {
 			hook(p, in)
 		}
-		out[i] = rows[:len(rows):len(rows)]
+		if out == nil {
+			return one, nil
+		}
+		out[i] = one[0]
 	}
 	return out, nil
 }

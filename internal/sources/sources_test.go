@@ -135,6 +135,37 @@ func TestCallSharesReadOnlyRows(t *testing.T) {
 	checkSharedAnswer(t, keyTable(), "io", []string{"k"})
 }
 
+// A call with one input vector is answered with the index's own
+// one-group slice (TestGroupOfOneAllocs: no allocation): a second call
+// returns the same slice and rows, a miss the shared empty group, and a
+// caller's append to the returned slice reallocates instead of writing
+// into the table.
+func TestTableCallSharesOneGroup(t *testing.T) {
+	tbl := keyTable()
+	ctx := context.Background()
+	in := [][]string{{"k"}}
+	first, err := tbl.Call(ctx, "io", in)
+	if err != nil || len(first) != 1 || len(first[0]) != 3 {
+		t.Fatalf("R^io(k) = %v, %v", first, err)
+	}
+	second, _ := tbl.Call(ctx, "io", in)
+	if &second[0] != &first[0] || &second[0][0] != &first[0][0] {
+		t.Error("two calls must return the same group slice and rows")
+	}
+	grown := append(first, nil)
+	grown[0] = nil
+	if third, _ := tbl.Call(ctx, "io", in); len(third) != 1 || len(third[0]) != 3 || &third[0][0] != &first[0][0] {
+		t.Errorf("after a caller's append the answer is %v, want the table's rows", third)
+	}
+	miss, _ := tbl.Call(ctx, "io", [][]string{{"nope"}})
+	if len(miss) != 1 || len(miss[0]) != 0 || cap(miss) != 1 {
+		t.Errorf("a miss = %v (cap %d), want one empty group of capacity 1", miss, cap(miss))
+	}
+	if st := tbl.StatsSnapshot(); st.Calls != 4 || st.TuplesReturned != 3*3 {
+		t.Errorf("stats %+v, want 4 calls of which 3 returned 3 tuples", st)
+	}
+}
+
 func TestCatalog(t *testing.T) {
 	b := bookTable(t)
 	l := MustTable("L", 1, []access.Pattern{"o"}, []Tuple{{"i3"}})
