@@ -26,15 +26,21 @@ test-race:
 # order of the rows' keys, from its own seed corpus there, of the
 # compiled containment checker against the map-based reference search
 # (internal/containment/testdata/fuzz), of the /v1/query response
-# encoder against encoding/json (internal/server/testdata/fuzz), and of
-# the persist record decoder against its encoder
-# (internal/qcache/persist/testdata/fuzz).
+# encoder against encoding/json (internal/server/testdata/fuzz), of the
+# persist record decoder against its encoder
+# (internal/qcache/persist/testdata/fuzz), of the query parser (a text it
+# accepts reparses from its printing, and appending to one parsed atom
+# or rule leaves the others as they were), and of the hand-written
+# request decoder against encoding/json's Decoder (same status, same
+# fields).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzIDTable$$' -fuzztime=3s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz='^FuzzSortedOrder$$' -fuzztime=3s ./internal/engine/
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckerAgreesWithOracle$$' -fuzztime=3s ./internal/containment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWireCodecAgreesWithStdlib$$' -fuzztime=3s ./internal/server/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=3s ./internal/qcache/persist/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseUCQ$$' -fuzztime=3s ./internal/parser/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequestAgreesWithStdlib$$' -fuzztime=3s ./internal/server/
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem . ./cmd/paperbench/
@@ -61,10 +67,11 @@ bench-build:
 # own, built from a held answer's columns or reused finished,
 # idTable insert/find by width, a lookup in a catalog's interner), of a
 # source call's bookkeeping (a short-answer step at 16 and 256 calls, a
-# 256-vector SQL statement) and of the persist log (one append, a
-# recovery), once each, so they keep compiling and running. The
-# answer-assembly, response-encode, plan-miss and call-bookkeeping lines add -benchmem,
-# so the log shows their allocs/op.
+# 256-vector SQL statement), of the persist log (one append, a
+# recovery) and of a request's front end (a parse, a plan fast-key hit),
+# once each, so they keep compiling and running. The answer-assembly,
+# response-encode, plan-miss, call-bookkeeping and front-end lines add
+# -benchmem, so the log shows their allocs/op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Paper/E(19|20|21|22|23)' -benchtime=1x ./cmd/paperbench/
 	$(GO) test -run='^$$' -bench='E25Columnar|BuildJoin|IDTable|InternLookup' -benchtime=1x ./internal/engine/
@@ -77,6 +84,8 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='CanonicalKey|ContainedCQ' -benchtime=1x -benchmem ./internal/containment/
 	$(GO) test -run='^$$' -bench='TableScan' -benchtime=1x ./internal/sources/
 	$(GO) test -run='^$$' -bench='LogAppend|LogOpen' -benchtime=1x ./internal/qcache/persist/
+	$(GO) test -run='^$$' -bench='ParseUCQ' -benchtime=1x -benchmem ./internal/parser/
+	$(GO) test -run='^$$' -bench='PlanFastHit' -benchtime=1x -benchmem ./internal/qcache/
 
 # Fault-injection smoke: the paper examples' underestimates with one
 # source killed per run must degrade (partial answers + incompleteness

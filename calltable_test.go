@@ -251,3 +251,35 @@ func TestCallTableSharedFailureDropsEveryReader(t *testing.T) {
 		}
 	}
 }
+
+// Next hands out a row once per rule that derives it, Rel holds it
+// once: the fixture's (a, p) comes from rules 1 and 2, so a Next loop
+// over its stream reads 6 rows and the drained stream holds 5.
+func TestStreamNextYieldsARowPerRule(t *testing.T) {
+	q, ps, in := callTableFixture()
+	stream := func() *Stream {
+		res, err := Exec(context.Background(), q, ps, in.MustCatalog(ps), WithStreaming())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stream()
+	}
+	s := stream()
+	next := 0
+	for s.Next() {
+		next++
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := stream().Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != 6 || rel.Len() != 5 {
+		t.Fatalf("Next read %d rows and Drain holds %d, want 6 and 5", next, rel.Len())
+	}
+}

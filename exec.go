@@ -15,7 +15,8 @@ import (
 // Stream is a pull-style iterator over answer tuples produced by a
 // pipelined streaming execution (Exec with WithStreaming): call Next
 // until it returns false, read each tuple with Tuple, then check Err and
-// Close (Drain does all of that into a Rel).
+// Close (Drain does all of that into a Rel). Next yields a row once per
+// rule that derives it; Drain and Result.Rel hold it once.
 type Stream = engine.Stream
 
 // execConfig is the option-resolved shape of one Exec call.

@@ -566,7 +566,7 @@ func (j *callJoin) group(key []uint32) []int32 {
 // to hold — goes into the batch's one join, keyed by its ordinal there.
 // key is the caller's scratch.
 func (sp *stepProgram) joinCalls(st *stepState, pool *colPool, key []uint32) {
-	shorts, tuples := 0, 0
+	shorts := 0
 	for k, c := range st.need {
 		j := &st.joins[st.needIdx[k]]
 		j.join = nil
@@ -581,7 +581,6 @@ func (sp *stepProgram) joinCalls(st *stepState, pool *colPool, key []uint32) {
 			}
 		}
 		shorts++
-		tuples += len(c.rows)
 	}
 	if shorts == 0 {
 		return
@@ -594,7 +593,7 @@ func (sp *stepProgram) joinCalls(st *stepState, pool *colPool, key []uint32) {
 		}
 	}
 	st.answers = answers
-	bj := sp.groupJoin(answers, make([]uint32, len(sp.args)*tuples), pool, key, false)
+	bj := sp.groupJoin(st.batchJoin(), answers, pool, key, false)
 	clear(answers) // the scratch keeps no answer alive
 	for _, e := range st.needIdx {
 		if j := &st.joins[e]; j.join == nil {
@@ -608,26 +607,34 @@ func (sp *stepProgram) joinCalls(st *stepState, pool *colPool, key []uint32) {
 // stable counting sort: tuple order is preserved within each group, so
 // probing emits matches in exactly the oracle's order, and a tuple only
 // ever matches rows of the call that returned it, even one that
-// disagrees with the call's inputs. vals is
-// the column-major ID array: a held answer's, its needed columns filled
-// (held: answers is that one answer), or a fresh one the build interns
-// into as it goes.
+// disagrees with the call's inputs. It builds into j, which it returns:
+// a fresh join whose vals are a held answer's column-major IDs, its
+// needed columns filled (held: answers is that one answer), or a batch's
+// join recycled with its buffers, whose vals the build regrows and
+// interns into as it goes.
 //
 // A held join of a dedup step keeps only the first tuple of each newCols
 // projection within a group. That is exact: the rest would make the same
 // output binding as the first for every input row that probes the group,
 // and stepState.seen would drop it there. A batch's join keeps them, so
 // short answers pay for no distinct set of their own.
-func (sp *stepProgram) groupJoin(answers [][]sources.Tuple, vals []uint32, pool *colPool, key []uint32, held bool) *callJoin {
+func (sp *stepProgram) groupJoin(j *callJoin, answers [][]sources.Tuple, pool *colPool, key []uint32, held bool) *callJoin {
 	n, arity := 0, len(sp.args)
 	for _, rows := range answers {
 		n += len(rows)
 	}
-	j := &callJoin{vals: vals, n: n, byOrd: len(answers) > 1}
-	// One allocation for both per-tuple arrays: the group of every tuple
-	// (-1: filtered out), then the tuples ordered by group.
-	scratch := make([]int32, 2*n)
-	gid, idx := scratch[:n], scratch[n:]
+	j.n, j.byOrd = n, len(answers) > 1
+	j.keys.reset()
+	if !held {
+		j.vals = grown(j.vals[:0], arity*n)
+	}
+	vals := j.vals
+	// One array for both per-tuple arrays: the tuples ordered by group,
+	// then the group of every tuple (-1: filtered out). idx comes first,
+	// so that j.idx keeps the whole array as its capacity, for a
+	// recycled join's next build.
+	scratch := grown(j.idx[:0], 2*n)
+	idx, gid := scratch[:n], scratch[n:]
 	var firsts idTable // a held dedup step's (group, newCols values) seen
 	survivors, ti := 0, -1
 	for ord, rows := range answers {
@@ -677,7 +684,8 @@ func (sp *stepProgram) groupJoin(answers [][]sources.Tuple, vals []uint32, pool 
 	}
 	// start[g+2] counts group g, becomes its cursor start[g+1] after the
 	// prefix sum, and ends the placement as the start of group g+1.
-	start := make([]int32, j.keys.len()+2)
+	start := grown(j.start[:0], j.keys.len()+2)
+	clear(start)
 	for _, g := range gid {
 		if g >= 0 {
 			start[g+2]++
@@ -741,6 +749,13 @@ type stepState struct {
 	// downstream (stepProgram.dedup), over its output columns.
 	seen idTable
 
+	// batchJoins are the joins this step's batches built (joinCalls),
+	// the first usedJoins of them in use: a batch's join lives until
+	// reset, since a staged step's later batch probes the calls of an
+	// earlier one, and reset recycles every one with its buffers.
+	batchJoins []*callJoin
+	usedJoins  int
+
 	// Scratch of one batch. of[i] is row i's call; need lists the calls
 	// whose joins the batch builds, with their indices, in first-row
 	// order; claimed the ones it issues itself; own the batch's calls
@@ -775,6 +790,17 @@ func (st *stepState) reset() {
 	clear(st.joins[:cap(st.joins)])
 	st.joins = st.joins[:0]
 	st.seen.reset()
+	st.usedJoins = 0
+}
+
+// batchJoin returns a join for the current batch to build into: a
+// recycled one, with its buffers, when there is one.
+func (st *stepState) batchJoin() *callJoin {
+	if st.usedJoins == len(st.batchJoins) {
+		st.batchJoins = append(st.batchJoins, new(callJoin))
+	}
+	st.usedJoins++
+	return st.batchJoins[st.usedJoins-1]
 }
 
 // stepStates recycles stepStates across executions, so that a warm
@@ -787,6 +813,17 @@ var stepStates = sync.Pool{New: func() any { return new(stepState) }}
 // requests stays small.
 const stepStateMaxKept = 64
 
+// stepStateMaxJoins bounds the batch joins a recycled stepState keeps:
+// a materialized rule's steps reuse one in turn, a stage builds one a
+// batch.
+const stepStateMaxJoins = 4
+
+// large reports whether a recycled stepState drops t rather than keep
+// it: its slots or keys exceed sixteen times stepStateMaxKept.
+func (t *idTable) large() bool {
+	return len(t.slots) > 16*stepStateMaxKept || cap(t.keys) > 16*stepStateMaxKept
+}
+
 // takeState returns a reset stepState.
 func takeState() *stepState { return stepStates.Get().(*stepState) }
 
@@ -794,10 +831,18 @@ func takeState() *stepState { return stepStates.Get().(*stepState) }
 // emptied of what they point into: the execution's calls and answers.
 func releaseState(st *stepState) {
 	st.joins = recycled(st.joins)
-	if len(st.seen.slots) > 16*stepStateMaxKept || cap(st.seen.keys) > 16*stepStateMaxKept {
+	if st.seen.large() {
 		st.seen = idTable{}
 	}
 	st.seen.reset()
+	kept := st.batchJoins[:0]
+	for _, j := range st.batchJoins {
+		if len(kept) < stepStateMaxJoins && !j.keys.large() && max(cap(j.vals), cap(j.idx), cap(j.start)) <= 16*stepStateMaxKept {
+			kept = append(kept, j)
+		}
+	}
+	clear(st.batchJoins[len(kept):])
+	st.batchJoins, st.usedJoins = kept, 0
 	st.of, st.rowGroups = recycled(st.of), recycled(st.rowGroups)
 	st.need, st.needIdx, st.claimed = recycled(st.need), recycled(st.needIdx), recycled(st.claimed)
 	st.own, st.ownInputs = recycled(st.own), recycled(st.ownInputs)

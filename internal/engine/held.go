@@ -155,7 +155,7 @@ func (h *heldTable) join(rows []sources.Tuple, sp *stepProgram, pool *colPool, k
 	if a == nil || j != nil {
 		return j
 	}
-	j = sp.groupJoin([][]sources.Tuple{rows}, a.vals, pool, key, true)
+	j = sp.groupJoin(&callJoin{vals: a.vals}, [][]sources.Tuple{rows}, pool, key, true)
 
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -47,7 +47,7 @@ func joinStep(b *testing.B, keys int, dedup bool, pool *colPool) *stepProgram {
 // ownJoin builds the join side of rows alone, as a batch whose one
 // short answer it is does: interning as it goes, keeping every tuple.
 func ownJoin(sp *stepProgram, rows []sources.Tuple, pool *colPool, key []uint32) *callJoin {
-	return sp.groupJoin([][]sources.Tuple{rows}, make([]uint32, len(sp.args)*len(rows)), pool, key, false)
+	return sp.groupJoin(new(callJoin), [][]sources.Tuple{rows}, pool, key, false)
 }
 
 // The join side of one answer, by probe-key width, result size and step
@@ -75,8 +75,10 @@ func BenchmarkBuildJoin(b *testing.B) {
 				held := h.join(rows, sp, pool, nil) // intern, hold the columns and the join once
 				vals := held.vals
 				builds := map[string]func(key []uint32) *callJoin{
-					"own":   func(key []uint32) *callJoin { return ownJoin(sp, rows, pool, key) },
-					"held":  func(key []uint32) *callJoin { return sp.groupJoin([][]sources.Tuple{rows}, vals, pool, key, true) },
+					"own": func(key []uint32) *callJoin { return ownJoin(sp, rows, pool, key) },
+					"held": func(key []uint32) *callJoin {
+						return sp.groupJoin(&callJoin{vals: vals}, [][]sources.Tuple{rows}, pool, key, true)
+					},
 					"reuse": func(key []uint32) *callJoin { return h.join(rows, sp, pool, key) },
 				}
 				for _, mode := range []string{"own", "held", "reuse"} {

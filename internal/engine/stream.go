@@ -2,16 +2,19 @@ package engine
 
 // Streaming execution: the driver run in a goroutine, its rules on the
 // staged schedule (schedule.go), its sink the Stream's channel. Each
-// stage still runs through the Runtime — per-step call deduplication
-// (extended across batches by the per-stage memo), the bounded worker
-// pool, the per-source in-flight cap, and the retry policy all apply
-// per stage — so a streamed run issues exactly the calls a materialized
+// stage still runs through the Runtime — the bounded worker pool, the
+// per-source in-flight cap and the retry policy all apply per stage, and
+// every stage asks its questions through the execution's one call table
+// (calltable.go), so no question is asked twice across batches, stages
+// or rules — so a streamed run issues exactly the calls a materialized
 // run would, and the drained answer is byte-identical.
 //
 // Ordering and teardown guarantees:
 //
 //   - Stream: rules execute in rule order, one pipeline at a time;
-//     emission order equals Run's insertion order exactly.
+//     emission order equals Run's insertion order exactly, except that
+//     each rule emits its own rows: a row two rules derive is emitted by
+//     both, where Run and Drain hold it once.
 //   - Opts.Parallel: all rule pipelines run concurrently and their
 //     emissions interleave; the drained set is still equal (set
 //     semantics), but insertion order is scheduling-dependent.
@@ -69,7 +72,9 @@ type Stream struct {
 
 // Next advances to the next tuple, blocking until one is available. It
 // returns false when the stream is exhausted, failed, or closed; check
-// Err afterwards.
+// Err afterwards. A row derived by several rules is handed out once per
+// rule that derives it, while Drain (and Result.Rel) hold it once: a
+// consumer counting distinct rows over Next must deduplicate them.
 func (s *Stream) Next() bool {
 	if s.idx < len(s.cur) {
 		s.idx++

@@ -1,7 +1,5 @@
 package logic
 
-import "strings"
-
 // Atom is a predicate applied to a sequence of terms, R(x̄).
 type Atom struct {
 	Pred string
@@ -51,10 +49,12 @@ func (a Atom) Vars() []Term {
 
 // String renders the atom, e.g. R(x, "c").
 func (a Atom) String() string {
-	var b strings.Builder
-	b.Grow(a.renderLen())
-	a.render(&b)
-	return b.String()
+	var buf [stackRender]byte
+	b := buf[:0]
+	if n := a.renderLen(); n > len(buf) {
+		b = make([]byte, 0, n)
+	}
+	return string(a.AppendTo(b))
 }
 
 // renderLen returns the length of the atom's rendering.
@@ -66,17 +66,17 @@ func (a Atom) renderLen() int {
 	return n
 }
 
-// render writes the atom's rendering to b.
-func (a Atom) render(b *strings.Builder) {
-	b.WriteString(a.Pred)
-	b.WriteByte('(')
+// AppendTo appends the atom's rendering, String's bytes, to b.
+func (a Atom) AppendTo(b []byte) []byte {
+	b = append(b, a.Pred...)
+	b = append(b, '(')
 	for i, t := range a.Args {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		t.render(b)
+		b = t.appendTo(b)
 	}
-	b.WriteByte(')')
+	return append(b, ')')
 }
 
 // Key returns a canonical string usable as a map key for the atom.
@@ -114,10 +114,12 @@ func (l Literal) Vars() []Term { return l.Atom.Vars() }
 
 // String renders the literal, e.g. not S(z).
 func (l Literal) String() string {
-	var b strings.Builder
-	b.Grow(l.renderLen())
-	l.render(&b)
-	return b.String()
+	var buf [stackRender]byte
+	b := buf[:0]
+	if n := l.renderLen(); n > len(buf) {
+		b = make([]byte, 0, n)
+	}
+	return string(l.AppendTo(b))
 }
 
 // renderLen returns the length of the literal's rendering.
@@ -128,12 +130,12 @@ func (l Literal) renderLen() int {
 	return l.Atom.renderLen()
 }
 
-// render writes the literal's rendering to b.
-func (l Literal) render(b *strings.Builder) {
+// AppendTo appends the literal's rendering, String's bytes, to b.
+func (l Literal) AppendTo(b []byte) []byte {
 	if l.Negated {
-		b.WriteString("not ")
+		b = append(b, "not "...)
 	}
-	l.Atom.render(b)
+	return l.Atom.AppendTo(b)
 }
 
 // Key returns a canonical string usable as a map key for the literal.

@@ -2,7 +2,7 @@ package logic
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
 // CQ is a conjunctive query with negation (CQ¬) in Datalog rule form:
@@ -163,23 +163,23 @@ func (q CQ) HeadSafe() bool {
 	if q.False {
 		return true
 	}
-	pos := map[string]bool{}
-	for _, l := range q.Body {
-		if l.Negated {
-			continue
-		}
-		for _, t := range l.Atom.Args {
-			if t.IsVar() {
-				pos[t.Name] = true
-			}
-		}
-	}
 	for _, t := range q.HeadArgs {
-		if t.IsVar() && !pos[t.Name] {
+		if t.IsVar() && !q.positiveVar(t) {
 			return false
 		}
 	}
 	return true
+}
+
+// positiveVar reports whether variable v occurs in a positive body
+// literal.
+func (q CQ) positiveVar(v Term) bool {
+	for _, l := range q.Body {
+		if !l.Negated && slices.Contains(l.Atom.Args, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate returns an error describing why the query is malformed, or nil.
@@ -263,37 +263,47 @@ func (q CQ) HasNullHead() bool {
 //
 //	Q(x, y) :- R(x, z), not S(z), B(x, y)
 func (q CQ) String() string {
-	head := q.Head()
-	n := head.renderLen() + len(" :- ")
+	var buf [stackRender]byte
+	b := buf[:0]
+	if n := q.renderLen(); n > len(buf) {
+		b = make([]byte, 0, n)
+	}
+	return string(q.appendTo(b))
+}
+
+// renderLen returns the length of the query's rendering.
+func (q CQ) renderLen() int {
+	n := q.Head().renderLen() + len(" :- ")
 	switch {
 	case q.False:
-		n += len("false")
+		return n + len("false")
 	case len(q.Body) == 0:
-		n += len("true")
-	default:
-		n += 2 * (len(q.Body) - 1)
-		for _, l := range q.Body {
-			n += l.renderLen()
-		}
+		return n + len("true")
 	}
-	var b strings.Builder
-	b.Grow(n)
-	head.render(&b)
-	b.WriteString(" :- ")
+	n += 2 * (len(q.Body) - 1)
+	for _, l := range q.Body {
+		n += l.renderLen()
+	}
+	return n
+}
+
+// appendTo appends the query's rendering to b.
+func (q CQ) appendTo(b []byte) []byte {
+	b = q.Head().AppendTo(b)
+	b = append(b, " :- "...)
 	switch {
 	case q.False:
-		b.WriteString("false")
+		return append(b, "false"...)
 	case len(q.Body) == 0:
-		b.WriteString("true")
-	default:
-		for i, l := range q.Body {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			l.render(&b)
-		}
+		return append(b, "true"...)
 	}
-	return b.String()
+	for i, l := range q.Body {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = l.AppendTo(b)
+	}
+	return b
 }
 
 // Key returns a canonical string usable as a map key for the query.

@@ -36,8 +36,8 @@ func TestRenderGolden(t *testing.T) {
 	}
 }
 
-// Every rendering is one allocation: the builder is sized to the exact
-// length before anything is written.
+// Every rendering up to 512 bytes is one allocation: it is appended
+// into a buffer on the stack and copied out at its length.
 func TestRenderAllocs(t *testing.T) {
 	a := NewAtom("R", Var("x"), Const("a\\b\"c\nd\re\tf"), Null, Var("y"))
 	l := Neg(a)
@@ -50,6 +50,7 @@ func TestRenderAllocs(t *testing.T) {
 		{"Atom.String", a.String},
 		{"Literal.Key", l.Key},
 		{"CQ.String", q.String},
+		{"UCQ.String", UCQ{Rules: []CQ{q, q}}.String},
 		{"Term.String", a.Args[1].String},
 	} {
 		if n := testing.AllocsPerRun(100, func() { sink = tt.render() }); n != 1 {

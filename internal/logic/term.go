@@ -9,8 +9,6 @@
 // algorithm that needs to change a query clones it first.
 package logic
 
-import "strings"
-
 // Kind classifies a Term.
 type Kind uint8
 
@@ -61,17 +59,24 @@ func (t Term) String() string {
 	case KindNull:
 		return "null"
 	case KindConst:
-		var b strings.Builder
-		b.Grow(t.renderLen())
-		t.render(&b)
-		return b.String()
+		var buf [stackRender]byte
+		b := buf[:0]
+		if n := t.renderLen(); n > len(buf) {
+			b = make([]byte, 0, n)
+		}
+		return string(t.appendTo(b))
 	default:
 		return t.Name
 	}
 }
 
+// stackRender is the longest rendering String builds on the stack, so
+// that the string is its one allocation; a longer one is built in a
+// buffer of its exact length (renderLen) first.
+const stackRender = 512
+
 // renderLen returns the length of the term's rendering, so that a
-// renderer can size its builder once.
+// renderer can size its buffer once.
 func (t Term) renderLen() int {
 	switch t.Kind {
 	case KindNull:
@@ -90,32 +95,32 @@ func (t Term) renderLen() int {
 	}
 }
 
-// render writes the term's rendering to b.
-func (t Term) render(b *strings.Builder) {
+// appendTo appends the term's rendering to b.
+func (t Term) appendTo(b []byte) []byte {
 	switch t.Kind {
 	case KindNull:
-		b.WriteString("null")
+		return append(b, "null"...)
 	case KindConst:
-		b.WriteByte('"')
+		b = append(b, '"')
 		s := t.Name
 		for i := 0; i < len(s); i++ {
 			switch c := s[i]; c {
 			case '\\':
-				b.WriteString(`\\`)
+				b = append(b, `\\`...)
 			case '"':
-				b.WriteString(`\"`)
+				b = append(b, `\"`...)
 			case '\n':
-				b.WriteString(`\n`)
+				b = append(b, `\n`...)
 			case '\r':
-				b.WriteString(`\r`)
+				b = append(b, `\r`...)
 			case '\t':
-				b.WriteString(`\t`)
+				b = append(b, `\t`...)
 			default:
-				b.WriteByte(c)
+				b = append(b, c)
 			}
 		}
-		b.WriteByte('"')
+		return append(b, '"')
 	default:
-		b.WriteString(t.Name)
+		return append(b, t.Name...)
 	}
 }

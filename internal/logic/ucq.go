@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // UCQ is a union of conjunctive queries with negation (UCQ¬) in rule form:
 // a set of CQ¬ rules with identical heads. A UCQ with no rules is the
@@ -21,11 +18,34 @@ func Union(rules ...CQ) UCQ {
 	return UCQ{Rules: out}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy in three allocations: the rules, every
+// body literal and every term are each cut from one exactly sized
+// slice, every cut capped at its own end, so that an append to one
+// rule's Body or one atom's Args copies it out rather than writing
+// into its neighbour's.
 func (u UCQ) Clone() UCQ {
+	lits, terms := 0, 0
+	for _, r := range u.Rules {
+		lits += len(r.Body)
+		terms += len(r.HeadArgs)
+		for _, l := range r.Body {
+			terms += len(l.Atom.Args)
+		}
+	}
 	rules := make([]CQ, len(u.Rules))
+	litArena := make([]Literal, 0, lits)
+	termArena := make([]Term, 0, terms)
+	cutTerms := func(ts []Term) []Term {
+		start := len(termArena)
+		termArena = append(termArena, ts...)
+		return termArena[start:len(termArena):len(termArena)]
+	}
 	for i, r := range u.Rules {
-		rules[i] = r.Clone()
+		start := len(litArena)
+		for _, l := range r.Body {
+			litArena = append(litArena, Literal{Atom: Atom{Pred: l.Atom.Pred, Args: cutTerms(l.Atom.Args)}, Negated: l.Negated})
+		}
+		rules[i] = CQ{HeadPred: r.HeadPred, HeadArgs: cutTerms(r.HeadArgs), Body: litArena[start:len(litArena):len(litArena)], False: r.False}
 	}
 	return UCQ{Rules: rules}
 }
@@ -156,14 +176,22 @@ func (u UCQ) String() string {
 	if len(u.Rules) == 0 {
 		return "<empty union (false)>"
 	}
-	var b strings.Builder
+	n := len(u.Rules) - 1
+	for _, r := range u.Rules {
+		n += r.renderLen()
+	}
+	var buf [stackRender]byte
+	b := buf[:0]
+	if n > len(buf) {
+		b = make([]byte, 0, n)
+	}
 	for i, r := range u.Rules {
 		if i > 0 {
-			b.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		b.WriteString(r.String())
+		b = r.appendTo(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // AsUnion wraps a single CQ¬ as a UCQ¬.

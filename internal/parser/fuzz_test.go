@@ -2,8 +2,9 @@ package parser
 
 import "testing"
 
-// FuzzParseUCQ checks that the parser never panics and that everything
-// it accepts round-trips through printing.
+// FuzzParseUCQ checks that the parser never panics, that everything it
+// accepts round-trips through printing, and that appending to one of
+// its atoms or rules leaves the others as they were.
 func FuzzParseUCQ(f *testing.F) {
 	seeds := []string{
 		`Q(i, a, t) :- B(i, a, t), C(i, a), not L(i).`,
@@ -33,6 +34,7 @@ func FuzzParseUCQ(f *testing.F) {
 		if !u.Equal(u2) {
 			t.Fatalf("round trip changed query:\n%s\nvs\n%s", u, u2)
 		}
+		checkAppendsStayApart(t, u)
 	})
 }
 

@@ -21,7 +21,7 @@ import (
 	"unicode/utf8"
 )
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -63,33 +63,57 @@ func (k tokenKind) String() string {
 }
 
 type token struct {
-	kind tokenKind
 	text string
-	pos  int // byte offset, for error messages
-	line int
+	line int32
+	kind tokenKind
 }
 
 type lexer struct {
-	src    string
-	off    int
-	line   int
-	tokens []token
+	src  string
+	off  int
+	line int32
 }
 
-// lex tokenizes src, returning an error with line information on the
-// first malformed token.
+// lex tokenizes src into one slice, sized by tokenBound so that it never
+// grows, returning an error with line information on the first
+// malformed token.
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src, line: 1}
+	toks := make([]token, 0, tokenBound(src))
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
-		l.tokens = append(l.tokens, t)
+		toks = append(toks, t)
 		if t.kind == tokEOF {
-			return l.tokens, nil
+			return toks, nil
 		}
 	}
+}
+
+// tokenBound bounds the tokens lex returns for src, its end-of-input
+// token included: one for every byte of ()^,.:<-"' and one for every
+// other run of bytes without space or one of those. A token starts at
+// such a byte or run, and a run holds two tokens only where a number is
+// followed straight by a letter, which no text that parses has.
+func tokenBound(src string) int {
+	n, inRun := 1, false
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case ' ', '\t', '\r', '\n':
+			inRun = false
+		case '(', ')', ',', '^', '.', ':', '<', '-', '"', '\'':
+			n++
+			inRun = false
+		default:
+			if !inRun {
+				n++
+				inRun = true
+			}
+		}
+	}
+	return n
 }
 
 func (l *lexer) errf(format string, args ...any) error {
@@ -116,67 +140,61 @@ func (l *lexer) next() (token, error) {
 	}
 scan:
 	if l.off >= len(l.src) {
-		return token{kind: tokEOF, pos: l.off, line: l.line}, nil
+		return token{kind: tokEOF, line: l.line}, nil
 	}
-	start, line := l.off, l.line
+	line := l.line
 	c := l.src[l.off]
 	switch {
 	case c == '(':
 		l.off++
-		return token{tokLParen, "(", start, line}, nil
+		return token{"(", line, tokLParen}, nil
 	case c == ')':
 		l.off++
-		return token{tokRParen, ")", start, line}, nil
+		return token{")", line, tokRParen}, nil
 	case c == ',':
 		l.off++
-		return token{tokComma, ",", start, line}, nil
+		return token{",", line, tokComma}, nil
 	case c == '^':
 		l.off++
-		return token{tokCaret, "^", start, line}, nil
+		return token{"^", line, tokCaret}, nil
 	case c == '.':
 		l.off++
-		return token{tokPeriod, ".", start, line}, nil
+		return token{".", line, tokPeriod}, nil
 	case c == ':':
 		if strings.HasPrefix(l.src[l.off:], ":-") {
 			l.off += 2
-			return token{tokArrow, ":-", start, line}, nil
+			return token{":-", line, tokArrow}, nil
 		}
 		return token{}, l.errf("unexpected ':'; did you mean ':-'?")
 	case c == '<':
 		if strings.HasPrefix(l.src[l.off:], "<-") {
 			l.off += 2
-			return token{tokArrow, "<-", start, line}, nil
+			return token{"<-", line, tokArrow}, nil
 		}
 		return token{}, l.errf("unexpected '<'; did you mean '<-'?")
 	case c == '"' || c == '\'':
 		quote := c
 		l.off++
-		var b strings.Builder
+		start, escaped := l.off, false
 		for l.off < len(l.src) {
-			d := l.src[l.off]
-			if d == '\n' {
+			switch d := l.src[l.off]; {
+			case d == '\n':
 				return token{}, l.errf("newline in string literal")
-			}
-			if d == '\\' && l.off+1 < len(l.src) {
-				esc := l.src[l.off+1]
+			case d == '\\' && l.off+1 < len(l.src):
+				escaped = true
 				l.off += 2
-				switch esc {
-				case 'n':
-					b.WriteByte('\n')
-				case 'r':
-					b.WriteByte('\r')
-				case 't':
-					b.WriteByte('\t')
-				default:
-					b.WriteByte(esc)
-				}
 				continue
-			}
-			if d == quote {
+			case d == quote:
+				raw := l.src[start:l.off]
 				l.off++
-				return token{tokString, b.String(), start, line}, nil
+				if escaped {
+					return token{unescape(raw), line, tokString}, nil
+				}
+				// A copy, not a window of src: a constant can outlive the
+				// text by far (the engine interns values verbatim), and a
+				// window would keep all of the text alive with it.
+				return token{strings.Clone(raw), line, tokString}, nil
 			}
-			b.WriteByte(d)
 			l.off++
 		}
 		return token{}, l.errf("unterminated string literal")
@@ -190,9 +208,9 @@ scan:
 			}
 			end++
 		}
-		text := l.src[l.off:end]
+		text := strings.Clone(l.src[l.off:end]) // a constant, copied as a quoted one is
 		l.off = end
-		return token{tokNumber, text, start, line}, nil
+		return token{text, line, tokNumber}, nil
 	default:
 		r, size := utf8.DecodeRuneInString(l.src[l.off:])
 		if !isIdentStart(r) {
@@ -208,8 +226,31 @@ scan:
 		}
 		text := l.src[l.off:end]
 		l.off = end
-		return token{tokIdent, text, start, line}, nil
+		return token{text, line, tokIdent}, nil
 	}
+}
+
+// unescape decodes the escapes of a quoted constant's text, in which a
+// backslash is never the last byte.
+func unescape(raw string) string {
+	var b strings.Builder
+	b.Grow(len(raw))
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		if c == '\\' {
+			i++
+			switch c = raw[i]; c {
+			case 'n':
+				c = '\n'
+			case 'r':
+				c = '\r'
+			case 't':
+				c = '\t'
+			}
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
 }
 
 func isIdentStart(r rune) bool {

@@ -10,6 +10,51 @@ import (
 type parser struct {
 	toks []token
 	pos  int
+	// terms, lits and rules are the arenas a parse cuts its atoms'
+	// arguments, its rules' bodies and its rules from, sized by
+	// newParser. Every cut is capped at its own end, so that an append
+	// to one atom's Args or one rule's Body copies it out rather than
+	// writing into its neighbour's.
+	terms []logic.Term
+	lits  []logic.Literal
+	rules []logic.CQ
+}
+
+// newParser returns a parser over toks with arenas sized by one count
+// over them: a rule per arrow, an atom per '(' — a literal unless it is
+// a rule's head — and a term per identifier, string or number inside
+// parentheses. A text that parses fills them exactly.
+func newParser(toks []token) parser {
+	arrows, atoms, terms, depth := 0, 0, 0, 0
+	for _, t := range toks {
+		switch t.kind {
+		case tokArrow:
+			arrows++
+		case tokLParen:
+			atoms++
+			depth++
+		case tokRParen:
+			depth--
+		case tokIdent, tokString, tokNumber:
+			if depth > 0 {
+				terms++
+			}
+		}
+	}
+	return parser{
+		toks:  toks,
+		terms: make([]logic.Term, 0, terms),
+		lits:  make([]logic.Literal, 0, max(atoms-arrows, 0)),
+		rules: make([]logic.CQ, 0, arrows),
+	}
+}
+
+// cut returns buf[start:], capped at its end, or nil when it is empty.
+func cut[T any](buf []T, start int) []T {
+	if len(buf) == start {
+		return nil
+	}
+	return buf[start:len(buf):len(buf)]
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -38,19 +83,18 @@ func ParseUCQ(src string) (logic.UCQ, error) {
 	if err != nil {
 		return logic.UCQ{}, err
 	}
-	p := &parser{toks: toks}
-	var rules []logic.CQ
+	p := newParser(toks)
 	for !p.at(tokEOF) {
 		r, err := p.rule()
 		if err != nil {
 			return logic.UCQ{}, err
 		}
-		rules = append(rules, r)
+		p.rules = append(p.rules, r)
 	}
-	if len(rules) == 0 {
+	if len(p.rules) == 0 {
 		return logic.UCQ{}, fmt.Errorf("parser: no rules found")
 	}
-	u := logic.UCQ{Rules: rules}
+	u := logic.UCQ{Rules: cut(p.rules, 0)}
 	if err := u.Validate(); err != nil {
 		return logic.UCQ{}, fmt.Errorf("parser: %w", err)
 	}
@@ -65,8 +109,7 @@ func ParseRules(src string) ([]logic.CQ, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	var rules []logic.CQ
+	p := newParser(toks)
 	for !p.at(tokEOF) {
 		r, err := p.rule()
 		if err != nil {
@@ -75,12 +118,12 @@ func ParseRules(src string) ([]logic.CQ, error) {
 		if err := r.Validate(); err != nil {
 			return nil, fmt.Errorf("parser: %w", err)
 		}
-		rules = append(rules, r)
+		p.rules = append(p.rules, r)
 	}
-	if len(rules) == 0 {
+	if len(p.rules) == 0 {
 		return nil, fmt.Errorf("parser: no rules found")
 	}
-	return rules, nil
+	return cut(p.rules, 0), nil
 }
 
 // MustRules is ParseRules that panics on error.
@@ -143,18 +186,20 @@ func (p *parser) rule() (logic.CQ, error) {
 		p.advance()
 		return q, p.endOfRule()
 	}
+	start := len(p.lits)
 	for {
 		l, err := p.literal()
 		if err != nil {
 			return logic.CQ{}, err
 		}
-		q.Body = append(q.Body, l)
+		p.lits = append(p.lits, l)
 		if p.at(tokComma) {
 			p.advance()
 			continue
 		}
 		break
 	}
+	q.Body = cut(p.lits, start)
 	return q, p.endOfRule()
 }
 
@@ -187,14 +232,14 @@ func (p *parser) atom() (logic.Atom, error) {
 	if _, err := p.expect(tokLParen); err != nil {
 		return logic.Atom{}, err
 	}
-	var args []logic.Term
+	start := len(p.terms)
 	if !p.at(tokRParen) {
 		for {
 			t, err := p.term()
 			if err != nil {
 				return logic.Atom{}, err
 			}
-			args = append(args, t)
+			p.terms = append(p.terms, t)
 			if p.at(tokComma) {
 				p.advance()
 				continue
@@ -205,7 +250,7 @@ func (p *parser) atom() (logic.Atom, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return logic.Atom{}, err
 	}
-	return logic.Atom{Pred: name.text, Args: args}, nil
+	return logic.Atom{Pred: name.text, Args: cut(p.terms, start)}, nil
 }
 
 func (p *parser) term() (logic.Term, error) {
@@ -290,7 +335,7 @@ func ParseFacts(src string) ([]Fact, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := newParser(toks)
 	var facts []Fact
 	for !p.at(tokEOF) {
 		a, err := p.atom()

@@ -223,3 +223,85 @@ func TestLexerLineNumbers(t *testing.T) {
 		t.Errorf("error should mention line 2, got %v", err)
 	}
 }
+
+// joinEvalText is the query of the repository benchmark's join_eval
+// workload.
+const joinEvalText = `Q(z, y) :- R(x, a, b, c, d, e, z), S(z, w), T(w, y), not N(z).`
+
+// A parse allocates what it returns and little else: the token slice,
+// one arena each for the terms, the literals and the rules, and a copy
+// of each constant.
+func TestParseUCQAllocs(t *testing.T) {
+	for _, tt := range []struct {
+		src   string
+		limit float64
+	}{
+		{joinEvalText, 5},
+		{`Q(x) :- R(x, "a"), S(x, 42), not T(x, "b\tc").` + "\n" + `Q(x) :- R(x, y), not S(y, "d").`, 9},
+	} {
+		if n := testing.AllocsPerRun(100, func() { MustUCQ(tt.src) }); n > tt.limit {
+			t.Errorf("ParseUCQ(%q) allocated %.0f times, want at most %.0f", tt.src, n, tt.limit)
+		}
+	}
+}
+
+func BenchmarkParseUCQ(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MustUCQ(joinEvalText)
+	}
+}
+
+// checkAppendsStayApart fails unless appending to any one atom's Args or
+// any one rule's Body of u leaves every other atom and rule as it was:
+// the parse arenas cut each at its own end.
+func checkAppendsStayApart(t testing.TB, u logic.UCQ) {
+	t.Helper()
+	want := make([]string, len(u.Rules))
+	for i, r := range u.Rules {
+		want[i] = r.String()
+	}
+	others := func(what string, skip int) {
+		t.Helper()
+		for i, r := range u.Rules {
+			if i != skip && r.String() != want[i] {
+				t.Fatalf("appending to %s changed rule %d: %s, was %s", what, i+1, r, want[i])
+			}
+		}
+	}
+	extra := logic.Const("appended")
+	for i := range u.Rules {
+		r := &u.Rules[i]
+		head, body := r.HeadArgs, r.Body
+		r.HeadArgs = append(r.HeadArgs, extra)
+		others("a head", i)
+		r.HeadArgs = head
+		r.Body = append(r.Body, logic.Pos(logic.NewAtom("Appended", extra)))
+		others("a body", i)
+		r.Body = body
+		for j := range body {
+			args := body[j].Atom.Args
+			body[j].Atom.Args = append(body[j].Atom.Args, extra)
+			body[j].Atom.Args = args
+			if r.String() != want[i] {
+				t.Fatalf("appending to literal %d's arguments changed rule %d: %s, was %s", j+1, i+1, r, want[i])
+			}
+			others("an atom's arguments", -1)
+		}
+	}
+}
+
+// A parsed union and its Clone cut their rules, literals and terms
+// from arenas, every cut capped at its own end.
+func TestParsedAppendsStayApart(t *testing.T) {
+	u := MustUCQ(`
+		Q(x, y) :- R(x, z), S(z, y), not L(x).
+		Q(x, y) :- R(x, y), T(y, "c").
+		Q(x, y) :- false.
+		Q(x, y) :- U(x, y), R(), S(y, x).
+	`)
+	checkAppendsStayApart(t, u)
+	checkAppendsStayApart(t, u.Clone())
+	rules := MustRules("A(x) :- E(x, y), F(y).\nB(y) :- F(y).")
+	checkAppendsStayApart(t, logic.UCQ{Rules: rules})
+}

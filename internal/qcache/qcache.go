@@ -51,9 +51,9 @@
 package qcache
 
 import (
+	"bytes"
 	"cmp"
 	"container/list"
-	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -336,53 +336,115 @@ func (c *Cache) fresh(created time.Time) bool {
 // fastKey renders q textually: per rule, the head and the *sorted* body
 // literal renderings — keeping duplicates, so a literal-padded variant
 // misses here and is caught by the minimize/canonicalize path — with
-// the rules themselves sorted, plus the pattern-set fingerprint.
-func fastKey(q logic.UCQ, ps *access.Set) string {
-	rules := make([]string, len(q.Rules))
-	for i, r := range q.Rules {
+// the rules themselves sorted, plus the pattern-set fingerprint. It
+// renders into ks and returns ks.key, valid until ks is reused.
+func (ks *keyScratch) fastKey(q logic.UCQ, ps *access.Set) []byte {
+	text, rules := ks.text[:0], ks.rules[:0]
+	byText := func(a, b span) int { return bytes.Compare(text[a.start:a.end], text[b.start:b.end]) }
+	for _, r := range q.Rules {
+		lits := ks.lits[:0]
+		if !r.False {
+			for _, l := range r.Body {
+				start := len(text)
+				text = l.AppendTo(text)
+				lits = append(lits, span{start, len(text)})
+			}
+			slices.SortFunc(lits, byText)
+		}
+		ks.lits = lits
+		start := len(text)
+		text = r.Head().AppendTo(text)
 		if r.False {
-			rules[i] = r.Head().String() + " :- false"
-			continue
+			text = append(text, " :- false"...)
+		} else {
+			text = append(text, " :- "...)
+			for k, sp := range lits {
+				if k > 0 {
+					text = append(text, ", "...)
+				}
+				text = append(text, text[sp.start:sp.end]...)
+			}
 		}
-		lits := make([]string, len(r.Body))
-		for j, l := range r.Body {
-			lits[j] = l.Key()
-		}
-		sort.Strings(lits)
-		rules[i] = r.Head().String() + " :- " + strings.Join(lits, ", ")
+		rules = append(rules, span{start, len(text)})
 	}
-	sort.Strings(rules)
-	return strings.Join(rules, "\n") + "\x00" + ps.String()
+	slices.SortFunc(rules, byText)
+	key := ks.key[:0]
+	for k, sp := range rules {
+		if k > 0 {
+			key = append(key, '\n')
+		}
+		key = append(key, text[sp.start:sp.end]...)
+	}
+	key = append(key, 0)
+	key = append(key, ps.String()...)
+	ks.text, ks.rules, ks.key = text, rules, key
+	return key
+}
+
+// keyScratch is the rendering space of a fast key or an answer-tier
+// lookup key, recycled through keyScratches: text holds the renderings
+// of literals, heads and whole rules, which spans index, and key the
+// key itself.
+type keyScratch struct {
+	text  []byte
+	lits  []span
+	rules []span
+	key   []byte
+}
+
+// span is text[start:end] of a keyScratch.
+type span struct{ start, end int }
+
+var keyScratches = sync.Pool{New: func() any { return new(keyScratch) }}
+
+// keyScratchMaxKept bounds, in bytes, the buffers a recycled keyScratch
+// keeps, so that one huge union's key stays out of the pool.
+const keyScratchMaxKept = 64 << 10
+
+func takeKeyScratch() *keyScratch { return keyScratches.Get().(*keyScratch) }
+
+func (ks *keyScratch) release() {
+	if cap(ks.text) > keyScratchMaxKept || cap(ks.key) > keyScratchMaxKept {
+		return
+	}
+	keyScratches.Put(ks)
 }
 
 // Plan returns the cached plan entry for q under ps, building (and
 // caching) it on a miss. The entry's Err is non-nil when a literal of
 // the query has no declared pattern to call; callers should return it.
+// A hit allocates nothing: the fast key is rendered into pooled
+// scratch, and only a miss copies it into a string.
 func (c *Cache) Plan(q logic.UCQ, ps *access.Set) (*PlanEntry, PlanInfo) {
-	fk := fastKey(q, ps)
+	ks := takeKeyScratch()
+	fkb := ks.fastKey(q, ps)
 	c.mu.Lock()
-	if pk, ok := c.fast[fk]; ok {
+	if pk, ok := c.fast[string(fkb)]; ok {
 		if elem, ok2 := c.plans[pk]; ok2 {
 			e := elem.Value.(*PlanEntry)
 			if c.fresh(e.created) {
 				c.planLRU.MoveToFront(elem)
 				c.stats.PlanHits++
 				c.mu.Unlock()
+				ks.release()
 				return e, PlanInfo{Hit: true}
 			}
 			c.removePlanLocked(elem)
 			c.stats.Evictions++
 		}
-		delete(c.fast, fk)
+		delete(c.fast, string(fkb))
 	}
-	if f, ok := c.flights[fk]; ok {
+	if f, ok := c.flights[string(fkb)]; ok {
 		c.mu.Unlock()
+		ks.release()
 		<-f.done
 		c.mu.Lock()
 		c.stats.PlanHits++
 		c.mu.Unlock()
 		return f.entry, PlanInfo{Hit: true}
 	}
+	fk := string(fkb)
+	ks.release()
 	f := &planFlight{done: make(chan struct{})}
 	c.flights[fk] = f
 	c.mu.Unlock()
@@ -447,6 +509,10 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	if e.planErr != nil {
 		cores = q.Rules // keyed as written, so α-renamed variants replay the failure
 	}
+	// The plan's rules share terms and literals with q, which is the
+	// submitter's to change and whose parse arenas the entry must not
+	// keep alive: the entry runs its own copy for every later member.
+	e.plan.Exec = e.plan.Exec.Clone()
 
 	// Canonical cores, positional with the plan's rules. The head
 	// predicate is normalized away — it names the answer, it does not
@@ -489,13 +555,29 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 // never reused, so distinct catalogs can never collide however the
 // allocator places them.
 func catFingerprint(cat *sources.Catalog) string {
-	return fmt.Sprintf("%d:%d", cat.ID(), cat.Generation())
+	var buf [40]byte
+	return string(appendCatFingerprint(buf[:0], cat))
+}
+
+// appendCatFingerprint appends catFingerprint(cat) to b.
+func appendCatFingerprint(b []byte, cat *sources.Catalog) []byte {
+	b = strconv.AppendInt(b, cat.ID(), 10)
+	b = append(b, ':')
+	return strconv.AppendInt(b, cat.Generation(), 10)
+}
+
+// appendAnswerKey appends the answer tier's key of a core under a
+// catalog fingerprint to b.
+func appendAnswerKey[FP string | []byte](b []byte, coreKey string, catFP FP) []byte {
+	b = append(b, coreKey...)
+	b = append(b, '\x1f')
+	return append(b, catFP...)
 }
 
 // dropCatalogLocked removes every answer entry of cat, whatever its
 // generation; c.mu must be held.
 func (c *Cache) dropCatalogLocked(cat *sources.Catalog) {
-	identity := fmt.Sprintf("%d:", cat.ID()) // catFingerprint up to the generation
+	identity := strconv.FormatInt(cat.ID(), 10) + ":" // catFingerprint up to the generation
 	for elem := c.ansLRU.Front(); elem != nil; {
 		next := elem.Next()
 		if strings.HasPrefix(elem.Value.(*ansEntry).catFP, identity) {
@@ -528,14 +610,18 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 	// computing the fingerprint: the restore may advance the catalog's
 	// generation, and the fingerprint must reflect it.
 	c.ensureRestoredLocked(cat, true)
-	catFP := catFingerprint(cat)
+	var fpBuf [40]byte
+	fp := appendCatFingerprint(fpBuf[:0], cat)
+	catFP := "" // fp as a string, made once a rule misses
+	ks := takeKeyScratch()
+	defer ks.release()
 	budget := equivBudget
 	parts := make([]*engine.Rel, 0, n) // the covered disjuncts' answers, in rule order
 	full := true
 	for i := range n {
-		key := e.coreKeys[i] + "\x1f" + catFP
+		ks.key = appendAnswerKey(ks.key[:0], e.coreKeys[i], fp)
 		var a *ansEntry
-		if elem, ok := c.answers[key]; ok {
+		if elem, ok := c.answers[string(ks.key)]; ok {
 			if a = elem.Value.(*ansEntry); c.fresh(a.created) {
 				c.ansLRU.MoveToFront(elem)
 			} else {
@@ -545,6 +631,9 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 			}
 		}
 		if a == nil {
+			if catFP == "" {
+				catFP = string(fp)
+			}
 			if a = c.equivScanLocked(e.cores[i], e.coreSigs[i], catFP, &budget); a == nil {
 				full = false
 				continue
@@ -552,7 +641,7 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 			// Alias the found entry under this core's key so the next
 			// lookup is O(1).
 			c.installAnswerLocked(&ansEntry{
-				key: key, catFP: catFP, core: a.core, sig: a.sig,
+				key: string(ks.key), catFP: catFP, core: a.core, sig: a.sig,
 				rel: a.rel, bytes: a.bytes, created: a.created,
 			})
 			hit.EquivHits++
@@ -748,16 +837,18 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 	}
 	gen := cat.Generation()
 	var spill []persist.Entry
+	ks := takeKeyScratch()
+	defer ks.release()
 	for i, rel := range rels {
 		if rel == nil || i >= len(e.plan.Exec.Rules) {
 			continue
 		}
-		key := e.coreKeys[i] + "\x1f" + catFP
-		if _, ok := c.answers[key]; ok {
+		ks.key = appendAnswerKey(ks.key[:0], e.coreKeys[i], catFP)
+		if _, ok := c.answers[string(ks.key)]; ok {
 			continue // first writer wins; equal up to row order anyway
 		}
 		c.installAnswerLocked(&ansEntry{
-			key: key, catFP: catFP, core: e.cores[i], sig: e.coreSigs[i],
+			key: string(ks.key), catFP: catFP, core: e.cores[i], sig: e.coreSigs[i],
 			rel: rel.View(), bytes: rowBytes(rel.Rows()), created: now,
 		})
 		if label != "" {

@@ -444,8 +444,11 @@ func TestServerHostileQueryPlansWithinBudget(t *testing.T) {
 // gets past the signature check, so every disjunct stays; 20 000
 // α-renamed copies of one rule drop as many as the budget pays for.
 // Parsing the same text is the yardstick, so the bound scales with the
-// machine and with -race: a plan miss of either union takes 1.2–1.7
-// times its parse, and the bound is 4. Both unions answer exactly.
+// machine and with -race: a plan miss of either union takes 3–8 times
+// its parse (1.2–1.7 times while the parse allocated every atom's
+// arguments and every rule's body apart), and the bound is 16; an
+// unbudgeted scan of the 2·10⁸ pairs would take hundreds of times it.
+// Both unions answer exactly.
 func TestServerWideUnionPlansWithinBudget(t *testing.T) {
 	s, fixtures := newTestServer(t, Config{}, 1)
 	f := fixtures[0]
@@ -471,8 +474,8 @@ func TestServerWideUnionPlansWithinBudget(t *testing.T) {
 		if info.Hit || entry.Err() != nil {
 			t.Fatalf("%s: hit %v, err %v; want a plan miss", tt.name, info.Hit, entry.Err())
 		}
-		if miss > 4*parse {
-			t.Errorf("%s: the plan miss took %s, more than 4× the %s parse", tt.name, miss, parse)
+		if miss > 16*parse {
+			t.Errorf("%s: the plan miss took %s, more than 16× the %s parse", tt.name, miss, parse)
 		}
 		if n := len(entry.Exec().Rules); (tt.keepAll && n != 20000) || (!tt.keepAll && (n == 0 || n == 20000)) {
 			t.Errorf("%s: %d rules planned; want all 20000 kept: %v", tt.name, n, tt.keepAll)
