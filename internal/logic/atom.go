@@ -49,12 +49,7 @@ func (a Atom) Vars() []Term {
 
 // String renders the atom, e.g. R(x, "c").
 func (a Atom) String() string {
-	var buf [stackRender]byte
-	b := buf[:0]
-	if n := a.renderLen(); n > len(buf) {
-		b = make([]byte, 0, n)
-	}
-	return string(a.AppendTo(b))
+	return render(a.renderLen(), func(b []byte) []byte { return a.AppendTo(b) })
 }
 
 // renderLen returns the length of the atom's rendering.
@@ -114,12 +109,7 @@ func (l Literal) Vars() []Term { return l.Atom.Vars() }
 
 // String renders the literal, e.g. not S(z).
 func (l Literal) String() string {
-	var buf [stackRender]byte
-	b := buf[:0]
-	if n := l.renderLen(); n > len(buf) {
-		b = make([]byte, 0, n)
-	}
-	return string(l.AppendTo(b))
+	return render(l.renderLen(), func(b []byte) []byte { return l.AppendTo(b) })
 }
 
 // renderLen returns the length of the literal's rendering.

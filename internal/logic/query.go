@@ -263,12 +263,7 @@ func (q CQ) HasNullHead() bool {
 //
 //	Q(x, y) :- R(x, z), not S(z), B(x, y)
 func (q CQ) String() string {
-	var buf [stackRender]byte
-	b := buf[:0]
-	if n := q.renderLen(); n > len(buf) {
-		b = make([]byte, 0, n)
-	}
-	return string(q.appendTo(b))
+	return render(q.renderLen(), func(b []byte) []byte { return q.appendTo(b) })
 }
 
 // renderLen returns the length of the query's rendering.

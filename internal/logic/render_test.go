@@ -1,6 +1,9 @@
 package logic
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // The renderings are plan keys, answer keys and persisted keys, so they
 // are pinned byte for byte: escapes in constants, null, negation, and
@@ -36,12 +39,16 @@ func TestRenderGolden(t *testing.T) {
 	}
 }
 
-// Every rendering up to 512 bytes is one allocation: it is appended
-// into a buffer on the stack and copied out at its length.
+// Every rendering is one allocation: up to 512 bytes it is appended
+// into a buffer on the stack and copied out at its length, past that
+// into an exact buffer that becomes the string.
 func TestRenderAllocs(t *testing.T) {
 	a := NewAtom("R", Var("x"), Const("a\\b\"c\nd\re\tf"), Null, Var("y"))
 	l := Neg(a)
 	q := CQ{HeadPred: "Q", HeadArgs: []Term{Var("x")}, Body: []Literal{Pos(a), l}}
+	long := Const(strings.Repeat("v\"", 300)) // 902 bytes rendered
+	la := NewAtom("R", Var("x"), long)
+	lq := CQ{HeadPred: "Q", HeadArgs: []Term{Var("x")}, Body: []Literal{Pos(la), Neg(la)}}
 	var sink string
 	for _, tt := range []struct {
 		name   string
@@ -52,10 +59,21 @@ func TestRenderAllocs(t *testing.T) {
 		{"CQ.String", q.String},
 		{"UCQ.String", UCQ{Rules: []CQ{q, q}}.String},
 		{"Term.String", a.Args[1].String},
+		{"long Term.String", long.String},
+		{"long Atom.String", la.String},
+		{"long Literal.Key", Neg(la).Key},
+		{"long CQ.String", lq.String},
+		{"long UCQ.String", UCQ{Rules: []CQ{lq, q}}.String},
 	} {
 		if n := testing.AllocsPerRun(100, func() { sink = tt.render() }); n != 1 {
 			t.Errorf("%s allocated %.0f times, want 1", tt.name, n)
 		}
+		if want := 512; strings.HasPrefix(tt.name, "long") && len(sink) <= want {
+			t.Errorf("%s rendered %d bytes, want more than %d", tt.name, len(sink), want)
+		}
+	}
+	if got, want := NewAtom("R", long).String(), "R("+long.String()+")"; got != want {
+		t.Errorf("long atom renders %q, want %q", got, want)
 	}
 	_ = sink
 }

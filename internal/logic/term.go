@@ -9,6 +9,8 @@
 // algorithm that needs to change a query clones it first.
 package logic
 
+import "unsafe"
+
 // Kind classifies a Term.
 type Kind uint8
 
@@ -59,21 +61,29 @@ func (t Term) String() string {
 	case KindNull:
 		return "null"
 	case KindConst:
-		var buf [stackRender]byte
-		b := buf[:0]
-		if n := t.renderLen(); n > len(buf) {
-			b = make([]byte, 0, n)
-		}
-		return string(t.appendTo(b))
+		return render(t.renderLen(), func(b []byte) []byte { return t.appendTo(b) })
 	default:
 		return t.Name
 	}
 }
 
-// stackRender is the longest rendering String builds on the stack, so
-// that the string is its one allocation; a longer one is built in a
-// buffer of its exact length (renderLen) first.
+// stackRender is the longest rendering render builds on the stack.
 const stackRender = 512
+
+// render returns the n-byte rendering that app appends, in one
+// allocation: up to stackRender bytes are appended on the stack and
+// copied out; a longer rendering is appended into a heap buffer of its
+// exact length, which becomes the string without a copy. Callers pass
+// a function literal: render is inlined and the literal's call with it,
+// which keeps the stack buffer on the stack (a method value would not).
+func render(n int, app func([]byte) []byte) string {
+	if n > stackRender {
+		b := app(make([]byte, 0, n))
+		return unsafe.String(unsafe.SliceData(b), len(b))
+	}
+	var buf [stackRender]byte
+	return string(app(buf[:0]))
+}
 
 // renderLen returns the length of the term's rendering, so that a
 // renderer can size its buffer once.

@@ -180,18 +180,18 @@ func (u UCQ) String() string {
 	for _, r := range u.Rules {
 		n += r.renderLen()
 	}
-	var buf [stackRender]byte
-	b := buf[:0]
-	if n > len(buf) {
-		b = make([]byte, 0, n)
-	}
+	return render(n, func(b []byte) []byte { return u.appendTo(b) })
+}
+
+// appendTo appends the union's rendering, one rule per line, to b.
+func (u UCQ) appendTo(b []byte) []byte {
 	for i, r := range u.Rules {
 		if i > 0 {
 			b = append(b, '\n')
 		}
 		b = r.appendTo(b)
 	}
-	return string(b)
+	return b
 }
 
 // AsUnion wraps a single CQ¬ as a UCQ¬.

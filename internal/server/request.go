@@ -1,24 +1,17 @@
 package server
 
 // The /v1/query and /v1/invalidate request body: a JSON object with
-// two string fields. encoding/json's Decoder decodes it by reflection,
-// through a buffer and a scanner of its own per request; here the body
-// is read into a pooled buffer, json.Valid checks it, and its members
-// are read by hand.
+// two string fields. encoding/json's Decoder reads the body through a
+// buffer and a scanner of its own per request; here the body is read
+// into a pooled buffer, the first JSON value's end is found by strings
+// and brackets, and json.Unmarshal decodes that span.
 //
 // The contract is json.NewDecoder(body).Decode(&req)'s, value for value
 // (FuzzDecodeRequestAgreesWithStdlib): only the first JSON value counts
 // and what follows it is never looked at; a top-level null leaves the
-// request empty and any other non-object is an error; the object must
-// be valid JSON throughout (json.Valid checks it, nesting limit
-// included), unknown keys are skipped whatever they hold; keys match
-// exactly or ASCII-case-insensitively (exact for "tenant" and "query",
-// which hold neither k nor s, the only letters with non-ASCII folds);
-// the last of duplicate keys wins, a null value leaves its field as it
-// was, and a value of any other type than string is an error. A string
-// with a \u escape or invalid UTF-8 goes through json.Unmarshal, which
-// joins surrogate pairs and turns unpaired surrogates and invalid UTF-8
-// into U+FFFD; any other is copied, its one-letter escapes decoded.
+// request empty and any other non-object is an error. The object itself
+// goes through json.Unmarshal, the Decoder's own decoding: its keys,
+// escapes, null and type rules are encoding/json's by construction.
 
 import (
 	"bytes"
@@ -27,7 +20,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"unicode/utf8"
 )
 
 // maxRequestBytes bounds the body of /v1/query and /v1/invalidate — a
@@ -73,11 +65,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, bool) {
 	return req, true
 }
 
-var (
-	errNotObject = errors.New("json: the request body is not a JSON object")
-	errInvalid   = errors.New("json: the request body is not valid JSON")
-	errFieldType = errors.New("json: a request field is not a string")
-)
+var errNotObject = errors.New("json: the request body is not a JSON object")
 
 // parseRequest decodes the first JSON value of body as
 // json.Decoder.Decode decodes it into a Request.
@@ -87,106 +75,16 @@ func parseRequest(body []byte) (Request, error) {
 	switch {
 	case start == len(body):
 		return req, io.EOF
-	case body[start] == '{':
 	case bytes.HasPrefix(body[start:], []byte("null")):
-		return req, nil
-	default:
+		return req, nil // the Decoder stops after null, whatever follows
+	case body[start] != '{':
 		return req, errNotObject
 	}
-	end := skipValue(body, start)
-	if end < 0 || !json.Valid(body[start:end]) {
-		return req, errInvalid
+	end := skipObject(body, start)
+	if end < 0 {
+		return req, io.ErrUnexpectedEOF
 	}
-	// body[start:end] is one valid object: walk its members.
-	var typeErr error
-	for i := skipSpace(body, start+1); body[i] != '}'; {
-		keyEnd := skipValue(body, i)
-		field := req.field(body[i:keyEnd])
-		i = skipSpace(body, skipSpace(body, keyEnd)+1) // past the ':'
-		valEnd := skipValue(body, i)
-		switch {
-		case field == nil:
-		case body[i] == '"':
-			*field = decodeString(body[i:valEnd])
-		case body[i] != 'n': // null leaves the field as it was
-			typeErr = errFieldType
-		}
-		if i = skipSpace(body, valEnd); body[i] == ',' {
-			i = skipSpace(body, i+1)
-		}
-	}
-	return req, typeErr
-}
-
-// field returns the field of req that a member key names, the key
-// quoted as it stands in the body, or nil.
-func (req *Request) field(quoted []byte) *string {
-	key := quoted[1 : len(quoted)-1]
-	if bytes.IndexByte(key, '\\') >= 0 {
-		key = []byte(decodeString(quoted))
-	}
-	switch {
-	case foldEqual(key, "tenant"):
-		return &req.Tenant
-	case foldEqual(key, "query"):
-		return &req.Query
-	}
-	return nil
-}
-
-// foldEqual reports whether key equals name, a lower-case ASCII word,
-// up to ASCII case.
-func foldEqual(key []byte, name string) bool {
-	if len(key) != len(name) {
-		return false
-	}
-	for i, c := range key {
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeString decodes a valid JSON string, quotes included. A \u
-// escape or invalid UTF-8 goes through json.Unmarshal, whose surrogate
-// pairs and U+FFFD replacement are the contract; the one-letter escapes
-// a query text's quoted constants bring are decoded here.
-func decodeString(quoted []byte) string {
-	raw := quoted[1 : len(quoted)-1]
-	if bytes.Contains(raw, []byte(`\u`)) || !utf8.Valid(raw) {
-		var s string
-		_ = json.Unmarshal(quoted, &s) // valid: json.Valid passed the object
-		return s
-	}
-	if bytes.IndexByte(raw, '\\') < 0 {
-		return string(raw)
-	}
-	var buf [512]byte
-	b := buf[:0]
-	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		if c == '\\' {
-			i++
-			switch c = raw[i]; c {
-			case 'b':
-				c = '\b'
-			case 'f':
-				c = '\f'
-			case 'n':
-				c = '\n'
-			case 'r':
-				c = '\r'
-			case 't':
-				c = '\t'
-			}
-		}
-		b = append(b, c)
-	}
-	return string(b)
+	return req, json.Unmarshal(body[start:end], &req)
 }
 
 func skipSpace(b []byte, i int) int {
@@ -196,10 +94,10 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// skipValue returns where the JSON value at b[i] ends, tracking only
-// strings and brackets, or -1 when b ends first. On a valid value it is
-// exact; on any other, json.Valid of what it spans fails.
-func skipValue(b []byte, i int) int {
+// skipObject returns where the JSON object at b[i] ends, tracking only
+// strings and brackets, or -1 when b ends first. On a valid object it
+// is exact; on any other, json.Unmarshal of what it spans fails.
+func skipObject(b []byte, i int) int {
 	depth := 0
 	for ; i < len(b); i++ {
 		switch b[i] {
@@ -209,29 +107,13 @@ func skipValue(b []byte, i int) int {
 					i++
 				}
 			}
-			if i >= len(b) {
-				return -1
-			}
-			if depth == 0 {
-				return i + 1
-			}
 		case '{', '[':
 			depth++
 		case '}', ']':
-			if depth == 0 {
-				return i // the end of a scalar
-			}
 			if depth--; depth == 0 {
 				return i + 1
 			}
-		case ',', ' ', '\t', '\n', '\r':
-			if depth == 0 {
-				return i // the end of a scalar
-			}
 		}
-	}
-	if depth == 0 {
-		return i
 	}
 	return -1
 }

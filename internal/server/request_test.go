@@ -11,9 +11,9 @@ import (
 	"testing"
 )
 
-// stdlibDecodeRequest is the reflective decodeRequest this package had
-// before it decoded the body by hand, kept as the reference the hand
-// decoder is held to.
+// stdlibDecodeRequest is the decodeRequest this package had before it
+// read the body into a pooled buffer, kept as the reference
+// decodeRequest is held to.
 func stdlibDecodeRequest(w http.ResponseWriter, r *http.Request) (Request, bool) {
 	var req Request
 	if r.Method != http.MethodPost {
@@ -110,7 +110,7 @@ func TestDecodeRequestAgreesWithStdlib(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRequestAgreesWithStdlib holds the hand decoder to
+// FuzzDecodeRequestAgreesWithStdlib holds decodeRequest to
 // encoding/json's Decoder on every body: the same status and, when the
 // body decodes, the same tenant and query.
 func FuzzDecodeRequestAgreesWithStdlib(f *testing.F) {

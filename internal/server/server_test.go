@@ -15,6 +15,7 @@ import (
 	"time"
 
 	ucqn "repro"
+	"repro/internal/containment"
 	"repro/internal/engine"
 )
 
@@ -443,12 +444,12 @@ func TestServerHostileQueryPlansWithinBudget(t *testing.T) {
 // to the budget minimization shares. With distinct constants no pair
 // gets past the signature check, so every disjunct stays; 20 000
 // α-renamed copies of one rule drop as many as the budget pays for.
-// Parsing the same text is the yardstick, so the bound scales with the
-// machine and with -race: a plan miss of either union takes 3–8 times
-// its parse (1.2–1.7 times while the parse allocated every atom's
-// arguments and every rule's body apart), and the bound is 16; an
-// unbudgeted scan of the 2·10⁸ pairs would take hundreds of times it.
-// Both unions answer exactly.
+// The yardstick is the linear work any plan miss of the union does:
+// parse the text and key each disjunct once (containment.CanonicalForm),
+// so the bound scales with the machine and with -race. A plan miss of
+// either union takes 0.9–2 times it, and the bound is 4; an unbudgeted
+// scan of the 2·10⁸ pairs would take hundreds of times it. Both unions
+// answer exactly.
 func TestServerWideUnionPlansWithinBudget(t *testing.T) {
 	s, fixtures := newTestServer(t, Config{}, 1)
 	f := fixtures[0]
@@ -466,16 +467,19 @@ func TestServerWideUnionPlansWithinBudget(t *testing.T) {
 		src := b.String()
 		start := time.Now()
 		q := ucqn.MustParseQuery(src)
-		parse := time.Since(start)
+		for _, r := range q.Rules {
+			containment.CanonicalForm(r)
+		}
+		linear := time.Since(start)
 		start = time.Now()
 		entry, info := s.Cache().Plan(q, f.Patterns)
 		miss := time.Since(start)
-		t.Logf("%s (%d bytes): parse %s, plan miss %s, %d rules planned", tt.name, len(src), parse, miss, len(entry.Exec().Rules))
+		t.Logf("%s (%d bytes): parse and key %s, plan miss %s, %d rules planned", tt.name, len(src), linear, miss, len(entry.Exec().Rules))
 		if info.Hit || entry.Err() != nil {
 			t.Fatalf("%s: hit %v, err %v; want a plan miss", tt.name, info.Hit, entry.Err())
 		}
-		if miss > 16*parse {
-			t.Errorf("%s: the plan miss took %s, more than 16× the %s parse", tt.name, miss, parse)
+		if miss > 4*linear {
+			t.Errorf("%s: the plan miss took %s, more than 4× the %s parse and key", tt.name, miss, linear)
 		}
 		if n := len(entry.Exec().Rules); (tt.keepAll && n != 20000) || (!tt.keepAll && (n == 0 || n == 20000)) {
 			t.Errorf("%s: %d rules planned; want all 20000 kept: %v", tt.name, n, tt.keepAll)
