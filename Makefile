@@ -102,9 +102,10 @@ bench-smoke:
 # on the driver goroutine and read by the consumer; and the execution's
 # call table, one call shared by parallel rules and streamed stages,
 # failing every rule that reads it, keyed by relation, pattern and
-# inputs, and bounded by the call budget.
+# inputs, and bounded by the call budget; and executions of every kind
+# running at once on scratch that earlier executions recycled.
 fault-smoke:
-	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin|TestPrepared|TestEnumerateDomain|TestExample8|TestStreamReportAfterNext|TestCallTable' . ./internal/engine/
+	$(GO) test -race -count=1 -run='TestFaultSmoke|TestExecPartial|TestStreamPartial|TestEvalPartial|TestSchedulesAgree|TestAnswerStarAgrees|TestShortTuple|TestHeldAnswer|TestHeldJoin|TestPrepared|TestEnumerateDomain|TestExample8|TestStreamReportAfterNext|TestCallTable|TestRecycledScratch' . ./internal/engine/
 
 # Semantic-cache smoke: every paper example executed twice through one
 # shared query cache — the second (and a streamed third) pass must issue

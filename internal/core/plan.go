@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/access"
 	"repro/internal/containment"
@@ -215,14 +217,33 @@ func NewPlan(u logic.UCQ, ps *access.Set) (Plan, error) {
 }
 
 // declared fails, wrapping ErrNotOrderable, when a literal of rule i
-// has no declared pattern of its relation and arity.
+// has no declared pattern of its relation and arity. The message quotes
+// the relation and the rule cut to maxQuoted bytes each.
 func declared(i int, rule logic.CQ, ps *access.Set) error {
 	for _, l := range rule.Body {
 		if ps.Arity(l.Atom.Pred) != l.Atom.Arity() {
-			return fmt.Errorf("core: %w: rule %d: no pattern of %s/%d: %s", ErrNotOrderable, i+1, l.Atom.Pred, l.Atom.Arity(), rule)
+			return fmt.Errorf("core: %w: rule %d: no pattern of %s/%d: %s", ErrNotOrderable, i+1, quoted(l.Atom.Pred), l.Atom.Arity(), quoted(rule.String()))
 		}
 	}
 	return nil
+}
+
+// maxQuoted bounds, in bytes, what a planning error quotes of a query —
+// a relation name, a rule's rendering — so that an error, which the plan
+// cache keeps for a failing text, holds nothing request-sized.
+const maxQuoted = 512
+
+// quoted returns s when it fits maxQuoted, and else its first maxQuoted
+// bytes, cut at a rune boundary and marked with the length cut from.
+func quoted(s string) string {
+	if len(s) <= maxQuoted {
+		return s
+	}
+	n := maxQuoted
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n] + "… (cut from " + strconv.Itoa(len(s)) + " bytes)"
 }
 
 // certainOrder is the order NewPlan runs a rule in full: as written when

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/containment"
 	"repro/internal/logic"
@@ -116,5 +119,26 @@ func TestPlanUnionScanRejectsDistinctConstantsWithoutAllocating(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { containedRules(p, cores, PlanBudget) }); allocs != 0 {
 			t.Fatalf("%s: the scan allocated %.0f times", q, allocs)
 		}
+	}
+}
+
+// A planning failure quotes the relation and the rule as they are up to
+// maxQuoted bytes each, and past it their first maxQuoted bytes, marked
+// as cut: the error a plan cache keeps for a failing text stays small.
+func TestPlanUnionFailureQuotesABoundedPart(t *testing.T) {
+	ps := pats(t, "R^o S^i V^i")
+	short := "Q(x) :- R(x), W(x)."
+	_, _, err := PlanUnion(ucq(t, short), ps, PlanBudget)
+	if want := "core: " + ErrNotOrderable.Error() + ": rule 1: no pattern of W/1: Q(x) :- R(x), W(x)"; err == nil || err.Error() != want {
+		t.Fatalf("%s: %v, want %s", short, err, want)
+	}
+	long := strings.Repeat("é", 400) // 800 bytes
+	_, _, err = PlanUnion(ucq(t, "Q(x) :- R(x), W"+long+"(x)."), ps, PlanBudget)
+	if !errors.Is(err, ErrNotOrderable) {
+		t.Fatalf("a long relation name: %v, want ErrNotOrderable", err)
+	}
+	msg := err.Error()
+	if len(msg) > 3*maxQuoted || !utf8.ValidString(msg) || strings.Count(msg, "… (cut from ") != 2 {
+		t.Fatalf("a long relation name: a %d-byte message, want both quotes cut and marked:\n%s", len(msg), msg)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/access"
 	"repro/internal/sources"
@@ -131,17 +132,21 @@ func (c *stepCall) failure(name string, p access.Pattern) error {
 // ordinal tells a key's true width — whose dense index i numbers the
 // entry calls[i]. Entries and their input windows are cut from chunks,
 // each as large as what the batch that needs it enters and as all
-// chunks before it, so an entry never moves. The zero value holds
+// chunks before it, so an entry never moves. The table is recycled
+// with its execution (recycle), keeping its keys and one chunk of each
+// kind, large enough for the whole finished run. The zero value holds
 // nothing; init sizes the keys for the programs an execution runs.
 type callTable struct {
 	mu    sync.Mutex
 	w     int
 	keys  idTable
 	calls []*stepCall
-	// free and strs are what is left of the last chunks of entries and
-	// of input windows.
-	free []stepCall
-	strs []string
+	// slab and strSlab are the last chunks of entries and of input
+	// windows; free and strs what is left of them.
+	slab    []stepCall
+	strSlab []string
+	free    []stepCall
+	strs    []string
 }
 
 // callChunk is the smallest chunk of entries.
@@ -150,6 +155,7 @@ const callChunk = 8
 // init readies the table for programs whose (relation, pattern) pairs
 // ords numbered.
 func (t *callTable) init(ords relOrds) {
+	t.free, t.strs = t.slab[:cap(t.slab)], t.strSlab[:cap(t.strSlab)]
 	if len(ords) == 0 {
 		return
 	}
@@ -157,7 +163,36 @@ func (t *callTable) init(ords relOrds) {
 	for _, rp := range ords {
 		t.w = max(t.w, 1+rp.p.InputCount())
 	}
-	t.keys.keys = make([]uint32, 0, callChunk*t.w)
+	if t.keys.keys == nil {
+		t.keys.keys = make([]uint32, 0, callChunk*t.w)
+	}
+}
+
+// recycle readies the table for another execution, emptied of the
+// finished run's inputs and rows, charging its buffers to k. When the
+// run cut more than one chunk of a kind, the chunk kept is one that
+// holds the whole run, so that a run like it cuts none. Nothing runs on
+// the table.
+func (t *callTable) recycle(k *keeper) {
+	n, w := len(t.calls), 0
+	for _, c := range t.calls {
+		w += len(c.inputs)
+	}
+	t.keys.recycle(k)
+	t.calls = keep(k, t.calls)
+	t.slab = keep(k, wholeChunk(k, t.slab, n))
+	t.strSlab = keep(k, wholeChunk(k, t.strSlab, w))
+	t.free, t.strs, t.w = nil, nil, 0
+}
+
+// wholeChunk returns chunk when it holds n elements, and else a chunk
+// that does when one fits what is left of k.
+func wholeChunk[T any](k *keeper, chunk []T, n int) []T {
+	var zero T
+	if cap(chunk) >= n || n*int(unsafe.Sizeof(zero)) > int(*k) {
+		return chunk
+	}
+	return make([]T, n)
 }
 
 // index returns the index of the call key names, numbering it on first
@@ -177,10 +212,12 @@ func (t *callTable) reserve(n, w int) {
 		return
 	}
 	if len(t.free) < n {
-		t.free = make([]stepCall, max(n, len(t.calls), callChunk))
+		t.slab = make([]stepCall, max(n, len(t.calls), callChunk))
+		t.free = t.slab
 	}
 	if len(t.strs) < n*w {
-		t.strs = make([]string, max(n, len(t.calls), callChunk)*w)
+		t.strSlab = make([]string, max(n, len(t.calls), callChunk)*w)
+		t.strs = t.strSlab
 	}
 	t.calls = grown(t.calls, len(t.calls)+n)[:len(t.calls)]
 }

@@ -23,8 +23,11 @@ package engine
 // columns and finished joins are held beside the interner under the
 // returned group's identity and shared by every execution that pins the
 // state and receives the same group (held.go).
-// Column buffers are recycled through a per-execution colPool, and a
-// step's scratch through the execution's stepStates. Strings
+// Column buffers, batch headers, a step's scratch (stepState) and a
+// rule's head set are recycled through the execution's colPool, and the
+// whole execution — that pool and its call table with it — is recycled
+// across executions (executions, eval.go) unless its scratch outgrew one
+// byte bound (scratchMaxKept). Strings
 // materialize only at the edges: call inputs handed to internal/sources
 // and head rows handed to the sink, a batch's new rows cut from one slab
 // of values (headSet.rows) that the sink then owns.
@@ -66,6 +69,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/access"
 	"repro/internal/logic"
@@ -80,14 +84,15 @@ type colBatch struct {
 	cols [][]uint32
 }
 
-// colPool recycles column buffers and batch headers within one
-// execution. Batches die at every pipeline stage (the output batch
-// never aliases the input), so without reuse the hot loop would churn
-// one column allocation per slot per batch. The pool is shared by all
-// rules and stages of an execution and is safe for concurrent use; it
-// also carries the engine state the execution pinned — every value it
-// compares resolves through ids — and its batch accounting
-// (Profile.Batch).
+// colPool recycles column buffers, batch headers, step states and head
+// sets within one execution, and keeps them for the next execution that
+// takes the same recycled value (recycle). Batches die at every pipeline
+// stage (the output batch never aliases the input), so without reuse the
+// hot loop would churn one column allocation per slot per batch. The
+// pool is shared by all rules and stages of an execution and is safe for
+// concurrent use; it also carries the engine state the execution pinned
+// — every value it compares resolves through ids — and its batch
+// accounting (Profile.Batch).
 type colPool struct {
 	ids  *valueInterner
 	held *heldTable
@@ -95,6 +100,8 @@ type colPool struct {
 	mu          sync.Mutex
 	freeCols    [][]uint32
 	freeBatches []*colBatch
+	states      []*stepState
+	heads       []*headSet
 
 	nBatches  atomic.Int64 // batches run through applyStepCol
 	nInterned atomic.Int64 // tuple values newly interned this execution
@@ -103,6 +110,16 @@ type colPool struct {
 }
 
 func newColPool(st *engineState) *colPool { return &colPool{ids: st.ids, held: st.held} }
+
+// pin points the pool at the engine state an execution pinned and zeroes
+// its accounting.
+func (p *colPool) pin(st *engineState) {
+	p.ids, p.held = st.ids, st.held
+	p.nBatches.Store(0)
+	p.nInterned.Store(0)
+	p.nReuses.Store(0)
+	p.nHeld.Store(0)
+}
 
 // intern returns the ID of a returned tuple's value, counting it when it
 // is new to the interner (Profile.Batch.InternedValues).
@@ -136,16 +153,7 @@ func (p *colPool) getCol(n int) []uint32 {
 // getBatch returns an empty batch with a cols slice of numSlots nil
 // columns.
 func (p *colPool) getBatch(numSlots int) *colBatch {
-	p.mu.Lock()
-	var b *colBatch
-	if n := len(p.freeBatches); n > 0 {
-		b = p.freeBatches[n-1]
-		p.freeBatches = p.freeBatches[:n-1]
-	}
-	p.mu.Unlock()
-	if b == nil {
-		b = &colBatch{}
-	}
+	b := take(p, &p.freeBatches)
 	b.n = 0
 	if cap(b.cols) < numSlots {
 		b.cols = make([][]uint32, numSlots)
@@ -174,6 +182,65 @@ func (p *colPool) put(b *colBatch) {
 	b.n = 0
 	p.freeBatches = append(p.freeBatches, b)
 	p.mu.Unlock()
+}
+
+// take pops the last value of one of p's free lists, or makes a new one.
+func take[T any](p *colPool, free *[]*T) *T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return v
+}
+
+// give appends v to one of p's free lists.
+func give[T any](p *colPool, free *[]*T, v *T) {
+	p.mu.Lock()
+	*free = append(*free, v)
+	p.mu.Unlock()
+}
+
+// takeState returns a reset stepState: one the execution used before,
+// or one an earlier execution left in the pool, with its buffers.
+func (p *colPool) takeState() *stepState { return take(p, &p.states) }
+
+// putState hands st back for the execution's next step or stage.
+func (p *colPool) putState(st *stepState) {
+	st.reset()
+	give(p, &p.states, st)
+}
+
+// takeHead returns an empty head set for prog's rows.
+func (p *colPool) takeHead(prog *ruleProgram) *headSet {
+	h := take(p, &p.heads)
+	h.prog, h.pool = prog, p
+	return h
+}
+
+// putHead hands h back for the execution's next rule.
+func (p *colPool) putHead(h *headSet) {
+	h.seen.reset()
+	h.prog = nil
+	give(p, &p.heads, h)
+}
+
+// recycle readies the pool for the next execution that takes it: it
+// forgets the engine state, and keeps the free columns, batch headers,
+// step states and head sets, emptied of anything that points into the
+// finished execution, charging them to k. Nothing runs on the pool.
+func (p *colPool) recycle(k *keeper) {
+	p.ids, p.held = nil, nil
+	p.states = keepEach(k, p.states, (*stepState).recycle)
+	p.heads = keepEach(k, p.heads, (*headSet).recycle)
+	p.freeCols = keepEach(k, p.freeCols, func(c []uint32, k *keeper) { keep(k, c) })
+	p.freeBatches = keepEach(k, p.freeBatches, func(b *colBatch, k *keeper) {
+		k.charge(int(unsafe.Sizeof(*b)))
+		b.cols = keep(k, b.cols)
+	})
 }
 
 // batchProfile snapshots the pool's counters into a Profile section.
@@ -738,7 +805,8 @@ var pendingJoin = &callJoin{}
 // to — one value per stage of a streamed rule, carried across its
 // batches — and the scratch applyStepCol regrows and reuses. The whole
 // schedule hands a rule's steps one value in turn, reset between them.
-// Values are recycled across executions (takeState, releaseState).
+// Values come from the execution's colPool (takeState, putState) and
+// are recycled with it (recycle).
 type stepState struct {
 	// joins[e] is the join side the step built for call e — its index
 	// in the execution's call table, or, without Dedup, in own — nil
@@ -768,10 +836,13 @@ type stepState struct {
 	own       []stepCall
 	ownInputs []string
 	answers   [][]sources.Tuple
-	// all and gauge are issue's: the group's input vectors and the calls
-	// in flight.
-	all   [][]string
-	gauge inFlightGauge
+	// all, gauge, next and helpers are issue's: the group's input
+	// vectors, the calls in flight, the index of the next call to hand
+	// out and the helper goroutines working through them.
+	all     [][]string
+	gauge   inFlightGauge
+	next    atomic.Int32
+	helpers sync.WaitGroup
 }
 
 // grown returns buf resized to n: in place when n fits its capacity,
@@ -803,61 +874,67 @@ func (st *stepState) batchJoin() *callJoin {
 	return st.batchJoins[st.usedJoins-1]
 }
 
-// stepStates recycles stepStates across executions, so that a warm
-// process sizes no small step's scratch afresh.
-var stepStates = sync.Pool{New: func() any { return new(stepState) }}
-
-// stepStateMaxKept bounds, in elements, each buffer a recycled
-// stepState keeps — its seen set's slots and keys sixteen times that —
-// and a larger one is dropped, so that what the pool holds between
-// requests stays small.
-const stepStateMaxKept = 64
-
-// stepStateMaxJoins bounds the batch joins a recycled stepState keeps:
-// a materialized rule's steps reuse one in turn, a stage builds one a
-// batch.
-const stepStateMaxJoins = 4
-
-// large reports whether a recycled stepState drops t rather than keep
-// it: its slots or keys exceed sixteen times stepStateMaxKept.
-func (t *idTable) large() bool {
-	return len(t.slots) > 16*stepStateMaxKept || cap(t.keys) > 16*stepStateMaxKept
+// recycle readies st for another execution, emptied of what its
+// buffers point into: the finished execution's calls, answers and
+// joins. It charges st and its buffers to k.
+func (st *stepState) recycle(k *keeper) {
+	k.charge(int(unsafe.Sizeof(*st)))
+	st.joins = keep(k, st.joins)
+	st.seen.recycle(k)
+	st.batchJoins = keepEach(k, st.batchJoins, (*callJoin).recycle)
+	st.usedJoins = 0
+	st.of, st.rowGroups = keep(k, st.of), keep(k, st.rowGroups)
+	st.need, st.needIdx, st.claimed = keep(k, st.need), keep(k, st.needIdx), keep(k, st.claimed)
+	st.own, st.ownInputs = keep(k, st.own), keep(k, st.ownInputs)
+	st.answers, st.all = keep(k, st.answers), keep(k, st.all)
 }
 
-// takeState returns a reset stepState.
-func takeState() *stepState { return stepStates.Get().(*stepState) }
-
-// releaseState recycles st, keeping of its buffers the small ones,
-// emptied of what they point into: the execution's calls and answers.
-func releaseState(st *stepState) {
-	st.joins = recycled(st.joins)
-	if st.seen.large() {
-		st.seen = idTable{}
-	}
-	st.seen.reset()
-	kept := st.batchJoins[:0]
-	for _, j := range st.batchJoins {
-		if len(kept) < stepStateMaxJoins && !j.keys.large() && max(cap(j.vals), cap(j.idx), cap(j.start)) <= 16*stepStateMaxKept {
-			kept = append(kept, j)
-		}
-	}
-	clear(st.batchJoins[len(kept):])
-	st.batchJoins, st.usedJoins = kept, 0
-	st.of, st.rowGroups = recycled(st.of), recycled(st.rowGroups)
-	st.need, st.needIdx, st.claimed = recycled(st.need), recycled(st.needIdx), recycled(st.claimed)
-	st.own, st.ownInputs = recycled(st.own), recycled(st.ownInputs)
-	st.answers, st.all = recycled(st.answers), recycled(st.all)
-	stepStates.Put(st)
+// recycle readies a batch's join for another execution's builds,
+// charging it and its buffers to k.
+func (j *callJoin) recycle(k *keeper) {
+	k.charge(int(unsafe.Sizeof(*j)))
+	j.keys.recycle(k)
+	j.vals, j.idx, j.start = keep(k, j.vals), keep(k, j.idx), keep(k, j.start)
+	j.n, j.byOrd = 0, false
 }
 
-// recycled returns buf emptied and zeroed, or nil when it is larger than
-// stepStateMaxKept.
-func recycled[T any](buf []T) []T {
-	if cap(buf) > stepStateMaxKept {
-		return nil
+// scratchMaxKept bounds, in bytes, the scratch a recycled execution
+// keeps — its call table's, its column pool's, its step states' and head
+// sets' buffers — so that what the pool of executions holds between
+// requests stays small: an execution whose scratch grew past it is not
+// recycled at all, and the next one starts cold. E25's join keeps about
+// 31 KB. A 513-call execution (the remote_batch workload's) grows more
+// than twice that; keeping its first 64 KiB instead of none took that
+// workload's live heap from about 0.6 MB to 0.75–0.83 MB.
+const scratchMaxKept = 64 << 10
+
+// keeper is what is left of scratchMaxKept while a finished execution's
+// scratch is charged to it; below zero, the execution is not kept.
+type keeper int
+
+func (k *keeper) charge(n int) { *k -= keeper(n) }
+
+// keep returns buf emptied, charging its capacity to k. It zeroes buf
+// while the execution can still be kept; one that cannot is the garbage
+// collector's, with whatever it points to.
+func keep[T any](k *keeper, buf []T) []T {
+	var zero T
+	if k.charge(cap(buf) * int(unsafe.Sizeof(zero))); *k >= 0 {
+		clear(buf[:cap(buf)])
 	}
-	clear(buf[:cap(buf)])
 	return buf[:0]
+}
+
+// keepEach keeps list and its elements, charging its array and, through
+// keepOne, each element to k, and zeroes the array past its length.
+func keepEach[T any](k *keeper, list []T, keepOne func(T, *keeper)) []T {
+	var zero T
+	k.charge(cap(list) * int(unsafe.Sizeof(zero)))
+	for _, e := range list {
+		keepOne(e, k)
+	}
+	clear(list[len(list):cap(list)])
+	return list
 }
 
 // applyStepCol runs one compiled plan step over a columnar batch: group
@@ -877,7 +954,7 @@ func recycled[T any](buf []T) []T {
 func (x *execution) applyStepCol(ctx context.Context, prog *ruleProgram, si int, in *colBatch, sp *StepProfile, st *stepState, limit int, emit func(*colBatch) bool) (int, bool, error) {
 	sp0 := &prog.steps[si]
 	step := sp0.step
-	pool := x.pool
+	pool := &x.pool
 	src := x.cat.Source(step.Literal.Atom.Pred)
 	if src == nil {
 		return 0, false, fmt.Errorf("engine: no source for relation %s", step.Literal.Atom.Pred)

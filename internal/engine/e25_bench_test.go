@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/parser"
 )
@@ -20,7 +21,7 @@ import (
 // columnar batches attack. Distinct source calls stay in the dozens
 // (memoization collapses them identically under both evaluators), and
 // the head projects the join keys so deduplication also runs hot.
-func e25Fixture(b *testing.B, baseRows, fanout int) (logic.UCQ, *access.Set, *Instance) {
+func e25Fixture(b testing.TB, baseRows, fanout int) (logic.UCQ, *access.Set, *Instance) {
 	b.Helper()
 	q, err := parser.ParseUCQ(`Q(z, y) :- R(x, a, b, c, d, e, z), S(z, w), T(w, y), not N(z).`)
 	if err != nil {
@@ -147,3 +148,44 @@ func BenchmarkE25Columnar(b *testing.B) {
 		})
 	}
 }
+
+// A warm, repeated execution of E25's join from a cached plan's
+// programs (Opts.Prepared) regrows none of its scratch: the call table,
+// the head set, the column pool and the step states come back with the
+// recycled execution. Concurrency 2 fans out each step that asks more
+// than one call — to the issuing goroutine and one helper, without a
+// channel. What is left is the execution's own: its budget, profile and
+// the rows the sink is handed. Under the race detector, which drops a
+// quarter of what a sync.Pool is handed, the execution is cold now and
+// then, and the limit allows for that.
+func TestE25WarmPreparedAllocs(t *testing.T) {
+	q, ps, in := e25Fixture(t, 4000, 8)
+	p, err := core.NewPlan(q, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := in.MustCatalog(ps)
+	rt := NewRuntime()
+	rt.Concurrency = 2
+	var prep Prepared
+	run := func() {
+		out := NewRel()
+		if _, _, err := rt.Run(context.Background(), p, cat, Answered{}, Opts{Prepared: &prep}, Into(out)); err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 120 {
+			t.Fatalf("%d rows, want 120", out.Len())
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(50, run)
+	if limit := float64(24 + raceAllocSlack); allocs > limit {
+		t.Errorf("a warm E25 execution allocated %.0f times, want at most %.0f", allocs, limit)
+	}
+}
+
+// raceAllocSlack is what the race detector adds to an allocation count
+// (racealloc_test.go).
+var raceAllocSlack = 0

@@ -139,7 +139,8 @@ type ruleRun struct {
 
 // execution is one run of the driver: the compiled union, the schedule
 // and sink the caller's API shape selected, and the accounting all of
-// its rules share.
+// its rules share. Its scratch — the call table, the column pool with
+// its step states and head sets — is recycled with it (executions).
 type execution struct {
 	rt     *Runtime
 	cat    *sources.Catalog
@@ -148,7 +149,7 @@ type execution struct {
 	sink   Sink
 	start  time.Time
 	budget *budgetState
-	pool   *colPool
+	pool   colPool
 	state  uint64 // the pinned engine state's serial
 	rules  []ruleRun
 	// calls is every source call the execution made (calltable.go).
@@ -161,12 +162,43 @@ type execution struct {
 	resident inFlightGauge
 }
 
+// executions recycles executions, so that a warm process regrows no
+// execution's scratch: an execution is released (release) once nothing
+// runs on it any more, and kept with its scratch when that fits
+// scratchMaxKept.
+var executions = sync.Pool{New: func() any { return new(execution) }}
+
 // newExecution starts an execution's clock and budget and pins cat's
 // engine state: every value the execution compares gets its ID from that
 // state's interner, whatever the catalog installs meanwhile.
 func (rt *Runtime) newExecution(cat *sources.Catalog, o Opts, staged bool, sink Sink) *execution {
 	st := pinState(cat)
-	return &execution{rt: rt, cat: cat, o: o, staged: staged, sink: sink, start: time.Now(), budget: newBudget(o.Budget), pool: newColPool(st), state: st.serial}
+	x := executions.Get().(*execution)
+	x.rt, x.cat, x.o, x.staged, x.sink = rt, cat, o, staged, sink
+	x.start, x.budget, x.state = time.Now(), newBudget(o.Budget), st.serial
+	x.pool.pin(st)
+	x.resident.cur.Store(0)
+	x.resident.max.Store(0)
+	return x
+}
+
+// release recycles x once its run is over and every goroutine that ran
+// on it — rules, stages, issue's helpers — has exited, unless its
+// scratch grew past scratchMaxKept. What it keeps points into nothing of
+// the run: the call table's rows and inputs, the step states' joins and
+// answers and the rules are cleared, and the rows the sink was handed
+// were never the execution's. x must not be used afterwards.
+func (x *execution) release() {
+	k := keeper(scratchMaxKept)
+	x.calls.recycle(&k)
+	x.pool.recycle(&k)
+	x.rules = keep(&k, x.rules)
+	if k < 0 {
+		return
+	}
+	clear(x.ords[:])
+	x.rt, x.cat, x.o, x.sink, x.budget = nil, nil, Opts{}, nil, nil
+	executions.Put(x)
 }
 
 // compile translates the plan into the execution's rules: every rule
@@ -178,7 +210,10 @@ func (x *execution) compile(p core.Plan, pre Answered) {
 	if progs == nil {
 		ords = x.ords[:0]
 	}
-	x.rules = make([]ruleRun, 0, len(p.Exec.Rules))
+	x.rules = x.rules[:0]
+	if cap(x.rules) < len(p.Exec.Rules) {
+		x.rules = make([]ruleRun, 0, len(p.Exec.Rules))
+	}
 	for i, rule := range p.Exec.Rules {
 		if rule.False {
 			continue
@@ -190,7 +225,7 @@ func (x *execution) compile(p core.Plan, pre Answered) {
 		case progs != nil:
 			r.prog = progs[i]
 		default:
-			r.prog = compileRule(rule, p.Steps[i], x.pool, &ords)
+			r.prog = compileRule(rule, p.Steps[i], &x.pool, &ords)
 		}
 		x.rules = append(x.rules, r)
 	}
@@ -219,7 +254,7 @@ func (x *execution) prepared(p core.Plan) ([]*ruleProgram, relOrds) {
 	cur := &preparedRules{state: x.state, progs: make([]*ruleProgram, len(p.Exec.Rules))}
 	for i, rule := range p.Exec.Rules {
 		if !rule.False {
-			cur.progs[i] = compileRule(rule, p.Steps[i], x.pool, &cur.ords)
+			cur.progs[i] = compileRule(rule, p.Steps[i], &x.pool, &cur.ords)
 		}
 	}
 	pp.cur.Store(cur)
@@ -401,6 +436,7 @@ func (x *execution) deliver(ctx context.Context, r *ruleRun, rows []Row) bool {
 // answer.
 func (rt *Runtime) Run(ctx context.Context, p core.Plan, cat *sources.Catalog, pre Answered, o Opts, sink Sink) (Profile, Report, error) {
 	x := rt.newExecution(cat, o, false, sink)
+	defer x.release()
 	if o.Partial {
 		var stop func()
 		ctx, stop = x.budget.adopt(ctx)

@@ -99,6 +99,13 @@ func (t *idTable) reset() {
 	t.keys, t.n = t.keys[:0], 0
 }
 
+// recycle empties the table for another execution, charging its
+// buffers to k.
+func (t *idTable) recycle(k *keeper) {
+	t.keys, t.n = keep(k, t.keys), 0
+	t.slots = keep(k, t.slots)[:len(t.slots)]
+}
+
 func (t *idTable) equal(i int32, key []uint32) bool {
 	stored := t.keys[int(i)*t.w:]
 	for j, v := range key {

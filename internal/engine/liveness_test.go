@@ -43,7 +43,7 @@ func runPlan(q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, st
 	out := NewRel()
 	x := rt.newExecution(cat, Opts{}, staged, Into(out))
 	var ords relOrds
-	x.rules = []ruleRun{{rule: q, prog: compileRule(q, steps, x.pool, &ords)}}
+	x.rules = []ruleRun{{rule: q, prog: compileRule(q, steps, &x.pool, &ords)}}
 	x.calls.init(ords)
 	prof, _, err := x.run(context.Background())
 	return out, prof, err

@@ -562,10 +562,15 @@ func (e *callError) Unwrap() error { return e.Err }
 // pool — so adapters degrade through exactly the failure classes plain
 // sources produce.
 //
+// Groups of one are handed out in order by an atomic index that the
+// issuing goroutine works through itself, beside at most workers−1
+// helper goroutines it waits for before it returns.
+//
 // On failure every distinct error is reported (joined), and
 // outstanding calls are cancelled. A call issue gave an outcome is
-// marked answered; one it left unissued is not. The input vectors and
-// the in-flight gauge are st's scratch.
+// marked answered; one it left unissued is not. The input vectors, the
+// in-flight gauge, the index and the helpers' wait group are st's
+// scratch.
 func (x *execution) issue(ctx context.Context, src sources.Source, step access.AdornedLiteral, calls []*stepCall, sp *StepProfile, st *stepState) error {
 	if len(calls) == 0 {
 		return nil
@@ -613,30 +618,34 @@ func (x *execution) issue(ctx context.Context, src sources.Source, step access.A
 		}
 	default:
 		cctx, cancel := context.WithCancel(ctx)
-		feed := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range feed {
-					c := calls[i]
-					if cctx.Err() != nil {
-						c.err = cctx.Err()
-						continue
-					}
-					x.callOne(cctx, src, name, p, c, all[i:i+1], gauge)
-					if c.err != nil {
-						cancel() // fail fast: stop issuing, wake sleepers
-					}
+		st.next.Store(0)
+		work := func() {
+			for {
+				i := int(st.next.Add(1)) - 1
+				if i >= len(calls) {
+					return
 				}
-			}()
+				c := calls[i]
+				if cctx.Err() != nil {
+					c.err = cctx.Err()
+					continue
+				}
+				x.callOne(cctx, src, name, p, c, all[i:i+1], gauge)
+				if c.err != nil {
+					cancel() // fail fast: stop issuing, wake sleepers
+				}
+			}
 		}
-		for i := range calls {
-			feed <- i
+		helper := func() {
+			defer st.helpers.Done()
+			work()
 		}
-		close(feed)
-		wg.Wait()
+		st.helpers.Add(workers - 1)
+		for w := 1; w < workers; w++ {
+			go helper()
+		}
+		work()
+		st.helpers.Wait()
 		cancel()
 	}
 	var errs []error

@@ -29,18 +29,30 @@ import (
 	"context"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // headSet materializes a rule's distinct head rows. The seen set lives
 // in ID space and is carried across the batches of a staged rule, so a
 // row whose head repeats — within a batch or across batches — never
 // pays string assembly: each distinct row leaves the interned domain
-// exactly once.
+// exactly once. A rule takes its head set from the execution's colPool
+// (takeHead, putHead), and the rows it returns are the sink's: only the
+// set's keys are recycled.
 type headSet struct {
 	prog *ruleProgram
 	pool *colPool
 	seen idTable
 	key  []uint32
+}
+
+// recycle readies h for another execution, charging it and its
+// buffers to k.
+func (h *headSet) recycle(k *keeper) {
+	k.charge(int(unsafe.Sizeof(*h)))
+	h.prog, h.pool = nil, nil
+	h.seen.recycle(k)
+	h.key = keep(k, h.key)
 }
 
 // rows returns the head rows of b not produced before, in row order,
@@ -108,9 +120,9 @@ func (h *headSet) rows(b *colBatch, stopped func() error) ([]Row, error) {
 // what says the rule ran to completion. The profile keeps only the
 // steps the bindings reached.
 func (x *execution) whole(ctx context.Context, r *ruleRun, emit func(context.Context, []Row) bool) error {
-	prog, pool, rp := r.prog, x.pool, &r.rp
-	st := takeState() // one for the rule's steps in turn
-	defer releaseState(st)
+	prog, pool, rp := r.prog, &x.pool, &r.rp
+	st := pool.takeState() // one for the rule's steps in turn
+	defer pool.putState(st)
 	cur := pool.getBatch(prog.numSlots)
 	cur.n = 1 // the single empty binding
 	for si := range prog.steps {
@@ -143,8 +155,9 @@ func (x *execution) whole(ctx context.Context, r *ruleRun, emit func(context.Con
 		}
 		cur = next
 	}
-	h := headSet{prog: prog, pool: pool}
+	h := pool.takeHead(prog)
 	rows, err := h.rows(cur, func() error { return x.stopped(ctx) })
+	pool.putHead(h)
 	pool.put(cur)
 	if err != nil {
 		return err
@@ -163,7 +176,7 @@ func (x *execution) whole(ctx context.Context, r *ruleRun, emit func(context.Con
 // down this rule's stages only and is the rule's error — what the
 // execution does about it is the driver's business.
 func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(context.Context, []Row) bool) error {
-	rt, prog, pool, rp := x.rt, r.prog, x.pool, &r.rp
+	rt, prog, pool, rp := x.rt, r.prog, &x.pool, &r.rp
 	rctx, rcancel := context.WithCancel(ctx)
 	defer rcancel()
 	var failMu sync.Mutex
@@ -192,8 +205,8 @@ func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(contex
 			defer wg.Done()
 			defer close(out)
 			sp := &rp.Steps[i]
-			st := takeState() // its joins and seen set extend across the stage's batches
-			defer releaseState(st)
+			st := pool.takeState() // its joins and seen set extend across the stage's batches
+			defer pool.putState(st)
 			// send hands one output batch downstream, charging the
 			// resident gauge; ownership transfers to the next stage.
 			send := func(b *colBatch) bool {
@@ -232,7 +245,8 @@ func (x *execution) stagedRule(ctx context.Context, r *ruleRun, emit func(contex
 	wg.Add(1)
 	go func(in <-chan *colBatch) {
 		defer wg.Done()
-		h := headSet{prog: prog, pool: pool}
+		h := pool.takeHead(prog)
+		defer pool.putHead(h)
 		for batch := range in {
 			n := batch.n
 			rows, err := h.rows(batch, func() error { return x.stopped(rctx) })

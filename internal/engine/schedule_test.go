@@ -674,7 +674,8 @@ func TestStreamEmitsDistinctRowsPerRule(t *testing.T) {
 }
 
 // The inline path stays inline: eval of a one-rule, two-step plan over
-// Tables allocates 104 times (269 before head rows were cut from one
+// Tables allocates 28 times in a warm process (63 before an execution
+// recycled its scratch; 269 before head rows were cut from one
 // slab and the answer relation took them over without a key or a copy;
 // 299 before a step's short answers shared one join and its calls one
 // slab; 422 before the evaluator's string-keyed maps became idTables).
@@ -696,9 +697,8 @@ func TestEvalInlineAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const limit = 104 + 8
-	if allocs > limit {
-		t.Errorf("eval allocated %.0f times, want at most %d", allocs, limit)
+	if limit := float64(28 + 8 + raceAllocSlack); allocs > limit {
+		t.Errorf("eval allocated %.0f times, want at most %.0f", allocs, limit)
 	}
 }
 

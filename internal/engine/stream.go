@@ -244,6 +244,7 @@ func (rt *Runtime) StreamEval(ctx context.Context, p core.Plan, cat *sources.Cat
 		defer close(s.rows)
 		defer close(s.profDone)
 		prof, rep, err := x.run(sctx)
+		x.release()
 		s.fail(err)
 		if err == nil {
 			star.Fill(&rep)

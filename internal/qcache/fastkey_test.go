@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -106,6 +107,55 @@ func TestPlanFastHitAllocs(t *testing.T) {
 	})
 	if limit := float64(raceAllocSlack); allocs > limit {
 		t.Errorf("a fast-key hit allocated %.0f times, want at most %.0f", allocs, limit)
+	}
+}
+
+// A fast key leaves the fast map with its plan entry, and no sooner: a
+// hot tenant's query keeps its fast key while a second tenant's distinct
+// texts, four times the plan bound, evict one another's plans, and the
+// map never holds more than maxPlanAliases keys per cached plan.
+func TestFastKeyLeavesWithItsPlan(t *testing.T) {
+	const max = 16
+	c := New(Options{MaxPlanEntries: max})
+	hotPS, coldPS := pats(t, "R^oo S^io L^o"), pats(t, "R^oo S^io L^o L^i")
+	hot := q(t, `Q(x) :- R(x, y), S(y, z), not L(z).`)
+	ks := new(keyScratch)
+	hotKey := string(ks.fastKey(hot, hotPS))
+	entry, _ := c.Plan(hot, hotPS)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4*max; i++ {
+		c.Plan(workload.ColdPlanQuery(rng, i), coldPS)
+		c.mu.Lock()
+		_, kept := c.fast[hotKey]
+		fast, plans := len(c.fast), c.planLRU.Len()
+		c.mu.Unlock()
+		if !kept {
+			t.Fatalf("after %d texts of the second tenant, the hot query's fast key is gone", i+1)
+		}
+		if fast > maxPlanAliases*plans {
+			t.Fatalf("after %d texts, %d fast keys for %d plans", i+1, fast, plans)
+		}
+		if _, info := c.Plan(hot, hotPS); !info.Hit {
+			t.Fatalf("after %d texts of the second tenant, the hot query missed", i+1)
+		}
+	}
+	if st := c.Stats(); st.PlanMisses != 1+4*max {
+		t.Fatalf("%d plan misses, want one per distinct text (%d)", st.PlanMisses, 1+4*max)
+	}
+	// A class's renderings past the bound replace its oldest: here the
+	// hot text's own.
+	for i := 0; i < maxPlanAliases; i++ {
+		if e, _ := c.Plan(q(t, fmt.Sprintf(`Q(x) :- R(x, y), S(y, z), not L(z), R(x, v%d).`, i)), hotPS); e != entry {
+			t.Fatalf("rendering %d of the hot class got an entry of its own", i)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, kept := c.fast[hotKey]; kept || len(entry.aliases) != maxPlanAliases {
+		t.Fatalf("the hot entry keeps %d aliases (its first: %v), want the latest %d", len(entry.aliases), kept, maxPlanAliases)
+	}
+	if fast, plans := len(c.fast), c.planLRU.Len(); fast > maxPlanAliases*plans {
+		t.Fatalf("%d fast keys for %d plans", fast, plans)
 	}
 }
 

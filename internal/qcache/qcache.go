@@ -179,7 +179,16 @@ type PlanEntry struct {
 	// prepared is the plan's compiled rule programs under the last
 	// engine state that ran it; it goes when the entry is evicted.
 	prepared engine.Prepared
+	// aliases are the fast keys that map to the entry, the latest
+	// maxPlanAliases of them, oldest first; they leave the fast map
+	// with the entry. Cache.mu guards them.
+	aliases []string
 }
+
+// maxPlanAliases bounds the fast keys one plan entry keeps in the fast
+// map: a rendering past them replaces the entry's oldest, so the map
+// holds at most maxPlanAliases keys per cached plan.
+const maxPlanAliases = 4
 
 // Exec returns the executable representative the cache evaluates for
 // this entry. It is equivalent to every query that maps to the entry.
@@ -480,12 +489,7 @@ func (c *Cache) Plan(q logic.UCQ, ps *access.Set) (*PlanEntry, PlanInfo) {
 			}
 		}
 	}
-	// The fast map holds textual aliases; bound it coarsely so distinct
-	// renderings of the same classes cannot grow it without limit.
-	if max := c.opt.MaxPlanEntries; max > 0 && len(c.fast) >= 4*max {
-		c.fast = map[string]string{}
-	}
-	c.fast[fk] = entry.key
+	c.aliasLocked(entry, fk)
 	delete(c.flights, fk)
 	f.entry = entry
 	c.mu.Unlock()
@@ -493,10 +497,26 @@ func (c *Cache) Plan(q logic.UCQ, ps *access.Set) (*PlanEntry, PlanInfo) {
 	return entry, PlanInfo{Hit: hit, Evictions: evictions}
 }
 
-// removePlanLocked removes a plan element from both indexes; c.mu held.
+// aliasLocked maps the fast key fk to e, dropping e's oldest alias
+// when e already has maxPlanAliases; c.mu held.
+func (c *Cache) aliasLocked(e *PlanEntry, fk string) {
+	if len(e.aliases) == maxPlanAliases {
+		delete(c.fast, e.aliases[0])
+		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
+	}
+	e.aliases = append(e.aliases, fk)
+	c.fast[fk] = e.key
+}
+
+// removePlanLocked removes a plan element from every index: the plans,
+// the LRU and the fast map; c.mu held.
 func (c *Cache) removePlanLocked(elem *list.Element) {
 	e := c.planLRU.Remove(elem).(*PlanEntry)
 	delete(c.plans, e.key)
+	for _, fk := range e.aliases {
+		delete(c.fast, fk)
+	}
+	e.aliases = nil
 }
 
 // build computes a PlanEntry for q: plan it with the one planner
@@ -507,7 +527,17 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	var cores []logic.CQ
 	e.plan, cores, e.planErr = core.PlanUnion(q, ps, c.opt.PlanBudget)
 	if e.planErr != nil {
-		cores = q.Rules // keyed as written, so α-renamed variants replay the failure
+		// Keyed as written, so α-renamed variants replay the failure. A
+		// failure keeps its key and its error (which quotes at most a
+		// bounded part of the text) and nothing else of the request:
+		// Answers and StoreAnswers never read a failure's cores.
+		keys := make([]string, len(q.Rules))
+		for i, r := range q.Rules {
+			r.HeadPred = canonHeadPred
+			keys[i] = containment.CanonicalKey(r)
+		}
+		e.key = planKey(keys, ps)
+		return e
 	}
 	// The plan's rules share terms and literals with q, which is the
 	// submitter's to change and whose parse arenas the entry must not
@@ -520,15 +550,11 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	e.cores = make([]logic.CQ, len(cores))
 	e.coreKeys = make([]string, len(cores))
 	e.coreSigs = make([]string, len(cores))
-	keySet := make([]string, 0, len(cores))
-	seen := map[string]bool{}
+	keys := make([]string, len(cores))
 	for i, cr := range cores {
 		cr.HeadPred = canonHeadPred // on the loop's copy: CanonicalForm builds a new query
 		e.cores[i], e.coreKeys[i] = containment.CanonicalForm(cr)
-		if !seen[e.coreKeys[i]] {
-			seen[e.coreKeys[i]] = true
-			keySet = append(keySet, e.coreKeys[i])
-		}
+		keys[i] = e.coreKeys[i]
 		if !e.plan.Certain(i) {
 			// A dismissed rule runs as its overestimate Qᵢᵒ, whose rows
 			// are that rule's answer: they are cached under it.
@@ -538,9 +564,16 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 		}
 		e.coreSigs[i] = coreSig(e.cores[i])
 	}
-	sort.Strings(keySet)
-	e.key = strings.Join(keySet, " | ") + "\x00" + ps.String()
+	e.key = planKey(keys, ps)
 	return e
+}
+
+// planKey is the plan cache's key of a union under ps from its rules'
+// canonical keys, head predicates normalized away (the head names the
+// answer, it does not select it): their sorted set. keys is reordered.
+func planKey(keys []string, ps *access.Set) string {
+	sort.Strings(keys)
+	return strings.Join(slices.Compact(keys), " | ") + "\x00" + ps.String()
 }
 
 // catFingerprint keys answers to a catalog identity and generation:
@@ -600,9 +633,12 @@ func (c *Cache) dropCatalogLocked(cat *sources.Catalog) {
 // after it is released, from frozen relations no one writes, so a large
 // answer never stalls another tenant's lookup.
 func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
+	if e.planErr != nil {
+		return AnswerHit{}
+	}
 	n := len(e.plan.Exec.Rules)
 	hit := AnswerHit{Rows: make([][]engine.Row, n), Covered: make([]bool, n)}
-	if c.opt.DisableAnswers || e.planErr != nil {
+	if c.opt.DisableAnswers {
 		return hit
 	}
 	c.mu.Lock()

@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+
+	ucqn "repro"
 )
 
 // stdlibDecodeRequest is the decodeRequest this package had before it
@@ -146,3 +150,46 @@ func TestServedHitAllocs(t *testing.T) {
 // raceAllocSlack is what the race detector adds to an allocation count
 // (racealloc_test.go).
 var raceAllocSlack = 0
+
+// A cached planning failure keeps its key and an error that quotes at
+// most a bounded part of the text, and nothing else of its request: 32
+// distinct ≈ 1 MiB texts naming an unknown relation each fail with
+// ErrNotOrderable, are cached, and together retain less than 2.5 MB a
+// request — a text's fast key and plan key, about 1 MiB each (a failure
+// that kept its cores, its plan and its whole message retained 7.34 MB a
+// request).
+func TestCachedPlanningFailureRetainsLittle(t *testing.T) {
+	s, fixtures := newTestServer(t, Config{}, 1)
+	tenant := fixtures[0].Name
+	ctx := context.Background()
+	const n = 32
+	text := func(i int) string {
+		return fmt.Sprintf("Q(x) :- P%sN%d(x).", strings.Repeat("p", 1<<20), i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		_, err := s.Query(ctx, tenant, text(i))
+		if !errors.Is(err, ucqn.ErrNotOrderable) {
+			t.Fatalf("text %d: %v, want ErrNotOrderable", i, err)
+		}
+		if len(err.Error()) > 2<<10 {
+			t.Fatalf("text %d: a %d-byte error", i, len(err.Error()))
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if plans, _ := s.qc.Len(); plans != n {
+		t.Fatalf("%d plans cached, want the %d failures", plans, n)
+	}
+	if per := (float64(after.HeapInuse) - float64(before.HeapInuse)) / n; per > 2.5e6 {
+		t.Errorf("a cached failure retains %.2f MB, want less than 2.5", per/1e6)
+	}
+	hits := s.qc.Stats().PlanHits
+	if _, err := s.Query(ctx, tenant, text(0)); !errors.Is(err, ucqn.ErrNotOrderable) || s.qc.Stats().PlanHits != hits+1 {
+		t.Fatalf("a repeated failing text: %v, %d plan hits, want ErrNotOrderable from the cache", err, s.qc.Stats().PlanHits-hits)
+	}
+}

@@ -49,7 +49,9 @@ type Source interface {
 	// with the wrong number of inputs in any vector, is an error before
 	// any traffic: that is exactly the restriction the paper studies. A
 	// done context is reported as ctx.Err(), never as a transient
-	// failure.
+	// failure. The input vectors are the caller's: a source reads them
+	// during the call and keeps none of them once it returns (the engine
+	// reuses their arrays).
 	//
 	// The answer is read-only, for good: the returned slice of groups, a
 	// group or a tuple once handed out is never written again, by anyone
